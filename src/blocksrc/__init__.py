@@ -12,11 +12,10 @@ from .dictlearn import (
     lcksvd_train,
 )
 from .ensemble import (
-    BlockDecision,
+    BlockResults,
     EnsembleDecision,
     bbll,
     bbmap,
-    block_decision,
     block_decisions_batch,
     ensemble_decision,
     roc_auc,

@@ -117,11 +117,7 @@ def _cmd_evaluate(args) -> int:
     block = int(meta.get("block_w", cfg.block_sizes[0]))
     samples = load_dataset(cfg)
     fused = classify_samples([m.D for m in models], samples, cfg, block)
-    preds, scores = [], []
-    for dec in fused:
-        p, s = decision_outputs(dec, cfg)
-        preds.append(p)
-        scores.append(s)
+    preds, scores = decision_outputs(fused, cfg)
     truth = [s.label for s in samples]
     metrics = compute_metrics(preds, truth, scores)
     metrics.pop("roc", None)
@@ -157,21 +153,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec_kwargs = {}
-    if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh.read().splitlines(), start=1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                if "=" not in body:
-                    raise ValueError(f"synth spec line {lineno}: expected key = value")
-                key, raw = (p.strip() for p in body.split("=", 1))
-                if key == "noise_sigma":
-                    spec_kwargs[key] = float(raw)
-                else:
-                    spec_kwargs[key] = int(raw)
-    spec = SynthSpec(**spec_kwargs)
+    spec = load_config(args.spec, cls=SynthSpec)
     samples = synth_dataset(spec, args.seed)
     write_synth_cache(samples, args.out)
     print(f"wrote {len(samples)} synthetic ROIs to {args.out}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .dictlearn import MODES, TrainParams
 from .synth import SynthSpec
@@ -107,9 +107,12 @@ def _coerce(name: str, raw: str, target_type):
     raise ValueError(f"config key {name}: unsupported type")
 
 
-def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse ``key = value`` lines ('#' comments allowed) into a config."""
-    type_map = {f.name: (tuple if f.name == "block_sizes" else type(getattr(ExperimentConfig(), f.name))) for f in fields(ExperimentConfig)}
+def parse_config_text(text: str, overrides: dict | None = None, cls=ExperimentConfig):
+    """Parse ``key = value`` lines ('#' comments allowed) into ``cls``, a
+    dataclass whose defaults give each key's type (an ``ExperimentConfig``
+    unless told otherwise)."""
+    defaults = cls()
+    type_map = {f.name: type(getattr(defaults, f.name)) for f in fields(cls)}
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -127,17 +130,13 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
                 continue
             if key not in type_map:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = tuple(val) if key == "block_sizes" and not isinstance(val, tuple) else val
-    return ExperimentConfig(**values)
+            values[key] = tuple(val) if type_map[key] is tuple else val
+    return cls(**values)
 
 
-def load_config(path: str | None, overrides: dict | None = None) -> ExperimentConfig:
+def load_config(path: str | None, overrides: dict | None = None, cls=ExperimentConfig):
     text = ""
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return parse_config_text(text, overrides)
-
-
-def with_axes(cfg: ExperimentConfig, decision: str, k_folds: int, dl_mode: str) -> ExperimentConfig:
-    return replace(cfg, decision=decision, k_folds=k_folds, dl_mode=dl_mode)
+    return parse_config_text(text, overrides, cls)

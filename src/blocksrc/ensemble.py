@@ -10,45 +10,44 @@ thresholded at tau (bbll).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .labels import BENIGN, MALIGNANT
-from .solvers import (
-    ConvergenceError,
-    Dictionary,
-    L1_LOG_FLOOR,
-    SparseCode,
-    bpdn,
-    bpdn_batch,
-    class_residuals,
-)
-
-DEFAULT_EPS_SCALE = 0.05  # eps = 0.05 * ||y||_2 when no rule is configured
+from .solvers import Dictionary, L1_LOG_FLOOR, bpdn_batch, class_residuals
 
 
-@dataclass(frozen=True)
-class BlockDecision:
-    """One block's sparse code and its classification diagnostics."""
+class BlockResults(NamedTuple):
+    """One block position's results for ``m`` samples, as arrays.
 
-    block_index: int
-    code: SparseCode
-    per_class_l1: np.ndarray
-    per_class_residual: np.ndarray
-    hard_label: int
-    lls: float
-    degenerate: bool = False
+    ``hard`` and ``lls`` (shape ``(m,)``) feed the fusion rules; the rest are
+    diagnostics: class-restricted residuals ``(2, m)`` indexed by class id,
+    the codes ``(n_atoms, m)``, and per-sample ``feasible``/``degenerate``
+    flags.
+    """
+
+    hard: np.ndarray
+    lls: np.ndarray
+    residuals: np.ndarray
+    codes: np.ndarray
+    feasible: np.ndarray
+    degenerate: np.ndarray
 
 
 @dataclass(frozen=True)
 class EnsembleDecision:
-    """Fused decision for one sample under both rules."""
+    """Fused decisions for ``m`` samples under both rules.
+
+    ``posterior`` has shape ``(m, 2)``; every other array field has shape
+    ``(m,)``.
+    """
 
     posterior: np.ndarray
-    vote_score: float
-    ells: float
-    label_bbmap: int
-    label_bbll: int
+    vote_score: np.ndarray
+    ells: np.ndarray
+    label_bbmap: np.ndarray
+    label_bbll: np.ndarray
     tau: float
 
 
@@ -66,133 +65,86 @@ def lls_score(per_class_l1: np.ndarray, invert: bool = False) -> float:
     return float(-score) if invert else float(score)
 
 
-def _decision_from_code(Dj, yj, code, block_index, invert_lls):
-    resid, l1 = class_residuals(Dj, code, yj)
-    # Residual tie goes to benign, the prior class.
-    hard = BENIGN if resid[BENIGN] <= resid[MALIGNANT] else MALIGNANT
-    return BlockDecision(
-        block_index=block_index,
-        code=code,
-        per_class_l1=l1,
-        per_class_residual=resid,
-        hard_label=hard,
-        lls=lls_score(l1, invert=invert_lls),
-    )
-
-
-def _degenerate_decision(block_index: int, n_atoms: int, ynorm: float) -> BlockDecision:
-    zero = SparseCode.from_coefficients(np.zeros(n_atoms), ynorm, 0)
-    return BlockDecision(
-        block_index=block_index,
-        code=zero,
-        per_class_l1=np.zeros(2),
-        per_class_residual=np.full(2, ynorm),
-        hard_label=BENIGN,
-        lls=0.0,
-        degenerate=True,
-    )
-
-
-def block_decision(
-    Dj: Dictionary,
-    yj: np.ndarray,
-    eps: float | None = None,
-    block_index: int = 0,
-    invert_lls: bool = False,
-) -> BlockDecision:
-    """Code one block and classify it.
-
-    ``eps`` defaults to ``DEFAULT_EPS_SCALE * ||yj||``. A block whose
-    dictionary has no usable atoms, or whose signal is all-zero, yields a
-    degenerate decision: benign (the prior), zero score. When the error bound
-    is unreachable the solver's best iterate is used and the code is marked
-    infeasible.
-    """
-    yj = np.asarray(yj, dtype=float).ravel()
-    ynorm = float(np.linalg.norm(yj))
-    if not Dj.usable.any() or ynorm < 1e-12:
-        return _degenerate_decision(block_index, Dj.n_atoms, ynorm)
-    if eps is None:
-        eps = DEFAULT_EPS_SCALE * ynorm
-    try:
-        code = bpdn(Dj, yj, eps)
-    except ConvergenceError as err:
-        code = err.best
-    return _decision_from_code(Dj, yj, code, block_index, invert_lls)
-
-
 def block_decisions_batch(
-    Dj: Dictionary,
-    Yj: np.ndarray,
-    eps=None,
-    block_index: int = 0,
-    invert_lls: bool = False,
-) -> list[BlockDecision]:
-    """Vectorized :func:`block_decision` over the columns of ``Yj``."""
+    Dj: Dictionary, Yj: np.ndarray, eps, invert_lls: bool = False
+) -> BlockResults:
+    """Code the columns of ``Yj`` against one block dictionary and classify
+    each by the SRC rule (smallest class-restricted residual).
+
+    ``eps`` is the error bound per column (a scalar broadcasts). A column
+    whose signal is all-zero, or any column when the dictionary has no
+    usable atoms, is degenerate: benign (the prior), zero score. When the
+    error bound is unreachable the solver's best iterate is used and the
+    column is marked infeasible.
+    """
     Yj = np.asarray(Yj, dtype=float)
     m = Yj.shape[1]
     ynorm = np.linalg.norm(Yj, axis=0)
-    if not Dj.usable.any():
-        return [_degenerate_decision(block_index, Dj.n_atoms, float(ynorm[i])) for i in range(m)]
-
-    out: list[BlockDecision | None] = [None] * m
-    live = np.flatnonzero(ynorm >= 1e-12)
-    for i in np.flatnonzero(ynorm < 1e-12):
-        out[i] = _degenerate_decision(block_index, Dj.n_atoms, float(ynorm[i]))
+    hard = np.full(m, BENIGN)
+    lls = np.zeros(m)
+    residuals = np.tile(ynorm, (2, 1))
+    codes = np.zeros((Dj.n_atoms, m))
+    feasible = np.ones(m, dtype=bool)
+    degenerate = (ynorm < 1e-12) | (not Dj.usable.any())
+    live = np.flatnonzero(~degenerate)
     if live.size:
-        if eps is None:
-            eps_vec = DEFAULT_EPS_SCALE * ynorm[live]
-        else:
-            eps_vec = np.broadcast_to(np.asarray(eps, dtype=float), (m,))[live]
-        X, rn, feas, iters = bpdn_batch(Dj, Yj[:, live], eps_vec)
-        for pos, i in enumerate(live):
-            code = SparseCode.from_coefficients(X[:, pos], rn[pos], iters[pos], bool(feas[pos]))
-            out[i] = _decision_from_code(Dj, Yj[:, i], code, block_index, invert_lls)
-    return out  # type: ignore[return-value]
+        eps_live = np.broadcast_to(np.asarray(eps, dtype=float), (m,))[live]
+        codes[:, live], _, feasible[live], _ = bpdn_batch(Dj, Yj[:, live], eps_live)
+        for i in live:
+            resid, l1 = class_residuals(Dj, codes[:, i], Yj[:, i])
+            residuals[:, i] = resid
+            # Residual tie goes to benign, the prior class.
+            hard[i] = BENIGN if resid[BENIGN] <= resid[MALIGNANT] else MALIGNANT
+            lls[i] = lls_score(l1, invert=invert_lls)
+    return BlockResults(hard, lls, residuals, codes, feasible, degenerate)
 
 
-def bbmap(decisions: list[BlockDecision]) -> tuple[np.ndarray, int, float]:
-    """Majority vote over per-block hard labels.
+def _check_blocks(per_block: np.ndarray) -> np.ndarray:
+    per_block = np.asarray(per_block)
+    if per_block.ndim != 2 or per_block.shape[1] == 0:
+        raise ValueError(f"expected (samples, blocks) block results, got shape {per_block.shape}")
+    return per_block
 
-    Returns ``(posterior, label, vote_score)``; the posterior is the fraction
-    of blocks voting for each class, ties break toward malignant, and
-    ``vote_score`` is the malignant fraction (the continuous score).
+
+def bbmap(hard: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Majority vote over per-block hard labels of shape ``(m, nbl)``.
+
+    Returns ``(posterior, label, vote_score)`` per sample; the posterior is
+    the fraction of blocks voting for each class, ties break toward
+    malignant, and ``vote_score`` is the malignant fraction (the continuous
+    score).
     """
-    if not decisions:
-        raise ValueError("no block decisions to fuse")
-    n = len(decisions)
-    votes_mal = sum(1 for d in decisions if d.hard_label == MALIGNANT)
-    posterior = np.array([(n - votes_mal) / n, votes_mal / n])
-    label = MALIGNANT if posterior[MALIGNANT] >= posterior[BENIGN] else BENIGN
-    return posterior, label, float(posterior[MALIGNANT])
+    hard = _check_blocks(hard)
+    n = hard.shape[1]
+    votes_mal = np.count_nonzero(hard == MALIGNANT, axis=1)
+    posterior = np.column_stack(((n - votes_mal) / n, votes_mal / n))
+    label = np.where(posterior[:, MALIGNANT] >= posterior[:, BENIGN], MALIGNANT, BENIGN)
+    return posterior, label, posterior[:, MALIGNANT]
 
 
-def bbll(decisions: list[BlockDecision], tau: float = 0.0, positive_class: int = MALIGNANT) -> tuple[float, int]:
-    """Mean of per-block log-likelihood scores, thresholded at ``tau``.
+def bbll(lls: np.ndarray, tau: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of per-block log-likelihood scores of shape ``(m, nbl)``,
+    thresholded at ``tau``.
 
-    Blocks are summed in ascending block-index order so parallel evaluation
-    cannot change the result. The label is ``positive_class`` exactly when
-    ``ells - tau >= 0`` (a unit step); the pre-threshold score is the ROC
-    sweep variable.
+    Each sample's blocks are averaged in ascending block order. The label is
+    malignant exactly when ``ells - tau >= 0`` (a unit step); the
+    pre-threshold score is the ROC sweep variable.
     """
-    if not decisions:
-        raise ValueError("no block decisions to fuse")
-    ordered = sorted(decisions, key=lambda d: d.block_index)
-    ells = float(np.mean([d.lls for d in ordered]))
-    negative = BENIGN if positive_class == MALIGNANT else MALIGNANT
-    label = positive_class if ells - tau >= 0 else negative
+    lls = _check_blocks(lls)
+    ells = np.array([np.mean(row) for row in lls])
+    label = np.where(ells - tau >= 0, MALIGNANT, BENIGN)
     return ells, label
 
 
-def ensemble_decision(decisions: list[BlockDecision], tau: float = 0.0) -> EnsembleDecision:
-    """Fuse block decisions under both rules.
+def ensemble_decision(hard: np.ndarray, lls: np.ndarray, tau: float = 0.0) -> EnsembleDecision:
+    """Fuse ``(m, nbl)`` block results under both rules.
 
     The threshold branch always assigns malignant when ``ells - tau >= 0``;
     computing the block scores with ``invert_lls`` therefore yields the
     smaller-mass decision rule instead of the default larger-mass one.
     """
-    posterior, label_map, vote = bbmap(decisions)
-    ells, label_ll = bbll(decisions, tau, positive_class=MALIGNANT)
+    posterior, label_map, vote = bbmap(hard)
+    ells, label_ll = bbll(lls, tau)
     return EnsembleDecision(
         posterior=posterior,
         vote_score=vote,

@@ -1,11 +1,12 @@
 """Cross-validation harness: stratified folds, metrics, experiment runner.
 
-A run trains per-block dictionaries on each fold's training split, classifies
-the held-out samples block by block, fuses the block decisions, pools the
-predictions over folds, and persists a report (JSON, a CSV summary row, and
-an SVG ROC plot). Everything is deterministic given (config, seed); worker
-threads only parallelize per-block work whose results are reassembled by
-block index.
+A cross-validation pass trains per-block dictionaries on each fold's training
+split, classifies the held-out samples block by block and fuses the block
+results under both decision rules. A report then takes one rule's
+predictions, pools them over folds, and is persisted (JSON, a CSV summary
+row, and an SVG ROC plot). Everything is deterministic given (config, seed);
+worker threads only parallelize per-block work whose results are reassembled
+by block index.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -106,17 +107,7 @@ class EvalReport:
     roc: list
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "block_size": self.block_size,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "folds": self.folds,
-            "incomplete_folds": self.incomplete_folds,
-            "confusion": self.confusion,
-            "metrics": self.metrics,
-            "roc": self.roc,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -204,9 +195,9 @@ def classify_samples(
     samples: list[RoiSample],
     cfg: ExperimentConfig,
     block_size: int,
-) -> list[EnsembleDecision]:
+) -> EnsembleDecision:
     """Code every sample's blocks against the per-position dictionaries and
-    fuse the block decisions."""
+    fuse the block results; returns one decision array per sample."""
     grids = [decompose_roi(s, block_size, block_size) for s in samples]
     nbl = len(dictionaries)
     if grids and grids[0].nbl != nbl:
@@ -218,82 +209,69 @@ def classify_samples(
             eps = np.full(yj.shape[1], cfg.eps_abs)
         else:
             eps = cfg.eps_rel * np.linalg.norm(yj, axis=0)
-        return block_decisions_batch(
-            dictionaries[j], yj, eps, block_index=j, invert_lls=cfg.invert_lls
-        )
+        return block_decisions_batch(dictionaries[j], yj, eps, invert_lls=cfg.invert_lls)
 
     per_block = _map_blocks(decide_block, nbl, cfg.workers)
-    fused = []
-    for i in range(len(samples)):
-        decisions = [per_block[j][i] for j in range(nbl)]
-        fused.append(ensemble_decision(decisions, tau=cfg.tau))
-    return fused
+    hard = np.column_stack([b.hard for b in per_block])
+    lls = np.column_stack([b.lls for b in per_block])
+    return ensemble_decision(hard, lls, tau=cfg.tau)
 
 
-def decision_outputs(dec: EnsembleDecision, cfg: ExperimentConfig) -> tuple[int, float]:
-    """(prediction, decision score) under the configured rule."""
+def decision_outputs(dec: EnsembleDecision, cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(predictions, decision scores) under the configured rule."""
     if cfg.decision == "bbmap":
         return dec.label_bbmap, dec.vote_score
     return dec.label_bbll, dec.ells - dec.tau
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    block_size: int | None = None,
-    samples: list[RoiSample] | None = None,
-    persist: bool = True,
-) -> EvalReport:
-    """Full stratified cross-validation for one block size.
+def cross_validate(cfg: ExperimentConfig, block_size: int, samples: list[RoiSample]) -> list[tuple]:
+    """One stratified cross-validation pass for one block size.
 
     Per fold: assemble (and optionally learn) the block dictionaries on the
-    training split, classify the held-out samples, and record predictions.
-    Predictions are pooled across folds before the ROC sweep; a fold that
-    fails is recorded with a structured diagnostic and excluded from pooling.
+    training split and classify the held-out samples under both decision
+    rules. Returns ``(fold, test_indices, outcome)`` per fold, where outcome
+    is the fold's :class:`EnsembleDecision`, or a structured diagnostic dict
+    when the fold failed. ``cfg.decision`` plays no part.
     """
-    if block_size is None:
-        if len(cfg.block_sizes) != 1:
-            raise ValueError("block_size required when the config lists several")
-        block_size = cfg.block_sizes[0]
-    if cfg.roi_size % block_size != 0:
-        raise ValueError(f"block size {block_size} does not divide roi_size {cfg.roi_size}")
-    if samples is None:
-        samples = load_dataset(cfg)
+    folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
+    out = []
+    for f in range(cfg.k_folds):
+        test_idx = np.flatnonzero(folds == f)
+        stage = "train"
+        try:
+            train_set = [samples[i] for i in np.flatnonzero(folds != f)]
+            models = train_block_models(train_set, cfg, block_size)
+            stage = "classify"
+            test_set = [samples[i] for i in test_idx]
+            outcome = classify_samples([m.D for m in models], test_set, cfg, block_size)
+        except Exception as err:  # fold aborts with a structured diagnostic
+            outcome = {"stage": stage, "type": type(err).__name__, "message": str(err)}
+        out.append((f, test_idx, outcome))
+    return out
 
+
+def build_report(
+    cfg: ExperimentConfig, block_size: int, samples: list[RoiSample], folds: list[tuple]
+) -> EvalReport:
+    """Report a cross-validation pass under the rule ``cfg.decision``.
+
+    Predictions are pooled across folds before the ROC sweep; a failed fold
+    is recorded with its diagnostic and excluded from pooling.
+    """
     labels = as_label_array([s.label for s in samples])
-    folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
-
     fold_entries = []
     incomplete = []
     pooled_pred: list[int] = []
     pooled_truth: list[int] = []
     pooled_scores: list[float] = []
-    for f in range(cfg.k_folds):
-        test_idx = np.flatnonzero(folds == f)
-        train_idx = np.flatnonzero(folds != f)
-        stage = "setup"
-        try:
-            stage = "train"
-            train_set = [samples[i] for i in train_idx]
-            models = train_block_models(train_set, cfg, block_size)
-            stage = "classify"
-            test_set = [samples[i] for i in test_idx]
-            fused = classify_samples([m.D for m in models], test_set, cfg, block_size)
-            stage = "fuse"
-            preds = []
-            scores = []
-            for dec in fused:
-                p, s = decision_outputs(dec, cfg)
-                preds.append(int(p))
-                scores.append(float(s))
-        except Exception as err:  # fold aborts with a structured diagnostic
+    for f, test_idx, outcome in folds:
+        if isinstance(outcome, dict):
             incomplete.append(f)
-            fold_entries.append(
-                {
-                    "fold": f,
-                    "error": {"stage": stage, "type": type(err).__name__, "message": str(err)},
-                }
-            )
+            fold_entries.append({"fold": f, "error": outcome})
             continue
+        fold_preds, fold_scores = decision_outputs(outcome, cfg)
+        preds = [int(p) for p in fold_preds]
+        scores = [float(s) for s in fold_scores]
         truth = [int(labels[i]) for i in test_idx]
         fold_metrics = compute_metrics(preds, truth) if preds else None
         if fold_metrics:
@@ -316,19 +294,36 @@ def run_experiment(
         raise RuntimeError("every fold failed; nothing to report")
     pooled = compute_metrics(pooled_pred, pooled_truth, pooled_scores)
     roc = pooled.pop("roc") or []
-    confusion = {k: pooled[k] for k in ("tp", "tn", "fp", "fn")}
-    metrics = {k: pooled[k] for k in ("tpr", "tnr", "acc", "auc")}
-    report = EvalReport(
+    return EvalReport(
         config=cfg.echo(),
         block_size=block_size,
         seed=cfg.seed,
         n_samples=len(samples),
         folds=fold_entries,
         incomplete_folds=incomplete,
-        confusion=confusion,
-        metrics=metrics,
+        confusion={k: pooled[k] for k in ("tp", "tn", "fp", "fn")},
+        metrics={k: pooled[k] for k in ("tpr", "tnr", "acc", "auc")},
         roc=roc,
     )
+
+
+def run_experiment(
+    cfg: ExperimentConfig,
+    block_size: int | None = None,
+    samples: list[RoiSample] | None = None,
+    persist: bool = True,
+) -> EvalReport:
+    """Full stratified cross-validation for one block size, reported under
+    ``cfg.decision``."""
+    if block_size is None:
+        if len(cfg.block_sizes) != 1:
+            raise ValueError("block_size required when the config lists several")
+        block_size = cfg.block_sizes[0]
+    if cfg.roi_size % block_size != 0:
+        raise ValueError(f"block size {block_size} does not divide roi_size {cfg.roi_size}")
+    if samples is None:
+        samples = load_dataset(cfg)
+    report = build_report(cfg, block_size, samples, cross_validate(cfg, block_size, samples))
     if persist:
         persist_report(report, cfg.output_dir)
     return report
@@ -359,23 +354,32 @@ GRID_MODES = ("none", "lcksvd1", "lcksvd2")
 
 def run_grid(cfg: ExperimentConfig, persist: bool = True) -> list[EvalReport]:
     """Run the full decision x folds x block-size x learning-mode grid and
-    write one summary CSV over all cells."""
-    reports = []
-    rows = []
-    for decision in GRID_DECISIONS:
-        for k in GRID_FOLDS:
-            for mode in GRID_MODES:
-                sub = replace(cfg, decision=decision, k_folds=k, dl_mode=mode)
-                samples = load_dataset(sub)
-                for block in GRID_BLOCKS:
-                    if cfg.roi_size % block != 0:
-                        continue
-                    rep = run_experiment(sub, block_size=block, samples=samples, persist=persist)
-                    reports.append(rep)
-                    rows.append(rep.summary_row())
+    write one summary CSV over all cells.
+
+    The dataset is loaded once, and each (folds, mode, block size) pass is
+    run once and reported under both decision rules. Reports and summary
+    rows come out decision-major.
+    """
+    samples = load_dataset(cfg)
+    by_decision: dict[str, list[EvalReport]] = {d: [] for d in GRID_DECISIONS}
+    for k in GRID_FOLDS:
+        for mode in GRID_MODES:
+            sub = replace(cfg, k_folds=k, dl_mode=mode)
+            for block in GRID_BLOCKS:
+                if cfg.roi_size % block != 0:
+                    continue
+                folds = cross_validate(sub, block, samples)
+                for decision in GRID_DECISIONS:
+                    rep = build_report(replace(sub, decision=decision), block, samples, folds)
+                    if persist:
+                        persist_report(rep, cfg.output_dir)
+                    by_decision[decision].append(rep)
+    reports = [rep for decision in GRID_DECISIONS for rep in by_decision[decision]]
     if persist:
         os.makedirs(cfg.output_dir, exist_ok=True)
-        write_summary_csv(os.path.join(cfg.output_dir, "grid_summary.csv"), rows)
+        write_summary_csv(
+            os.path.join(cfg.output_dir, "grid_summary.csv"), [r.summary_row() for r in reports]
+        )
     return reports
 
 

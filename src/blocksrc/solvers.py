@@ -17,7 +17,6 @@ from .labels import CLASS_IDS, class_name
 DEGENERATE_NORM = 1e-12
 L1_LOG_FLOOR = 1e-12
 
-_OMP_RIDGE = 1e-10
 _OMP_PROGRESS_TOL = 1e-13
 _BPDN_BISECT_STEPS = 30
 _FISTA_MAX_ITER = 1000
@@ -141,70 +140,29 @@ def _check_signals(D: Dictionary, Y) -> np.ndarray:
     return Y
 
 
-def _spd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Normal equations on a tiny support; ridge jitter only when the Gram
-    # matrix is numerically rank-deficient.
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        L = np.linalg.cholesky(G + _OMP_RIDGE * np.eye(G.shape[0]))
-    return np.linalg.solve(L.T, np.linalg.solve(L, b))
-
-
 def omp(D: Dictionary, y: np.ndarray, T: int, eps: float = 0.0) -> SparseCode:
-    """Greedy pursuit: pick the atom most correlated with the residual, then
-    re-fit the coefficients by least squares restricted to the support.
+    """Greedy pursuit for a single signal: one column of :func:`omp_batch`.
 
     Stops once the residual norm reaches ``eps`` or the support holds ``T``
     atoms. The residual norm never increases across iterations.
     """
     y = _check_signal(D, y)
-    if int(T) < 1:
-        raise ValueError("sparsity bound T must be >= 1")
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    usable = D.usable
-    if not usable.any():
-        raise ValueError("dictionary has no usable atoms (all columns degenerate)")
-
-    n = D.n_atoms
-    rnorm = float(np.linalg.norm(y))
-    if rnorm <= eps:
-        return SparseCode.from_coefficients(np.zeros(n), rnorm, 0)
-
-    A = D.atoms
-    blocked = ~usable
-    selected: list[int] = []
-    residual = y.copy()
-    xs = np.zeros(0)
-    for _ in range(min(int(T), int(usable.sum()))):
-        corr = A.T @ residual
-        corr[blocked] = 0.0
-        k = int(np.argmax(np.abs(corr)))
-        if abs(corr[k]) <= _OMP_PROGRESS_TOL:
-            break
-        selected.append(k)
-        blocked[k] = True
-        S = A[:, selected]
-        xs = _spd_solve(S.T @ S, S.T @ y)
-        residual = y - S @ xs
-        rnorm = float(np.linalg.norm(residual))
-        if rnorm <= eps:
-            break
-
-    x = np.zeros(n)
-    if selected:
-        x[selected] = xs
-    return SparseCode.from_coefficients(x, rnorm, len(selected))
+    X, rnorm, sizes = omp_batch(D, y[:, None], T, eps)
+    return SparseCode.from_coefficients(X[:, 0], rnorm[0], sizes[0])
 
 
 def omp_batch(D: Dictionary, Y: np.ndarray, T: int, eps=0.0):
     """Column-parallel greedy pursuit over the columns of ``Y``.
 
-    Same selection rule as :func:`omp`; the per-support least squares is
-    carried by incremental Gram-Schmidt updates so all columns advance in
-    lockstep. Returns ``(codes, residual_norms, iteration_counts)`` with
-    codes of shape ``(n_atoms, n_signals)``.
+    Each column repeatedly picks the usable atom most correlated with its
+    residual, then re-fits its coefficients by least squares restricted to
+    the support, until the residual norm reaches ``eps`` or the support holds
+    ``T`` atoms. The residual norm never increases across iterations. The
+    least squares is carried by incremental Gram-Schmidt updates so all
+    columns advance in lockstep. Returns ``(codes, residual_norms,
+    iteration_counts)`` with codes of shape ``(n_atoms, n_signals)``.
     """
     Y = _check_signals(D, Y)
     if int(T) < 1:

@@ -37,7 +37,6 @@ from .oracles import (
     orthonormal_bpdn_oracle,
     pair_counting_auc,
 )
-from .test_ensemble import fake_decision
 from .test_mias import MIAS_DIR, needs_mias
 
 
@@ -144,23 +143,26 @@ class TestEnsembleSuite:
         bbmap_ok = True
         for _ in range(50):
             n = int(rng.integers(1, 30))
-            decisions = [fake_decision(i, int(rng.integers(0, 2))) for i in range(n)]
-            posterior, label, score = bbmap(decisions)
+            hard = np.array([[int(rng.integers(0, 2)) for i in range(n)]])
+            posterior, label, score = bbmap(hard)
             bbmap_ok &= abs(posterior.sum() - 1.0) < 1e-12
-            perm = [decisions[i] for i in rng.permutation(n)]
-            posterior2, label2, score2 = bbmap(perm)
-            bbmap_ok &= np.array_equal(posterior, posterior2) and label == label2 and score == score2
+            posterior2, label2, score2 = bbmap(hard[:, rng.permutation(n)])
+            bbmap_ok &= (
+                np.array_equal(posterior, posterior2)
+                and np.array_equal(label, label2)
+                and np.array_equal(score, score2)
+            )
 
         # ELLS mean identity and antisymmetry
         ells_ok = True
         for _ in range(50):
             n = int(rng.integers(1, 24))
             l1s = rng.uniform(0.0, 2.0, size=(n, 2))
-            default = [fake_decision(i, BENIGN, lls=lls_score(l1s[i])) for i in range(n)]
-            inverted = [fake_decision(i, BENIGN, lls=lls_score(l1s[i], invert=True)) for i in range(n)]
-            ells, _ = bbll(default)
-            ells_inv, _ = bbll(inverted)
-            ells_ok &= abs(ells - np.mean([d.lls for d in default])) <= 1e-12
+            default = np.array([[lls_score(l1s[i]) for i in range(n)]])
+            inverted = np.array([[lls_score(l1s[i], invert=True) for i in range(n)]])
+            (ells,), _ = bbll(default)
+            (ells_inv,), _ = bbll(inverted)
+            ells_ok &= abs(ells - np.mean(default)) <= 1e-12
             ells_ok &= abs(ells + ells_inv) <= 1e-9
             guarded = np.maximum(l1s, L1_LOG_FLOOR)
             expanded = (np.log(guarded[:, MALIGNANT]) - np.log(guarded[:, BENIGN])).sum() / n

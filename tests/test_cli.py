@@ -45,6 +45,16 @@ def test_synth_writes_manifest_and_pgms(synth_cache):
     assert img.pixels.shape == (16, 16)
 
 
+def test_synth_spec_unknown_key_is_structured(tmp_path, capsys):
+    spec = tmp_path / "synth.cfg"
+    spec.write_text("roi_size = 16\nbogus_key = 3\n")
+    rc = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "cache")])
+    assert rc == 1
+    diag = json.loads(capsys.readouterr().err.strip())
+    assert diag["command"] == "synth"
+    assert "bogus_key" in diag["message"] and "line 2" in diag["message"]
+
+
 def test_cv_command_end_to_end(tmp_path, synth_cache):
     cfg = write_config(tmp_path, synth_cache)
     rc = main(["cv", "--config", str(cfg)])

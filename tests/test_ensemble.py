@@ -1,22 +1,11 @@
 import numpy as np
 import pytest
 
-from blocksrc import BENIGN, MALIGNANT, Dictionary, bbll, bbmap, block_decision, ensemble_decision, roc_auc
-from blocksrc.ensemble import BlockDecision, block_decisions_batch, lls_score, write_roc_csv, write_roc_svg
-from blocksrc.solvers import L1_LOG_FLOOR, SparseCode
+from blocksrc import BENIGN, MALIGNANT, Dictionary, bbll, bbmap, block_decisions_batch, ensemble_decision, roc_auc
+from blocksrc.ensemble import lls_score, write_roc_csv, write_roc_svg
+from blocksrc.solvers import L1_LOG_FLOOR
 
 from .oracles import pair_counting_auc
-
-
-def fake_decision(index, hard, lls=0.0, l1=(1.0, 1.0)):
-    return BlockDecision(
-        block_index=index,
-        code=SparseCode.from_coefficients(np.zeros(2), 0.0, 0),
-        per_class_l1=np.asarray(l1, dtype=float),
-        per_class_residual=np.zeros(2),
-        hard_label=hard,
-        lls=lls,
-    )
 
 
 class TestLlsScore:
@@ -48,146 +37,132 @@ class TestBlockDecision:
         rng = np.random.default_rng(1)
         D = self.low_coherence_pair_dict(rng)
         y = 1.3 * D.atoms[:, 0]
-        dec = block_decision(D, y, eps=0.01 * np.linalg.norm(y))
-        assert dec.per_class_residual[BENIGN] <= 0.05 * np.linalg.norm(y)
-        assert dec.hard_label == BENIGN
+        res = block_decisions_batch(D, y[:, None], 0.01 * np.linalg.norm(y))
+        assert res.residuals[BENIGN, 0] <= 0.05 * np.linalg.norm(y)
+        assert res.hard[0] == BENIGN
         # direct arithmetic on the returned code agrees
-        x = dec.code.coefficients
+        x = res.codes[:, 0]
         mask = D.atom_labels == BENIGN
         xb = np.where(mask, x, 0.0)
         np.testing.assert_allclose(
-            dec.per_class_residual[BENIGN], np.linalg.norm(y - D.atoms @ xb), atol=1e-9
+            res.residuals[BENIGN, 0], np.linalg.norm(y - D.atoms @ xb), atol=1e-9
         )
 
     def test_degenerate_dictionary(self):
         D = Dictionary.from_matrix(np.zeros((4, 3)), [0, 1, 1])
-        dec = block_decision(D, np.ones(4))
-        assert dec.degenerate
-        assert dec.hard_label == BENIGN
-        assert dec.lls == 0.0
+        res = block_decisions_batch(D, np.ones((4, 1)), 0.1)
+        assert res.degenerate[0]
+        assert res.hard[0] == BENIGN
+        assert res.lls[0] == 0.0
 
     def test_zero_block(self):
         rng = np.random.default_rng(2)
         D = self.low_coherence_pair_dict(rng)
-        dec = block_decision(D, np.zeros(10))
-        assert dec.degenerate
-        assert dec.hard_label == BENIGN
+        res = block_decisions_batch(D, np.zeros((10, 1)), 0.1)
+        assert res.degenerate[0]
+        assert res.hard[0] == BENIGN
 
     def test_infeasible_eps_uses_best_iterate(self):
         rng = np.random.default_rng(3)
         D = Dictionary.from_matrix(rng.standard_normal((12, 2)), [BENIGN, MALIGNANT])
         y = rng.standard_normal(12)
-        dec = block_decision(D, y, eps=1e-9)
-        assert not dec.code.feasible
-        assert np.isfinite(dec.lls)
+        res = block_decisions_batch(D, y[:, None], 1e-9)
+        assert not res.feasible[0]
+        assert np.isfinite(res.lls[0])
 
     def test_batch_matches_single(self):
+        # a column's result does not depend on the other columns in its batch
         rng = np.random.default_rng(4)
         D = self.low_coherence_pair_dict(rng)
         Y = np.abs(rng.standard_normal((10, 5)))
         eps = 0.3 * np.linalg.norm(Y, axis=0)
-        batch = block_decisions_batch(D, Y, eps, block_index=7)
-        for i, dec in enumerate(batch):
-            solo = block_decision(D, Y[:, i], float(eps[i]), block_index=7)
-            assert dec.hard_label == solo.hard_label
-            assert dec.lls == pytest.approx(solo.lls, abs=1e-7)
-            assert dec.block_index == 7
+        batch = block_decisions_batch(D, Y, eps)
+        for i in range(5):
+            solo = block_decisions_batch(D, Y[:, i : i + 1], eps[i])
+            assert batch.hard[i] == solo.hard[0]
+            assert batch.lls[i] == pytest.approx(solo.lls[0], abs=1e-7)
 
 
 class TestBbmap:
     def test_unanimous(self):
-        decisions = [fake_decision(i, MALIGNANT) for i in range(64)]
-        posterior, label, score = bbmap(decisions)
-        np.testing.assert_allclose(posterior, [0.0, 1.0])
-        assert label == MALIGNANT
-        assert score == 1.0
+        posterior, label, score = bbmap(np.full((1, 64), MALIGNANT))
+        np.testing.assert_allclose(posterior[0], [0.0, 1.0])
+        assert label[0] == MALIGNANT
+        assert score[0] == 1.0
 
     def test_three_quarters_benign(self):
-        decisions = [fake_decision(i, BENIGN) for i in range(3)] + [fake_decision(3, MALIGNANT)]
-        posterior, label, score = bbmap(decisions)
-        np.testing.assert_allclose(posterior, [0.75, 0.25])
-        assert label == BENIGN
-        assert score == 0.25
+        posterior, label, score = bbmap(np.array([[BENIGN, BENIGN, BENIGN, MALIGNANT]]))
+        np.testing.assert_allclose(posterior[0], [0.75, 0.25])
+        assert label[0] == BENIGN
+        assert score[0] == 0.25
 
     def test_tie_breaks_malignant(self):
-        decisions = [fake_decision(i, BENIGN) for i in range(2)] + [
-            fake_decision(2 + i, MALIGNANT) for i in range(2)
-        ]
-        _, label, _ = bbmap(decisions)
-        assert label == MALIGNANT
+        _, label, _ = bbmap(np.array([[BENIGN, BENIGN, MALIGNANT, MALIGNANT]]))
+        assert label[0] == MALIGNANT
 
     def test_posterior_sums_to_one_and_permutation_invariant(self):
         rng = np.random.default_rng(5)
-        decisions = [fake_decision(i, int(rng.integers(0, 2))) for i in range(9)]
-        posterior, label, score = bbmap(decisions)
-        assert posterior.sum() == pytest.approx(1.0)
-        perm = [decisions[i] for i in rng.permutation(9)]
-        posterior2, label2, score2 = bbmap(perm)
+        hard = np.array([[int(rng.integers(0, 2)) for i in range(9)]])
+        posterior, label, score = bbmap(hard)
+        assert posterior[0].sum() == pytest.approx(1.0)
+        posterior2, label2, score2 = bbmap(hard[:, rng.permutation(9)])
         np.testing.assert_array_equal(posterior, posterior2)
-        assert (label, score) == (label2, score2)
+        assert (label[0], score[0]) == (label2[0], score2[0])
 
     def test_invariant_under_hard_label_preserving_rewrites(self):
         rng = np.random.default_rng(6)
-        decisions = [fake_decision(i, int(rng.integers(0, 2))) for i in range(7)]
-        rewritten = [
-            fake_decision(d.block_index, d.hard_label, lls=float(rng.normal()),
-                          l1=tuple(rng.uniform(0, 3, 2)))
-            for d in decisions
-        ]
-        assert bbmap(decisions)[1] == bbmap(rewritten)[1]
-        np.testing.assert_array_equal(bbmap(decisions)[0], bbmap(rewritten)[0])
+        hard = np.array([[int(rng.integers(0, 2)) for i in range(7)]])
+        lls = np.zeros((1, 7))
+        rewritten = np.array([[float(rng.normal()) for i in range(7)]])
+        a = ensemble_decision(hard, lls)
+        b = ensemble_decision(hard, rewritten)
+        assert a.label_bbmap[0] == b.label_bbmap[0]
+        np.testing.assert_array_equal(a.posterior, b.posterior)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            bbmap([])
+            bbmap(np.zeros((1, 0), dtype=int))
 
 
 class TestBbll:
     def test_mean_example(self):
-        vals = [1.0, -0.5, 0.5, 1.0]
-        decisions = [fake_decision(i, BENIGN, lls=v) for i, v in enumerate(vals)]
-        ells, _ = bbll(decisions)
-        assert ells == pytest.approx(0.5)
+        ells, _ = bbll(np.array([[1.0, -0.5, 0.5, 1.0]]))
+        assert ells[0] == pytest.approx(0.5)
 
     def test_boundary_goes_to_positive_class(self):
-        decisions = [fake_decision(i, BENIGN, lls=0.0) for i in range(4)]
-        _, label = bbll(decisions, tau=0.0)
-        assert label == MALIGNANT
+        _, label = bbll(np.zeros((1, 4)), tau=0.0)
+        assert label[0] == MALIGNANT
 
     def test_large_tau_flips_to_negative_class(self):
-        decisions = [fake_decision(i, BENIGN, lls=1.0) for i in range(4)]
-        _, label = bbll(decisions, tau=5.0)
-        assert label == BENIGN
+        _, label = bbll(np.ones((1, 4)), tau=5.0)
+        assert label[0] == BENIGN
 
     def test_mean_identity_and_expanded_form(self):
         rng = np.random.default_rng(6)
         l1s = rng.uniform(0.0, 2.0, size=(16, 2))
-        decisions = [
-            fake_decision(i, BENIGN, lls=lls_score(l1s[i]), l1=tuple(l1s[i])) for i in range(16)
-        ]
-        ells, _ = bbll(decisions)
-        assert ells == pytest.approx(np.mean([d.lls for d in decisions]), abs=1e-12)
+        lls = np.array([[lls_score(l1s[i]) for i in range(16)]])
+        ells, _ = bbll(lls)
+        assert ells[0] == pytest.approx(np.mean(lls[0]), abs=1e-12)
         # expanded form: mean of log-mass differences with the same guard
         guarded = np.maximum(l1s, L1_LOG_FLOOR)
         expanded = -(np.log(guarded[:, BENIGN]).sum() - np.log(guarded[:, MALIGNANT]).sum()) / 16
-        assert ells == pytest.approx(expanded, abs=1e-9)
+        assert ells[0] == pytest.approx(expanded, abs=1e-9)
 
     def test_antisymmetry_of_ensemble_score(self):
         rng = np.random.default_rng(7)
         l1s = rng.uniform(0.0, 2.0, size=(8, 2))
-        default = [fake_decision(i, BENIGN, lls=lls_score(l1s[i])) for i in range(8)]
-        inverted = [fake_decision(i, BENIGN, lls=lls_score(l1s[i], invert=True)) for i in range(8)]
+        default = np.array([[lls_score(l1s[i]) for i in range(8)]])
+        inverted = np.array([[lls_score(l1s[i], invert=True) for i in range(8)]])
         ells_a, _ = bbll(default)
         ells_b, _ = bbll(inverted)
-        assert ells_b == pytest.approx(-ells_a, abs=1e-9)
+        assert ells_b[0] == pytest.approx(-ells_a[0], abs=1e-9)
 
     def test_ensemble_decision_fields(self):
-        decisions = [fake_decision(i, MALIGNANT, lls=0.2) for i in range(4)]
-        dec = ensemble_decision(decisions, tau=0.1)
-        assert dec.label_bbmap == MALIGNANT
-        assert dec.label_bbll == MALIGNANT
-        assert dec.vote_score == 1.0
-        assert dec.posterior.sum() == pytest.approx(1.0)
+        dec = ensemble_decision(np.full((1, 4), MALIGNANT), np.full((1, 4), 0.2), tau=0.1)
+        assert dec.label_bbmap[0] == MALIGNANT
+        assert dec.label_bbll[0] == MALIGNANT
+        assert dec.vote_score[0] == 1.0
+        assert dec.posterior[0].sum() == pytest.approx(1.0)
         assert dec.tau == 0.1
 
 

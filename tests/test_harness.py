@@ -290,6 +290,43 @@ class TestRunExperiment:
         assert covered < report.n_samples
 
 
+class TestRunGrid:
+    def test_one_pass_per_cell_serves_both_rules(self, tmp_path, monkeypatch):
+        import blocksrc.harness as H
+
+        modes, blocks = ("none", "lcksvd1"), (16, 8)
+        monkeypatch.setattr(H, "GRID_FOLDS", (3,))
+        monkeypatch.setattr(H, "GRID_BLOCKS", blocks)
+        monkeypatch.setattr(H, "GRID_MODES", modes)
+        trains, loads = [], []
+        real_train, real_load = H.train_block_models, H.load_dataset
+
+        def counting_train(samples, cfg, block_size):
+            trains.append((cfg.k_folds, cfg.dl_mode, block_size))
+            return real_train(samples, cfg, block_size)
+
+        def counting_load(cfg):
+            loads.append(cfg)
+            return real_load(cfg)
+
+        monkeypatch.setattr(H, "train_block_models", counting_train)
+        monkeypatch.setattr(H, "load_dataset", counting_load)
+        cfg = tiny_config(iterations=3, output_dir=str(tmp_path))
+        reports = H.run_grid(cfg, persist=False)
+        monkeypatch.undo()
+
+        assert len(loads) == 1
+        # one training per (k, mode, block, fold), shared by both rules
+        assert sorted(trains) == sorted((3, m, b) for m in modes for b in blocks for _ in range(3))
+        cells = [(d, m, b) for d in ("bbmap", "bbll") for m in modes for b in blocks]
+        assert [(r.config["decision"], r.config["dl_mode"], r.block_size) for r in reports] == cells
+        for rep, (decision, mode, block) in zip(reports, cells):
+            solo = run_experiment(
+                replace(cfg, decision=decision, k_folds=3, dl_mode=mode), block_size=block, persist=False
+            )
+            assert rep.to_json() == solo.to_json()
+
+
 class TestModelArchive:
     def test_roundtrip(self, tmp_path):
         cfg = tiny_config(dl_mode="lcksvd2", iterations=3)
@@ -365,9 +402,10 @@ class TestClassifyAgainstFixedModel:
         cfg = tiny_config()
         samples = load_dataset(cfg)
         models = train_block_models(samples, cfg, 8)
-        fused = classify_samples([m.D for m in models], samples[:4], cfg, 8)
-        for dec in fused:
-            assert dec.label_bbmap in (BENIGN, MALIGNANT)
-            assert dec.label_bbll in (BENIGN, MALIGNANT)
-            assert 0.0 <= dec.vote_score <= 1.0
-            assert dec.posterior.sum() == pytest.approx(1.0)
+        dec = classify_samples([m.D for m in models], samples[:4], cfg, 8)
+        assert dec.label_bbmap.shape == (4,)
+        for i in range(4):
+            assert dec.label_bbmap[i] in (BENIGN, MALIGNANT)
+            assert dec.label_bbll[i] in (BENIGN, MALIGNANT)
+            assert 0.0 <= dec.vote_score[i] <= 1.0
+            assert dec.posterior[i].sum() == pytest.approx(1.0)

@@ -133,21 +133,6 @@ class TestOmp:
 
 
 class TestOmpBatch:
-    def test_matches_single_signal_solver(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            d = int(rng.integers(5, 12))
-            n = int(rng.integers(4, 15))
-            D = unit_dict(rng.standard_normal((d, n)), rng.integers(0, 2, n))
-            Y = rng.standard_normal((d, 6))
-            t = int(rng.integers(1, min(d, n)))
-            X, rn, iters = omp_batch(D, Y, t)
-            for i in range(6):
-                solo = omp(D, Y[:, i], t)
-                np.testing.assert_allclose(X[:, i], solo.coefficients, atol=1e-8)
-                assert rn[i] == pytest.approx(solo.residual_norm, abs=1e-8)
-                assert iters[i] == solo.iterations
-
     def test_eps_stops_columns_independently(self):
         rng = np.random.default_rng(5)
         D = unit_dict(rng.standard_normal((6, 10)), [0] * 5 + [1] * 5)
