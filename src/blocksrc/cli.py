@@ -46,7 +46,6 @@ def _config_overrides(args) -> dict:
         "eps_abs",
         "tau",
         "seed",
-        "workers",
         "data_dir",
         "output_dir",
         "synthetic",
@@ -75,7 +74,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-abs", dest="eps_abs", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--data-dir", dest="data_dir")
     p.add_argument("--output-dir", dest="output_dir")
     p.add_argument("--synthetic", action="store_const", const=True, default=None)

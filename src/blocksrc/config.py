@@ -27,7 +27,6 @@ class ExperimentConfig:
     tau: float = 0.0
     seed: int = 20
     invert_lls: bool = False
-    workers: int = 1
     data_dir: str = ""
     output_dir: str = "results"
     synthetic: bool = False
@@ -50,8 +49,6 @@ class ExperimentConfig:
             raise ValueError(f"decision must be one of {DECISIONS}, got {self.decision!r}")
         if self.eps_rel <= 0 and self.eps_abs <= 0:
             raise ValueError("one of eps_rel / eps_abs must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def train_params(self) -> TrainParams:
         return TrainParams(
@@ -74,9 +71,9 @@ class ExperimentConfig:
         )
 
     def echo(self) -> dict:
-        """Semantic fields only; runtime knobs (workers, paths) are excluded
-        so reports stay byte-identical across thread counts and machines."""
-        skip = {"workers", "data_dir", "output_dir"}
+        """Semantic fields only; paths are excluded so reports stay
+        byte-identical across machines."""
+        skip = {"data_dir", "output_dir"}
         out = {}
         for f in fields(self):
             if f.name in skip:

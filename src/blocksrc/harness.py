@@ -4,9 +4,7 @@ A cross-validation pass trains per-block dictionaries on each fold's training
 split, classifies the held-out samples block by block and fuses the block
 results under both decision rules. A report then takes one rule's
 predictions, pools them over folds, and is persisted (JSON, a CSV summary
-row, and an SVG ROC plot). Everything is deterministic given (config, seed);
-worker threads only parallelize per-block work whose results are reassembled
-by block index.
+row, and an SVG ROC plot). Everything is deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -161,13 +158,6 @@ def load_dataset(cfg: ExperimentConfig) -> list[RoiSample]:
     return samples
 
 
-def _map_blocks(fn, nbl: int, workers: int) -> list:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(nbl)))
-    return [fn(j) for j in range(nbl)]
-
-
 def train_block_models(
     samples: list[RoiSample], cfg: ExperimentConfig, block_size: int
 ) -> list[DiscriminativeDictionary]:
@@ -182,12 +172,10 @@ def train_block_models(
     labels = [s.label for s in samples]
     grids = [decompose_roi(s, block_size, block_size) for s in samples]
     params = cfg.train_params()
-
-    def train_one(j: int) -> DiscriminativeDictionary:
-        yj = np.stack([g.vectors[j] for g in grids], axis=1)
-        return lcksvd_train(yj, labels, params, cfg.dl_mode)
-
-    return _map_blocks(train_one, len(raw), cfg.workers)
+    return [
+        lcksvd_train(np.stack([g.vectors[j] for g in grids], axis=1), labels, params, cfg.dl_mode)
+        for j in range(len(raw))
+    ]
 
 
 def classify_samples(
@@ -203,15 +191,14 @@ def classify_samples(
     if grids and grids[0].nbl != nbl:
         raise ValueError(f"sample has {grids[0].nbl} blocks, model has {nbl}")
 
-    def decide_block(j: int):
+    per_block = []
+    for j in range(nbl):
         yj = np.stack([g.vectors[j] for g in grids], axis=1)
         if cfg.eps_abs > 0:
             eps = np.full(yj.shape[1], cfg.eps_abs)
         else:
             eps = cfg.eps_rel * np.linalg.norm(yj, axis=0)
-        return block_decisions_batch(dictionaries[j], yj, eps, invert_lls=cfg.invert_lls)
-
-    per_block = _map_blocks(decide_block, nbl, cfg.workers)
+        per_block.append(block_decisions_batch(dictionaries[j], yj, eps, invert_lls=cfg.invert_lls))
     hard = np.column_stack([b.hard for b in per_block])
     lls = np.column_stack([b.lls for b in per_block])
     return ensemble_decision(hard, lls, tau=cfg.tau)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import RoiSample
-from .labels import BENIGN, MALIGNANT, class_name
+from .labels import BENIGN, MALIGNANT, class_id, class_name
 from .pgm import GrayImage, image_from_array, read_pgm, write_pgm
 
 _SEVERITY = {"B": BENIGN, "M": MALIGNANT}
@@ -203,12 +203,11 @@ def load_roi_cache(cache_dir: str) -> list[RoiSample]:
     for entry in manifest["samples"]:
         img = read_pgm(os.path.join(cache_dir, entry["file"]))
         pixels = img.pixels.astype(float) / scale
-        label = BENIGN if entry["label"] == "benign" else MALIGNANT
         centroid = tuple(entry["centroid"]) if entry.get("centroid") else None
         samples.append(
             RoiSample(
                 pixels=pixels,
-                label=label,
+                label=class_id(entry["label"]),
                 source_id=entry["ref_id"],
                 centroid=centroid,
                 radius=entry.get("radius"),

@@ -71,14 +71,21 @@ def save_model(path: str, blocks: list[DiscriminativeDictionary], params: TrainP
 
 
 def load_model(path: str) -> tuple[list[DiscriminativeDictionary], TrainParams, dict]:
-    """Read an archive written by :func:`save_model`."""
+    """Read an archive written by :func:`save_model`; truncated archives and
+    bytes after the last array are rejected."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
         raise ValueError(f"not a model archive: bad magic {data[:4]!r}")
+    if len(data) < 12:
+        raise ValueError(f"truncated archive header: {len(data)} of 12 bytes")
     version, hlen = struct.unpack_from("<II", data, 4)
     if version != VERSION:
         raise ValueError(f"unsupported archive version {version} (expected {VERSION})")
+    if 12 + hlen > len(data):
+        raise ValueError(
+            f"truncated archive header: {hlen} bytes declared, {len(data) - 12} present"
+        )
     header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
     pos = 12 + hlen
 
@@ -110,6 +117,8 @@ def load_model(path: str) -> tuple[list[DiscriminativeDictionary], TrainParams, 
                 objective_trace=arrays["objective_trace"],
             )
         )
+    if pos != len(data):
+        raise ValueError(f"{len(data) - pos} trailing bytes after the last array")
     p = header["params"]
     params = TrainParams(
         K=p["K"],

@@ -18,9 +18,6 @@ DEGENERATE_NORM = 1e-12
 L1_LOG_FLOOR = 1e-12
 
 _OMP_PROGRESS_TOL = 1e-13
-_BPDN_BISECT_STEPS = 30
-_FISTA_MAX_ITER = 1000
-_FISTA_RTOL = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -242,57 +239,95 @@ def omp_batch(D: Dictionary, Y: np.ndarray, T: int, eps=0.0):
     return X, rnorm, sizes
 
 
-def _fista(A: np.ndarray, AtY: np.ndarray, AtA: np.ndarray, lam: np.ndarray, x0: np.ndarray, L: float):
-    """Iterative shrinkage with momentum, vectorized over columns.
+def _l1_path(A: np.ndarray, G: np.ndarray, y: np.ndarray, eps: float):
+    """Follow the l1 (lasso) path of one signal down to ``||Ax - y|| = eps``.
 
-    Momentum restarts adaptively per column when it points against the
-    descent direction. Each column freezes once its relative iterate change
-    drops below ``_FISTA_RTOL``; a column's trajectory never depends on which
-    other columns share the batch. Returns ``(x, iteration_counts)``.
+    Starts from ``x = 0`` at ``lam = ||A^T y||_inf`` and lowers ``lam``
+    piecewise linearly (Osborne, Presnell & Turlach 2000; Efron et al. 2004).
+    On each segment the active coefficients move along ``G_AA^{-1} sign``;
+    the segment ends where an atom enters, an active coefficient crosses
+    zero (the atom leaves) or the residual norm reaches ``eps``. ``A`` holds
+    only usable atoms and ``G = A^T A``. Returns ``(x, residual_norm,
+    feasible, steps)``; ``feasible`` is False only if ``lam`` reaches 0 first.
     """
-    x = x0.copy()
-    z = x0.copy()
-    m = x0.shape[1]
-    t = np.ones(m)
-    alive = np.ones(m, dtype=bool)
-    iters = np.zeros(m, dtype=int)
-    thresh = lam / L
-    rtol_sq = _FISTA_RTOL * _FISTA_RTOL
-    for _ in range(_FISTA_MAX_ITER):
-        if not alive.any():
-            break
-        w = z - (AtA @ z - AtY) / L
-        xn = np.sign(w) * np.maximum(np.abs(w) - thresh, 0.0)
-        dx = xn - x
-        restart = np.einsum("ij,ij->j", z - xn, dx) > 0.0
-        tr = np.where(restart, 1.0, t)
-        tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tr * tr))
-        zn = xn + ((tr - 1.0) / tn) * dx
-        num = np.einsum("ij,ij->j", dx, dx)
-        den = np.maximum(np.einsum("ij,ij->j", xn, xn), 1e-24)
-        conv = num <= rtol_sq * den
-        if alive.all():
-            x, z = xn, zn
-            t = tn
-            iters += 1
-        else:
-            x[:, alive] = xn[:, alive]
-            z[:, alive] = zn[:, alive]
-            t = np.where(alive, tn, t)
-            iters[alive] += 1
-        alive = alive & ~conv
-    return x, iters
+    n = A.shape[1]
+    x = np.zeros(n)
+    r = y.copy()
+    c = A.T @ r
+    lam = float(np.abs(c).max())
+    active = np.zeros(n, dtype=bool)
+    sign = np.zeros(n)
+    first = int(np.argmax(np.abs(c)))
+    active[first] = True
+    sign[first] = np.sign(c[first])
+    steps = stalls = 0
+    while True:
+        steps += 1
+        idx = np.flatnonzero(active)
+        Gaa = G[np.ix_(idx, idx)]
+        v = np.linalg.solve(Gaa, sign[idx])
+        u = A[:, idx] @ v
+        a = A.T @ u
+        # exit where an active coefficient reaches zero
+        shrink = np.flatnonzero(x[idx] * v < 0.0)
+        gamma, event = lam, None
+        if shrink.size:
+            g = -x[idx[shrink]] / v[shrink]
+            k = int(np.argmin(g))
+            if g[k] < gamma:
+                gamma, event = float(g[k]), (idx[shrink[k]], 0.0)
+        # entry: the smallest g at which |c_j - g a_j| meets lam - g; an
+        # atom that just left has den < 0 at its old sign and stays out
+        g_in = np.full((2, n), np.inf)
+        for row, sgn in enumerate((1.0, -1.0)):
+            den = 1.0 - sgn * a
+            ok = np.flatnonzero(~active & (den > 0.0))
+            g_in[row, ok] = np.maximum(lam - sgn * c[ok], 0.0) / den[ok]
+        for j in np.argsort(g_in.min(axis=0)):
+            if g_in[:, j].min() >= gamma:
+                break
+            # an atom (numerically) in the span of the active ones, such as a
+            # duplicate with its 0/0 ratio, would make the Gram system
+            # singular; in exact arithmetic it never enters before lam = 0
+            w = np.linalg.solve(Gaa, G[idx, j])
+            if 1.0 - G[idx, j] @ w > 1e-10:
+                row = int(np.argmin(g_in[:, j]))
+                gamma, event = float(g_in[row, j]), (j, (1.0, -1.0)[row])
+                break
+        # the residual norm reaches eps: the smaller root of
+        # ||r - g u||^2 = eps^2, written without cancellation
+        excess = float(r @ r) - eps * eps
+        ru = float(r @ u)
+        disc = ru * ru - float(u @ u) * excess
+        done = disc >= 0.0 and excess / (ru + np.sqrt(disc)) <= gamma
+        if done:
+            gamma = excess / (ru + np.sqrt(disc))
+        x[idx] += gamma * v
+        r = y - A[:, idx] @ x[idx]
+        if done or event is None:  # event None: lam reached 0 above eps
+            return x, float(np.linalg.norm(r)), done, steps
+        c = A.T @ r
+        j, sgn = event
+        if sgn == 0.0:  # j leaves; x[j] is zero up to rounding
+            x[j] = 0.0
+        active[j] = sgn != 0.0
+        sign[j] = sgn
+        stalls = stalls + 1 if lam - gamma >= lam else 0
+        if stalls > 2 * n:
+            raise RuntimeError("l1 path stalled at a tie between atoms")
+        lam -= gamma
 
 
 def bpdn_batch(D: Dictionary, Y: np.ndarray, eps):
     """Noise-constrained l1 minimization over the columns of ``Y``.
 
-    Per column solves ``min ||x||_1 s.t. ||Dx - y||_2 <= eps`` through FISTA
-    on the penalized form with an outer bisection (at most
-    ``_BPDN_BISECT_STEPS`` steps) on the penalty weight. Columns where the
-    constraint is unreachable keep the lowest-residual iterate found and are
-    reported infeasible. Returns ``(codes, residual_norms, feasible,
-    iteration_counts)``.
+    Per column solves ``min ||x||_1 s.t. ||Dx - y||_2 <= eps`` exactly by
+    following the l1 path until the residual norm equals ``eps``. Columns
+    with ``||y|| <= eps`` get the zero code; columns whose least-squares
+    floor on the usable atoms exceeds ``eps`` get the least-squares code and
+    are reported infeasible. Both shortcuts report 0 iterations; other
+    columns report their path steps. Returns ``(codes, residual_norms,
+    feasible, iteration_counts)``.
     """
     Y = _check_signals(D, Y)
     s = Y.shape[1]
@@ -302,85 +337,38 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps):
     if not D.usable.any():
         raise ValueError("dictionary has no usable atoms (all columns degenerate)")
 
-    A = D.atoms
-    n = D.n_atoms
     ynorm = np.linalg.norm(Y, axis=0)
-    X = np.zeros((n, s))
+    X = np.zeros((D.n_atoms, s))
     rnorm = ynorm.copy()
     feasible = ynorm <= eps_vec  # the origin is feasible with minimal l1 norm
     iters = np.zeros(s, dtype=int)
 
+    # One batched least-squares solve finds the columns that can never meet
+    # their bound; they take the least-squares code, where the path would
+    # end, without walking it.
     work = np.flatnonzero(~feasible)
-    if work.size == 0:
-        return X, rnorm, feasible, iters
-
-    # Least-squares floor on the usable atoms: columns whose floor exceeds
-    # eps can never satisfy the bound, so their best iterate is the limit the
-    # bisection would crawl toward, the least-squares solution itself.
     usable_idx = np.flatnonzero(D.usable)
-    Au = A[:, usable_idx]
+    Au = D.atoms[:, usable_idx]
     xls, *_ = np.linalg.lstsq(Au, Y[:, work], rcond=None)
     floor = np.linalg.norm(Au @ xls - Y[:, work], axis=0)
     hopeless = floor > eps_vec[work]
-    for pos in np.flatnonzero(hopeless):
-        col = work[pos]
-        X[usable_idx, col] = xls[:, pos]
-        rnorm[col] = floor[pos]
-
+    X[np.ix_(usable_idx, work[hopeless])] = xls[:, hopeless]
+    rnorm[work[hopeless]] = floor[hopeless]
     todo = work[~hopeless]
-    if todo.size == 0:
-        return X, rnorm, feasible, iters
-
-    Ys = Y[:, todo]
-    es = eps_vec[todo]
-    AtY = A.T @ Ys
-    AtA = A.T @ A
-    L = float(np.linalg.norm(A, 2)) ** 2
-
-    lam_hi = np.abs(AtY).max(axis=0)
-    lo = np.zeros_like(lam_hi)
-    hi = lam_hi.copy()
-    x = np.zeros((n, todo.size))
-    best_x = np.zeros_like(x)
-    best_r = np.linalg.norm(Ys, axis=0)
-    found = np.zeros(todo.size, dtype=bool)
-    total = np.zeros(todo.size, dtype=int)
-    scale = np.maximum(lam_hi, 1e-30)
-
-    for step in range(_BPDN_BISECT_STEPS):
-        if step == 0:
-            # informed first probe: the residual grows roughly linearly in
-            # the penalty, so start near the expected crossing
-            lam = np.clip(lam_hi * es / np.maximum(best_r, 1e-30), 1e-12 * scale, hi)
-        else:
-            lam = 0.5 * (lo + hi)
-        x, used = _fista(A, AtY, AtA, lam, x, L)
-        total += used
-        r = np.linalg.norm(A @ x - Ys, axis=0)
-        feas = r <= es
-        take = feas | (~found & (r < best_r))
-        if take.any():
-            best_x[:, take] = x[:, take]
-            best_r[take] = r[take]
-        found |= feas
-        lo = np.where(feas, lam, lo)
-        hi = np.where(feas, hi, lam)
-        if np.all((hi - lo) <= 1e-9 * scale):
-            break
-
-    X[:, todo] = best_x
-    rnorm[todo] = best_r
-    feasible[todo] = found
-    iters[todo] = total
+    if todo.size:
+        G = Au.T @ Au
+        for col in todo:
+            path = _l1_path(Au, G, Y[:, col], eps_vec[col])
+            X[usable_idx, col], rnorm[col], feasible[col], iters[col] = path
     return X, rnorm, feasible, iters
 
 
 def bpdn(D: Dictionary, y: np.ndarray, eps: float) -> SparseCode:
     """Noise-constrained l1 minimization for a single signal.
 
-    Raises :class:`ConvergenceError` carrying the best iterate when the error
-    bound cannot be met; the returned code otherwise satisfies
-    ``||Dx - y||_2 <= eps * (1 + 1e-3)``.
+    Raises :class:`ConvergenceError` carrying the least-squares code when
+    the error bound cannot be met; the returned code otherwise is the zero
+    code or meets ``||Dx - y||_2 = eps`` up to rounding.
     """
     y = _check_signal(D, y)
     if not eps > 0:
@@ -389,8 +377,7 @@ def bpdn(D: Dictionary, y: np.ndarray, eps: float) -> SparseCode:
     code = SparseCode.from_coefficients(X[:, 0], rn[0], iters[0], bool(feas[0]))
     if not feas[0]:
         raise ConvergenceError(
-            f"residual {rn[0]:.6g} stayed above the bound {eps:.6g} "
-            f"after {_BPDN_BISECT_STEPS} bisection steps",
+            f"least-squares floor {rn[0]:.6g} lies above the bound {eps:.6g}",
             code,
         )
     return code

@@ -156,7 +156,7 @@ class TestConfig:
     def test_echo_excludes_runtime_knobs(self):
         cfg = tiny_config()
         echo = cfg.echo()
-        assert "workers" not in echo and "output_dir" not in echo and "data_dir" not in echo
+        assert "output_dir" not in echo and "data_dir" not in echo
         assert echo["decision"] == "bbll"
 
 
@@ -236,12 +236,6 @@ class TestRunExperiment:
         a = run_experiment(cfg, persist=False).to_json()
         b = run_experiment(cfg, persist=False).to_json()
         assert a == b
-
-    def test_thread_count_does_not_change_bytes(self):
-        cfg = tiny_config(dl_mode="lcksvd1", iterations=4, k_folds=3)
-        serial = run_experiment(cfg, persist=False).to_json()
-        threaded = run_experiment(replace(cfg, workers=4), persist=False).to_json()
-        assert serial == threaded
 
     def test_persisted_artifacts(self, tmp_path):
         cfg = tiny_config(output_dir=str(tmp_path))
@@ -360,6 +354,24 @@ class TestModelArchive:
         path = tmp_path / "bad.blkd"
         path.write_bytes(b"BLKD" + (99).to_bytes(4, "little") + (2).to_bytes(4, "little") + b"{}")
         with pytest.raises(ValueError, match="version"):
+            load_model(str(path))
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "short.blkd"
+        path.write_bytes(b"BLKD" + (1).to_bytes(4, "little"))
+        with pytest.raises(ValueError, match="truncated archive header"):
+            load_model(str(path))
+        path.write_bytes(b"BLKD" + (1).to_bytes(4, "little") + (100).to_bytes(4, "little") + b"{}")
+        with pytest.raises(ValueError, match="truncated archive header"):
+            load_model(str(path))
+
+    def test_trailing_byte(self, tmp_path):
+        cfg = tiny_config(dl_mode="none")
+        models = train_block_models(load_dataset(cfg), cfg, 8)
+        path = tmp_path / "raw.blkd"
+        save_model(str(path), models, cfg.train_params(), {})
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="1 trailing bytes"):
             load_model(str(path))
 
     def test_magic_check(self, tmp_path):

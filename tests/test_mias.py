@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -214,6 +215,17 @@ class TestRoiCache:
         labels = sorted(s.label for s in samples)
         assert labels == [BENIGN, MALIGNANT, MALIGNANT]
         assert all(s.size == 32 for s in samples)
+
+    def test_unknown_label_rejected(self, tmp_path):
+        data, info = self.fabricate_dataset(tmp_path)
+        out = tmp_path / "cache"
+        build_roi_cache(str(data), str(info), 32, str(out))
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["samples"][0]["label"] = "Benign"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="'Benign'"):
+            load_roi_cache(str(out))
 
 
 @needs_mias

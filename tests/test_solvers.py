@@ -230,6 +230,60 @@ class TestBpdn:
                 np.testing.assert_allclose(X[:, i], solo.coefficients, atol=1e-8)
 
 
+def assert_kkt(D, y, x):
+    """``D_i^T r = lam sign(x_i)`` on the support and ``|D_i^T r| <= lam``
+    off it, to 1e-8 relative: the optimality conditions of the l1 code."""
+    c = D.atoms.T @ (y - D.atoms @ x)
+    on = x != 0
+    assert on.any()
+    lam = float(np.mean(c[on] * np.sign(x[on])))
+    assert lam > 0
+    np.testing.assert_allclose(c[on], lam * np.sign(x[on]), rtol=0, atol=1e-8 * lam)
+    assert np.all(np.abs(c[~on]) <= lam * (1 + 1e-8))
+
+
+def reachable_problems(rng, count):
+    """Overcomplete 8-row problems: eps below ||y|| is always reachable."""
+    for _ in range(count):
+        n = int(rng.integers(12, 21))
+        D = unit_dict(rng.standard_normal((8, n)), rng.integers(0, 2, n))
+        Y = rng.standard_normal((8, 3))
+        eps = rng.uniform(0.05, 0.9, 3) * np.linalg.norm(Y, axis=0)
+        yield D, Y, eps
+
+
+class TestBpdnExactPath:
+    def test_reachable_codes_meet_bound_with_equality(self):
+        for D, Y, eps in reachable_problems(np.random.default_rng(31), 40):
+            X, rn, feas, iters = bpdn_batch(D, Y, eps)
+            assert feas.all() and (iters > 0).all()
+            resid = np.linalg.norm(Y - D.atoms @ X, axis=0)
+            assert np.all(np.abs(resid - eps) <= 1e-9 * eps)
+            np.testing.assert_allclose(rn, resid, rtol=1e-12)
+
+    def test_reachable_codes_satisfy_kkt(self):
+        for D, Y, eps in reachable_problems(np.random.default_rng(33), 40):
+            X, _, feas, _ = bpdn_batch(D, Y, eps)
+            assert feas.all()
+            for i in range(Y.shape[1]):
+                assert_kkt(D, Y[:, i], X[:, i])
+
+    def test_duplicate_and_zero_atoms(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            M = rng.standard_normal((8, 14))
+            M[:, 5] = M[:, 2]
+            M[:, 9] = 0.0
+            D = unit_dict(M, [0] * 7 + [1] * 7)
+            y = rng.standard_normal(8)
+            eps = float(rng.uniform(0.05, 0.9)) * float(np.linalg.norm(y))
+            code = bpdn(D, y, eps)
+            assert code.coefficients[9] == 0.0
+            assert code.coefficients[2] == 0.0 or code.coefficients[5] == 0.0
+            assert abs(code.residual_norm - eps) <= 1e-9 * eps
+            assert_kkt(D, y, code.coefficients)
+
+
 class TestClassResiduals:
     def test_single_class_support(self):
         rng = np.random.default_rng(6)
