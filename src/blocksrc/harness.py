@@ -218,7 +218,9 @@ def cross_validate(cfg: ExperimentConfig, block_size: int, samples: list[RoiSamp
     training split and classify the held-out samples under both decision
     rules. Returns ``(fold, test_indices, outcome)`` per fold, where outcome
     is the fold's :class:`EnsembleDecision`, or a structured diagnostic dict
-    when the fold failed. ``cfg.decision`` plays no part.
+    when the fold failed with a ``ValueError`` or ``LinAlgError``; any other
+    exception is a programming error and propagates. ``cfg.decision`` plays
+    no part.
     """
     folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
     out = []
@@ -231,7 +233,7 @@ def cross_validate(cfg: ExperimentConfig, block_size: int, samples: list[RoiSamp
             stage = "classify"
             test_set = [samples[i] for i in test_idx]
             outcome = classify_samples([m.D for m in models], test_set, cfg, block_size)
-        except Exception as err:  # fold aborts with a structured diagnostic
+        except (ValueError, np.linalg.LinAlgError) as err:  # a domain error aborts the fold
             outcome = {"stage": stage, "type": type(err).__name__, "message": str(err)}
         out.append((f, test_idx, outcome))
     return out

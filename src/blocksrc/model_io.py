@@ -22,6 +22,24 @@ MAGIC = b"BLKD"
 VERSION = 1
 
 _DTYPES = {"f8": "<f8", "i4": "<i4"}
+_PARAM_KEYS = ("K", "T", "alpha", "beta", "iterations", "seed", "min_rel_improvement")
+
+
+def _fields(obj, what: str, keys) -> dict:
+    """``obj`` as a dict holding every one of ``keys``; a malformed header raises
+    ``ValueError`` rather than a ``KeyError`` or ``TypeError`` downstream."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"archive {what} is not a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"archive {what} lacks {', '.join(missing)}")
+    return obj
+
+
+def _list(obj, what: str) -> list:
+    if not isinstance(obj, list):
+        raise ValueError(f"archive {what} is not a JSON list")
+    return obj
 
 
 def _array_entry(name: str, arr: np.ndarray, kind: str, chunks: list[bytes]) -> dict:
@@ -47,15 +65,7 @@ def save_model(path: str, blocks: list[DiscriminativeDictionary], params: TrainP
             arrays.append(_array_entry("W", model.W, "f8", chunks))
         block_headers.append({"mode": model.mode, "arrays": arrays})
 
-    params_dict = {
-        "K": params.K,
-        "T": params.T,
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "iterations": params.iterations,
-        "seed": params.seed,
-        "min_rel_improvement": params.min_rel_improvement,
-    }
+    params_dict = {key: getattr(params, key) for key in _PARAM_KEYS}
     header = {"params": params_dict, "meta": meta or {}, "blocks": block_headers}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
 
@@ -71,8 +81,8 @@ def save_model(path: str, blocks: list[DiscriminativeDictionary], params: TrainP
 
 
 def load_model(path: str) -> tuple[list[DiscriminativeDictionary], TrainParams, dict]:
-    """Read an archive written by :func:`save_model`; truncated archives and
-    bytes after the last array are rejected."""
+    """Read an archive written by :func:`save_model`; truncated archives,
+    malformed headers and bytes after the last array raise ``ValueError``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
@@ -87,22 +97,30 @@ def load_model(path: str) -> tuple[list[DiscriminativeDictionary], TrainParams, 
             f"truncated archive header: {hlen} bytes declared, {len(data) - 12} present"
         )
     header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
+    _fields(header, "header", ("params", "meta", "blocks"))
     pos = 12 + hlen
 
-    def take(entry: dict) -> np.ndarray:
+    def take(entry: dict) -> tuple[str, np.ndarray]:
         nonlocal pos
-        shape = tuple(entry["shape"])
+        _fields(entry, "array entry", ("name", "shape", "kind"))
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"array {entry['name']!r}: bad shape {shape!r}")
+        if entry["kind"] not in _DTYPES:
+            raise ValueError(f"array {entry['name']!r}: unknown kind {entry['kind']!r}")
         dtype = np.dtype(_DTYPES[entry["kind"]])
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         if pos + nbytes > len(data):
             raise ValueError("truncated archive payload")
         arr = np.frombuffer(data[pos : pos + nbytes], dtype=dtype).reshape(shape)
         pos += nbytes
-        return np.array(arr)
+        return entry["name"], np.array(arr)
 
     blocks: list[DiscriminativeDictionary] = []
-    for bh in header["blocks"]:
-        arrays = {e["name"]: take(e) for e in bh["arrays"]}
+    for bh in _list(header["blocks"], "blocks"):
+        _fields(bh, "block", ("mode", "arrays"))
+        arrays = dict(take(e) for e in _list(bh["arrays"], "arrays"))
+        _fields(arrays, "block arrays", ("atoms", "atom_labels", "scales", "objective_trace"))
         dictionary = Dictionary(
             atoms=arrays["atoms"],
             atom_labels=arrays["atom_labels"],
@@ -119,14 +137,6 @@ def load_model(path: str) -> tuple[list[DiscriminativeDictionary], TrainParams, 
         )
     if pos != len(data):
         raise ValueError(f"{len(data) - pos} trailing bytes after the last array")
-    p = header["params"]
-    params = TrainParams(
-        K=p["K"],
-        T=p["T"],
-        alpha=p["alpha"],
-        beta=p["beta"],
-        iterations=p["iterations"],
-        seed=p["seed"],
-        min_rel_improvement=p["min_rel_improvement"],
-    )
-    return blocks, params, header.get("meta", {})
+    p = _fields(header["params"], "params", _PARAM_KEYS)
+    params = TrainParams(**{key: p[key] for key in _PARAM_KEYS})
+    return blocks, params, header["meta"]

@@ -18,6 +18,9 @@ DEGENERATE_NORM = 1e-12
 L1_LOG_FLOOR = 1e-12
 
 _OMP_PROGRESS_TOL = 1e-13
+# an atom whose Schur complement against a support (its squared distance from
+# the support's span, for unit atoms) is at most this never joins it
+_SPAN_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -156,10 +159,15 @@ def omp_batch(D: Dictionary, Y: np.ndarray, T: int, eps=0.0):
     Each column repeatedly picks the usable atom most correlated with its
     residual, then re-fits its coefficients by least squares restricted to
     the support, until the residual norm reaches ``eps`` or the support holds
-    ``T`` atoms. The residual norm never increases across iterations. The
-    least squares is carried by incremental Gram-Schmidt updates so all
-    columns advance in lockstep. Returns ``(codes, residual_norms,
-    iteration_counts)`` with codes of shape ``(n_atoms, n_signals)``.
+    ``T`` atoms. The residual norm never increases across iterations. This
+    is Batch-OMP (Rubinstein, Zibulevsky & Elad 2008): ``G = D^T D`` and
+    ``D^T Y`` are formed once and the pursuit runs in atom space, where the
+    correlations are ``D^T Y - G X`` and each refit solves the support's
+    Gram system, so no buffer grows with the signal length. A column stops
+    when its pick lies numerically in the span of its support, by the
+    Schur-complement test the l1 path also uses. Returns ``(codes,
+    residual_norms, iteration_counts)`` with codes of shape ``(n_atoms,
+    n_signals)`` and residual norms computed from the codes.
     """
     Y = _check_signals(D, Y)
     if int(T) < 1:
@@ -169,74 +177,45 @@ def omp_batch(D: Dictionary, Y: np.ndarray, T: int, eps=0.0):
         raise ValueError("dictionary has no usable atoms (all columns degenerate)")
 
     A = D.atoms
-    d, n = A.shape
-    s = Y.shape[1]
-    eps_vec = np.broadcast_to(np.asarray(eps, dtype=float), (s,)).copy()
+    n, s = A.shape[1], Y.shape[1]
+    eps_vec = np.broadcast_to(np.asarray(eps, dtype=float), (s,))
     t_max = min(int(T), int(usable.sum()))
 
+    G = A.T @ A
+    B = A.T @ Y
+    ysq = np.einsum("ij,ij->j", Y, Y)
     X = np.zeros((n, s))
-    R = Y.copy()
-    rnorm = np.linalg.norm(R, axis=0)
-    active = rnorm > eps_vec
-    qs = np.zeros((t_max, d, s))
-    rfac = np.zeros((t_max, t_max, s))
-    proj = np.zeros((t_max, s))
-    supp = np.full((t_max, s), -1, dtype=int)
+    supp = np.zeros((s, t_max), dtype=int)
     blocked = np.broadcast_to(~usable[:, None], (n, s)).copy()
     sizes = np.zeros(s, dtype=int)
-
+    # live columns all hold supports of size t at step t
+    live = np.flatnonzero(np.linalg.norm(Y, axis=0) > eps_vec)
     for t in range(t_max):
-        if not active.any():
+        if not live.size:
             break
-        corr = A.T @ R
-        corr[blocked] = 0.0
-        corr[:, ~active] = 0.0
-        mag = np.abs(corr)
+        mag = np.abs(B[:, live] - G @ X[:, live])
+        mag[blocked[:, live]] = 0.0
         pick = np.argmax(mag, axis=0)
-        strength = mag[pick, np.arange(s)]
-        grow = active & (strength > _OMP_PROGRESS_TOL)
-        active = grow
-        if not grow.any():
-            break
-        cols = np.flatnonzero(grow)
-        a = A[:, pick[cols]]
-        for l in range(t):
-            ql = qs[l][:, cols]
-            h = np.einsum("ij,ij->j", ql, a)
-            a = a - ql * h
-            rfac[l, t, cols] = h
-        nrm = np.linalg.norm(a, axis=0)
-        ok = nrm > 1e-10
-        okcols = cols[ok]
-        if okcols.size:
-            q = a[:, ok] / nrm[ok]
-            qs[t][:, okcols] = q
-            rfac[t, t, okcols] = nrm[ok]
-            c = np.einsum("ij,ij->j", q, R[:, okcols])
-            proj[t, okcols] = c
-            R[:, okcols] -= q * c
-            supp[t, okcols] = pick[okcols]
-            sizes[okcols] += 1
-            blocked[pick[okcols], okcols] = True
-            rnorm[okcols] = np.linalg.norm(R[:, okcols], axis=0)
-            active[okcols] = rnorm[okcols] > eps_vec[okcols]
-        active[cols[~ok]] = False
-
-    xs = np.zeros((t_max, s))
-    for i in range(t_max - 1, -1, -1):
-        m = sizes > i
-        if not m.any():
-            continue
-        acc = proj[i].copy()
-        if i + 1 < t_max:
-            acc -= np.einsum("jc,jc->c", rfac[i, i + 1 :, :], xs[i + 1 :, :])
-        xs[i, m] = acc[m] / rfac[i, i, m]
-    for t in range(t_max):
-        m = sizes > t
-        if m.any():
-            cols = np.flatnonzero(m)
-            X[supp[t, cols], cols] = xs[t, cols]
-    return X, rnorm, sizes
+        # test the pick against the old support first: a pick in its span,
+        # such as an exact duplicate, would make the new Gram system singular
+        # (right-hand sides go in as (c, t, 1): numpy >= 2 reads a (c, t)
+        # b as a matrix, not as a stack of vectors)
+        I = supp[live, :t]
+        g = G[I, pick[:, None]]
+        w = np.linalg.solve(G[I[:, :, None], I[:, None, :]], g[..., None])[..., 0]
+        schur = 1.0 - np.einsum("ct,ct->c", g, w)
+        ok = (mag[pick, np.arange(live.size)] > _OMP_PROGRESS_TOL) & (schur > _SPAN_TOL)
+        live, pick = live[ok], pick[ok]
+        supp[live, t] = pick
+        sizes[live] += 1
+        blocked[pick, live] = True
+        I = supp[live, : t + 1]
+        b = B[I, live[:, None]]
+        x = np.linalg.solve(G[I[:, :, None], I[:, None, :]], b[..., None])[..., 0]
+        X[I, live[:, None]] = x
+        r2 = ysq[live] - np.einsum("ct,ct->c", x, b)
+        live = live[np.sqrt(np.maximum(r2, 0.0)) > eps_vec[live]]
+    return X, np.linalg.norm(Y - A @ X, axis=0), sizes
 
 
 def _l1_path(A: np.ndarray, G: np.ndarray, y: np.ndarray, eps: float):
@@ -290,7 +269,7 @@ def _l1_path(A: np.ndarray, G: np.ndarray, y: np.ndarray, eps: float):
             # duplicate with its 0/0 ratio, would make the Gram system
             # singular; in exact arithmetic it never enters before lam = 0
             w = np.linalg.solve(Gaa, G[idx, j])
-            if 1.0 - G[idx, j] @ w > 1e-10:
+            if 1.0 - G[idx, j] @ w > _SPAN_TOL:
                 row = int(np.argmin(g_in[:, j]))
                 gamma, event = float(g_in[row, j]), (j, (1.0, -1.0)[row])
                 break

@@ -65,6 +65,30 @@ def exhaustive_sparse_fit(A: np.ndarray, y: np.ndarray, T: int):
     return best[1], best[0], best[2]
 
 
+def textbook_omp(A: np.ndarray, y: np.ndarray, T: int, eps: float) -> np.ndarray:
+    """Orthogonal matching pursuit for one signal, straight from its definition.
+
+    Picks the atom most correlated with the residual and refits every
+    coefficient of the support with ``lstsq``; stops once the residual norm
+    is at most ``eps``, the support holds ``T`` atoms, or no atom correlates
+    with the residual above 1e-10. Returns the coefficient vector.
+    """
+    x = np.zeros(A.shape[1])
+    support: list[int] = []
+    r = y
+    while len(support) < T and np.linalg.norm(r) > eps:
+        corr = np.abs(A.T @ r)
+        j = int(np.argmax(corr))
+        if corr[j] <= 1e-10:
+            break
+        support.append(j)
+        coef, *_ = np.linalg.lstsq(A[:, support], y, rcond=None)
+        r = y - A[:, support] @ coef
+        x[:] = 0.0
+        x[support] = coef
+    return x
+
+
 def soft_threshold(v: np.ndarray, lam: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 

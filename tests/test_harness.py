@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blocksrc import (
     BENIGN,
@@ -19,6 +20,7 @@ from blocksrc import (
 )
 from blocksrc.blocks import decompose_roi
 from blocksrc.config import parse_config_text
+from blocksrc.dictlearn import DiscriminativeDictionary, TrainParams
 from blocksrc.harness import classify_samples, load_dataset, train_block_models
 from blocksrc.pgm import read_pgm
 from blocksrc.solvers import bpdn_batch, class_residuals, SparseCode
@@ -269,7 +271,7 @@ class TestRunExperiment:
         def flaky(samples, cfg, block_size):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise RuntimeError("synthetic training failure")
+                raise ValueError("synthetic training failure")
             return real(samples, cfg, block_size)
 
         monkeypatch.setattr(H, "train_block_models", flaky)
@@ -278,10 +280,20 @@ class TestRunExperiment:
         assert report.incomplete_folds == [0]
         entry = report.folds[0]
         assert entry["error"]["stage"] == "train"
-        assert entry["error"]["type"] == "RuntimeError"
+        assert entry["error"]["type"] == "ValueError"
         # pooled metrics cover only the completed folds
         covered = sum(len(f.get("test_indices", [])) for f in report.folds)
         assert covered < report.n_samples
+
+    def test_programming_error_propagates(self, monkeypatch):
+        import blocksrc.harness as H
+
+        def broken(models, samples, cfg, block_size):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(H, "classify_samples", broken)
+        with pytest.raises(TypeError, match="synthetic programming error"):
+            run_experiment(tiny_config(), persist=False)
 
 
 class TestRunGrid:
@@ -319,6 +331,47 @@ class TestRunGrid:
                 replace(cfg, decision=decision, k_folds=3, dl_mode=mode), block_size=block, persist=False
             )
             assert rep.to_json() == solo.to_json()
+
+
+@pytest.fixture(scope="module")
+def small_archive(tmp_path_factory):
+    """Bytes of a two-block archive (modes lcksvd2 and none) and a scratch
+    path to write variants of it to."""
+    D = Dictionary.from_matrix(np.arange(1.0, 13.0).reshape(3, 4), [0, 0, 1, 1])
+    models = [
+        DiscriminativeDictionary(D=D, A=np.eye(4), W=np.ones((2, 4)), mode="lcksvd2",
+                                 objective_trace=np.array([2.0, 1.0])),
+        DiscriminativeDictionary(D=D, A=None, W=None, mode="none"),
+    ]
+    path = tmp_path_factory.mktemp("archive") / "small.blkd"
+    save_model(str(path), models, TrainParams(K=4, T=2), {"block_w": 8})
+    return path.read_bytes(), path.with_name("variant.blkd")
+
+
+def archive_header(raw: bytes) -> dict:
+    return json.loads(raw[12 : 12 + int.from_bytes(raw[8:12], "little")])
+
+
+def archive_with_header(raw: bytes, header) -> bytes:
+    """``raw`` with its header JSON replaced by ``header``, payload kept."""
+    hlen = int.from_bytes(raw[8:12], "little")
+    text = json.dumps(header).encode("utf-8")
+    return raw[:8] + len(text).to_bytes(4, "little") + text + raw[12 + hlen :]
+
+
+def header_key_paths(header):
+    """Every key of the archive's own structure, as a path of keys and list
+    indices (the free-form ``meta`` contents are not structure)."""
+    for key in header:
+        yield (key,)
+    for key in header["params"]:
+        yield ("params", key)
+    for b, block in enumerate(header["blocks"]):
+        for key in block:
+            yield ("blocks", b, key)
+        for a, entry in enumerate(block["arrays"]):
+            for key in entry:
+                yield ("blocks", b, "arrays", a, key)
 
 
 class TestModelArchive:
@@ -372,6 +425,39 @@ class TestModelArchive:
         save_model(str(path), models, cfg.train_params(), {})
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ValueError, match="1 trailing bytes"):
+            load_model(str(path))
+
+    def test_malformed_headers(self, small_archive):
+        raw, path = small_archive
+        unknown_kind, backwards = archive_header(raw), archive_header(raw)
+        unknown_kind["blocks"][0]["arrays"][0]["kind"] = "f4"
+        backwards["blocks"][0]["arrays"][0]["shape"] = [-1, 2]
+        for bad, match in (({}, "header lacks"), ([], "not a JSON object"),
+                           (unknown_kind, "unknown kind"), (backwards, "bad shape")):
+            path.write_bytes(archive_with_header(raw, bad))
+            with pytest.raises(ValueError, match=match):
+                load_model(str(path))
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(cut=st.integers(min_value=0, max_value=10**6))
+    def test_every_prefix_raises_value_error(self, small_archive, cut):
+        raw, path = small_archive
+        path.write_bytes(raw[: cut % len(raw)])
+        with pytest.raises(ValueError):
+            load_model(str(path))
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(data=st.data())
+    def test_every_dropped_header_key_raises_value_error(self, small_archive, data):
+        raw, path = small_archive
+        header = archive_header(raw)
+        *parents, key = data.draw(st.sampled_from(list(header_key_paths(header))))
+        node = header
+        for step in parents:
+            node = node[step]
+        del node[key]
+        path.write_bytes(archive_with_header(raw, header))
+        with pytest.raises(ValueError):
             load_model(str(path))
 
     def test_magic_check(self, tmp_path):

@@ -9,6 +9,7 @@ from .oracles import (
     low_coherence_matrix,
     mutual_coherence,
     orthonormal_bpdn_oracle,
+    textbook_omp,
 )
 
 
@@ -140,6 +141,44 @@ class TestOmpBatch:
         X, rn, iters = omp_batch(D, Y, 4, eps=1e-9)
         assert iters[0] == 1
         assert rn[0] <= 1e-9
+
+    def test_matches_textbook_oracle(self):
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            d = int(rng.integers(3, 12))
+            n = int(rng.integers(3, 20))
+            M = rng.standard_normal((d, n))
+            i, j, z = rng.choice(n, size=3, replace=False)
+            if trial % 3 == 0:
+                M[:, j] = M[:, i]  # exact duplicate atom
+            if trial % 5 == 0:
+                M[:, z] = 0.0  # zero atom
+            D = unit_dict(M, rng.integers(0, 2, n))
+            T = int(rng.integers(1, min(d, n) + 1))
+            Y = rng.standard_normal((d, int(rng.integers(1, 6))))
+            eps = rng.uniform(0.0, 0.5, Y.shape[1]) * np.linalg.norm(Y, axis=0)
+            X, rn, iters = omp_batch(D, Y, T, eps)
+            for c in range(Y.shape[1]):
+                x, ref = X[:, c].copy(), textbook_omp(D.atoms, Y[:, c], T, eps[c])
+                if trial % 3 == 0:
+                    # twins tie exactly, so either may enter, never both
+                    assert x[i] == 0.0 or x[j] == 0.0
+                    for v in (x, ref):
+                        v[i], v[j] = v[i] + v[j], 0.0
+                assert np.array_equal(np.flatnonzero(x), np.flatnonzero(ref))
+                assert iters[c] == np.count_nonzero(ref)
+                np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-9)
+                assert rn[c] == pytest.approx(np.linalg.norm(Y[:, c] - D.atoms @ ref), abs=1e-9)
+
+    def test_near_duplicate_atoms_never_share_a_support(self):
+        rng = np.random.default_rng(11)
+        M = rng.standard_normal((6, 4))
+        M[:, 1] = M[:, 0] + 1e-7 * rng.standard_normal(6)
+        D = unit_dict(M, [0, 0, 1, 1])
+        Y = rng.standard_normal((6, 20))
+        X, _, _ = omp_batch(D, Y, 4)
+        assert not np.any((X[0] != 0.0) & (X[1] != 0.0))
+        assert np.all(np.abs(X).sum(axis=0) <= 10.0 * np.linalg.norm(Y, axis=0))
 
 
 class TestBpdn:
