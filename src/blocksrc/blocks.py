@@ -84,12 +84,13 @@ def compose_blocks(grid: BlockGrid) -> np.ndarray:
     )
 
 
-def assemble_block_dictionaries(training: list[RoiSample], block_w: int, block_h: int) -> list[Dictionary]:
-    """Build one dictionary per block position from the training ROIs.
+def block_stack(training: list[RoiSample], block_w: int, block_h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stack the training ROIs' blocks by position, decomposing each ROI once.
 
-    Dictionary ``j`` holds the block-``j`` vector of every training image as a
-    column (normalized, training order preserved) with the image's class label
-    attached to the column.
+    Returns ``(stack, labels)``: ``stack[j]`` holds the block-``j`` vector of
+    every training image as a column (training order preserved), shaped
+    (positions, block_w * block_h, samples). The set must hold equally sized
+    ROIs of both classes.
     """
     if not training:
         raise ValueError("no training samples")
@@ -101,7 +102,20 @@ def assemble_block_dictionaries(training: list[RoiSample], block_w: int, block_h
     if len(set(labels.tolist())) < 2:
         raise ValueError("training set must contain at least one sample per class")
 
-    grids = [decompose_roi(smp, block_w, block_h) for smp in training]
-    nbl = grids[0].nbl
-    stacks = np.stack([g.vectors for g in grids])  # (s, nbl, d)
-    return [Dictionary.from_matrix(stacks[:, j, :].T, labels) for j in range(nbl)]
+    first = decompose_roi(training[0], block_w, block_h).vectors
+    stacks = np.empty((len(training),) + first.shape)  # (s, positions, d)
+    stacks[0] = first
+    for i, smp in enumerate(training[1:], start=1):
+        stacks[i] = decompose_roi(smp, block_w, block_h).vectors
+    return stacks.transpose(1, 2, 0), labels
+
+
+def assemble_block_dictionaries(training: list[RoiSample], block_w: int, block_h: int) -> list[Dictionary]:
+    """Build one dictionary per block position from the training ROIs.
+
+    Dictionary ``j`` holds the block-``j`` vector of every training image as a
+    column (normalized, training order preserved) with the image's class label
+    attached to the column.
+    """
+    stack, labels = block_stack(training, block_w, block_h)
+    return [Dictionary.from_matrix(Yj, labels) for Yj in stack]

@@ -112,9 +112,20 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
     models, _, meta = load_model(args.model)
-    block = int(meta.get("block_w", cfg.block_sizes[0]))
+    if meta.get("roi_size") != cfg.roi_size:
+        raise ValueError(
+            f"model roi_size {meta.get('roi_size')!r} does not match config roi_size {cfg.roi_size}"
+        )
+    block_w = int(meta.get("block_w", cfg.block_sizes[0]))
+    block_h = int(meta.get("block_h", block_w))
+    for m in models:
+        if m.D.dim != block_w * block_h:
+            raise ValueError(
+                f"model atom length {m.D.dim} does not match its {block_w}x{block_h} blocks "
+                f"({block_w * block_h} pixels)"
+            )
     samples = load_dataset(cfg)
-    fused = classify_samples([m.D for m in models], samples, cfg, block)
+    fused = classify_samples([m.D for m in models], samples, cfg, block_w)
     preds, scores = decision_outputs(fused, cfg)
     truth = [s.label for s in samples]
     metrics = compute_metrics(preds, truth, scores)

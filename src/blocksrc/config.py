@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .dictlearn import MODES, TrainParams
@@ -36,6 +37,10 @@ class ExperimentConfig:
     synth_samples_per_class: int = 40
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"config key {f.name} must be finite, got {v!r}")
         if self.k_folds < 2:
             raise ValueError("k_folds must be >= 2")
         if not self.block_sizes:

@@ -13,12 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labels import CLASS_IDS, as_label_array
-from .solvers import DEGENERATE_NORM, Dictionary, normalize_columns, omp_batch
+from .solvers import DEGENERATE_NORM, Dictionary, batch_omp, normalize_columns
 
 MODES = ("none", "lcksvd1", "lcksvd2")
 
 _RIDGE_LAMBDA = 1e-3
 _UNUSED_ROW_TOL = 0.0  # a row is unused when it is exactly zero
+# K-SVD runs in span coordinates when the rows outnumber the columns of
+# [Y, init] this many times over; below that, numpy's unblocked QR costs
+# more than it saves
+_SPAN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -104,13 +108,101 @@ def build_label_matrices(sample_labels, atom_labels) -> LabelMatrices:
     return LabelMatrices(Q=Q, H=H)
 
 
-def _check_training_matrix(Y) -> np.ndarray:
+def _check_training_matrix(Y, ndim: int = 2) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] < 1:
-        raise ValueError(f"training matrix must be non-empty 2-d, got shape {Y.shape}")
+    if Y.ndim != ndim or 0 in Y.shape:
+        raise ValueError(f"training matrix must be non-empty {ndim}-d, got shape {Y.shape}")
     if not np.isfinite(Y).all():
         raise ValueError("training matrix contains non-finite values")
     return Y
+
+
+def _code(D: np.ndarray, Y: np.ndarray, ysq: np.ndarray, t: int) -> np.ndarray:
+    """Sparsity-bound codes of a stack of signal matrices on a stack of
+    dictionaries; atoms whose norm is below ``DEGENERATE_NORM`` are skipped."""
+    Dt = D.mT
+    usable = np.linalg.norm(D, axis=1) >= DEGENERATE_NORM
+    X, _ = batch_omp(Dt @ D, Dt @ Y, ysq, usable, t, 0.0)
+    return X
+
+
+def _ksvd_stack(Z: np.ndarray, s: int, params: TrainParams, probe=None):
+    """K-SVD on a stack of P independent problems ``Z = [Y, init]``, shaped
+    (P, rows, s + k): signals in the first ``s`` columns, initial atoms
+    (normalized here, in place) in the other ``k``.
+
+    Every problem keeps its own objective trace and stops early on its own.
+    Atoms only ever become combinations of columns of ``Y - DX`` and ``D``,
+    or normalized columns of ``Y``, so they never leave ``span(Z)``. When the
+    rows number at least ``_SPAN_ROWS`` times the columns of ``Z``, the
+    alternation runs on the coordinates ``R`` of ``Z = basis R`` (basis
+    orthonormal, so every norm and inner product is unchanged) and the atoms
+    are mapped back at the end. Returns ``(atoms (P, rows, k), codes (P, k,
+    s), traces)``.
+    """
+    P, rows, m = Z.shape
+    k = m - s
+    t = params.resolved_t(k)
+    Z[:, :, s:], _ = normalize_columns(Z[:, :, s:])
+    basis = None
+    if rows >= _SPAN_ROWS * m:
+        basis, Z = np.linalg.qr(Z)
+    Y, D = Z[:, :, :s], Z[:, :, s:].copy()
+    ysq = np.einsum("prs,prs->ps", Y, Y)
+    X = np.zeros((P, k, s))
+    traces: list[list[float]] = [[] for _ in range(P)]
+    prev = np.zeros(P)
+    run = np.arange(P)
+    for it in range(params.iterations):
+        Yr, Dr = Y[run], D[run]
+        Xr = _code(Dr, Yr, ysq[run], t)
+        E = Yr - Dr @ Xr
+        obj_coding = np.sum(E * E, axis=(1, 2))
+
+        # The rank-1 update of atom a, over full rows: columns that do not
+        # use the atom carry a zero coefficient and come out unchanged.
+        for a in range(k):
+            row = Xr[:, a, :]
+            Ek = E + Dr[:, :, a, None] * row[:, None, :]
+            dvec = (Ek @ row[:, :, None])[..., 0]
+            nrm = np.linalg.norm(dvec, axis=1)
+            ok = nrm >= DEGENERATE_NORM  # an unused atom has dvec = 0
+            if not ok.any():
+                continue
+            dvec /= np.where(ok, nrm, 1.0)[:, None]
+            gnew = np.where(row != 0.0, (dvec[:, None, :] @ Ek)[:, 0, :], 0.0)
+            upd = Ek - dvec[:, :, None] * gnew[:, None, :]
+            if ok.all():
+                Dr[:, :, a], Xr[:, a, :], E = dvec, gnew, upd
+            else:
+                Dr[ok, :, a], Xr[ok, a, :], E[ok] = dvec[ok], gnew[ok], upd[ok]
+
+        # Replace atoms whose coefficient row went unused by the training
+        # column that is currently reconstructed worst.
+        unused = ~np.any(np.abs(Xr) > _UNUSED_ROW_TOL, axis=2)
+        for i in np.flatnonzero(unused.any(axis=1)):
+            col_err = np.linalg.norm(E[i], axis=0)
+            for a in np.flatnonzero(unused[i]):
+                j = int(np.argmax(col_err))
+                col_err[j] = -1.0
+                nrm = np.linalg.norm(Yr[i, :, j])
+                Dr[i, :, a] = Yr[i, :, j] / nrm if nrm >= DEGENERATE_NORM else 0.0
+
+        obj = np.sum(E * E, axis=(1, 2))
+        if probe is not None:
+            probe(it, obj_coding, obj)
+        for p, o in zip(run, obj):
+            traces[p].append(float(o))
+        D[run], X[run] = Dr, Xr
+        done = (prev[run] - obj) < params.min_rel_improvement * np.maximum(prev[run], 1e-12)
+        prev[run] = obj
+        if it and params.min_rel_improvement > 0:
+            run = run[~done]
+            if not run.size:
+                break
+    if basis is not None:
+        D = basis @ D
+    return D, X, [np.asarray(tr) for tr in traces]
 
 
 def ksvd(Y, params: TrainParams, init: np.ndarray | None = None, atom_labels=None, probe=None):
@@ -121,7 +213,7 @@ def ksvd(Y, params: TrainParams, init: np.ndarray | None = None, atom_labels=Non
     the columns that use it; the update stage never increases the objective
     for fixed supports. Unused atoms are replaced by the currently
     worst-represented sample, normalized. Returns ``(dictionary, codes,
-    objective_trace)``.
+    objective_trace)``. This is one problem of the stacked K-SVD.
 
     ``probe``, when given, is called as ``probe(iteration, obj_after_coding,
     obj_after_update)`` (a testing hook).
@@ -129,76 +221,29 @@ def ksvd(Y, params: TrainParams, init: np.ndarray | None = None, atom_labels=Non
     Y = _check_training_matrix(Y)
     d, s = Y.shape
     k = params.resolved_k(s)
-    t = params.resolved_t(k)
-
     if init is None:
         rng = np.random.default_rng(params.seed)
-        idx = rng.choice(s, size=k, replace=s < k)
-        D, _ = normalize_columns(Y[:, idx])
+        init = Y[:, rng.choice(s, size=k, replace=s < k)]
     else:
         init = np.asarray(init, dtype=float)
         if init.shape != (d, k):
             raise ValueError(f"init must have shape ({d}, {k}), got {init.shape}")
-        D, _ = normalize_columns(init)
     if atom_labels is None:
         atom_labels = np.zeros(k, dtype=int)
-
-    trace: list[float] = []
-    prev = None
-    X = np.zeros((k, s))
-    for it in range(params.iterations):
-        labeled = Dictionary(atoms=D, atom_labels=np.asarray(atom_labels, dtype=int),
-                             scales=np.linalg.norm(D, axis=0))
-        X, _, _ = omp_batch(labeled, Y, t)
-        E = Y - D @ X
-        obj_coding = float(np.sum(E * E))
-
-        for a in range(k):
-            row = X[a]
-            used = np.flatnonzero(row)
-            if used.size == 0:
-                continue
-            Ek = E[:, used] + np.outer(D[:, a], row[used])
-            g = row[used]
-            dvec = Ek @ g
-            nrm = np.linalg.norm(dvec)
-            if nrm < DEGENERATE_NORM:
-                continue
-            dvec /= nrm
-            gnew = Ek.T @ dvec
-            D[:, a] = dvec
-            X[a, used] = gnew
-            E[:, used] = Ek - np.outer(dvec, gnew)
-
-        # Replace atoms whose coefficient row went unused by the training
-        # column that is currently reconstructed worst.
-        unused = [a for a in range(k) if not np.any(np.abs(X[a]) > _UNUSED_ROW_TOL)]
-        if unused:
-            col_err = np.linalg.norm(E, axis=0).copy()
-            for a in unused:
-                j = int(np.argmax(col_err))
-                col_err[j] = -1.0
-                nrm = np.linalg.norm(Y[:, j])
-                D[:, a] = Y[:, j] / nrm if nrm >= DEGENERATE_NORM else 0.0
-
-        obj = float(np.sum(E * E))
-        if probe is not None:
-            probe(it, obj_coding, obj)
-        trace.append(obj)
-        if prev is not None and params.min_rel_improvement > 0:
-            if (prev - obj) < params.min_rel_improvement * max(prev, 1e-12):
-                break
-        prev = obj
-
-    final = Dictionary.from_matrix(D, atom_labels)
-    return final, X, np.asarray(trace)
+    hook = None
+    if probe is not None:
+        def hook(it, before, after):
+            probe(it, float(before[0]), float(after[0]))
+    D, X, traces = _ksvd_stack(np.concatenate([Y, init], axis=1)[None], s, params, hook)
+    return Dictionary.from_matrix(D[0], atom_labels), X[0], traces[0]
 
 
 def _ridge_fit(targets: np.ndarray, X: np.ndarray, lam: float = _RIDGE_LAMBDA) -> np.ndarray:
-    """Solve min ||targets - M X||_F^2 + lam ||M||_F^2 for M."""
-    k = X.shape[0]
-    gram = X @ X.T + lam * np.eye(k)
-    return np.linalg.solve(gram, X @ targets.T).T
+    """Solve min ||targets - M X||_F^2 + lam ||M||_F^2 for M (for each
+    matrix of a stack ``X``)."""
+    k = X.shape[-2]
+    gram = X @ X.mT + lam * np.eye(k)
+    return np.linalg.solve(gram, X @ targets.T).mT
 
 
 def _atoms_per_class(sample_labels: np.ndarray, k: int) -> dict[int, int]:
@@ -222,20 +267,13 @@ def _atoms_per_class(sample_labels: np.ndarray, k: int) -> dict[int, int]:
     return alloc
 
 
-def init_lcksvd(Y, sample_labels, params: TrainParams):
-    """Seeded initialization for label-consistent training.
-
-    Initial atoms are drawn per class from that class's samples (without
-    replacement when possible) and normalized; A and W start from ridge
-    regressions of the label matrices onto the initial codes. Returns
-    ``(D0, X0, A0, W0)``.
-    """
-    Y = _check_training_matrix(Y)
-    sample_labels = as_label_array(sample_labels)
-    if sample_labels.shape[0] != Y.shape[1]:
+def _init_stack(Y: np.ndarray, sample_labels: np.ndarray, params: TrainParams):
+    """:func:`init_lcksvd` for a stack of training matrices (P, d, s) that
+    share their labels, so every problem draws the same sample columns.
+    Returns ``(D0, scales, X0, A0, W0, atom_labels)``."""
+    if sample_labels.shape[0] != Y.shape[2]:
         raise ValueError("one label per training column required")
-    k = params.resolved_k(Y.shape[1])
-    t = params.resolved_t(k)
+    k = params.resolved_k(Y.shape[2])
     alloc = _atoms_per_class(sample_labels, k)
 
     rng = np.random.default_rng(params.seed)
@@ -248,16 +286,36 @@ def init_lcksvd(Y, sample_labels, params: TrainParams):
         chosen.extend(int(p) for p in picks)
         atom_labels.extend([cid] * take)
 
-    D0 = Dictionary.from_matrix(Y[:, chosen], np.asarray(atom_labels))
-    X0, _, _ = omp_batch(D0, Y, t)
+    D0, scales = normalize_columns(Y[:, :, chosen])
+    X0 = _code(D0, Y, np.einsum("pds,pds->ps", Y, Y), params.resolved_t(k))
     lm = build_label_matrices(sample_labels, atom_labels)
-    A0 = _ridge_fit(lm.Q, X0)
-    W0 = _ridge_fit(lm.H, X0)
-    return D0, X0, A0, W0
+    return D0, scales, X0, _ridge_fit(lm.Q, X0), _ridge_fit(lm.H, X0), np.asarray(atom_labels)
+
+
+def init_lcksvd(Y, sample_labels, params: TrainParams):
+    """Seeded initialization for label-consistent training.
+
+    Initial atoms are drawn per class from that class's samples (without
+    replacement when possible) and normalized; A and W start from ridge
+    regressions of the label matrices onto the initial codes. Returns
+    ``(D0, X0, A0, W0)``.
+    """
+    Y = _check_training_matrix(Y)
+    D0, scales, X0, A0, W0, atom_labels = _init_stack(Y[None], as_label_array(sample_labels), params)
+    return Dictionary(atoms=D0[0], atom_labels=atom_labels, scales=scales[0]), X0[0], A0[0], W0[0]
 
 
 def lcksvd_train(Y, sample_labels, params: TrainParams, mode: str) -> DiscriminativeDictionary:
-    """Label-consistent dictionary learning.
+    """Label-consistent dictionary learning: one problem of
+    :func:`lcksvd_train_stack`."""
+    Y = _check_training_matrix(Y)
+    return lcksvd_train_stack(Y[None], sample_labels, params, mode)[0]
+
+
+def lcksvd_train_stack(Y, sample_labels, params: TrainParams, mode: str) -> list[DiscriminativeDictionary]:
+    """Label-consistent dictionary learning for a stack of training matrices
+    ``Y`` (P, d, s) whose columns share ``sample_labels``, such as the block
+    positions of one training split; one model per matrix.
 
     Runs K-SVD on the stacked system [Y; sqrt(alpha) Q] (mode "lcksvd1") or
     [Y; sqrt(alpha) Q; sqrt(beta) H] (mode "lcksvd2") with the stacked
@@ -268,50 +326,48 @@ def lcksvd_train(Y, sample_labels, params: TrainParams, mode: str) -> Discrimina
     """
     if mode not in ("lcksvd1", "lcksvd2"):
         raise ValueError(f"mode must be 'lcksvd1' or 'lcksvd2', got {mode!r}")
-    Y = _check_training_matrix(Y)
+    Y = _check_training_matrix(Y, ndim=3)
     sample_labels = as_label_array(sample_labels)
-
-    D0, X0, A0, W0 = init_lcksvd(Y, sample_labels, params)
-    atom_labels = D0.atom_labels
+    D0, _, _, A0, W0, atom_labels = _init_stack(Y, sample_labels, params)
     lm = build_label_matrices(sample_labels, atom_labels)
 
+    P, d, s = Y.shape
+    k = atom_labels.shape[0]
     use_q = params.alpha > 0
     use_h = mode == "lcksvd2" and params.beta > 0
-    data_rows = [Y]
-    dict_rows = [D0.atoms]
+    # the stacked system [Y, init], written once
+    parts = [(Y, D0)]
     if use_q:
-        data_rows.append(np.sqrt(params.alpha) * lm.Q)
-        dict_rows.append(np.sqrt(params.alpha) * A0)
+        parts.append((np.sqrt(params.alpha) * lm.Q, np.sqrt(params.alpha) * A0))
     if use_h:
-        data_rows.append(np.sqrt(params.beta) * lm.H)
-        dict_rows.append(np.sqrt(params.beta) * W0)
+        parts.append((np.sqrt(params.beta) * lm.H, np.sqrt(params.beta) * W0))
+    Z = np.empty((P, sum(y.shape[-2] for y, _ in parts), s + k))
+    pos = 0
+    for y, init in parts:
+        rows = y.shape[-2]
+        Z[:, pos : pos + rows, :s] = y
+        Z[:, pos : pos + rows, s:] = init
+        pos += rows
 
-    stacked_y = np.vstack(data_rows)
-    stacked_d = np.vstack(dict_rows)
-    learned, X, trace = ksvd(stacked_y, params, init=stacked_d, atom_labels=atom_labels)
-
-    d = Y.shape[0]
-    k = learned.n_atoms
-    at = learned.atoms
-    d_raw = at[:d]
-    pos = d
-    if use_q:
-        a_raw = at[pos : pos + k]
-        pos += k
-    if use_h:
-        w_raw = at[pos : pos + 2]
-
-    norms = np.linalg.norm(d_raw, axis=0)
-    degenerate = norms < DEGENERATE_NORM
-    safe = np.where(degenerate, 1.0, norms)
-    d_final = d_raw / safe
-    d_final[:, degenerate] = 0.0
-    final = Dictionary(atoms=d_final, atom_labels=atom_labels, scales=norms)
+    learned, X, traces = _ksvd_stack(Z, s, params)
+    at, _ = normalize_columns(learned)
+    d_final, norms = normalize_columns(at[:, :d])
+    safe = np.where(norms < DEGENERATE_NORM, 1.0, norms)
 
     # The stacked rows hold sqrt(alpha) * A and sqrt(beta) * W; divide the
     # weights back out so A maps codes onto Q (and W onto H) directly.
-    A = a_raw / (np.sqrt(params.alpha) * safe) if use_q else A0
-    W = None
-    if mode == "lcksvd2":
-        W = w_raw / (np.sqrt(params.beta) * safe) if use_h else W0
-    return DiscriminativeDictionary(D=final, A=A, W=W, mode=mode, objective_trace=trace, codes=X)
+    if use_q:
+        A0 = at[:, d : d + k] / (np.sqrt(params.alpha) * safe[:, None, :])
+    if use_h:
+        W0 = at[:, d + k * use_q :] / (np.sqrt(params.beta) * safe[:, None, :])
+    return [
+        DiscriminativeDictionary(
+            D=Dictionary(atoms=d_final[p], atom_labels=atom_labels, scales=norms[p]),
+            A=A0[p],
+            W=W0[p] if mode == "lcksvd2" else None,
+            mode=mode,
+            objective_trace=traces[p],
+            codes=X[p],
+        )
+        for p in range(P)
+    ]

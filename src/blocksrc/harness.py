@@ -16,9 +16,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .blocks import RoiSample, assemble_block_dictionaries, decompose_roi
+from .blocks import RoiSample, assemble_block_dictionaries, block_stack, decompose_roi
 from .config import ExperimentConfig
-from .dictlearn import DiscriminativeDictionary, lcksvd_train
+from .dictlearn import DiscriminativeDictionary, lcksvd_train_stack
 from .ensemble import (
     EnsembleDecision,
     block_decisions_batch,
@@ -162,20 +162,15 @@ def train_block_models(
     samples: list[RoiSample], cfg: ExperimentConfig, block_size: int
 ) -> list[DiscriminativeDictionary]:
     """One model per block position: raw training-block dictionaries for
-    dl_mode "none", label-consistent learned dictionaries otherwise."""
-    raw = assemble_block_dictionaries(samples, block_size, block_size)
+    dl_mode "none", label-consistent dictionaries otherwise, learned for all
+    positions in one stacked training."""
     if cfg.dl_mode == "none":
         return [
             DiscriminativeDictionary(D=d, A=None, W=None, mode="none")
-            for d in raw
+            for d in assemble_block_dictionaries(samples, block_size, block_size)
         ]
-    labels = [s.label for s in samples]
-    grids = [decompose_roi(s, block_size, block_size) for s in samples]
-    params = cfg.train_params()
-    return [
-        lcksvd_train(np.stack([g.vectors[j] for g in grids], axis=1), labels, params, cfg.dl_mode)
-        for j in range(len(raw))
-    ]
+    stack, labels = block_stack(samples, block_size, block_size)
+    return lcksvd_train_stack(stack, labels, cfg.train_params(), cfg.dl_mode)
 
 
 def classify_samples(

@@ -34,20 +34,21 @@ class ConvergenceError(RuntimeError):
 def normalize_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale each column of ``M`` to unit l2 norm.
 
-    Columns whose norm falls below ``DEGENERATE_NORM`` are zeroed instead of
-    divided by a tiny number; they are flagged degenerate downstream through
-    the returned scales. Returns ``(normalized, scales)`` where ``scales``
-    holds the original column norms.
+    ``M`` is a matrix or a stack of matrices along its leading axes. Columns
+    whose norm falls below ``DEGENERATE_NORM`` are zeroed instead of divided
+    by a tiny number; they are flagged degenerate downstream through the
+    returned scales. Returns ``(normalized, scales)`` where ``scales`` holds
+    the original column norms.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
-        raise ValueError(f"expected a non-empty 2-d matrix, got shape {M.shape}")
+    if M.ndim < 2 or 0 in M.shape:
+        raise ValueError(f"expected a non-empty matrix or stack of matrices, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix contains non-finite values")
-    scales = np.linalg.norm(M, axis=0)
-    degenerate = scales < DEGENERATE_NORM
-    out = M / np.where(degenerate, 1.0, scales)
-    out[:, degenerate] = 0.0
+    scales = np.linalg.norm(M, axis=-2)
+    degenerate = (scales < DEGENERATE_NORM)[..., None, :]
+    out = M / np.where(degenerate, 1.0, scales[..., None, :])
+    out[np.broadcast_to(degenerate, out.shape)] = 0.0
     return out, scales
 
 
@@ -160,14 +161,9 @@ def omp_batch(D: Dictionary, Y: np.ndarray, T: int, eps=0.0):
     residual, then re-fits its coefficients by least squares restricted to
     the support, until the residual norm reaches ``eps`` or the support holds
     ``T`` atoms. The residual norm never increases across iterations. This
-    is Batch-OMP (Rubinstein, Zibulevsky & Elad 2008): ``G = D^T D`` and
-    ``D^T Y`` are formed once and the pursuit runs in atom space, where the
-    correlations are ``D^T Y - G X`` and each refit solves the support's
-    Gram system, so no buffer grows with the signal length. A column stops
-    when its pick lies numerically in the span of its support, by the
-    Schur-complement test the l1 path also uses. Returns ``(codes,
-    residual_norms, iteration_counts)`` with codes of shape ``(n_atoms,
-    n_signals)`` and residual norms computed from the codes.
+    is one problem of :func:`batch_omp`. Returns ``(codes, residual_norms,
+    iteration_counts)`` with codes of shape ``(n_atoms, n_signals)`` and
+    residual norms computed from the codes.
     """
     Y = _check_signals(D, Y)
     if int(T) < 1:
@@ -175,47 +171,67 @@ def omp_batch(D: Dictionary, Y: np.ndarray, T: int, eps=0.0):
     usable = D.usable
     if not usable.any():
         raise ValueError("dictionary has no usable atoms (all columns degenerate)")
-
     A = D.atoms
-    n, s = A.shape[1], Y.shape[1]
-    eps_vec = np.broadcast_to(np.asarray(eps, dtype=float), (s,))
-    t_max = min(int(T), int(usable.sum()))
+    X, sizes = batch_omp(
+        (A.T @ A)[None], (A.T @ Y)[None], np.einsum("ij,ij->j", Y, Y)[None], usable[None], T, eps
+    )
+    return X[0], np.linalg.norm(Y - A @ X[0], axis=0), sizes[0]
 
-    G = A.T @ A
-    B = A.T @ Y
-    ysq = np.einsum("ij,ij->j", Y, Y)
-    X = np.zeros((n, s))
-    supp = np.zeros((s, t_max), dtype=int)
-    blocked = np.broadcast_to(~usable[:, None], (n, s)).copy()
-    sizes = np.zeros(s, dtype=int)
-    # live columns all hold supports of size t at step t
-    live = np.flatnonzero(np.linalg.norm(Y, axis=0) > eps_vec)
+
+def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray, T: int, eps):
+    """Batch-OMP (Rubinstein, Zibulevsky & Elad 2008) over a stack of P
+    independent coding problems, in atom space.
+
+    Problem ``p`` codes ``s`` signals given only the Gram matrix ``G[p] =
+    D^T D`` (n x n), the correlations ``B[p] = D^T Y`` (n x s) and the
+    squared signal norms ``ysq[p]``; only atoms with ``usable[p]`` may be
+    picked, and ``eps`` (broadcast to (P, s)) bounds the residual norms. Per
+    step every live column takes the argmax of ``|B - G X|`` over its
+    unblocked atoms, stops if that pick lies numerically in the span of its
+    support (Schur complement at most ``_SPAN_TOL``), and refits its support
+    by solving the support's Gram system; the residual norm follows from
+    ``||y||^2 - x_I^T (D^T y)_I``, so nothing grows with the signal length.
+    Returns codes ``(P, n, s)`` and support sizes ``(P, s)``.
+    """
+    P, n, s = B.shape
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (P, s))
+    t_max = min(int(T), int(usable.sum(axis=1).max()))
+    X = np.zeros((P, n, s))
+    supp = np.zeros((P, s, t_max), dtype=int)
+    blocked = np.repeat(~usable[:, :, None], s, axis=2)
+    sizes = np.zeros((P, s), dtype=int)
+    # live columns, as (problem, column) pairs, all hold supports of size t
+    # at step t
+    prob, col = np.nonzero(np.sqrt(ysq) > eps)
     for t in range(t_max):
-        if not live.size:
+        if not prob.size:
             break
-        mag = np.abs(B[:, live] - G @ X[:, live])
-        mag[blocked[:, live]] = 0.0
-        pick = np.argmax(mag, axis=0)
+        mag = np.abs(B[prob, :, col] - (G @ X)[prob, :, col])
+        mag[blocked[prob, :, col]] = 0.0
+        pick = np.argmax(mag, axis=1)
         # test the pick against the old support first: a pick in its span,
         # such as an exact duplicate, would make the new Gram system singular
         # (right-hand sides go in as (c, t, 1): numpy >= 2 reads a (c, t)
         # b as a matrix, not as a stack of vectors)
-        I = supp[live, :t]
-        g = G[I, pick[:, None]]
-        w = np.linalg.solve(G[I[:, :, None], I[:, None, :]], g[..., None])[..., 0]
+        I = supp[prob, col, :t]
+        g = G[prob[:, None], I, pick[:, None]]
+        gram = G[prob[:, None, None], I[:, :, None], I[:, None, :]]
+        w = np.linalg.solve(gram, g[..., None])[..., 0]
         schur = 1.0 - np.einsum("ct,ct->c", g, w)
-        ok = (mag[pick, np.arange(live.size)] > _OMP_PROGRESS_TOL) & (schur > _SPAN_TOL)
-        live, pick = live[ok], pick[ok]
-        supp[live, t] = pick
-        sizes[live] += 1
-        blocked[pick, live] = True
-        I = supp[live, : t + 1]
-        b = B[I, live[:, None]]
-        x = np.linalg.solve(G[I[:, :, None], I[:, None, :]], b[..., None])[..., 0]
-        X[I, live[:, None]] = x
-        r2 = ysq[live] - np.einsum("ct,ct->c", x, b)
-        live = live[np.sqrt(np.maximum(r2, 0.0)) > eps_vec[live]]
-    return X, np.linalg.norm(Y - A @ X, axis=0), sizes
+        ok = (mag[np.arange(prob.size), pick] > _OMP_PROGRESS_TOL) & (schur > _SPAN_TOL)
+        prob, col, pick = prob[ok], col[ok], pick[ok]
+        supp[prob, col, t] = pick
+        sizes[prob, col] += 1
+        blocked[prob, pick, col] = True
+        I = supp[prob, col, : t + 1]
+        b = B[prob[:, None], I, col[:, None]]
+        gram = G[prob[:, None, None], I[:, :, None], I[:, None, :]]
+        x = np.linalg.solve(gram, b[..., None])[..., 0]
+        X[prob[:, None], I, col[:, None]] = x
+        r2 = ysq[prob, col] - np.einsum("ct,ct->c", x, b)
+        keep = np.sqrt(np.maximum(r2, 0.0)) > eps[prob, col]
+        prob, col = prob[keep], col[keep]
+    return X, sizes
 
 
 def _l1_path(A: np.ndarray, G: np.ndarray, y: np.ndarray, eps: float):

@@ -9,6 +9,7 @@ the classes are linearly separable block by block.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -37,8 +38,8 @@ class SynthSpec:
             raise ValueError("atoms_per_class and samples_per_class must be >= 1")
         if not 1 <= self.sparsity <= self.atoms_per_class:
             raise ValueError("sparsity must be in [1, atoms_per_class]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
 
 
 def synth_dataset(spec: SynthSpec, seed: int) -> list[RoiSample]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blocksrc.cli import main
+from blocksrc.model_io import load_model, save_model
 from blocksrc.pgm import image_from_array, read_pgm, write_pgm
 
 
@@ -86,6 +87,27 @@ def test_train_evaluate_mosaic_cycle(tmp_path, synth_cache):
     mosaic = tmp_path / "block0.pgm"
     assert main(["mosaic", "--model", str(model), "--block", "0", "--out", str(mosaic)]) == 0
     assert read_pgm(mosaic).pixels.ndim == 2
+
+
+def test_evaluate_rejects_mismatched_model(tmp_path, synth_cache, capsys):
+    cfg = write_config(tmp_path, synth_cache)
+    model = tmp_path / "model.blkd"
+    assert main(["train", "--config", str(cfg), "--model", str(model)]) == 0
+    capsys.readouterr()
+
+    assert main(["evaluate", "--config", str(cfg), "--model", str(model), "--roi-size", "32"]) == 1
+    diag = json.loads(capsys.readouterr().err.strip())
+    assert diag["error"] == "ValueError"
+    assert "roi_size 16" in diag["message"] and "roi_size 32" in diag["message"]
+
+    models, params, meta = load_model(str(model))
+    bad = tmp_path / "bad.blkd"
+    save_model(str(bad), models, params, dict(meta, block_w=4, block_h=4))
+    assert main(["evaluate", "--config", str(cfg), "--model", str(bad)]) == 1
+    diag = json.loads(capsys.readouterr().err.strip())
+    assert diag["error"] == "ValueError"
+    assert "64" in diag["message"] and "4x4" in diag["message"]
+    assert not (tmp_path / "results" / "evaluation.json").exists()
 
 
 def test_prepare_rois_command(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blocksrc import BENIGN, MALIGNANT, TrainParams, build_label_matrices, init_lcksvd, ksvd, lcksvd_train
-from blocksrc.dictlearn import _ridge_fit
+from blocksrc.dictlearn import _ksvd_stack, _ridge_fit, lcksvd_train_stack
 from blocksrc.solvers import class_residuals, omp_batch
 
 
@@ -267,3 +267,76 @@ class TestLcksvdTrain:
             resid, _ = class_residuals(model.D, codes[:, i], held[:, i])
             correct += int(np.argmin(resid) == held_labels[i])
         assert correct >= 18  # >= 90 percent
+
+
+def assert_close_rel(a, b, rel):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b), initial=0.0) <= rel * max(np.max(np.abs(b), initial=0.0), 1e-300)
+
+
+class TestStackedTraining:
+    """A stack of problems trains exactly as its problems do one at a time."""
+
+    def problems(self):
+        rng = np.random.default_rng(16)
+        d, s, k = 7, 12, 5
+        fixed, _ = np.linalg.qr(rng.standard_normal((d, k)))
+        Ys = [rng.standard_normal((d, s)), fixed[:, np.arange(s) % k], rng.standard_normal((d, s))]
+        inits = [rng.standard_normal((d, k)), fixed, rng.standard_normal((d, k))]
+        return np.stack(Ys), np.stack(inits)
+
+    def test_ksvd_core_stack_matches_single_problems(self):
+        Ys, inits = self.problems()
+        s = Ys.shape[2]
+        params = TrainParams(K=5, T=2, iterations=8, seed=0, min_rel_improvement=1e-9)
+        D, X, traces = _ksvd_stack(np.concatenate([Ys, inits], axis=2), s, params)
+        lengths = []
+        for p in range(3):
+            Dp, Xp, (tp,) = _ksvd_stack(np.concatenate([Ys[p : p + 1], inits[p : p + 1]], axis=2), s, params)
+            assert len(traces[p]) == len(tp)
+            lengths.append(len(tp))
+            assert_close_rel(traces[p], tp, 1e-12)
+            assert_close_rel(D[p], Dp[0], 1e-12)
+            assert_close_rel(X[p], Xp[0], 1e-12)
+            np.testing.assert_array_equal(X[p] != 0, Xp[0] != 0)
+        # the exact-atom problem stops at its second iteration; the others run on
+        assert lengths == [8, 2, 8]
+
+    def test_lcksvd_stack_matches_single_problems(self):
+        Ys, _ = self.problems()
+        labels = two_class_labels(6, 6)
+        params = TrainParams(K=6, T=2, alpha=0.5, beta=0.8, iterations=10, seed=4,
+                             min_rel_improvement=1e-2)
+        models = lcksvd_train_stack(Ys, labels, params, "lcksvd2")
+        lengths = []
+        for p, model in enumerate(models):
+            solo = lcksvd_train(Ys[p], labels, params, "lcksvd2")
+            lengths.append(solo.objective_trace.size)
+            assert model.objective_trace.size == solo.objective_trace.size
+            assert_close_rel(model.objective_trace, solo.objective_trace, 1e-12)
+            assert_close_rel(model.D.atoms, solo.D.atoms, 1e-12)
+            assert_close_rel(model.D.scales, solo.D.scales, 1e-12)
+            assert_close_rel(model.A, solo.A, 1e-12)
+            assert_close_rel(model.W, solo.W, 1e-12)
+            assert_close_rel(model.codes, solo.codes, 1e-12)
+            np.testing.assert_array_equal(model.codes != 0, solo.codes != 0)
+        # the problems stop early after different iteration counts
+        assert min(lengths) < params.iterations and len(set(lengths)) > 1
+
+
+class TestSpanCoordinates:
+    def test_embedded_problem_trains_as_the_small_one(self):
+        rng = np.random.default_rng(17)
+        d, s, k = 6, 10, 5
+        Y = rng.standard_normal((d, s))
+        Y[:, 3] = Y[:, 1]  # a duplicate column
+        Y[:, 7] = 0.0  # and a zero column: [Y, init] is rank-deficient
+        D0 = rng.standard_normal((d, k))
+        U, _ = np.linalg.qr(rng.standard_normal((8 * (s + k), d)))
+        params = TrainParams(K=k, T=2, iterations=6, seed=0, min_rel_improvement=0.0)
+        small, Xs, trace_s = ksvd(Y, params, init=D0)
+        big, Xb, trace_b = ksvd(U @ Y, params, init=U @ D0)
+        np.testing.assert_allclose(big.atoms, U @ small.atoms, rtol=0, atol=1e-10)
+        assert_close_rel(trace_b, trace_s, 1e-10)
+        np.testing.assert_allclose(Xb, Xs, rtol=0, atol=1e-10)

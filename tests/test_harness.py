@@ -1,5 +1,6 @@
 import json
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -155,6 +156,35 @@ class TestConfig:
         with pytest.raises(ValueError, match="does not divide"):
             parse_config_text("roi_size = 64\nblock_sizes = 48")
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_any_line_parses_to_finite_floats_or_raises(self, data):
+        cls = data.draw(st.sampled_from((ExperimentConfig, SynthSpec)))
+        key = data.draw(st.sampled_from([f.name for f in fields(cls)]))
+        value = data.draw(
+            st.one_of(
+                st.sampled_from(("nan", "inf", "-inf", "NaN", "Infinity", "1e999", "-1e400")),
+                st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                st.integers(-10**6, 10**6).map(str),
+                st.text(max_size=12),
+            )
+        )
+        try:
+            cfg = parse_config_text(f"{key} = {value}", cls=cls)
+        except ValueError:
+            return
+        for f in fields(cfg):
+            v = getattr(cfg, f.name)
+            if isinstance(v, float):
+                assert math.isfinite(v), (f.name, v)
+
+    def test_non_finite_float_names_the_key(self):
+        for key in ("alpha", "beta", "tau", "eps_rel", "eps_abs", "synth_noise_sigma"):
+            with pytest.raises(ValueError, match=key):
+                parse_config_text(f"{key} = nan")
+        with pytest.raises(ValueError, match="noise_sigma"):
+            SynthSpec(noise_sigma=float("inf"))
+
     def test_echo_excludes_runtime_knobs(self):
         cfg = tiny_config()
         echo = cfg.echo()
@@ -261,6 +291,25 @@ class TestRunExperiment:
             rep = run_experiment(cfg, persist=False)
             assert rep.metrics["acc"] >= 50.0
             assert rep.incomplete_folds == []
+
+    def test_learned_training_decomposes_each_roi_once(self, monkeypatch):
+        import blocksrc.blocks as B
+        import blocksrc.harness as H
+
+        calls = []
+        real = B.decompose_roi
+
+        def counting(roi, *args):
+            calls.append(roi)
+            return real(roi, *args)
+
+        monkeypatch.setattr(B, "decompose_roi", counting)
+        monkeypatch.setattr(H, "decompose_roi", counting)
+        cfg = tiny_config(dl_mode="lcksvd1", iterations=2)
+        samples = load_dataset(cfg)
+        models = train_block_models(samples, cfg, 8)
+        assert len(models) == 4
+        assert len(calls) == len(samples)
 
     def test_failed_fold_recorded_with_diagnostic(self, monkeypatch):
         import blocksrc.harness as H

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blocksrc import BENIGN, MALIGNANT, extract_roi, filter_lesions, parse_metadata, parse_pgm
 from blocksrc.mias import MiasRecord, ReadingsLineError, build_roi_cache, load_roi_cache
@@ -61,6 +62,21 @@ class TestPgm:
             back = parse_pgm(encode_pgm(img))
             assert back.maxval == maxval
             np.testing.assert_array_equal(back.pixels, arr)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_roundtrip_and_every_prefix_raises(self, data):
+        h, w = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        maxval = data.draw(st.integers(1, 65535))
+        flat = data.draw(st.lists(st.integers(0, maxval), min_size=h * w, max_size=h * w))
+        img = image_from_array(np.array(flat, dtype=np.uint16).reshape(h, w), maxval=maxval)
+        raw = encode_pgm(img)
+        back = parse_pgm(raw)
+        assert (back.width, back.height, back.maxval) == (w, h, maxval)
+        np.testing.assert_array_equal(back.pixels, img.pixels)
+        for cut in range(len(raw)):
+            with pytest.raises(ValueError):
+                parse_pgm(raw[:cut])
 
     def test_file_io(self, tmp_path):
         arr = np.arange(12, dtype=np.uint16).reshape(3, 4)
