@@ -41,6 +41,12 @@ class ExperimentConfig:
             v = getattr(self, f.name)
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"config key {f.name} must be finite, got {v!r}")
+        for key in ("roi_size", "sparsity", "iterations"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"config key {key} must be positive, got {getattr(self, key)}")
+        if self.dict_size < 0 or self.dict_size == 1:
+            raise ValueError(f"config key dict_size must be 0 (one atom per training sample) or >= 2, "
+                             f"got {self.dict_size}")
         if self.k_folds < 2:
             raise ValueError("k_folds must be >= 2")
         if not self.block_sizes:

@@ -23,6 +23,9 @@ _UNUSED_ROW_TOL = 0.0  # a row is unused when it is exactly zero
 # [Y, init] this many times over; below that, numpy's unblocked QR costs
 # more than it saves
 _SPAN_ROWS = 8
+# A problem whose objective after the atom update is at most this share of
+# ||[Y, init]||_F^2 is solved: what is left is rounding, not learning
+_OBJ_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -32,8 +35,11 @@ class TrainParams:
     ``K`` is the atom count (None means one atom per training sample), ``T``
     the sparsity bound used during coding (capped at K - 1), ``alpha`` the
     weight on the label-consistency term and ``beta`` the weight on the
-    classification term. A non-positive ``min_rel_improvement`` disables
-    early stopping.
+    classification term. K-SVD stops early once an iteration improves the
+    objective by less than ``min_rel_improvement`` of its previous value, or
+    once the objective is at most ``1e-12·||[Y, init]||_F²`` (rounding
+    level; at K equal to the training count that is after one iteration). A
+    non-positive ``min_rel_improvement`` disables both stops.
     """
 
     K: int | None = None
@@ -131,7 +137,11 @@ def _ksvd_stack(Z: np.ndarray, s: int, params: TrainParams, probe=None):
     (P, rows, s + k): signals in the first ``s`` columns, initial atoms
     (normalized here, in place) in the other ``k``.
 
-    Every problem keeps its own objective trace and stops early on its own.
+    Every problem keeps its own objective trace and stops early on its own:
+    after any iteration whose objective (read after the atom update) is at
+    most ``_OBJ_FLOOR·||Z_p||_F²``, or after a later one that improves on the
+    previous objective by less than ``min_rel_improvement`` of it. A
+    non-positive ``min_rel_improvement`` runs every iteration.
     Atoms only ever become combinations of columns of ``Y - DX`` and ``D``,
     or normalized columns of ``Y``, so they never leave ``span(Z)``. When the
     rows number at least ``_SPAN_ROWS`` times the columns of ``Z``, the
@@ -144,6 +154,7 @@ def _ksvd_stack(Z: np.ndarray, s: int, params: TrainParams, probe=None):
     k = m - s
     t = params.resolved_t(k)
     Z[:, :, s:], _ = normalize_columns(Z[:, :, s:])
+    floor = _OBJ_FLOOR * np.einsum("prm,prm->p", Z, Z)
     basis = None
     if rows >= _SPAN_ROWS * m:
         basis, Z = np.linalg.qr(Z)
@@ -194,9 +205,11 @@ def _ksvd_stack(Z: np.ndarray, s: int, params: TrainParams, probe=None):
         for p, o in zip(run, obj):
             traces[p].append(float(o))
         D[run], X[run] = Dr, Xr
-        done = (prev[run] - obj) < params.min_rel_improvement * np.maximum(prev[run], 1e-12)
+        done = obj <= floor[run]
+        if it:
+            done |= (prev[run] - obj) < params.min_rel_improvement * np.maximum(prev[run], 1e-12)
         prev[run] = obj
-        if it and params.min_rel_improvement > 0:
+        if params.min_rel_improvement > 0:
             run = run[~done]
             if not run.size:
                 break

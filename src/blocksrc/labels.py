@@ -34,7 +34,7 @@ def as_label_array(labels) -> np.ndarray:
     if arr.dtype.kind in "US":
         arr = np.array([class_id(str(v)) for v in arr.ravel()]).reshape(arr.shape)
     arr = arr.astype(int)
-    bad = ~np.isin(arr, CLASS_IDS)
+    bad = (arr != BENIGN) & (arr != MALIGNANT)
     if bad.any():
-        raise ValueError(f"unknown class id {arr[bad].ravel()[0]!r}")
+        raise ValueError(f"unknown class id {int(arr[bad].ravel()[0])}")
     return arr

@@ -300,8 +300,9 @@ class TestStackedTraining:
             assert_close_rel(D[p], Dp[0], 1e-12)
             assert_close_rel(X[p], Xp[0], 1e-12)
             np.testing.assert_array_equal(X[p] != 0, Xp[0] != 0)
-        # the exact-atom problem stops at its second iteration; the others run on
-        assert lengths == [8, 2, 8]
+        # the exact-atom problem is at rounding level after its first
+        # iteration and stops there; the others run on
+        assert lengths == [8, 1, 8]
 
     def test_lcksvd_stack_matches_single_problems(self):
         Ys, _ = self.problems()
@@ -323,6 +324,43 @@ class TestStackedTraining:
             np.testing.assert_array_equal(model.codes != 0, solo.codes != 0)
         # the problems stop early after different iteration counts
         assert min(lengths) < params.iterations and len(set(lengths)) > 1
+
+
+class TestAbsoluteStop:
+    """K-SVD stops a problem once its objective is at rounding level."""
+
+    def test_default_k_trains_in_one_iteration(self):
+        rng = np.random.default_rng(21)
+        labels = two_class_labels(6, 6)
+        for d in (7, 200):  # overcomplete, and rows enough for span coordinates
+            Y = rng.standard_normal((4, d, 12))
+            for mode in ("lcksvd1", "lcksvd2"):
+                models = lcksvd_train_stack(Y, labels, TrainParams(), mode)
+                assert [m.objective_trace.size for m in models] == [1, 1, 1, 1], (d, mode)
+
+    def test_learning_problems_stay_above_the_floor(self):
+        rng = np.random.default_rng(22)
+        Y = rng.standard_normal((9, 16))
+        labels = two_class_labels(8, 8)
+        _, _, trace = ksvd(Y, TrainParams(K=6, T=2, iterations=30, seed=3))
+        assert trace.size == 11  # the relative stop ends it, far above the floor
+        assert trace.min() > 1e-12 * (np.sum(Y**2) + 6)
+
+        params = TrainParams(K=8, T=2, iterations=30, seed=3)
+        model = lcksvd_train(Y, labels, params, "lcksvd2")
+        lm = build_label_matrices(labels, model.D.atom_labels)
+        zsq = np.sum(Y**2) + params.alpha * np.sum(lm.Q**2) + params.beta * np.sum(lm.H**2) + 8
+        assert model.objective_trace.size == 12
+        assert model.objective_trace.min() > 1e-12 * zsq
+
+    def test_zero_min_rel_improvement_runs_every_iteration(self):
+        rng = np.random.default_rng(23)
+        Y = rng.standard_normal((6, 5))
+        params = TrainParams(K=5, T=1, iterations=4, seed=0, min_rel_improvement=0.0)
+        _, _, trace = ksvd(Y, params, init=Y / np.linalg.norm(Y, axis=0))
+        assert trace.size == 4 and trace.max() <= 1e-18
+        models = lcksvd_train_stack(Y[None], two_class_labels(3, 2), params, "lcksvd2")
+        assert models[0].objective_trace.size == 4
 
 
 class TestSpanCoordinates:

@@ -185,6 +185,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="noise_sigma"):
             SynthSpec(noise_sigma=float("inf"))
 
+    def test_non_positive_sizes_name_the_key(self):
+        for key, value in (("roi_size", 0), ("roi_size", -16), ("sparsity", -3), ("sparsity", 0),
+                           ("iterations", 0), ("dict_size", -5), ("dict_size", 1)):
+            with pytest.raises(ValueError, match=f"config key {key}"):
+                parse_config_text(f"{key} = {value}")
+        assert parse_config_text("dict_size = 2").dict_size == 2
+
     def test_echo_excludes_runtime_knobs(self):
         cfg = tiny_config()
         echo = cfg.echo()
