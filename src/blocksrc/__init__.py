@@ -32,17 +32,7 @@ from .labels import BENIGN, CLASS_IDS, CLASS_NAMES, MALIGNANT
 from .mias import MiasRecord, build_roi_cache, extract_roi, filter_lesions, load_roi_cache, parse_metadata
 from .model_io import load_model, save_model
 from .pgm import GrayImage, encode_pgm, parse_pgm, read_pgm, write_pgm
-from .solvers import (
-    ConvergenceError,
-    Dictionary,
-    SparseCode,
-    bpdn,
-    bpdn_batch,
-    class_residuals,
-    normalize_columns,
-    omp,
-    omp_batch,
-)
+from .solvers import Dictionary, bpdn_batch, class_residuals, normalize_columns, omp_batch
 from .synth import SynthSpec, synth_dataset, write_synth_cache
 
 __version__ = "0.1.0"

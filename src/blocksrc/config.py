@@ -71,10 +71,10 @@ class ExperimentConfig:
             seed=self.seed,
         )
 
-    def synth_spec(self, block_size: int | None = None) -> SynthSpec:
+    def synth_spec(self) -> SynthSpec:
         return SynthSpec(
             roi_size=self.roi_size,
-            block_size=block_size or self.block_sizes[0],
+            block_size=self.block_sizes[0],
             atoms_per_class=self.synth_atoms_per_class,
             sparsity=self.synth_sparsity,
             noise_sigma=self.synth_noise_sigma,
@@ -96,23 +96,23 @@ class ExperimentConfig:
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
+# per key type: what a value must be, and how to read one
+_PARSERS = {
+    bool: ("a boolean", lambda raw: _BOOL[raw.lower()]),
+    int: ("an integer", int),
+    float: ("a number", float),
+    str: ("a string", str),
+    tuple: ("integers", lambda raw: tuple(int(tok) for tok in raw.replace(",", " ").split())),
+}
 
-def _coerce(name: str, raw: str, target_type):
+
+def _coerce(lineno: int, name: str, raw: str, target_type):
     raw = raw.strip()
-    if target_type is bool:
-        try:
-            return _BOOL[raw.lower()]
-        except KeyError:
-            raise ValueError(f"config key {name}: expected a boolean, got {raw!r}") from None
-    if target_type is int:
-        return int(raw)
-    if target_type is float:
-        return float(raw)
-    if target_type is str:
-        return raw
-    if target_type is tuple:
-        return tuple(int(tok) for tok in raw.replace(",", " ").split())
-    raise ValueError(f"config key {name}: unsupported type")
+    expected, parse = _PARSERS[target_type]
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"config line {lineno}: key {name}: expected {expected}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, overrides: dict | None = None, cls=ExperimentConfig):
@@ -131,7 +131,7 @@ def parse_config_text(text: str, overrides: dict | None = None, cls=ExperimentCo
         key, raw = (part.strip() for part in body.split("=", 1))
         if key not in type_map:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, raw, type_map[key])
+        values[key] = _coerce(lineno, key, raw, type_map[key])
     if overrides:
         for key, val in overrides.items():
             if val is None:

@@ -51,18 +51,19 @@ class EnsembleDecision:
     tau: float
 
 
-def lls_score(per_class_l1: np.ndarray, invert: bool = False) -> float:
-    """Log ratio of class l1 masses, guarded away from log(0).
+def lls_score(per_class_l1: np.ndarray, invert: bool = False) -> np.ndarray:
+    """Log ratio of class l1 masses, guarded away from log(0), elementwise
+    over the trailing axes of ``per_class_l1`` (indexed by class id first).
 
     The default orientation is positive when the malignant mass dominates, so
     a positive score votes malignant. ``invert=True`` negates the score,
     choosing the class with the smaller coefficient mass instead; swapping the
     class roles this way negates every score exactly.
     """
-    num = max(float(per_class_l1[BENIGN]), L1_LOG_FLOOR)
-    den = max(float(per_class_l1[MALIGNANT]), L1_LOG_FLOOR)
+    num = np.maximum(per_class_l1[BENIGN], L1_LOG_FLOOR)
+    den = np.maximum(per_class_l1[MALIGNANT], L1_LOG_FLOOR)
     score = -np.log(num / den)
-    return float(-score) if invert else float(score)
+    return -score if invert else score
 
 
 def block_decisions_batch(
@@ -74,8 +75,8 @@ def block_decisions_batch(
     ``eps`` is the error bound per column (a scalar broadcasts). A column
     whose signal is all-zero, or any column when the dictionary has no
     usable atoms, is degenerate: benign (the prior), zero score. When the
-    error bound is unreachable the solver's best iterate is used and the
-    column is marked infeasible.
+    error bound is unreachable the column takes the least-squares code on
+    the usable atoms and is marked infeasible.
     """
     Yj = np.asarray(Yj, dtype=float)
     m = Yj.shape[1]
@@ -90,12 +91,11 @@ def block_decisions_batch(
     if live.size:
         eps_live = np.broadcast_to(np.asarray(eps, dtype=float), (m,))[live]
         codes[:, live], _, feasible[live], _ = bpdn_batch(Dj, Yj[:, live], eps_live)
-        for i in live:
-            resid, l1 = class_residuals(Dj, codes[:, i], Yj[:, i])
-            residuals[:, i] = resid
-            # Residual tie goes to benign, the prior class.
-            hard[i] = BENIGN if resid[BENIGN] <= resid[MALIGNANT] else MALIGNANT
-            lls[i] = lls_score(l1, invert=invert_lls)
+        resid, l1 = class_residuals(Dj, codes[:, live], Yj[:, live])
+        residuals[:, live] = resid
+        # Residual tie goes to benign, the prior class.
+        hard[live] = np.where(resid[BENIGN] <= resid[MALIGNANT], BENIGN, MALIGNANT)
+        lls[live] = lls_score(l1, invert=invert_lls)
     return BlockResults(hard, lls, residuals, codes, feasible, degenerate)
 
 
@@ -131,7 +131,7 @@ def bbll(lls: np.ndarray, tau: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     pre-threshold score is the ROC sweep variable.
     """
     lls = _check_blocks(lls)
-    ells = np.array([np.mean(row) for row in lls])
+    ells = lls.mean(axis=1)
     label = np.where(ells - tau >= 0, MALIGNANT, BENIGN)
     return ells, label
 

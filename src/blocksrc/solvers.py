@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labels import CLASS_IDS, class_name
+from .labels import CLASS_IDS, as_label_array, class_name
 
 DEGENERATE_NORM = 1e-12
 L1_LOG_FLOOR = 1e-12
@@ -21,14 +21,6 @@ _OMP_PROGRESS_TOL = 1e-13
 # an atom whose Schur complement against a support (its squared distance from
 # the support's span, for unit atoms) is at most this never joins it
 _SPAN_TOL = 1e-10
-
-
-class ConvergenceError(RuntimeError):
-    """A solver missed its constraint; carries the best iterate it found."""
-
-    def __init__(self, message: str, best: "SparseCode"):
-        super().__init__(message)
-        self.best = best
 
 
 def normalize_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -67,7 +59,7 @@ class Dictionary:
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
-        labels = np.asarray(self.atom_labels, dtype=int)
+        labels = as_label_array(self.atom_labels)
         scales = np.asarray(self.scales, dtype=float)
         if atoms.ndim != 2 or atoms.shape[0] < 1 or atoms.shape[1] < 1:
             raise ValueError(f"atoms must be a non-empty 2-d matrix, got shape {atoms.shape}")
@@ -76,6 +68,8 @@ class Dictionary:
             raise ValueError(f"atom_labels must have length {n}, got {labels.shape}")
         if scales.shape != (n,):
             raise ValueError(f"scales must have length {n}, got {scales.shape}")
+        if not (np.isfinite(atoms).all() and np.isfinite(scales).all()):
+            raise ValueError("dictionary atoms and scales must be finite")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "atom_labels", labels)
         object.__setattr__(self, "scales", scales)
@@ -102,36 +96,6 @@ class Dictionary:
         return ~self.degenerate
 
 
-@dataclass(frozen=True)
-class SparseCode:
-    """Sparse solution vector with solver diagnostics.
-
-    ``support`` always equals the indices of the nonzero coefficients.
-    ``feasible`` is False when the code came out of a solver that could not
-    meet its error constraint (the best iterate found).
-    """
-
-    coefficients: np.ndarray
-    support: np.ndarray
-    residual_norm: float
-    iterations: int
-    feasible: bool = True
-
-    @classmethod
-    def from_coefficients(cls, x, residual_norm, iterations, feasible=True) -> "SparseCode":
-        x = np.asarray(x, dtype=float)
-        return cls(x, np.flatnonzero(x), float(residual_norm), int(iterations), bool(feasible))
-
-
-def _check_signal(D: Dictionary, y) -> np.ndarray:
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != D.dim:
-        raise ValueError(f"signal length {y.shape[0]} does not match dictionary rows {D.dim}")
-    if not np.isfinite(y).all():
-        raise ValueError("signal contains non-finite values")
-    return y
-
-
 def _check_signals(D: Dictionary, Y) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != D.dim:
@@ -139,19 +103,6 @@ def _check_signals(D: Dictionary, Y) -> np.ndarray:
     if not np.isfinite(Y).all():
         raise ValueError("signals contain non-finite values")
     return Y
-
-
-def omp(D: Dictionary, y: np.ndarray, T: int, eps: float = 0.0) -> SparseCode:
-    """Greedy pursuit for a single signal: one column of :func:`omp_batch`.
-
-    Stops once the residual norm reaches ``eps`` or the support holds ``T``
-    atoms. The residual norm never increases across iterations.
-    """
-    y = _check_signal(D, y)
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    X, rnorm, sizes = omp_batch(D, y[:, None], T, eps)
-    return SparseCode.from_coefficients(X[:, 0], rnorm[0], sizes[0])
 
 
 def omp_batch(D: Dictionary, Y: np.ndarray, T: int, eps=0.0):
@@ -168,6 +119,8 @@ def omp_batch(D: Dictionary, Y: np.ndarray, T: int, eps=0.0):
     Y = _check_signals(D, Y)
     if int(T) < 1:
         raise ValueError("sparsity bound T must be >= 1")
+    if np.any(np.asarray(eps) < 0):
+        raise ValueError("eps must be >= 0")
     usable = D.usable
     if not usable.any():
         raise ValueError("dictionary has no usable atoms (all columns degenerate)")
@@ -358,45 +311,26 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps):
     return X, rnorm, feasible, iters
 
 
-def bpdn(D: Dictionary, y: np.ndarray, eps: float) -> SparseCode:
-    """Noise-constrained l1 minimization for a single signal.
-
-    Raises :class:`ConvergenceError` carrying the least-squares code when
-    the error bound cannot be met; the returned code otherwise is the zero
-    code or meets ``||Dx - y||_2 = eps`` up to rounding.
-    """
-    y = _check_signal(D, y)
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
-    X, rn, feas, iters = bpdn_batch(D, y[:, None], np.array([float(eps)]))
-    code = SparseCode.from_coefficients(X[:, 0], rn[0], iters[0], bool(feas[0]))
-    if not feas[0]:
-        raise ConvergenceError(
-            f"least-squares floor {rn[0]:.6g} lies above the bound {eps:.6g}",
-            code,
-        )
-    return code
-
-
-def class_residuals(D: Dictionary, code, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Class-restricted reconstruction residuals and l1 masses.
+def class_residuals(D: Dictionary, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class-restricted reconstruction residuals and l1 masses of the codes
+    ``X`` (n_atoms, m) of the signals ``Y`` (d, m).
 
     For class ``i`` the coefficients of all other classes are zeroed before
-    reconstructing; returns ``(residuals, l1_norms)`` indexed by class id.
+    reconstructing; returns ``(residuals, l1_norms)``, each of shape
+    ``(2, m)`` and indexed by class id.
     """
-    y = _check_signal(D, y)
-    x = np.asarray(code.coefficients if isinstance(code, SparseCode) else code, dtype=float).ravel()
-    if x.shape[0] != D.n_atoms:
-        raise ValueError(f"code length {x.shape[0]} does not match atom count {D.n_atoms}")
-    labels = D.atom_labels
-    resid = np.empty(2)
-    l1 = np.empty(2)
+    Y = _check_signals(D, Y)
+    X = np.asarray(X, dtype=float)
+    if X.shape != (D.n_atoms, Y.shape[1]):
+        raise ValueError(f"expected codes of shape ({D.n_atoms}, {Y.shape[1]}), got {X.shape}")
+    resid = np.empty((2, Y.shape[1]))
+    l1 = np.empty((2, Y.shape[1]))
     for cid in CLASS_IDS:
-        mask = labels == cid
+        mask = D.atom_labels == cid
         if not mask.any():
             raise ValueError(f"class '{class_name(cid)}' has no atoms in the dictionary")
-        idx = np.flatnonzero(mask & (x != 0))
-        recon = D.atoms[:, idx] @ x[idx] if idx.size else np.zeros(D.dim)
-        resid[cid] = np.linalg.norm(y - recon)
-        l1[cid] = float(np.abs(x[mask]).sum())
+        resid[cid] = np.linalg.norm(Y - D.atoms[:, mask] @ X[mask], axis=0)
+        # each column's mass summed as one contiguous row, so it rounds as a
+        # single code's sum does
+        l1[cid] = np.ascontiguousarray(np.abs(X[mask]).T).sum(axis=1)
     return resid, l1

@@ -89,6 +89,27 @@ def textbook_omp(A: np.ndarray, y: np.ndarray, T: int, eps: float) -> np.ndarray
     return x
 
 
+def per_column_class_residuals(atoms: np.ndarray, atom_labels: np.ndarray, X: np.ndarray, Y: np.ndarray):
+    """Class-restricted residuals and l1 masses, one code at a time.
+
+    For each column and class the code is restricted to that class's nonzero
+    coefficients, reconstructed and subtracted from the signal. Returns
+    ``(residuals, l1_norms)`` of shape ``(2, m)``, indexed by class id.
+    """
+    m = Y.shape[1]
+    resid = np.empty((2, m))
+    l1 = np.empty((2, m))
+    for i in range(m):
+        x, y = X[:, i], Y[:, i]
+        for cid in (0, 1):
+            mask = atom_labels == cid
+            idx = np.flatnonzero(mask & (x != 0))
+            recon = atoms[:, idx] @ x[idx] if idx.size else np.zeros(atoms.shape[0])
+            resid[cid, i] = np.linalg.norm(y - recon)
+            l1[cid, i] = float(np.abs(x[mask]).sum())
+    return resid, l1
+
+
 def soft_threshold(v: np.ndarray, lam: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 

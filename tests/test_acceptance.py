@@ -17,10 +17,10 @@ from blocksrc import (
     MALIGNANT,
     Dictionary,
     ExperimentConfig,
-    bpdn,
+    bpdn_batch,
     ksvd,
     lcksvd_train,
-    omp,
+    omp_batch,
     roc_auc,
     run_experiment,
 )
@@ -58,9 +58,9 @@ class TestSolverOracleSuite:
             D = Dictionary.from_matrix(A, [BENIGN] * 4 + [MALIGNANT] * 4)
             i, j = rng.choice(8, size=2, replace=False)
             y = 1.0 * D.atoms[:, i] + 0.5 * D.atoms[:, j]
-            code = omp(D, y, T=2)
+            X, _, _ = omp_batch(D, y[:, None], 2)
             oracle_support, _, _ = exhaustive_sparse_fit(D.atoms, y, 2)
-            support_matches += int(frozenset(code.support.tolist()) == oracle_support)
+            support_matches += int(frozenset(np.flatnonzero(X[:, 0]).tolist()) == oracle_support)
 
         max_coeff_err = 0.0
         for _ in range(30):
@@ -69,9 +69,10 @@ class TestSolverOracleSuite:
             D = Dictionary.from_matrix(Q, rng.integers(0, 2, d))
             y = rng.standard_normal(d)
             eps = float(rng.uniform(0.2, 0.9)) * float(np.linalg.norm(y))
-            code = bpdn(D, y, eps)
+            X, _, feasible, _ = bpdn_batch(D, y[:, None], eps)
+            assert feasible.all()
             oracle = orthonormal_bpdn_oracle(D.atoms, y, eps)
-            max_coeff_err = max(max_coeff_err, float(np.abs(code.coefficients - oracle).max()))
+            max_coeff_err = max(max_coeff_err, float(np.abs(X[:, 0] - oracle).max()))
 
         elapsed = time.perf_counter() - start
         report(
@@ -158,8 +159,8 @@ class TestEnsembleSuite:
         for _ in range(50):
             n = int(rng.integers(1, 24))
             l1s = rng.uniform(0.0, 2.0, size=(n, 2))
-            default = np.array([[lls_score(l1s[i]) for i in range(n)]])
-            inverted = np.array([[lls_score(l1s[i], invert=True) for i in range(n)]])
+            default = lls_score(l1s.T)[None]
+            inverted = lls_score(l1s.T, invert=True)[None]
             (ells,), _ = bbll(default)
             (ells_inv,), _ = bbll(inverted)
             ells_ok &= abs(ells - np.mean(default)) <= 1e-12

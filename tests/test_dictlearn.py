@@ -262,10 +262,8 @@ class TestLcksvdTrain:
         params = TrainParams(K=20, T=4, iterations=20, seed=7)
         model = lcksvd_train(Y, labels, params, "lcksvd2")
         codes, _, _ = omp_batch(model.D, held, params.resolved_t(20))
-        correct = 0
-        for i in range(held.shape[1]):
-            resid, _ = class_residuals(model.D, codes[:, i], held[:, i])
-            correct += int(np.argmin(resid) == held_labels[i])
+        resid, _ = class_residuals(model.D, codes, held)
+        correct = np.count_nonzero(np.argmin(resid, axis=0) == held_labels)
         assert correct >= 18  # >= 90 percent
 
 

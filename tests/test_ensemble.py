@@ -23,9 +23,16 @@ class TestLlsScore:
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            l1 = rng.uniform(0, 2, size=2)
-            assert lls_score(l1, invert=True) == pytest.approx(-lls_score(l1), abs=1e-12)
+        l1 = rng.uniform(0, 2, size=(2, 50))
+        np.testing.assert_allclose(lls_score(l1, invert=True), -lls_score(l1), rtol=0, atol=1e-12)
+
+    def test_elementwise_over_columns(self):
+        rng = np.random.default_rng(1)
+        l1 = rng.uniform(0, 2, size=(2, 40)) * (rng.random((2, 40)) < 0.8)
+        # one guarded log ratio per column, as scalars
+        ref = np.array([-np.log(max(float(b), L1_LOG_FLOOR) / max(float(m), L1_LOG_FLOOR)) for b, m in l1.T])
+        assert np.array_equal(lls_score(l1), ref)
+        assert np.array_equal(lls_score(l1, invert=True), -ref)
 
 
 class TestBlockDecision:
@@ -140,7 +147,7 @@ class TestBbll:
     def test_mean_identity_and_expanded_form(self):
         rng = np.random.default_rng(6)
         l1s = rng.uniform(0.0, 2.0, size=(16, 2))
-        lls = np.array([[lls_score(l1s[i]) for i in range(16)]])
+        lls = lls_score(l1s.T)[None]
         ells, _ = bbll(lls)
         assert ells[0] == pytest.approx(np.mean(lls[0]), abs=1e-12)
         # expanded form: mean of log-mass differences with the same guard
@@ -151,11 +158,19 @@ class TestBbll:
     def test_antisymmetry_of_ensemble_score(self):
         rng = np.random.default_rng(7)
         l1s = rng.uniform(0.0, 2.0, size=(8, 2))
-        default = np.array([[lls_score(l1s[i]) for i in range(8)]])
-        inverted = np.array([[lls_score(l1s[i], invert=True) for i in range(8)]])
+        default = lls_score(l1s.T)[None]
+        inverted = lls_score(l1s.T, invert=True)[None]
         ells_a, _ = bbll(default)
         ells_b, _ = bbll(inverted)
         assert ells_b[0] == pytest.approx(-ells_a[0], abs=1e-9)
+
+    def test_mean_is_bitwise_the_row_mean(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            m, nbl = (int(v) for v in rng.integers(1, 300, size=2))
+            lls = rng.standard_normal((m, nbl)) * 10.0 ** rng.integers(-3, 4, size=(m, nbl))
+            ells, _ = bbll(lls)
+            assert np.array_equal(ells, [np.mean(row) for row in lls])
 
     def test_ensemble_decision_fields(self):
         dec = ensemble_decision(np.full((1, 4), MALIGNANT), np.full((1, 4), 0.2), tau=0.1)

@@ -24,7 +24,7 @@ from blocksrc.config import parse_config_text
 from blocksrc.dictlearn import DiscriminativeDictionary, TrainParams
 from blocksrc.harness import classify_samples, load_dataset, train_block_models
 from blocksrc.pgm import read_pgm
-from blocksrc.solvers import bpdn_batch, class_residuals, SparseCode
+from blocksrc.solvers import bpdn_batch, class_residuals
 from blocksrc.synth import SynthSpec
 
 from .oracles import confusion_by_hand
@@ -187,10 +187,15 @@ class TestConfig:
 
     def test_non_positive_sizes_name_the_key(self):
         for key, value in (("roi_size", 0), ("roi_size", -16), ("sparsity", -3), ("sparsity", 0),
-                           ("iterations", 0), ("dict_size", -5), ("dict_size", 1)):
-            with pytest.raises(ValueError, match=f"config key {key}"):
+                           ("iterations", 0), ("dict_size", -5), ("dict_size", 1), ("sparsity", "abc"),
+                           ("roi_size", 1.5), ("block_sizes", "16, x"), ("alpha", "fast")):
+            with pytest.raises(ValueError, match=rf"config (line 1: )?key {key}\b"):
                 parse_config_text(f"{key} = {value}")
         assert parse_config_text("dict_size = 2").dict_size == 2
+        with pytest.raises(ValueError, match="config line 1: key sparsity: expected an integer, got 'abc'"):
+            parse_config_text("sparsity = abc")
+        with pytest.raises(ValueError, match="config line 2: key noise_sigma: expected a number, got 'loud'"):
+            parse_config_text("roi_size = 32\nnoise_sigma = loud", cls=SynthSpec)
 
     def test_echo_excludes_runtime_knobs(self):
         cfg = tiny_config()
@@ -252,10 +257,9 @@ class TestRunExperiment:
             for i in test_idx:
                 y = decompose_roi(samples[i], 16, 16).vectors[0]
                 eps = cfg.eps_rel * np.linalg.norm(y)
-                X, rn, feas, _ = bpdn_batch(D, y[:, None], np.array([eps]))
-                code = SparseCode.from_coefficients(X[:, 0], rn[0], 0, bool(feas[0]))
-                resid, _ = class_residuals(D, code, y)
-                expected[int(i)] = BENIGN if resid[BENIGN] <= resid[MALIGNANT] else MALIGNANT
+                X, _, _, _ = bpdn_batch(D, y[:, None], np.array([eps]))
+                resid, _ = class_residuals(D, X, y[:, None])
+                expected[int(i)] = BENIGN if resid[BENIGN, 0] <= resid[MALIGNANT, 0] else MALIGNANT
         got = {}
         for fold in report.folds:
             for i, p in zip(fold["test_indices"], fold["predictions"]):
@@ -415,6 +419,18 @@ def archive_with_header(raw: bytes, header) -> bytes:
     return raw[:8] + len(text).to_bytes(4, "little") + text + raw[12 + hlen :]
 
 
+def archive_with_first_value(raw: bytes, name: str, value) -> bytes:
+    """``raw`` with the first element of block 0's array ``name`` set to
+    ``value``."""
+    pos = 12 + int.from_bytes(raw[8:12], "little")
+    for entry in archive_header(raw)["blocks"][0]["arrays"]:
+        dtype = np.dtype({"f8": "<f8", "i4": "<i4"}[entry["kind"]])
+        if entry["name"] == name:
+            return raw[:pos] + np.array([value], dtype=dtype).tobytes() + raw[pos + dtype.itemsize :]
+        pos += math.prod(entry["shape"]) * dtype.itemsize
+    raise KeyError(name)
+
+
 def header_key_paths(header):
     """Every key of the archive's own structure, as a path of keys and list
     indices (the free-form ``meta`` contents are not structure)."""
@@ -515,6 +531,14 @@ class TestModelArchive:
         path.write_bytes(archive_with_header(raw, header))
         with pytest.raises(ValueError):
             load_model(str(path))
+
+    def test_malformed_dictionaries(self, small_archive):
+        raw, path = small_archive
+        for name, value, match in (("atom_labels", 2, "unknown class id 2"),
+                                   ("atoms", np.nan, "finite"), ("scales", np.inf, "finite")):
+            path.write_bytes(archive_with_first_value(raw, name, value))
+            with pytest.raises(ValueError, match=match):
+                load_model(str(path))
 
     def test_magic_check(self, tmp_path):
         path = tmp_path / "junk.blkd"

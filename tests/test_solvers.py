@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from blocksrc import BENIGN, MALIGNANT, Dictionary, SparseCode, bpdn, class_residuals, normalize_columns, omp
-from blocksrc.solvers import ConvergenceError, bpdn_batch, omp_batch
+from blocksrc import BENIGN, MALIGNANT, Dictionary, bpdn_batch, class_residuals, normalize_columns, omp_batch
 
 from .oracles import (
     exhaustive_sparse_fit,
     low_coherence_matrix,
     mutual_coherence,
     orthonormal_bpdn_oracle,
+    per_column_class_residuals,
     textbook_omp,
 )
 
@@ -58,22 +58,35 @@ class TestDictionary:
         with pytest.raises(ValueError, match="atom_labels"):
             Dictionary.from_matrix(np.eye(3), [0, 1])
 
+    def test_unknown_label_rejected(self):
+        # a code on atom 2 would count for neither class
+        with pytest.raises(ValueError, match="unknown class id 2"):
+            Dictionary(atoms=np.eye(3), atom_labels=[0, 1, 2], scales=np.ones(3))
+
+    def test_non_finite_atoms_or_scales_rejected(self):
+        for bad in ("atoms", "scales"):
+            parts = {"atoms": np.eye(3), "atom_labels": [0, 1, 1], "scales": np.ones(3)}
+            parts[bad] = parts[bad].copy()
+            parts[bad][0, ...] = np.nan
+            with pytest.raises(ValueError, match="finite"):
+                Dictionary(**parts)
+
 
 class TestOmp:
     def test_scaled_atom(self):
         D = unit_dict(np.eye(3), [0, 0, 1])
-        code = omp(D, np.array([0.0, 2.0, 0.0]), T=1, eps=0.0)
-        np.testing.assert_allclose(code.coefficients, [0.0, 2.0, 0.0])
-        assert code.residual_norm == 0.0
-        assert list(code.support) == [1]
+        X, rn, _ = omp_batch(D, np.array([[0.0], [2.0], [0.0]]), 1, eps=0.0)
+        np.testing.assert_allclose(X[:, 0], [0.0, 2.0, 0.0])
+        assert rn[0] == 0.0
+        assert list(np.flatnonzero(X[:, 0])) == [1]
 
     def test_zero_signal(self):
         rng = np.random.default_rng(1)
         D = unit_dict(rng.standard_normal((5, 7)), [0] * 4 + [1] * 3)
-        code = omp(D, np.zeros(5), T=4)
-        assert np.all(code.coefficients == 0.0)
-        assert code.residual_norm == 0.0
-        assert code.iterations == 0
+        X, rn, iters = omp_batch(D, np.zeros((5, 1)), 4)
+        assert np.all(X[:, 0] == 0.0)
+        assert rn[0] == 0.0
+        assert iters[0] == 0
 
     def test_matches_exhaustive_oracle_low_coherence(self):
         rng = np.random.default_rng(20)
@@ -83,10 +96,10 @@ class TestOmp:
             D = unit_dict(A, [0] * 4 + [1] * 4)
             i, j = rng.choice(8, size=2, replace=False)
             y = 1.0 * D.atoms[:, i] + 0.5 * D.atoms[:, j]
-            code = omp(D, y, T=2)
+            X, rn, _ = omp_batch(D, y[:, None], 2)
             support, res, _ = exhaustive_sparse_fit(D.atoms, y, 2)
-            assert frozenset(code.support.tolist()) == support
-            assert code.residual_norm <= res + 1e-8
+            assert frozenset(np.flatnonzero(X[:, 0]).tolist()) == support
+            assert rn[0] <= res + 1e-8
 
     def test_residual_monotone_and_support_bound(self):
         rng = np.random.default_rng(7)
@@ -100,11 +113,11 @@ class TestOmp:
             # re-run step by step: residual after k atoms never increases
             last = None
             for k in range(1, t + 1):
-                code = omp(D, y, T=k)
-                assert code.residual_norm <= prev + 1e-9
-                prev = code.residual_norm
-                last = code
-            assert len(last.support) <= t
+                X, rn, _ = omp_batch(D, y[:, None], k)
+                assert rn[0] <= prev + 1e-9
+                prev = rn[0]
+                last = X[:, 0]
+            assert np.count_nonzero(last) <= t
 
     def test_unit_atom_recovery(self):
         rng = np.random.default_rng(3)
@@ -112,25 +125,30 @@ class TestOmp:
             D = unit_dict(rng.standard_normal((6, 9)), rng.integers(0, 2, 9))
             k = int(rng.integers(0, 9))
             y = D.atoms[:, k].copy()
-            code = omp(D, y, T=1)
-            assert list(code.support) == [k]
+            X, _, _ = omp_batch(D, y[:, None], 1)
+            assert list(np.flatnonzero(X[:, 0])) == [k]
 
     def test_degenerate_atoms_excluded(self):
         M = np.eye(3)
         M[:, 1] = 0.0
         D = unit_dict(M, [0, 1, 1])
-        code = omp(D, np.array([0.5, 1.0, 0.0]), T=3)
-        assert 1 not in code.support
+        X, _, _ = omp_batch(D, np.array([[0.5], [1.0], [0.0]]), 3)
+        assert 1 not in np.flatnonzero(X[:, 0])
 
     def test_all_degenerate_errors(self):
         D = unit_dict(np.zeros((3, 2)), [0, 1])
         with pytest.raises(ValueError, match="usable"):
-            omp(D, np.ones(3), T=1)
+            omp_batch(D, np.ones((3, 1)), 1)
 
     def test_dimension_mismatch(self):
         D = unit_dict(np.eye(3), [0, 1, 1])
-        with pytest.raises(ValueError, match="length"):
-            omp(D, np.ones(4), T=1)
+        with pytest.raises(ValueError, match="expected signals of shape"):
+            omp_batch(D, np.ones((4, 1)), 1)
+
+    def test_negative_eps_rejected(self):
+        D = unit_dict(np.eye(3), [0, 1, 1])
+        with pytest.raises(ValueError, match="eps"):
+            omp_batch(D, np.ones((3, 2)), 1, eps=np.array([0.1, -0.1]))
 
 
 class TestOmpBatch:
@@ -186,18 +204,20 @@ class TestBpdn:
         rng = np.random.default_rng(2)
         D = unit_dict(rng.standard_normal((5, 8)), [0] * 4 + [1] * 4)
         y = rng.standard_normal(5)
-        code = bpdn(D, y, eps=float(np.linalg.norm(y)) * 1.5)
-        assert np.all(code.coefficients == 0.0)
-        assert code.iterations == 0
+        X, _, feas, iters = bpdn_batch(D, y[:, None], float(np.linalg.norm(y)) * 1.5)
+        assert feas.all()
+        assert np.all(X[:, 0] == 0.0)
+        assert iters[0] == 0
 
     def test_identity_analytic_solution(self):
         D = unit_dict(np.eye(2), [0, 1])
         y = np.array([3.0, 0.1])
-        code = bpdn(D, y, 0.5)
+        X, _, feas, _ = bpdn_batch(D, y[:, None], 0.5)
+        assert feas.all()
         lam = np.sqrt(0.5**2 - 0.1**2)
-        np.testing.assert_allclose(code.coefficients, [3.0 - lam, 0.0], atol=1e-4)
+        np.testing.assert_allclose(X[:, 0], [3.0 - lam, 0.0], atol=1e-4)
         oracle = orthonormal_bpdn_oracle(np.eye(2), y, 0.5)
-        np.testing.assert_allclose(code.coefficients, oracle, atol=1e-4)
+        np.testing.assert_allclose(X[:, 0], oracle, atol=1e-4)
 
     def test_orthonormal_oracle_agreement(self):
         rng = np.random.default_rng(9)
@@ -207,21 +227,23 @@ class TestBpdn:
             D = unit_dict(Q, rng.integers(0, 2, d))
             y = rng.standard_normal(d)
             eps = float(rng.uniform(0.2, 0.8)) * float(np.linalg.norm(y))
-            code = bpdn(D, y, eps)
+            X, _, feas, _ = bpdn_batch(D, y[:, None], eps)
+            assert feas.all()
             oracle = orthonormal_bpdn_oracle(D.atoms, y, eps)
-            np.testing.assert_allclose(code.coefficients, oracle, atol=1e-4)
+            np.testing.assert_allclose(X[:, 0], oracle, atol=1e-4)
 
     def test_dominant_atom_identified(self):
         rng = np.random.default_rng(21)
         A = low_coherence_matrix(rng, 5, 6, target=0.55)
         D = unit_dict(A, [0, 0, 0, 1, 1, 1])
         y = 0.9 * D.atoms[:, 3]
-        code = bpdn(D, y, eps=0.05)
-        assert int(np.argmax(np.abs(code.coefficients))) == 3
-        assert abs(code.coefficients[3] - 0.9) <= 0.09
-        solo = omp(D, y, T=1)
-        assert list(solo.support) == [3]
-        assert solo.coefficients[3] == pytest.approx(0.9, abs=1e-9)
+        X, _, feas, _ = bpdn_batch(D, y[:, None], 0.05)
+        assert feas.all()
+        assert int(np.argmax(np.abs(X[:, 0]))) == 3
+        assert abs(X[3, 0] - 0.9) <= 0.09
+        solo, _, _ = omp_batch(D, y[:, None], 1)
+        assert list(np.flatnonzero(solo[:, 0])) == [3]
+        assert solo[3, 0] == pytest.approx(0.9, abs=1e-9)
 
     def test_feasibility_bound_random(self):
         rng = np.random.default_rng(13)
@@ -231,42 +253,32 @@ class TestBpdn:
             D = unit_dict(rng.standard_normal((d, n)), rng.integers(0, 2, n))
             y = rng.standard_normal(d)
             eps = float(rng.uniform(0.1, 1.2)) * float(np.linalg.norm(y))
-            try:
-                code = bpdn(D, y, eps)
-            except ConvergenceError as err:
-                assert not err.best.feasible
+            X, rn, feas, _ = bpdn_batch(D, y[:, None], eps)
+            assert np.isfinite(X).all()
+            if not feas[0]:
+                # the least-squares code, whose floor lies above the bound
+                xs, *_ = np.linalg.lstsq(D.atoms, y, rcond=None)
+                assert rn[0] > eps
+                assert rn[0] <= np.linalg.norm(y - D.atoms @ xs) + 1e-6
                 continue
-            assert code.residual_norm <= eps * (1.0 + 1e-3)
-            assert np.isfinite(code.coefficients).all()
+            assert rn[0] <= eps * (1.0 + 1e-3)
 
     def test_infeasible_carries_best_iterate(self):
         rng = np.random.default_rng(4)
         D = unit_dict(rng.standard_normal((10, 2)), [0, 1])
         y = rng.standard_normal(10)
-        with pytest.raises(ConvergenceError) as exc:
-            bpdn(D, y, eps=1e-9)
-        best = exc.value.best
-        assert best.residual_norm > 1e-9
-        assert np.isfinite(best.coefficients).all()
-        # the carried iterate is the least-squares limit of the search
+        X, rn, feas, _ = bpdn_batch(D, y[:, None], 1e-9)
+        assert not feas[0]
+        assert rn[0] > 1e-9
+        assert np.isfinite(X).all()
+        # the infeasible code is the least-squares code on the usable atoms
         xs, *_ = np.linalg.lstsq(D.atoms, y, rcond=None)
-        assert best.residual_norm <= np.linalg.norm(y - D.atoms @ xs) + 1e-6
+        assert rn[0] <= np.linalg.norm(y - D.atoms @ xs) + 1e-6
 
     def test_eps_validation(self):
         D = unit_dict(np.eye(2), [0, 1])
         with pytest.raises(ValueError, match="eps"):
-            bpdn(D, np.ones(2), 0.0)
-
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(17)
-        D = unit_dict(rng.standard_normal((7, 10)), [0] * 5 + [1] * 5)
-        Y = rng.standard_normal((7, 5))
-        eps = 0.4 * np.linalg.norm(Y, axis=0)
-        X, rn, feas, _ = bpdn_batch(D, Y, eps)
-        for i in range(5):
-            if feas[i]:
-                solo = bpdn(D, Y[:, i], float(eps[i]))
-                np.testing.assert_allclose(X[:, i], solo.coefficients, atol=1e-8)
+            bpdn_batch(D, np.ones((2, 1)), 0.0)
 
 
 def assert_kkt(D, y, x):
@@ -316,11 +328,12 @@ class TestBpdnExactPath:
             D = unit_dict(M, [0] * 7 + [1] * 7)
             y = rng.standard_normal(8)
             eps = float(rng.uniform(0.05, 0.9)) * float(np.linalg.norm(y))
-            code = bpdn(D, y, eps)
-            assert code.coefficients[9] == 0.0
-            assert code.coefficients[2] == 0.0 or code.coefficients[5] == 0.0
-            assert abs(code.residual_norm - eps) <= 1e-9 * eps
-            assert_kkt(D, y, code.coefficients)
+            X, rn, feas, _ = bpdn_batch(D, y[:, None], eps)
+            assert feas.all()
+            assert X[9, 0] == 0.0
+            assert X[2, 0] == 0.0 or X[5, 0] == 0.0
+            assert abs(rn[0] - eps) <= 1e-9 * eps
+            assert_kkt(D, y, X[:, 0])
 
 
 class TestClassResiduals:
@@ -329,29 +342,28 @@ class TestClassResiduals:
         D = unit_dict(rng.standard_normal((5, 4)), [BENIGN, BENIGN, MALIGNANT, MALIGNANT])
         y = rng.standard_normal(5)
         x = np.array([0.7, -0.2, 0.0, 0.0])
-        code = SparseCode.from_coefficients(x, 0.0, 2)
-        resid, l1 = class_residuals(D, code, y)
-        assert l1[MALIGNANT] == 0.0
+        resid, l1 = class_residuals(D, x[:, None], y[:, None])
+        assert l1[MALIGNANT, 0] == 0.0
         overall = np.linalg.norm(y - D.atoms @ x)
-        assert resid[BENIGN] == pytest.approx(overall)
+        assert resid[BENIGN, 0] == pytest.approx(overall)
 
     def test_zero_code(self):
         rng = np.random.default_rng(8)
         D = unit_dict(rng.standard_normal((5, 4)), [0, 0, 1, 1])
         y = rng.standard_normal(5)
-        resid, l1 = class_residuals(D, SparseCode.from_coefficients(np.zeros(4), 0, 0), y)
+        resid, l1 = class_residuals(D, np.zeros((4, 1)), y[:, None])
         assert np.all(l1 == 0.0)
-        np.testing.assert_allclose(resid, np.linalg.norm(y))
+        np.testing.assert_allclose(resid[:, 0], np.linalg.norm(y))
 
     def test_hand_built_example(self):
         rng = np.random.default_rng(10)
         D = unit_dict(rng.standard_normal((6, 4)), [0, 0, 1, 1])
         y = rng.standard_normal(6)
         x = np.array([1.0, 0.0, -2.0, 0.0])
-        resid, l1 = class_residuals(D, SparseCode.from_coefficients(x, 0, 2), y)
-        np.testing.assert_allclose(l1, [1.0, 2.0])
-        np.testing.assert_allclose(resid[0], np.linalg.norm(y - D.atoms[:, 0] * 1.0))
-        np.testing.assert_allclose(resid[1], np.linalg.norm(y - D.atoms[:, 2] * -2.0))
+        resid, l1 = class_residuals(D, x[:, None], y[:, None])
+        np.testing.assert_allclose(l1[:, 0], [1.0, 2.0])
+        np.testing.assert_allclose(resid[0, 0], np.linalg.norm(y - D.atoms[:, 0] * 1.0))
+        np.testing.assert_allclose(resid[1, 0], np.linalg.norm(y - D.atoms[:, 2] * -2.0))
 
     def test_restriction_partition(self):
         rng = np.random.default_rng(12)
@@ -363,10 +375,35 @@ class TestClassResiduals:
             D = unit_dict(rng.standard_normal((6, n)), labels)
             x = rng.standard_normal(n) * (rng.random(n) > 0.4)
             y = rng.standard_normal(6)
-            _, l1 = class_residuals(D, SparseCode.from_coefficients(x, 0, 0), y)
-            assert l1.sum() == pytest.approx(np.abs(x).sum(), abs=1e-12)
+            _, l1 = class_residuals(D, x[:, None], y[:, None])
+            assert l1[:, 0].sum() == pytest.approx(np.abs(x).sum(), abs=1e-12)
+
+    def test_matches_per_column_oracle(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            d, n, m = (int(v) for v in rng.integers(1, 12, size=3))
+            n += 1
+            labels = rng.integers(0, 2, n)
+            labels[rng.choice(n, size=2, replace=False)] = [BENIGN, MALIGNANT]
+            M = rng.standard_normal((d, n))
+            M[:, rng.random(n) < 0.1] = 0.0  # degenerate atoms
+            D = unit_dict(M, labels)
+            X = rng.standard_normal((n, m)) * (rng.random((n, m)) < 0.5)
+            X[:, rng.random(m) < 0.3] = 0.0  # all-zero codes
+            Y = rng.standard_normal((d, m))
+            resid, l1 = class_residuals(D, X, Y)
+            ref_resid, ref_l1 = per_column_class_residuals(D.atoms, D.atom_labels, X, Y)
+            assert np.array_equal(l1, ref_l1)
+            np.testing.assert_allclose(resid, ref_resid, rtol=1e-12, atol=0.0)
+            # the SRC rule: the smaller residual wins, a tie goes to benign
+            assert np.array_equal(resid[BENIGN] <= resid[MALIGNANT], ref_resid[BENIGN] <= ref_resid[MALIGNANT])
+
+    def test_code_shape_mismatch(self):
+        D = unit_dict(np.eye(3), [0, 1, 1])
+        with pytest.raises(ValueError, match="expected codes of shape"):
+            class_residuals(D, np.zeros((2, 1)), np.ones((3, 1)))
 
     def test_missing_class_named(self):
         D = unit_dict(np.eye(3), [BENIGN, BENIGN, BENIGN])
         with pytest.raises(ValueError, match="malignant"):
-            class_residuals(D, SparseCode.from_coefficients(np.zeros(3), 0, 0), np.ones(3))
+            class_residuals(D, np.zeros((3, 1)), np.ones((3, 1)))
