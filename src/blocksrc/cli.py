@@ -2,7 +2,8 @@
 
 Subcommands: prepare-rois, train, evaluate, cv, grid, synth, mosaic. Flags
 override config-file keys; exit code 0 on success, nonzero with a structured
-JSON diagnostic on stderr otherwise.
+JSON diagnostic on stderr otherwise. ``cv`` and ``grid`` write every report
+even when folds fail, then exit nonzero naming the reports with failed folds.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .harness import (
     decision_outputs,
     export_dictionary_mosaic,
     load_dataset,
+    report_stem,
     run_experiment,
     run_grid,
     train_block_models,
@@ -139,26 +141,43 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _fold_status(command: str, reports) -> int:
+    """0 when every fold of every report completed; otherwise 1, after one
+    JSON line on stderr naming each report stem with its failed folds."""
+    failed = {report_stem(r): r.incomplete_folds for r in reports if r.incomplete_folds}
+    if not failed:
+        return 0
+    diag = {
+        "command": command,
+        "error": "IncompleteFolds",
+        "message": f"{len(failed)} of {len(reports)} reports have failed folds",
+        "incomplete_folds": failed,
+    }
+    print(json.dumps(diag, sort_keys=True), file=sys.stderr)
+    return 1
+
+
 def _cmd_cv(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
-    rows = []
+    reports = []
     for block in cfg.block_sizes:
         report = run_experiment(cfg, block_size=block)
-        rows.append(report.summary_row())
+        reports.append(report)
         m = report.metrics
         print(
             f"block {block}: acc={m['acc']:.2f}% auc="
             + (f"{m['auc']:.2f}%" if m["auc"] is not None else "n/a")
         )
+    rows = [r.summary_row() for r in reports]
     write_summary_csv(os.path.join(cfg.output_dir, "cv_summary.csv"), rows)
-    return 0
+    return _fold_status("cv", reports)
 
 
 def _cmd_grid(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
     reports = run_grid(cfg)
     print(f"grid complete: {len(reports)} configurations -> {cfg.output_dir}")
-    return 0
+    return _fold_status("grid", reports)
 
 
 def _cmd_synth(args) -> int:

@@ -29,10 +29,21 @@ def class_name(cid: int) -> str:
 
 
 def as_label_array(labels) -> np.ndarray:
-    """Coerce a label sequence to an int array, rejecting unknown ids."""
+    """Coerce a label sequence to an int array, rejecting unknown ids.
+
+    Class names map to their ids; numbers must be integral (``1.0`` is
+    class 1, ``0.5`` is an error), and booleans are rejected rather than
+    read as 0 and 1.
+    """
     arr = np.asarray(labels)
     if arr.dtype.kind in "US":
-        arr = np.array([class_id(str(v)) for v in arr.ravel()]).reshape(arr.shape)
+        arr = np.array([class_id(str(v)) for v in arr.ravel()], dtype=int).reshape(arr.shape)
+    if arr.dtype.kind == "b" and arr.size:
+        raise ValueError(f"class id must be an integer, got {bool(arr.ravel()[0])}")
+    if arr.dtype.kind == "f":
+        fractional = ~np.isfinite(arr) | (arr != np.trunc(arr))
+        if fractional.any():
+            raise ValueError(f"class id must be an integer, got {float(arr[fractional].ravel()[0])!r}")
     arr = arr.astype(int)
     bad = (arr != BENIGN) & (arr != MALIGNANT)
     if bad.any():

@@ -187,83 +187,172 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
     return X, sizes
 
 
-def _l1_path(A: np.ndarray, G: np.ndarray, y: np.ndarray, eps: float):
-    """Follow the l1 (lasso) path of one signal down to ``||Ax - y|| = eps``.
+def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, slots: int):
+    """Follow the l1 (lasso) paths of several signals in lockstep, in atom
+    space, each down to ``||Ax - y|| = eps``.
 
-    Starts from ``x = 0`` at ``lam = ||A^T y||_inf`` and lowers ``lam``
-    piecewise linearly (Osborne, Presnell & Turlach 2000; Efron et al. 2004).
-    On each segment the active coefficients move along ``G_AA^{-1} sign``;
-    the segment ends where an atom enters, an active coefficient crosses
-    zero (the atom leaves) or the residual norm reaches ``eps``. ``A`` holds
-    only usable atoms and ``G = A^T A``. Returns ``(x, residual_norm,
-    feasible, steps)``; ``feasible`` is False only if ``lam`` reaches 0 first.
+    Only ``G = A^T A`` (n x n, usable unit atoms), ``B = A^T Y`` (n x m), the
+    squared signal norms ``ysq`` and the bounds ``eps`` are read. Each path
+    starts from ``x = 0`` at ``lam = ||A^T y||_inf`` and lowers ``lam``
+    piecewise linearly (Osborne, Presnell & Turlach 2000); per step, with
+    ``c = B - G X`` and ``v`` the active set's ``G_AA^{-1} sign``, the
+    coefficients move along ``v``, the correlations along ``a = G v``, and
+    ``r.u = c_A^T v``, ``||u||^2 = sign^T v`` and ``||r||^2 = ||y||^2 -
+    x^T (b + c)`` give where the residual norm meets ``eps``. The step ends
+    where an atom enters, an active coefficient crosses zero (the atom
+    leaves) or the residual norm reaches ``eps``.
+
+    A column's active atoms sit in fixed slots of ``slots`` (free slots hold
+    an identity block), and each column keeps ``H``, the inverse of its slot
+    Gram: an entering atom borders it by a rank-1 update from ``w = H g`` and
+    ``sigma = 1 - g^T w``, the numbers of the span test (Rubinstein,
+    Zibulevsky & Elad 2008), and a leaving atom is removed by a Schur
+    downdate, so no step solves a system. A column retires once its path
+    ends; a feasible one is then refit exactly on its final support and
+    signs, ``x = G_AA^{-1} (b_A - lam s_A)`` with ``lam > 0`` where the
+    residual norm equals ``eps``, which clears the drift of the updates.
+    Returns ``(X, feasible, steps)``; ``feasible`` is False only where
+    ``lam`` reached 0 first.
     """
-    n = A.shape[1]
-    x = np.zeros(n)
-    r = y.copy()
-    c = A.T @ r
-    lam = float(np.abs(c).max())
-    active = np.zeros(n, dtype=bool)
-    sign = np.zeros(n)
-    first = int(np.argmax(np.abs(c)))
-    active[first] = True
-    sign[first] = np.sign(c[first])
-    steps = stalls = 0
-    while True:
-        steps += 1
-        idx = np.flatnonzero(active)
-        Gaa = G[np.ix_(idx, idx)]
-        v = np.linalg.solve(Gaa, sign[idx])
-        u = A[:, idx] @ v
-        a = A.T @ u
+    n, m = B.shape
+    null = n  # a free slot holds this padded zero atom
+    Gp = np.zeros((n + 1, n + 1))
+    Gp[:n, :n] = G
+    X_out = np.zeros((n + 1, m))
+    feasible = np.zeros(m, dtype=bool)
+    steps = np.zeros(m, dtype=int)
+    refit = []  # per feasible retiree: column, slots, slot signs and b, ||y||^2, eps^2
+
+    # the live columns' state, compacted as columns retire
+    cols = np.arange(m)
+    Bp = np.zeros((n + 1, m))
+    Bp[:n] = B
+    eps2 = np.asarray(eps, dtype=float) ** 2
+    first = np.argmax(np.abs(B), axis=0)
+    lam = np.abs(B[first, cols])
+    S = np.zeros((n + 1, m))  # active signs; zero off the active set
+    S[first, cols] = np.sign(B[first, cols])
+    slot = np.full((m, slots), null)
+    slot[:, 0] = first
+    H = np.tile(np.eye(slots), (m, 1, 1))
+    H[:, 0, 0] = 1.0 / G[first, first]
+    X = np.zeros((n + 1, m))
+    stalls = np.zeros(m, dtype=int)
+    # slots at and above hi are free in every column; a step works on the
+    # first hi + 1 of them (room for one entrant)
+    hi = 1
+    step = 0
+    while cols.size:
+        step += 1
+        ar = np.arange(cols.size)
+        t = min(hi + 1, slots)
+        Ht, st = H[:, :t, :t], slot[:, :t]
+        C = Bp - Gp @ X
+        s = S[st, ar[:, None]]
+        v = (Ht @ s[..., None])[..., 0]
+        V = np.zeros_like(X)
+        V[st, ar[:, None]] = v
+        Av = Gp @ V
         # exit where an active coefficient reaches zero
-        shrink = np.flatnonzero(x[idx] * v < 0.0)
-        gamma, event = lam, None
-        if shrink.size:
-            g = -x[idx[shrink]] / v[shrink]
-            k = int(np.argmin(g))
-            if g[k] < gamma:
-                gamma, event = float(g[k]), (idx[shrink[k]], 0.0)
-        # entry: the smallest g at which |c_j - g a_j| meets lam - g; an
-        # atom that just left has den < 0 at its old sign and stays out
-        g_in = np.full((2, n), np.inf)
+        xs = X[st, ar[:, None]]
+        ratio = np.full_like(xs, np.inf)
+        np.divide(-xs, v, out=ratio, where=xs * v < 0.0)
+        k_out = np.argmin(ratio, axis=1)
+        g_out = ratio[ar, k_out]
+        gamma = np.minimum(lam, g_out)
+        # entry: the smallest g at which |c_j - g a_j| meets lam - g; an atom
+        # that just left has den < 0 at its old sign and stays out
+        out = S[:n] == 0.0
+        g_in = np.full((2, n, cols.size), np.inf)
         for row, sgn in enumerate((1.0, -1.0)):
-            den = 1.0 - sgn * a
-            ok = np.flatnonzero(~active & (den > 0.0))
-            g_in[row, ok] = np.maximum(lam - sgn * c[ok], 0.0) / den[ok]
-        for j in np.argsort(g_in.min(axis=0)):
-            if g_in[:, j].min() >= gamma:
+            den = 1.0 - sgn * Av[:n]
+            num = np.maximum(lam - sgn * C[:n], 0.0)
+            np.divide(num, den, out=g_in[row], where=out & (den > 0.0))
+        negative = g_in[1] < g_in[0]
+        g_in = np.minimum(g_in[0], g_in[1])
+        # the cheapest entrant must leave the span of its column's support:
+        # a duplicate, with its 0/0 ratio, would make the slot Gram singular
+        # (in exact arithmetic it never enters before lam = 0); an entrant
+        # that fails is passed over and the next one picked
+        free = st == null
+        while True:
+            pick = np.argmin(g_in, axis=0)
+            enter = g_in[pick, ar] < gamma
+            g = Gp[st, pick[:, None]]
+            w = (Ht @ g[..., None])[..., 0]
+            sigma = 1.0 - np.einsum("ct,ct->c", g, w)
+            fails = enter & ~((sigma > _SPAN_TOL) & free.any(axis=1))
+            if not fails.any():
                 break
-            # an atom (numerically) in the span of the active ones, such as a
-            # duplicate with its 0/0 ratio, would make the Gram system
-            # singular; in exact arithmetic it never enters before lam = 0
-            w = np.linalg.solve(Gaa, G[idx, j])
-            if 1.0 - G[idx, j] @ w > _SPAN_TOL:
-                row = int(np.argmin(g_in[:, j]))
-                gamma, event = float(g_in[row, j]), (j, (1.0, -1.0)[row])
-                break
+            g_in[pick[fails], ar[fails]] = np.inf
+        gamma = np.where(enter, g_in[pick, ar], gamma)
+        leave = ~enter & (g_out < lam)
         # the residual norm reaches eps: the smaller root of
         # ||r - g u||^2 = eps^2, written without cancellation
-        excess = float(r @ r) - eps * eps
-        ru = float(r @ u)
-        disc = ru * ru - float(u @ u) * excess
-        done = disc >= 0.0 and excess / (ru + np.sqrt(disc)) <= gamma
-        if done:
-            gamma = excess / (ru + np.sqrt(disc))
-        x[idx] += gamma * v
-        r = y - A[:, idx] @ x[idx]
-        if done or event is None:  # event None: lam reached 0 above eps
-            return x, float(np.linalg.norm(r)), done, steps
-        c = A.T @ r
-        j, sgn = event
-        if sgn == 0.0:  # j leaves; x[j] is zero up to rounding
-            x[j] = 0.0
-        active[j] = sgn != 0.0
-        sign[j] = sgn
-        stalls = stalls + 1 if lam - gamma >= lam else 0
-        if stalls > 2 * n:
+        excess = ysq - np.einsum("ic,ic->c", X, Bp + C) - eps2
+        ru = np.einsum("ic,ic->c", C, V)
+        disc = ru * ru - np.einsum("ct,ct->c", s, v) * excess
+        g_done = excess / (ru + np.sqrt(np.maximum(disc, 0.0)))
+        done = (disc >= 0.0) & (g_done <= gamma)
+        gamma = np.where(done, g_done, gamma)
+        X += gamma * V
+        stalls = np.where(lam - gamma >= lam, stalls + 1, 0)
+        lam = lam - gamma
+        # a column without an event has reached lam = 0 above eps
+        fin = done | ~(enter | leave)
+        if fin.any():
+            f = np.flatnonzero(fin)
+            X_out[:, cols[f]] = X[:, f]
+            feasible[cols[f]] = done[f]
+            steps[cols[f]] = step
+            d = np.flatnonzero(done)
+            if d.size:
+                sd = slot[d], d[:, None]
+                refit.append((cols[d], slot[d], S[sd], Bp[sd], ysq[d], eps2[d]))
+            keep = ~fin
+            cols, ysq, eps2, lam, stalls = cols[keep], ysq[keep], eps2[keep], lam[keep], stalls[keep]
+            Bp, X, S, slot, H = Bp[:, keep], X[:, keep], S[:, keep], slot[keep], H[keep]
+            enter, leave, pick, negative = enter[keep], leave[keep], pick[keep], negative[:, keep]
+            k_out, w, sigma, free = k_out[keep], w[keep], sigma[keep], free[keep]
+            if not cols.size:
+                break
+            ar = np.arange(cols.size)
+            Ht, st = H[:, :t, :t], slot[:, :t]
+        if (stalls > 2 * n).any():
             raise RuntimeError("l1 path stalled at a tie between atoms")
-        lam -= gamma
+        # every live column now has one event, a leaving or an entering
+        # atom, and changes H by a rank-1 term alpha z z^T: a Schur downdate
+        # with z = H[:, k] or a bordering with z = w - e_k
+        k = np.where(leave, k_out, np.argmax(free, axis=1))
+        j = np.where(leave, st[ar, k], pick)
+        z = np.where(leave[:, None], Ht[ar, :, k], w)
+        alpha = 1.0 / np.where(leave, -z[ar, k], sigma)
+        z[enter, k[enter]] = -1.0
+        zz = z[:, :, None] * z[:, None, :]
+        zz *= alpha[:, None, None]
+        Ht += zz
+        Ht[ar, k, k] -= 1.0
+        # a freed slot is left exactly as the identity's
+        out_k, e = k[leave], np.flatnonzero(leave)
+        Ht[e, out_k, :] = 0.0
+        Ht[e, :, out_k] = 0.0
+        Ht[e, out_k, out_k] = 1.0
+        X[j[leave], e] = 0.0
+        S[j, ar] = np.where(leave, 0.0, np.where(negative[j, ar], -1.0, 1.0))
+        st[ar, k] = np.where(leave, null, j)
+        hi = max(hi, int(k.max()) + 1)
+
+    if refit:
+        fc, fslot, fs, fb, fy, fe = (np.concatenate(a) for a in zip(*refit))
+        fr = fslot == null
+        gram = Gp[fslot[:, :, None], fslot[:, None, :]]
+        gram = np.where(fr[:, :, None] | fr[:, None, :], np.eye(slots), gram)
+        sol = np.linalg.solve(gram, np.stack([fb, fs], axis=2))
+        x0, v = sol[..., 0], sol[..., 1]
+        floor = fy - np.einsum("ct,ct->c", fb, x0)
+        lam = np.sqrt(np.maximum(fe - floor, 0.0) / np.einsum("ct,ct->c", fs, v))
+        X_out[fslot, fc[:, None]] = x0 - lam[:, None] * v
+    return X_out[:n], feasible, steps
 
 
 def bpdn_batch(D: Dictionary, Y: np.ndarray, eps):
@@ -274,8 +363,12 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps):
     with ``||y|| <= eps`` get the zero code; columns whose least-squares
     floor on the usable atoms exceeds ``eps`` get the least-squares code and
     are reported infeasible. Both shortcuts report 0 iterations; other
-    columns report their path steps. Returns ``(codes, residual_norms,
-    feasible, iteration_counts)``.
+    columns report their path steps. The paths of all other columns run in
+    lockstep in atom space (see :func:`_l1_paths`): each keeps its support
+    in fixed slots with the inverse of the slot Gram, bordered by a rank-1
+    update when an atom enters and Schur-downdated when one leaves, and a
+    feasible code is refit exactly on its final support and signs. Returns
+    ``(codes, residual_norms, feasible, iteration_counts)``.
     """
     Y = _check_signals(D, Y)
     s = Y.shape[1]
@@ -304,10 +397,12 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps):
     rnorm[work[hopeless]] = floor[hopeless]
     todo = work[~hopeless]
     if todo.size:
-        G = Au.T @ Au
-        for col in todo:
-            path = _l1_path(Au, G, Y[:, col], eps_vec[col])
-            X[usable_idx, col], rnorm[col], feasible[col], iters[col] = path
+        Yt = Y[:, todo]
+        xt, feasible[todo], iters[todo] = _l1_paths(
+            Au.T @ Au, Au.T @ Yt, ynorm[todo] ** 2, eps_vec[todo], min(Au.shape)
+        )
+        X[np.ix_(usable_idx, todo)] = xt
+        rnorm[todo] = np.linalg.norm(Yt - Au @ xt, axis=0)
     return X, rnorm, feasible, iters
 
 

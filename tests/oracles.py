@@ -110,6 +110,90 @@ def per_column_class_residuals(atoms: np.ndarray, atom_labels: np.ndarray, X: np
     return resid, l1
 
 
+# an atom whose Schur complement against the active set is at most this never
+# enters it (the solvers' span tolerance, restated here)
+SPAN_TOL = 1e-10
+
+
+def per_column_l1_path(A: np.ndarray, G: np.ndarray, y: np.ndarray, eps: float):
+    """Follow the l1 (lasso) path of one signal down to ``||Ax - y|| = eps``.
+
+    Starts from ``x = 0`` at ``lam = ||A^T y||_inf`` and lowers ``lam``
+    piecewise linearly (Osborne, Presnell & Turlach 2000; Efron et al. 2004).
+    On each segment the active coefficients move along ``G_AA^{-1} sign``;
+    the segment ends where an atom enters, an active coefficient crosses
+    zero (the atom leaves) or the residual norm reaches ``eps``. ``A`` holds
+    only usable atoms and ``G = A^T A``. Returns ``(x, residual_norm,
+    feasible, steps)``; ``feasible`` is False only if ``lam`` reaches 0 first.
+    """
+    n = A.shape[1]
+    x = np.zeros(n)
+    r = y.copy()
+    c = A.T @ r
+    lam = float(np.abs(c).max())
+    active = np.zeros(n, dtype=bool)
+    sign = np.zeros(n)
+    first = int(np.argmax(np.abs(c)))
+    active[first] = True
+    sign[first] = np.sign(c[first])
+    steps = stalls = 0
+    while True:
+        steps += 1
+        idx = np.flatnonzero(active)
+        Gaa = G[np.ix_(idx, idx)]
+        v = np.linalg.solve(Gaa, sign[idx])
+        u = A[:, idx] @ v
+        a = A.T @ u
+        # exit where an active coefficient reaches zero
+        shrink = np.flatnonzero(x[idx] * v < 0.0)
+        gamma, event = lam, None
+        if shrink.size:
+            g = -x[idx[shrink]] / v[shrink]
+            k = int(np.argmin(g))
+            if g[k] < gamma:
+                gamma, event = float(g[k]), (idx[shrink[k]], 0.0)
+        # entry: the smallest g at which |c_j - g a_j| meets lam - g; an
+        # atom that just left has den < 0 at its old sign and stays out
+        g_in = np.full((2, n), np.inf)
+        for row, sgn in enumerate((1.0, -1.0)):
+            den = 1.0 - sgn * a
+            ok = np.flatnonzero(~active & (den > 0.0))
+            g_in[row, ok] = np.maximum(lam - sgn * c[ok], 0.0) / den[ok]
+        for j in np.argsort(g_in.min(axis=0)):
+            if g_in[:, j].min() >= gamma:
+                break
+            # an atom (numerically) in the span of the active ones, such as a
+            # duplicate with its 0/0 ratio, would make the Gram system
+            # singular; in exact arithmetic it never enters before lam = 0
+            w = np.linalg.solve(Gaa, G[idx, j])
+            if 1.0 - G[idx, j] @ w > SPAN_TOL:
+                row = int(np.argmin(g_in[:, j]))
+                gamma, event = float(g_in[row, j]), (j, (1.0, -1.0)[row])
+                break
+        # the residual norm reaches eps: the smaller root of
+        # ||r - g u||^2 = eps^2, written without cancellation
+        excess = float(r @ r) - eps * eps
+        ru = float(r @ u)
+        disc = ru * ru - float(u @ u) * excess
+        done = disc >= 0.0 and excess / (ru + np.sqrt(disc)) <= gamma
+        if done:
+            gamma = excess / (ru + np.sqrt(disc))
+        x[idx] += gamma * v
+        r = y - A[:, idx] @ x[idx]
+        if done or event is None:  # event None: lam reached 0 above eps
+            return x, float(np.linalg.norm(r)), done, steps
+        c = A.T @ r
+        j, sgn = event
+        if sgn == 0.0:  # j leaves; x[j] is zero up to rounding
+            x[j] = 0.0
+        active[j] = sgn != 0.0
+        sign[j] = sgn
+        stalls = stalls + 1 if lam - gamma >= lam else 0
+        if stalls > 2 * n:
+            raise RuntimeError("l1 path stalled at a tie between atoms")
+        lam -= gamma
+
+
 def soft_threshold(v: np.ndarray, lam: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 

@@ -150,3 +150,38 @@ def test_grid_command_tiny(tmp_path, synth_cache, monkeypatch):
     summary = (tmp_path / "results" / "grid_summary.csv").read_text().strip().splitlines()
     assert summary[0].startswith("decision,k_folds,block_size,dl_mode")
     assert len(summary) == 1 + 2 * 2  # two decisions x two block sizes
+
+
+@pytest.mark.parametrize("command", ["cv", "grid"])
+def test_incomplete_folds_exit_nonzero_after_writing_reports(
+    tmp_path, synth_cache, monkeypatch, capsys, command
+):
+    import blocksrc.harness as H
+
+    monkeypatch.setattr(H, "GRID_FOLDS", (3,))
+    monkeypatch.setattr(H, "GRID_BLOCKS", (8,))
+    monkeypatch.setattr(H, "GRID_MODES", ("none",))
+    train = H.train_block_models
+    calls = []
+
+    def failing_first_fold(samples, cfg, block_size):
+        calls.append(block_size)
+        if len(calls) == 1:
+            raise ValueError("injected fold failure")
+        return train(samples, cfg, block_size)
+
+    monkeypatch.setattr(H, "train_block_models", failing_first_fold)
+    cfg = write_config(tmp_path, synth_cache)
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    diag = json.loads(err[0])
+    assert diag["command"] == command and diag["error"] == "IncompleteFolds"
+    stems = ["bbll_none_k3_b8"] if command == "cv" else ["bbmap_none_k3_b8", "bbll_none_k3_b8"]
+    assert diag["incomplete_folds"] == {stem: [0] for stem in stems}
+    results = tmp_path / "results"
+    assert (results / f"{command}_summary.csv").exists()
+    for stem in stems:
+        report = json.loads((results / f"{stem}.json").read_text())
+        assert report["incomplete_folds"] == [0]
+        assert report["folds"][0]["error"]["message"] == "injected fold failure"

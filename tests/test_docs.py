@@ -1,8 +1,12 @@
-"""The README's library-layout table names only what its modules define."""
+"""The README stays in step with the code: its library-layout table names
+only what its modules define, and its config block lists every key once."""
 
 import importlib
 import pathlib
 import re
+from dataclasses import fields
+
+from blocksrc.config import ExperimentConfig, parse_config_text
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +27,16 @@ def test_layout_names_resolve():
         mod = importlib.import_module(module)
         for name in names:
             assert hasattr(mod, name), f"README names {module}.{name}, which does not exist"
+
+
+def config_block():
+    section = README.read_text(encoding="utf-8").split("## Configuration file", 1)[1]
+    return section.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_config_block_lists_every_key_once_with_its_default():
+    text = config_block()
+    keys = [line.split("#", 1)[0].split("=", 1)[0].strip() for line in text.splitlines()]
+    keys = [k for k in keys if k]
+    assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))
+    assert parse_config_text(text) == ExperimentConfig()

@@ -9,6 +9,7 @@ from .oracles import (
     mutual_coherence,
     orthonormal_bpdn_oracle,
     per_column_class_residuals,
+    per_column_l1_path,
     textbook_omp,
 )
 
@@ -334,6 +335,67 @@ class TestBpdnExactPath:
             assert X[2, 0] == 0.0 or X[5, 0] == 0.0
             assert abs(rn[0] - eps) <= 1e-9 * eps
             assert_kkt(D, y, X[:, 0])
+
+    def test_matches_per_column_oracle(self):
+        rng = np.random.default_rng(34)
+        walked = 0
+        for trial in range(300):
+            d = int(rng.integers(3, 17))
+            n = int(rng.integers(3, 25))
+            M = rng.standard_normal((d, n))
+            i, j, z, *k = rng.choice(n, size=min(n, 4), replace=False)
+            if trial % 3 == 0:
+                M[:, j] = M[:, i]  # exact duplicate atom
+            if trial % 5 == 0:
+                M[:, z] = 0.0  # zero atom
+            if trial % 7 == 0 and k:
+                M[:, k[0]] = M[:, i] + 1e-7 * rng.standard_normal(d)  # near-duplicate atom
+            D = unit_dict(M, rng.integers(0, 2, n))
+            Y = rng.standard_normal((d, int(rng.integers(1, 10))))
+            eps = rng.uniform(0.01, 0.5, Y.shape[1]) * np.linalg.norm(Y, axis=0)
+            walked += self.assert_matches_oracle(D, Y, eps, twins=(i, j) if trial % 3 == 0 else None)
+        assert walked >= 1000
+
+    def test_columns_retiring_mid_lockstep_match_oracle(self):
+        # bounds from 0.5 to 0.01 of ||y|| end the paths many steps apart
+        rng = np.random.default_rng(35)
+        D = unit_dict(rng.standard_normal((16, 24)), rng.integers(0, 2, 24))
+        Y = rng.standard_normal((16, 9))
+        eps = np.geomspace(0.5, 0.01, 9) * np.linalg.norm(Y, axis=0)
+        _, _, _, iters = bpdn_batch(D, Y, eps)
+        assert iters.max() - iters.min() >= 10
+        assert self.assert_matches_oracle(D, Y, eps) == 9
+
+    @staticmethod
+    def assert_matches_oracle(D, Y, eps, twins=None):
+        """Compare every column of one ``bpdn_batch`` call with the
+        per-column l1 path; returns how many columns walked it."""
+        X, rn, feas, iters = bpdn_batch(D, Y, eps)
+        Au = D.atoms[:, D.usable]
+        G = Au.T @ Au
+        xls, *_ = np.linalg.lstsq(Au, Y, rcond=None)
+        # columns whose least-squares floor misses the bound take the
+        # shortcut and never walk the path
+        walks = np.linalg.norm(Au @ xls - Y, axis=0) <= eps
+        assert np.array_equal(iters > 0, walks)
+        for c in np.flatnonzero(walks):
+            xu, _, ok, steps = per_column_l1_path(Au, G, Y[:, c], eps[c])
+            ref = np.zeros(D.n_atoms)
+            ref[D.usable] = xu
+            x = X[:, c].copy()
+            assert feas[c] == ok
+            assert iters[c] == steps
+            if twins is not None:
+                # twins tie exactly, so either may enter, never both
+                i, j = twins
+                assert x[i] == 0.0 or x[j] == 0.0
+                for v in (x, ref):
+                    v[i], v[j] = v[i] + v[j], 0.0
+            np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
+            if ok:
+                assert abs(np.linalg.norm(Y[:, c] - D.atoms @ X[:, c]) - eps[c]) <= 1e-9 * eps[c]
+                assert rn[c] == pytest.approx(eps[c], rel=1e-9)
+        return int(walks.sum())
 
 
 class TestClassResiduals:
