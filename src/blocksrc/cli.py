@@ -157,6 +157,10 @@ def _fold_status(command: str, reports) -> int:
     return 1
 
 
+def _percent(value) -> str:
+    return "n/a" if value is None else f"{value:.2f}%"
+
+
 def _cmd_cv(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
     reports = []
@@ -164,10 +168,7 @@ def _cmd_cv(args) -> int:
         report = run_experiment(cfg, block_size=block)
         reports.append(report)
         m = report.metrics
-        print(
-            f"block {block}: acc={m['acc']:.2f}% auc="
-            + (f"{m['auc']:.2f}%" if m["auc"] is not None else "n/a")
-        )
+        print(f"block {block}: acc={_percent(m['acc'])} auc={_percent(m['auc'])}")
     rows = [r.summary_row() for r in reports]
     write_summary_csv(os.path.join(cfg.output_dir, "cv_summary.csv"), rows)
     return _fold_status("cv", reports)

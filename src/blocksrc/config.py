@@ -44,6 +44,9 @@ class ExperimentConfig:
         for key in ("roi_size", "sparsity", "iterations"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"config key {key} must be positive, got {getattr(self, key)}")
+        for key in ("alpha", "beta"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"config key {key} must be >= 0, got {getattr(self, key)}")
         if self.dict_size < 0 or self.dict_size == 1:
             raise ValueError(f"config key dict_size must be 0 (one atom per training sample) or >= 2, "
                              f"got {self.dict_size}")

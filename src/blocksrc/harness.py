@@ -240,7 +240,9 @@ def build_report(
     """Report a cross-validation pass under the rule ``cfg.decision``.
 
     Predictions are pooled across folds before the ROC sweep; a failed fold
-    is recorded with its diagnostic and excluded from pooling.
+    is recorded with its diagnostic and excluded from pooling. When every
+    fold failed, the report has zero confusion counts, None metrics and an
+    empty ROC.
     """
     labels = as_label_array([s.label for s in samples])
     fold_entries = []
@@ -274,9 +276,11 @@ def build_report(
         pooled_truth.extend(truth)
         pooled_scores.extend(scores)
 
-    if not pooled_pred:
-        raise RuntimeError("every fold failed; nothing to report")
-    pooled = compute_metrics(pooled_pred, pooled_truth, pooled_scores)
+    if pooled_pred:
+        pooled = compute_metrics(pooled_pred, pooled_truth, pooled_scores)
+    else:  # every fold failed: nothing is counted and no rate is defined
+        pooled = dict.fromkeys(("tp", "tn", "fp", "fn"), 0)
+        pooled.update(dict.fromkeys(("tpr", "tnr", "acc", "auc", "roc")))
     roc = pooled.pop("roc") or []
     return EvalReport(
         config=cfg.echo(),

@@ -140,51 +140,101 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
     squared signal norms ``ysq[p]``; only atoms with ``usable[p]`` may be
     picked, and ``eps`` (broadcast to (P, s)) bounds the residual norms. Per
     step every live column takes the argmax of ``|B - G X|`` over its
-    unblocked atoms, stops if that pick lies numerically in the span of its
-    support (Schur complement at most ``_SPAN_TOL``), and refits its support
-    by solving the support's Gram system; the residual norm follows from
-    ``||y||^2 - x_I^T (D^T y)_I``, so nothing grows with the signal length.
+    unblocked atoms and stops if that pick lies numerically in the span of
+    its support. Each live column keeps ``H``, the inverse of its support
+    Gram, so the span test reads ``w = H g`` and ``sigma = 1 - g^T w`` (``g``
+    the pick's Gram column on the support; stop if ``sigma`` is at most
+    ``_SPAN_TOL``), a pick that passes borders ``H`` by the rank-1 update of
+    :func:`_slot_update` that the l1 path shares, and the refit is ``x_I = H
+    b_I`` (evaluated as the step ``x_old + H c_I`` along the correlations
+    ``c = B - G X`` of the pick, which keeps the rounding of ``H`` from being
+    magnified by ``||H|| ||b_I|| / ||x_I||``): no step solves a system or
+    gathers a support Gram. The residual norm follows from ``||y||^2 - x_I^T
+    (D^T y)_I``, so nothing grows with the signal length. Columns retire as
+    they stop, with no final refit.
     Returns codes ``(P, n, s)`` and support sizes ``(P, s)``.
     """
     P, n, s = B.shape
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (P, s))
     t_max = min(int(T), int(usable.sum(axis=1).max()))
     X = np.zeros((P, n, s))
-    supp = np.zeros((P, s, t_max), dtype=int)
     blocked = np.repeat(~usable[:, :, None], s, axis=2)
     sizes = np.zeros((P, s), dtype=int)
     # live columns, as (problem, column) pairs, all hold supports of size t
-    # at step t
+    # at step t; their supports and inverse Grams are compacted as columns
+    # retire, and a step works on the leading (t + 1) x (t + 1) window of H,
+    # whose free slots hold an identity block
     prob, col = np.nonzero(np.sqrt(ysq) > eps)
+    supp = np.zeros((prob.size, t_max), dtype=int)
+    H = np.broadcast_to(np.eye(t_max), (prob.size, t_max, t_max)).copy()
     for t in range(t_max):
         if not prob.size:
             break
-        mag = np.abs(B[prob, :, col] - (G @ X)[prob, :, col])
+        corr = B[prob, :, col] - (G @ X)[prob, :, col]
+        mag = np.abs(corr)
         mag[blocked[prob, :, col]] = 0.0
         pick = np.argmax(mag, axis=1)
+        ar = np.arange(prob.size)
         # test the pick against the old support first: a pick in its span,
-        # such as an exact duplicate, would make the new Gram system singular
-        # (right-hand sides go in as (c, t, 1): numpy >= 2 reads a (c, t)
-        # b as a matrix, not as a stack of vectors)
-        I = supp[prob, col, :t]
-        g = G[prob[:, None], I, pick[:, None]]
-        gram = G[prob[:, None, None], I[:, :, None], I[:, None, :]]
-        w = np.linalg.solve(gram, g[..., None])[..., 0]
-        schur = 1.0 - np.einsum("ct,ct->c", g, w)
-        ok = (mag[np.arange(prob.size), pick] > _OMP_PROGRESS_TOL) & (schur > _SPAN_TOL)
-        prob, col, pick = prob[ok], col[ok], pick[ok]
-        supp[prob, col, t] = pick
-        sizes[prob, col] += 1
+        # such as an exact duplicate, would make the new Gram singular (slot
+        # t's identity row gives w a zero there)
+        g = G[prob[:, None], supp[:, :t], pick[:, None]]
+        w = (H[:, : t + 1, :t] @ g[..., None])[..., 0]
+        sigma = 1.0 - np.einsum("ct,ct->c", g, w[:, :t])
+        ok = (mag[ar, pick] > _OMP_PROGRESS_TOL) & (sigma > _SPAN_TOL)
+        if not ok.all():
+            prob, col, pick, corr, w, sigma, supp, H = (
+                a[ok] for a in (prob, col, pick, corr, w, sigma, supp, H)
+            )
+            ar = np.arange(prob.size)
+        supp[:, t] = pick
+        sizes[prob, col] = t + 1
         blocked[prob, pick, col] = True
-        I = supp[prob, col, : t + 1]
-        b = B[prob[:, None], I, col[:, None]]
-        gram = G[prob[:, None, None], I[:, :, None], I[:, None, :]]
-        x = np.linalg.solve(gram, b[..., None])[..., 0]
-        X[prob[:, None], I, col[:, None]] = x
-        r2 = ysq[prob, col] - np.einsum("ct,ct->c", x, b)
+        Ht = H[:, : t + 1, : t + 1]
+        _slot_update(Ht, t, w, sigma)
+        # the refit x_I = H b_I, taken as x_old + H c_I so that the rounding
+        # of H is not magnified by ||H|| ||b_I|| / ||x_I||
+        I = supp[:, : t + 1]
+        rows, cols = prob[:, None], col[:, None]
+        x = X[rows, I, cols] + (Ht @ corr[ar[:, None], I][..., None])[..., 0]
+        X[rows, I, cols] = x
+        r2 = ysq[prob, col] - np.einsum("ct,ct->c", x, B[rows, I, cols])
         keep = np.sqrt(np.maximum(r2, 0.0)) > eps[prob, col]
-        prob, col = prob[keep], col[keep]
+        if not keep.all():
+            prob, col, supp, H = prob[keep], col[keep], supp[keep], H[keep]
     return X, sizes
+
+
+def _slot_update(H: np.ndarray, k, w: np.ndarray, sigma: np.ndarray, leave=None) -> None:
+    """Change ``H``, a stack (c, t, t) of inverse slot Grams whose free slots
+    hold an identity row and column, in place at slot ``k`` of each column
+    by the rank-1 term ``alpha z z^T - e_k e_k^T``.
+
+    An atom enters the free slot ``k`` with ``z = w - e_k`` and ``alpha = 1 /
+    sigma``, from the span test's ``w = H g`` (zero at ``k``) and ``sigma = 1
+    - g^T w``: the bordered inverse of the grown Gram. Where ``leave`` (a
+    mask; None for nowhere) the atom in slot ``k`` leaves instead, with ``z =
+    H e_k`` and ``alpha = -1 / H_kk``: a Schur downdate, after which the slot
+    is reset exactly to the identity's. ``k`` is one slot per column, or a
+    scalar when ``leave`` is None; then ``w`` is overwritten.
+    """
+    ar = np.arange(len(H))
+    if leave is None:
+        z, pivot = w, sigma
+        z[ar, k] = -1.0
+    else:
+        z = np.where(leave[:, None], H[ar, :, k], w)
+        pivot = np.where(leave, -z[ar, k], sigma)
+        z[~leave, k[~leave]] = -1.0
+    zz = z[:, :, None] * z[:, None, :]
+    zz *= (1.0 / pivot)[:, None, None]
+    H += zz
+    H[ar, k, k] -= 1.0
+    if leave is not None:
+        e, out = ar[leave], k[leave]
+        H[e, out, :] = 0.0
+        H[e, :, out] = 0.0
+        H[e, out, out] = 1.0
 
 
 def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, slots: int):
@@ -207,10 +257,11 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     Gram: an entering atom borders it by a rank-1 update from ``w = H g`` and
     ``sigma = 1 - g^T w``, the numbers of the span test (Rubinstein,
     Zibulevsky & Elad 2008), and a leaving atom is removed by a Schur
-    downdate, so no step solves a system. A column retires once its path
-    ends; a feasible one is then refit exactly on its final support and
-    signs, ``x = G_AA^{-1} (b_A - lam s_A)`` with ``lam > 0`` where the
-    residual norm equals ``eps``, which clears the drift of the updates.
+    downdate (both by :func:`_slot_update`), so no step solves a system. A
+    column retires once its path ends; a feasible one is then refit exactly
+    on its final support and signs, ``x = G_AA^{-1} (b_A - lam s_A)`` with
+    ``lam > 0`` where the residual norm equals ``eps``, which clears the
+    drift of the updates.
     Returns ``(X, feasible, steps)``; ``feasible`` is False only where
     ``lam`` reached 0 first.
     """
@@ -312,7 +363,7 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
             keep = ~fin
             cols, ysq, eps2, lam, stalls = cols[keep], ysq[keep], eps2[keep], lam[keep], stalls[keep]
             Bp, X, S, slot, H = Bp[:, keep], X[:, keep], S[:, keep], slot[keep], H[keep]
-            enter, leave, pick, negative = enter[keep], leave[keep], pick[keep], negative[:, keep]
+            leave, pick, negative = leave[keep], pick[keep], negative[:, keep]
             k_out, w, sigma, free = k_out[keep], w[keep], sigma[keep], free[keep]
             if not cols.size:
                 break
@@ -321,23 +372,11 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
         if (stalls > 2 * n).any():
             raise RuntimeError("l1 path stalled at a tie between atoms")
         # every live column now has one event, a leaving or an entering
-        # atom, and changes H by a rank-1 term alpha z z^T: a Schur downdate
-        # with z = H[:, k] or a bordering with z = w - e_k
+        # atom, and changes H by a rank-1 term (see _slot_update)
         k = np.where(leave, k_out, np.argmax(free, axis=1))
         j = np.where(leave, st[ar, k], pick)
-        z = np.where(leave[:, None], Ht[ar, :, k], w)
-        alpha = 1.0 / np.where(leave, -z[ar, k], sigma)
-        z[enter, k[enter]] = -1.0
-        zz = z[:, :, None] * z[:, None, :]
-        zz *= alpha[:, None, None]
-        Ht += zz
-        Ht[ar, k, k] -= 1.0
-        # a freed slot is left exactly as the identity's
-        out_k, e = k[leave], np.flatnonzero(leave)
-        Ht[e, out_k, :] = 0.0
-        Ht[e, :, out_k] = 0.0
-        Ht[e, out_k, out_k] = 1.0
-        X[j[leave], e] = 0.0
+        _slot_update(Ht, k, w, sigma, leave)
+        X[j[leave], ar[leave]] = 0.0
         S[j, ar] = np.where(leave, 0.0, np.where(negative[j, ar], -1.0, 1.0))
         st[ar, k] = np.where(leave, null, j)
         hi = max(hi, int(k.max()) + 1)

@@ -185,3 +185,45 @@ def test_incomplete_folds_exit_nonzero_after_writing_reports(
         report = json.loads((results / f"{stem}.json").read_text())
         assert report["incomplete_folds"] == [0]
         assert report["folds"][0]["error"]["message"] == "injected fold failure"
+
+
+@pytest.mark.parametrize("command", ["cv", "grid"])
+def test_cell_whose_folds_all_fail_is_reported_and_the_run_finishes(
+    tmp_path, synth_cache, monkeypatch, capsys, command
+):
+    import blocksrc.harness as H
+
+    monkeypatch.setattr(H, "GRID_FOLDS", (3,))
+    monkeypatch.setattr(H, "GRID_BLOCKS", (16, 8))
+    monkeypatch.setattr(H, "GRID_MODES", ("none",))
+    train = H.train_block_models
+
+    def failing_16px(samples, cfg, block_size):
+        if block_size == 16:
+            raise ValueError("injected fold failure")
+        return train(samples, cfg, block_size)
+
+    monkeypatch.setattr(H, "train_block_models", failing_16px)
+    cfg = write_config(tmp_path, synth_cache, block_sizes="8, 16")
+    assert main([command, "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    if command == "cv":
+        assert "block 16: acc=n/a auc=n/a" in out.splitlines()
+    diag = json.loads(err.strip())
+    assert diag["error"] == "IncompleteFolds"
+    decisions = ["bbll"] if command == "cv" else ["bbmap", "bbll"]
+    assert diag["incomplete_folds"] == {f"{d}_none_k3_b16": [0, 1, 2] for d in decisions}
+    results = tmp_path / "results"
+    summary = (results / f"{command}_summary.csv").read_text().strip().splitlines()
+    assert len(summary) == 1 + 2 * len(decisions)
+    for d in decisions:
+        failed = json.loads((results / f"{d}_none_k3_b16.json").read_text())
+        assert failed["incomplete_folds"] == [0, 1, 2]
+        assert failed["confusion"] == {"fn": 0, "fp": 0, "tn": 0, "tp": 0}
+        assert failed["metrics"] == {"acc": None, "auc": None, "tnr": None, "tpr": None}
+        assert failed["roc"] == []
+        assert (results / f"{d}_none_k3_b16.csv").exists()
+        assert not (results / f"{d}_none_k3_b16_roc.csv").exists()
+        assert f"{d},3,16,none,,,," in summary
+        kept = json.loads((results / f"{d}_none_k3_b8.json").read_text())
+        assert kept["incomplete_folds"] == [] and kept["metrics"]["acc"] is not None

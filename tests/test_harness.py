@@ -197,6 +197,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="config line 2: key noise_sigma: expected a number, got 'loud'"):
             parse_config_text("roi_size = 32\nnoise_sigma = loud", cls=SynthSpec)
 
+    def test_negative_weights_name_the_key(self):
+        for text in ("alpha = -1.0", "dl_mode = lcksvd1\nalpha = -1.0", "beta = -0.5"):
+            key = text.split("\n")[-1].split(" ")[0]
+            with pytest.raises(ValueError, match=rf"config key {key} must be >= 0, got -"):
+                parse_config_text(text)
+        cfg = parse_config_text("alpha = 0\nbeta = 0")
+        assert (cfg.alpha, cfg.beta) == (0.0, 0.0)
+
     def test_echo_excludes_runtime_knobs(self):
         cfg = tiny_config()
         echo = cfg.echo()

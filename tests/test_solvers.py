@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blocksrc import BENIGN, MALIGNANT, Dictionary, bpdn_batch, class_residuals, normalize_columns, omp_batch
+from blocksrc.solvers import batch_omp
 
 from .oracles import (
     exhaustive_sparse_fit,
@@ -188,6 +189,62 @@ class TestOmpBatch:
                 assert iters[c] == np.count_nonzero(ref)
                 np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-9)
                 assert rn[c] == pytest.approx(np.linalg.norm(Y[:, c] - D.atoms @ ref), abs=1e-9)
+
+    def test_long_supports_on_ill_conditioned_grams_match_textbook_oracle(self):
+        """Supports of d/2 to d atoms that share a common component (support
+        Grams with condition numbers up to about 1e6): the per-step updates of
+        the inverse Gram must not drift the codes off the oracle's."""
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            d = int(rng.integers(32, 65))
+            n = int(rng.integers(d, d + 41))
+            T = int(rng.integers(d // 2, d + 1))
+            M = 4.0 * rng.standard_normal(d)[:, None] + rng.standard_normal((d, n))
+            D = unit_dict(M, rng.integers(0, 2, n))
+            Y = rng.standard_normal((d, 4))
+            X, _, iters = omp_batch(D, Y, T, 0.0)
+            for c in range(Y.shape[1]):
+                ref = textbook_omp(D.atoms, Y[:, c], T, 0.0)
+                assert np.array_equal(np.flatnonzero(X[:, c]), np.flatnonzero(ref))
+                assert iters[c] == np.count_nonzero(ref)
+                np.testing.assert_allclose(X[:, c], ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
+
+    def test_stacked_columns_retiring_at_different_steps_match_single_calls(self):
+        """One stacked call whose columns stop at different steps (eps met,
+        zero signals, exact fits, supports that exhaust a low-rank
+        dictionary, unusable atoms that differ per problem) codes every
+        column as a call on that problem alone, and as a call on that column
+        alone, does."""
+        rng = np.random.default_rng(12)
+        P, d, n, s, T = 4, 8, 12, 9, 6
+        M = rng.standard_normal((P, d, n))
+        M[1] = rng.standard_normal((d, 3)) @ rng.standard_normal((3, n))  # rank 3
+        M[2, :, 5] = M[2, :, 4]  # exact duplicate
+        usable = np.ones((P, n), dtype=bool)
+        for p in range(P):
+            usable[p, [p, (3 * p + 5) % n]] = False
+        M[~usable[:, None, :].repeat(d, axis=1)] = 0.0
+        A, _ = normalize_columns(M)
+        Y = rng.standard_normal((P, d, s))
+        Y[:, :, 0] = 0.0
+        Y[:, :, 1] = A[:, :, 7]  # fits exactly after one atom
+        Y[3, :, 2] = 0.5 * A[3, :, 6] - 2.0 * A[3, :, 9]
+        ynorm = np.linalg.norm(Y, axis=1)
+        eps = ynorm * np.array([0.0, 0.0, 0.0, 0.0, 0.1, 0.3, 0.6, 0.0, 0.8])
+        G, B, ysq = A.mT @ A, A.mT @ Y, ynorm**2
+        X, sizes = batch_omp(G, B, ysq, usable, T, eps)
+        assert {0, 1, 2, 3, T} <= set(sizes.ravel().tolist())
+        for p in range(P):
+            one = (slice(p, p + 1),)
+            Xp, sp = batch_omp(G[one], B[one], ysq[one], usable[one], T, eps[one])
+            np.testing.assert_array_equal(sizes[p], sp[0])
+            np.testing.assert_allclose(X[p], Xp[0], rtol=0.0, atol=1e-12 * np.abs(Xp).max())
+            for c in range(s):
+                Xc, sc = batch_omp(G[one], B[one][..., c : c + 1], ysq[one][:, c : c + 1],
+                                   usable[one], T, eps[one][:, c : c + 1])
+                assert sizes[p, c] == sc[0, 0]
+                np.testing.assert_allclose(X[p, :, c], Xc[0, :, 0], rtol=0.0,
+                                           atol=1e-12 * max(np.abs(Xc).max(), 1e-300))
 
     def test_near_duplicate_atoms_never_share_a_support(self):
         rng = np.random.default_rng(11)
