@@ -38,8 +38,9 @@ class TrainParams:
     classification term. K-SVD stops early once an iteration improves the
     objective by less than ``min_rel_improvement`` of its previous value, or
     once the objective is at most ``1e-12·||[Y, init]||_F²`` (rounding
-    level; at K equal to the training count that is after one iteration). A
-    non-positive ``min_rel_improvement`` disables both stops.
+    level). A non-positive ``min_rel_improvement`` disables both stops. With
+    the stops on and K equal to the training count, LC-KSVD builds its
+    optimum in closed form and runs no K-SVD iteration.
     """
 
     K: int | None = None
@@ -82,7 +83,8 @@ class LabelMatrices:
 class DiscriminativeDictionary:
     """Learned (D, A, W) triple plus training diagnostics.
 
-    ``A`` is present unless mode is "none"; ``W`` only for mode "lcksvd2".
+    ``A`` (K x K) is present unless mode is "none"; ``W`` (2 x K) only for
+    mode "lcksvd2".
     ``codes`` holds the final sparse codes in the stacked, unit-norm atom
     basis; rescaling them by ``D.scales`` compensates the split
     renormalization exactly.
@@ -102,6 +104,10 @@ class DiscriminativeDictionary:
             raise ValueError("A must be present exactly when mode != 'none'")
         if (self.W is not None) != (self.mode == "lcksvd2"):
             raise ValueError("W must be present exactly when mode == 'lcksvd2'")
+        k = self.D.atoms.shape[1]
+        for name, M, shape in (("A", self.A, (k, k)), ("W", self.W, (len(CLASS_IDS), k))):
+            if M is not None and np.shape(M) != shape:
+                raise ValueError(f"{name} must have shape {shape} for {k} atoms, got {np.shape(M)}")
 
 
 def build_label_matrices(sample_labels, atom_labels) -> LabelMatrices:
@@ -280,15 +286,14 @@ def _atoms_per_class(sample_labels: np.ndarray, k: int) -> dict[int, int]:
     return alloc
 
 
-def _init_stack(Y: np.ndarray, sample_labels: np.ndarray, params: TrainParams):
-    """:func:`init_lcksvd` for a stack of training matrices (P, d, s) that
-    share their labels, so every problem draws the same sample columns.
-    Returns ``(D0, scales, X0, A0, W0, atom_labels)``."""
-    if sample_labels.shape[0] != Y.shape[2]:
+def _draw_atoms(sample_labels: np.ndarray, s: int, params: TrainParams):
+    """Seeded per-class draw of the initial atoms' training columns, in
+    proportion to class size and without replacement where a class has
+    enough samples, so at K = s it is a permutation of the columns. Returns
+    ``(chosen columns, atom labels)``."""
+    if sample_labels.shape[0] != s:
         raise ValueError("one label per training column required")
-    k = params.resolved_k(Y.shape[2])
-    alloc = _atoms_per_class(sample_labels, k)
-
+    alloc = _atoms_per_class(sample_labels, params.resolved_k(s))
     rng = np.random.default_rng(params.seed)
     chosen: list[int] = []
     atom_labels: list[int] = []
@@ -298,11 +303,35 @@ def _init_stack(Y: np.ndarray, sample_labels: np.ndarray, params: TrainParams):
         picks = rng.choice(pool, size=take, replace=take > pool.size)
         chosen.extend(int(p) for p in picks)
         atom_labels.extend([cid] * take)
+    return np.asarray(chosen), np.asarray(atom_labels)
 
+
+def _init_stack(Y: np.ndarray, sample_labels: np.ndarray,
+                chosen: np.ndarray, atom_labels: np.ndarray, t: int):
+    """:func:`init_lcksvd` for a stack of training matrices (P, d, s) that
+    share their labels and their drawn columns ``chosen``. Returns ``(D0,
+    scales, X0, A0, W0)``."""
     D0, scales = normalize_columns(Y[:, :, chosen])
-    X0 = _code(D0, Y, np.einsum("pds,pds->ps", Y, Y), params.resolved_t(k))
+    X0 = _code(D0, Y, np.einsum("pds,pds->ps", Y, Y), t)
     lm = build_label_matrices(sample_labels, atom_labels)
-    return D0, scales, X0, _ridge_fit(lm.Q, X0), _ridge_fit(lm.H, X0), np.asarray(atom_labels)
+    return D0, scales, X0, _ridge_fit(lm.Q, X0), _ridge_fit(lm.H, X0)
+
+
+def _exact_stack(Z: np.ndarray, chosen: np.ndarray):
+    """The optimum of the stacked problems ``Z`` (P, rows, s) when the initial
+    atoms are all of their columns, ``chosen`` being a permutation: atom a is
+    the normalized column ``z_{c_a}`` and codes that column alone, with
+    coefficient ``||z_{c_a}||``, so the objective is 0 up to rounding (a
+    degenerate column gets a zero atom). Returns what :func:`_ksvd_stack`
+    returns, with a one-entry objective trace."""
+    P, _, s = Z.shape
+    Zc = Z[:, :, chosen]
+    atoms, norms = normalize_columns(Zc)
+    X = np.zeros((P, s, s))
+    X[:, np.arange(s), chosen] = norms
+    E = Zc - atoms * norms[:, None, :]
+    obj = np.einsum("prs,prs->p", E, E)
+    return atoms, X, list(obj[:, None])
 
 
 def init_lcksvd(Y, sample_labels, params: TrainParams):
@@ -314,7 +343,10 @@ def init_lcksvd(Y, sample_labels, params: TrainParams):
     ``(D0, X0, A0, W0)``.
     """
     Y = _check_training_matrix(Y)
-    D0, scales, X0, A0, W0, atom_labels = _init_stack(Y[None], as_label_array(sample_labels), params)
+    sample_labels = as_label_array(sample_labels)
+    chosen, atom_labels = _draw_atoms(sample_labels, Y.shape[1], params)
+    t = params.resolved_t(atom_labels.shape[0])
+    D0, scales, X0, A0, W0 = _init_stack(Y[None], sample_labels, chosen, atom_labels, t)
     return Dictionary(atoms=D0[0], atom_labels=atom_labels, scales=scales[0]), X0[0], A0[0], W0[0]
 
 
@@ -336,33 +368,56 @@ def lcksvd_train_stack(Y, sample_labels, params: TrainParams, mode: str) -> list
     out entirely, so alpha = beta = 0 reduces to plain K-SVD on Y. After
     training the stack is split and renormalized so dictionary atoms have
     unit norm, with A and W rescaled by the same factors.
+
+    When K equals the training count and the stops are on
+    (``min_rel_improvement > 0``), every training column is an initial atom
+    and the stacked objective's optimum, zero, is built in closed form:
+    atom a is the normalized stacked training column ``z_{c_a}``, it codes
+    that column alone, and the trace holds the one objective computed. So
+    the dictionary holds the normalized training blocks and ``A = Q_c /
+    ||y_c||``, ``W = H_c / ||y_c||``; a zero-weighted A or W is that fit
+    too. Any other K, or a non-positive ``min_rel_improvement``, runs K-SVD.
     """
     if mode not in ("lcksvd1", "lcksvd2"):
         raise ValueError(f"mode must be 'lcksvd1' or 'lcksvd2', got {mode!r}")
     Y = _check_training_matrix(Y, ndim=3)
     sample_labels = as_label_array(sample_labels)
-    D0, _, _, A0, W0, atom_labels = _init_stack(Y, sample_labels, params)
-    lm = build_label_matrices(sample_labels, atom_labels)
-
     P, d, s = Y.shape
+    chosen, atom_labels = _draw_atoms(sample_labels, s, params)
+    lm = build_label_matrices(sample_labels, atom_labels)
     k = atom_labels.shape[0]
     use_q = params.alpha > 0
     use_h = mode == "lcksvd2" and params.beta > 0
-    # the stacked system [Y, init], written once
-    parts = [(Y, D0)]
+    # At K = s the draw is a permutation: every training column is an initial
+    # atom and the optimum is known. With the stops off K-SVD still runs
+    # every iteration.
+    exact = k == s and params.min_rel_improvement > 0
+    if exact:
+        # A part left out of the stack gets the exact fit on the codes ||y_c||
+        # in D's basis: the lambda -> 0 limit of the ridge fit K-SVD starts from
+        ynorm = np.linalg.norm(Y[:, :, chosen], axis=1)
+        inv = np.divide(1.0, ynorm, out=np.zeros_like(ynorm), where=ynorm >= DEGENERATE_NORM)
+        A0, W0 = lm.Q[:, chosen] * inv[:, None, :], lm.H[:, chosen] * inv[:, None, :]
+        inits = [None] * 3
+    else:
+        D0, _, _, A0, W0 = _init_stack(Y, sample_labels, chosen, atom_labels, params.resolved_t(k))
+        inits = [D0, np.sqrt(params.alpha) * A0, np.sqrt(params.beta) * W0]
+    # the stacked system [Y, init] (just Y when exact), written once
+    parts = [(Y, inits[0])]
     if use_q:
-        parts.append((np.sqrt(params.alpha) * lm.Q, np.sqrt(params.alpha) * A0))
+        parts.append((np.sqrt(params.alpha) * lm.Q, inits[1]))
     if use_h:
-        parts.append((np.sqrt(params.beta) * lm.H, np.sqrt(params.beta) * W0))
-    Z = np.empty((P, sum(y.shape[-2] for y, _ in parts), s + k))
+        parts.append((np.sqrt(params.beta) * lm.H, inits[2]))
+    Z = np.empty((P, sum(y.shape[-2] for y, _ in parts), s if exact else s + k))
     pos = 0
     for y, init in parts:
         rows = y.shape[-2]
         Z[:, pos : pos + rows, :s] = y
-        Z[:, pos : pos + rows, s:] = init
+        if init is not None:
+            Z[:, pos : pos + rows, s:] = init
         pos += rows
 
-    learned, X, traces = _ksvd_stack(Z, s, params)
+    learned, X, traces = _exact_stack(Z, chosen) if exact else _ksvd_stack(Z, s, params)
     at, _ = normalize_columns(learned)
     d_final, norms = normalize_columns(at[:, :d])
     safe = np.where(norms < DEGENERATE_NORM, 1.0, norms)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -104,7 +104,8 @@ class EvalReport:
     roc: list
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; the values are the report's own, not copies."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -163,7 +164,10 @@ def train_block_models(
 ) -> list[DiscriminativeDictionary]:
     """One model per block position: raw training-block dictionaries for
     dl_mode "none", label-consistent dictionaries otherwise, learned for all
-    positions in one stacked training."""
+    positions in one stacked training. At the default ``dict_size = 0`` (or
+    one equal to the training count) the learned dictionaries are built in
+    closed form and hold the normalized training blocks, so they predict as
+    dl_mode "none"; any other ``dict_size`` runs K-SVD."""
     if cfg.dl_mode == "none":
         return [
             DiscriminativeDictionary(D=d, A=None, W=None, mode="none")

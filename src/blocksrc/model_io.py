@@ -11,6 +11,7 @@ inspection.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -23,6 +24,7 @@ VERSION = 1
 
 _DTYPES = {"f8": "<f8", "i4": "<i4"}
 _PARAM_KEYS = ("K", "T", "alpha", "beta", "iterations", "seed", "min_rel_improvement")
+_INT_PARAMS = ("K", "T", "iterations", "seed")
 
 
 def _fields(obj, what: str, keys) -> dict:
@@ -34,6 +36,20 @@ def _fields(obj, what: str, keys) -> dict:
     if missing:
         raise ValueError(f"archive {what} lacks {', '.join(missing)}")
     return obj
+
+
+def _param(p: dict, key: str):
+    """Header param ``key``: an integer for ``_INT_PARAMS`` (``K`` may also
+    be null), a finite number otherwise."""
+    value = p[key]
+    if key in _INT_PARAMS:
+        ok = type(value) is int or (key == "K" and value is None)
+    else:
+        ok = type(value) in (int, float) and math.isfinite(value)
+    if not ok:
+        kind = "an integer" if key in _INT_PARAMS else "a finite number"
+        raise ValueError(f"archive param {key!r} must be {kind}, got {value!r}")
+    return value
 
 
 def _list(obj, what: str) -> list:
@@ -138,5 +154,5 @@ def load_model(path: str) -> tuple[list[DiscriminativeDictionary], TrainParams, 
     if pos != len(data):
         raise ValueError(f"{len(data) - pos} trailing bytes after the last array")
     p = _fields(header["params"], "params", _PARAM_KEYS)
-    params = TrainParams(**{key: p[key] for key in _PARAM_KEYS})
+    params = TrainParams(**{key: _param(p, key) for key in _PARAM_KEYS})
     return blocks, params, header["meta"]

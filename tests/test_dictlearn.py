@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blocksrc import BENIGN, MALIGNANT, TrainParams, build_label_matrices, init_lcksvd, ksvd, lcksvd_train
-from blocksrc.dictlearn import _ksvd_stack, _ridge_fit, lcksvd_train_stack
+from blocksrc.dictlearn import _draw_atoms, _exact_stack, _ksvd_stack, _ridge_fit, lcksvd_train_stack
 from blocksrc.solvers import class_residuals, omp_batch
 
 
@@ -376,3 +376,96 @@ class TestSpanCoordinates:
         np.testing.assert_allclose(big.atoms, U @ small.atoms, rtol=0, atol=1e-10)
         assert_close_rel(trace_b, trace_s, 1e-10)
         np.testing.assert_allclose(Xb, Xs, rtol=0, atol=1e-10)
+
+
+def stacked_columns(Y, labels, params, mode):
+    """The stacked training columns [Y; sqrt(alpha) Q; sqrt(beta) H] of a
+    stack ``Y`` (P, d, s), zero-weighted parts left out, and the drawn
+    columns."""
+    chosen, atom_labels = _draw_atoms(labels, Y.shape[2], params)
+    lm = build_label_matrices(labels, atom_labels)
+    parts = [Y]
+    if params.alpha > 0:
+        parts.append(np.broadcast_to(np.sqrt(params.alpha) * lm.Q, (Y.shape[0],) + lm.Q.shape))
+    if mode == "lcksvd2" and params.beta > 0:
+        parts.append(np.broadcast_to(np.sqrt(params.beta) * lm.H, (Y.shape[0],) + lm.H.shape))
+    return np.concatenate(parts, axis=1), chosen, lm
+
+
+class TestExactDefaultK:
+    """At K = s with the stops on, LC-KSVD is built in closed form."""
+
+    def assert_exact(self, Y, labels, params, mode):
+        P, d, s = Y.shape
+        models = lcksvd_train_stack(Y, labels, params, mode)
+        Z, chosen, lm = stacked_columns(Y, labels, params, mode)
+        for p, model in enumerate(models):
+            y = Y[p][:, chosen]
+            ynorm = np.linalg.norm(y, axis=0)
+            live = ynorm >= 1e-12
+            # the stacked objective, computed once, is at rounding level
+            assert model.objective_trace.shape == (1,)
+            assert model.objective_trace[0] <= 1e-24 * np.sum(Z[p] ** 2)
+            # atom a codes its drawn column c_a alone, unless that is zero
+            support = np.zeros((s, s), dtype=bool)
+            support[np.arange(s), chosen] = np.linalg.norm(Z[p][:, chosen], axis=0) > 0
+            np.testing.assert_array_equal(model.codes != 0, support)
+            # the atoms are the drawn training blocks, A and W their label fits
+            np.testing.assert_array_equal(model.D.atom_labels, labels[chosen])
+            np.testing.assert_allclose(model.D.atoms[:, live], y[:, live] / ynorm[live],
+                                       rtol=0, atol=1e-15)
+            assert not model.D.atoms[:, ~live].any()
+            np.testing.assert_allclose(model.A[:, live], lm.Q[:, chosen][:, live] / ynorm[live], rtol=1e-13)
+            if mode == "lcksvd2":
+                np.testing.assert_allclose(model.W[:, live], lm.H[:, chosen][:, live] / ynorm[live], rtol=1e-13)
+            # and the rescaled codes reproduce the training blocks
+            recon = (model.D.atoms * model.D.scales) @ model.codes
+            np.testing.assert_allclose(recon, Y[p], rtol=0, atol=1e-13 * np.abs(Y[p]).max())
+        return models
+
+    @pytest.mark.parametrize("mode", ["lcksvd1", "lcksvd2"])
+    def test_models_are_the_drawn_training_blocks(self, mode):
+        rng = np.random.default_rng(24)
+        labels = two_class_labels(7, 5)
+        for d in (7, 40, 200):  # overcomplete, square-ish, and rows enough for span coordinates
+            self.assert_exact(rng.standard_normal((3, d, 12)), labels, TrainParams(alpha=0.7, beta=1.3), mode)
+
+    @pytest.mark.parametrize("mode", ["lcksvd1", "lcksvd2"])
+    def test_zero_and_duplicate_blocks_and_zero_weights(self, mode):
+        rng = np.random.default_rng(25)
+        labels = two_class_labels(6, 6)
+        Y = rng.standard_normal((2, 9, 12))
+        Y[0, :, 4] = 0.0  # a zero training block
+        Y[:, :, 2] = Y[:, :, 3]  # a duplicate within a class
+        Y[:, :, 8] = Y[:, :, 1]  # and one across the classes
+        for alpha, beta in ((1.0, 1.0), (0.0, 0.0), (0.0, 2.0)):
+            models = self.assert_exact(Y, labels, TrainParams(alpha=alpha, beta=beta), mode)
+            chosen, _ = _draw_atoms(labels, 12, TrainParams())
+            assert models[0].D.usable.sum() == 11 and not models[0].D.usable[chosen == 4].any()
+
+    def test_agrees_with_ksvd_on_the_same_stack(self):
+        rng = np.random.default_rng(26)
+        labels = two_class_labels(6, 6)
+        params = TrainParams(alpha=0.7, beta=1.3)
+        for d in (7, 40, 200):
+            Y = rng.standard_normal((3, d, 12))
+            Y[:, :, 5] = Y[:, :, 0] + 1e-3 * Y[:, :, 5]  # a near-duplicate
+            Z, chosen, _ = stacked_columns(Y, labels, params, "lcksvd2")
+            atoms, X, traces = _exact_stack(Z, chosen)
+            # K-SVD started from the same atoms stops after one iteration on them
+            k_atoms, k_X, k_traces = _ksvd_stack(np.concatenate([Z, Z[:, :, chosen]], axis=2), 12, params)
+            assert [t.size for t in k_traces] == [1, 1, 1]
+            np.testing.assert_allclose(atoms, k_atoms, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(X, k_X, rtol=0, atol=1e-12 * np.abs(X).max())
+            for t, k_t, z in zip(traces, k_traces, Z):
+                assert max(t[0], k_t[0]) <= 1e-24 * np.sum(z**2)
+
+    def test_dict_size_equal_to_the_training_count_is_the_default(self):
+        rng = np.random.default_rng(27)
+        Y = rng.standard_normal((2, 10, 12))
+        labels = two_class_labels(5, 7)
+        for a, b in zip(lcksvd_train_stack(Y, labels, TrainParams(), "lcksvd2"),
+                        lcksvd_train_stack(Y, labels, TrainParams(K=12), "lcksvd2")):
+            for x, y_ in ((a.D.atoms, b.D.atoms), (a.D.scales, b.D.scales), (a.A, b.A), (a.W, b.W),
+                          (a.codes, b.codes), (a.objective_trace, b.objective_trace)):
+                np.testing.assert_array_equal(x, y_)

@@ -311,6 +311,20 @@ class TestRunExperiment:
             assert rep.metrics["acc"] >= 50.0
             assert rep.incomplete_folds == []
 
+    def test_default_k_learned_cells_predict_as_none(self):
+        # at dict_size = 0 the learned dictionaries hold the normalized
+        # training blocks, so only the atom order and scales differ from none
+        for decision in ("bbmap", "bbll"):
+            cfg = tiny_config(decision=decision, synth_noise_sigma=1.0)
+            none = run_experiment(cfg, persist=False)
+            assert 0 < none.metrics["acc"] < 100
+            for mode in ("lcksvd1", "lcksvd2"):
+                rep = run_experiment(replace(cfg, dl_mode=mode), persist=False)
+                assert rep.confusion == none.confusion
+                for fold, twin in zip(rep.folds, none.folds):
+                    assert fold["predictions"] == twin["predictions"]
+                    np.testing.assert_allclose(fold["scores"], twin["scores"], rtol=0, atol=1e-12)
+
     def test_learned_training_decomposes_each_roi_once(self, monkeypatch):
         import blocksrc.blocks as B
         import blocksrc.harness as H
@@ -539,6 +553,27 @@ class TestModelArchive:
         path.write_bytes(archive_with_header(raw, header))
         with pytest.raises(ValueError):
             load_model(str(path))
+
+    def test_malformed_params_name_the_key(self, small_archive):
+        raw, path = small_archive
+        for key, value in (("K", "8"), ("T", None), ("alpha", "x"), ("iterations", 2.5),
+                           ("seed", True), ("beta", [1.0]), ("min_rel_improvement", math.inf)):
+            header = archive_header(raw)
+            header["params"][key] = value
+            path.write_bytes(archive_with_header(raw, header))
+            with pytest.raises(ValueError, match=f"param '{key}'"):
+                load_model(str(path))
+
+    def test_label_matrices_of_the_wrong_shape(self, small_archive):
+        raw, path = small_archive
+        for name, shape, match in (("A", [2, 8], r"A must have shape \(4, 4\)"),
+                                   ("W", [4, 2], r"W must have shape \(2, 4\)")):
+            header = archive_header(raw)
+            entry = next(e for e in header["blocks"][0]["arrays"] if e["name"] == name)
+            entry["shape"] = shape  # same byte count, so only the shape is wrong
+            path.write_bytes(archive_with_header(raw, header))
+            with pytest.raises(ValueError, match=match):
+                load_model(str(path))
 
     def test_malformed_dictionaries(self, small_archive):
         raw, path = small_archive
