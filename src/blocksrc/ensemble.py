@@ -67,14 +67,16 @@ def lls_score(per_class_l1: np.ndarray, invert: bool = False) -> np.ndarray:
 
 
 def block_decisions_batch(
-    Dj: Dictionary, Yj: np.ndarray, eps, invert_lls: bool = False
+    Dj: Dictionary, Yj: np.ndarray, eps, invert_lls: bool = False, allowed=None
 ) -> BlockResults:
     """Code the columns of ``Yj`` against one block dictionary and classify
     each by the SRC rule (smallest class-restricted residual).
 
-    ``eps`` is the error bound per column (a scalar broadcasts). A column
-    whose signal is all-zero, or any column when the dictionary has no
-    usable atoms, is degenerate: benign (the prior), zero score. When the
+    ``eps`` is the error bound per column (a scalar broadcasts). ``allowed``
+    (n_atoms, m), None for everywhere, restricts each column to its own
+    atoms of ``Dj`` (see :func:`bpdn_batch`). A column whose signal is
+    all-zero, or whose atoms are all degenerate, is degenerate: benign (the
+    prior), zero score. When the
     error bound is unreachable the column takes the least-squares code on
     the usable atoms and is marked infeasible.
     """
@@ -86,12 +88,14 @@ def block_decisions_batch(
     residuals = np.tile(ynorm, (2, 1))
     codes = np.zeros((Dj.n_atoms, m))
     feasible = np.ones(m, dtype=bool)
-    degenerate = (ynorm < 1e-12) | (not Dj.usable.any())
+    usable = Dj.usable[:, None] if allowed is None else Dj.usable[:, None] & allowed
+    degenerate = (ynorm < 1e-12) | ~usable.any(axis=0)
     live = np.flatnonzero(~degenerate)
     if live.size:
         eps_live = np.broadcast_to(np.asarray(eps, dtype=float), (m,))[live]
-        codes[:, live], _, feasible[live], _ = bpdn_batch(Dj, Yj[:, live], eps_live)
-        resid, l1 = class_residuals(Dj, codes[:, live], Yj[:, live])
+        own = None if allowed is None else allowed[:, live]
+        codes[:, live], _, feasible[live], _ = bpdn_batch(Dj, Yj[:, live], eps_live, allowed=own)
+        resid, l1 = class_residuals(Dj, codes[:, live], Yj[:, live], allowed=own)
         residuals[:, live] = resid
         # Residual tie goes to benign, the prior class.
         hard[live] = np.where(resid[BENIGN] <= resid[MALIGNANT], BENIGN, MALIGNANT)

@@ -182,25 +182,83 @@ def classify_samples(
     samples: list[RoiSample],
     cfg: ExperimentConfig,
     block_size: int,
+    allowed: np.ndarray | None = None,
 ) -> EnsembleDecision:
     """Code every sample's blocks against the per-position dictionaries and
-    fuse the block results; returns one decision array per sample."""
+    fuse the block results; returns one decision array per sample.
+
+    ``allowed`` (n_atoms, len(samples)), None for everywhere, restricts each
+    sample to its own atoms of every position's dictionary, so samples of
+    several folds whose dictionaries are column subsets of the given ones
+    are coded in one call per position (see :func:`bpdn_batch`)."""
     grids = [decompose_roi(s, block_size, block_size) for s in samples]
     nbl = len(dictionaries)
     if grids and grids[0].nbl != nbl:
         raise ValueError(f"sample has {grids[0].nbl} blocks, model has {nbl}")
 
-    per_block = []
+    hard, lls = [], []
     for j in range(nbl):
         yj = np.stack([g.vectors[j] for g in grids], axis=1)
         if cfg.eps_abs > 0:
             eps = np.full(yj.shape[1], cfg.eps_abs)
         else:
             eps = cfg.eps_rel * np.linalg.norm(yj, axis=0)
-        per_block.append(block_decisions_batch(dictionaries[j], yj, eps, invert_lls=cfg.invert_lls))
-    hard = np.column_stack([b.hard for b in per_block])
-    lls = np.column_stack([b.lls for b in per_block])
-    return ensemble_decision(hard, lls, tau=cfg.tau)
+        res = block_decisions_batch(
+            dictionaries[j], yj, eps, invert_lls=cfg.invert_lls, allowed=allowed
+        )
+        hard.append(res.hard)
+        lls.append(res.lls)
+    return ensemble_decision(np.column_stack(hard), np.column_stack(lls), tau=cfg.tau)
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class AtomPool:
+    """One atom set per block position, grown from the dictionaries of a
+    cross-validation pass's folds while each fold's is a byte-equal column
+    subset of it.
+
+    A fold's atom ``c`` stands for its training sample ``c``; the pool keeps
+    one atom (with its label and scale) per sample that a fold trained on.
+    Raw training-block dictionaries always fit; learned ones, whose atoms are
+    no training samples, do not.
+    """
+
+    def __init__(self, n_samples: int):
+        self.seen = np.zeros(n_samples, dtype=bool)
+        self.parts: list[tuple] | None = None  # per position: atoms, labels, scales
+
+    def absorb(self, train_idx: np.ndarray, dicts: list[Dictionary]) -> bool:
+        """Add a fold's dictionaries, given its training sample indices;
+        False, with the pool unchanged, when a dictionary does not hold one
+        atom per training sample, or an atom, label or scale differs in any
+        byte from the pool's for the same sample."""
+        if any(D.n_atoms != train_idx.size for D in dicts):
+            return False
+        if self.parts is None:
+            n = self.seen.size
+            self.parts = [(np.zeros((D.dim, n)), np.zeros(n, D.atom_labels.dtype), np.zeros(n)) for D in dicts]
+        if len(dicts) != len(self.parts):
+            return False
+        old = self.seen[train_idx]
+        known = train_idx[old]
+        for D, (atoms, labels, scales) in zip(dicts, self.parts):
+            if not (
+                _same_bytes(D.atoms[:, old], atoms[:, known])
+                and _same_bytes(D.atom_labels[old], labels[known])
+                and _same_bytes(D.scales[old], scales[known])
+            ):
+                return False
+        for D, (atoms, labels, scales) in zip(dicts, self.parts):
+            atoms[:, train_idx], labels[train_idx], scales[train_idx] = D.atoms, D.atom_labels, D.scales
+        self.seen[train_idx] = True
+        return True
+
+    def dictionaries(self, idx: np.ndarray) -> list[Dictionary]:
+        """Per position, the dictionary of the pool's atoms of samples ``idx``."""
+        return [Dictionary(atoms=a[:, idx], atom_labels=lab[idx], scales=sc[idx]) for a, lab, sc in self.parts]
 
 
 def decision_outputs(dec: EnsembleDecision, cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -214,28 +272,75 @@ def cross_validate(cfg: ExperimentConfig, block_size: int, samples: list[RoiSamp
     """One stratified cross-validation pass for one block size.
 
     Per fold: assemble (and optionally learn) the block dictionaries on the
-    training split and classify the held-out samples under both decision
-    rules. Returns ``(fold, test_indices, outcome)`` per fold, where outcome
-    is the fold's :class:`EnsembleDecision`, or a structured diagnostic dict
-    when the fold failed with a ``ValueError`` or ``LinAlgError``; any other
-    exception is a programming error and propagates. ``cfg.decision`` plays
-    no part.
+    training split, and classify the held-out samples under both decision
+    rules. While every trained fold's raw dictionaries are byte-equal column
+    subsets of one atom set per position (an :class:`AtomPool`), the folds'
+    held-out samples wait, and are then coded in one
+    :func:`classify_samples` call, each sample on its own fold's atoms
+    alone, so one ``D^T D`` and one ``D^T Y`` per position serve every fold.
+    Once a fold's dictionaries do not fit, or are learned, the waiting folds
+    and every later one are classified on their own. Returns ``(fold,
+    test_indices, outcome)`` per fold, where outcome is the fold's
+    :class:`EnsembleDecision`, or a structured diagnostic dict when the fold
+    failed with a ``ValueError`` or ``LinAlgError`` (a failure of the joint
+    call is booked to each of its folds); any other exception is a
+    programming error and propagates. ``cfg.decision`` plays no part.
     """
     folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
-    out = []
-    for f in range(cfg.k_folds):
-        test_idx = np.flatnonzero(folds == f)
-        stage = "train"
+    outcomes: dict[int, object] = {}
+
+    def classify_fold(f: int, dicts: list[Dictionary]) -> None:
         try:
-            train_set = [samples[i] for i in np.flatnonzero(folds != f)]
-            models = train_block_models(train_set, cfg, block_size)
-            stage = "classify"
-            test_set = [samples[i] for i in test_idx]
-            outcome = classify_samples([m.D for m in models], test_set, cfg, block_size)
+            test_set = [samples[i] for i in np.flatnonzero(folds == f)]
+            outcomes[f] = classify_samples(dicts, test_set, cfg, block_size)
+        except (ValueError, np.linalg.LinAlgError) as err:
+            outcomes[f] = _diagnostic("classify", err)
+
+    pool: AtomPool | None = AtomPool(len(samples))
+    waiting: list[int] = []  # trained folds whose dictionaries are in the pool
+    for f in range(cfg.k_folds):
+        train_idx = np.flatnonzero(folds != f)
+        try:
+            models = train_block_models([samples[i] for i in train_idx], cfg, block_size)
         except (ValueError, np.linalg.LinAlgError) as err:  # a domain error aborts the fold
-            outcome = {"stage": stage, "type": type(err).__name__, "message": str(err)}
-        out.append((f, test_idx, outcome))
-    return out
+            outcomes[f] = _diagnostic("train", err)
+            continue
+        dicts = [m.D for m in models]
+        # a learned model's atoms stand for no training sample, so its cell
+        # is classified fold by fold without a pool the byte check refuses
+        raw = all(m.mode == "none" for m in models)
+        if pool is not None and raw and pool.absorb(train_idx, dicts):
+            waiting.append(f)
+            continue
+        if pool is not None:  # the pool holds the waiting folds' dictionaries byte for byte
+            for g in waiting:
+                classify_fold(g, pool.dictionaries(np.flatnonzero(folds != g)))
+            pool, waiting = None, []
+        classify_fold(f, dicts)
+
+    if waiting:
+        members = np.flatnonzero(pool.seen)
+        test_idx = np.concatenate([np.flatnonzero(folds == f) for f in waiting])
+        # each sample may use the atoms of its own fold's training samples
+        allowed = folds[members][:, None] != folds[test_idx][None, :]
+        try:
+            test_set = [samples[i] for i in test_idx]
+            dec = classify_samples(pool.dictionaries(members), test_set, cfg, block_size, allowed=allowed)
+        except (ValueError, np.linalg.LinAlgError) as err:
+            dec = _diagnostic("classify", err)
+        for f in waiting:
+            rows = folds[test_idx] == f
+            outcomes[f] = dec if isinstance(dec, dict) else _decision_rows(dec, rows)
+    return [(f, np.flatnonzero(folds == f), outcomes[f]) for f in range(cfg.k_folds)]
+
+
+def _diagnostic(stage: str, err: Exception) -> dict:
+    return {"stage": stage, "type": type(err).__name__, "message": str(err)}
+
+
+def _decision_rows(dec: EnsembleDecision, rows: np.ndarray) -> EnsembleDecision:
+    """The decisions of the samples ``rows`` of ``dec``."""
+    return replace(dec, **{f.name: getattr(dec, f.name)[rows] for f in fields(dec) if f.name != "tau"})
 
 
 def build_report(

@@ -21,6 +21,12 @@ _OMP_PROGRESS_TOL = 1e-13
 # an atom whose Schur complement against a support (its squared distance from
 # the support's span, for unit atoms) is at most this never joins it
 _SPAN_TOL = 1e-10
+# the inverse slot Grams of one lockstep batch of l1 paths take at most this
+# many bytes (32 columns of 64 slots); wider calls walk in several batches
+_LOCKSTEP_BYTES = 1 << 20
+# rows of H per block of a rank-1 update, which bounds its temporary
+_UPDATE_ROWS = 16
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
 def normalize_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,9 +232,13 @@ def _slot_update(H: np.ndarray, k, w: np.ndarray, sigma: np.ndarray, leave=None)
         z = np.where(leave[:, None], H[ar, :, k], w)
         pivot = np.where(leave, -z[ar, k], sigma)
         z[~leave, k[~leave]] = -1.0
-    zz = z[:, :, None] * z[:, None, :]
-    zz *= (1.0 / pivot)[:, None, None]
-    H += zz
+    alpha = (1.0 / pivot)[:, None, None]
+    # a block of rows at a time, so the outer product's temporary is a
+    # fraction of H
+    for r in range(0, H.shape[1], _UPDATE_ROWS):
+        zz = z[:, r : r + _UPDATE_ROWS, None] * z[:, None, :]
+        zz *= alpha
+        H[:, r : r + _UPDATE_ROWS] += zz
     H[ar, k, k] -= 1.0
     if leave is not None:
         e, out = ar[leave], k[leave]
@@ -237,12 +247,16 @@ def _slot_update(H: np.ndarray, k, w: np.ndarray, sigma: np.ndarray, leave=None)
         H[e, out, out] = 1.0
 
 
-def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, slots: int):
+def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, slots: int, allowed=None):
     """Follow the l1 (lasso) paths of several signals in lockstep, in atom
     space, each down to ``||Ax - y|| = eps``.
 
     Only ``G = A^T A`` (n x n, usable unit atoms), ``B = A^T Y`` (n x m), the
-    squared signal norms ``ysq`` and the bounds ``eps`` are read. Each path
+    squared signal norms ``ysq`` and the bounds ``eps`` are read. ``allowed``
+    (n x m, None for everywhere) masks the atoms each column may use: its
+    first atom and every entrant are allowed ones, so a column walks the path
+    of its own atoms alone, and columns of several dictionaries that share
+    one atom set walk together from one ``G``. Each path
     starts from ``x = 0`` at ``lam = ||A^T y||_inf`` and lowers ``lam``
     piecewise linearly (Osborne, Presnell & Turlach 2000); per step, with
     ``c = B - G X`` and ``v`` the active set's ``G_AA^{-1} sign``, the
@@ -258,10 +272,13 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     ``sigma = 1 - g^T w``, the numbers of the span test (Rubinstein,
     Zibulevsky & Elad 2008), and a leaving atom is removed by a Schur
     downdate (both by :func:`_slot_update`), so no step solves a system. A
-    column retires once its path ends; a feasible one is then refit exactly
-    on its final support and signs, ``x = G_AA^{-1} (b_A - lam s_A)`` with
-    ``lam > 0`` where the residual norm equals ``eps``, which clears the
-    drift of the updates.
+    column retires once its path ends, and the kept ``H`` are moved down over
+    it in place. Once every path has ended, each feasible column is refit
+    exactly on its final support and signs, ``x = G_AA^{-1} (b_A - lam
+    s_A)`` with ``lam > 0`` where the residual norm equals ``eps``, which
+    clears the drift of the updates; the refit's slot Grams take the memory
+    the ``H`` are done with, so a call never holds more than one stack of
+    slot matrices.
     Returns ``(X, feasible, steps)``; ``feasible`` is False only where
     ``lam`` reached 0 first.
     """
@@ -276,16 +293,17 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
 
     # the live columns' state, compacted as columns retire
     cols = np.arange(m)
+    allowed = np.ones((n, m), dtype=bool) if allowed is None else np.asarray(allowed, dtype=bool)
     Bp = np.zeros((n + 1, m))
     Bp[:n] = B
     eps2 = np.asarray(eps, dtype=float) ** 2
-    first = np.argmax(np.abs(B), axis=0)
+    first = np.argmax(np.where(allowed, np.abs(B), -1.0), axis=0)
     lam = np.abs(B[first, cols])
     S = np.zeros((n + 1, m))  # active signs; zero off the active set
     S[first, cols] = np.sign(B[first, cols])
     slot = np.full((m, slots), null)
     slot[:, 0] = first
-    H = np.tile(np.eye(slots), (m, 1, 1))
+    H = H_all = np.tile(np.eye(slots), (m, 1, 1))
     H[:, 0, 0] = 1.0 / G[first, first]
     X = np.zeros((n + 1, m))
     stalls = np.zeros(m, dtype=int)
@@ -311,14 +329,14 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
         k_out = np.argmin(ratio, axis=1)
         g_out = ratio[ar, k_out]
         gamma = np.minimum(lam, g_out)
-        # entry: the smallest g at which |c_j - g a_j| meets lam - g; an atom
-        # that just left has den < 0 at its old sign and stays out
-        out = S[:n] == 0.0
+        # entry: the smallest g at which |c_j - g a_j| meets lam - g, at
+        # either sign of c_j; an atom that just left has den < 0 at its old
+        # sign and stays out
+        out = (S[:n] == 0.0) & allowed
         g_in = np.full((2, n, cols.size), np.inf)
-        for row, sgn in enumerate((1.0, -1.0)):
-            den = 1.0 - sgn * Av[:n]
-            num = np.maximum(lam - sgn * C[:n], 0.0)
-            np.divide(num, den, out=g_in[row], where=out & (den > 0.0))
+        den = 1.0 - _SIGNS * Av[:n]
+        num = np.maximum(lam - _SIGNS * C[:n], 0.0)
+        np.divide(num, den, out=g_in, where=out & (den > 0.0))
         negative = g_in[1] < g_in[0]
         g_in = np.minimum(g_in[0], g_in[1])
         # the cheapest entrant must leave the span of its column's support:
@@ -362,9 +380,15 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
                 refit.append((cols[d], slot[d], S[sd], Bp[sd], ysq[d], eps2[d]))
             keep = ~fin
             cols, ysq, eps2, lam, stalls = cols[keep], ysq[keep], eps2[keep], lam[keep], stalls[keep]
-            Bp, X, S, slot, H = Bp[:, keep], X[:, keep], S[:, keep], slot[keep], H[keep]
+            Bp, X, S, slot, allowed = Bp[:, keep], X[:, keep], S[:, keep], slot[keep], allowed[:, keep]
             leave, pick, negative = leave[keep], pick[keep], negative[:, keep]
             k_out, w, sigma, free = k_out[keep], w[keep], sigma[keep], free[keep]
+            # move the kept inverse Grams down over the retired ones rather
+            # than copy the largest array of the walk
+            for dst, src in enumerate(np.flatnonzero(keep)):
+                if dst != src:
+                    H[dst] = H[src]
+            H = H[: cols.size]
             if not cols.size:
                 break
             ar = np.arange(cols.size)
@@ -383,9 +407,15 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
 
     if refit:
         fc, fslot, fs, fb, fy, fe = (np.concatenate(a) for a in zip(*refit))
-        fr = fslot == null
-        gram = Gp[fslot[:, :, None], fslot[:, None, :]]
-        gram = np.where(fr[:, :, None] | fr[:, None, :], np.eye(slots), gram)
+        # the walk is over, so the inverse Grams' memory holds the refit's
+        # Grams, filled a row at a time; a free slot reads the padded zero
+        # atom, whose zero row and column a unit diagonal entry turns into
+        # the identity's
+        gram = H_all[: fc.size]
+        for r in range(slots):
+            gram[:, r] = Gp[fslot[:, r, None], fslot]
+        c, k = np.nonzero(fslot == null)
+        gram[c, k, k] = 1.0
         sol = np.linalg.solve(gram, np.stack([fb, fs], axis=2))
         x0, v = sol[..., 0], sol[..., 1]
         floor = fy - np.einsum("ct,ct->c", fb, x0)
@@ -394,16 +424,38 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     return X_out[:n], feasible, steps
 
 
-def bpdn_batch(D: Dictionary, Y: np.ndarray, eps):
+def _atom_sets(mask: np.ndarray | None, cols):
+    """The columns ``cols`` grouped by their column of the atom mask
+    ``mask``: yields ``(atoms, columns)`` per distinct atom set; no mask is
+    one set of every atom."""
+    if mask is None:
+        yield slice(None), cols
+        return
+    groups: dict[bytes, list] = {}
+    for c in cols:
+        groups.setdefault(mask[:, c].tobytes(), []).append(c)
+    for members in groups.values():
+        yield mask[:, members[0]], np.array(members)
+
+
+def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     """Noise-constrained l1 minimization over the columns of ``Y``.
 
     Per column solves ``min ||x||_1 s.t. ||Dx - y||_2 <= eps`` exactly by
-    following the l1 path until the residual norm equals ``eps``. Columns
+    following the l1 path until the residual norm equals ``eps``. ``allowed``
+    (n_atoms x m boolean, None for everywhere) restricts each column to its
+    own atoms of ``D``: the column is solved as on the dictionary of those
+    atoms alone, and its code is zero elsewhere, so columns of several
+    dictionaries that are column subsets of ``D`` share one call, one ``D^T
+    D`` and one ``D^T Y``. Columns
     with ``||y|| <= eps`` get the zero code; columns whose least-squares
-    floor on the usable atoms exceeds ``eps`` get the least-squares code and
+    floor on their usable atoms exceeds ``eps`` get the least-squares code
+    (one solve per distinct mask column) and
     are reported infeasible. Both shortcuts report 0 iterations; other
     columns report their path steps. The paths of all other columns run in
-    lockstep in atom space (see :func:`_l1_paths`): each keeps its support
+    lockstep in atom space (see :func:`_l1_paths`), in as few equal batches
+    as keep each batch's inverse slot Grams within ``_LOCKSTEP_BYTES``
+    (``D^T D`` and ``D^T Y`` are formed once for all): each keeps its support
     in fixed slots with the inverse of the slot Gram, bordered by a rank-1
     update when an atom enters and Schur-downdated when one leaves, and a
     feasible code is refit exactly on its final support and signs. Returns
@@ -416,6 +468,15 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps):
         raise ValueError("eps must be > 0")
     if not D.usable.any():
         raise ValueError("dictionary has no usable atoms (all columns degenerate)")
+    usable_idx = np.flatnonzero(D.usable)
+    mask = None  # the allowed usable atoms, per column
+    if allowed is not None:
+        allowed = np.asarray(allowed, dtype=bool)
+        if allowed.shape != (D.n_atoms, s):
+            raise ValueError(f"expected an atom mask of shape ({D.n_atoms}, {s}), got {allowed.shape}")
+        mask = allowed[usable_idx]
+        if not mask.any(axis=0).all():
+            raise ValueError("a column allows no usable atom")
 
     ynorm = np.linalg.norm(Y, axis=0)
     X = np.zeros((D.n_atoms, s))
@@ -423,48 +484,70 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps):
     feasible = ynorm <= eps_vec  # the origin is feasible with minimal l1 norm
     iters = np.zeros(s, dtype=int)
 
-    # One batched least-squares solve finds the columns that can never meet
-    # their bound; they take the least-squares code, where the path would
-    # end, without walking it.
+    # One batched least-squares solve per atom set finds the columns that can
+    # never meet their bound; they take the least-squares code, where the
+    # path would end, without walking it.
     work = np.flatnonzero(~feasible)
-    usable_idx = np.flatnonzero(D.usable)
     Au = D.atoms[:, usable_idx]
-    xls, *_ = np.linalg.lstsq(Au, Y[:, work], rcond=None)
-    floor = np.linalg.norm(Au @ xls - Y[:, work], axis=0)
-    hopeless = floor > eps_vec[work]
-    X[np.ix_(usable_idx, work[hopeless])] = xls[:, hopeless]
-    rnorm[work[hopeless]] = floor[hopeless]
-    todo = work[~hopeless]
+    hopeless = np.zeros(s, dtype=bool)
+    for atoms, cols in _atom_sets(mask, work):
+        A = Au[:, atoms]
+        xls, *_ = np.linalg.lstsq(A, Y[:, cols], rcond=None)
+        floor = np.linalg.norm(A @ xls - Y[:, cols], axis=0)
+        lost = floor > eps_vec[cols]
+        X[np.ix_(usable_idx[atoms], cols[lost])] = xls[:, lost]
+        rnorm[cols[lost]] = floor[lost]
+        hopeless[cols[lost]] = True
+    todo = work[~hopeless[work]]
     if todo.size:
         Yt = Y[:, todo]
-        xt, feasible[todo], iters[todo] = _l1_paths(
-            Au.T @ Au, Au.T @ Yt, ynorm[todo] ** 2, eps_vec[todo], min(Au.shape)
-        )
+        own = None if mask is None else mask[:, todo]
+        slots = min(Au.shape[0], Au.shape[1] if own is None else int(own.sum(axis=0).max()))
+        # as few lockstep batches as the budget allows, of equal width
+        batches = -(-todo.size * 8 * slots * slots // _LOCKSTEP_BYTES)
+        width = -(-todo.size // batches)
+        G, B = Au.T @ Au, Au.T @ Yt
+        xt = np.zeros_like(B)
+        for lo in range(0, todo.size, width):
+            part = slice(lo, lo + width)
+            xt[:, part], feasible[todo[part]], iters[todo[part]] = _l1_paths(
+                G, B[:, part], ynorm[todo[part]] ** 2, eps_vec[todo[part]], slots,
+                None if own is None else own[:, part],
+            )
         X[np.ix_(usable_idx, todo)] = xt
         rnorm[todo] = np.linalg.norm(Yt - Au @ xt, axis=0)
     return X, rnorm, feasible, iters
 
 
-def class_residuals(D: Dictionary, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def class_residuals(
+    D: Dictionary, X: np.ndarray, Y: np.ndarray, allowed=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Class-restricted reconstruction residuals and l1 masses of the codes
     ``X`` (n_atoms, m) of the signals ``Y`` (d, m).
 
     For class ``i`` the coefficients of all other classes are zeroed before
     reconstructing; returns ``(residuals, l1_norms)``, each of shape
-    ``(2, m)`` and indexed by class id.
+    ``(2, m)`` and indexed by class id. ``allowed`` (n_atoms, m), as in
+    :func:`bpdn_batch`, gives each column its own atoms, which must hold
+    both classes; the columns of one atom set are then reckoned on those
+    atoms alone, as on a dictionary of them.
     """
     Y = _check_signals(D, Y)
     X = np.asarray(X, dtype=float)
-    if X.shape != (D.n_atoms, Y.shape[1]):
-        raise ValueError(f"expected codes of shape ({D.n_atoms}, {Y.shape[1]}), got {X.shape}")
-    resid = np.empty((2, Y.shape[1]))
-    l1 = np.empty((2, Y.shape[1]))
-    for cid in CLASS_IDS:
-        mask = D.atom_labels == cid
-        if not mask.any():
-            raise ValueError(f"class '{class_name(cid)}' has no atoms in the dictionary")
-        resid[cid] = np.linalg.norm(Y - D.atoms[:, mask] @ X[mask], axis=0)
-        # each column's mass summed as one contiguous row, so it rounds as a
-        # single code's sum does
-        l1[cid] = np.ascontiguousarray(np.abs(X[mask]).T).sum(axis=1)
+    m = Y.shape[1]
+    if X.shape != (D.n_atoms, m):
+        raise ValueError(f"expected codes of shape ({D.n_atoms}, {m}), got {X.shape}")
+    mask = None if allowed is None else np.asarray(allowed, dtype=bool)
+    resid = np.empty((2, m))
+    l1 = np.empty((2, m))
+    for atoms, cols in _atom_sets(mask, slice(None) if mask is None else np.arange(m)):
+        A, labels, Xa, Yc = D.atoms[:, atoms], D.atom_labels[atoms], X[atoms][:, cols], Y[:, cols]
+        for cid in CLASS_IDS:
+            own = labels == cid
+            if not own.any():
+                raise ValueError(f"class '{class_name(cid)}' has no atoms in the dictionary")
+            resid[cid, cols] = np.linalg.norm(Yc - A[:, own] @ Xa[own], axis=0)
+            # each column's mass summed as one contiguous row, so it rounds
+            # as a single code's sum does
+            l1[cid, cols] = np.ascontiguousarray(np.abs(Xa[own]).T).sum(axis=1)
     return resid, l1

@@ -205,6 +205,20 @@ class TestConfig:
         cfg = parse_config_text("alpha = 0\nbeta = 0")
         assert (cfg.alpha, cfg.beta) == (0.0, 0.0)
 
+    def test_negative_error_bounds_name_the_key(self):
+        # each bound is rejected on its own, even where the other one is in force
+        for text in ("eps_abs = -1", "eps_rel = -0.05\neps_abs = 0.1", "eps_rel = -0.05",
+                     "eps_rel = 0.05\neps_abs = -0.1"):
+            key = next(line.split(" ")[0] for line in text.split("\n") if "-" in line)
+            with pytest.raises(ValueError, match=rf"config key {key} must be >= 0, got -"):
+                parse_config_text(text)
+        with pytest.raises(ValueError, match="eps_abs"):
+            ExperimentConfig(eps_abs=-1.0)
+        cfg = parse_config_text("eps_rel = 0\neps_abs = 0.1")
+        assert (cfg.eps_rel, cfg.eps_abs) == (0.0, 0.1)
+        with pytest.raises(ValueError, match="one of eps_rel / eps_abs must be positive"):
+            parse_config_text("eps_rel = 0\neps_abs = 0")
+
     def test_echo_excludes_runtime_knobs(self):
         cfg = tiny_config()
         echo = cfg.echo()
@@ -370,12 +384,227 @@ class TestRunExperiment:
     def test_programming_error_propagates(self, monkeypatch):
         import blocksrc.harness as H
 
-        def broken(models, samples, cfg, block_size):
+        def broken(models, samples, cfg, block_size, allowed=None):
             raise TypeError("synthetic programming error")
 
         monkeypatch.setattr(H, "classify_samples", broken)
         with pytest.raises(TypeError, match="synthetic programming error"):
             run_experiment(tiny_config(), persist=False)
+
+    def test_programming_error_propagates_from_per_fold_classification(self, monkeypatch):
+        # a learned cell's folds are classified one by one, without a mask
+        import blocksrc.harness as H
+
+        def broken(models, samples, cfg, block_size):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(H, "classify_samples", broken)
+        with pytest.raises(TypeError, match="synthetic programming error"):
+            run_experiment(tiny_config(dl_mode="lcksvd1", dict_size=6, iterations=2), persist=False)
+
+
+def per_fold_reference(cfg, samples, block):
+    """Each fold trained and classified on its own, with no atom mask."""
+    folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
+    out = []
+    for f in range(cfg.k_folds):
+        models = train_block_models([samples[i] for i in np.flatnonzero(folds != f)], cfg, block)
+        test = [samples[i] for i in np.flatnonzero(folds == f)]
+        out.append(classify_samples([m.D for m in models], test, cfg, block))
+    return out
+
+
+def assert_same_decisions(got, ref, atol=1e-9):
+    assert np.array_equal(got.label_bbmap, ref.label_bbmap)
+    assert np.array_equal(got.label_bbll, ref.label_bbll)
+    np.testing.assert_allclose(got.vote_score, ref.vote_score, rtol=0, atol=atol)
+    np.testing.assert_allclose(got.ells, ref.ells, rtol=0, atol=atol)
+
+
+def walking_config(**overrides):
+    """4-px blocks of 8-px ROIs, 30 of them: 4 positions whose ~28 raw atoms
+    outnumber the 16 dimensions, so most blocks walk the l1 path."""
+    base = dict(roi_size=8, block_sizes=(4,), synth_samples_per_class=15, synth_noise_sigma=0.3)
+    base.update(overrides)
+    return tiny_config(**base)
+
+
+class TestStackedFolds:
+    """A raw-dictionary cell codes all its folds in one masked call."""
+
+    def spy(self, monkeypatch):
+        import blocksrc.harness as H
+
+        calls = []
+        real_classify, real_decide = H.classify_samples, H.block_decisions_batch
+
+        def classify(dicts, samples, cfg, block_size, allowed=None):
+            calls.append({"samples": samples, "allowed": allowed, "dicts": dicts, "blocks": []})
+            return real_classify(dicts, samples, cfg, block_size, allowed=allowed)
+
+        def decide(Dj, Yj, eps, invert_lls=False, allowed=None):
+            res = real_decide(Dj, Yj, eps, invert_lls=invert_lls, allowed=allowed)
+            calls[-1]["blocks"].append(res)
+            return res
+
+        monkeypatch.setattr(H, "classify_samples", classify)
+        monkeypatch.setattr(H, "block_decisions_batch", decide)
+        return calls
+
+    @pytest.mark.parametrize("k", [10, 20, 30])
+    def test_stacked_matches_per_fold(self, k, monkeypatch):
+        from blocksrc.harness import cross_validate
+
+        cfg = walking_config(k_folds=k)
+        samples = load_dataset(cfg)
+        ref = per_fold_reference(cfg, samples, 4)
+        calls = self.spy(monkeypatch)
+        out = cross_validate(cfg, 4, samples)
+        assert len(calls) == 1 and calls[0]["allowed"] is not None
+        assert len(calls[0]["samples"]) == len(samples)
+        # a feasible code of a nonzero block walked the path
+        walked = sum(int(b.feasible.sum()) for b in calls[0]["blocks"])
+        assert walked >= 2 * len(samples)
+        for (f, _, dec), r in zip(out, ref):
+            assert_same_decisions(dec, r)
+
+    def test_no_sample_codes_with_its_own_fold(self, monkeypatch):
+        from blocksrc.harness import cross_validate
+
+        cfg = walking_config(k_folds=5)
+        samples = load_dataset(cfg)
+        folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
+        calls = self.spy(monkeypatch)
+        cross_validate(cfg, 4, samples)
+        (call,) = calls
+        index = {id(s): i for i, s in enumerate(samples)}
+        test = np.array([index[id(s)] for s in call["samples"]])
+        # every sample, its own among them, has its block in the shared set
+        assert call["dicts"][0].n_atoms == len(samples)
+        same_fold = folds[:, None] == folds[test][None, :]
+        assert np.array_equal(call["allowed"], ~same_fold)
+        leaked = 0
+        for j, res in enumerate(call["blocks"]):
+            assert np.all(res.codes[same_fold] == 0.0)
+            # unmasked, a block would code itself: its own atom enters first
+            D = call["dicts"][j]
+            y = np.stack([decompose_roi(samples[i], 4, 4).vectors[j] for i in test], axis=1)
+            X, *_ = bpdn_batch(D, y, cfg.eps_rel * np.linalg.norm(y, axis=0))
+            leaked += int(np.count_nonzero(X[test, np.arange(test.size)]))
+        assert leaked >= len(call["blocks"]) * len(samples) // 2
+
+    def test_failed_training_fold_is_left_out(self, monkeypatch):
+        import blocksrc.harness as H
+
+        cfg = walking_config(k_folds=6)
+        samples = load_dataset(cfg)
+        ref = per_fold_reference(cfg, samples, 4)
+        real, seen = H.train_block_models, []
+
+        def flaky(train, cfg, block_size):
+            seen.append(len(seen))
+            if len(seen) == 3:
+                raise ValueError("synthetic training failure")
+            return real(train, cfg, block_size)
+
+        monkeypatch.setattr(H, "train_block_models", flaky)
+        calls = self.spy(monkeypatch)
+        out = H.cross_validate(cfg, 4, samples)
+        folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
+        assert out[2][2] == {"stage": "train", "type": "ValueError", "message": "synthetic training failure"}
+        (call,) = calls
+        index = {id(s): i for i, s in enumerate(samples)}
+        assert sorted(index[id(s)] for s in call["samples"]) == np.flatnonzero(folds != 2).tolist()
+        for f, _, dec in out:
+            if f != 2:
+                assert_same_decisions(dec, ref[f])
+
+    def test_joint_classify_failure_is_booked_to_each_fold(self, monkeypatch):
+        import blocksrc.harness as H
+
+        def broken(Dj, Yj, eps, invert_lls=False, allowed=None):
+            raise np.linalg.LinAlgError("synthetic solver failure")
+
+        monkeypatch.setattr(H, "block_decisions_batch", broken)
+        report = run_experiment(tiny_config(), persist=False)
+        assert report.incomplete_folds == [0, 1, 2, 3]
+        for entry in report.folds:
+            assert entry["error"] == {"stage": "classify", "type": "LinAlgError",
+                                      "message": "synthetic solver failure"}
+
+    @pytest.mark.parametrize("dict_size", [0, 6])
+    def test_learned_cells_classify_per_fold(self, dict_size, monkeypatch):
+        from blocksrc.harness import cross_validate
+
+        cfg = walking_config(k_folds=4, dl_mode="lcksvd2", dict_size=dict_size, iterations=2)
+        samples = load_dataset(cfg)
+        ref = per_fold_reference(cfg, samples, 4)
+        calls = self.spy(monkeypatch)
+        out = cross_validate(cfg, 4, samples)
+        assert len(calls) == 4 and all(c["allowed"] is None for c in calls)
+        for (_, _, dec), r in zip(out, ref):
+            assert_same_decisions(dec, r, atol=0.0)
+
+    def test_fold_that_does_not_fit_the_pool(self, monkeypatch):
+        # fold 2's dictionary is one ulp off at a sample folds 0 and 1 trained
+        # on: folds 0 and 1 are then classified on the pool's copies of their
+        # own dictionaries, and every fold as on its own
+        import blocksrc.harness as H
+
+        cfg = walking_config(k_folds=5)
+        samples = load_dataset(cfg)
+        folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
+        shared = int(np.flatnonzero((folds != 0) & (folds != 1) & (folds != 2))[0])
+        train2 = np.flatnonzero(folds != 2)
+        c = int(np.searchsorted(train2, shared))  # its atom in fold 2's dictionary
+        real = H.train_block_models
+
+        def nudged(train, cfg, block_size):
+            models = real(train, cfg, block_size)
+            if len(train) == train2.size and all(a is samples[i] for a, i in zip(train, train2)):
+                D = models[1].D
+                atoms = D.atoms.copy()
+                atoms[0, c] = np.nextafter(atoms[0, c], 2.0)
+                models[1] = DiscriminativeDictionary(
+                    D=Dictionary(atoms=atoms, atom_labels=D.atom_labels, scales=D.scales), A=None, W=None, mode="none"
+                )
+            return models
+
+        monkeypatch.setattr(H, "train_block_models", nudged)
+        ref = []
+        for f in range(cfg.k_folds):
+            models = nudged([samples[i] for i in np.flatnonzero(folds != f)], cfg, 4)
+            test = [samples[i] for i in np.flatnonzero(folds == f)]
+            ref.append(classify_samples([m.D for m in models], test, cfg, 4))
+        calls = self.spy(monkeypatch)
+        out = H.cross_validate(cfg, 4, samples)
+        assert len(calls) == cfg.k_folds and all(c["allowed"] is None for c in calls)
+        for (_, _, dec), r in zip(out, ref):
+            assert_same_decisions(dec, r, atol=0.0)
+
+    def test_pool_refuses_a_dictionary_one_ulp_off(self):
+        from blocksrc.harness import AtomPool
+
+        cfg = tiny_config()
+        samples = load_dataset(cfg)
+        folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
+        pool = AtomPool(len(samples))
+        trains = [np.flatnonzero(folds != f) for f in range(2)]
+        dicts = [[m.D for m in train_block_models([samples[i] for i in t], cfg, 8)] for t in trains]
+        assert pool.absorb(trains[0], dicts[0])
+        before = [tuple(a.copy() for a in part) for part in pool.parts]
+        D = dicts[1][3]
+        atoms = D.atoms.copy()
+        c = int(np.flatnonzero(np.isin(trains[1], trains[0]))[0])  # a sample fold 0 trained on
+        atoms[5, c] = np.nextafter(atoms[5, c], 2.0)
+        off = dicts[1][:3] + [Dictionary(atoms=atoms, atom_labels=D.atom_labels, scales=D.scales)]
+        assert not pool.absorb(trains[1], off)
+        for part, old in zip(pool.parts, before):
+            assert all(np.array_equal(a, b) for a, b in zip(part, old))
+        assert pool.absorb(trains[1], dicts[1])
+        for f in range(2):
+            for mine, theirs in zip(pool.dictionaries(trains[f]), dicts[f]):
+                assert mine.atoms.tobytes() == theirs.atoms.tobytes()
 
 
 class TestRunGrid:

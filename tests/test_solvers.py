@@ -455,6 +455,142 @@ class TestBpdnExactPath:
         return int(walks.sum())
 
 
+def fold_problem(rng, d, per_fold, k, m):
+    """A shared atom set of ``k`` folds of ``per_fold`` atoms and ``m``
+    signals, each of a random fold; a signal may use the atoms of every
+    other fold, as a held-out block may use its fold's training blocks."""
+    n = k * per_fold
+    atom_fold = np.repeat(np.arange(k), per_fold)
+    col_fold = rng.integers(0, k, m)
+    M = rng.standard_normal((d, n))
+    Y = rng.standard_normal((d, m))
+    eps = rng.uniform(0.02, 0.5, m) * np.linalg.norm(Y, axis=0)
+    return M, rng.integers(0, 2, n), Y, eps, atom_fold[:, None] != col_fold[None, :]
+
+
+class TestBpdnMasked:
+    """Each column of a masked call is the unmasked call on its own atoms."""
+
+    @staticmethod
+    def assert_matches_own_atoms(D, Y, eps, allowed, twins=()):
+        """Compare every column of one masked ``bpdn_batch`` call with an
+        unmasked call on a dictionary of that column's atoms alone; returns
+        how many columns walked the path. ``twins`` lists pairs of equal
+        atoms, whose coefficients are compared as one."""
+        X, rn, feas, iters = bpdn_batch(D, Y, eps, allowed=allowed)
+        assert np.all(X[~allowed] == 0.0)
+        for c in range(Y.shape[1]):
+            own = np.flatnonzero(allowed[:, c])
+            sub = Dictionary(atoms=D.atoms[:, own], atom_labels=D.atom_labels[own], scales=D.scales[own])
+            xs, rs, fs, its = bpdn_batch(sub, Y[:, c : c + 1], eps[c])
+            ref = np.zeros(D.n_atoms)
+            ref[own] = xs[:, 0]
+            x = X[:, c].copy()
+            assert feas[c] == fs[0]
+            assert iters[c] == its[0]
+            for i, j in twins:
+                if allowed[i, c] and allowed[j, c]:
+                    for v in (x, ref):
+                        v[i], v[j] = v[i] + v[j], 0.0
+            np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-9 * max(np.abs(ref).max(), 1e-300))
+            assert rn[c] == pytest.approx(rs[0], rel=1e-9, abs=1e-12)
+        return int((iters > 0).sum())
+
+    def test_random_folds(self):
+        rng = np.random.default_rng(41)
+        walked = 0
+        for _ in range(30):
+            d, per_fold, k = int(rng.integers(4, 13)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            M, labels, Y, eps, allowed = fold_problem(rng, d, per_fold, k, int(rng.integers(1, 12)))
+            walked += self.assert_matches_own_atoms(unit_dict(M, labels), Y, eps, allowed)
+        assert walked >= 100
+
+    def test_atoms_duplicated_across_folds(self):
+        # the same block in two folds: a column of one fold sees only the
+        # other's copy, a column of a third fold sees both
+        rng = np.random.default_rng(42)
+        walked = 0
+        for _ in range(20):
+            M, labels, Y, eps, allowed = fold_problem(rng, 8, 4, 3, 9)
+            M[:, 5] = M[:, 1]  # atom 1 (fold 0) and atom 5 (fold 1)
+            labels[5] = labels[1]
+            # one signal close to the duplicated atom, so that it enters
+            Y[:, 0] = M[:, 1] + 0.1 * rng.standard_normal(8)
+            walked += self.assert_matches_own_atoms(unit_dict(M, labels), Y, eps, allowed, twins=[(1, 5)])
+        assert walked >= 60
+
+    def test_zero_block(self):
+        rng = np.random.default_rng(43)
+        M, labels, Y, eps, allowed = fold_problem(rng, 8, 4, 3, 8)
+        M[:, 6] = 0.0  # a zero training block: a degenerate atom
+        Y[:, 2] = 0.0  # a zero held-out block: the zero code, feasible
+        eps[2] = 0.1
+        D = unit_dict(M, labels)
+        assert self.assert_matches_own_atoms(D, Y, eps, allowed) >= 3
+        X, rn, feas, iters = bpdn_batch(D, Y, eps, allowed=allowed)
+        assert np.all(X[6] == 0.0)
+        assert feas[2] and iters[2] == 0 and rn[2] == 0.0 and np.all(X[:, 2] == 0.0)
+
+    def test_fold_all_least_squares(self):
+        # fold 1's columns may use only two atoms in 10 dimensions, so no
+        # bound below their floor is reachable and all take the shortcut;
+        # fold 0's columns span the space on ten atoms and walk
+        rng = np.random.default_rng(44)
+        M = rng.standard_normal((10, 12))
+        labels = np.array([0, 1] * 6)
+        Y = rng.standard_normal((10, 6))
+        eps = 0.3 * np.linalg.norm(Y, axis=0)
+        allowed = np.zeros((12, 6), dtype=bool)
+        allowed[:10, :3] = True
+        allowed[10:, 3:] = True
+        D = unit_dict(M, labels)
+        X, rn, feas, iters = bpdn_batch(D, Y, eps, allowed=allowed)
+        assert not feas[3:].any() and np.all(iters[3:] == 0)
+        assert np.all(rn[3:] > eps[3:])
+        assert self.assert_matches_own_atoms(D, Y, eps, allowed) == 3
+
+    def test_batch_boundary_is_invisible(self, monkeypatch):
+        import blocksrc.solvers as solvers
+
+        rng = np.random.default_rng(45)
+        M, labels, Y, eps, allowed = fold_problem(rng, 12, 6, 4, 40)
+        D = unit_dict(M, labels)
+        wide = bpdn_batch(D, Y, eps, allowed=allowed)
+        # about 3 columns of 12 slots per lockstep batch
+        monkeypatch.setattr(solvers, "_LOCKSTEP_BYTES", 3 * 8 * 12 * 12)
+        narrow = bpdn_batch(D, Y, eps, allowed=allowed)
+        assert np.array_equal(wide[2], narrow[2]) and np.array_equal(wide[3], narrow[3])
+        np.testing.assert_allclose(narrow[0], wide[0], rtol=0.0, atol=1e-9 * np.abs(wide[0]).max())
+        assert self.assert_matches_own_atoms(D, Y, eps, allowed) >= 30
+
+    def test_mask_shape_and_empty_columns_rejected(self):
+        D = unit_dict(np.eye(3), [0, 1, 0])
+        with pytest.raises(ValueError, match="atom mask of shape"):
+            bpdn_batch(D, np.ones((3, 2)), 0.1, allowed=np.ones((3, 1), dtype=bool))
+        allowed = np.ones((3, 2), dtype=bool)
+        allowed[:, 1] = False
+        with pytest.raises(ValueError, match="allows no usable atom"):
+            bpdn_batch(D, np.ones((3, 2)), 0.1, allowed=allowed)
+
+    def test_class_residuals_per_atom_set(self):
+        rng = np.random.default_rng(46)
+        M, labels, Y, eps, allowed = fold_problem(rng, 8, 4, 3, 7)
+        labels[:] = np.tile([0, 1], 6)
+        D = unit_dict(M, labels)
+        X, *_ = bpdn_batch(D, Y, eps, allowed=allowed)
+        resid, l1 = class_residuals(D, X, Y, allowed=allowed)
+        for c in range(Y.shape[1]):
+            own = np.flatnonzero(allowed[:, c])
+            sub = Dictionary(atoms=D.atoms[:, own], atom_labels=D.atom_labels[own], scales=D.scales[own])
+            r, m = class_residuals(sub, X[own, c : c + 1], Y[:, c : c + 1])
+            np.testing.assert_allclose(resid[:, c : c + 1], r, rtol=1e-12)
+            np.testing.assert_allclose(l1[:, c : c + 1], m, rtol=1e-12)
+        # a column whose own atoms lack a class is refused
+        one_class = allowed & (labels == 0)[:, None]
+        with pytest.raises(ValueError, match="has no atoms"):
+            class_residuals(D, X * one_class, Y, allowed=one_class)
+
+
 class TestClassResiduals:
     def test_single_class_support(self):
         rng = np.random.default_rng(6)
