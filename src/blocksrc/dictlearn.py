@@ -85,9 +85,10 @@ class DiscriminativeDictionary:
 
     ``A`` (K x K) is present unless mode is "none"; ``W`` (2 x K) only for
     mode "lcksvd2".
-    ``codes`` holds the final sparse codes in the stacked, unit-norm atom
-    basis; rescaling them by ``D.scales`` compensates the split
-    renormalization exactly.
+    ``codes`` holds the training columns' final codes; ``D.atoms``, ``A``
+    and ``W``, each times ``D.scales``, map them back onto the data, label
+    and classifier rows, except that a degenerate atom (a zero training
+    block's) is unusable and its label rows are not represented.
     """
 
     D: Dictionary
@@ -269,9 +270,6 @@ def _atoms_per_class(sample_labels: np.ndarray, k: int) -> dict[int, int]:
     """Proportional allocation with at least one atom per class, summing to k."""
     s = sample_labels.shape[0]
     counts = {cid: int(np.sum(sample_labels == cid)) for cid in CLASS_IDS}
-    for cid, n in counts.items():
-        if n == 0:
-            raise ValueError(f"class id {cid} has zero samples")
     raw = {cid: k * n / s for cid, n in counts.items()}
     alloc = {cid: int(np.floor(v)) for cid, v in raw.items()}
     rem = k - sum(alloc.values())
@@ -286,13 +284,20 @@ def _atoms_per_class(sample_labels: np.ndarray, k: int) -> dict[int, int]:
     return alloc
 
 
+def _check_labels(sample_labels: np.ndarray, s: int) -> None:
+    if sample_labels.shape[0] != s:
+        raise ValueError("one label per training column required")
+    for cid in CLASS_IDS:
+        if not np.any(sample_labels == cid):
+            raise ValueError(f"class id {cid} has zero samples")
+
+
 def _draw_atoms(sample_labels: np.ndarray, s: int, params: TrainParams):
     """Seeded per-class draw of the initial atoms' training columns, in
     proportion to class size and without replacement where a class has
     enough samples, so at K = s it is a permutation of the columns. Returns
     ``(chosen columns, atom labels)``."""
-    if sample_labels.shape[0] != s:
-        raise ValueError("one label per training column required")
+    _check_labels(sample_labels, s)
     alloc = _atoms_per_class(sample_labels, params.resolved_k(s))
     rng = np.random.default_rng(params.seed)
     chosen: list[int] = []
@@ -315,23 +320,6 @@ def _init_stack(Y: np.ndarray, sample_labels: np.ndarray,
     X0 = _code(D0, Y, np.einsum("pds,pds->ps", Y, Y), t)
     lm = build_label_matrices(sample_labels, atom_labels)
     return D0, scales, X0, _ridge_fit(lm.Q, X0), _ridge_fit(lm.H, X0)
-
-
-def _exact_stack(Z: np.ndarray, chosen: np.ndarray):
-    """The optimum of the stacked problems ``Z`` (P, rows, s) when the initial
-    atoms are all of their columns, ``chosen`` being a permutation: atom a is
-    the normalized column ``z_{c_a}`` and codes that column alone, with
-    coefficient ``||z_{c_a}||``, so the objective is 0 up to rounding (a
-    degenerate column gets a zero atom). Returns what :func:`_ksvd_stack`
-    returns, with a one-entry objective trace."""
-    P, _, s = Z.shape
-    Zc = Z[:, :, chosen]
-    atoms, norms = normalize_columns(Zc)
-    X = np.zeros((P, s, s))
-    X[:, np.arange(s), chosen] = norms
-    E = Zc - atoms * norms[:, None, :]
-    obj = np.einsum("prs,prs->p", E, E)
-    return atoms, X, list(obj[:, None])
 
 
 def init_lcksvd(Y, sample_labels, params: TrainParams):
@@ -357,6 +345,61 @@ def lcksvd_train(Y, sample_labels, params: TrainParams, mode: str) -> Discrimina
     return lcksvd_train_stack(Y[None], sample_labels, params, mode)[0]
 
 
+def _closed_form(Y: np.ndarray, sample_labels: np.ndarray, params: TrainParams, mode: str):
+    """The K = s optimum (see :func:`lcksvd_train_stack`), returned as by :func:`_ksvd_split`;
+    a degenerate block's atom codes nothing and has zero A and W columns."""
+    _check_labels(sample_labels, Y.shape[2])
+    atoms, scales = normalize_columns(Y)
+    usable = scales >= DEGENERATE_NORM
+    kept = np.where(usable, scales, 0.0)[:, None, :]  # scales * codes, on the diagonal
+    inv = np.divide(1.0, scales, out=np.zeros_like(scales), where=usable)[:, None, :]
+    lm = build_label_matrices(sample_labels, sample_labels)
+    A, W = lm.Q * inv, lm.H * inv
+    resid = [Y - atoms * kept, np.sqrt(params.alpha) * (lm.Q - A * kept)]
+    if mode == "lcksvd2":
+        resid.append(np.sqrt(params.beta) * (lm.H - W * kept))
+    obj = sum(np.einsum("prs,prs->p", E, E) for E in resid)
+    return sample_labels, atoms, scales, A, W, usable[:, :, None] * np.eye(Y.shape[2]), list(obj[:, None])
+
+
+def _ksvd_split(Y: np.ndarray, sample_labels: np.ndarray, params: TrainParams, mode: str):
+    """K-SVD on the stacked system from a seeded draw, split back into
+    ``(atom_labels, atoms, scales, A, W, codes, traces)``."""
+    P, d, s = Y.shape
+    chosen, atom_labels = _draw_atoms(sample_labels, s, params)
+    lm = build_label_matrices(sample_labels, atom_labels)
+    k = atom_labels.shape[0]
+    use_q = params.alpha > 0
+    use_h = mode == "lcksvd2" and params.beta > 0
+    D0, _, _, A0, W0 = _init_stack(Y, sample_labels, chosen, atom_labels, params.resolved_t(k))
+    # the stacked system [Y, init], written once
+    parts = [(Y, D0)]
+    if use_q:
+        parts.append((np.sqrt(params.alpha) * lm.Q, np.sqrt(params.alpha) * A0))
+    if use_h:
+        parts.append((np.sqrt(params.beta) * lm.H, np.sqrt(params.beta) * W0))
+    Z = np.empty((P, sum(y.shape[-2] for y, _ in parts), s + k))
+    pos = 0
+    for y, init in parts:
+        rows = y.shape[-2]
+        Z[:, pos : pos + rows, :s] = y
+        Z[:, pos : pos + rows, s:] = init
+        pos += rows
+
+    learned, X, traces = _ksvd_stack(Z, s, params)
+    at, _ = normalize_columns(learned)
+    d_final, norms = normalize_columns(at[:, :d])
+    safe = np.where(norms < DEGENERATE_NORM, 1.0, norms)
+
+    # The stacked rows hold sqrt(alpha) * A and sqrt(beta) * W; divide the
+    # weights back out so A maps codes onto Q (and W onto H) directly.
+    if use_q:
+        A0 = at[:, d : d + k] / (np.sqrt(params.alpha) * safe[:, None, :])
+    if use_h:
+        W0 = at[:, d + k * use_q :] / (np.sqrt(params.beta) * safe[:, None, :])
+    return atom_labels, d_final, norms, A0, W0, X, traces
+
+
 def lcksvd_train_stack(Y, sample_labels, params: TrainParams, mode: str) -> list[DiscriminativeDictionary]:
     """Label-consistent dictionary learning for a stack of training matrices
     ``Y`` (P, d, s) whose columns share ``sample_labels``, such as the block
@@ -370,69 +413,26 @@ def lcksvd_train_stack(Y, sample_labels, params: TrainParams, mode: str) -> list
     unit norm, with A and W rescaled by the same factors.
 
     When K equals the training count and the stops are on
-    (``min_rel_improvement > 0``), every training column is an initial atom
-    and the stacked objective's optimum, zero, is built in closed form:
-    atom a is the normalized stacked training column ``z_{c_a}``, it codes
-    that column alone, and the trace holds the one objective computed. So
-    the dictionary holds the normalized training blocks and ``A = Q_c /
-    ||y_c||``, ``W = H_c / ||y_c||``; a zero-weighted A or W is that fit
-    too. Any other K, or a non-positive ``min_rel_improvement``, runs K-SVD.
+    (``min_rel_improvement > 0``), the optimum is built in closed form: the
+    dictionary is :func:`assemble_block_dictionaries`' byte for byte, in
+    training order (atom c is block c, with its label and scale ``||y_c||``),
+    ``codes`` is the identity on the usable atoms, ``A = Q_c / ||y_c||``
+    and ``W = H_c / ||y_c||`` (a zero-weighted A or W too), and the trace
+    holds the split model's one objective. Any other K, or a non-positive
+    ``min_rel_improvement``, runs K-SVD from a seeded draw.
     """
     if mode not in ("lcksvd1", "lcksvd2"):
         raise ValueError(f"mode must be 'lcksvd1' or 'lcksvd2', got {mode!r}")
     Y = _check_training_matrix(Y, ndim=3)
     sample_labels = as_label_array(sample_labels)
-    P, d, s = Y.shape
-    chosen, atom_labels = _draw_atoms(sample_labels, s, params)
-    lm = build_label_matrices(sample_labels, atom_labels)
-    k = atom_labels.shape[0]
-    use_q = params.alpha > 0
-    use_h = mode == "lcksvd2" and params.beta > 0
-    # At K = s the draw is a permutation: every training column is an initial
-    # atom and the optimum is known. With the stops off K-SVD still runs
-    # every iteration.
-    exact = k == s and params.min_rel_improvement > 0
-    if exact:
-        # A part left out of the stack gets the exact fit on the codes ||y_c||
-        # in D's basis: the lambda -> 0 limit of the ridge fit K-SVD starts from
-        ynorm = np.linalg.norm(Y[:, :, chosen], axis=1)
-        inv = np.divide(1.0, ynorm, out=np.zeros_like(ynorm), where=ynorm >= DEGENERATE_NORM)
-        A0, W0 = lm.Q[:, chosen] * inv[:, None, :], lm.H[:, chosen] * inv[:, None, :]
-        inits = [None] * 3
-    else:
-        D0, _, _, A0, W0 = _init_stack(Y, sample_labels, chosen, atom_labels, params.resolved_t(k))
-        inits = [D0, np.sqrt(params.alpha) * A0, np.sqrt(params.beta) * W0]
-    # the stacked system [Y, init] (just Y when exact), written once
-    parts = [(Y, inits[0])]
-    if use_q:
-        parts.append((np.sqrt(params.alpha) * lm.Q, inits[1]))
-    if use_h:
-        parts.append((np.sqrt(params.beta) * lm.H, inits[2]))
-    Z = np.empty((P, sum(y.shape[-2] for y, _ in parts), s if exact else s + k))
-    pos = 0
-    for y, init in parts:
-        rows = y.shape[-2]
-        Z[:, pos : pos + rows, :s] = y
-        if init is not None:
-            Z[:, pos : pos + rows, s:] = init
-        pos += rows
-
-    learned, X, traces = _exact_stack(Z, chosen) if exact else _ksvd_stack(Z, s, params)
-    at, _ = normalize_columns(learned)
-    d_final, norms = normalize_columns(at[:, :d])
-    safe = np.where(norms < DEGENERATE_NORM, 1.0, norms)
-
-    # The stacked rows hold sqrt(alpha) * A and sqrt(beta) * W; divide the
-    # weights back out so A maps codes onto Q (and W onto H) directly.
-    if use_q:
-        A0 = at[:, d : d + k] / (np.sqrt(params.alpha) * safe[:, None, :])
-    if use_h:
-        W0 = at[:, d + k * use_q :] / (np.sqrt(params.beta) * safe[:, None, :])
+    P, _, s = Y.shape
+    fit = _closed_form if params.resolved_k(s) == s and params.min_rel_improvement > 0 else _ksvd_split
+    atom_labels, atoms, scales, A, W, X, traces = fit(Y, sample_labels, params, mode)
     return [
         DiscriminativeDictionary(
-            D=Dictionary(atoms=d_final[p], atom_labels=atom_labels, scales=norms[p]),
-            A=A0[p],
-            W=W0[p] if mode == "lcksvd2" else None,
+            D=Dictionary(atoms=atoms[p], atom_labels=atom_labels, scales=scales[p]),
+            A=A[p],
+            W=W[p] if mode == "lcksvd2" else None,
             mode=mode,
             objective_trace=traces[p],
             codes=X[p],

@@ -166,8 +166,8 @@ def train_block_models(
     dl_mode "none", label-consistent dictionaries otherwise, learned for all
     positions in one stacked training. At the default ``dict_size = 0`` (or
     one equal to the training count) the learned dictionaries are built in
-    closed form and hold the normalized training blocks, so they predict as
-    dl_mode "none"; any other ``dict_size`` runs K-SVD."""
+    closed form and are dl_mode "none"'s byte for byte, so they pool and
+    predict as those; any other ``dict_size`` runs K-SVD."""
     if cfg.dl_mode == "none":
         return [
             DiscriminativeDictionary(D=d, A=None, W=None, mode="none")
@@ -222,8 +222,8 @@ class AtomPool:
 
     A fold's atom ``c`` stands for its training sample ``c``; the pool keeps
     one atom (with its label and scale) per sample that a fold trained on.
-    Raw training-block dictionaries always fit; learned ones, whose atoms are
-    no training samples, do not.
+    Raw dictionaries fit, as do LC-KSVD ones at K = s (the raw ones byte for
+    byte); K < s never fits. The bytes alone decide.
     """
 
     def __init__(self, n_samples: int):
@@ -257,7 +257,10 @@ class AtomPool:
         return True
 
     def dictionaries(self, idx: np.ndarray) -> list[Dictionary]:
-        """Per position, the dictionary of the pool's atoms of samples ``idx``."""
+        """Per position, the dictionary of the pool's atoms of samples ``idx``
+        (views of the pool's arrays when ``idx`` is every sample)."""
+        if np.array_equal(idx, np.arange(self.seen.size)):
+            idx = slice(None)
         return [Dictionary(atoms=a[:, idx], atom_labels=lab[idx], scales=sc[idx]) for a, lab, sc in self.parts]
 
 
@@ -268,18 +271,22 @@ def decision_outputs(dec: EnsembleDecision, cfg: ExperimentConfig) -> tuple[np.n
     return dec.label_bbll, dec.ells - dec.tau
 
 
-def cross_validate(cfg: ExperimentConfig, block_size: int, samples: list[RoiSample]) -> list[tuple]:
+def cross_validate(
+    cfg: ExperimentConfig, block_size: int, samples: list[RoiSample], joint: dict | None = None
+) -> list[tuple]:
     """One stratified cross-validation pass for one block size.
 
     Per fold: assemble (and optionally learn) the block dictionaries on the
     training split, and classify the held-out samples under both decision
-    rules. While every trained fold's raw dictionaries are byte-equal column
+    rules. While every trained fold's dictionaries are byte-equal column
     subsets of one atom set per position (an :class:`AtomPool`), the folds'
     held-out samples wait, and are then coded in one
     :func:`classify_samples` call, each sample on its own fold's atoms
     alone, so one ``D^T D`` and one ``D^T Y`` per position serve every fold.
-    Once a fold's dictionaries do not fit, or are learned, the waiting folds
-    and every later one are classified on their own. Returns ``(fold,
+    Once a fold's dictionaries do not fit, the waiting folds and every later
+    one are classified on their own. ``joint`` maps the bytes of a joint
+    call's folds and pool to its outcome, so passes sharing it (same samples
+    and classification settings) code each pool once. Returns ``(fold,
     test_indices, outcome)`` per fold, where outcome is the fold's
     :class:`EnsembleDecision`, or a structured diagnostic dict when the fold
     failed with a ``ValueError`` or ``LinAlgError`` (a failure of the joint
@@ -306,10 +313,7 @@ def cross_validate(cfg: ExperimentConfig, block_size: int, samples: list[RoiSamp
             outcomes[f] = _diagnostic("train", err)
             continue
         dicts = [m.D for m in models]
-        # a learned model's atoms stand for no training sample, so its cell
-        # is classified fold by fold without a pool the byte check refuses
-        raw = all(m.mode == "none" for m in models)
-        if pool is not None and raw and pool.absorb(train_idx, dicts):
+        if pool is not None and pool.absorb(train_idx, dicts):
             waiting.append(f)
             continue
         if pool is not None:  # the pool holds the waiting folds' dictionaries byte for byte
@@ -319,15 +323,23 @@ def cross_validate(cfg: ExperimentConfig, block_size: int, samples: list[RoiSamp
         classify_fold(f, dicts)
 
     if waiting:
-        members = np.flatnonzero(pool.seen)
         test_idx = np.concatenate([np.flatnonzero(folds == f) for f in waiting])
-        # each sample may use the atoms of its own fold's training samples
-        allowed = folds[members][:, None] != folds[test_idx][None, :]
-        try:
-            test_set = [samples[i] for i in test_idx]
-            dec = classify_samples(pool.dictionaries(members), test_set, cfg, block_size, allowed=allowed)
-        except (ValueError, np.linalg.LinAlgError) as err:
-            dec = _diagnostic("classify", err)
+        # the pooled samples follow from the folds and the waiting ones
+        key = None if joint is None else (
+            folds.tobytes(), tuple(waiting), *(a.tobytes() for part in pool.parts for a in part)
+        )
+        dec = None if key is None else joint.get(key)
+        if dec is None:
+            members = np.flatnonzero(pool.seen)
+            # each sample may use the atoms of its own fold's training samples
+            allowed = folds[members][:, None] != folds[test_idx][None, :]
+            try:
+                test_set = [samples[i] for i in test_idx]
+                dec = classify_samples(pool.dictionaries(members), test_set, cfg, block_size, allowed=allowed)
+            except (ValueError, np.linalg.LinAlgError) as err:
+                dec = _diagnostic("classify", err)
+            if key is not None:
+                joint[key] = dec
         for f in waiting:
             rows = folds[test_idx] == f
             outcomes[f] = dec if isinstance(dec, dict) else _decision_rows(dec, rows)
@@ -453,25 +465,26 @@ def run_grid(cfg: ExperimentConfig, persist: bool = True) -> list[EvalReport]:
     """Run the full decision x folds x block-size x learning-mode grid and
     write one summary CSV over all cells.
 
-    The dataset is loaded once, and each (folds, mode, block size) pass is
-    run once and reported under both decision rules. Reports and summary
-    rows come out decision-major.
+    The dataset is loaded once; each (folds, mode, block size) pass runs
+    once, under both decision rules, and codes nothing when its pool and
+    folds are byte-equal to an earlier mode's (LC-KSVD's at K = s are
+    "none"'s). Reports and summary rows come out decision-major.
     """
     samples = load_dataset(cfg)
-    by_decision: dict[str, list[EvalReport]] = {d: [] for d in GRID_DECISIONS}
+    blocks = [b for b in GRID_BLOCKS if cfg.roi_size % b == 0]
+    cells: dict[tuple, EvalReport] = {}
     for k in GRID_FOLDS:
-        for mode in GRID_MODES:
-            sub = replace(cfg, k_folds=k, dl_mode=mode)
-            for block in GRID_BLOCKS:
-                if cfg.roi_size % block != 0:
-                    continue
-                folds = cross_validate(sub, block, samples)
+        for block in blocks:
+            joint: dict = {}  # this pair's joint calls only
+            for mode in GRID_MODES:
+                sub = replace(cfg, k_folds=k, dl_mode=mode)
+                folds = cross_validate(sub, block, samples, joint)
                 for decision in GRID_DECISIONS:
                     rep = build_report(replace(sub, decision=decision), block, samples, folds)
                     if persist:
                         persist_report(rep, cfg.output_dir)
-                    by_decision[decision].append(rep)
-    reports = [rep for decision in GRID_DECISIONS for rep in by_decision[decision]]
+                    cells[decision, k, mode, block] = rep
+    reports = [cells[d, k, m, b] for d in GRID_DECISIONS for k in GRID_FOLDS for m in GRID_MODES for b in blocks]
     if persist:
         os.makedirs(cfg.output_dir, exist_ok=True)
         write_summary_csv(

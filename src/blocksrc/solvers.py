@@ -488,7 +488,8 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     # never meet their bound; they take the least-squares code, where the
     # path would end, without walking it.
     work = np.flatnonzero(~feasible)
-    Au = D.atoms[:, usable_idx]
+    # the usable atoms, laid out as a selection of them would be
+    Au = np.ascontiguousarray(D.atoms) if usable_idx.size == D.n_atoms else D.atoms[:, usable_idx]
     hopeless = np.zeros(s, dtype=bool)
     for atoms, cols in _atom_sets(mask, work):
         A = Au[:, atoms]

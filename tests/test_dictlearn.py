@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from blocksrc import BENIGN, MALIGNANT, TrainParams, build_label_matrices, init_lcksvd, ksvd, lcksvd_train
-from blocksrc.dictlearn import _draw_atoms, _exact_stack, _ksvd_stack, _ridge_fit, lcksvd_train_stack
-from blocksrc.solvers import class_residuals, omp_batch
+from blocksrc.blocks import BlockGrid, RoiSample, assemble_block_dictionaries, block_stack, compose_blocks
+from blocksrc.dictlearn import _ksvd_stack, _ridge_fit, lcksvd_train_stack
+from blocksrc.solvers import class_residuals, normalize_columns, omp_batch
 
 
 def two_class_labels(n0, n1):
@@ -380,68 +383,94 @@ class TestSpanCoordinates:
 
 def stacked_columns(Y, labels, params, mode):
     """The stacked training columns [Y; sqrt(alpha) Q; sqrt(beta) H] of a
-    stack ``Y`` (P, d, s), zero-weighted parts left out, and the drawn
-    columns."""
-    chosen, atom_labels = _draw_atoms(labels, Y.shape[2], params)
-    lm = build_label_matrices(labels, atom_labels)
+    stack ``Y`` (P, d, s), zero-weighted parts left out, with the atoms in
+    training order, and their label matrices."""
+    lm = build_label_matrices(labels, labels)
     parts = [Y]
     if params.alpha > 0:
         parts.append(np.broadcast_to(np.sqrt(params.alpha) * lm.Q, (Y.shape[0],) + lm.Q.shape))
     if mode == "lcksvd2" and params.beta > 0:
         parts.append(np.broadcast_to(np.sqrt(params.beta) * lm.H, (Y.shape[0],) + lm.H.shape))
-    return np.concatenate(parts, axis=1), chosen, lm
+    return np.concatenate(parts, axis=1), lm
+
+
+def roi_samples(Y, labels):
+    """ROIs whose blocks are the columns of ``Y`` (P, b*b, s): sample c's
+    block at position j is ``Y[j, :, c]``, on a square grid of P positions."""
+    P, d, s = Y.shape
+    g, b = math.isqrt(P), math.isqrt(d)
+    return [RoiSample(pixels=compose_blocks(BlockGrid(b, b, g, g, Y[:, :, c])), label=int(lab))
+            for c, lab in enumerate(labels)]
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestExactDefaultK:
-    """At K = s with the stops on, LC-KSVD is built in closed form."""
+    """At K = s with the stops on, LC-KSVD is built in closed form: the raw
+    training-block dictionaries, byte for byte."""
 
     def assert_exact(self, Y, labels, params, mode):
-        P, d, s = Y.shape
-        models = lcksvd_train_stack(Y, labels, params, mode)
-        Z, chosen, lm = stacked_columns(Y, labels, params, mode)
-        for p, model in enumerate(models):
-            y = Y[p][:, chosen]
-            ynorm = np.linalg.norm(y, axis=0)
-            live = ynorm >= 1e-12
-            # the stacked objective, computed once, is at rounding level
-            assert model.objective_trace.shape == (1,)
-            assert model.objective_trace[0] <= 1e-24 * np.sum(Z[p] ** 2)
-            # atom a codes its drawn column c_a alone, unless that is zero
-            support = np.zeros((s, s), dtype=bool)
-            support[np.arange(s), chosen] = np.linalg.norm(Z[p][:, chosen], axis=0) > 0
-            np.testing.assert_array_equal(model.codes != 0, support)
-            # the atoms are the drawn training blocks, A and W their label fits
-            np.testing.assert_array_equal(model.D.atom_labels, labels[chosen])
-            np.testing.assert_allclose(model.D.atoms[:, live], y[:, live] / ynorm[live],
-                                       rtol=0, atol=1e-15)
-            assert not model.D.atoms[:, ~live].any()
-            np.testing.assert_allclose(model.A[:, live], lm.Q[:, chosen][:, live] / ynorm[live], rtol=1e-13)
+        b = math.isqrt(Y.shape[1])
+        samples = roi_samples(Y, labels)
+        stack, stack_labels = block_stack(samples, b, b)  # the harness's layout
+        assert np.array_equal(stack, Y)
+        models = lcksvd_train_stack(stack, stack_labels, params, mode)
+        Z, lm = stacked_columns(Y, labels, params, mode)
+        for p, (model, raw) in enumerate(zip(models, assemble_block_dictionaries(samples, b, b))):
+            # the dictionary is the raw one, in training order
+            assert same_bytes(model.D.atoms, raw.atoms)
+            assert same_bytes(model.D.atom_labels, raw.atom_labels)
+            assert same_bytes(model.D.scales, raw.scales)
+            live = raw.usable
+            # each usable atom codes its own block alone, with code 1
+            np.testing.assert_array_equal(model.codes, np.diag(live.astype(float)))
+            # A and W are the label fits, zero on a degenerate block's atom
+            inv = np.where(live, 1.0 / np.where(live, raw.scales, 1.0), 0.0)
+            np.testing.assert_allclose(model.A, lm.Q * inv, rtol=1e-13, atol=0)
             if mode == "lcksvd2":
-                np.testing.assert_allclose(model.W[:, live], lm.H[:, chosen][:, live] / ynorm[live], rtol=1e-13)
-            # and the rescaled codes reproduce the training blocks
-            recon = (model.D.atoms * model.D.scales) @ model.codes
+                np.testing.assert_allclose(model.W, lm.H * inv, rtol=1e-13, atol=0)
+            # the rescaled codes reproduce the training blocks, and the label
+            # rows on every nondegenerate block
+            scale = model.D.scales
+            recon = (model.D.atoms * scale) @ model.codes
             np.testing.assert_allclose(recon, Y[p], rtol=0, atol=1e-13 * np.abs(Y[p]).max())
+            parts = [(1.0, Y[p], recon), (params.alpha, lm.Q, (model.A * scale) @ model.codes)]
+            if mode == "lcksvd2":
+                parts.append((params.beta, lm.H, (model.W * scale) @ model.codes))
+            for _, target, got in parts[1:]:
+                np.testing.assert_allclose(got[:, live], target[:, live], rtol=0, atol=1e-13)
+                assert not got[:, ~live].any()
+            # the one-entry trace is that split model's objective: rounding
+            # level, plus the label rows a degenerate block loses
+            obj = sum(w * np.sum((target - got) ** 2) for w, target, got in parts)
+            lost = sum(w * np.sum(target[:, ~live] ** 2) for w, target, _ in parts[1:])
+            floor = 1e-24 * np.sum(Z[p] ** 2)
+            assert model.objective_trace.shape == (1,)
+            assert model.objective_trace[0] == pytest.approx(obj, rel=1e-9, abs=floor)
+            assert model.objective_trace[0] == pytest.approx(lost, rel=1e-12, abs=floor)
         return models
 
     @pytest.mark.parametrize("mode", ["lcksvd1", "lcksvd2"])
     def test_models_are_the_drawn_training_blocks(self, mode):
         rng = np.random.default_rng(24)
         labels = two_class_labels(7, 5)
-        for d in (7, 40, 200):  # overcomplete, square-ish, and rows enough for span coordinates
-            self.assert_exact(rng.standard_normal((3, d, 12)), labels, TrainParams(alpha=0.7, beta=1.3), mode)
+        for d in (4, 36, 196):  # overcomplete, square-ish, and more rows than span coordinates need
+            Y = np.abs(rng.standard_normal((4, d, 12)))
+            self.assert_exact(Y, labels, TrainParams(alpha=0.7, beta=1.3), mode)
 
     @pytest.mark.parametrize("mode", ["lcksvd1", "lcksvd2"])
     def test_zero_and_duplicate_blocks_and_zero_weights(self, mode):
         rng = np.random.default_rng(25)
         labels = two_class_labels(6, 6)
-        Y = rng.standard_normal((2, 9, 12))
+        Y = np.abs(rng.standard_normal((4, 9, 12)))
         Y[0, :, 4] = 0.0  # a zero training block
         Y[:, :, 2] = Y[:, :, 3]  # a duplicate within a class
         Y[:, :, 8] = Y[:, :, 1]  # and one across the classes
         for alpha, beta in ((1.0, 1.0), (0.0, 0.0), (0.0, 2.0)):
             models = self.assert_exact(Y, labels, TrainParams(alpha=alpha, beta=beta), mode)
-            chosen, _ = _draw_atoms(labels, 12, TrainParams())
-            assert models[0].D.usable.sum() == 11 and not models[0].D.usable[chosen == 4].any()
+            assert models[0].D.usable.sum() == 11 and not models[0].D.usable[4]
 
     def test_agrees_with_ksvd_on_the_same_stack(self):
         rng = np.random.default_rng(26)
@@ -450,15 +479,21 @@ class TestExactDefaultK:
         for d in (7, 40, 200):
             Y = rng.standard_normal((3, d, 12))
             Y[:, :, 5] = Y[:, :, 0] + 1e-3 * Y[:, :, 5]  # a near-duplicate
-            Z, chosen, _ = stacked_columns(Y, labels, params, "lcksvd2")
-            atoms, X, traces = _exact_stack(Z, chosen)
-            # K-SVD started from the same atoms stops after one iteration on them
-            k_atoms, k_X, k_traces = _ksvd_stack(np.concatenate([Z, Z[:, :, chosen]], axis=2), 12, params)
+            Z, _ = stacked_columns(Y, labels, params, "lcksvd2")
+            # K-SVD started from the training columns stops after one
+            # iteration on them: atom c, scaled by its code, is column c
+            k_atoms, k_X, k_traces = _ksvd_stack(np.concatenate([Z, Z], axis=2), 12, params)
             assert [t.size for t in k_traces] == [1, 1, 1]
-            np.testing.assert_allclose(atoms, k_atoms, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(X, k_X, rtol=0, atol=1e-12 * np.abs(X).max())
-            for t, k_t, z in zip(traces, k_traces, Z):
-                assert max(t[0], k_t[0]) <= 1e-24 * np.sum(z**2)
+            models = lcksvd_train_stack(Y, labels, params, "lcksvd2")
+            for model, atoms, X, k_t, z in zip(models, k_atoms, k_X, k_traces, Z):
+                scale = model.D.scales
+                stacked = np.vstack([model.D.atoms * scale, np.sqrt(params.alpha) * model.A * scale,
+                                     np.sqrt(params.beta) * model.W * scale])
+                np.testing.assert_allclose(atoms * np.diag(X), stacked, rtol=0, atol=1e-12 * np.abs(z).max())
+                np.testing.assert_allclose(X - np.diag(np.diag(X)), 0.0, rtol=0, atol=1e-12 * np.abs(X).max())
+                _, k_norms = normalize_columns(atoms[:d])
+                np.testing.assert_allclose(atoms[:d] / k_norms, model.D.atoms, rtol=0, atol=1e-12)
+                assert max(model.objective_trace[0], k_t[0]) <= 1e-24 * np.sum(z**2)
 
     def test_dict_size_equal_to_the_training_count_is_the_default(self):
         rng = np.random.default_rng(27)
@@ -469,3 +504,58 @@ class TestExactDefaultK:
             for x, y_ in ((a.D.atoms, b.D.atoms), (a.D.scales, b.D.scales), (a.A, b.A), (a.W, b.W),
                           (a.codes, b.codes), (a.objective_trace, b.objective_trace)):
                 np.testing.assert_array_equal(x, y_)
+
+
+class TestZeroTrainingBlock:
+    """A zero training block's atom is unusable, and with alpha > 0 its label
+    rows are not represented by the rescaled codes."""
+
+    @pytest.mark.parametrize("mode", ["lcksvd1", "lcksvd2"])
+    def test_closed_form(self, mode):
+        rng = np.random.default_rng(28)
+        labels = two_class_labels(6, 6)
+        Y = rng.standard_normal((2, 9, 12))
+        Y[0, :, 4] = 0.0
+        params = TrainParams(alpha=0.7, beta=1.3)
+        model = lcksvd_train_stack(Y, labels, params, mode)[0]
+        lm = build_label_matrices(labels, labels)
+        assert not model.D.usable[4] and not model.D.atoms[:, 4].any()
+        assert not model.codes[4].any() and not model.codes[:, 4].any()
+        scale = model.D.scales
+        np.testing.assert_allclose((model.D.atoms * scale) @ model.codes, Y[0], rtol=0, atol=1e-14)
+        label_rows = [(params.alpha, lm.Q, model.A)]
+        if mode == "lcksvd2":
+            label_rows.append((params.beta, lm.H, model.W))
+        for _, target, M in label_rows:
+            got = (M * scale) @ model.codes
+            assert not got[:, 4].any() and target[:, 4].any()
+            np.testing.assert_allclose(np.delete(got, 4, axis=1), np.delete(target, 4, axis=1), rtol=0, atol=1e-13)
+        # the trace counts what the block's label rows lose
+        lost = sum(w * np.sum(target[:, 4] ** 2) for w, target, _ in label_rows)
+        assert model.objective_trace[0] == pytest.approx(lost, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["lcksvd1", "lcksvd2"])
+    def test_ksvd_branch(self, mode):
+        rng = np.random.default_rng(25)
+        labels = two_class_labels(6, 6)
+        Y = rng.standard_normal((2, 9, 12))
+        Y[0, :, 4] = Y[0, :, 7] = 0.0  # two zero blocks, one per class
+        params = TrainParams(K=12, T=2, alpha=0.7, beta=1.3, iterations=5, min_rel_improvement=0.0)
+        model = lcksvd_train_stack(Y, labels, params, mode)[0]
+        lm = build_label_matrices(labels, model.D.atom_labels)
+        # an atom that codes only a zero block has a zero data part
+        dead = ~model.D.usable
+        assert dead.any() and not model.D.atoms[:, dead].any()
+        lost = model.codes[dead].any(axis=0)
+        assert lost.any() and set(np.flatnonzero(lost)) <= {4, 7}
+        scale = model.D.scales
+        label_rows = [(params.alpha, lm.Q, model.A)]
+        if mode == "lcksvd2":
+            label_rows.append((params.beta, lm.H, model.W))
+        for _, target, M in label_rows:
+            got = (M * scale) @ model.codes
+            assert not got[:, lost].any() and target[:, lost].any(axis=0).all()
+        # the stacked model represented those rows: K-SVD's trace, taken
+        # before the split, is far below what the split model loses
+        loss = sum(w * np.sum(target[:, lost] ** 2) for w, target, _ in label_rows)
+        assert model.objective_trace[-1] < 1e-6 * loss

@@ -534,6 +534,8 @@ class TestStackedFolds:
 
     @pytest.mark.parametrize("dict_size", [0, 6])
     def test_learned_cells_classify_per_fold(self, dict_size, monkeypatch):
+        # at K = s the learned dictionaries are the raw ones and pool as a raw
+        # cell's do; at K < s they never fit, and each fold codes on its own
         from blocksrc.harness import cross_validate
 
         cfg = walking_config(k_folds=4, dl_mode="lcksvd2", dict_size=dict_size, iterations=2)
@@ -541,9 +543,12 @@ class TestStackedFolds:
         ref = per_fold_reference(cfg, samples, 4)
         calls = self.spy(monkeypatch)
         out = cross_validate(cfg, 4, samples)
-        assert len(calls) == 4 and all(c["allowed"] is None for c in calls)
+        if dict_size == 0:
+            assert len(calls) == 1 and calls[0]["allowed"] is not None
+        else:
+            assert len(calls) == 4 and all(c["allowed"] is None for c in calls)
         for (_, _, dec), r in zip(out, ref):
-            assert_same_decisions(dec, r, atol=0.0)
+            assert_same_decisions(dec, r, atol=1e-9 if dict_size == 0 else 0.0)
 
     def test_fold_that_does_not_fit_the_pool(self, monkeypatch):
         # fold 2's dictionary is one ulp off at a sample folds 0 and 1 trained
@@ -642,6 +647,93 @@ class TestRunGrid:
                 replace(cfg, decision=decision, k_folds=3, dl_mode=mode), block_size=block, persist=False
             )
             assert rep.to_json() == solo.to_json()
+
+
+class TestGridReuse:
+    """The passes of one (folds, block) pair code each byte-distinct pool once."""
+
+    FOLDS, BLOCKS = (2, 3), (16, 8)
+
+    def grid(self, monkeypatch, cfg, train=None):
+        """Run a small grid; returns its reports by (decision, k, mode, block)
+        and the (k, mode, block, allowed) of every classify call."""
+        import blocksrc.harness as H
+
+        monkeypatch.setattr(H, "GRID_FOLDS", self.FOLDS)
+        monkeypatch.setattr(H, "GRID_BLOCKS", self.BLOCKS)
+        calls = []
+        real_classify = H.classify_samples
+
+        def classify(dicts, samples, c, block_size, allowed=None):
+            calls.append((c.k_folds, c.dl_mode, block_size, allowed is not None))
+            return real_classify(dicts, samples, c, block_size, allowed=allowed)
+
+        monkeypatch.setattr(H, "classify_samples", classify)
+        if train is not None:
+            monkeypatch.setattr(H, "train_block_models", train)
+        reports = H.run_grid(cfg, persist=False)
+        monkeypatch.undo()
+        by_cell = {(r.config["decision"], r.config["k_folds"], r.config["dl_mode"], r.block_size): r
+                   for r in reports}
+        assert len(by_cell) == len(reports)
+        return by_cell, calls
+
+    def test_default_k_reuses_the_raw_pass(self, monkeypatch):
+        reports, calls = self.grid(monkeypatch, tiny_config(dict_size=0))
+        # one masked call per (folds, block) pair, made by the "none" pass
+        assert sorted(calls) == sorted((k, "none", b, True) for k in self.FOLDS for b in self.BLOCKS)
+        for (decision, k, mode, block), rep in reports.items():
+            twin = reports[decision, k, "none", block]
+            assert rep.folds == twin.folds and not rep.incomplete_folds
+
+    def test_learned_passes_below_k_s_classify_on_their_own(self, monkeypatch):
+        default, _ = self.grid(monkeypatch, tiny_config(dict_size=0))
+        reports, calls = self.grid(monkeypatch, tiny_config(dict_size=6))
+        expected = [(k, "none", b, True) for k in self.FOLDS for b in self.BLOCKS]
+        expected += [(k, m, b, False) for k in self.FOLDS for b in self.BLOCKS
+                     for m in ("lcksvd1", "lcksvd2") for _ in range(k)]
+        assert sorted(calls) == sorted(expected)
+        for cell, rep in reports.items():
+            if cell[2] == "none":
+                assert rep.to_json().replace('"dict_size": 6', '"dict_size": 0') == default[cell].to_json()
+
+    def test_pass_one_ulp_off_is_not_reused(self, monkeypatch):
+        # one lcksvd1 fold's dictionary at one block position is one ulp off
+        # the raw one: with 2 folds the pool still takes it but differs from
+        # the raw pass's, with 3 it does not fit; either way the pass codes
+        # on its own and matches its per-fold reference
+        import blocksrc.harness as H
+
+        cfg = tiny_config(dict_size=0)
+        samples = load_dataset(cfg)
+        real = H.train_block_models
+
+        def nudged(train, c, block_size):
+            models = real(train, c, block_size)
+            folds = stratified_folds([s.label for s in samples], c.k_folds, c.seed)
+            own = [samples[i].source_id for i in np.flatnonzero(folds != 1)]
+            if c.dl_mode == "lcksvd1" and block_size == 8 and [s.source_id for s in train] == own:
+                m = models[2]
+                atoms = m.D.atoms.copy()
+                atoms[3, 0] = np.nextafter(atoms[3, 0], 2.0)
+                models[2] = replace(m, D=Dictionary(atoms=atoms, atom_labels=m.D.atom_labels, scales=m.D.scales))
+            return models
+
+        reports, calls = self.grid(monkeypatch, cfg, train=nudged)
+        expected = [(k, "none", b, True) for k in self.FOLDS for b in self.BLOCKS]
+        expected += [(2, "lcksvd1", 8, True)] + [(3, "lcksvd1", 8, False)] * 3
+        assert sorted(calls) == sorted(expected)
+        for k in self.FOLDS:
+            sub = replace(cfg, k_folds=k, dl_mode="lcksvd1")
+            folds = stratified_folds([s.label for s in samples], k, cfg.seed)
+            for f in range(k):
+                models = nudged([samples[i] for i in np.flatnonzero(folds != f)], sub, 8)
+                test = [samples[i] for i in np.flatnonzero(folds == f)]
+                ref = classify_samples([m.D for m in models], test, sub, 8)
+                entry = reports["bbll", k, "lcksvd1", 8].folds[f]
+                assert entry["predictions"] == ref.label_bbll.tolist()
+                np.testing.assert_allclose(entry["scores"], ref.ells - ref.tau, rtol=0, atol=1e-9 if k == 2 else 0.0)
+            assert reports["bbll", k, "lcksvd2", 8].folds == reports["bbll", k, "none", 8].folds
 
 
 @pytest.fixture(scope="module")
