@@ -155,4 +155,4 @@ def load_model(path: str) -> tuple[list[DiscriminativeDictionary], TrainParams, 
         raise ValueError(f"{len(data) - pos} trailing bytes after the last array")
     p = _fields(header["params"], "params", _PARAM_KEYS)
     params = TrainParams(**{key: _param(p, key) for key in _PARAM_KEYS})
-    return blocks, params, header["meta"]
+    return blocks, params, _fields(header["meta"], "meta", ())

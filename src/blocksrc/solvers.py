@@ -21,6 +21,15 @@ _OMP_PROGRESS_TOL = 1e-13
 # an atom whose Schur complement against a support (its squared distance from
 # the support's span, for unit atoms) is at most this never joins it
 _SPAN_TOL = 1e-10
+# a least-squares code is solved from its Gram only where the Gram's
+# Cholesky pivots satisfy min p^2 > _GRAM_PIVOT_TOL * max p^2. For unit atoms
+# p_j^2 is atom j's Schur complement against the atoms before it (the number
+# _SPAN_TOL bounds), and kappa(G) >= max p^2 / min p^2, near equality when
+# one atom is close to the span of the others. The normal equations' forward
+# error is about kappa(G) u = kappa(A)^2 u; with u = 1.1e-16 this bound
+# keeps it at 1.1e-11 where the pivots measure kappa, which leaves a
+# factor of 10 under 1e-10 for Grams whose pivots understate it
+_GRAM_PIVOT_TOL = 1e-5
 # the inverse slot Grams of one lockstep batch of l1 paths take at most this
 # many bytes (32 columns of 64 slots); wider calls walk in several batches
 _LOCKSTEP_BYTES = 1 << 20
@@ -438,6 +447,66 @@ def _atom_sets(mask: np.ndarray | None, cols):
         yield mask[:, members[0]], np.array(members)
 
 
+def _well_posed(gram: np.ndarray) -> np.ndarray:
+    """Which Grams of the stack ``gram`` (c, k, k) are safe to solve: their
+    Cholesky factor exists and its smallest pivot squared is above
+    ``_GRAM_PIVOT_TOL`` times its largest."""
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(gram), axis1=1, axis2=2)
+    except np.linalg.LinAlgError:
+        # one failure fails the whole stack: test each Gram alone
+        if len(gram) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_well_posed(g[None]) for g in gram])
+    return pivots.min(axis=1) ** 2 > _GRAM_PIVOT_TOL * pivots.max(axis=1) ** 2
+
+
+def _least_squares(Au: np.ndarray, G: np.ndarray, B: np.ndarray, Y: np.ndarray, cols, ysq, own):
+    """Least-squares codes and floors of the signals ``Y[:, cols]``, each on
+    its own atoms: ``own`` (n x len(cols), None for everywhere) masks the
+    columns of ``Au`` (d x n, unit atoms) that each may use, ``G = Au^T
+    Au``, ``B = Au^T Y[:, cols]`` and ``ysq`` the squared signal norms.
+
+    The atom sets are solved from the Gram in one batch: set q's ``G[S_q,
+    S_q]`` and ``B[S_q, cols_q]`` fill a stack whose free slots hold an
+    identity row and column with a zero right-hand side, one
+    ``np.linalg.solve`` gives every code ``x`` and the floor is ``||y||^2 -
+    b^T x``. A set with more atoms than dimensions (its Gram is singular)
+    or one that fails :func:`_well_posed` is solved by ``np.linalg.lstsq``
+    on its atoms instead. Returns ``(codes, floors)``, codes zero off each
+    column's atoms.
+    """
+    d, n = Au.shape
+    X = np.zeros_like(B)
+    floor = np.empty(B.shape[1])
+    sets = [(np.arange(n)[atoms], pos) for atoms, pos in _atom_sets(own, np.arange(B.shape[1])) if pos.size]
+    solvable = [(atoms, pos) for atoms, pos in sets if atoms.size <= d]
+    fallback = [(atoms, pos) for atoms, pos in sets if atoms.size > d]
+    if solvable:
+        k = max(atoms.size for atoms, _ in solvable)
+        c = max(pos.size for _, pos in solvable)
+        gram = np.broadcast_to(np.eye(k), (len(solvable), k, k)).copy()
+        rhs = np.zeros((len(solvable), k, c))
+        for q, (atoms, pos) in enumerate(solvable):
+            gram[q, : atoms.size, : atoms.size] = G[np.ix_(atoms, atoms)]
+            rhs[q, : atoms.size, : pos.size] = B[np.ix_(atoms, pos)]
+        ok = _well_posed(gram)
+        fallback += [q for q, good in zip(solvable, ok) if not good]
+        solvable = [q for q, good in zip(solvable, ok) if good]
+        rhs = rhs[ok]
+        sol = np.linalg.solve(gram[ok], rhs)
+        fit = np.einsum("qkc,qkc->qc", rhs, sol)
+        for q, (atoms, pos) in enumerate(solvable):
+            X[np.ix_(atoms, pos)] = sol[q, : atoms.size, : pos.size]
+            floor[pos] = np.sqrt(np.maximum(ysq[pos] - fit[q, : pos.size], 0.0))
+    for atoms, pos in fallback:
+        A, Yq = Au[:, atoms], Y[:, cols[pos]]
+        x, *_ = np.linalg.lstsq(A, Yq, rcond=None)
+        X[np.ix_(atoms, pos)] = x
+        floor[pos] = np.linalg.norm(A @ x - Yq, axis=0)
+    return X, floor
+
+
 def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     """Noise-constrained l1 minimization over the columns of ``Y``.
 
@@ -450,12 +519,15 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     D`` and one ``D^T Y``. Columns
     with ``||y|| <= eps`` get the zero code; columns whose least-squares
     floor on their usable atoms exceeds ``eps`` get the least-squares code
-    (one solve per distinct mask column) and
-    are reported infeasible. Both shortcuts report 0 iterations; other
-    columns report their path steps. The paths of all other columns run in
-    lockstep in atom space (see :func:`_l1_paths`), in as few equal batches
-    as keep each batch's inverse slot Grams within ``_LOCKSTEP_BYTES``
-    (``D^T D`` and ``D^T Y`` are formed once for all): each keeps its support
+    and are reported infeasible. The floors and codes of every distinct
+    mask column come from ``D^T D`` and ``D^T Y`` in one batched solve, with
+    ``np.linalg.lstsq`` on the atoms for a set whose Gram is singular or
+    ill-conditioned (see :func:`_least_squares`). Both shortcuts report 0
+    iterations; other columns report their path steps. The paths of all
+    other columns run in lockstep in atom space (see :func:`_l1_paths`), in
+    as few equal batches as keep each batch's inverse slot Grams within
+    ``_LOCKSTEP_BYTES`` (``D^T D`` and ``D^T Y`` are formed once, for the
+    floors and every batch): each keeps its support
     in fixed slots with the inverse of the slot Gram, bordered by a rank-1
     update when an atom enters and Schur-downdated when one leaves, and a
     feasible code is refit exactly on its final support and signs. Returns
@@ -484,30 +556,28 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     feasible = ynorm <= eps_vec  # the origin is feasible with minimal l1 norm
     iters = np.zeros(s, dtype=int)
 
-    # One batched least-squares solve per atom set finds the columns that can
+    # The least-squares floor of every atom set finds the columns that can
     # never meet their bound; they take the least-squares code, where the
-    # path would end, without walking it.
+    # path would end, without walking it. The floor and the paths read one
+    # D^T D and one D^T Y.
     work = np.flatnonzero(~feasible)
     # the usable atoms, laid out as a selection of them would be
     Au = np.ascontiguousarray(D.atoms) if usable_idx.size == D.n_atoms else D.atoms[:, usable_idx]
-    hopeless = np.zeros(s, dtype=bool)
-    for atoms, cols in _atom_sets(mask, work):
-        A = Au[:, atoms]
-        xls, *_ = np.linalg.lstsq(A, Y[:, cols], rcond=None)
-        floor = np.linalg.norm(A @ xls - Y[:, cols], axis=0)
-        lost = floor > eps_vec[cols]
-        X[np.ix_(usable_idx[atoms], cols[lost])] = xls[:, lost]
-        rnorm[cols[lost]] = floor[lost]
-        hopeless[cols[lost]] = True
-    todo = work[~hopeless[work]]
+    G, B = Au.T @ Au, Au.T @ Y[:, work]
+    own = None if mask is None else mask[:, work]
+    xls, floor = _least_squares(Au, G, B, Y, work, ynorm[work] ** 2, own)
+    lost = floor > eps_vec[work]
+    X[np.ix_(usable_idx, work[lost])] = xls[:, lost]
+    rnorm[work[lost]] = floor[lost]
+    todo = work[~lost]
     if todo.size:
         Yt = Y[:, todo]
-        own = None if mask is None else mask[:, todo]
+        B = B[:, ~lost]
+        own = None if own is None else own[:, ~lost]
         slots = min(Au.shape[0], Au.shape[1] if own is None else int(own.sum(axis=0).max()))
         # as few lockstep batches as the budget allows, of equal width
         batches = -(-todo.size * 8 * slots * slots // _LOCKSTEP_BYTES)
         width = -(-todo.size // batches)
-        G, B = Au.T @ Au, Au.T @ Yt
         xt = np.zeros_like(B)
         for lo in range(0, todo.size, width):
             part = slice(lo, lo + width)

@@ -194,6 +194,28 @@ def per_column_l1_path(A: np.ndarray, G: np.ndarray, y: np.ndarray, eps: float):
         lam -= gamma
 
 
+def per_set_least_squares(A: np.ndarray, Y: np.ndarray, allowed: np.ndarray):
+    """Least-squares codes and floors, one ``lstsq`` per atom set.
+
+    Column ``c`` of ``Y`` is fit on the columns of ``A`` that
+    ``allowed[:, c]`` selects; the columns sharing one selection are solved
+    in one SVD-based ``lstsq`` call. Returns ``(codes, floors)``: codes of
+    shape ``(n, m)``, zero off each column's atoms, and the residual norms
+    ``||A x - y||``.
+    """
+    X = np.zeros((A.shape[1], Y.shape[1]))
+    floors = np.empty(Y.shape[1])
+    sets: dict[bytes, list[int]] = {}
+    for c in range(Y.shape[1]):
+        sets.setdefault(allowed[:, c].tobytes(), []).append(c)
+    for cols in sets.values():
+        own = allowed[:, cols[0]]
+        x, *_ = np.linalg.lstsq(A[:, own], Y[:, cols], rcond=None)
+        X[np.ix_(own, cols)] = x
+        floors[cols] = np.linalg.norm(A[:, own] @ x - Y[:, cols], axis=0)
+    return X, floors
+
+
 def soft_threshold(v: np.ndarray, lam: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 

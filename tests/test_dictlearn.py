@@ -7,6 +7,7 @@ from blocksrc import BENIGN, MALIGNANT, TrainParams, build_label_matrices, init_
 from blocksrc.blocks import BlockGrid, RoiSample, assemble_block_dictionaries, block_stack, compose_blocks
 from blocksrc.dictlearn import _ksvd_stack, _ridge_fit, lcksvd_train_stack
 from blocksrc.solvers import class_residuals, normalize_columns, omp_batch
+from blocksrc.synth import SynthSpec, synth_dataset
 
 
 def two_class_labels(n0, n1):
@@ -504,6 +505,30 @@ class TestExactDefaultK:
             for x, y_ in ((a.D.atoms, b.D.atoms), (a.D.scales, b.D.scales), (a.A, b.A), (a.W, b.W),
                           (a.codes, b.codes), (a.objective_trace, b.objective_trace)):
                 np.testing.assert_array_equal(x, y_)
+
+
+class TestLearningBelowTheTrainingCount:
+    """Below K = s the learned atoms leave the raw training blocks while the
+    objective falls; at K = s every atom is a raw block."""
+
+    @staticmethod
+    def farthest_atom(model, Y):
+        """The smallest, over atoms, of the largest |cos| between an atom and
+        any raw training block."""
+        blocks, _ = normalize_columns(Y)
+        return float(np.abs(model.D.atoms.T @ blocks).max(axis=1).min())
+
+    @pytest.mark.parametrize("mode", ["lcksvd1", "lcksvd2"])
+    def test_atoms_leave_the_raw_blocks(self, mode):
+        spec = SynthSpec(roi_size=16, block_size=8, samples_per_class=10, noise_sigma=1.0)
+        stack, labels = block_stack(synth_dataset(spec, 20), 8, 8)
+        learned = lcksvd_train_stack(stack, labels, TrainParams(K=8), mode)
+        for Y, model in zip(stack, learned):
+            assert self.farthest_atom(model, Y) < 0.99
+            assert model.objective_trace.size > 1
+            assert np.all(np.diff(model.objective_trace) <= 0.0)
+        for Y, model in zip(stack, lcksvd_train_stack(stack, labels, TrainParams(), mode)):
+            assert self.farthest_atom(model, Y) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestZeroTrainingBlock:

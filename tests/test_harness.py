@@ -853,6 +853,16 @@ class TestModelArchive:
             with pytest.raises(ValueError, match=match):
                 load_model(str(path))
 
+    def test_meta_that_is_not_an_object(self, small_archive):
+        # evaluate and mosaic read meta with .get
+        raw, path = small_archive
+        for meta in (["x"], "x", None, 3):
+            header = archive_header(raw)
+            header["meta"] = meta
+            path.write_bytes(archive_with_header(raw, header))
+            with pytest.raises(ValueError, match="archive meta is not a JSON object"):
+                load_model(str(path))
+
     @settings(max_examples=150, deadline=None, database=None)
     @given(cut=st.integers(min_value=0, max_value=10**6))
     def test_every_prefix_raises_value_error(self, small_archive, cut):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blocksrc import BENIGN, MALIGNANT, Dictionary, bpdn_batch, class_residuals, normalize_columns, omp_batch
-from blocksrc.solvers import batch_omp
+from blocksrc.solvers import _well_posed, batch_omp
 
 from .oracles import (
     exhaustive_sparse_fit,
@@ -11,6 +11,7 @@ from .oracles import (
     orthonormal_bpdn_oracle,
     per_column_class_residuals,
     per_column_l1_path,
+    per_set_least_squares,
     textbook_omp,
 )
 
@@ -361,6 +362,24 @@ def reachable_problems(rng, count):
         yield D, Y, eps
 
 
+def assert_least_squares_shortcut(D, Y, eps, allowed, result):
+    """Check one ``bpdn_batch`` call's ``result`` against the per-set
+    ``lstsq`` oracle: a column whose floor on its own usable atoms exceeds
+    its bound is infeasible after 0 iterations, with the oracle's code and
+    floor to 1e-9 relative; every other column walks the path unless
+    ``||y|| <= eps``. Returns the mask of shortcut columns."""
+    X, rn, feas, iters = result
+    own = D.usable[:, None] if allowed is None else D.usable[:, None] & allowed
+    xo, floor = per_set_least_squares(D.atoms, Y, np.broadcast_to(own, (D.n_atoms, Y.shape[1])))
+    lost = floor > eps
+    assert not feas[lost].any()
+    assert np.array_equal(iters > 0, ~lost & (np.linalg.norm(Y, axis=0) > eps))
+    for c in np.flatnonzero(lost):
+        np.testing.assert_allclose(X[:, c], xo[:, c], rtol=0.0, atol=1e-9 * np.abs(xo[:, c]).max())
+    np.testing.assert_allclose(rn[lost], floor[lost], rtol=1e-9)
+    return lost
+
+
 class TestBpdnExactPath:
     def test_reachable_codes_meet_bound_with_equality(self):
         for D, Y, eps in reachable_problems(np.random.default_rng(31), 40):
@@ -427,13 +446,12 @@ class TestBpdnExactPath:
     def assert_matches_oracle(D, Y, eps, twins=None):
         """Compare every column of one ``bpdn_batch`` call with the
         per-column l1 path; returns how many columns walked it."""
-        X, rn, feas, iters = bpdn_batch(D, Y, eps)
+        result = X, rn, feas, iters = bpdn_batch(D, Y, eps)
         Au = D.atoms[:, D.usable]
         G = Au.T @ Au
-        xls, *_ = np.linalg.lstsq(Au, Y, rcond=None)
         # columns whose least-squares floor misses the bound take the
         # shortcut and never walk the path
-        walks = np.linalg.norm(Au @ xls - Y, axis=0) <= eps
+        walks = ~assert_least_squares_shortcut(D, Y, eps, None, result)
         assert np.array_equal(iters > 0, walks)
         for c in np.flatnonzero(walks):
             xu, _, ok, steps = per_column_l1_path(Au, G, Y[:, c], eps[c])
@@ -477,8 +495,9 @@ class TestBpdnMasked:
         unmasked call on a dictionary of that column's atoms alone; returns
         how many columns walked the path. ``twins`` lists pairs of equal
         atoms, whose coefficients are compared as one."""
-        X, rn, feas, iters = bpdn_batch(D, Y, eps, allowed=allowed)
+        result = X, rn, feas, iters = bpdn_batch(D, Y, eps, allowed=allowed)
         assert np.all(X[~allowed] == 0.0)
+        assert_least_squares_shortcut(D, Y, eps, allowed, result)
         for c in range(Y.shape[1]):
             own = np.flatnonzero(allowed[:, c])
             sub = Dictionary(atoms=D.atoms[:, own], atom_labels=D.atom_labels[own], scales=D.scales[own])
@@ -562,6 +581,67 @@ class TestBpdnMasked:
         assert np.array_equal(wide[2], narrow[2]) and np.array_equal(wide[3], narrow[3])
         np.testing.assert_allclose(narrow[0], wide[0], rtol=0.0, atol=1e-9 * np.abs(wide[0]).max())
         assert self.assert_matches_own_atoms(D, Y, eps, allowed) >= 30
+
+    @staticmethod
+    def gram_route(D, allowed, c):
+        """Whether column ``c``'s atom set passes the Gram route's guard."""
+        own = np.flatnonzero(allowed[:, c])
+        return own.size <= D.dim and _well_posed((D.atoms[:, own].T @ D.atoms[:, own])[None])[0]
+
+    def test_atom_sets_of_different_sizes(self):
+        # sets of 2 to 12 atoms in 16 dimensions share one padded stack
+        rng = np.random.default_rng(47)
+        shortcut = 0
+        for _ in range(20):
+            M, Y = rng.standard_normal((16, 12)), rng.standard_normal((16, 10))
+            eps = rng.uniform(0.02, 0.5, 10) * np.linalg.norm(Y, axis=0)
+            sizes = rng.choice(np.arange(2, 13), 3, replace=False)
+            order = rng.permutation(12)
+            allowed = np.zeros((12, 10), dtype=bool)
+            for c in range(10):
+                allowed[order[: sizes[rng.integers(3)]], c] = True
+            D = unit_dict(M, rng.integers(0, 2, 12))
+            assert all(self.gram_route(D, allowed, c) for c in range(10))
+            self.assert_matches_own_atoms(D, Y, eps, allowed)
+            shortcut += int((~bpdn_batch(D, Y, eps, allowed=allowed)[2]).sum())
+        assert shortcut >= 150
+
+    def test_duplicate_and_near_duplicate_atoms_fail_the_guard(self):
+        rng = np.random.default_rng(48)
+        M = rng.standard_normal((12, 8))
+        M[:, 3] = M[:, 1]  # an exact duplicate
+        a = M[:, 5] / np.linalg.norm(M[:, 5])
+        v = rng.standard_normal(12)
+        v -= (v @ a) * a
+        M[:, 6] = a + np.sqrt(2e-12) * v / np.linalg.norm(v)  # cos = 1 - 1e-12
+        D = unit_dict(M, [0, 1] * 4)
+        assert 1.0 - D.atoms[:, 5] @ D.atoms[:, 6] == pytest.approx(1e-12, rel=1e-3)
+        allowed = np.ones((8, 9), dtype=bool)
+        allowed[[5, 6], :3] = False  # holds the duplicate pair
+        allowed[[1, 3], 3:6] = False  # holds the near-duplicate pair
+        allowed[[3, 6], 6:] = False  # holds neither
+        Y = rng.standard_normal((12, 9))
+        eps = rng.uniform(0.02, 0.3, 9) * np.linalg.norm(Y, axis=0)
+        assert [self.gram_route(D, allowed, c) for c in (0, 3, 6)] == [False, False, True]
+        self.assert_matches_own_atoms(D, Y, eps, allowed, twins=[(1, 3)])
+        assert not bpdn_batch(D, Y, eps, allowed=allowed)[2].any()
+
+    def test_overcomplete_sets_beside_gram_sets(self):
+        # sets of 12 and 7 atoms in 6 dimensions take lstsq (their Grams are
+        # singular) and walk; a set of 3 atoms takes the Gram in the same call
+        rng = np.random.default_rng(49)
+        walked = shortcut = 0
+        for _ in range(20):
+            M, Y = rng.standard_normal((6, 12)), rng.standard_normal((6, 10))
+            eps = rng.uniform(0.02, 0.5, 10) * np.linalg.norm(Y, axis=0)
+            allowed = np.ones((12, 10), dtype=bool)
+            allowed[3:, 4:8] = False
+            allowed[7:, 8:] = False
+            D = unit_dict(M, rng.integers(0, 2, 12))
+            assert [self.gram_route(D, allowed, c) for c in (0, 4, 8)] == [False, True, False]
+            walked += self.assert_matches_own_atoms(D, Y, eps, allowed)
+            shortcut += int((~bpdn_batch(D, Y, eps, allowed=allowed)[2]).sum())
+        assert walked >= 120 and shortcut >= 60
 
     def test_mask_shape_and_empty_columns_rejected(self):
         D = unit_dict(np.eye(3), [0, 1, 0])
