@@ -12,10 +12,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .config import load_config
+from .config import ExperimentConfig, load_config
 from .harness import (
     classify_samples,
     compute_metrics,
@@ -34,30 +35,9 @@ from .synth import SynthSpec, synth_dataset, write_synth_cache
 
 
 def _config_overrides(args) -> dict:
-    keys = (
-        "roi_size",
-        "k_folds",
-        "dl_mode",
-        "decision",
-        "dict_size",
-        "sparsity",
-        "alpha",
-        "beta",
-        "iterations",
-        "eps_rel",
-        "eps_abs",
-        "tau",
-        "seed",
-        "data_dir",
-        "output_dir",
-        "synthetic",
-    )
-    over = {k: getattr(args, k, None) for k in keys}
-    if getattr(args, "block_sizes", None):
-        over["block_sizes"] = tuple(args.block_sizes)
-    if getattr(args, "invert_lls", False):
-        over["invert_lls"] = True
-    return over
+    """Every config key a flag set; an unset flag is None, which keeps the
+    config file's value."""
+    return {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -79,7 +59,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data-dir", dest="data_dir")
     p.add_argument("--output-dir", dest="output_dir")
     p.add_argument("--synthetic", action="store_const", const=True, default=None)
-    p.add_argument("--invert-lls", dest="invert_lls", action="store_true")
+    p.add_argument("--invert-lls", dest="invert_lls", action="store_const", const=True, default=None)
 
 
 def _cmd_prepare_rois(args) -> int:

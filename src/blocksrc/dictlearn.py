@@ -2,8 +2,8 @@
 
 LC-KSVD stacks label-consistency rows (and, in mode 2, classifier rows) onto
 the data matrix and runs the plain K-SVD alternation on the stacked system;
-the trained stack is then split back into dictionary, transform, and
-classifier parts.
+the label rows shape the atoms, and only the data rows are kept, as the
+dictionary ``D`` that every decision rule reads.
 """
 
 from __future__ import annotations
@@ -81,34 +81,19 @@ class LabelMatrices:
 
 @dataclass(frozen=True)
 class DiscriminativeDictionary:
-    """Learned (D, A, W) triple plus training diagnostics.
-
-    ``A`` (K x K) is present unless mode is "none"; ``W`` (2 x K) only for
-    mode "lcksvd2".
-    ``codes`` holds the training columns' final codes; ``D.atoms``, ``A``
-    and ``W``, each times ``D.scales``, map them back onto the data, label
-    and classifier rows, except that a degenerate atom (a zero training
-    block's) is unusable and its label rows are not represented.
+    """A block position's dictionary ``D``, the mode that learned it, and
+    the stacked training objective after each K-SVD iteration (one entry for
+    the closed form, none for mode "none"). The label and classifier rows
+    that LC-KSVD trains beside ``D`` only shape it and are not kept.
     """
 
     D: Dictionary
-    A: np.ndarray | None
-    W: np.ndarray | None
     mode: str
     objective_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    codes: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if (self.A is None) != (self.mode == "none"):
-            raise ValueError("A must be present exactly when mode != 'none'")
-        if (self.W is not None) != (self.mode == "lcksvd2"):
-            raise ValueError("W must be present exactly when mode == 'lcksvd2'")
-        k = self.D.atoms.shape[1]
-        for name, M, shape in (("A", self.A, (k, k)), ("W", self.W, (len(CLASS_IDS), k))):
-            if M is not None and np.shape(M) != shape:
-                raise ValueError(f"{name} must have shape {shape} for {k} atoms, got {np.shape(M)}")
 
 
 def build_label_matrices(sample_labels, atom_labels) -> LabelMatrices:
@@ -326,9 +311,9 @@ def init_lcksvd(Y, sample_labels, params: TrainParams):
     """Seeded initialization for label-consistent training.
 
     Initial atoms are drawn per class from that class's samples (without
-    replacement when possible) and normalized; A and W start from ridge
-    regressions of the label matrices onto the initial codes. Returns
-    ``(D0, X0, A0, W0)``.
+    replacement when possible) and normalized; ``A0`` and ``W0``, ridge
+    regressions of the label matrices onto the initial codes, start the
+    stacked label and classifier rows. Returns ``(D0, X0, A0, W0)``.
     """
     Y = _check_training_matrix(Y)
     sample_labels = as_label_array(sample_labels)
@@ -347,36 +332,34 @@ def lcksvd_train(Y, sample_labels, params: TrainParams, mode: str) -> Discrimina
 
 def _closed_form(Y: np.ndarray, sample_labels: np.ndarray, params: TrainParams, mode: str):
     """The K = s optimum (see :func:`lcksvd_train_stack`), returned as by :func:`_ksvd_split`;
-    a degenerate block's atom codes nothing and has zero A and W columns."""
+    a degenerate block's atom codes nothing, so its label rows count in full."""
     _check_labels(sample_labels, Y.shape[2])
     atoms, scales = normalize_columns(Y)
     usable = scales >= DEGENERATE_NORM
-    kept = np.where(usable, scales, 0.0)[:, None, :]  # scales * codes, on the diagonal
-    inv = np.divide(1.0, scales, out=np.zeros_like(scales), where=usable)[:, None, :]
+    E = atoms * np.where(usable, scales, 0.0)[:, None, :]  # each usable atom codes its block with 1
+    E -= Y  # in place: one (P, d, s) temporary, not two
     lm = build_label_matrices(sample_labels, sample_labels)
-    A, W = lm.Q * inv, lm.H * inv
-    resid = [Y - atoms * kept, np.sqrt(params.alpha) * (lm.Q - A * kept)]
+    rows = [np.sqrt(params.alpha) * lm.Q]
     if mode == "lcksvd2":
-        resid.append(np.sqrt(params.beta) * (lm.H - W * kept))
-    obj = sum(np.einsum("prs,prs->p", E, E) for E in resid)
-    return sample_labels, atoms, scales, A, W, usable[:, :, None] * np.eye(Y.shape[2]), list(obj[:, None])
+        rows.append(np.sqrt(params.beta) * lm.H)
+    lost = sum(np.sum(R * R, axis=0) for R in rows)
+    obj = np.einsum("prs,prs->p", E, E) + np.where(usable, 0.0, lost).sum(axis=1)
+    return sample_labels, atoms, scales, list(obj[:, None])
 
 
 def _ksvd_split(Y: np.ndarray, sample_labels: np.ndarray, params: TrainParams, mode: str):
-    """K-SVD on the stacked system from a seeded draw, split back into
-    ``(atom_labels, atoms, scales, A, W, codes, traces)``."""
+    """K-SVD on the stacked system from a seeded draw; returns its data rows
+    as ``(atom_labels, atoms, scales, traces)``."""
     P, d, s = Y.shape
     chosen, atom_labels = _draw_atoms(sample_labels, s, params)
     lm = build_label_matrices(sample_labels, atom_labels)
     k = atom_labels.shape[0]
-    use_q = params.alpha > 0
-    use_h = mode == "lcksvd2" and params.beta > 0
     D0, _, _, A0, W0 = _init_stack(Y, sample_labels, chosen, atom_labels, params.resolved_t(k))
     # the stacked system [Y, init], written once
     parts = [(Y, D0)]
-    if use_q:
+    if params.alpha > 0:
         parts.append((np.sqrt(params.alpha) * lm.Q, np.sqrt(params.alpha) * A0))
-    if use_h:
+    if mode == "lcksvd2" and params.beta > 0:
         parts.append((np.sqrt(params.beta) * lm.H, np.sqrt(params.beta) * W0))
     Z = np.empty((P, sum(y.shape[-2] for y, _ in parts), s + k))
     pos = 0
@@ -386,18 +369,10 @@ def _ksvd_split(Y: np.ndarray, sample_labels: np.ndarray, params: TrainParams, m
         Z[:, pos : pos + rows, s:] = init
         pos += rows
 
-    learned, X, traces = _ksvd_stack(Z, s, params)
+    learned, _, traces = _ksvd_stack(Z, s, params)
     at, _ = normalize_columns(learned)
     d_final, norms = normalize_columns(at[:, :d])
-    safe = np.where(norms < DEGENERATE_NORM, 1.0, norms)
-
-    # The stacked rows hold sqrt(alpha) * A and sqrt(beta) * W; divide the
-    # weights back out so A maps codes onto Q (and W onto H) directly.
-    if use_q:
-        A0 = at[:, d : d + k] / (np.sqrt(params.alpha) * safe[:, None, :])
-    if use_h:
-        W0 = at[:, d + k * use_q :] / (np.sqrt(params.beta) * safe[:, None, :])
-    return atom_labels, d_final, norms, A0, W0, X, traces
+    return atom_labels, d_final, norms, traces
 
 
 def lcksvd_train_stack(Y, sample_labels, params: TrainParams, mode: str) -> list[DiscriminativeDictionary]:
@@ -407,19 +382,21 @@ def lcksvd_train_stack(Y, sample_labels, params: TrainParams, mode: str) -> list
 
     Runs K-SVD on the stacked system [Y; sqrt(alpha) Q] (mode "lcksvd1") or
     [Y; sqrt(alpha) Q; sqrt(beta) H] (mode "lcksvd2") with the stacked
-    dictionary [D; sqrt(alpha) A; sqrt(beta) W]; zero-weighted rows are left
-    out entirely, so alpha = beta = 0 reduces to plain K-SVD on Y. After
-    training the stack is split and renormalized so dictionary atoms have
-    unit norm, with A and W rescaled by the same factors.
+    dictionary [D; sqrt(alpha) A; sqrt(beta) W], started from
+    :func:`init_lcksvd`'s ``D0``, ``A0`` and ``W0``; zero-weighted rows are
+    left out entirely, so alpha = beta = 0 reduces to plain K-SVD on Y. The
+    model keeps the trained stack's data rows, renormalized to unit atoms
+    with their norms as scales; the trace is the stacked objective.
 
     When K equals the training count and the stops are on
     (``min_rel_improvement > 0``), the optimum is built in closed form: the
     dictionary is :func:`assemble_block_dictionaries`' byte for byte, in
     training order (atom c is block c, with its label and scale ``||y_c||``),
-    ``codes`` is the identity on the usable atoms, ``A = Q_c / ||y_c||``
-    and ``W = H_c / ||y_c||`` (a zero-weighted A or W too), and the trace
-    holds the split model's one objective. Any other K, or a non-positive
-    ``min_rel_improvement``, runs K-SVD from a seeded draw.
+    and each usable atom codes its own block alone. The one-entry trace is
+    that optimum's objective: rounding level on the data rows, plus the
+    weighted label rows of every degenerate block, which its atom cannot
+    code. Any other K, or a non-positive ``min_rel_improvement``, runs K-SVD
+    from a seeded draw.
     """
     if mode not in ("lcksvd1", "lcksvd2"):
         raise ValueError(f"mode must be 'lcksvd1' or 'lcksvd2', got {mode!r}")
@@ -427,15 +404,12 @@ def lcksvd_train_stack(Y, sample_labels, params: TrainParams, mode: str) -> list
     sample_labels = as_label_array(sample_labels)
     P, _, s = Y.shape
     fit = _closed_form if params.resolved_k(s) == s and params.min_rel_improvement > 0 else _ksvd_split
-    atom_labels, atoms, scales, A, W, X, traces = fit(Y, sample_labels, params, mode)
+    atom_labels, atoms, scales, traces = fit(Y, sample_labels, params, mode)
     return [
         DiscriminativeDictionary(
             D=Dictionary(atoms=atoms[p], atom_labels=atom_labels, scales=scales[p]),
-            A=A[p],
-            W=W[p] if mode == "lcksvd2" else None,
             mode=mode,
             objective_trace=traces[p],
-            codes=X[p],
         )
         for p in range(P)
     ]

@@ -170,7 +170,7 @@ def train_block_models(
     predict as those; any other ``dict_size`` runs K-SVD."""
     if cfg.dl_mode == "none":
         return [
-            DiscriminativeDictionary(D=d, A=None, W=None, mode="none")
+            DiscriminativeDictionary(D=d, mode="none")
             for d in assemble_block_dictionaries(samples, block_size, block_size)
         ]
     stack, labels = block_stack(samples, block_size, block_size)

@@ -20,11 +20,12 @@ from .dictlearn import DiscriminativeDictionary, TrainParams
 from .solvers import Dictionary
 
 MAGIC = b"BLKD"
-VERSION = 1
+VERSION = 2  # version 1 also held each learned block's label maps A and W
 
 _DTYPES = {"f8": "<f8", "i4": "<i4"}
 _PARAM_KEYS = ("K", "T", "alpha", "beta", "iterations", "seed", "min_rel_improvement")
 _INT_PARAMS = ("K", "T", "iterations", "seed")
+_BLOCK_ARRAYS = ("atoms", "atom_labels", "scales", "objective_trace")
 
 
 def _fields(obj, what: str, keys) -> dict:
@@ -75,10 +76,6 @@ def save_model(path: str, blocks: list[DiscriminativeDictionary], params: TrainP
             _array_entry("scales", model.D.scales, "f8", chunks),
             _array_entry("objective_trace", np.asarray(model.objective_trace, dtype=float), "f8", chunks),
         ]
-        if model.A is not None:
-            arrays.append(_array_entry("A", model.A, "f8", chunks))
-        if model.W is not None:
-            arrays.append(_array_entry("W", model.W, "f8", chunks))
         block_headers.append({"mode": model.mode, "arrays": arrays})
 
     params_dict = {key: getattr(params, key) for key in _PARAM_KEYS}
@@ -97,8 +94,9 @@ def save_model(path: str, blocks: list[DiscriminativeDictionary], params: TrainP
 
 
 def load_model(path: str) -> tuple[list[DiscriminativeDictionary], TrainParams, dict]:
-    """Read an archive written by :func:`save_model`; truncated archives,
-    malformed headers and bytes after the last array raise ``ValueError``."""
+    """Read an archive written by :func:`save_model`; other versions,
+    truncated archives, malformed headers, unknown or repeated block arrays
+    and bytes after the last array raise ``ValueError``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
@@ -135,22 +133,17 @@ def load_model(path: str) -> tuple[list[DiscriminativeDictionary], TrainParams, 
     blocks: list[DiscriminativeDictionary] = []
     for bh in _list(header["blocks"], "blocks"):
         _fields(bh, "block", ("mode", "arrays"))
-        arrays = dict(take(e) for e in _list(bh["arrays"], "arrays"))
-        _fields(arrays, "block arrays", ("atoms", "atom_labels", "scales", "objective_trace"))
-        dictionary = Dictionary(
-            atoms=arrays["atoms"],
-            atom_labels=arrays["atom_labels"],
-            scales=arrays["scales"],
-        )
-        blocks.append(
-            DiscriminativeDictionary(
-                D=dictionary,
-                A=arrays.get("A"),
-                W=arrays.get("W"),
-                mode=bh["mode"],
-                objective_trace=arrays["objective_trace"],
-            )
-        )
+        arrays: dict[str, np.ndarray] = {}
+        for entry in _list(bh["arrays"], "arrays"):
+            name, arr = take(entry)
+            if name not in _BLOCK_ARRAYS:
+                raise ValueError(f"unknown block array {name!r}")
+            if name in arrays:
+                raise ValueError(f"repeated block array {name!r}")
+            arrays[name] = arr
+        _fields(arrays, "block arrays", _BLOCK_ARRAYS)
+        D = Dictionary(atoms=arrays["atoms"], atom_labels=arrays["atom_labels"], scales=arrays["scales"])
+        blocks.append(DiscriminativeDictionary(D=D, mode=bh["mode"], objective_trace=arrays["objective_trace"]))
     if pos != len(data):
         raise ValueError(f"{len(data) - pos} trailing bytes after the last array")
     p = _fields(header["params"], "params", _PARAM_KEYS)

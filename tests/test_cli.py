@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from blocksrc.cli import main
+from blocksrc.cli import _config_overrides, build_parser, main
+from blocksrc.config import load_config
 from blocksrc.model_io import load_model, save_model
 from blocksrc.pgm import image_from_array, read_pgm, write_pgm
 
@@ -72,6 +73,19 @@ def test_cv_flag_overrides(tmp_path, synth_cache):
     rc = main(["cv", "--config", str(cfg), "--decision", "bbmap", "--k-folds", "4"])
     assert rc == 0
     assert (tmp_path / "results" / "bbmap_none_k4_b8.json").exists()
+
+
+def test_flags_override_only_the_keys_they_set(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("invert_lls = true\nsynthetic = true\nblock_sizes = 16\nalpha = 0.5\n")
+
+    def resolved(*flags):
+        args = build_parser().parse_args(["cv", "--config", str(path), *flags])
+        return load_config(args.config, _config_overrides(args))
+
+    assert resolved() == load_config(str(path))  # an unset flag keeps the file's value
+    got = resolved("--invert-lls", "--block-sizes", "8", "16", "--alpha", "2", "--seed", "3")
+    assert (got.invert_lls, got.synthetic, got.block_sizes, got.alpha, got.seed) == (True, True, (8, 16), 2.0, 3)
 
 
 def test_train_evaluate_mosaic_cycle(tmp_path, synth_cache):

@@ -157,6 +157,24 @@ class TestInitLcksvd:
             init_lcksvd(Y, [BENIGN] * 5, TrainParams(K=4, T=1))
 
 
+def lcksvd_stack(Y, labels, params, mode):
+    """The stacked K-SVD that :func:`lcksvd_train_stack` runs on ``Y`` (P, d,
+    s) below K = s, started from :func:`init_lcksvd` on each matrix: the
+    trained atoms [D; sqrt(alpha) A; sqrt(beta) W] (P, rows, K), their codes
+    (P, K, s) and the traces. Zero-weighted rows are left out."""
+    Z = []
+    for y in Y:
+        D0, _, A0, W0 = init_lcksvd(y, labels, params)
+        lm = build_label_matrices(labels, D0.atom_labels)
+        parts = [(y, D0.atoms)]
+        if params.alpha > 0:
+            parts.append((np.sqrt(params.alpha) * lm.Q, np.sqrt(params.alpha) * A0))
+        if mode == "lcksvd2" and params.beta > 0:
+            parts.append((np.sqrt(params.beta) * lm.H, np.sqrt(params.beta) * W0))
+        Z.append(np.vstack([np.hstack(part) for part in parts]))
+    return _ksvd_stack(np.stack(Z), Y.shape[2], params)
+
+
 class TestLcksvdTrain:
     def test_zero_weights_reduce_to_plain_ksvd(self):
         rng = np.random.default_rng(10)
@@ -198,13 +216,17 @@ class TestLcksvdTrain:
         params = TrainParams(K=6, T=2, alpha=0.7, beta=1.3, iterations=5, seed=3,
                              min_rel_improvement=0.0)
         model = lcksvd_train(Y, labels, params, "lcksvd2")
+        (atoms,), (X,), (trace,) = lcksvd_stack(Y[None], labels, params, "lcksvd2")
+        np.testing.assert_array_equal(model.objective_trace, trace)
         lm = build_label_matrices(labels, model.D.atom_labels)
         s = model.D.scales
-        X = model.codes
+        # the model's scaled atoms are the stack's data rows, so with the
+        # stack's codes they reproduce the data part of the last objective
+        label_rows = atoms[9:] @ X
         obj = (
             float(np.sum((Y - (model.D.atoms * s) @ X) ** 2))
-            + params.alpha * float(np.sum((lm.Q - (model.A * s) @ X) ** 2))
-            + params.beta * float(np.sum((lm.H - (model.W * s) @ X) ** 2))
+            + float(np.sum((np.sqrt(params.alpha) * lm.Q - label_rows[:6]) ** 2))
+            + float(np.sum((np.sqrt(params.beta) * lm.H - label_rows[6:]) ** 2))
         )
         assert model.objective_trace[-1] == pytest.approx(obj, rel=1e-9)
 
@@ -214,24 +236,15 @@ class TestLcksvdTrain:
         labels = two_class_labels(5, 5)
         params = TrainParams(K=6, T=2, alpha=1.0, beta=1.0, iterations=4, seed=9)
         model = lcksvd_train(Y, labels, params, "lcksvd2")
-        X = model.codes
+        (atoms,), (X,), (trace,) = lcksvd_stack(Y[None], labels, params, "lcksvd2")
+        np.testing.assert_array_equal(model.objective_trace, trace)
         rescaled = model.D.atoms @ (X * model.D.scales[:, None])
         original = (model.D.atoms * model.D.scales) @ X
         np.testing.assert_allclose(rescaled, original, atol=1e-9)
+        np.testing.assert_allclose(original, atoms[:8] @ X, atol=1e-9)
         usable = model.D.usable
         norms = np.linalg.norm(model.D.atoms[:, usable], axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
-
-    def test_mode_shapes(self):
-        rng = np.random.default_rng(14)
-        Y = rng.standard_normal((7, 10))
-        labels = two_class_labels(5, 5)
-        params = TrainParams(K=6, T=2, iterations=3, seed=1)
-        m1 = lcksvd_train(Y, labels, params, "lcksvd1")
-        assert m1.A.shape == (6, 6)
-        assert m1.W is None
-        m2 = lcksvd_train(Y, labels, params, "lcksvd2")
-        assert m2.W.shape == (2, 6)
 
     def test_training_determinism(self):
         rng = np.random.default_rng(15)
@@ -312,18 +325,19 @@ class TestStackedTraining:
         params = TrainParams(K=6, T=2, alpha=0.5, beta=0.8, iterations=10, seed=4,
                              min_rel_improvement=1e-2)
         models = lcksvd_train_stack(Ys, labels, params, "lcksvd2")
+        _, X, traces = lcksvd_stack(Ys, labels, params, "lcksvd2")
         lengths = []
         for p, model in enumerate(models):
+            np.testing.assert_array_equal(model.objective_trace, traces[p])
             solo = lcksvd_train(Ys[p], labels, params, "lcksvd2")
+            _, (solo_X,), _ = lcksvd_stack(Ys[p : p + 1], labels, params, "lcksvd2")
             lengths.append(solo.objective_trace.size)
             assert model.objective_trace.size == solo.objective_trace.size
             assert_close_rel(model.objective_trace, solo.objective_trace, 1e-12)
             assert_close_rel(model.D.atoms, solo.D.atoms, 1e-12)
             assert_close_rel(model.D.scales, solo.D.scales, 1e-12)
-            assert_close_rel(model.A, solo.A, 1e-12)
-            assert_close_rel(model.W, solo.W, 1e-12)
-            assert_close_rel(model.codes, solo.codes, 1e-12)
-            np.testing.assert_array_equal(model.codes != 0, solo.codes != 0)
+            assert_close_rel(X[p], solo_X, 1e-12)
+            np.testing.assert_array_equal(X[p] != 0, solo_X != 0)
         # the problems stop early after different iteration counts
         assert min(lengths) < params.iterations and len(set(lengths)) > 1
 
@@ -385,14 +399,14 @@ class TestSpanCoordinates:
 def stacked_columns(Y, labels, params, mode):
     """The stacked training columns [Y; sqrt(alpha) Q; sqrt(beta) H] of a
     stack ``Y`` (P, d, s), zero-weighted parts left out, with the atoms in
-    training order, and their label matrices."""
+    training order."""
     lm = build_label_matrices(labels, labels)
     parts = [Y]
     if params.alpha > 0:
         parts.append(np.broadcast_to(np.sqrt(params.alpha) * lm.Q, (Y.shape[0],) + lm.Q.shape))
     if mode == "lcksvd2" and params.beta > 0:
         parts.append(np.broadcast_to(np.sqrt(params.beta) * lm.H, (Y.shape[0],) + lm.H.shape))
-    return np.concatenate(parts, axis=1), lm
+    return np.concatenate(parts, axis=1)
 
 
 def roi_samples(Y, labels):
@@ -418,35 +432,24 @@ class TestExactDefaultK:
         stack, stack_labels = block_stack(samples, b, b)  # the harness's layout
         assert np.array_equal(stack, Y)
         models = lcksvd_train_stack(stack, stack_labels, params, mode)
-        Z, lm = stacked_columns(Y, labels, params, mode)
+        Z = stacked_columns(Y, labels, params, mode)
+        d = Y.shape[1]
         for p, (model, raw) in enumerate(zip(models, assemble_block_dictionaries(samples, b, b))):
             # the dictionary is the raw one, in training order
             assert same_bytes(model.D.atoms, raw.atoms)
             assert same_bytes(model.D.atom_labels, raw.atom_labels)
             assert same_bytes(model.D.scales, raw.scales)
             live = raw.usable
-            # each usable atom codes its own block alone, with code 1
-            np.testing.assert_array_equal(model.codes, np.diag(live.astype(float)))
-            # A and W are the label fits, zero on a degenerate block's atom
-            inv = np.where(live, 1.0 / np.where(live, raw.scales, 1.0), 0.0)
-            np.testing.assert_allclose(model.A, lm.Q * inv, rtol=1e-13, atol=0)
-            if mode == "lcksvd2":
-                np.testing.assert_allclose(model.W, lm.H * inv, rtol=1e-13, atol=0)
-            # the rescaled codes reproduce the training blocks, and the label
-            # rows on every nondegenerate block
-            scale = model.D.scales
-            recon = (model.D.atoms * scale) @ model.codes
+            # each usable atom codes its own block alone, with code 1, so the
+            # rescaled codes reproduce the training blocks
+            X = np.diag(live.astype(float))
+            recon = (model.D.atoms * model.D.scales) @ X
             np.testing.assert_allclose(recon, Y[p], rtol=0, atol=1e-13 * np.abs(Y[p]).max())
-            parts = [(1.0, Y[p], recon), (params.alpha, lm.Q, (model.A * scale) @ model.codes)]
-            if mode == "lcksvd2":
-                parts.append((params.beta, lm.H, (model.W * scale) @ model.codes))
-            for _, target, got in parts[1:]:
-                np.testing.assert_allclose(got[:, live], target[:, live], rtol=0, atol=1e-13)
-                assert not got[:, ~live].any()
-            # the one-entry trace is that split model's objective: rounding
-            # level, plus the label rows a degenerate block loses
-            obj = sum(w * np.sum((target - got) ** 2) for w, target, got in parts)
-            lost = sum(w * np.sum(target[:, ~live] ** 2) for w, target, _ in parts[1:])
+            # the one-entry trace is that optimum's objective: rounding level,
+            # plus the stacked label rows a degenerate block's atom cannot code
+            label_rows = Z[p, d:]
+            lost = np.sum(label_rows[:, ~live] ** 2)
+            obj = np.sum((Y[p] - recon) ** 2) + lost
             floor = 1e-24 * np.sum(Z[p] ** 2)
             assert model.objective_trace.shape == (1,)
             assert model.objective_trace[0] == pytest.approx(obj, rel=1e-9, abs=floor)
@@ -480,17 +483,18 @@ class TestExactDefaultK:
         for d in (7, 40, 200):
             Y = rng.standard_normal((3, d, 12))
             Y[:, :, 5] = Y[:, :, 0] + 1e-3 * Y[:, :, 5]  # a near-duplicate
-            Z, _ = stacked_columns(Y, labels, params, "lcksvd2")
+            Z = stacked_columns(Y, labels, params, "lcksvd2")
             # K-SVD started from the training columns stops after one
             # iteration on them: atom c, scaled by its code, is column c
             k_atoms, k_X, k_traces = _ksvd_stack(np.concatenate([Z, Z], axis=2), 12, params)
             assert [t.size for t in k_traces] == [1, 1, 1]
             models = lcksvd_train_stack(Y, labels, params, "lcksvd2")
             for model, atoms, X, k_t, z in zip(models, k_atoms, k_X, k_traces, Z):
-                scale = model.D.scales
-                stacked = np.vstack([model.D.atoms * scale, np.sqrt(params.alpha) * model.A * scale,
-                                     np.sqrt(params.beta) * model.W * scale])
-                np.testing.assert_allclose(atoms * np.diag(X), stacked, rtol=0, atol=1e-12 * np.abs(z).max())
+                # K-SVD's stacked atoms, scaled by their codes, are the stacked
+                # columns, and their data rows the closed form's scaled atoms
+                tol = 1e-12 * np.abs(z).max()
+                np.testing.assert_allclose(atoms * np.diag(X), z[:, :12], rtol=0, atol=tol)
+                np.testing.assert_allclose(atoms[:d] * np.diag(X), model.D.atoms * model.D.scales, rtol=0, atol=tol)
                 np.testing.assert_allclose(X - np.diag(np.diag(X)), 0.0, rtol=0, atol=1e-12 * np.abs(X).max())
                 _, k_norms = normalize_columns(atoms[:d])
                 np.testing.assert_allclose(atoms[:d] / k_norms, model.D.atoms, rtol=0, atol=1e-12)
@@ -502,8 +506,8 @@ class TestExactDefaultK:
         labels = two_class_labels(5, 7)
         for a, b in zip(lcksvd_train_stack(Y, labels, TrainParams(), "lcksvd2"),
                         lcksvd_train_stack(Y, labels, TrainParams(K=12), "lcksvd2")):
-            for x, y_ in ((a.D.atoms, b.D.atoms), (a.D.scales, b.D.scales), (a.A, b.A), (a.W, b.W),
-                          (a.codes, b.codes), (a.objective_trace, b.objective_trace)):
+            for x, y_ in ((a.D.atoms, b.D.atoms), (a.D.atom_labels, b.D.atom_labels),
+                          (a.D.scales, b.D.scales), (a.objective_trace, b.objective_trace)):
                 np.testing.assert_array_equal(x, y_)
 
 
@@ -532,8 +536,8 @@ class TestLearningBelowTheTrainingCount:
 
 
 class TestZeroTrainingBlock:
-    """A zero training block's atom is unusable, and with alpha > 0 its label
-    rows are not represented by the rescaled codes."""
+    """A zero training block's atom is unusable, and with alpha > 0 the
+    dictionary drops its label rows: the trace counts what they lose."""
 
     @pytest.mark.parametrize("mode", ["lcksvd1", "lcksvd2"])
     def test_closed_form(self, mode):
@@ -543,21 +547,16 @@ class TestZeroTrainingBlock:
         Y[0, :, 4] = 0.0
         params = TrainParams(alpha=0.7, beta=1.3)
         model = lcksvd_train_stack(Y, labels, params, mode)[0]
-        lm = build_label_matrices(labels, labels)
+        Z = stacked_columns(Y[:1], labels, params, mode)
         assert not model.D.usable[4] and not model.D.atoms[:, 4].any()
-        assert not model.codes[4].any() and not model.codes[:, 4].any()
-        scale = model.D.scales
-        np.testing.assert_allclose((model.D.atoms * scale) @ model.codes, Y[0], rtol=0, atol=1e-14)
-        label_rows = [(params.alpha, lm.Q, model.A)]
-        if mode == "lcksvd2":
-            label_rows.append((params.beta, lm.H, model.W))
-        for _, target, M in label_rows:
-            got = (M * scale) @ model.codes
-            assert not got[:, 4].any() and target[:, 4].any()
-            np.testing.assert_allclose(np.delete(got, 4, axis=1), np.delete(target, 4, axis=1), rtol=0, atol=1e-13)
+        assert np.array_equal(model.D.usable, np.arange(12) != 4)
+        # the usable atoms, coding their own blocks, reproduce every block
+        X = np.diag(model.D.usable.astype(float))
+        np.testing.assert_allclose((model.D.atoms * model.D.scales) @ X, Y[0], rtol=0, atol=1e-14)
         # the trace counts what the block's label rows lose
-        lost = sum(w * np.sum(target[:, 4] ** 2) for w, target, _ in label_rows)
-        assert model.objective_trace[0] == pytest.approx(lost, rel=1e-12)
+        label_rows = Z[0, 9:]
+        assert label_rows.shape[0] == (14 if mode == "lcksvd2" else 12) and label_rows[:, 4].any()
+        assert model.objective_trace[0] == pytest.approx(np.sum(label_rows[:, 4] ** 2), rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["lcksvd1", "lcksvd2"])
     def test_ksvd_branch(self, mode):
@@ -567,20 +566,22 @@ class TestZeroTrainingBlock:
         Y[0, :, 4] = Y[0, :, 7] = 0.0  # two zero blocks, one per class
         params = TrainParams(K=12, T=2, alpha=0.7, beta=1.3, iterations=5, min_rel_improvement=0.0)
         model = lcksvd_train_stack(Y, labels, params, mode)[0]
+        (atoms,), (X,), (trace,) = lcksvd_stack(Y[:1], labels, params, mode)
+        np.testing.assert_array_equal(model.objective_trace, trace)
         lm = build_label_matrices(labels, model.D.atom_labels)
         # an atom that codes only a zero block has a zero data part
         dead = ~model.D.usable
         assert dead.any() and not model.D.atoms[:, dead].any()
-        lost = model.codes[dead].any(axis=0)
+        lost = X[dead].any(axis=0)
         assert lost.any() and set(np.flatnonzero(lost)) <= {4, 7}
-        scale = model.D.scales
-        label_rows = [(params.alpha, lm.Q, model.A)]
+        # in the stack those atoms carry label rows alone, and D drops them
+        np.testing.assert_allclose(np.linalg.norm(atoms[9:, dead], axis=0), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(model.D.scales[dead], 0.0, rtol=0, atol=1e-12)
+        label_rows = [(params.alpha, lm.Q)]
         if mode == "lcksvd2":
-            label_rows.append((params.beta, lm.H, model.W))
-        for _, target, M in label_rows:
-            got = (M * scale) @ model.codes
-            assert not got[:, lost].any() and target[:, lost].any(axis=0).all()
+            label_rows.append((params.beta, lm.H))
+        assert all(target[:, lost].any(axis=0).all() for _, target in label_rows)
         # the stacked model represented those rows: K-SVD's trace, taken
         # before the split, is far below what the split model loses
-        loss = sum(w * np.sum(target[:, lost] ** 2) for w, target, _ in label_rows)
+        loss = sum(w * np.sum(target[:, lost] ** 2) for w, target in label_rows)
         assert model.objective_trace[-1] < 1e-6 * loss

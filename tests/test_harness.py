@@ -23,6 +23,7 @@ from blocksrc.blocks import decompose_roi
 from blocksrc.config import parse_config_text
 from blocksrc.dictlearn import DiscriminativeDictionary, TrainParams
 from blocksrc.harness import classify_samples, load_dataset, train_block_models
+from blocksrc.model_io import VERSION
 from blocksrc.pgm import read_pgm
 from blocksrc.solvers import bpdn_batch, class_residuals
 from blocksrc.synth import SynthSpec
@@ -571,7 +572,7 @@ class TestStackedFolds:
                 atoms = D.atoms.copy()
                 atoms[0, c] = np.nextafter(atoms[0, c], 2.0)
                 models[1] = DiscriminativeDictionary(
-                    D=Dictionary(atoms=atoms, atom_labels=D.atom_labels, scales=D.scales), A=None, W=None, mode="none"
+                    D=Dictionary(atoms=atoms, atom_labels=D.atom_labels, scales=D.scales), mode="none"
                 )
             return models
 
@@ -742,13 +743,15 @@ def small_archive(tmp_path_factory):
     path to write variants of it to."""
     D = Dictionary.from_matrix(np.arange(1.0, 13.0).reshape(3, 4), [0, 0, 1, 1])
     models = [
-        DiscriminativeDictionary(D=D, A=np.eye(4), W=np.ones((2, 4)), mode="lcksvd2",
-                                 objective_trace=np.array([2.0, 1.0])),
-        DiscriminativeDictionary(D=D, A=None, W=None, mode="none"),
+        DiscriminativeDictionary(D=D, mode="lcksvd2", objective_trace=np.array([2.0, 1.0])),
+        DiscriminativeDictionary(D=D, mode="none"),
     ]
     path = tmp_path_factory.mktemp("archive") / "small.blkd"
     save_model(str(path), models, TrainParams(K=4, T=2), {"block_w": 8})
     return path.read_bytes(), path.with_name("variant.blkd")
+
+
+ARCHIVE_KINDS = {"f8": "<f8", "i4": "<i4"}
 
 
 def archive_header(raw: bytes) -> dict:
@@ -762,12 +765,28 @@ def archive_with_header(raw: bytes, header) -> bytes:
     return raw[:8] + len(text).to_bytes(4, "little") + text + raw[12 + hlen :]
 
 
+def archive_with_block_arrays(raw: bytes, extra, version: int = VERSION) -> bytes:
+    """``raw`` with ``extra``, ``(name, float64 array)`` pairs, appended to
+    block 0's arrays and the version field set to ``version``."""
+    header = archive_header(raw)
+    arrays = header["blocks"][0]["arrays"]
+    end = 12 + int.from_bytes(raw[8:12], "little")  # where block 0's payload ends
+    end += sum(math.prod(e["shape"]) * np.dtype(ARCHIVE_KINDS[e["kind"]]).itemsize for e in arrays)
+    payload = b""
+    for name, value in extra:
+        value = np.asarray(value, dtype="<f8")
+        arrays.append({"name": name, "shape": list(value.shape), "kind": "f8"})
+        payload += value.tobytes()
+    out = archive_with_header(raw[:end] + payload + raw[end:], header)
+    return out[:4] + version.to_bytes(4, "little") + out[8:]
+
+
 def archive_with_first_value(raw: bytes, name: str, value) -> bytes:
     """``raw`` with the first element of block 0's array ``name`` set to
     ``value``."""
     pos = 12 + int.from_bytes(raw[8:12], "little")
     for entry in archive_header(raw)["blocks"][0]["arrays"]:
-        dtype = np.dtype({"f8": "<f8", "i4": "<i4"}[entry["kind"]])
+        dtype = np.dtype(ARCHIVE_KINDS[entry["kind"]])
         if entry["name"] == name:
             return raw[:pos] + np.array([value], dtype=dtype).tobytes() + raw[pos + dtype.itemsize :]
         pos += math.prod(entry["shape"]) * dtype.itemsize
@@ -803,10 +822,9 @@ class TestModelArchive:
         for a, b in zip(models, loaded):
             np.testing.assert_array_equal(a.D.atoms, b.D.atoms)
             np.testing.assert_array_equal(a.D.atom_labels, b.D.atom_labels)
+            np.testing.assert_array_equal(a.D.scales, b.D.scales)
             np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
             assert a.mode == b.mode
-            np.testing.assert_array_equal(a.A, b.A)
-            np.testing.assert_array_equal(a.W, b.W)
         assert (tmp_path / "model.blkd.json").exists()
 
     def test_mode_none_archive(self, tmp_path):
@@ -816,20 +834,30 @@ class TestModelArchive:
         path = tmp_path / "raw.blkd"
         save_model(str(path), models, cfg.train_params(), {})
         loaded, _, _ = load_model(str(path))
-        assert all(m.A is None and m.W is None and m.mode == "none" for m in loaded)
+        assert all(m.mode == "none" and m.objective_trace.size == 0 for m in loaded)
 
-    def test_version_check(self, tmp_path):
+    def test_version_check(self, tmp_path, small_archive):
         path = tmp_path / "bad.blkd"
-        path.write_bytes(b"BLKD" + (99).to_bytes(4, "little") + (2).to_bytes(4, "little") + b"{}")
-        with pytest.raises(ValueError, match="version"):
+        for version in (1, 99):
+            path.write_bytes(b"BLKD" + version.to_bytes(4, "little") + (2).to_bytes(4, "little") + b"{}")
+            with pytest.raises(ValueError, match=rf"version {version} \(expected 2\)"):
+                load_model(str(path))
+        # the version-1 layout: a learned block also held its label maps A and W
+        raw, _ = small_archive
+        v1 = archive_with_block_arrays(raw, [("A", np.eye(4)), ("W", np.ones((2, 4)))], version=1)
+        path.write_bytes(v1)
+        with pytest.raises(ValueError, match=r"version 1 \(expected 2\)"):
+            load_model(str(path))
+        path.write_bytes(v1[:4] + VERSION.to_bytes(4, "little") + v1[8:])
+        with pytest.raises(ValueError, match="unknown block array 'A'"):
             load_model(str(path))
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.blkd"
-        path.write_bytes(b"BLKD" + (1).to_bytes(4, "little"))
+        path.write_bytes(b"BLKD" + VERSION.to_bytes(4, "little"))
         with pytest.raises(ValueError, match="truncated archive header"):
             load_model(str(path))
-        path.write_bytes(b"BLKD" + (1).to_bytes(4, "little") + (100).to_bytes(4, "little") + b"{}")
+        path.write_bytes(b"BLKD" + VERSION.to_bytes(4, "little") + (100).to_bytes(4, "little") + b"{}")
         with pytest.raises(ValueError, match="truncated archive header"):
             load_model(str(path))
 
@@ -895,14 +923,14 @@ class TestModelArchive:
             with pytest.raises(ValueError, match=f"param '{key}'"):
                 load_model(str(path))
 
-    def test_label_matrices_of_the_wrong_shape(self, small_archive):
+    def test_unknown_or_repeated_block_arrays(self, small_archive):
         raw, path = small_archive
-        for name, shape, match in (("A", [2, 8], r"A must have shape \(4, 4\)"),
-                                   ("W", [4, 2], r"W must have shape \(2, 4\)")):
-            header = archive_header(raw)
-            entry = next(e for e in header["blocks"][0]["arrays"] if e["name"] == name)
-            entry["shape"] = shape  # same byte count, so only the shape is wrong
-            path.write_bytes(archive_with_header(raw, header))
+        path.write_bytes(archive_with_block_arrays(raw, []))
+        assert path.read_bytes() == raw  # appending nothing leaves the archive as it was
+        for extra, match in (([("Z", [1.0])], "unknown block array 'Z'"),
+                             ([("atoms", np.full((3, 4), 7.0))], "repeated block array 'atoms'"),
+                             ([("objective_trace", [0.5])], "repeated block array 'objective_trace'")):
+            path.write_bytes(archive_with_block_arrays(raw, extra))
             with pytest.raises(ValueError, match=match):
                 load_model(str(path))
 
