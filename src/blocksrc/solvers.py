@@ -30,11 +30,8 @@ _SPAN_TOL = 1e-10
 # keeps it at 1.1e-11 where the pivots measure kappa, which leaves a
 # factor of 10 under 1e-10 for Grams whose pivots understate it
 _GRAM_PIVOT_TOL = 1e-5
-# the inverse slot Grams of one lockstep batch of l1 paths take at most this
-# many bytes (32 columns of 64 slots); wider calls walk in several batches
-_LOCKSTEP_BYTES = 1 << 20
 # rows of H per block of a rank-1 update, which bounds its temporary
-_UPDATE_ROWS = 16
+_UPDATE_ROWS = 8
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
@@ -242,12 +239,15 @@ def _slot_update(H: np.ndarray, k, w: np.ndarray, sigma: np.ndarray, leave=None)
         pivot = np.where(leave, -z[ar, k], sigma)
         z[~leave, k[~leave]] = -1.0
     alpha = (1.0 / pivot)[:, None, None]
-    # a block of rows at a time, so the outer product's temporary is a
-    # fraction of H
-    for r in range(0, H.shape[1], _UPDATE_ROWS):
-        zz = z[:, r : r + _UPDATE_ROWS, None] * z[:, None, :]
-        zz *= alpha
-        H[:, r : r + _UPDATE_ROWS] += zz
+    # a block of rows at a time, each in the same temporary, so the outer
+    # product takes a fraction of H's memory
+    t = H.shape[1]
+    zz = np.empty((len(H), min(_UPDATE_ROWS, t), t))
+    for r in range(0, t, _UPDATE_ROWS):
+        block = zz[:, : min(_UPDATE_ROWS, t - r)]
+        np.multiply(z[:, r : r + _UPDATE_ROWS, None], z[:, None, :], out=block)
+        block *= alpha
+        H[:, r : r + _UPDATE_ROWS] += block
     H[ar, k, k] -= 1.0
     if leave is not None:
         e, out = ar[leave], k[leave]
@@ -280,14 +280,16 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     Gram: an entering atom borders it by a rank-1 update from ``w = H g`` and
     ``sigma = 1 - g^T w``, the numbers of the span test (Rubinstein,
     Zibulevsky & Elad 2008), and a leaving atom is removed by a Schur
-    downdate (both by :func:`_slot_update`), so no step solves a system. A
-    column retires once its path ends, and the kept ``H`` are moved down over
-    it in place. Once every path has ended, each feasible column is refit
-    exactly on its final support and signs, ``x = G_AA^{-1} (b_A - lam
-    s_A)`` with ``lam > 0`` where the residual norm equals ``eps``, which
-    clears the drift of the updates; the refit's slot Grams take the memory
-    the ``H`` are done with, so a call never holds more than one stack of
-    slot matrices.
+    downdate (both by :func:`_slot_update`), so no step solves a system. The
+    live columns' ``H`` are a (c, t, t) window at the front of one buffer,
+    ``t`` the slots up to the highest any column has used plus one for an
+    entrant: it is widened in place as supports grow, and a retiring
+    column's place is taken by a live one from the end, so the memory held
+    follows the live supports.
+    A column retires once its path ends; a feasible one is then refit exactly
+    on its final support and signs, ``x = G_AA^{-1} (b_A - lam s_A)`` with
+    ``lam > 0`` where the residual norm equals ``eps``, which clears the
+    drift of the updates.
     Returns ``(X, feasible, steps)``; ``feasible`` is False only where
     ``lam`` reached 0 first.
     """
@@ -298,7 +300,6 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     X_out = np.zeros((n + 1, m))
     feasible = np.zeros(m, dtype=bool)
     steps = np.zeros(m, dtype=int)
-    refit = []  # per feasible retiree: column, slots, slot signs and b, ||y||^2, eps^2
 
     # the live columns' state, compacted as columns retire
     cols = np.arange(m)
@@ -312,22 +313,27 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     S[first, cols] = np.sign(B[first, cols])
     slot = np.full((m, slots), null)
     slot[:, 0] = first
-    H = H_all = np.tile(np.eye(slots), (m, 1, 1))
+    # slots at and above hi are free in every column; a step works on the
+    # first t = hi + 1 of them (room for one entrant), and H holds just those
+    hi = 1
+    t = min(hi + 1, slots)
+    buf = np.empty(m * slots * slots)
+    H = buf[: m * t * t].reshape(m, t, t)
+    H[:] = np.eye(t)
     H[:, 0, 0] = 1.0 / G[first, first]
     X = np.zeros((n + 1, m))
     stalls = np.zeros(m, dtype=int)
-    # slots at and above hi are free in every column; a step works on the
-    # first hi + 1 of them (room for one entrant)
-    hi = 1
     step = 0
     while cols.size:
         step += 1
         ar = np.arange(cols.size)
-        t = min(hi + 1, slots)
-        Ht, st = H[:, :t, :t], slot[:, :t]
+        if hi == t < slots:  # an entrant took the last slot of the window
+            t += 1
+            H = _widen(buf, H, t)
+        st = slot[:, :t]
         C = Bp - Gp @ X
         s = S[st, ar[:, None]]
-        v = (Ht @ s[..., None])[..., 0]
+        v = (H @ s[..., None])[..., 0]
         V = np.zeros_like(X)
         V[st, ar[:, None]] = v
         Av = Gp @ V
@@ -357,7 +363,7 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
             pick = np.argmin(g_in, axis=0)
             enter = g_in[pick, ar] < gamma
             g = Gp[st, pick[:, None]]
-            w = (Ht @ g[..., None])[..., 0]
+            w = (H @ g[..., None])[..., 0]
             sigma = 1.0 - np.einsum("ct,ct->c", g, w)
             fails = enter & ~((sigma > _SPAN_TOL) & free.any(axis=1))
             if not fails.any():
@@ -385,52 +391,70 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
             steps[cols[f]] = step
             d = np.flatnonzero(done)
             if d.size:
-                sd = slot[d], d[:, None]
-                refit.append((cols[d], slot[d], S[sd], Bp[sd], ysq[d], eps2[d]))
-            keep = ~fin
+                X_out[slot[d], cols[d, None]] = _refit(Gp, slot[d], S[:, d], Bp[:, d], ysq[d], eps2[d])
+            # the live columns from the end take the retirees' places
+            c = cols.size - f.size
+            holes = f[f < c]
+            movers = np.flatnonzero(~fin[c:]) + c
+            for dst, src in zip(holes, movers):
+                H[dst] = H[src]
+            keep = np.arange(c)
+            keep[holes] = movers
+            H = buf[: c * t * t].reshape(c, t, t)
             cols, ysq, eps2, lam, stalls = cols[keep], ysq[keep], eps2[keep], lam[keep], stalls[keep]
             Bp, X, S, slot, allowed = Bp[:, keep], X[:, keep], S[:, keep], slot[keep], allowed[:, keep]
             leave, pick, negative = leave[keep], pick[keep], negative[:, keep]
             k_out, w, sigma, free = k_out[keep], w[keep], sigma[keep], free[keep]
-            # move the kept inverse Grams down over the retired ones rather
-            # than copy the largest array of the walk
-            for dst, src in enumerate(np.flatnonzero(keep)):
-                if dst != src:
-                    H[dst] = H[src]
-            H = H[: cols.size]
             if not cols.size:
                 break
             ar = np.arange(cols.size)
-            Ht, st = H[:, :t, :t], slot[:, :t]
+            st = slot[:, :t]
         if (stalls > 2 * n).any():
             raise RuntimeError("l1 path stalled at a tie between atoms")
         # every live column now has one event, a leaving or an entering
         # atom, and changes H by a rank-1 term (see _slot_update)
         k = np.where(leave, k_out, np.argmax(free, axis=1))
         j = np.where(leave, st[ar, k], pick)
-        _slot_update(Ht, k, w, sigma, leave)
+        _slot_update(H, k, w, sigma, leave)
         X[j[leave], ar[leave]] = 0.0
         S[j, ar] = np.where(leave, 0.0, np.where(negative[j, ar], -1.0, 1.0))
         st[ar, k] = np.where(leave, null, j)
         hi = max(hi, int(k.max()) + 1)
-
-    if refit:
-        fc, fslot, fs, fb, fy, fe = (np.concatenate(a) for a in zip(*refit))
-        # the walk is over, so the inverse Grams' memory holds the refit's
-        # Grams, filled a row at a time; a free slot reads the padded zero
-        # atom, whose zero row and column a unit diagonal entry turns into
-        # the identity's
-        gram = H_all[: fc.size]
-        for r in range(slots):
-            gram[:, r] = Gp[fslot[:, r, None], fslot]
-        c, k = np.nonzero(fslot == null)
-        gram[c, k, k] = 1.0
-        sol = np.linalg.solve(gram, np.stack([fb, fs], axis=2))
-        x0, v = sol[..., 0], sol[..., 1]
-        floor = fy - np.einsum("ct,ct->c", fb, x0)
-        lam = np.sqrt(np.maximum(fe - floor, 0.0) / np.einsum("ct,ct->c", fs, v))
-        X_out[fslot, fc[:, None]] = x0 - lam[:, None] * v
     return X_out[:n], feasible, steps
+
+
+def _widen(buf: np.ndarray, H: np.ndarray, t: int) -> np.ndarray:
+    """Re-lay ``H``, a stack (c, u, u) at the front of ``buf``, as a stack
+    (c, t, t), t > u, in place there: the new slots are free, with an
+    identity row and column. Columns move from the last, so none is
+    overwritten before it moves."""
+    c, u = H.shape[:2]
+    wide = buf[: c * t * t].reshape(c, t, t)
+    for i in range(c - 1, -1, -1):
+        wide[i, :u, :u] = H[i]
+    wide[:, u:] = 0.0
+    wide[:, :u, u:] = 0.0
+    wide[:, range(u, t), range(u, t)] = 1.0
+    return wide
+
+
+def _refit(Gp: np.ndarray, slot: np.ndarray, S: np.ndarray, Bp: np.ndarray, ysq, eps2) -> np.ndarray:
+    """The exact codes, on their slots ``slot`` (c, slots), of c columns
+    whose paths ended at their bounds, given their active signs ``S`` and
+    correlations ``Bp`` ((n + 1, c), padded as ``Gp``): ``x = G_AA^{-1} (b_A
+    - lam s_A)`` with ``lam`` where the residual norm is ``sqrt(eps2)``. A
+    free slot reads the padded zero atom (the last), whose zero row and
+    column a unit diagonal entry turns into the identity's."""
+    ar = np.arange(len(slot))[:, None]
+    sign, b = S[slot, ar], Bp[slot, ar]
+    gram = Gp[slot[:, :, None], slot[:, None, :]]
+    c, k = np.nonzero(slot == len(Gp) - 1)
+    gram[c, k, k] = 1.0
+    sol = np.linalg.solve(gram, np.stack([b, sign], axis=2))
+    x0, v = sol[..., 0], sol[..., 1]
+    floor = ysq - np.einsum("ct,ct->c", b, x0)
+    lam = np.sqrt(np.maximum(eps2 - floor, 0.0) / np.einsum("ct,ct->c", sign, v))
+    return x0 - lam[:, None] * v
 
 
 def _atom_sets(mask: np.ndarray | None, cols):
@@ -524,14 +548,21 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     ``np.linalg.lstsq`` on the atoms for a set whose Gram is singular or
     ill-conditioned (see :func:`_least_squares`). Both shortcuts report 0
     iterations; other columns report their path steps. The paths of all
-    other columns run in lockstep in atom space (see :func:`_l1_paths`), in
-    as few equal batches as keep each batch's inverse slot Grams within
-    ``_LOCKSTEP_BYTES`` (``D^T D`` and ``D^T Y`` are formed once, for the
-    floors and every batch): each keeps its support
+    other columns run in one lockstep walk in atom space, from the same
+    ``D^T D`` and ``D^T Y`` (see :func:`_l1_paths`): each keeps its support
     in fixed slots with the inverse of the slot Gram, bordered by a rank-1
     update when an atom enters and Schur-downdated when one leaves, and a
-    feasible code is refit exactly on its final support and signs. Returns
-    ``(codes, residual_norms, feasible, iteration_counts)``.
+    feasible code is refit exactly on its final support and signs as its
+    path ends.
+
+    A walked column can end infeasible, with a residual several times
+    ``eps``, although its least-squares floor is within ``eps``: when that
+    floor needs an atom whose squared distance from the span of the
+    column's support is at most ``_SPAN_TOL``, such as a near-duplicate of a
+    support atom, the span test keeps the atom out and ``lam`` reaches 0
+    above ``eps``. The column then gets the path's end code, as it would
+    from a path walked alone.
+    Returns ``(codes, residual_norms, feasible, iteration_counts)``.
     """
     Y = _check_signals(D, Y)
     s = Y.shape[1]
@@ -571,22 +602,11 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     rnorm[work[lost]] = floor[lost]
     todo = work[~lost]
     if todo.size:
-        Yt = Y[:, todo]
-        B = B[:, ~lost]
         own = None if own is None else own[:, ~lost]
         slots = min(Au.shape[0], Au.shape[1] if own is None else int(own.sum(axis=0).max()))
-        # as few lockstep batches as the budget allows, of equal width
-        batches = -(-todo.size * 8 * slots * slots // _LOCKSTEP_BYTES)
-        width = -(-todo.size // batches)
-        xt = np.zeros_like(B)
-        for lo in range(0, todo.size, width):
-            part = slice(lo, lo + width)
-            xt[:, part], feasible[todo[part]], iters[todo[part]] = _l1_paths(
-                G, B[:, part], ynorm[todo[part]] ** 2, eps_vec[todo[part]], slots,
-                None if own is None else own[:, part],
-            )
+        xt, feasible[todo], iters[todo] = _l1_paths(G, B[:, ~lost], ynorm[todo] ** 2, eps_vec[todo], slots, own)
         X[np.ix_(usable_idx, todo)] = xt
-        rnorm[todo] = np.linalg.norm(Yt - Au @ xt, axis=0)
+        rnorm[todo] = np.linalg.norm(Y[:, todo] - Au @ xt, axis=0)
     return X, rnorm, feasible, iters
 
 

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from blocksrc import BENIGN, MALIGNANT, Dictionary, bpdn_batch, class_residuals, normalize_columns, omp_batch
+from blocksrc.blocks import assemble_block_dictionaries, decompose_roi
+from blocksrc.harness import stratified_folds
 from blocksrc.solvers import _well_posed, batch_omp
+from blocksrc.synth import SynthSpec, synth_dataset
 
 from .oracles import (
     exhaustive_sparse_fit,
@@ -568,19 +571,43 @@ class TestBpdnMasked:
         assert np.all(rn[3:] > eps[3:])
         assert self.assert_matches_own_atoms(D, Y, eps, allowed) == 3
 
-    def test_batch_boundary_is_invisible(self, monkeypatch):
-        import blocksrc.solvers as solvers
-
+    def test_each_column_alone_matches_the_wide_call(self):
+        # every column solved again in a call of its own: a lockstep
+        # boundary at every column must not change a step, a flag or a code
         rng = np.random.default_rng(45)
         M, labels, Y, eps, allowed = fold_problem(rng, 12, 6, 4, 40)
         D = unit_dict(M, labels)
-        wide = bpdn_batch(D, Y, eps, allowed=allowed)
-        # about 3 columns of 12 slots per lockstep batch
-        monkeypatch.setattr(solvers, "_LOCKSTEP_BYTES", 3 * 8 * 12 * 12)
-        narrow = bpdn_batch(D, Y, eps, allowed=allowed)
-        assert np.array_equal(wide[2], narrow[2]) and np.array_equal(wide[3], narrow[3])
-        np.testing.assert_allclose(narrow[0], wide[0], rtol=0.0, atol=1e-9 * np.abs(wide[0]).max())
+        X, _, feas, iters = bpdn_batch(D, Y, eps, allowed=allowed)
+        for c in range(Y.shape[1]):
+            xc, _, fc, ic = bpdn_batch(D, Y[:, c : c + 1], eps[c], allowed=allowed[:, c : c + 1])
+            assert ic[0] == iters[c] and fc[0] == feas[c]
+            np.testing.assert_allclose(xc[:, 0], X[:, c], rtol=0.0, atol=1e-9 * max(np.abs(X[:, c]).max(), 1e-300))
         assert self.assert_matches_own_atoms(D, Y, eps, allowed) >= 30
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_code8_call_matches_per_column_oracle(self, seed):
+        # the 8-px coding call of a 10-fold cell on 37 ROIs of 8x8 per class:
+        # every held-out block on its fold's 66 or 67 training blocks, at
+        # 64 slots, all in one call
+        samples = synth_dataset(SynthSpec(roi_size=8, block_size=8, samples_per_class=37), seed)
+        folds = stratified_folds([s.label for s in samples], 10, seed)
+        (D,) = assemble_block_dictionaries(samples, 8, 8)
+        test_idx = np.concatenate([np.flatnonzero(folds == f) for f in range(10)])
+        allowed = folds[:, None] != folds[test_idx][None, :]
+        Y = np.stack([decompose_roi(samples[i], 8, 8).vectors[0] for i in test_idx], axis=1)
+        eps = 0.05 * np.linalg.norm(Y, axis=0)
+        assert Y.shape == (64, 74) and set(allowed.sum(axis=0)) <= {66, 67}
+        X, _, feas, iters = bpdn_batch(D, Y, eps, allowed=allowed)
+        walks = np.flatnonzero(iters > 0)
+        assert walks.size >= 60
+        for c in walks:
+            own = np.flatnonzero(allowed[:, c] & D.usable)
+            A = D.atoms[:, own]
+            xu, _, ok, steps = per_column_l1_path(A, A.T @ A, Y[:, c], eps[c])
+            assert iters[c] == steps and feas[c] == ok
+            ref = np.zeros(D.n_atoms)
+            ref[own] = xu
+            np.testing.assert_allclose(X[:, c], ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
 
     @staticmethod
     def gram_route(D, allowed, c):
