@@ -84,6 +84,24 @@ def compose_blocks(grid: BlockGrid) -> np.ndarray:
     )
 
 
+def check_training_labels(labels) -> np.ndarray:
+    """The labels of a training set as an array; ValueError unless the set
+    is non-empty and holds both classes."""
+    labels = as_label_array(labels)
+    if labels.size == 0:
+        raise ValueError("no training samples")
+    if len(set(labels.tolist())) < 2:
+        raise ValueError("training set must contain at least one sample per class")
+    return labels
+
+
+def check_roi_sizes(samples: list[RoiSample]) -> None:
+    """ValueError unless every ROI of ``samples`` has the first one's size."""
+    for smp in samples:
+        if smp.size != samples[0].size:
+            raise ValueError(f"mixed ROI sizes: {smp.size} vs {samples[0].size}")
+
+
 def block_stack(training: list[RoiSample], block_w: int, block_h: int) -> tuple[np.ndarray, np.ndarray]:
     """Stack the training ROIs' blocks by position, decomposing each ROI once.
 
@@ -92,16 +110,8 @@ def block_stack(training: list[RoiSample], block_w: int, block_h: int) -> tuple[
     (positions, block_w * block_h, samples). The set must hold equally sized
     ROIs of both classes.
     """
-    if not training:
-        raise ValueError("no training samples")
-    size = training[0].size
-    for smp in training:
-        if smp.size != size:
-            raise ValueError(f"mixed ROI sizes: {smp.size} vs {size}")
-    labels = as_label_array([smp.label for smp in training])
-    if len(set(labels.tolist())) < 2:
-        raise ValueError("training set must contain at least one sample per class")
-
+    labels = check_training_labels([smp.label for smp in training])
+    check_roi_sizes(training)
     first = decompose_roi(training[0], block_w, block_h).vectors
     stacks = np.empty((len(training),) + first.shape)  # (s, positions, d)
     stacks[0] = first

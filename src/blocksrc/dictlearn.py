@@ -70,6 +70,11 @@ class TrainParams:
     def resolved_t(self, k: int) -> int:
         return max(1, min(self.T, k - 1))
 
+    def closed_form(self, n_samples: int) -> bool:
+        """Whether training on ``n_samples`` samples builds the K = s
+        optimum in closed form, rather than running K-SVD."""
+        return self.K in (None, n_samples) and self.min_rel_improvement > 0
+
 
 @dataclass(frozen=True)
 class LabelMatrices:
@@ -403,7 +408,7 @@ def lcksvd_train_stack(Y, sample_labels, params: TrainParams, mode: str) -> list
     Y = _check_training_matrix(Y, ndim=3)
     sample_labels = as_label_array(sample_labels)
     P, _, s = Y.shape
-    fit = _closed_form if params.resolved_k(s) == s and params.min_rel_improvement > 0 else _ksvd_split
+    fit = _closed_form if params.closed_form(s) else _ksvd_split
     atom_labels, atoms, scales, traces = fit(Y, sample_labels, params, mode)
     return [
         DiscriminativeDictionary(

@@ -1,10 +1,11 @@
 """Cross-validation harness: stratified folds, metrics, experiment runner.
 
-A cross-validation pass trains per-block dictionaries on each fold's training
-split, classifies the held-out samples block by block and fuses the block
-results under both decision rules. A report then takes one rule's
-predictions, pools them over folds, and is persisted (JSON, a CSV summary
-row, and an SVG ROC plot). Everything is deterministic given (config, seed).
+A cross-validation pass codes each fold's held-out samples block by block on
+its training split's dictionaries (cut from one assembly of the whole dataset,
+or learned per fold below K = s) and fuses the block results under both
+decision rules. A report then takes one rule's predictions, pools them over
+folds, and is persisted (JSON, a CSV summary row, and an SVG ROC plot).
+Everything is deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .blocks import RoiSample, assemble_block_dictionaries, block_stack, decompose_roi
+from .blocks import (RoiSample, assemble_block_dictionaries, block_stack, check_roi_sizes,
+                     check_training_labels, decompose_roi)
 from .config import ExperimentConfig
 from .dictlearn import DiscriminativeDictionary, lcksvd_train_stack
 from .ensemble import (
@@ -152,10 +154,12 @@ def load_dataset(cfg: ExperimentConfig) -> list[RoiSample]:
     samples = load_roi_cache(cfg.data_dir)
     if not samples:
         raise ValueError(f"ROI cache {cfg.data_dir} is empty")
-    if samples[0].size != cfg.roi_size:
-        raise ValueError(
-            f"cache ROI size {samples[0].size} does not match config roi_size {cfg.roi_size}"
-        )
+    for i, smp in enumerate(samples):
+        if smp.size != cfg.roi_size:
+            raise ValueError(
+                f"cache ROI {smp.source_id or i} has size {smp.size}, "
+                f"which does not match config roi_size {cfg.roi_size}"
+            )
     return samples
 
 
@@ -166,8 +170,9 @@ def train_block_models(
     dl_mode "none", label-consistent dictionaries otherwise, learned for all
     positions in one stacked training. At the default ``dict_size = 0`` (or
     one equal to the training count) the learned dictionaries are built in
-    closed form and are dl_mode "none"'s byte for byte, so they pool and
-    predict as those; any other ``dict_size`` runs K-SVD."""
+    closed form and are dl_mode "none"'s byte for byte, so
+    :func:`cross_validate` codes such a cell on the whole dataset's raw
+    dictionaries without calling this; any other ``dict_size`` runs K-SVD."""
     if cfg.dl_mode == "none":
         return [
             DiscriminativeDictionary(D=d, mode="none")
@@ -211,59 +216,6 @@ def classify_samples(
     return ensemble_decision(np.column_stack(hard), np.column_stack(lls), tau=cfg.tau)
 
 
-def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-class AtomPool:
-    """One atom set per block position, grown from the dictionaries of a
-    cross-validation pass's folds while each fold's is a byte-equal column
-    subset of it.
-
-    A fold's atom ``c`` stands for its training sample ``c``; the pool keeps
-    one atom (with its label and scale) per sample that a fold trained on.
-    Raw dictionaries fit, as do LC-KSVD ones at K = s (the raw ones byte for
-    byte); K < s never fits. The bytes alone decide.
-    """
-
-    def __init__(self, n_samples: int):
-        self.seen = np.zeros(n_samples, dtype=bool)
-        self.parts: list[tuple] | None = None  # per position: atoms, labels, scales
-
-    def absorb(self, train_idx: np.ndarray, dicts: list[Dictionary]) -> bool:
-        """Add a fold's dictionaries, given its training sample indices;
-        False, with the pool unchanged, when a dictionary does not hold one
-        atom per training sample, or an atom, label or scale differs in any
-        byte from the pool's for the same sample."""
-        if any(D.n_atoms != train_idx.size for D in dicts):
-            return False
-        if self.parts is None:
-            n = self.seen.size
-            self.parts = [(np.zeros((D.dim, n)), np.zeros(n, D.atom_labels.dtype), np.zeros(n)) for D in dicts]
-        if len(dicts) != len(self.parts):
-            return False
-        old = self.seen[train_idx]
-        known = train_idx[old]
-        for D, (atoms, labels, scales) in zip(dicts, self.parts):
-            if not (
-                _same_bytes(D.atoms[:, old], atoms[:, known])
-                and _same_bytes(D.atom_labels[old], labels[known])
-                and _same_bytes(D.scales[old], scales[known])
-            ):
-                return False
-        for D, (atoms, labels, scales) in zip(dicts, self.parts):
-            atoms[:, train_idx], labels[train_idx], scales[train_idx] = D.atoms, D.atom_labels, D.scales
-        self.seen[train_idx] = True
-        return True
-
-    def dictionaries(self, idx: np.ndarray) -> list[Dictionary]:
-        """Per position, the dictionary of the pool's atoms of samples ``idx``
-        (views of the pool's arrays when ``idx`` is every sample)."""
-        if np.array_equal(idx, np.arange(self.seen.size)):
-            idx = slice(None)
-        return [Dictionary(atoms=a[:, idx], atom_labels=lab[idx], scales=sc[idx]) for a, lab, sc in self.parts]
-
-
 def decision_outputs(dec: EnsembleDecision, cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """(predictions, decision scores) under the configured rule."""
     if cfg.decision == "bbmap":
@@ -271,78 +223,64 @@ def decision_outputs(dec: EnsembleDecision, cfg: ExperimentConfig) -> tuple[np.n
     return dec.label_bbll, dec.ells - dec.tau
 
 
-def cross_validate(
-    cfg: ExperimentConfig, block_size: int, samples: list[RoiSample], joint: dict | None = None
-) -> list[tuple]:
+def _pools(cfg: ExperimentConfig, folds: np.ndarray) -> bool:
+    """Whether every fold's model is its training split's raw block
+    dictionaries: under dl_mode "none", and under LC-KSVD at K = s."""
+    params = cfg.train_params()
+    return cfg.dl_mode == "none" or all(params.closed_form(n) for n in folds.size - np.bincount(folds))
+
+
+def cross_validate(cfg: ExperimentConfig, block_size: int, samples: list[RoiSample]) -> list[tuple]:
     """One stratified cross-validation pass for one block size.
 
-    Per fold: assemble (and optionally learn) the block dictionaries on the
-    training split, and classify the held-out samples under both decision
-    rules. While every trained fold's dictionaries are byte-equal column
-    subsets of one atom set per position (an :class:`AtomPool`), the folds'
-    held-out samples wait, and are then coded in one
-    :func:`classify_samples` call, each sample on its own fold's atoms
-    alone, so one ``D^T D`` and one ``D^T Y`` per position serve every fold.
-    Once a fold's dictionaries do not fit, the waiting folds and every later
-    one are classified on their own. ``joint`` maps the bytes of a joint
-    call's folds and pool to its outcome, so passes sharing it (same samples
-    and classification settings) code each pool once. Returns ``(fold,
-    test_indices, outcome)`` per fold, where outcome is the fold's
-    :class:`EnsembleDecision`, or a structured diagnostic dict when the fold
-    failed with a ``ValueError`` or ``LinAlgError`` (a failure of the joint
-    call is booked to each of its folds); any other exception is a
-    programming error and propagates. ``cfg.decision`` plays no part.
+    A fold whose training split is empty or lacks a class fails as its
+    training would. When every fold's model is its training split's raw
+    block dictionaries (see :func:`train_block_models`), those are column
+    subsets of the whole dataset's, which are assembled once: the passing
+    folds' held-out samples are coded in one :func:`classify_samples` call,
+    each on its own fold's training atoms alone, so one ``D^T D`` and one
+    ``D^T Y`` per position serve every fold. Otherwise each fold trains and
+    classifies on its own. Returns ``(fold, test_indices, outcome)`` per
+    fold, where outcome is the fold's :class:`EnsembleDecision`, or a
+    structured diagnostic dict when the fold failed with a ``ValueError`` or
+    ``LinAlgError`` (a failure of the joint call is booked to each of its
+    folds); any other exception, and ROIs of mixed sizes, raise.
+    ``cfg.decision`` plays no part.
     """
-    folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
+    check_roi_sizes(samples)
+    labels = as_label_array([s.label for s in samples])
+    folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
     outcomes: dict[int, object] = {}
-
-    def classify_fold(f: int, dicts: list[Dictionary]) -> None:
-        try:
-            test_set = [samples[i] for i in np.flatnonzero(folds == f)]
-            outcomes[f] = classify_samples(dicts, test_set, cfg, block_size)
-        except (ValueError, np.linalg.LinAlgError) as err:
-            outcomes[f] = _diagnostic("classify", err)
-
-    pool: AtomPool | None = AtomPool(len(samples))
-    waiting: list[int] = []  # trained folds whose dictionaries are in the pool
     for f in range(cfg.k_folds):
-        train_idx = np.flatnonzero(folds != f)
         try:
-            models = train_block_models([samples[i] for i in train_idx], cfg, block_size)
-        except (ValueError, np.linalg.LinAlgError) as err:  # a domain error aborts the fold
+            check_training_labels(labels[folds != f])
+        except ValueError as err:
             outcomes[f] = _diagnostic("train", err)
-            continue
-        dicts = [m.D for m in models]
-        if pool is not None and pool.absorb(train_idx, dicts):
-            waiting.append(f)
-            continue
-        if pool is not None:  # the pool holds the waiting folds' dictionaries byte for byte
-            for g in waiting:
-                classify_fold(g, pool.dictionaries(np.flatnonzero(folds != g)))
-            pool, waiting = None, []
-        classify_fold(f, dicts)
-
-    if waiting:
-        test_idx = np.concatenate([np.flatnonzero(folds == f) for f in waiting])
-        # the pooled samples follow from the folds and the waiting ones
-        key = None if joint is None else (
-            folds.tobytes(), tuple(waiting), *(a.tobytes() for part in pool.parts for a in part)
-        )
-        dec = None if key is None else joint.get(key)
-        if dec is None:
-            members = np.flatnonzero(pool.seen)
-            # each sample may use the atoms of its own fold's training samples
-            allowed = folds[members][:, None] != folds[test_idx][None, :]
-            try:
-                test_set = [samples[i] for i in test_idx]
-                dec = classify_samples(pool.dictionaries(members), test_set, cfg, block_size, allowed=allowed)
+    trainable = [f for f in range(cfg.k_folds) if f not in outcomes]
+    if not _pools(cfg, folds):
+        for f in trainable:
+            stage = "train"
+            try:  # a domain error aborts the fold
+                models = train_block_models([samples[i] for i in np.flatnonzero(folds != f)], cfg, block_size)
+                stage = "classify"
+                test_set = [samples[i] for i in np.flatnonzero(folds == f)]
+                outcomes[f] = classify_samples([m.D for m in models], test_set, cfg, block_size)
             except (ValueError, np.linalg.LinAlgError) as err:
-                dec = _diagnostic("classify", err)
-            if key is not None:
-                joint[key] = dec
-        for f in waiting:
-            rows = folds[test_idx] == f
-            outcomes[f] = dec if isinstance(dec, dict) else _decision_rows(dec, rows)
+                outcomes[f] = _diagnostic(stage, err)
+    elif trainable:
+        dicts = assemble_block_dictionaries(samples, block_size, block_size)
+        members = np.flatnonzero(np.any([folds != f for f in trainable], axis=0))
+        if members.size < len(samples):  # one fold: its training samples alone
+            dicts = [Dictionary(D.atoms[:, members], D.atom_labels[members], D.scales[members]) for D in dicts]
+        test_idx = np.concatenate([np.flatnonzero(folds == f) for f in trainable])
+        # each sample may use the atoms of its own fold's training samples
+        allowed = folds[members][:, None] != folds[test_idx][None, :]
+        try:
+            dec = classify_samples(dicts, [samples[i] for i in test_idx], cfg, block_size, allowed=allowed)
+        except (ValueError, np.linalg.LinAlgError) as err:
+            outcomes.update(dict.fromkeys(trainable, _diagnostic("classify", err)))
+        else:
+            outcomes.update((f, _decision_rows(dec, folds[test_idx] == f)) for f in trainable)
     return [(f, np.flatnonzero(folds == f), outcomes[f]) for f in range(cfg.k_folds)]
 
 
@@ -466,21 +404,27 @@ def run_grid(cfg: ExperimentConfig, persist: bool = True) -> list[EvalReport]:
     write one summary CSV over all cells.
 
     The dataset is loaded once; each (folds, mode, block size) pass runs
-    once, under both decision rules, and codes nothing when its pool and
-    folds are byte-equal to an earlier mode's (LC-KSVD's at K = s are
-    "none"'s). Reports and summary rows come out decision-major.
+    once, under both decision rules. The passes of one (folds, block size)
+    pair that code on the raw dictionaries (see :func:`cross_validate`) run
+    once for all their modes: at the default K = s, LC-KSVD's take the
+    "none" pass's outcomes. Reports and summary rows come out decision-major.
     """
     samples = load_dataset(cfg)
+    labels = [s.label for s in samples]
     blocks = [b for b in GRID_BLOCKS if cfg.roi_size % b == 0]
     cells: dict[tuple, EvalReport] = {}
     for k in GRID_FOLDS:
+        folds = stratified_folds(labels, k, cfg.seed)
         for block in blocks:
-            joint: dict = {}  # this pair's joint calls only
+            pooled = None  # this pair's raw-dictionary pass
             for mode in GRID_MODES:
                 sub = replace(cfg, k_folds=k, dl_mode=mode)
-                folds = cross_validate(sub, block, samples, joint)
+                if _pools(sub, folds):
+                    outcomes = pooled = pooled or cross_validate(sub, block, samples)
+                else:
+                    outcomes = cross_validate(sub, block, samples)
                 for decision in GRID_DECISIONS:
-                    rep = build_report(replace(sub, decision=decision), block, samples, folds)
+                    rep = build_report(replace(sub, decision=decision), block, samples, outcomes)
                     if persist:
                         persist_report(rep, cfg.output_dir)
                     cells[decision, k, mode, block] = rep

@@ -175,16 +175,17 @@ def test_incomplete_folds_exit_nonzero_after_writing_reports(
     monkeypatch.setattr(H, "GRID_FOLDS", (3,))
     monkeypatch.setattr(H, "GRID_BLOCKS", (8,))
     monkeypatch.setattr(H, "GRID_MODES", ("none",))
-    train = H.train_block_models
+    check = H.check_training_labels
     calls = []
 
-    def failing_first_fold(samples, cfg, block_size):
-        calls.append(block_size)
+    def failing_first_fold(labels):
+        # a pooled cell trains no fold, but checks each fold's training split
+        calls.append(labels)
         if len(calls) == 1:
             raise ValueError("injected fold failure")
-        return train(samples, cfg, block_size)
+        return check(labels)
 
-    monkeypatch.setattr(H, "train_block_models", failing_first_fold)
+    monkeypatch.setattr(H, "check_training_labels", failing_first_fold)
     cfg = write_config(tmp_path, synth_cache)
     assert main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -210,14 +211,14 @@ def test_cell_whose_folds_all_fail_is_reported_and_the_run_finishes(
     monkeypatch.setattr(H, "GRID_FOLDS", (3,))
     monkeypatch.setattr(H, "GRID_BLOCKS", (16, 8))
     monkeypatch.setattr(H, "GRID_MODES", ("none",))
-    train = H.train_block_models
+    classify = H.classify_samples
 
-    def failing_16px(samples, cfg, block_size):
+    def failing_16px(dicts, samples, cfg, block_size, allowed=None):
         if block_size == 16:
             raise ValueError("injected fold failure")
-        return train(samples, cfg, block_size)
+        return classify(dicts, samples, cfg, block_size, allowed=allowed)
 
-    monkeypatch.setattr(H, "train_block_models", failing_16px)
+    monkeypatch.setattr(H, "classify_samples", failing_16px)
     cfg = write_config(tmp_path, synth_cache, block_sizes="8, 16")
     assert main([command, "--config", str(cfg)]) == 1
     out, err = capsys.readouterr()

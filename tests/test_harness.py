@@ -262,6 +262,20 @@ class TestSynthData:
         assert accs[0] >= accs[1] >= accs[2]
 
 
+class TestLoadDataset:
+    def test_cache_roi_of_another_size_is_named(self, tmp_path):
+        from blocksrc.synth import write_synth_cache
+
+        samples = load_dataset(tiny_config())
+        odd = replace(samples[5], pixels=samples[5].pixels[:8, :8], source_id="odd")
+        write_synth_cache(samples[:5] + [odd] + samples[6:], str(tmp_path))
+        cfg = tiny_config(synthetic=False, data_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="cache ROI odd has size 8, which does not match config roi_size 16"):
+            load_dataset(cfg)
+        write_synth_cache(samples, str(tmp_path / "even"))
+        assert len(load_dataset(replace(cfg, data_dir=str(tmp_path / "even")))) == len(samples)
+
+
 class TestRunExperiment:
     def test_single_block_reduces_to_src(self):
         cfg = tiny_config(block_sizes=(16,), decision="bbmap", k_folds=4)
@@ -359,28 +373,35 @@ class TestRunExperiment:
         assert len(models) == 4
         assert len(calls) == len(samples)
 
-    def test_failed_fold_recorded_with_diagnostic(self, monkeypatch):
-        import blocksrc.harness as H
+    def test_failed_fold_recorded_with_diagnostic(self):
+        # the fold holding the only malignant ROI trains without that class
+        samples = with_one_malignant(load_dataset(tiny_config()))
+        labels = np.array([s.label for s in samples])
+        for mode in ("none", "lcksvd1", "lcksvd2"):
+            cfg = tiny_config(dl_mode=mode)
+            report = run_experiment(cfg, samples=samples, persist=False)
+            folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
+            lone = int(folds[labels == MALIGNANT][0])
+            assert report.incomplete_folds == [lone]
+            assert report.folds[lone]["error"] == ONE_CLASS_TRAINING
+            # pooled metrics cover only the completed folds
+            covered = sum(len(f.get("test_indices", [])) for f in report.folds)
+            assert covered == report.n_samples - int(np.sum(folds == lone))
 
-        real = H.train_block_models
-        calls = {"n": 0}
+    def test_mixed_roi_sizes_raise_once(self):
+        from blocksrc.harness import cross_validate
 
-        def flaky(samples, cfg, block_size):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise ValueError("synthetic training failure")
-            return real(samples, cfg, block_size)
-
-        monkeypatch.setattr(H, "train_block_models", flaky)
         cfg = tiny_config()
-        report = run_experiment(cfg, persist=False)
-        assert report.incomplete_folds == [0]
-        entry = report.folds[0]
-        assert entry["error"]["stage"] == "train"
-        assert entry["error"]["type"] == "ValueError"
-        # pooled metrics cover only the completed folds
-        covered = sum(len(f.get("test_indices", [])) for f in report.folds)
-        assert covered < report.n_samples
+        samples = load_dataset(cfg)
+        small = replace(samples[3], pixels=samples[3].pixels[:8, :8])
+        mixed = samples[:3] + [small] + samples[4:]
+        for mode in ("none", "lcksvd1"):
+            for dict_size in (0, 6):
+                sub = replace(cfg, dl_mode=mode, dict_size=dict_size, iterations=2)
+                with pytest.raises(ValueError, match="mixed ROI sizes: 8 vs 16"):
+                    cross_validate(sub, 8, mixed)
+                with pytest.raises(ValueError, match="mixed ROI sizes: 8 vs 16"):
+                    run_experiment(sub, samples=mixed, persist=False)
 
     def test_programming_error_propagates(self, monkeypatch):
         import blocksrc.harness as H
@@ -405,14 +426,30 @@ class TestRunExperiment:
 
 
 def per_fold_reference(cfg, samples, block):
-    """Each fold trained and classified on its own, with no atom mask."""
+    """Each fold trained and classified on its own, with no atom mask; a
+    fold whose training raises gets the diagnostic its error makes."""
     folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
     out = []
     for f in range(cfg.k_folds):
-        models = train_block_models([samples[i] for i in np.flatnonzero(folds != f)], cfg, block)
+        try:
+            models = train_block_models([samples[i] for i in np.flatnonzero(folds != f)], cfg, block)
+        except ValueError as err:
+            out.append({"stage": "train", "type": type(err).__name__, "message": str(err)})
+            continue
         test = [samples[i] for i in np.flatnonzero(folds == f)]
         out.append(classify_samples([m.D for m in models], test, cfg, block))
     return out
+
+
+ONE_CLASS_TRAINING = {"stage": "train", "type": "ValueError",
+                      "message": "training set must contain at least one sample per class"}
+
+
+def with_one_malignant(samples):
+    """The benign samples and the first malignant one, in their order: the
+    fold that holds the malignant one trains without its class."""
+    first = next(i for i, s in enumerate(samples) if s.label == MALIGNANT)
+    return [s for i, s in enumerate(samples) if s.label == BENIGN or i == first]
 
 
 def assert_same_decisions(got, ref, atol=1e-9):
@@ -495,30 +532,32 @@ class TestStackedFolds:
         assert leaked >= len(call["blocks"]) * len(samples) // 2
 
     def test_failed_training_fold_is_left_out(self, monkeypatch):
+        # the fold holding the only malignant ROI fails as its training
+        # would; the other folds are coded in one masked call on the atoms
+        # of every sample, since each sample is in some fold's training split
         import blocksrc.harness as H
 
-        cfg = walking_config(k_folds=6)
-        samples = load_dataset(cfg)
-        ref = per_fold_reference(cfg, samples, 4)
-        real, seen = H.train_block_models, []
-
-        def flaky(train, cfg, block_size):
-            seen.append(len(seen))
-            if len(seen) == 3:
-                raise ValueError("synthetic training failure")
-            return real(train, cfg, block_size)
-
-        monkeypatch.setattr(H, "train_block_models", flaky)
-        calls = self.spy(monkeypatch)
-        out = H.cross_validate(cfg, 4, samples)
-        folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
-        assert out[2][2] == {"stage": "train", "type": "ValueError", "message": "synthetic training failure"}
-        (call,) = calls
+        samples = with_one_malignant(load_dataset(walking_config()))
+        labels = np.array([s.label for s in samples])
         index = {id(s): i for i, s in enumerate(samples)}
-        assert sorted(index[id(s)] for s in call["samples"]) == np.flatnonzero(folds != 2).tolist()
-        for f, _, dec in out:
-            if f != 2:
-                assert_same_decisions(dec, ref[f])
+        for mode in ("none", "lcksvd1", "lcksvd2"):
+            cfg = walking_config(k_folds=6, dl_mode=mode)
+            folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
+            lone = int(folds[labels == MALIGNANT][0])
+            ref = per_fold_reference(cfg, samples, 4)
+            assert ref[lone] == ONE_CLASS_TRAINING
+            calls = self.spy(monkeypatch)
+            out = H.cross_validate(cfg, 4, samples)
+            monkeypatch.undo()
+            assert out[lone][2] == ref[lone]
+            (call,) = calls
+            assert call["allowed"] is not None and call["dicts"][0].n_atoms == len(samples)
+            assert [index[id(s)] for s in call["samples"]] == [
+                i for f in range(cfg.k_folds) if f != lone for i in np.flatnonzero(folds == f)
+            ]
+            for f, _, dec in out:
+                if f != lone:
+                    assert_same_decisions(dec, ref[f])
 
     def test_joint_classify_failure_is_booked_to_each_fold(self, monkeypatch):
         import blocksrc.harness as H
@@ -551,66 +590,45 @@ class TestStackedFolds:
         for (_, _, dec), r in zip(out, ref):
             assert_same_decisions(dec, r, atol=1e-9 if dict_size == 0 else 0.0)
 
-    def test_fold_that_does_not_fit_the_pool(self, monkeypatch):
-        # fold 2's dictionary is one ulp off at a sample folds 0 and 1 trained
-        # on: folds 0 and 1 are then classified on the pool's copies of their
-        # own dictionaries, and every fold as on its own
-        import blocksrc.harness as H
+    def test_cell_at_k_s_in_some_folds_codes_fold_by_fold(self, monkeypatch):
+        # K equals the training count of some folds only: those build the
+        # closed form and the others run K-SVD, so no pool serves the cell
+        from blocksrc.harness import cross_validate
 
-        cfg = walking_config(k_folds=5)
+        cfg = walking_config(k_folds=4, dl_mode="lcksvd1", dict_size=22, iterations=2)
         samples = load_dataset(cfg)
         folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
-        shared = int(np.flatnonzero((folds != 0) & (folds != 1) & (folds != 2))[0])
-        train2 = np.flatnonzero(folds != 2)
-        c = int(np.searchsorted(train2, shared))  # its atom in fold 2's dictionary
-        real = H.train_block_models
-
-        def nudged(train, cfg, block_size):
-            models = real(train, cfg, block_size)
-            if len(train) == train2.size and all(a is samples[i] for a, i in zip(train, train2)):
-                D = models[1].D
-                atoms = D.atoms.copy()
-                atoms[0, c] = np.nextafter(atoms[0, c], 2.0)
-                models[1] = DiscriminativeDictionary(
-                    D=Dictionary(atoms=atoms, atom_labels=D.atom_labels, scales=D.scales), mode="none"
-                )
-            return models
-
-        monkeypatch.setattr(H, "train_block_models", nudged)
-        ref = []
-        for f in range(cfg.k_folds):
-            models = nudged([samples[i] for i in np.flatnonzero(folds != f)], cfg, 4)
-            test = [samples[i] for i in np.flatnonzero(folds == f)]
-            ref.append(classify_samples([m.D for m in models], test, cfg, 4))
+        closed = [cfg.train_params().closed_form(int(np.sum(folds != f))) for f in range(cfg.k_folds)]
+        assert any(closed) and not all(closed)
+        ref = per_fold_reference(cfg, samples, 4)
         calls = self.spy(monkeypatch)
-        out = H.cross_validate(cfg, 4, samples)
+        out = cross_validate(cfg, 4, samples)
         assert len(calls) == cfg.k_folds and all(c["allowed"] is None for c in calls)
         for (_, _, dec), r in zip(out, ref):
             assert_same_decisions(dec, r, atol=0.0)
 
-    def test_pool_refuses_a_dictionary_one_ulp_off(self):
-        from blocksrc.harness import AtomPool
 
-        cfg = tiny_config()
-        samples = load_dataset(cfg)
-        folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
-        pool = AtomPool(len(samples))
-        trains = [np.flatnonzero(folds != f) for f in range(2)]
-        dicts = [[m.D for m in train_block_models([samples[i] for i in t], cfg, 8)] for t in trains]
-        assert pool.absorb(trains[0], dicts[0])
-        before = [tuple(a.copy() for a in part) for part in pool.parts]
-        D = dicts[1][3]
-        atoms = D.atoms.copy()
-        c = int(np.flatnonzero(np.isin(trains[1], trains[0]))[0])  # a sample fold 0 trained on
-        atoms[5, c] = np.nextafter(atoms[5, c], 2.0)
-        off = dicts[1][:3] + [Dictionary(atoms=atoms, atom_labels=D.atom_labels, scales=D.scales)]
-        assert not pool.absorb(trains[1], off)
-        for part, old in zip(pool.parts, before):
-            assert all(np.array_equal(a, b) for a, b in zip(part, old))
-        assert pool.absorb(trains[1], dicts[1])
-        for f in range(2):
-            for mine, theirs in zip(pool.dictionaries(trains[f]), dicts[f]):
-                assert mine.atoms.tobytes() == theirs.atoms.tobytes()
+class TestPoolByConstruction:
+    """Every fold's dictionaries at K = s are byte-equal column subsets of
+    the whole dataset's, which is what lets a cell code on those."""
+
+    def test_fold_dictionaries_are_column_subsets_of_the_dataset_s(self):
+        from blocksrc.blocks import assemble_block_dictionaries
+
+        # MIAS-sized: 37 ROIs per class, 64x64
+        samples = synth_dataset(SynthSpec(roi_size=64, block_size=16, samples_per_class=37), 20)
+        labels = [s.label for s in samples]
+        for block in (8, 16, 32, 64):
+            whole = assemble_block_dictionaries(samples, block, block)
+            for mode, k in (("none", 10), ("lcksvd1", 20), ("lcksvd2", 30)):
+                cfg = ExperimentConfig(roi_size=64, block_sizes=(block,), k_folds=k, dl_mode=mode)
+                folds = stratified_folds(labels, k, cfg.seed)
+                for f in range(k):
+                    idx = np.flatnonzero(folds != f)
+                    for m, D in zip(train_block_models([samples[i] for i in idx], cfg, block), whole, strict=True):
+                        assert m.D.atoms.tobytes() == np.ascontiguousarray(D.atoms[:, idx]).tobytes()
+                        assert m.D.atom_labels.tobytes() == D.atom_labels[idx].tobytes()
+                        assert m.D.scales.tobytes() == D.scales[idx].tobytes()
 
 
 class TestRunGrid:
@@ -621,26 +639,33 @@ class TestRunGrid:
         monkeypatch.setattr(H, "GRID_FOLDS", (3,))
         monkeypatch.setattr(H, "GRID_BLOCKS", blocks)
         monkeypatch.setattr(H, "GRID_MODES", modes)
-        trains, loads = [], []
-        real_train, real_load = H.train_block_models, H.load_dataset
+        trains, classifies, loads = [], [], []
+        real_train, real_classify, real_load = H.train_block_models, H.classify_samples, H.load_dataset
 
         def counting_train(samples, cfg, block_size):
             trains.append((cfg.k_folds, cfg.dl_mode, block_size))
             return real_train(samples, cfg, block_size)
+
+        def counting_classify(dicts, samples, cfg, block_size, allowed=None):
+            classifies.append((cfg.k_folds, block_size))
+            return real_classify(dicts, samples, cfg, block_size, allowed=allowed)
 
         def counting_load(cfg):
             loads.append(cfg)
             return real_load(cfg)
 
         monkeypatch.setattr(H, "train_block_models", counting_train)
+        monkeypatch.setattr(H, "classify_samples", counting_classify)
         monkeypatch.setattr(H, "load_dataset", counting_load)
         cfg = tiny_config(iterations=3, output_dir=str(tmp_path))
         reports = H.run_grid(cfg, persist=False)
         monkeypatch.undo()
 
         assert len(loads) == 1
-        # one training per (k, mode, block, fold), shared by both rules
-        assert sorted(trains) == sorted((3, m, b) for m in modes for b in blocks for _ in range(3))
+        # at K = s no fold trains, and one call per (folds, block) pair
+        # serves both modes and both rules
+        assert trains == []
+        assert sorted(classifies) == sorted((3, b) for b in blocks)
         cells = [(d, m, b) for d in ("bbmap", "bbll") for m in modes for b in blocks]
         assert [(r.config["decision"], r.config["dl_mode"], r.block_size) for r in reports] == cells
         for rep, (decision, mode, block) in zip(reports, cells):
@@ -698,43 +723,26 @@ class TestGridReuse:
             if cell[2] == "none":
                 assert rep.to_json().replace('"dict_size": 6', '"dict_size": 0') == default[cell].to_json()
 
-    def test_pass_one_ulp_off_is_not_reused(self, monkeypatch):
-        # one lcksvd1 fold's dictionary at one block position is one ulp off
-        # the raw one: with 2 folds the pool still takes it but differs from
-        # the raw pass's, with 3 it does not fit; either way the pass codes
-        # on its own and matches its per-fold reference
-        import blocksrc.harness as H
-
-        cfg = tiny_config(dict_size=0)
+    def test_pass_at_k_s_in_some_folds_is_not_reused(self, monkeypatch):
+        # K = 10 exceeds the 2-fold passes' training count (8), equals that
+        # of one of 3 folds and is below the other two's (11): no LC pass
+        # pools, so each trains and codes fold by fold
+        cfg = tiny_config(dict_size=10, iterations=2)
         samples = load_dataset(cfg)
-        real = H.train_block_models
-
-        def nudged(train, c, block_size):
-            models = real(train, c, block_size)
-            folds = stratified_folds([s.label for s in samples], c.k_folds, c.seed)
-            own = [samples[i].source_id for i in np.flatnonzero(folds != 1)]
-            if c.dl_mode == "lcksvd1" and block_size == 8 and [s.source_id for s in train] == own:
-                m = models[2]
-                atoms = m.D.atoms.copy()
-                atoms[3, 0] = np.nextafter(atoms[3, 0], 2.0)
-                models[2] = replace(m, D=Dictionary(atoms=atoms, atom_labels=m.D.atom_labels, scales=m.D.scales))
-            return models
-
-        reports, calls = self.grid(monkeypatch, cfg, train=nudged)
+        reports, calls = self.grid(monkeypatch, cfg)
         expected = [(k, "none", b, True) for k in self.FOLDS for b in self.BLOCKS]
-        expected += [(2, "lcksvd1", 8, True)] + [(3, "lcksvd1", 8, False)] * 3
+        expected += [(k, m, b, False) for k in self.FOLDS for b in self.BLOCKS
+                     for m in ("lcksvd1", "lcksvd2") for _ in range(k)]
         assert sorted(calls) == sorted(expected)
-        for k in self.FOLDS:
-            sub = replace(cfg, k_folds=k, dl_mode="lcksvd1")
-            folds = stratified_folds([s.label for s in samples], k, cfg.seed)
-            for f in range(k):
-                models = nudged([samples[i] for i in np.flatnonzero(folds != f)], sub, 8)
-                test = [samples[i] for i in np.flatnonzero(folds == f)]
-                ref = classify_samples([m.D for m in models], test, sub, 8)
-                entry = reports["bbll", k, "lcksvd1", 8].folds[f]
-                assert entry["predictions"] == ref.label_bbll.tolist()
-                np.testing.assert_allclose(entry["scores"], ref.ells - ref.tau, rtol=0, atol=1e-9 if k == 2 else 0.0)
-            assert reports["bbll", k, "lcksvd2", 8].folds == reports["bbll", k, "none", 8].folds
+        folds = stratified_folds([s.label for s in samples], 3, cfg.seed)
+        assert sorted(int(np.sum(folds != f)) for f in range(3)) == [10, 11, 11]
+        for mode in ("lcksvd1", "lcksvd2"):
+            sub = replace(cfg, k_folds=3, dl_mode=mode)
+            for block in self.BLOCKS:
+                for f, r in enumerate(per_fold_reference(sub, samples, block)):
+                    entry = reports["bbll", 3, mode, block].folds[f]
+                    assert entry["predictions"] == r.label_bbll.tolist()
+                    assert entry["scores"] == (r.ells - r.tau).tolist()
 
 
 @pytest.fixture(scope="module")
