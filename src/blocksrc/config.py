@@ -121,10 +121,12 @@ def _coerce(lineno: int, name: str, raw: str, target_type):
 def parse_config_text(text: str, overrides: dict | None = None, cls=ExperimentConfig):
     """Parse ``key = value`` lines ('#' comments allowed) into ``cls``, a
     dataclass whose defaults give each key's type (an ``ExperimentConfig``
-    unless told otherwise)."""
+    unless told otherwise). A key may be set on one line only; ``overrides``
+    win over the text."""
     defaults = cls()
     type_map = {f.name: type(getattr(defaults, f.name)) for f in fields(cls)}
     values: dict = {}
+    seen: dict[str, int] = {}  # the line that set each key
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -134,6 +136,9 @@ def parse_config_text(text: str, overrides: dict | None = None, cls=ExperimentCo
         key, raw = (part.strip() for part in body.split("=", 1))
         if key not in type_map:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"config line {lineno}: key {key} repeats line {seen[key]}")
+        seen[key] = lineno
         values[key] = _coerce(lineno, key, raw, type_map[key])
     if overrides:
         for key, val in overrides.items():

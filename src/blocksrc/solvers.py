@@ -32,6 +32,11 @@ _SPAN_TOL = 1e-10
 _GRAM_PIVOT_TOL = 1e-5
 # rows of H per block of a rank-1 update, which bounds its temporary
 _UPDATE_ROWS = 8
+# steps for which the l1 walk holds its rank-1 terms pending before it
+# applies them to H as one product
+_PENDING = 8
+# slots by which the l1 walk widens its window of inverse Grams at a time
+_WIDEN_SLOTS = 8
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
@@ -156,8 +161,9 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
     its support. Each live column keeps ``H``, the inverse of its support
     Gram, so the span test reads ``w = H g`` and ``sigma = 1 - g^T w`` (``g``
     the pick's Gram column on the support; stop if ``sigma`` is at most
-    ``_SPAN_TOL``), a pick that passes borders ``H`` by the rank-1 update of
-    :func:`_slot_update` that the l1 path shares, and the refit is ``x_I = H
+    ``_SPAN_TOL``), a pick that passes borders ``H`` at once by the rank-1
+    term of :func:`_slot_term` that the l1 path shares (through
+    :func:`_slot_update`), and the refit is ``x_I = H
     b_I`` (evaluated as the step ``x_old + H c_I`` along the correlations
     ``c = B - G X`` of the pick, which keeps the rounding of ``H`` from being
     magnified by ``||H|| ||b_I|| / ||x_I||``): no step solves a system or
@@ -217,28 +223,37 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
     return X, sizes
 
 
-def _slot_update(H: np.ndarray, k, w: np.ndarray, sigma: np.ndarray, leave=None) -> None:
-    """Change ``H``, a stack (c, t, t) of inverse slot Grams whose free slots
-    hold an identity row and column, in place at slot ``k`` of each column
-    by the rank-1 term ``alpha z z^T - e_k e_k^T``.
+def _slot_term(k, w: np.ndarray, sigma: np.ndarray, leave=None, hk=None):
+    """The rank-1 term ``alpha z z^T`` by which ``H``, a stack (c, t, t) of
+    inverse slot Grams whose free slots hold an identity row and column,
+    changes at slot ``k`` of each column; with ``- e_k e_k^T`` it is the
+    whole change. Returns ``(z, alpha)``.
 
     An atom enters the free slot ``k`` with ``z = w - e_k`` and ``alpha = 1 /
     sigma``, from the span test's ``w = H g`` (zero at ``k``) and ``sigma = 1
     - g^T w``: the bordered inverse of the grown Gram. Where ``leave`` (a
     mask; None for nowhere) the atom in slot ``k`` leaves instead, with ``z =
-    H e_k`` and ``alpha = -1 / H_kk``: a Schur downdate, after which the slot
-    is reset exactly to the identity's. ``k`` is one slot per column, or a
-    scalar when ``leave`` is None; then ``w`` is overwritten.
+    H e_k`` (given as ``hk``) and ``alpha = -1 / H_kk``: a Schur downdate,
+    after which the slot is reset exactly to the identity's. ``k`` is one
+    slot per column, or a scalar when ``leave`` is None; then ``w`` is
+    overwritten.
     """
-    ar = np.arange(len(H))
+    ar = np.arange(len(w))
     if leave is None:
         z, pivot = w, sigma
         z[ar, k] = -1.0
     else:
-        z = np.where(leave[:, None], H[ar, :, k], w)
+        z = np.where(leave[:, None], hk, w)
         pivot = np.where(leave, -z[ar, k], sigma)
         z[~leave, k[~leave]] = -1.0
-    alpha = (1.0 / pivot)[:, None, None]
+    return z, 1.0 / pivot
+
+
+def _slot_update(H: np.ndarray, k: int, w: np.ndarray, sigma: np.ndarray) -> None:
+    """Border ``H`` in place by an atom entering the free slot ``k`` of every
+    column: the term of :func:`_slot_term`, applied at once."""
+    z, alpha = _slot_term(k, w, sigma)
+    alpha = alpha[:, None, None]
     # a block of rows at a time, each in the same temporary, so the outer
     # product takes a fraction of H's memory
     t = H.shape[1]
@@ -248,12 +263,29 @@ def _slot_update(H: np.ndarray, k, w: np.ndarray, sigma: np.ndarray, leave=None)
         np.multiply(z[:, r : r + _UPDATE_ROWS, None], z[:, None, :], out=block)
         block *= alpha
         H[:, r : r + _UPDATE_ROWS] += block
-    H[ar, k, k] -= 1.0
-    if leave is not None:
-        e, out = ar[leave], k[leave]
-        H[e, out, :] = 0.0
-        H[e, :, out] = 0.0
-        H[e, out, out] = 1.0
+    H[:, k, k] -= 1.0
+
+
+def _inverse_times(H: np.ndarray, U: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(H + U diag(a) U^T) x`` per column: the stack (c, t, t) ``H`` with
+    the pending terms ``U`` (c, t, p), ``a`` (c, p) applied to ``x`` (c, t)."""
+    y = (H @ x[..., None])[..., 0]
+    if a.shape[1]:
+        y += (U @ (a * (x[:, None, :] @ U)[:, 0])[..., None])[..., 0]
+    return y
+
+
+def _flush(H: np.ndarray, U: np.ndarray, a: np.ndarray) -> None:
+    """Apply the pending terms ``U`` (c, t, p), ``a`` (c, p) to ``H`` (c, t,
+    t) in place, as ``H += U diag(a) U^T``, a block of rows at a time in one
+    temporary, so the product takes a fraction of H's memory."""
+    t = H.shape[1]
+    block = np.empty((len(H), min(_UPDATE_ROWS, t), t))
+    Ut = U.transpose(0, 2, 1)
+    for r in range(0, t, _UPDATE_ROWS):
+        part = block[:, : min(_UPDATE_ROWS, t - r)]
+        np.matmul(U[:, r : r + _UPDATE_ROWS] * a[:, None, :], Ut, out=part)
+        H[:, r : r + _UPDATE_ROWS] += part
 
 
 def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, slots: int, allowed=None):
@@ -277,15 +309,26 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
 
     A column's active atoms sit in fixed slots of ``slots`` (free slots hold
     an identity block), and each column keeps ``H``, the inverse of its slot
-    Gram: an entering atom borders it by a rank-1 update from ``w = H g`` and
+    Gram: an entering atom borders it by a rank-1 term from ``w = H g`` and
     ``sigma = 1 - g^T w``, the numbers of the span test (Rubinstein,
     Zibulevsky & Elad 2008), and a leaving atom is removed by a Schur
-    downdate (both by :func:`_slot_update`), so no step solves a system. The
+    downdate (both terms from :func:`_slot_term`), so no step solves a
+    system. A term ``alpha z z^T`` stays pending for up to ``_PENDING``
+    steps, as a column of ``U`` and an entry of ``a``; the walk reads the
+    inverse as ``H + U diag(a) U^T`` (``v``, ``w`` and a leaving atom's
+    column through :func:`_inverse_times`), and every ``_PENDING`` steps the
+    pending terms are applied to ``H`` as one product (:func:`_flush`), so
+    ``H`` is rewritten once per ``_PENDING`` steps, not three times per step.
+    A term's ``-e_k e_k^T`` part, and a leaving atom's reset of its slot, are
+    applied at once, and the reset also zeroes that slot's row of ``U``:
+    free slots then read exactly the identity's row and column, so ``v``,
+    ``w`` and ``X`` stay exactly zero there and no spurious exit appears. The
     live columns' ``H`` are a (c, t, t) window at the front of one buffer,
-    ``t`` the slots up to the highest any column has used plus one for an
-    entrant: it is widened in place as supports grow, and a retiring
-    column's place is taken by a live one from the end, so the memory held
-    follows the live supports.
+    ``t`` the slots up to the highest any column has used plus at least one
+    for an entrant: it is widened in place, ``_WIDEN_SLOTS`` slots at a time,
+    when an entrant takes its last slot, and a retiring column's place (and
+    its pending terms) is taken by a live one from the end, so the memory
+    held follows the live supports.
     A column retires once its path ends; a feasible one is then refit exactly
     on its final support and signs, ``x = G_AA^{-1} (b_A - lam s_A)`` with
     ``lam > 0`` where the residual norm equals ``eps``, which clears the
@@ -314,13 +357,19 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     slot = np.full((m, slots), null)
     slot[:, 0] = first
     # slots at and above hi are free in every column; a step works on the
-    # first t = hi + 1 of them (room for one entrant), and H holds just those
+    # first t > hi of them (room for an entrant), and H holds just those
     hi = 1
     t = min(hi + 1, slots)
     buf = np.empty(m * slots * slots)
     H = buf[: m * t * t].reshape(m, t, t)
     H[:] = np.eye(t)
     H[:, 0, 0] = 1.0 / G[first, first]
+    # the rank-1 terms not yet applied to H: the walk reads H + U diag(a)
+    # U^T, with terms 0 .. p - 1 of U (c, slots, r) and a (c, r) pending;
+    # U's rows on free slots stay zero
+    U = np.zeros((m, slots, _PENDING))
+    a = np.zeros((m, _PENDING))
+    p = 0
     X = np.zeros((n + 1, m))
     stalls = np.zeros(m, dtype=int)
     step = 0
@@ -328,12 +377,13 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
         step += 1
         ar = np.arange(cols.size)
         if hi == t < slots:  # an entrant took the last slot of the window
-            t += 1
+            t = min(t + _WIDEN_SLOTS, slots)
             H = _widen(buf, H, t)
         st = slot[:, :t]
+        Up, ap = U[:, :t, :p], a[:, :p]
         C = Bp - Gp @ X
         s = S[st, ar[:, None]]
-        v = (H @ s[..., None])[..., 0]
+        v = _inverse_times(H, Up, ap, s)
         V = np.zeros_like(X)
         V[st, ar[:, None]] = v
         Av = Gp @ V
@@ -363,7 +413,7 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
             pick = np.argmin(g_in, axis=0)
             enter = g_in[pick, ar] < gamma
             g = Gp[st, pick[:, None]]
-            w = (H @ g[..., None])[..., 0]
+            w = _inverse_times(H, Up, ap, g)
             sigma = 1.0 - np.einsum("ct,ct->c", g, w)
             fails = enter & ~((sigma > _SPAN_TOL) & free.any(axis=1))
             if not fails.any():
@@ -398,9 +448,12 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
             movers = np.flatnonzero(~fin[c:]) + c
             for dst, src in zip(holes, movers):
                 H[dst] = H[src]
+            U[holes], a[holes] = U[movers], a[movers]
             keep = np.arange(c)
             keep[holes] = movers
             H = buf[: c * t * t].reshape(c, t, t)
+            U, a = U[:c], a[:c]
+            Up, ap = U[:, :t, :p], a[:, :p]
             cols, ysq, eps2, lam, stalls = cols[keep], ysq[keep], eps2[keep], lam[keep], stalls[keep]
             Bp, X, S, slot, allowed = Bp[:, keep], X[:, keep], S[:, keep], slot[keep], allowed[:, keep]
             leave, pick, negative = leave[keep], pick[keep], negative[:, keep]
@@ -412,10 +465,25 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
         if (stalls > 2 * n).any():
             raise RuntimeError("l1 path stalled at a tie between atoms")
         # every live column now has one event, a leaving or an entering
-        # atom, and changes H by a rank-1 term (see _slot_update)
+        # atom, and changes H by a rank-1 term (see _slot_term), which stays
+        # pending; its -e_k e_k^T part and a leaving atom's reset of its slot
+        # apply now. The reset zeroes the slot's row of U too, or the pending
+        # terms would give the free slot nonzero v, w and X
         k = np.where(leave, k_out, np.argmax(free, axis=1))
         j = np.where(leave, st[ar, k], pick)
-        _slot_update(H, k, w, sigma, leave)
+        hk = H[ar, :, k] + (Up @ (ap * Up[ar, k])[..., None])[..., 0]
+        U[:, :t, p], a[:, p] = _slot_term(k, w, sigma, leave, hk)
+        p += 1
+        H[ar, k, k] -= 1.0
+        e, gone = ar[leave], k[leave]
+        H[e, gone, :] = 0.0
+        H[e, :, gone] = 0.0
+        H[e, gone, gone] = 1.0
+        U[e, gone] = 0.0
+        if p == _PENDING:
+            _flush(H, U[:, :t, :p], a[:, :p])
+            U[:, :, :p] = 0.0
+            p = 0
         X[j[leave], ar[leave]] = 0.0
         S[j, ar] = np.where(leave, 0.0, np.where(negative[j, ar], -1.0, 1.0))
         st[ar, k] = np.where(leave, null, j)
@@ -551,9 +619,11 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     other columns run in one lockstep walk in atom space, from the same
     ``D^T D`` and ``D^T Y`` (see :func:`_l1_paths`): each keeps its support
     in fixed slots with the inverse of the slot Gram, bordered by a rank-1
-    update when an atom enters and Schur-downdated when one leaves, and a
-    feasible code is refit exactly on its final support and signs as its
-    path ends.
+    term when an atom enters and Schur-downdated when one leaves. The terms
+    stay pending for up to ``_PENDING`` steps and are then applied as one
+    product; a leaving atom's slot is reset at once, so free slots stay
+    exact. A feasible code is refit exactly on its final support and signs
+    as its path ends.
 
     A walked column can end infeasible, with a residual several times
     ``eps``, although its least-squares floor is within ``eps``: when that

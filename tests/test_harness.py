@@ -153,6 +153,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text("bogus = 1")
 
+    def test_repeated_key(self):
+        with pytest.raises(ValueError, match="config line 3: key k_folds repeats line 1"):
+            parse_config_text("k_folds = 10\n# a comment\nk_folds = 20")
+        # a flag still overrides the file's one line for its key
+        assert parse_config_text("k_folds = 10", {"k_folds": 20}).k_folds == 20
+
     def test_invalid_block_size(self):
         with pytest.raises(ValueError, match="does not divide"):
             parse_config_text("roi_size = 64\nblock_sizes = 48")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blocksrc import BENIGN, MALIGNANT, Dictionary, bpdn_batch, class_residuals, normalize_columns, omp_batch
+from blocksrc import BENIGN, MALIGNANT, Dictionary, bpdn_batch, class_residuals, normalize_columns, omp_batch, solvers
 from blocksrc.blocks import assemble_block_dictionaries, decompose_roi
 from blocksrc.harness import stratified_folds
 from blocksrc.solvers import _well_posed, batch_omp
@@ -584,19 +584,23 @@ class TestBpdnMasked:
             np.testing.assert_allclose(xc[:, 0], X[:, c], rtol=0.0, atol=1e-9 * max(np.abs(X[:, c]).max(), 1e-300))
         assert self.assert_matches_own_atoms(D, Y, eps, allowed) >= 30
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_code8_call_matches_per_column_oracle(self, seed):
-        # the 8-px coding call of a 10-fold cell on 37 ROIs of 8x8 per class:
-        # every held-out block on its fold's 66 or 67 training blocks, at
-        # 64 slots, all in one call
+    @staticmethod
+    def code8_call(seed):
+        """The 8-px coding call of a 10-fold cell on 37 ROIs of 8x8 per
+        class: every held-out block on its fold's 66 or 67 training blocks,
+        at 64 slots, all in one call. Returns ``(D, Y, eps, allowed)``."""
         samples = synth_dataset(SynthSpec(roi_size=8, block_size=8, samples_per_class=37), seed)
         folds = stratified_folds([s.label for s in samples], 10, seed)
         (D,) = assemble_block_dictionaries(samples, 8, 8)
         test_idx = np.concatenate([np.flatnonzero(folds == f) for f in range(10)])
         allowed = folds[:, None] != folds[test_idx][None, :]
         Y = np.stack([decompose_roi(samples[i], 8, 8).vectors[0] for i in test_idx], axis=1)
-        eps = 0.05 * np.linalg.norm(Y, axis=0)
         assert Y.shape == (64, 74) and set(allowed.sum(axis=0)) <= {66, 67}
+        return D, Y, 0.05 * np.linalg.norm(Y, axis=0), allowed
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_code8_call_matches_per_column_oracle(self, seed):
+        D, Y, eps, allowed = self.code8_call(seed)
         X, _, feas, iters = bpdn_batch(D, Y, eps, allowed=allowed)
         walks = np.flatnonzero(iters > 0)
         assert walks.size >= 60
@@ -608,6 +612,44 @@ class TestBpdnMasked:
             ref = np.zeros(D.n_atoms)
             ref[own] = xu
             np.testing.assert_allclose(X[:, c], ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
+
+    def test_pending_terms_match_terms_applied_at_once(self, monkeypatch):
+        # the walk holds its rank-1 terms pending for solvers._PENDING steps;
+        # with one, each is applied as it is made. Both must take the same
+        # steps to the same codes, also where an atom leaves on a step that
+        # applies the pending terms
+        events = []
+        term, flush = solvers._slot_term, solvers._flush
+
+        def record_term(k, w, sigma, leave=None, hk=None):
+            events.append(int(leave.sum()))
+            return term(k, w, sigma, leave, hk)
+
+        def record_flush(*args):
+            events.append("flush")
+            flush(*args)
+
+        monkeypatch.setattr(solvers, "_slot_term", record_term)
+        monkeypatch.setattr(solvers, "_flush", record_flush)
+        rng = np.random.default_rng(50)
+        calls = [self.code8_call(1)]
+        for d, per_fold, rel in ((12, 6, 0.02), (16, 10, 0.01), (8, 8, 0.001)):
+            M, labels, Y, _, allowed = fold_problem(rng, d, per_fold, 4, 40)
+            calls.append((unit_dict(M, labels), Y, rel * np.linalg.norm(Y, axis=0), allowed))
+        leaves = leaves_on_flush = 0
+        for D, Y, eps, allowed in calls:
+            events.clear()
+            X, _, feas, iters = bpdn_batch(D, Y, eps, allowed=allowed)
+            assert solvers._PENDING > 1 and events.count("flush") >= 1
+            leaves += sum(e for e in events if e != "flush")
+            leaves_on_flush += sum(e for e, nxt in zip(events, events[1:]) if e != "flush" and nxt == "flush")
+            with monkeypatch.context() as one:
+                one.setattr(solvers, "_PENDING", 1)
+                Xe, _, feas_e, iters_e = bpdn_batch(D, Y, eps, allowed=allowed)
+            assert np.array_equal(iters, iters_e) and np.array_equal(feas, feas_e)
+            for c in np.flatnonzero(iters > 0):
+                np.testing.assert_allclose(X[:, c], Xe[:, c], rtol=0.0, atol=1e-9 * np.abs(Xe[:, c]).max())
+        assert leaves >= 500 and leaves_on_flush >= 50
 
     @staticmethod
     def gram_route(D, allowed, c):
