@@ -68,27 +68,36 @@ def compute_metrics(predictions, truths, scores=None) -> dict:
     truths = as_label_array(truths)
     if predictions.size == 0 or predictions.shape != truths.shape:
         raise ValueError("predictions and truths must be non-empty and equally long")
-    tp = int(np.sum((predictions == MALIGNANT) & (truths == MALIGNANT)))
-    tn = int(np.sum((predictions == BENIGN) & (truths == BENIGN)))
-    fp = int(np.sum((predictions == MALIGNANT) & (truths == BENIGN)))
-    fn = int(np.sum((predictions == BENIGN) & (truths == MALIGNANT)))
-    total = predictions.size
-    out = {
+    out = _rates(*_counts(0, truths.ravel(), predictions.ravel(), 1)[0])
+    out["roc"] = None
+    if scores is not None and out["tpr"] is not None and out["tnr"] is not None:
+        points, auc = roc_auc(np.asarray(scores, dtype=float), truths)
+        out["auc"] = 100.0 * auc
+        out["roc"] = [[float(v) for v in row] for row in points]
+    return out
+
+
+def _counts(group, truths: np.ndarray, predictions: np.ndarray, n_groups: int) -> list:
+    """``(tn, fp, fn, tp)`` of each of ``n_groups`` groups of samples, from
+    one count of ``group * 4 + truth * 2 + prediction`` (benign is 0,
+    malignant 1)."""
+    counts = np.bincount(4 * group + 2 * truths + predictions, minlength=4 * n_groups)
+    return counts.reshape(n_groups, 4).tolist()
+
+
+def _rates(tn: int, fp: int, fn: int, tp: int) -> dict:
+    """The confusion counts with TPR/TNR/ACC as percentages (None where the
+    denominator is zero) and no AUC."""
+    return {
         "tp": tp,
         "tn": tn,
         "fp": fp,
         "fn": fn,
         "tpr": 100.0 * tp / (tp + fn) if tp + fn else None,
         "tnr": 100.0 * tn / (tn + fp) if tn + fp else None,
-        "acc": 100.0 * (tp + tn) / total,
+        "acc": 100.0 * (tp + tn) / (tp + tn + fp + fn),
         "auc": None,
-        "roc": None,
     }
-    if scores is not None and tp + fn > 0 and tn + fp > 0:
-        points, auc = roc_auc(np.asarray(scores, dtype=float), truths)
-        out["auc"] = 100.0 * auc
-        out["roc"] = [[float(v) for v in row] for row in points]
-    return out
 
 
 @dataclass
@@ -304,40 +313,33 @@ def build_report(
     empty ROC.
     """
     labels = as_label_array([s.label for s in samples])
-    fold_entries = []
-    incomplete = []
-    pooled_pred: list[int] = []
-    pooled_truth: list[int] = []
-    pooled_scores: list[float] = []
+    fold_entries, incomplete, booked = [], [], []
     for f, test_idx, outcome in folds:
         if isinstance(outcome, dict):
             incomplete.append(f)
             fold_entries.append({"fold": f, "error": outcome})
-            continue
-        fold_preds, fold_scores = decision_outputs(outcome, cfg)
-        preds = [int(p) for p in fold_preds]
-        scores = [float(s) for s in fold_scores]
-        truth = [int(labels[i]) for i in test_idx]
-        fold_metrics = compute_metrics(preds, truth) if preds else None
-        if fold_metrics:
-            fold_metrics.pop("roc", None)
-        fold_entries.append(
-            {
-                "fold": f,
-                "test_indices": [int(i) for i in test_idx],
-                "truth": truth,
-                "predictions": preds,
-                "scores": scores,
-                "metrics": fold_metrics,
-            }
-        )
-        pooled_pred.extend(preds)
-        pooled_truth.extend(truth)
-        pooled_scores.extend(scores)
+        else:
+            fold_entries.append({"fold": f})
+            booked.append((fold_entries[-1], test_idx, *decision_outputs(outcome, cfg)))
 
-    if pooled_pred:
-        pooled = compute_metrics(pooled_pred, pooled_truth, pooled_scores)
-    else:  # every fold failed: nothing is counted and no rate is defined
+    pooled = None
+    if booked:
+        # every fold's arrays end to end, counted and converted once
+        sizes = [len(b[1]) for b in booked]
+        idx, pred, score = (np.concatenate([b[i] for b in booked]).astype(kind)
+                            for i, kind in ((1, int), (2, int), (3, float)))
+        truth = labels[idx]
+        counts = _counts(np.repeat(np.arange(len(booked)), sizes), truth, pred, len(booked))
+        lists = [x.tolist() for x in (idx, truth, pred, score)]
+        end = 0
+        for (entry, *_), size, fold_counts in zip(booked, sizes, counts):
+            cut = [x[end : end + size] for x in lists]
+            end += size
+            entry.update(zip(("test_indices", "truth", "predictions", "scores"), cut))
+            entry["metrics"] = _rates(*fold_counts) if size else None
+        if idx.size:
+            pooled = compute_metrics(pred, truth, score)
+    if pooled is None:  # every fold failed: nothing is counted and no rate is defined
         pooled = dict.fromkeys(("tp", "tn", "fp", "fn"), 0)
         pooled.update(dict.fromkeys(("tpr", "tnr", "acc", "auc", "roc")))
     roc = pooled.pop("roc") or []
@@ -407,24 +409,34 @@ def run_grid(cfg: ExperimentConfig, persist: bool = True) -> list[EvalReport]:
     once, under both decision rules. The passes of one (folds, block size)
     pair that code on the raw dictionaries (see :func:`cross_validate`) run
     once for all their modes: at the default K = s, LC-KSVD's take the
-    "none" pass's outcomes. Reports and summary rows come out decision-major.
+    "none" pass's outcomes. Such a pooled pass's report is built once per
+    rule; its K = s twins share its fold entries and differ only in the
+    ``dl_mode`` of their config echo. Reports and summary rows come out
+    decision-major. Raises ValueError when no grid block size divides
+    ``roi_size``.
     """
+    blocks = [b for b in GRID_BLOCKS if cfg.roi_size % b == 0]
+    if not blocks:
+        raise ValueError(f"no grid block size in GRID_BLOCKS {GRID_BLOCKS} divides roi_size {cfg.roi_size}")
     samples = load_dataset(cfg)
     labels = [s.label for s in samples]
-    blocks = [b for b in GRID_BLOCKS if cfg.roi_size % b == 0]
     cells: dict[tuple, EvalReport] = {}
     for k in GRID_FOLDS:
         folds = stratified_folds(labels, k, cfg.seed)
         for block in blocks:
-            pooled = None  # this pair's raw-dictionary pass
+            pooled = None  # this pair's raw-dictionary pass's reports by rule
             for mode in GRID_MODES:
                 sub = replace(cfg, k_folds=k, dl_mode=mode)
-                if _pools(sub, folds):
-                    outcomes = pooled = pooled or cross_validate(sub, block, samples)
+                pools = _pools(sub, folds)
+                if pools and pooled:
+                    reps = {d: replace(r, config=replace(sub, decision=d).echo()) for d, r in pooled.items()}
                 else:
                     outcomes = cross_validate(sub, block, samples)
-                for decision in GRID_DECISIONS:
-                    rep = build_report(replace(sub, decision=decision), block, samples, outcomes)
+                    reps = {d: build_report(replace(sub, decision=d), block, samples, outcomes)
+                            for d in GRID_DECISIONS}
+                    if pools:
+                        pooled = reps
+                for decision, rep in reps.items():
                     if persist:
                         persist_report(rep, cfg.output_dir)
                     cells[decision, k, mode, block] = rep

@@ -233,17 +233,17 @@ def _slot_term(k, w: np.ndarray, sigma: np.ndarray, leave=None, hk=None):
     sigma``, from the span test's ``w = H g`` (zero at ``k``) and ``sigma = 1
     - g^T w``: the bordered inverse of the grown Gram. Where ``leave`` (a
     mask; None for nowhere) the atom in slot ``k`` leaves instead, with ``z =
-    H e_k`` (given as ``hk``) and ``alpha = -1 / H_kk``: a Schur downdate,
-    after which the slot is reset exactly to the identity's. ``k`` is one
-    slot per column, or a scalar when ``leave`` is None; then ``w`` is
-    overwritten.
+    H e_k`` (given as ``hk``, one row per leaving column) and ``alpha = -1 /
+    H_kk``: a Schur downdate, after which the slot is reset exactly to the
+    identity's. ``k`` is one slot per column, or a scalar when ``leave`` is
+    None. ``w`` is overwritten.
     """
     ar = np.arange(len(w))
+    z, pivot = w, sigma
     if leave is None:
-        z, pivot = w, sigma
         z[ar, k] = -1.0
     else:
-        z = np.where(leave[:, None], hk, w)
+        z[leave] = hk
         pivot = np.where(leave, -z[ar, k], sigma)
         z[~leave, k[~leave]] = -1.0
     return z, 1.0 / pivot
@@ -471,11 +471,11 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
         # terms would give the free slot nonzero v, w and X
         k = np.where(leave, k_out, np.argmax(free, axis=1))
         j = np.where(leave, st[ar, k], pick)
-        hk = H[ar, :, k] + (Up @ (ap * Up[ar, k])[..., None])[..., 0]
+        e, gone = ar[leave], k[leave]
+        hk = H[e, :, gone] + (Up[e] @ (ap[e] * Up[e, gone])[..., None])[..., 0]
         U[:, :t, p], a[:, p] = _slot_term(k, w, sigma, leave, hk)
         p += 1
         H[ar, k, k] -= 1.0
-        e, gone = ar[leave], k[leave]
         H[e, gone, :] = 0.0
         H[e, :, gone] = 0.0
         H[e, gone, gone] = 1.0

@@ -166,6 +166,16 @@ def test_grid_command_tiny(tmp_path, synth_cache, monkeypatch):
     assert len(summary) == 1 + 2 * 2  # two decisions x two block sizes
 
 
+def test_grid_without_a_dividing_block_size_exits_nonzero(tmp_path, capsys):
+    out = tmp_path / "results"
+    rc = main(["grid", "--roi-size", "12", "--block-sizes", "12", "--synthetic", "--output-dir", str(out)])
+    assert rc == 1
+    diag = json.loads(capsys.readouterr().err.strip())
+    assert diag["command"] == "grid" and diag["error"] == "ValueError"
+    assert "GRID_BLOCKS" in diag["message"] and "roi_size 12" in diag["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["cv", "grid"])
 def test_incomplete_folds_exit_nonzero_after_writing_reports(
     tmp_path, synth_cache, monkeypatch, capsys, command

@@ -19,10 +19,11 @@ from blocksrc import (
     stratified_folds,
     synth_dataset,
 )
-from blocksrc.blocks import decompose_roi
+from blocksrc.blocks import RoiSample, decompose_roi
 from blocksrc.config import parse_config_text
 from blocksrc.dictlearn import DiscriminativeDictionary, TrainParams
-from blocksrc.harness import classify_samples, load_dataset, train_block_models
+from blocksrc.ensemble import EnsembleDecision
+from blocksrc.harness import build_report, classify_samples, load_dataset, train_block_models
 from blocksrc.model_io import VERSION
 from blocksrc.pgm import read_pgm
 from blocksrc.solvers import bpdn_batch, class_residuals
@@ -128,6 +129,57 @@ class TestComputeMetrics:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             compute_metrics([], [])
+
+
+@st.composite
+def pass_outcomes(draw):
+    """A cross-validation pass's outcomes over folds of 1-5 samples: per
+    sample a truth, a prediction and a score; some folds failed."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    n = sum(sizes)
+    truth = draw(st.lists(st.sampled_from((BENIGN, MALIGNANT)), min_size=n, max_size=n))
+    preds = draw(st.lists(st.sampled_from((BENIGN, MALIGNANT)), min_size=n, max_size=n))
+    scores = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    failed = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    order = np.asarray(draw(st.permutations(range(n))), dtype=int)
+    folds, end = [], 0
+    for f, (size, fails) in enumerate(zip(sizes, failed)):
+        idx = np.sort(order[end : end + size])
+        end += size
+        if fails:
+            folds.append((f, idx, {"stage": "train", "type": "ValueError", "message": "injected"}))
+            continue
+        p, sc = np.asarray(preds)[idx], np.asarray(scores)[idx]
+        dec = EnsembleDecision(posterior=np.zeros((size, 2)), vote_score=sc, ells=sc,
+                               label_bbmap=p, label_bbll=p, tau=0.0)
+        folds.append((f, idx, dec))
+    samples = [RoiSample(pixels=np.zeros((2, 2)), label=t) for t in truth]
+    return samples, folds
+
+
+class TestBuildReport:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(pass_outcomes(), st.sampled_from(("bbmap", "bbll")))
+    def test_fold_metrics_match_compute_metrics(self, outcomes, decision):
+        samples, folds = outcomes
+        report = build_report(tiny_config(decision=decision), 8, samples, folds)
+        assert [e["fold"] for e in report.folds] == [f for f, _, _ in folds]
+        for entry, (f, idx, outcome) in zip(report.folds, folds):
+            if isinstance(outcome, dict):
+                assert entry == {"fold": f, "error": outcome}
+                continue
+            preds = outcome.label_bbll.tolist()
+            truth = [samples[i].label for i in idx]
+            expected = compute_metrics(preds, truth)
+            expected.pop("roc")
+            assert entry["metrics"] == expected
+            assert entry["test_indices"] == idx.tolist() and entry["truth"] == truth
+            assert entry["predictions"] == preds and entry["scores"] == outcome.ells.tolist()
+            assert all(type(v) is int for v in entry["test_indices"] + entry["truth"] + entry["predictions"])
+        booked = [e for e in report.folds if "error" not in e]
+        if booked:
+            pooled = compute_metrics(*(sum((e[k] for e in booked), []) for k in ("predictions", "truth")))
+            assert report.confusion == {k: pooled[k] for k in ("tp", "tn", "fp", "fn")}
 
 
 class TestConfig:
@@ -660,25 +712,49 @@ class TestRunGrid:
             loads.append(cfg)
             return real_load(cfg)
 
+        real_build = H.build_report
+        builds = []
+
+        def counting_build(c, block_size, samples, folds):
+            builds.append((c.k_folds, block_size, c.decision))
+            return real_build(c, block_size, samples, folds)
+
         monkeypatch.setattr(H, "train_block_models", counting_train)
         monkeypatch.setattr(H, "classify_samples", counting_classify)
         monkeypatch.setattr(H, "load_dataset", counting_load)
-        cfg = tiny_config(iterations=3, output_dir=str(tmp_path))
-        reports = H.run_grid(cfg, persist=False)
+        monkeypatch.setattr(H, "build_report", counting_build)
+        cfg = tiny_config(iterations=3, output_dir=str(tmp_path / "grid"))
+        reports = H.run_grid(cfg)
         monkeypatch.undo()
 
         assert len(loads) == 1
         # at K = s no fold trains, and one call per (folds, block) pair
-        # serves both modes and both rules
+        # serves both modes and both rules; each rule's report is built once
         assert trains == []
         assert sorted(classifies) == sorted((3, b) for b in blocks)
+        assert sorted(builds) == sorted((3, b, d) for b in blocks for d in ("bbmap", "bbll"))
         cells = [(d, m, b) for d in ("bbmap", "bbll") for m in modes for b in blocks]
         assert [(r.config["decision"], r.config["dl_mode"], r.block_size) for r in reports] == cells
+        solo_dir = tmp_path / "solo"
         for rep, (decision, mode, block) in zip(reports, cells):
             solo = run_experiment(
-                replace(cfg, decision=decision, k_folds=3, dl_mode=mode), block_size=block, persist=False
+                replace(cfg, decision=decision, k_folds=3, dl_mode=mode, output_dir=str(solo_dir)),
+                block_size=block,
             )
             assert rep.to_json() == solo.to_json()
+        solo_files = sorted(p.name for p in solo_dir.iterdir())
+        assert len(solo_files) == 4 * len(cells)  # .json, .csv, _roc.csv, _roc.svg
+        assert sorted(p.name for p in (tmp_path / "grid").iterdir()) == sorted(solo_files + ["grid_summary.csv"])
+        for name in solo_files:
+            assert (tmp_path / "grid" / name).read_bytes() == (solo_dir / name).read_bytes(), name
+
+    def test_no_grid_block_dividing_roi_size_raises(self, tmp_path):
+        import blocksrc.harness as H
+
+        cfg = tiny_config(roi_size=12, block_sizes=(12,), output_dir=str(tmp_path))
+        with pytest.raises(ValueError, match=r"GRID_BLOCKS \(64, 32, 16, 8\).*roi_size 12"):
+            H.run_grid(cfg)
+        assert not any(tmp_path.iterdir())
 
 
 class TestGridReuse:
