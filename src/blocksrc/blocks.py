@@ -52,26 +52,37 @@ def _valid_block_sizes(n: int) -> list[int]:
     return [b for b in range(1, n + 1) if n % b == 0]
 
 
-def decompose_roi(roi: RoiSample, block_w: int, block_h: int) -> BlockGrid:
-    """Cut an ROI into non-overlapping blocks, vectorized row-major.
+def block_vectors(rois, block_w: int, block_h: int) -> np.ndarray:
+    """Cut every ROI into non-overlapping blocks, vectorized row-major, in
+    one copy: ``out[i, j]`` is block position ``j`` of ROI ``i``, shaped
+    (ROIs, positions, block_w * block_h).
 
     Pixel (r, c) of a block lands at vector index ``r * block_w + c``; block
-    positions are ordered row-major. Block dims must divide the ROI dims.
+    positions are ordered row-major. The ROIs must be non-empty and equally
+    sized, and the block dims must divide the ROI dims.
     """
-    pixels = roi.pixels if isinstance(roi, RoiSample) else np.asarray(roi, dtype=float)
-    h, w = pixels.shape
+    pixels = [np.asarray(getattr(roi, "pixels", roi), dtype=float) for roi in rois]
+    if not pixels:
+        raise ValueError("no ROIs to cut into blocks")
+    for px in pixels:
+        if px.shape != pixels[0].shape:
+            raise ValueError(f"mixed ROI sizes: {px.shape[0]} vs {pixels[0].shape[0]}")
+    h, w = pixels[0].shape
     if block_w < 1 or block_h < 1 or h % block_h != 0 or w % block_w != 0:
         raise ValueError(
             f"block size {block_w}x{block_h} does not divide ROI {w}x{h}; "
             f"valid widths: {_valid_block_sizes(w)}, valid heights: {_valid_block_sizes(h)}"
         )
     rows, cols = h // block_h, w // block_w
-    vectors = (
-        pixels.reshape(rows, block_h, cols, block_w)
-        .transpose(0, 2, 1, 3)
-        .reshape(rows * cols, block_h * block_w)
-    )
-    return BlockGrid(block_w=block_w, block_h=block_h, grid_rows=rows, grid_cols=cols, vectors=vectors)
+    blocks = [px.reshape(rows, block_h, cols, block_w).swapaxes(1, 2) for px in pixels]  # views
+    return np.stack(blocks).reshape(len(pixels), rows * cols, block_h * block_w)
+
+
+def decompose_roi(roi: RoiSample, block_w: int, block_h: int) -> BlockGrid:
+    """One ROI's :func:`block_vectors`, with its grid shape."""
+    vectors = block_vectors([roi], block_w, block_h)[0]
+    h, w = np.shape(getattr(roi, "pixels", roi))
+    return BlockGrid(block_w, block_h, h // block_h, w // block_w, vectors)
 
 
 def compose_blocks(grid: BlockGrid) -> np.ndarray:
@@ -95,15 +106,8 @@ def check_training_labels(labels) -> np.ndarray:
     return labels
 
 
-def check_roi_sizes(samples: list[RoiSample]) -> None:
-    """ValueError unless every ROI of ``samples`` has the first one's size."""
-    for smp in samples:
-        if smp.size != samples[0].size:
-            raise ValueError(f"mixed ROI sizes: {smp.size} vs {samples[0].size}")
-
-
 def block_stack(training: list[RoiSample], block_w: int, block_h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the training ROIs' blocks by position, decomposing each ROI once.
+    """The training ROIs' :func:`block_vectors`, viewed by position.
 
     Returns ``(stack, labels)``: ``stack[j]`` holds the block-``j`` vector of
     every training image as a column (training order preserved), shaped
@@ -111,13 +115,7 @@ def block_stack(training: list[RoiSample], block_w: int, block_h: int) -> tuple[
     ROIs of both classes.
     """
     labels = check_training_labels([smp.label for smp in training])
-    check_roi_sizes(training)
-    first = decompose_roi(training[0], block_w, block_h).vectors
-    stacks = np.empty((len(training),) + first.shape)  # (s, positions, d)
-    stacks[0] = first
-    for i, smp in enumerate(training[1:], start=1):
-        stacks[i] = decompose_roi(smp, block_w, block_h).vectors
-    return stacks.transpose(1, 2, 0), labels
+    return block_vectors(training, block_w, block_h).transpose(1, 2, 0), labels
 
 
 def assemble_block_dictionaries(training: list[RoiSample], block_w: int, block_h: int) -> list[Dictionary]:

@@ -16,6 +16,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from .blocks import block_stack, block_vectors
 from .config import ExperimentConfig, load_config
 from .harness import (
     classify_samples,
@@ -83,7 +84,7 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
     block = cfg.block_sizes[0]
     samples = load_dataset(cfg)
-    models = train_block_models(samples, cfg, block)
+    models = train_block_models(*block_stack(samples, block, block), cfg)
     meta = {"block_w": block, "block_h": block, "roi_size": cfg.roi_size, "dl_mode": cfg.dl_mode}
     os.makedirs(os.path.dirname(os.path.abspath(args.model)), exist_ok=True)
     save_model(args.model, models, cfg.train_params(), meta)
@@ -107,7 +108,7 @@ def _cmd_evaluate(args) -> int:
                 f"({block_w * block_h} pixels)"
             )
     samples = load_dataset(cfg)
-    fused = classify_samples([m.D for m in models], samples, cfg, block_w)
+    fused = classify_samples([m.D for m in models], block_vectors(samples, block_w, block_h), cfg)
     preds, scores = decision_outputs(fused, cfg)
     truth = [s.label for s in samples]
     metrics = compute_metrics(preds, truth, scores)

@@ -37,13 +37,10 @@ class BlockResults(NamedTuple):
 
 @dataclass(frozen=True)
 class EnsembleDecision:
-    """Fused decisions for ``m`` samples under both rules.
+    """Fused decisions for ``m`` samples under both rules; every array
+    field has shape ``(m,)``, and ``vote_score`` is the malignant fraction
+    of the block votes."""
 
-    ``posterior`` has shape ``(m, 2)``; every other array field has shape
-    ``(m,)``.
-    """
-
-    posterior: np.ndarray
     vote_score: np.ndarray
     ells: np.ndarray
     label_bbmap: np.ndarray
@@ -147,10 +144,9 @@ def ensemble_decision(hard: np.ndarray, lls: np.ndarray, tau: float = 0.0) -> En
     computing the block scores with ``invert_lls`` therefore yields the
     smaller-mass decision rule instead of the default larger-mass one.
     """
-    posterior, label_map, vote = bbmap(hard)
+    _, label_map, vote = bbmap(hard)
     ells, label_ll = bbll(lls, tau)
     return EnsembleDecision(
-        posterior=posterior,
         vote_score=vote,
         ells=ells,
         label_bbmap=label_map,

@@ -1,10 +1,10 @@
 """Cross-validation harness: stratified folds, metrics, experiment runner.
 
-A cross-validation pass codes each fold's held-out samples block by block on
-its training split's dictionaries (cut from one assembly of the whole dataset,
-or learned per fold below K = s) and fuses the block results under both
-decision rules. A report then takes one rule's predictions, pools them over
-folds, and is persisted (JSON, a CSV summary row, and an SVG ROC plot).
+The ROIs are cut into block vectors once per block size. A cross-validation
+pass codes each fold's held-out blocks on its training split's dictionaries
+(the raw ones of every fold at once, or learned fold by fold below K = s)
+and fuses the block results under both decision rules. A report then takes
+one rule's predictions, pools them over folds, and is persisted (JSON, a CSV summary row, and an SVG ROC plot).
 Everything is deterministic given (config, seed).
 """
 
@@ -17,8 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .blocks import (RoiSample, assemble_block_dictionaries, block_stack, check_roi_sizes,
-                     check_training_labels, decompose_roi)
+from .blocks import RoiSample, block_vectors, check_training_labels
 from .config import ExperimentConfig
 from .dictlearn import DiscriminativeDictionary, lcksvd_train_stack
 from .ensemble import (
@@ -172,47 +171,44 @@ def load_dataset(cfg: ExperimentConfig) -> list[RoiSample]:
     return samples
 
 
-def train_block_models(
-    samples: list[RoiSample], cfg: ExperimentConfig, block_size: int
-) -> list[DiscriminativeDictionary]:
-    """One model per block position: raw training-block dictionaries for
-    dl_mode "none", label-consistent dictionaries otherwise, learned for all
-    positions in one stacked training. At the default ``dict_size = 0`` (or
-    one equal to the training count) the learned dictionaries are built in
-    closed form and are dl_mode "none"'s byte for byte, so
-    :func:`cross_validate` codes such a cell on the whole dataset's raw
-    dictionaries without calling this; any other ``dict_size`` runs K-SVD."""
+def train_block_models(stack: np.ndarray, labels, cfg: ExperimentConfig) -> list[DiscriminativeDictionary]:
+    """One model per block position of a training ``stack`` (positions,
+    pixels, samples) with the samples' ``labels``: raw training-block
+    dictionaries for dl_mode "none", label-consistent dictionaries otherwise,
+    learned for all positions in one stacked training. At the default
+    ``dict_size = 0`` (or one equal to the training count) the learned
+    dictionaries are built in closed form and are dl_mode "none"'s byte for
+    byte; any other ``dict_size`` runs K-SVD."""
+    labels = check_training_labels(labels)
     if cfg.dl_mode == "none":
-        return [
-            DiscriminativeDictionary(D=d, mode="none")
-            for d in assemble_block_dictionaries(samples, block_size, block_size)
-        ]
-    stack, labels = block_stack(samples, block_size, block_size)
+        return [DiscriminativeDictionary(D=Dictionary.from_matrix(Yj, labels), mode="none") for Yj in stack]
     return lcksvd_train_stack(stack, labels, cfg.train_params(), cfg.dl_mode)
 
 
 def classify_samples(
     dictionaries: list[Dictionary],
-    samples: list[RoiSample],
+    blocks: np.ndarray,
     cfg: ExperimentConfig,
-    block_size: int,
     allowed: np.ndarray | None = None,
 ) -> EnsembleDecision:
     """Code every sample's blocks against the per-position dictionaries and
     fuse the block results; returns one decision array per sample.
 
-    ``allowed`` (n_atoms, len(samples)), None for everywhere, restricts each
-    sample to its own atoms of every position's dictionary, so samples of
-    several folds whose dictionaries are column subsets of the given ones
-    are coded in one call per position (see :func:`bpdn_batch`)."""
-    grids = [decompose_roi(s, block_size, block_size) for s in samples]
+    ``blocks`` (samples, positions, pixels) holds the samples'
+    :func:`block_vectors`; each position's signals are coded as a C-contiguous
+    (pixels, samples) copy, so their norms sum in one order however
+    ``blocks`` was indexed. ``allowed`` (n_atoms, samples), None for
+    everywhere, restricts each sample to its own atoms of every position's
+    dictionary, so samples of several folds whose dictionaries are column
+    subsets of the given ones are coded in one call per position (see
+    :func:`bpdn_batch`)."""
     nbl = len(dictionaries)
-    if grids and grids[0].nbl != nbl:
-        raise ValueError(f"sample has {grids[0].nbl} blocks, model has {nbl}")
+    if blocks.shape[1] != nbl:
+        raise ValueError(f"sample has {blocks.shape[1]} blocks, model has {nbl}")
 
     hard, lls = [], []
     for j in range(nbl):
-        yj = np.stack([g.vectors[j] for g in grids], axis=1)
+        yj = blocks[:, j].T.copy()
         if cfg.eps_abs > 0:
             eps = np.full(yj.shape[1], cfg.eps_abs)
         else:
@@ -239,25 +235,25 @@ def _pools(cfg: ExperimentConfig, folds: np.ndarray) -> bool:
     return cfg.dl_mode == "none" or all(params.closed_form(n) for n in folds.size - np.bincount(folds))
 
 
-def cross_validate(cfg: ExperimentConfig, block_size: int, samples: list[RoiSample]) -> list[tuple]:
-    """One stratified cross-validation pass for one block size.
+def cross_validate(cfg: ExperimentConfig, blocks: np.ndarray, labels) -> list[tuple]:
+    """One stratified cross-validation pass over the samples'
+    :func:`block_vectors` ``blocks`` and their ``labels``.
 
     A fold whose training split is empty or lacks a class fails as its
-    training would. When every fold's model is its training split's raw
-    block dictionaries (see :func:`train_block_models`), those are column
-    subsets of the whole dataset's, which are assembled once: the passing
-    folds' held-out samples are coded in one :func:`classify_samples` call,
-    each on its own fold's training atoms alone, so one ``D^T D`` and one
-    ``D^T Y`` per position serve every fold. Otherwise each fold trains and
-    classifies on its own. Returns ``(fold, test_indices, outcome)`` per
-    fold, where outcome is the fold's :class:`EnsembleDecision`, or a
-    structured diagnostic dict when the fold failed with a ``ValueError`` or
-    ``LinAlgError`` (a failure of the joint call is booked to each of its
-    folds); any other exception, and ROIs of mixed sizes, raise.
-    ``cfg.decision`` plays no part.
+    training would. The others train and classify in groups, each on its
+    members' rows of ``blocks``. When every fold's model is its training
+    split's raw block dictionaries (see :func:`_pools`), the folds form one
+    group: the raw dictionaries of all their training samples are built
+    once, and every held-out sample is coded in one :func:`classify_samples`
+    call on its own fold's training atoms alone, so one ``D^T D`` and one
+    ``D^T Y`` per position serve every fold. Otherwise each fold is a group
+    of its own, coded unmasked. Returns ``(fold, test_indices, outcome)``
+    per fold, where outcome is the fold's :class:`EnsembleDecision`, or a
+    structured diagnostic dict when its group failed with a ``ValueError``
+    or ``LinAlgError``; any other exception raises. ``cfg.decision`` plays
+    no part.
     """
-    check_roi_sizes(samples)
-    labels = as_label_array([s.label for s in samples])
+    labels = as_label_array(labels)
     folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
     outcomes: dict[int, object] = {}
     for f in range(cfg.k_folds):
@@ -266,30 +262,24 @@ def cross_validate(cfg: ExperimentConfig, block_size: int, samples: list[RoiSamp
         except ValueError as err:
             outcomes[f] = _diagnostic("train", err)
     trainable = [f for f in range(cfg.k_folds) if f not in outcomes]
-    if not _pools(cfg, folds):
-        for f in trainable:
-            stage = "train"
-            try:  # a domain error aborts the fold
-                models = train_block_models([samples[i] for i in np.flatnonzero(folds != f)], cfg, block_size)
-                stage = "classify"
-                test_set = [samples[i] for i in np.flatnonzero(folds == f)]
-                outcomes[f] = classify_samples([m.D for m in models], test_set, cfg, block_size)
-            except (ValueError, np.linalg.LinAlgError) as err:
-                outcomes[f] = _diagnostic(stage, err)
-    elif trainable:
-        dicts = assemble_block_dictionaries(samples, block_size, block_size)
-        members = np.flatnonzero(np.any([folds != f for f in trainable], axis=0))
-        if members.size < len(samples):  # one fold: its training samples alone
-            dicts = [Dictionary(D.atoms[:, members], D.atom_labels[members], D.scales[members]) for D in dicts]
-        test_idx = np.concatenate([np.flatnonzero(folds == f) for f in trainable])
+    pools = _pools(cfg, folds)
+    # a pooled group's model is its members' raw dictionaries, as each fold's
+    # is; training it as dl_mode "none" keeps a fixed K off the group's size
+    group_cfg = replace(cfg, dl_mode="none") if pools else cfg
+    for group in [trainable] if pools and trainable else [[f] for f in trainable]:
+        test_idx = np.concatenate([np.flatnonzero(folds == f) for f in group])
+        members = np.flatnonzero(np.any([folds != f for f in group], axis=0))
         # each sample may use the atoms of its own fold's training samples
-        allowed = folds[members][:, None] != folds[test_idx][None, :]
-        try:
-            dec = classify_samples(dicts, [samples[i] for i in test_idx], cfg, block_size, allowed=allowed)
+        allowed = folds[members][:, None] != folds[test_idx][None, :] if pools else None
+        stage = "train"
+        try:  # a domain error aborts the group
+            models = train_block_models(blocks[members].transpose(1, 2, 0), labels[members], group_cfg)
+            stage = "classify"
+            dec = classify_samples([m.D for m in models], blocks[test_idx], cfg, allowed)
         except (ValueError, np.linalg.LinAlgError) as err:
-            outcomes.update(dict.fromkeys(trainable, _diagnostic("classify", err)))
+            outcomes.update(dict.fromkeys(group, _diagnostic(stage, err)))
         else:
-            outcomes.update((f, _decision_rows(dec, folds[test_idx] == f)) for f in trainable)
+            outcomes.update((f, _decision_rows(dec, folds[test_idx] == f)) for f in group)
     return [(f, np.flatnonzero(folds == f), outcomes[f]) for f in range(cfg.k_folds)]
 
 
@@ -363,16 +353,16 @@ def run_experiment(
     persist: bool = True,
 ) -> EvalReport:
     """Full stratified cross-validation for one block size, reported under
-    ``cfg.decision``."""
+    ``cfg.decision``. The ROIs are cut into blocks once, before any fold, so
+    ROIs of mixed sizes or a block size that does not divide them raise."""
     if block_size is None:
         if len(cfg.block_sizes) != 1:
             raise ValueError("block_size required when the config lists several")
         block_size = cfg.block_sizes[0]
-    if cfg.roi_size % block_size != 0:
-        raise ValueError(f"block size {block_size} does not divide roi_size {cfg.roi_size}")
     if samples is None:
         samples = load_dataset(cfg)
-    report = build_report(cfg, block_size, samples, cross_validate(cfg, block_size, samples))
+    blocks = block_vectors(samples, block_size, block_size)
+    report = build_report(cfg, block_size, samples, cross_validate(cfg, blocks, [s.label for s in samples]))
     if persist:
         persist_report(report, cfg.output_dir)
     return report
@@ -405,33 +395,34 @@ def run_grid(cfg: ExperimentConfig, persist: bool = True) -> list[EvalReport]:
     """Run the full decision x folds x block-size x learning-mode grid and
     write one summary CSV over all cells.
 
-    The dataset is loaded once; each (folds, mode, block size) pass runs
-    once, under both decision rules. The passes of one (folds, block size)
-    pair that code on the raw dictionaries (see :func:`cross_validate`) run
-    once for all their modes: at the default K = s, LC-KSVD's take the
-    "none" pass's outcomes. Such a pooled pass's report is built once per
-    rule; its K = s twins share its fold entries and differ only in the
-    ``dl_mode`` of their config echo. Reports and summary rows come out
-    decision-major. Raises ValueError when no grid block size divides
-    ``roi_size``.
+    The dataset is loaded once and cut into blocks once per block size;
+    each (folds, mode, block size) pass runs once, under both decision
+    rules. The passes of one (folds, block size) pair that code on the raw
+    dictionaries (see :func:`cross_validate`) run once for all their modes:
+    at the default K = s, LC-KSVD's take the "none" pass's outcomes. Such a
+    pooled pass's report is built once per rule; its K = s twins share its
+    fold entries and differ only in the ``dl_mode`` of their config echo.
+    Reports and summary rows come out decision-major. Raises ValueError when
+    no grid block size divides ``roi_size``.
     """
     blocks = [b for b in GRID_BLOCKS if cfg.roi_size % b == 0]
     if not blocks:
         raise ValueError(f"no grid block size in GRID_BLOCKS {GRID_BLOCKS} divides roi_size {cfg.roi_size}")
     samples = load_dataset(cfg)
     labels = [s.label for s in samples]
+    folds = {k: stratified_folds(labels, k, cfg.seed) for k in GRID_FOLDS}
     cells: dict[tuple, EvalReport] = {}
-    for k in GRID_FOLDS:
-        folds = stratified_folds(labels, k, cfg.seed)
-        for block in blocks:
+    for block in blocks:
+        vectors = block_vectors(samples, block, block)
+        for k in GRID_FOLDS:
             pooled = None  # this pair's raw-dictionary pass's reports by rule
             for mode in GRID_MODES:
                 sub = replace(cfg, k_folds=k, dl_mode=mode)
-                pools = _pools(sub, folds)
+                pools = _pools(sub, folds[k])
                 if pools and pooled:
                     reps = {d: replace(r, config=replace(sub, decision=d).echo()) for d, r in pooled.items()}
                 else:
-                    outcomes = cross_validate(sub, block, samples)
+                    outcomes = cross_validate(sub, vectors, labels)
                     reps = {d: build_report(replace(sub, decision=d), block, samples, outcomes)
                             for d in GRID_DECISIONS}
                     if pools:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blocksrc import BENIGN, MALIGNANT, RoiSample, assemble_block_dictionaries, compose_blocks, decompose_roi
+from blocksrc.blocks import block_stack, block_vectors
 
 
 def make_roi(pixels, label=BENIGN, source="t"):
@@ -45,6 +46,33 @@ class TestDecompose:
             grid = decompose_roi(roi, b, b)
             np.testing.assert_array_equal(compose_blocks(grid), px)
             assert grid.nbl * b * b == 64 * 64
+
+
+class TestBlockVectors:
+    def test_rows_are_each_roi_s_decomposition(self):
+        rng = np.random.default_rng(8)
+        rois = [make_roi(rng.random((16, 16))) for _ in range(3)]
+        for bw, bh in ((8, 8), (4, 8), (16, 2)):
+            cut = block_vectors(rois, bw, bh)
+            assert cut.shape == (3, (16 // bw) * (16 // bh), bw * bh)
+            for roi, row in zip(rois, cut):
+                np.testing.assert_array_equal(row, decompose_roi(roi, bw, bh).vectors)
+
+    def test_stack_is_the_transposed_cut(self):
+        rng = np.random.default_rng(9)
+        rois = [make_roi(rng.random((8, 8)), label) for label in (BENIGN, MALIGNANT, BENIGN)]
+        stack, labels = block_stack(rois, 4, 4)
+        np.testing.assert_array_equal(stack, block_vectors(rois, 4, 4).transpose(1, 2, 0))
+        np.testing.assert_array_equal(labels, [BENIGN, MALIGNANT, BENIGN])
+
+    def test_rejects_empty_mixed_and_non_dividing(self):
+        rois = [make_roi(np.zeros((8, 8))), make_roi(np.zeros((4, 4)))]
+        with pytest.raises(ValueError, match="no ROIs"):
+            block_vectors([], 4, 4)
+        with pytest.raises(ValueError, match="mixed ROI sizes: 4 vs 8"):
+            block_vectors(rois, 4, 4)
+        with pytest.raises(ValueError, match="block size 3x3 does not divide ROI 8x8"):
+            block_vectors(rois[:1], 3, 3)
 
 
 class TestAssemble:

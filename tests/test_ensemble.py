@@ -124,7 +124,7 @@ class TestBbmap:
         a = ensemble_decision(hard, lls)
         b = ensemble_decision(hard, rewritten)
         assert a.label_bbmap[0] == b.label_bbmap[0]
-        np.testing.assert_array_equal(a.posterior, b.posterior)
+        np.testing.assert_array_equal(a.vote_score, b.vote_score)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -173,11 +173,13 @@ class TestBbll:
             assert np.array_equal(ells, [np.mean(row) for row in lls])
 
     def test_ensemble_decision_fields(self):
-        dec = ensemble_decision(np.full((1, 4), MALIGNANT), np.full((1, 4), 0.2), tau=0.1)
+        hard = np.full((1, 4), MALIGNANT)
+        dec = ensemble_decision(hard, np.full((1, 4), 0.2), tau=0.1)
         assert dec.label_bbmap[0] == MALIGNANT
         assert dec.label_bbll[0] == MALIGNANT
         assert dec.vote_score[0] == 1.0
-        assert dec.posterior[0].sum() == pytest.approx(1.0)
+        # the vote score is the malignant column of bbmap's posterior
+        np.testing.assert_array_equal(dec.vote_score, bbmap(hard)[0][:, MALIGNANT])
         assert dec.tau == 0.1
 
 

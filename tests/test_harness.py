@@ -19,10 +19,10 @@ from blocksrc import (
     stratified_folds,
     synth_dataset,
 )
-from blocksrc.blocks import RoiSample, decompose_roi
+from blocksrc.blocks import RoiSample, block_stack, block_vectors, decompose_roi
 from blocksrc.config import parse_config_text
 from blocksrc.dictlearn import DiscriminativeDictionary, TrainParams
-from blocksrc.ensemble import EnsembleDecision
+from blocksrc.ensemble import EnsembleDecision, block_decisions_batch, ensemble_decision
 from blocksrc.harness import build_report, classify_samples, load_dataset, train_block_models
 from blocksrc.model_io import VERSION
 from blocksrc.pgm import read_pgm
@@ -150,8 +150,7 @@ def pass_outcomes(draw):
             folds.append((f, idx, {"stage": "train", "type": "ValueError", "message": "injected"}))
             continue
         p, sc = np.asarray(preds)[idx], np.asarray(scores)[idx]
-        dec = EnsembleDecision(posterior=np.zeros((size, 2)), vote_score=sc, ells=sc,
-                               label_bbmap=p, label_bbll=p, tau=0.0)
+        dec = EnsembleDecision(vote_score=sc, ells=sc, label_bbmap=p, label_bbll=p, tau=0.0)
         folds.append((f, idx, dec))
     samples = [RoiSample(pixels=np.zeros((2, 2)), label=t) for t in truth]
     return samples, folds
@@ -347,7 +346,7 @@ class TestRunExperiment:
         for f in range(cfg.k_folds):
             train = [samples[i] for i in np.flatnonzero(folds != f)]
             test_idx = np.flatnonzero(folds == f)
-            models = train_block_models(train, cfg, 16)
+            models = train_block_models(*block_stack(train, 16, 16), cfg)
             D = models[0].D
             for i in test_idx:
                 y = decompose_roi(samples[i], 16, 16).vectors[0]
@@ -412,24 +411,15 @@ class TestRunExperiment:
                     assert fold["predictions"] == twin["predictions"]
                     np.testing.assert_allclose(fold["scores"], twin["scores"], rtol=0, atol=1e-12)
 
-    def test_learned_training_decomposes_each_roi_once(self, monkeypatch):
-        import blocksrc.blocks as B
-        import blocksrc.harness as H
-
-        calls = []
-        real = B.decompose_roi
-
-        def counting(roi, *args):
-            calls.append(roi)
-            return real(roi, *args)
-
-        monkeypatch.setattr(B, "decompose_roi", counting)
-        monkeypatch.setattr(H, "decompose_roi", counting)
-        cfg = tiny_config(dl_mode="lcksvd1", iterations=2)
-        samples = load_dataset(cfg)
-        models = train_block_models(samples, cfg, 8)
-        assert len(models) == 4
-        assert len(calls) == len(samples)
+    def test_cuts_each_roi_once(self, monkeypatch):
+        # every fold's training and test blocks are indexed from one cut
+        for mode, dict_size in (("none", 0), ("lcksvd1", 0), ("lcksvd1", 6)):
+            cfg = tiny_config(dl_mode=mode, dict_size=dict_size, iterations=2)
+            samples = load_dataset(cfg)
+            cuts = spy_cuts(monkeypatch)
+            run_experiment(cfg, samples=samples, persist=False)
+            monkeypatch.undo()
+            assert cuts == [(len(samples), 8)]
 
     def test_failed_fold_recorded_with_diagnostic(self):
         # the fold holding the only malignant ROI trains without that class
@@ -447,24 +437,31 @@ class TestRunExperiment:
             assert covered == report.n_samples - int(np.sum(folds == lone))
 
     def test_mixed_roi_sizes_raise_once(self):
-        from blocksrc.harness import cross_validate
-
         cfg = tiny_config()
         samples = load_dataset(cfg)
         small = replace(samples[3], pixels=samples[3].pixels[:8, :8])
         mixed = samples[:3] + [small] + samples[4:]
+        with pytest.raises(ValueError, match="mixed ROI sizes: 8 vs 16"):
+            block_vectors(mixed, 8, 8)
         for mode in ("none", "lcksvd1"):
             for dict_size in (0, 6):
                 sub = replace(cfg, dl_mode=mode, dict_size=dict_size, iterations=2)
                 with pytest.raises(ValueError, match="mixed ROI sizes: 8 vs 16"):
-                    cross_validate(sub, 8, mixed)
-                with pytest.raises(ValueError, match="mixed ROI sizes: 8 vs 16"):
                     run_experiment(sub, samples=mixed, persist=False)
+
+    def test_block_not_dividing_the_rois_raises_before_any_fold(self):
+        # 8-px ROIs under a 16-px config: a raw cell and a learned one below
+        # K = s reject the block size alike, rather than failing each fold
+        samples = load_dataset(tiny_config(roi_size=8))
+        for mode, dict_size in (("none", 0), ("lcksvd1", 6)):
+            cfg = tiny_config(block_sizes=(16,), dl_mode=mode, dict_size=dict_size, iterations=2, k_folds=3)
+            with pytest.raises(ValueError, match="block size 16x16 does not divide ROI 8x8"):
+                run_experiment(cfg, samples=samples, persist=False)
 
     def test_programming_error_propagates(self, monkeypatch):
         import blocksrc.harness as H
 
-        def broken(models, samples, cfg, block_size, allowed=None):
+        def broken(dicts, blocks, cfg, allowed=None):
             raise TypeError("synthetic programming error")
 
         monkeypatch.setattr(H, "classify_samples", broken)
@@ -475,7 +472,8 @@ class TestRunExperiment:
         # a learned cell's folds are classified one by one, without a mask
         import blocksrc.harness as H
 
-        def broken(models, samples, cfg, block_size):
+        def broken(dicts, blocks, cfg, allowed):
+            assert allowed is None
             raise TypeError("synthetic programming error")
 
         monkeypatch.setattr(H, "classify_samples", broken)
@@ -484,19 +482,50 @@ class TestRunExperiment:
 
 
 def per_fold_reference(cfg, samples, block):
-    """Each fold trained and classified on its own, with no atom mask; a
-    fold whose training raises gets the diagnostic its error makes."""
+    """Each fold trained and classified on its own, with no atom mask, on
+    its own ROIs cut afresh; a fold whose training raises gets the
+    diagnostic its error makes."""
     folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
     out = []
     for f in range(cfg.k_folds):
         try:
-            models = train_block_models([samples[i] for i in np.flatnonzero(folds != f)], cfg, block)
+            stack, labels = block_stack([samples[i] for i in np.flatnonzero(folds != f)], block, block)
+            models = train_block_models(stack, labels, cfg)
         except ValueError as err:
             out.append({"stage": "train", "type": type(err).__name__, "message": str(err)})
             continue
         test = [samples[i] for i in np.flatnonzero(folds == f)]
-        out.append(classify_samples([m.D for m in models], test, cfg, block))
+        out.append(classify_samples([m.D for m in models], block_vectors(test, block, block), cfg))
     return out
+
+
+def validate(cfg, samples, block):
+    """``cross_validate`` on the samples cut into ``block``-px blocks."""
+    import blocksrc.harness as H
+
+    return H.cross_validate(cfg, block_vectors(samples, block, block), [s.label for s in samples])
+
+
+def block_side(blocks) -> int:
+    """The side of the square blocks of a (samples, positions, pixels) array."""
+    return math.isqrt(blocks.shape[2])
+
+
+def spy_cuts(monkeypatch):
+    """Record ``(ROIs, block side)`` of every ``block_vectors`` call, however
+    it is reached."""
+    import blocksrc.blocks as B
+    import blocksrc.harness as H
+
+    cuts, real = [], B.block_vectors
+
+    def counting(rois, block_w, block_h):
+        cuts.append((len(rois), block_w))
+        return real(rois, block_w, block_h)
+
+    monkeypatch.setattr(B, "block_vectors", counting)
+    monkeypatch.setattr(H, "block_vectors", counting)
+    return cuts
 
 
 ONE_CLASS_TRAINING = {"stage": "train", "type": "ValueError",
@@ -534,13 +563,13 @@ class TestStackedFolds:
         calls = []
         real_classify, real_decide = H.classify_samples, H.block_decisions_batch
 
-        def classify(dicts, samples, cfg, block_size, allowed=None):
-            calls.append({"samples": samples, "allowed": allowed, "dicts": dicts, "blocks": []})
-            return real_classify(dicts, samples, cfg, block_size, allowed=allowed)
+        def classify(dicts, blocks, cfg, allowed=None):
+            calls.append({"blocks": blocks, "allowed": allowed, "dicts": dicts, "results": []})
+            return real_classify(dicts, blocks, cfg, allowed)
 
         def decide(Dj, Yj, eps, invert_lls=False, allowed=None):
             res = real_decide(Dj, Yj, eps, invert_lls=invert_lls, allowed=allowed)
-            calls[-1]["blocks"].append(res)
+            calls[-1]["results"].append(res)
             return res
 
         monkeypatch.setattr(H, "classify_samples", classify)
@@ -549,55 +578,49 @@ class TestStackedFolds:
 
     @pytest.mark.parametrize("k", [10, 20, 30])
     def test_stacked_matches_per_fold(self, k, monkeypatch):
-        from blocksrc.harness import cross_validate
-
         cfg = walking_config(k_folds=k)
         samples = load_dataset(cfg)
         ref = per_fold_reference(cfg, samples, 4)
         calls = self.spy(monkeypatch)
-        out = cross_validate(cfg, 4, samples)
+        out = validate(cfg, samples, 4)
         assert len(calls) == 1 and calls[0]["allowed"] is not None
-        assert len(calls[0]["samples"]) == len(samples)
+        assert calls[0]["blocks"].shape[0] == len(samples)
         # a feasible code of a nonzero block walked the path
-        walked = sum(int(b.feasible.sum()) for b in calls[0]["blocks"])
+        walked = sum(int(b.feasible.sum()) for b in calls[0]["results"])
         assert walked >= 2 * len(samples)
         for (f, _, dec), r in zip(out, ref):
             assert_same_decisions(dec, r)
 
     def test_no_sample_codes_with_its_own_fold(self, monkeypatch):
-        from blocksrc.harness import cross_validate
-
         cfg = walking_config(k_folds=5)
         samples = load_dataset(cfg)
         folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
         calls = self.spy(monkeypatch)
-        cross_validate(cfg, 4, samples)
+        validate(cfg, samples, 4)
         (call,) = calls
-        index = {id(s): i for i, s in enumerate(samples)}
-        test = np.array([index[id(s)] for s in call["samples"]])
+        # the held-out samples come fold by fold
+        test = np.concatenate([np.flatnonzero(folds == f) for f in range(cfg.k_folds)])
+        assert np.array_equal(call["blocks"], block_vectors(samples, 4, 4)[test])
         # every sample, its own among them, has its block in the shared set
         assert call["dicts"][0].n_atoms == len(samples)
         same_fold = folds[:, None] == folds[test][None, :]
         assert np.array_equal(call["allowed"], ~same_fold)
         leaked = 0
-        for j, res in enumerate(call["blocks"]):
+        for j, res in enumerate(call["results"]):
             assert np.all(res.codes[same_fold] == 0.0)
             # unmasked, a block would code itself: its own atom enters first
             D = call["dicts"][j]
             y = np.stack([decompose_roi(samples[i], 4, 4).vectors[j] for i in test], axis=1)
             X, *_ = bpdn_batch(D, y, cfg.eps_rel * np.linalg.norm(y, axis=0))
             leaked += int(np.count_nonzero(X[test, np.arange(test.size)]))
-        assert leaked >= len(call["blocks"]) * len(samples) // 2
+        assert leaked >= len(call["results"]) * len(samples) // 2
 
     def test_failed_training_fold_is_left_out(self, monkeypatch):
         # the fold holding the only malignant ROI fails as its training
         # would; the other folds are coded in one masked call on the atoms
         # of every sample, since each sample is in some fold's training split
-        import blocksrc.harness as H
-
         samples = with_one_malignant(load_dataset(walking_config()))
         labels = np.array([s.label for s in samples])
-        index = {id(s): i for i, s in enumerate(samples)}
         for mode in ("none", "lcksvd1", "lcksvd2"):
             cfg = walking_config(k_folds=6, dl_mode=mode)
             folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
@@ -605,14 +628,13 @@ class TestStackedFolds:
             ref = per_fold_reference(cfg, samples, 4)
             assert ref[lone] == ONE_CLASS_TRAINING
             calls = self.spy(monkeypatch)
-            out = H.cross_validate(cfg, 4, samples)
+            out = validate(cfg, samples, 4)
             monkeypatch.undo()
             assert out[lone][2] == ref[lone]
             (call,) = calls
             assert call["allowed"] is not None and call["dicts"][0].n_atoms == len(samples)
-            assert [index[id(s)] for s in call["samples"]] == [
-                i for f in range(cfg.k_folds) if f != lone for i in np.flatnonzero(folds == f)
-            ]
+            test = [i for f in range(cfg.k_folds) if f != lone for i in np.flatnonzero(folds == f)]
+            assert np.array_equal(call["blocks"], block_vectors(samples, 4, 4)[test])
             for f, _, dec in out:
                 if f != lone:
                     assert_same_decisions(dec, ref[f])
@@ -634,13 +656,11 @@ class TestStackedFolds:
     def test_learned_cells_classify_per_fold(self, dict_size, monkeypatch):
         # at K = s the learned dictionaries are the raw ones and pool as a raw
         # cell's do; at K < s they never fit, and each fold codes on its own
-        from blocksrc.harness import cross_validate
-
         cfg = walking_config(k_folds=4, dl_mode="lcksvd2", dict_size=dict_size, iterations=2)
         samples = load_dataset(cfg)
         ref = per_fold_reference(cfg, samples, 4)
         calls = self.spy(monkeypatch)
-        out = cross_validate(cfg, 4, samples)
+        out = validate(cfg, samples, 4)
         if dict_size == 0:
             assert len(calls) == 1 and calls[0]["allowed"] is not None
         else:
@@ -648,11 +668,23 @@ class TestStackedFolds:
         for (_, _, dec), r in zip(out, ref):
             assert_same_decisions(dec, r, atol=1e-9 if dict_size == 0 else 0.0)
 
+    def test_fixed_k_equal_to_every_training_count_pools(self, monkeypatch):
+        # K = 24 is every fold's training count but not the 30 samples the
+        # pooled group trains on: the group still gets the raw dictionaries
+        cfg = walking_config(k_folds=5, dl_mode="lcksvd1", dict_size=24, iterations=2)
+        samples = load_dataset(cfg)
+        folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
+        assert set(np.bincount(folds).tolist()) == {6}
+        ref = per_fold_reference(cfg, samples, 4)
+        calls = self.spy(monkeypatch)
+        out = validate(cfg, samples, 4)
+        assert len(calls) == 1 and calls[0]["dicts"][0].n_atoms == len(samples)
+        for (_, _, dec), r in zip(out, ref):
+            assert_same_decisions(dec, r)
+
     def test_cell_at_k_s_in_some_folds_codes_fold_by_fold(self, monkeypatch):
         # K equals the training count of some folds only: those build the
         # closed form and the others run K-SVD, so no pool serves the cell
-        from blocksrc.harness import cross_validate
-
         cfg = walking_config(k_folds=4, dl_mode="lcksvd1", dict_size=22, iterations=2)
         samples = load_dataset(cfg)
         folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
@@ -660,7 +692,7 @@ class TestStackedFolds:
         assert any(closed) and not all(closed)
         ref = per_fold_reference(cfg, samples, 4)
         calls = self.spy(monkeypatch)
-        out = cross_validate(cfg, 4, samples)
+        out = validate(cfg, samples, 4)
         assert len(calls) == cfg.k_folds and all(c["allowed"] is None for c in calls)
         for (_, _, dec), r in zip(out, ref):
             assert_same_decisions(dec, r, atol=0.0)
@@ -683,7 +715,8 @@ class TestPoolByConstruction:
                 folds = stratified_folds(labels, k, cfg.seed)
                 for f in range(k):
                     idx = np.flatnonzero(folds != f)
-                    for m, D in zip(train_block_models([samples[i] for i in idx], cfg, block), whole, strict=True):
+                    models = train_block_models(*block_stack([samples[i] for i in idx], block, block), cfg)
+                    for m, D in zip(models, whole, strict=True):
                         assert m.D.atoms.tobytes() == np.ascontiguousarray(D.atoms[:, idx]).tobytes()
                         assert m.D.atom_labels.tobytes() == D.atom_labels[idx].tobytes()
                         assert m.D.scales.tobytes() == D.scales[idx].tobytes()
@@ -700,13 +733,13 @@ class TestRunGrid:
         trains, classifies, loads = [], [], []
         real_train, real_classify, real_load = H.train_block_models, H.classify_samples, H.load_dataset
 
-        def counting_train(samples, cfg, block_size):
-            trains.append((cfg.k_folds, cfg.dl_mode, block_size))
-            return real_train(samples, cfg, block_size)
+        def counting_train(stack, labels, cfg):
+            trains.append((cfg.k_folds, cfg.dl_mode, math.isqrt(stack.shape[1]), stack.shape[2]))
+            return real_train(stack, labels, cfg)
 
-        def counting_classify(dicts, samples, cfg, block_size, allowed=None):
-            classifies.append((cfg.k_folds, block_size))
-            return real_classify(dicts, samples, cfg, block_size, allowed=allowed)
+        def counting_classify(dicts, blocks, cfg, allowed=None):
+            classifies.append((cfg.k_folds, block_side(blocks)))
+            return real_classify(dicts, blocks, cfg, allowed)
 
         def counting_load(cfg):
             loads.append(cfg)
@@ -728,9 +761,11 @@ class TestRunGrid:
         monkeypatch.undo()
 
         assert len(loads) == 1
-        # at K = s no fold trains, and one call per (folds, block) pair
-        # serves both modes and both rules; each rule's report is built once
-        assert trains == []
+        # at K = s no fold trains: one raw training on every sample and one
+        # call per (folds, block) pair serve both modes and both rules; each
+        # rule's report is built once
+        n = reports[0].n_samples
+        assert sorted(trains) == sorted((3, "none", b, n) for b in blocks)
         assert sorted(classifies) == sorted((3, b) for b in blocks)
         assert sorted(builds) == sorted((3, b, d) for b in blocks for d in ("bbmap", "bbll"))
         cells = [(d, m, b) for d in ("bbmap", "bbll") for m in modes for b in blocks]
@@ -772,9 +807,9 @@ class TestGridReuse:
         calls = []
         real_classify = H.classify_samples
 
-        def classify(dicts, samples, c, block_size, allowed=None):
-            calls.append((c.k_folds, c.dl_mode, block_size, allowed is not None))
-            return real_classify(dicts, samples, c, block_size, allowed=allowed)
+        def classify(dicts, blocks, c, allowed=None):
+            calls.append((c.k_folds, c.dl_mode, block_side(blocks), allowed is not None))
+            return real_classify(dicts, blocks, c, allowed)
 
         monkeypatch.setattr(H, "classify_samples", classify)
         if train is not None:
@@ -793,6 +828,15 @@ class TestGridReuse:
         for (decision, k, mode, block), rep in reports.items():
             twin = reports[decision, k, "none", block]
             assert rep.folds == twin.folds and not rep.incomplete_folds
+
+    def test_cuts_once_per_block_size(self, monkeypatch):
+        # every fold count and mode, pooled or trained fold by fold, indexes
+        # its blocks from the one cut of its block size
+        cfg = tiny_config(dict_size=6, iterations=2)
+        cuts = spy_cuts(monkeypatch)
+        reports, calls = self.grid(monkeypatch, cfg)
+        assert any(not masked for *_, masked in calls)  # some passes trained per fold
+        assert cuts == [(2 * cfg.synth_samples_per_class, b) for b in self.BLOCKS]
 
     def test_learned_passes_below_k_s_classify_on_their_own(self, monkeypatch):
         default, _ = self.grid(monkeypatch, tiny_config(dict_size=0))
@@ -902,7 +946,7 @@ class TestModelArchive:
     def test_roundtrip(self, tmp_path):
         cfg = tiny_config(dl_mode="lcksvd2", iterations=3)
         samples = load_dataset(cfg)
-        models = train_block_models(samples, cfg, 8)
+        models = train_block_models(*block_stack(samples, 8, 8), cfg)
         path = tmp_path / "model.blkd"
         save_model(str(path), models, cfg.train_params(), {"block_w": 8, "block_h": 8})
         loaded, params, meta = load_model(str(path))
@@ -920,7 +964,7 @@ class TestModelArchive:
     def test_mode_none_archive(self, tmp_path):
         cfg = tiny_config(dl_mode="none")
         samples = load_dataset(cfg)
-        models = train_block_models(samples, cfg, 8)
+        models = train_block_models(*block_stack(samples, 8, 8), cfg)
         path = tmp_path / "raw.blkd"
         save_model(str(path), models, cfg.train_params(), {})
         loaded, _, _ = load_model(str(path))
@@ -953,7 +997,7 @@ class TestModelArchive:
 
     def test_trailing_byte(self, tmp_path):
         cfg = tiny_config(dl_mode="none")
-        models = train_block_models(load_dataset(cfg), cfg, 8)
+        models = train_block_models(*block_stack(load_dataset(cfg), 8, 8), cfg)
         path = tmp_path / "raw.blkd"
         save_model(str(path), models, cfg.train_params(), {})
         path.write_bytes(path.read_bytes() + b"\0")
@@ -1068,14 +1112,35 @@ class TestMosaic:
 
 
 class TestClassifyAgainstFixedModel:
+    def test_each_position_is_coded_as_its_stacked_signals(self):
+        # a fold's test rows of the pass's array code exactly as the matrix
+        # that stacks each test ROI's block vectors: the coder gets a
+        # C-contiguous copy, not a strided view, whose norms sum otherwise
+        cfg = tiny_config(roi_size=8, block_sizes=(8,), synth_samples_per_class=37, k_folds=10)
+        samples = load_dataset(cfg)
+        folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
+        for f in range(3):
+            train, test = np.flatnonzero(folds != f), np.flatnonzero(folds == f)
+            models = train_block_models(*block_stack([samples[i] for i in train], 8, 8), cfg)
+            dec = classify_samples([m.D for m in models], block_vectors(samples, 8, 8)[test], cfg)
+            hard, lls = [], []
+            for j, m in enumerate(models):
+                yj = np.stack([decompose_roi(samples[i], 8, 8).vectors[j] for i in test], axis=1)
+                res = block_decisions_batch(m.D, yj, cfg.eps_rel * np.linalg.norm(yj, axis=0))
+                hard.append(res.hard)
+                lls.append(res.lls)
+            ref = ensemble_decision(np.column_stack(hard), np.column_stack(lls), tau=cfg.tau)
+            assert_same_decisions(dec, ref, atol=0.0)
+
     def test_decisions_have_both_labels(self):
         cfg = tiny_config()
         samples = load_dataset(cfg)
-        models = train_block_models(samples, cfg, 8)
-        dec = classify_samples([m.D for m in models], samples[:4], cfg, 8)
+        models = train_block_models(*block_stack(samples, 8, 8), cfg)
+        dec = classify_samples([m.D for m in models], block_vectors(samples[:4], 8, 8), cfg)
         assert dec.label_bbmap.shape == (4,)
         for i in range(4):
             assert dec.label_bbmap[i] in (BENIGN, MALIGNANT)
             assert dec.label_bbll[i] in (BENIGN, MALIGNANT)
             assert 0.0 <= dec.vote_score[i] <= 1.0
-            assert dec.posterior[i].sum() == pytest.approx(1.0)
+            # the malignant share of the 4 block votes
+            assert (4 * dec.vote_score[i]).is_integer()
