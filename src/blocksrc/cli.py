@@ -108,7 +108,7 @@ def _cmd_evaluate(args) -> int:
                 f"({block_w * block_h} pixels)"
             )
     samples = load_dataset(cfg)
-    fused = classify_samples([m.D for m in models], block_vectors(samples, block_w, block_h), cfg)
+    fused = classify_samples([m.D for m in models], block_vectors(samples, block_w, block_h), slice(None), cfg)
     preds, scores = decision_outputs(fused, cfg)
     truth = [s.label for s in samples]
     metrics = compute_metrics(preds, truth, scores)

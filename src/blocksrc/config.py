@@ -44,7 +44,7 @@ class ExperimentConfig:
         for key in ("roi_size", "sparsity", "iterations"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"config key {key} must be positive, got {getattr(self, key)}")
-        for key in ("alpha", "beta", "eps_rel", "eps_abs"):
+        for key in ("alpha", "beta", "eps_rel", "eps_abs", "seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"config key {key} must be >= 0, got {getattr(self, key)}")
         if self.dict_size < 0 or self.dict_size == 1:

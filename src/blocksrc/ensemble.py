@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .labels import BENIGN, MALIGNANT
-from .solvers import Dictionary, L1_LOG_FLOOR, bpdn_batch, class_residuals
+from .solvers import DEGENERATE_NORM, Dictionary, L1_LOG_FLOOR, bpdn_batch, class_residuals
 
 
 class BlockResults(NamedTuple):
@@ -86,7 +86,7 @@ def block_decisions_batch(
     codes = np.zeros((Dj.n_atoms, m))
     feasible = np.ones(m, dtype=bool)
     usable = Dj.usable[:, None] if allowed is None else Dj.usable[:, None] & allowed
-    degenerate = (ynorm < 1e-12) | ~usable.any(axis=0)
+    degenerate = (ynorm < DEGENERATE_NORM) | ~usable.any(axis=0)
     live = np.flatnonzero(~degenerate)
     if live.size:
         eps_live = np.broadcast_to(np.asarray(eps, dtype=float), (m,))[live]

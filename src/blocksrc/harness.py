@@ -188,16 +188,19 @@ def train_block_models(stack: np.ndarray, labels, cfg: ExperimentConfig) -> list
 def classify_samples(
     dictionaries: list[Dictionary],
     blocks: np.ndarray,
+    rows,
     cfg: ExperimentConfig,
     allowed: np.ndarray | None = None,
 ) -> EnsembleDecision:
-    """Code every sample's blocks against the per-position dictionaries and
-    fuse the block results; returns one decision array per sample.
+    """Code the blocks of the samples ``rows`` against the per-position
+    dictionaries and fuse the block results; returns one decision array per
+    sample, in the order of ``rows``.
 
-    ``blocks`` (samples, positions, pixels) holds the samples'
-    :func:`block_vectors`; each position's signals are coded as a C-contiguous
-    (pixels, samples) copy, so their norms sum in one order however
-    ``blocks`` was indexed. ``allowed`` (n_atoms, samples), None for
+    ``blocks`` (ROIs, positions, pixels) holds the :func:`block_vectors` of a
+    whole pass, and ``rows`` (an index array, or ``slice(None)`` for all)
+    picks the samples to code; each position's signals are gathered as a
+    C-contiguous (pixels, samples) copy, so their norms sum in one order
+    however ``rows`` picks them. ``allowed`` (n_atoms, samples), None for
     everywhere, restricts each sample to its own atoms of every position's
     dictionary, so samples of several folds whose dictionaries are column
     subsets of the given ones are coded in one call per position (see
@@ -208,7 +211,7 @@ def classify_samples(
 
     hard, lls = [], []
     for j in range(nbl):
-        yj = blocks[:, j].T.copy()
+        yj = blocks[rows, j].T.copy()
         if cfg.eps_abs > 0:
             eps = np.full(yj.shape[1], cfg.eps_abs)
         else:
@@ -275,7 +278,7 @@ def cross_validate(cfg: ExperimentConfig, blocks: np.ndarray, labels) -> list[tu
         try:  # a domain error aborts the group
             models = train_block_models(blocks[members].transpose(1, 2, 0), labels[members], group_cfg)
             stage = "classify"
-            dec = classify_samples([m.D for m in models], blocks[test_idx], cfg, allowed)
+            dec = classify_samples([m.D for m in models], blocks, test_idx, cfg, allowed)
         except (ValueError, np.linalg.LinAlgError) as err:
             outcomes.update(dict.fromkeys(group, _diagnostic(stage, err)))
         else:

@@ -35,8 +35,6 @@ _UPDATE_ROWS = 8
 # steps for which the l1 walk holds its rank-1 terms pending before it
 # applies them to H as one product
 _PENDING = 8
-# slots by which the l1 walk widens its window of inverse Grams at a time
-_WIDEN_SLOTS = 8
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
@@ -159,12 +157,12 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
     step every live column takes the argmax of ``|B - G X|`` over its
     unblocked atoms and stops if that pick lies numerically in the span of
     its support. Each live column keeps ``H``, the inverse of its support
-    Gram, so the span test reads ``w = H g`` and ``sigma = 1 - g^T w`` (``g``
-    the pick's Gram column on the support; stop if ``sigma`` is at most
-    ``_SPAN_TOL``), a pick that passes borders ``H`` at once by the rank-1
-    term of :func:`_slot_term` that the l1 path shares (through
-    :func:`_slot_update`), and the refit is ``x_I = H
-    b_I`` (evaluated as the step ``x_old + H c_I`` along the correlations
+    Gram, in the leading slots of a zero stack, so the span test reads ``w =
+    H g`` and ``sigma = 1 - g^T w`` (``g`` the pick's Gram column on the
+    support; stop if ``sigma`` is at most ``_SPAN_TOL``), a pick that passes
+    borders ``H`` at once by the rank-1 term of :func:`_slot_term` that the
+    l1 path shares (through :func:`_slot_update`), and the refit is ``x_I =
+    H b_I`` (evaluated as the step ``x_old + H c_I`` along the correlations
     ``c = B - G X`` of the pick, which keeps the rounding of ``H`` from being
     magnified by ``||H|| ||b_I|| / ||x_I||``): no step solves a system or
     gathers a support Gram. The residual norm follows from ``||y||^2 - x_I^T
@@ -181,10 +179,10 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
     # live columns, as (problem, column) pairs, all hold supports of size t
     # at step t; their supports and inverse Grams are compacted as columns
     # retire, and a step works on the leading (t + 1) x (t + 1) window of H,
-    # whose free slots hold an identity block
+    # whose free slots are zero
     prob, col = np.nonzero(np.sqrt(ysq) > eps)
     supp = np.zeros((prob.size, t_max), dtype=int)
-    H = np.broadcast_to(np.eye(t_max), (prob.size, t_max, t_max)).copy()
+    H = np.zeros((prob.size, t_max, t_max))
     for t in range(t_max):
         if not prob.size:
             break
@@ -195,7 +193,7 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
         ar = np.arange(prob.size)
         # test the pick against the old support first: a pick in its span,
         # such as an exact duplicate, would make the new Gram singular (slot
-        # t's identity row gives w a zero there)
+        # t's zero row gives w a zero there)
         g = G[prob[:, None], supp[:, :t], pick[:, None]]
         w = (H[:, : t + 1, :t] @ g[..., None])[..., 0]
         sigma = 1.0 - np.einsum("ct,ct->c", g, w[:, :t])
@@ -225,18 +223,17 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
 
 def _slot_term(k, w: np.ndarray, sigma: np.ndarray, leave=None, hk=None):
     """The rank-1 term ``alpha z z^T`` by which ``H``, a stack (c, t, t) of
-    inverse slot Grams whose free slots hold an identity row and column,
-    changes at slot ``k`` of each column; with ``- e_k e_k^T`` it is the
-    whole change. Returns ``(z, alpha)``.
+    inverse slot Grams whose free slots are zero, changes at slot ``k`` of
+    each column. Returns ``(z, alpha)``.
 
     An atom enters the free slot ``k`` with ``z = w - e_k`` and ``alpha = 1 /
     sigma``, from the span test's ``w = H g`` (zero at ``k``) and ``sigma = 1
     - g^T w``: the bordered inverse of the grown Gram. Where ``leave`` (a
     mask; None for nowhere) the atom in slot ``k`` leaves instead, with ``z =
     H e_k`` (given as ``hk``, one row per leaving column) and ``alpha = -1 /
-    H_kk``: a Schur downdate, after which the slot is reset exactly to the
-    identity's. ``k`` is one slot per column, or a scalar when ``leave`` is
-    None. ``w`` is overwritten.
+    H_kk``: a Schur downdate, which leaves the slot's row and column zero up
+    to rounding, so the caller zeroes them exactly. ``k`` is one slot per
+    column, or a scalar when ``leave`` is None. ``w`` is overwritten.
     """
     ar = np.arange(len(w))
     z, pivot = w, sigma
@@ -250,8 +247,9 @@ def _slot_term(k, w: np.ndarray, sigma: np.ndarray, leave=None, hk=None):
 
 
 def _slot_update(H: np.ndarray, k: int, w: np.ndarray, sigma: np.ndarray) -> None:
-    """Border ``H`` in place by an atom entering the free slot ``k`` of every
-    column: the term of :func:`_slot_term`, applied at once."""
+    """Border ``H``, whose free slots are zero, in place by an atom entering
+    the free slot ``k`` of every column: the term of :func:`_slot_term`,
+    applied at once."""
     z, alpha = _slot_term(k, w, sigma)
     alpha = alpha[:, None, None]
     # a block of rows at a time, each in the same temporary, so the outer
@@ -263,7 +261,6 @@ def _slot_update(H: np.ndarray, k: int, w: np.ndarray, sigma: np.ndarray) -> Non
         np.multiply(z[:, r : r + _UPDATE_ROWS, None], z[:, None, :], out=block)
         block *= alpha
         H[:, r : r + _UPDATE_ROWS] += block
-    H[:, k, k] -= 1.0
 
 
 def _inverse_times(H: np.ndarray, U: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -307,28 +304,25 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     where an atom enters, an active coefficient crosses zero (the atom
     leaves) or the residual norm reaches ``eps``.
 
-    A column's active atoms sit in fixed slots of ``slots`` (free slots hold
-    an identity block), and each column keeps ``H``, the inverse of its slot
-    Gram: an entering atom borders it by a rank-1 term from ``w = H g`` and
-    ``sigma = 1 - g^T w``, the numbers of the span test (Rubinstein,
-    Zibulevsky & Elad 2008), and a leaving atom is removed by a Schur
-    downdate (both terms from :func:`_slot_term`), so no step solves a
-    system. A term ``alpha z z^T`` stays pending for up to ``_PENDING``
-    steps, as a column of ``U`` and an entry of ``a``; the walk reads the
-    inverse as ``H + U diag(a) U^T`` (``v``, ``w`` and a leaving atom's
-    column through :func:`_inverse_times`), and every ``_PENDING`` steps the
-    pending terms are applied to ``H`` as one product (:func:`_flush`), so
-    ``H`` is rewritten once per ``_PENDING`` steps, not three times per step.
-    A term's ``-e_k e_k^T`` part, and a leaving atom's reset of its slot, are
-    applied at once, and the reset also zeroes that slot's row of ``U``:
-    free slots then read exactly the identity's row and column, so ``v``,
-    ``w`` and ``X`` stay exactly zero there and no spurious exit appears. The
-    live columns' ``H`` are a (c, t, t) window at the front of one buffer,
-    ``t`` the slots up to the highest any column has used plus at least one
-    for an entrant: it is widened in place, ``_WIDEN_SLOTS`` slots at a time,
-    when an entrant takes its last slot, and a retiring column's place (and
-    its pending terms) is taken by a live one from the end, so the memory
-    held follows the live supports.
+    A column's active atoms sit in fixed slots of ``slots``, and each column
+    keeps ``H``, the inverse of its slot Gram, in a zero stack (c, slots,
+    slots) whose free slots stay exactly zero: an entering atom borders it
+    by a rank-1 term from ``w = H g`` and ``sigma = 1 - g^T w``, the numbers
+    of the span test (Rubinstein, Zibulevsky & Elad 2008), and a leaving
+    atom is removed by a Schur downdate (both terms from
+    :func:`_slot_term`), so no step solves a system. A term ``alpha z z^T``
+    stays pending for up to ``_PENDING`` steps, as a column of ``U`` and an
+    entry of ``a``; the walk reads the inverse as ``H + U diag(a) U^T``
+    (``v``, ``w`` and a leaving atom's column through
+    :func:`_inverse_times`), and every ``_PENDING`` steps the pending terms
+    are applied to ``H`` as one product (:func:`_flush`), so ``H`` is
+    rewritten once per ``_PENDING`` steps, not three times per step.
+    A leaving atom's slot row and column are zeroed at once, in ``H`` and in
+    ``U``, so ``v``, ``w`` and ``X`` stay exactly zero on free slots and no
+    spurious exit appears. A step works on the leading (t, t) view of ``H``,
+    ``t`` the slots up to the highest any column has used plus one for an
+    entrant, and a retiring column's place (and its pending terms) is taken
+    by a live one from the end.
     A column retires once its path ends; a feasible one is then refit exactly
     on its final support and signs, ``x = G_AA^{-1} (b_A - lam s_A)`` with
     ``lam > 0`` where the residual norm equals ``eps``, which clears the
@@ -357,12 +351,9 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     slot = np.full((m, slots), null)
     slot[:, 0] = first
     # slots at and above hi are free in every column; a step works on the
-    # first t > hi of them (room for an entrant), and H holds just those
+    # first t > hi of them (room for an entrant)
     hi = 1
-    t = min(hi + 1, slots)
-    buf = np.empty(m * slots * slots)
-    H = buf[: m * t * t].reshape(m, t, t)
-    H[:] = np.eye(t)
+    H = np.zeros((m, slots, slots))
     H[:, 0, 0] = 1.0 / G[first, first]
     # the rank-1 terms not yet applied to H: the walk reads H + U diag(a)
     # U^T, with terms 0 .. p - 1 of U (c, slots, r) and a (c, r) pending;
@@ -376,14 +367,12 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     while cols.size:
         step += 1
         ar = np.arange(cols.size)
-        if hi == t < slots:  # an entrant took the last slot of the window
-            t = min(t + _WIDEN_SLOTS, slots)
-            H = _widen(buf, H, t)
-        st = slot[:, :t]
+        t = min(hi + 1, slots)
+        Ht, st = H[:, :t, :t], slot[:, :t]
         Up, ap = U[:, :t, :p], a[:, :p]
         C = Bp - Gp @ X
         s = S[st, ar[:, None]]
-        v = _inverse_times(H, Up, ap, s)
+        v = _inverse_times(Ht, Up, ap, s)
         V = np.zeros_like(X)
         V[st, ar[:, None]] = v
         Av = Gp @ V
@@ -413,7 +402,7 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
             pick = np.argmin(g_in, axis=0)
             enter = g_in[pick, ar] < gamma
             g = Gp[st, pick[:, None]]
-            w = _inverse_times(H, Up, ap, g)
+            w = _inverse_times(Ht, Up, ap, g)
             sigma = 1.0 - np.einsum("ct,ct->c", g, w)
             fails = enter & ~((sigma > _SPAN_TOL) & free.any(axis=1))
             if not fails.any():
@@ -446,14 +435,11 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
             c = cols.size - f.size
             holes = f[f < c]
             movers = np.flatnonzero(~fin[c:]) + c
-            for dst, src in zip(holes, movers):
-                H[dst] = H[src]
-            U[holes], a[holes] = U[movers], a[movers]
+            H[holes], U[holes], a[holes] = H[movers], U[movers], a[movers]
             keep = np.arange(c)
             keep[holes] = movers
-            H = buf[: c * t * t].reshape(c, t, t)
-            U, a = U[:c], a[:c]
-            Up, ap = U[:, :t, :p], a[:, :p]
+            H, U, a = H[:c], U[:c], a[:c]
+            Ht, Up, ap = H[:, :t, :t], U[:, :t, :p], a[:, :p]
             cols, ysq, eps2, lam, stalls = cols[keep], ysq[keep], eps2[keep], lam[keep], stalls[keep]
             Bp, X, S, slot, allowed = Bp[:, keep], X[:, keep], S[:, keep], slot[keep], allowed[:, keep]
             leave, pick, negative = leave[keep], pick[keep], negative[:, keep]
@@ -466,22 +452,19 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
             raise RuntimeError("l1 path stalled at a tie between atoms")
         # every live column now has one event, a leaving or an entering
         # atom, and changes H by a rank-1 term (see _slot_term), which stays
-        # pending; its -e_k e_k^T part and a leaving atom's reset of its slot
-        # apply now. The reset zeroes the slot's row of U too, or the pending
-        # terms would give the free slot nonzero v, w and X
+        # pending; a leaving atom's slot is zeroed now, in U too, or the
+        # pending terms would give the free slot nonzero v, w and X
         k = np.where(leave, k_out, np.argmax(free, axis=1))
         j = np.where(leave, st[ar, k], pick)
         e, gone = ar[leave], k[leave]
-        hk = H[e, :, gone] + (Up[e] @ (ap[e] * Up[e, gone])[..., None])[..., 0]
+        hk = Ht[e, :, gone] + (Up[e] @ (ap[e] * Up[e, gone])[..., None])[..., 0]
         U[:, :t, p], a[:, p] = _slot_term(k, w, sigma, leave, hk)
         p += 1
-        H[ar, k, k] -= 1.0
         H[e, gone, :] = 0.0
         H[e, :, gone] = 0.0
-        H[e, gone, gone] = 1.0
         U[e, gone] = 0.0
         if p == _PENDING:
-            _flush(H, U[:, :t, :p], a[:, :p])
+            _flush(Ht, U[:, :t, :p], a[:, :p])
             U[:, :, :p] = 0.0
             p = 0
         X[j[leave], ar[leave]] = 0.0
@@ -489,21 +472,6 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
         st[ar, k] = np.where(leave, null, j)
         hi = max(hi, int(k.max()) + 1)
     return X_out[:n], feasible, steps
-
-
-def _widen(buf: np.ndarray, H: np.ndarray, t: int) -> np.ndarray:
-    """Re-lay ``H``, a stack (c, u, u) at the front of ``buf``, as a stack
-    (c, t, t), t > u, in place there: the new slots are free, with an
-    identity row and column. Columns move from the last, so none is
-    overwritten before it moves."""
-    c, u = H.shape[:2]
-    wide = buf[: c * t * t].reshape(c, t, t)
-    for i in range(c - 1, -1, -1):
-        wide[i, :u, :u] = H[i]
-    wide[:, u:] = 0.0
-    wide[:, :u, u:] = 0.0
-    wide[:, range(u, t), range(u, t)] = 1.0
-    return wide
 
 
 def _refit(Gp: np.ndarray, slot: np.ndarray, S: np.ndarray, Bp: np.ndarray, ysq, eps2) -> np.ndarray:
@@ -618,12 +586,12 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     iterations; other columns report their path steps. The paths of all
     other columns run in one lockstep walk in atom space, from the same
     ``D^T D`` and ``D^T Y`` (see :func:`_l1_paths`): each keeps its support
-    in fixed slots with the inverse of the slot Gram, bordered by a rank-1
-    term when an atom enters and Schur-downdated when one leaves. The terms
-    stay pending for up to ``_PENDING`` steps and are then applied as one
-    product; a leaving atom's slot is reset at once, so free slots stay
-    exact. A feasible code is refit exactly on its final support and signs
-    as its path ends.
+    in fixed slots with the inverse of the slot Gram, zero on free slots,
+    bordered by a rank-1 term when an atom enters and Schur-downdated when
+    one leaves. The terms stay pending for up to ``_PENDING`` steps and are
+    then applied as one product; a leaving atom's slot is zeroed at once, so
+    free slots stay exactly zero. A feasible code is refit exactly on its
+    final support and signs as its path ends.
 
     A walked column can end infeasible, with a residual several times
     ``eps``, although its least-squares floor is within ``eps``: when that

@@ -223,10 +223,10 @@ def test_cell_whose_folds_all_fail_is_reported_and_the_run_finishes(
     monkeypatch.setattr(H, "GRID_MODES", ("none",))
     classify = H.classify_samples
 
-    def failing_16px(dicts, blocks, cfg, allowed=None):
+    def failing_16px(dicts, blocks, rows, cfg, allowed=None):
         if blocks.shape[2] == 16 * 16:
             raise ValueError("injected fold failure")
-        return classify(dicts, blocks, cfg, allowed)
+        return classify(dicts, blocks, rows, cfg, allowed)
 
     monkeypatch.setattr(H, "classify_samples", failing_16px)
     cfg = write_config(tmp_path, synth_cache, block_sizes="8, 16")

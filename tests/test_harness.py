@@ -256,7 +256,7 @@ class TestConfig:
             parse_config_text("roi_size = 32\nnoise_sigma = loud", cls=SynthSpec)
 
     def test_negative_weights_name_the_key(self):
-        for text in ("alpha = -1.0", "dl_mode = lcksvd1\nalpha = -1.0", "beta = -0.5"):
+        for text in ("alpha = -1.0", "dl_mode = lcksvd1\nalpha = -1.0", "beta = -0.5", "seed = -3"):
             key = text.split("\n")[-1].split(" ")[0]
             with pytest.raises(ValueError, match=rf"config key {key} must be >= 0, got -"):
                 parse_config_text(text)
@@ -461,7 +461,7 @@ class TestRunExperiment:
     def test_programming_error_propagates(self, monkeypatch):
         import blocksrc.harness as H
 
-        def broken(dicts, blocks, cfg, allowed=None):
+        def broken(dicts, blocks, rows, cfg, allowed=None):
             raise TypeError("synthetic programming error")
 
         monkeypatch.setattr(H, "classify_samples", broken)
@@ -472,7 +472,7 @@ class TestRunExperiment:
         # a learned cell's folds are classified one by one, without a mask
         import blocksrc.harness as H
 
-        def broken(dicts, blocks, cfg, allowed):
+        def broken(dicts, blocks, rows, cfg, allowed):
             assert allowed is None
             raise TypeError("synthetic programming error")
 
@@ -495,7 +495,7 @@ def per_fold_reference(cfg, samples, block):
             out.append({"stage": "train", "type": type(err).__name__, "message": str(err)})
             continue
         test = [samples[i] for i in np.flatnonzero(folds == f)]
-        out.append(classify_samples([m.D for m in models], block_vectors(test, block, block), cfg))
+        out.append(classify_samples([m.D for m in models], block_vectors(test, block, block), slice(None), cfg))
     return out
 
 
@@ -563,9 +563,9 @@ class TestStackedFolds:
         calls = []
         real_classify, real_decide = H.classify_samples, H.block_decisions_batch
 
-        def classify(dicts, blocks, cfg, allowed=None):
-            calls.append({"blocks": blocks, "allowed": allowed, "dicts": dicts, "results": []})
-            return real_classify(dicts, blocks, cfg, allowed)
+        def classify(dicts, blocks, rows, cfg, allowed=None):
+            calls.append({"blocks": blocks, "rows": rows, "allowed": allowed, "dicts": dicts, "results": []})
+            return real_classify(dicts, blocks, rows, cfg, allowed)
 
         def decide(Dj, Yj, eps, invert_lls=False, allowed=None):
             res = real_decide(Dj, Yj, eps, invert_lls=invert_lls, allowed=allowed)
@@ -584,7 +584,7 @@ class TestStackedFolds:
         calls = self.spy(monkeypatch)
         out = validate(cfg, samples, 4)
         assert len(calls) == 1 and calls[0]["allowed"] is not None
-        assert calls[0]["blocks"].shape[0] == len(samples)
+        assert calls[0]["blocks"][calls[0]["rows"]].shape[0] == len(samples)
         # a feasible code of a nonzero block walked the path
         walked = sum(int(b.feasible.sum()) for b in calls[0]["results"])
         assert walked >= 2 * len(samples)
@@ -600,7 +600,7 @@ class TestStackedFolds:
         (call,) = calls
         # the held-out samples come fold by fold
         test = np.concatenate([np.flatnonzero(folds == f) for f in range(cfg.k_folds)])
-        assert np.array_equal(call["blocks"], block_vectors(samples, 4, 4)[test])
+        assert np.array_equal(call["blocks"][call["rows"]], block_vectors(samples, 4, 4)[test])
         # every sample, its own among them, has its block in the shared set
         assert call["dicts"][0].n_atoms == len(samples)
         same_fold = folds[:, None] == folds[test][None, :]
@@ -614,6 +614,23 @@ class TestStackedFolds:
             X, *_ = bpdn_batch(D, y, cfg.eps_rel * np.linalg.norm(y, axis=0))
             leaked += int(np.count_nonzero(X[test, np.arange(test.size)]))
         assert leaked >= len(call["results"]) * len(samples) // 2
+
+    def test_held_out_rows_are_read_from_the_pass_s_array(self, monkeypatch):
+        # the pooled call codes the very array cross_validate was given, its
+        # held-out samples picked fold by fold, with no copy of their rows
+        import blocksrc.harness as H
+
+        cfg = walking_config(k_folds=5)
+        samples = load_dataset(cfg)
+        labels = [s.label for s in samples]
+        folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
+        blocks = block_vectors(samples, 4, 4)
+        calls = self.spy(monkeypatch)
+        H.cross_validate(cfg, blocks, labels)
+        (call,) = calls
+        assert np.shares_memory(call["blocks"], blocks)
+        test = np.concatenate([np.flatnonzero(folds == f) for f in range(cfg.k_folds)])
+        assert np.array_equal(call["rows"], test)
 
     def test_failed_training_fold_is_left_out(self, monkeypatch):
         # the fold holding the only malignant ROI fails as its training
@@ -634,7 +651,7 @@ class TestStackedFolds:
             (call,) = calls
             assert call["allowed"] is not None and call["dicts"][0].n_atoms == len(samples)
             test = [i for f in range(cfg.k_folds) if f != lone for i in np.flatnonzero(folds == f)]
-            assert np.array_equal(call["blocks"], block_vectors(samples, 4, 4)[test])
+            assert np.array_equal(call["blocks"][call["rows"]], block_vectors(samples, 4, 4)[test])
             for f, _, dec in out:
                 if f != lone:
                     assert_same_decisions(dec, ref[f])
@@ -737,9 +754,9 @@ class TestRunGrid:
             trains.append((cfg.k_folds, cfg.dl_mode, math.isqrt(stack.shape[1]), stack.shape[2]))
             return real_train(stack, labels, cfg)
 
-        def counting_classify(dicts, blocks, cfg, allowed=None):
+        def counting_classify(dicts, blocks, rows, cfg, allowed=None):
             classifies.append((cfg.k_folds, block_side(blocks)))
-            return real_classify(dicts, blocks, cfg, allowed)
+            return real_classify(dicts, blocks, rows, cfg, allowed)
 
         def counting_load(cfg):
             loads.append(cfg)
@@ -807,9 +824,9 @@ class TestGridReuse:
         calls = []
         real_classify = H.classify_samples
 
-        def classify(dicts, blocks, c, allowed=None):
+        def classify(dicts, blocks, rows, c, allowed=None):
             calls.append((c.k_folds, c.dl_mode, block_side(blocks), allowed is not None))
-            return real_classify(dicts, blocks, c, allowed)
+            return real_classify(dicts, blocks, rows, c, allowed)
 
         monkeypatch.setattr(H, "classify_samples", classify)
         if train is not None:
@@ -1115,14 +1132,14 @@ class TestClassifyAgainstFixedModel:
     def test_each_position_is_coded_as_its_stacked_signals(self):
         # a fold's test rows of the pass's array code exactly as the matrix
         # that stacks each test ROI's block vectors: the coder gets a
-        # C-contiguous copy, not a strided view, whose norms sum otherwise
+        # C-contiguous gather, not a strided view, whose norms sum otherwise
         cfg = tiny_config(roi_size=8, block_sizes=(8,), synth_samples_per_class=37, k_folds=10)
         samples = load_dataset(cfg)
         folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
         for f in range(3):
             train, test = np.flatnonzero(folds != f), np.flatnonzero(folds == f)
             models = train_block_models(*block_stack([samples[i] for i in train], 8, 8), cfg)
-            dec = classify_samples([m.D for m in models], block_vectors(samples, 8, 8)[test], cfg)
+            dec = classify_samples([m.D for m in models], block_vectors(samples, 8, 8), test, cfg)
             hard, lls = [], []
             for j, m in enumerate(models):
                 yj = np.stack([decompose_roi(samples[i], 8, 8).vectors[j] for i in test], axis=1)
@@ -1136,7 +1153,7 @@ class TestClassifyAgainstFixedModel:
         cfg = tiny_config()
         samples = load_dataset(cfg)
         models = train_block_models(*block_stack(samples, 8, 8), cfg)
-        dec = classify_samples([m.D for m in models], block_vectors(samples[:4], 8, 8), cfg)
+        dec = classify_samples([m.D for m in models], block_vectors(samples[:4], 8, 8), slice(None), cfg)
         assert dec.label_bbmap.shape == (4,)
         for i in range(4):
             assert dec.label_bbmap[i] in (BENIGN, MALIGNANT)

@@ -740,6 +740,57 @@ class TestBpdnMasked:
             class_residuals(D, X * one_class, Y, allowed=one_class)
 
 
+class TestInverseSlotStore:
+    """Both pursuits keep each column's inverse slot Gram in a zero stack:
+    the used slots hold the inverse of their atoms' Gram, the free slots
+    exactly zero."""
+
+    def test_entering_and_leaving_atoms_keep_the_store_exact(self):
+        # the walk's protocol: a term per event, pending until _flush, and a
+        # leaving atom's slot zeroed at once in H and in U
+        rng = np.random.default_rng(61)
+        c, slots, n = 5, 6, 12
+        A, _ = normalize_columns(rng.standard_normal((64, n)))
+        G = A.T @ A
+        H = np.zeros((c, slots, slots))
+        U = np.zeros((c, slots, solvers._PENDING))
+        a = np.zeros((c, solvers._PENDING))
+        p, ar = 0, np.arange(c)
+        slot = np.full((c, slots), -1)  # each slot's atom, -1 where free
+        leaves = flushes = 0
+        for _ in range(80):
+            used = slot >= 0
+            leave = used.any(axis=1) & ((rng.random(c) < 0.4) | used.all(axis=1))
+            k = np.array([rng.choice(np.flatnonzero(u)) if go else np.argmin(u) for u, go in zip(used, leave)])
+            atom = np.array([rng.choice(np.setdiff1d(np.arange(n), row[row >= 0])) for row in slot])
+            g = np.where(used, G[slot, atom[:, None]], 0.0)
+            w = solvers._inverse_times(H, U[:, :, :p], a[:, :p], g)
+            sigma = 1.0 - np.einsum("ct,ct->c", g, w)
+            e, gone = ar[leave], k[leave]
+            hk = solvers._inverse_times(H[e], U[e, :, :p], a[e, :p], np.eye(slots)[gone])
+            U[:, :, p], a[:, p] = solvers._slot_term(k, w, sigma, leave, hk)
+            p += 1
+            H[e, gone, :] = 0.0
+            H[e, :, gone] = 0.0
+            U[e, gone] = 0.0
+            if p == solvers._PENDING:
+                solvers._flush(H, U[:, :, :p], a[:, :p])
+                U[:], p = 0.0, 0
+                flushes += 1
+            slot[ar, k] = np.where(leave, -1, atom)
+            leaves += int(leave.sum())
+            inverse = H.copy()
+            solvers._flush(inverse, U[:, :, :p], a[:, :p])
+            for col in range(c):
+                on, off = np.flatnonzero(slot[col] >= 0), np.flatnonzero(slot[col] < 0)
+                atoms = slot[col, on]
+                np.testing.assert_allclose(
+                    inverse[col][np.ix_(on, on)], np.linalg.inv(G[np.ix_(atoms, atoms)]), rtol=0.0, atol=1e-12
+                )
+                assert np.all(inverse[col, off] == 0.0) and np.all(inverse[col, :, off] == 0.0)
+        assert leaves >= 100 and flushes >= 5
+
+
 class TestClassResiduals:
     def test_single_class_support(self):
         rng = np.random.default_rng(6)
