@@ -1,15 +1,13 @@
 """Block-based ensembles of sparse classifiers with dictionary learning."""
 
-from .blocks import BlockGrid, RoiSample, assemble_block_dictionaries, compose_blocks, decompose_roi
+from .blocks import RoiSample, block_stack, block_vectors
 from .config import ExperimentConfig, load_config, parse_config_text
 from .dictlearn import (
     DiscriminativeDictionary,
     LabelMatrices,
     TrainParams,
     build_label_matrices,
-    init_lcksvd,
-    ksvd,
-    lcksvd_train,
+    lcksvd_train_stack,
 )
 from .ensemble import (
     BlockResults,
@@ -32,7 +30,7 @@ from .labels import BENIGN, CLASS_IDS, CLASS_NAMES, MALIGNANT
 from .mias import MiasRecord, build_roi_cache, extract_roi, filter_lesions, load_roi_cache, parse_metadata
 from .model_io import load_model, save_model
 from .pgm import GrayImage, encode_pgm, parse_pgm, read_pgm, write_pgm
-from .solvers import Dictionary, bpdn_batch, class_residuals, normalize_columns, omp_batch
+from .solvers import Dictionary, batch_omp, bpdn_batch, class_residuals, normalize_columns
 from .synth import SynthSpec, synth_dataset, write_synth_cache
 
 __version__ = "0.1.0"

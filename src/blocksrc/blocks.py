@@ -1,4 +1,4 @@
-"""Spatial block decomposition of square ROIs and per-position dictionaries."""
+"""Square ROIs, and their cut into non-overlapping blocks stacked by position."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labels import as_label_array
-from .solvers import Dictionary
 
 
 @dataclass(frozen=True)
@@ -31,21 +30,6 @@ class RoiSample:
     @property
     def size(self) -> int:
         return self.pixels.shape[0]
-
-
-@dataclass(frozen=True)
-class BlockGrid:
-    """Row-major grid of vectorized blocks cut from one image."""
-
-    block_w: int
-    block_h: int
-    grid_rows: int
-    grid_cols: int
-    vectors: np.ndarray  # (nbl, block_w * block_h), row-major over positions
-
-    @property
-    def nbl(self) -> int:
-        return self.grid_rows * self.grid_cols
 
 
 def _valid_block_sizes(n: int) -> list[int]:
@@ -78,23 +62,6 @@ def block_vectors(rois, block_w: int, block_h: int) -> np.ndarray:
     return np.stack(blocks).reshape(len(pixels), rows * cols, block_h * block_w)
 
 
-def decompose_roi(roi: RoiSample, block_w: int, block_h: int) -> BlockGrid:
-    """One ROI's :func:`block_vectors`, with its grid shape."""
-    vectors = block_vectors([roi], block_w, block_h)[0]
-    h, w = np.shape(getattr(roi, "pixels", roi))
-    return BlockGrid(block_w, block_h, h // block_h, w // block_w, vectors)
-
-
-def compose_blocks(grid: BlockGrid) -> np.ndarray:
-    """Inverse of :func:`decompose_roi`: tile block vectors back into an image."""
-    r, c, bh, bw = grid.grid_rows, grid.grid_cols, grid.block_h, grid.block_w
-    return (
-        grid.vectors.reshape(r, c, bh, bw)
-        .transpose(0, 2, 1, 3)
-        .reshape(r * bh, c * bw)
-    )
-
-
 def check_training_labels(labels) -> np.ndarray:
     """The labels of a training set as an array; ValueError unless the set
     is non-empty and holds both classes."""
@@ -117,13 +84,3 @@ def block_stack(training: list[RoiSample], block_w: int, block_h: int) -> tuple[
     labels = check_training_labels([smp.label for smp in training])
     return block_vectors(training, block_w, block_h).transpose(1, 2, 0), labels
 
-
-def assemble_block_dictionaries(training: list[RoiSample], block_w: int, block_h: int) -> list[Dictionary]:
-    """Build one dictionary per block position from the training ROIs.
-
-    Dictionary ``j`` holds the block-``j`` vector of every training image as a
-    column (normalized, training order preserved) with the image's class label
-    attached to the column.
-    """
-    stack, labels = block_stack(training, block_w, block_h)
-    return [Dictionary.from_matrix(Yj, labels) for Yj in stack]

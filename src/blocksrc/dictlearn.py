@@ -8,6 +8,7 @@ dictionary ``D`` that every decision rule reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,12 @@ class TrainParams:
             raise ValueError("K must be >= 2 (at least one atom per class)")
         if self.T < 1:
             raise ValueError("T must be >= 1")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        for key in ("alpha", "beta", "min_rel_improvement"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"train param {key} must be finite, got {getattr(self, key)!r}")
+        for key in ("alpha", "beta", "seed"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"train param {key} must be >= 0, got {getattr(self, key)!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 
@@ -111,12 +116,12 @@ def build_label_matrices(sample_labels, atom_labels) -> LabelMatrices:
     return LabelMatrices(Q=Q, H=H)
 
 
-def _check_training_matrix(Y, ndim: int = 2) -> np.ndarray:
+def _check_training_matrix(Y) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim != ndim or 0 in Y.shape:
-        raise ValueError(f"training matrix must be non-empty {ndim}-d, got shape {Y.shape}")
+    if Y.ndim != 3 or 0 in Y.shape:
+        raise ValueError(f"training stack must be non-empty 3-d, got shape {Y.shape}")
     if not np.isfinite(Y).all():
-        raise ValueError("training matrix contains non-finite values")
+        raise ValueError("training stack contains non-finite values")
     return Y
 
 
@@ -215,39 +220,6 @@ def _ksvd_stack(Z: np.ndarray, s: int, params: TrainParams, probe=None):
     return D, X, [np.asarray(tr) for tr in traces]
 
 
-def ksvd(Y, params: TrainParams, init: np.ndarray | None = None, atom_labels=None, probe=None):
-    """Alternating sparse coding and per-atom rank-1 dictionary updates.
-
-    Each iteration codes every column with the sparsity bound T, then updates
-    every atom (and its coefficient row) against the residual restricted to
-    the columns that use it; the update stage never increases the objective
-    for fixed supports. Unused atoms are replaced by the currently
-    worst-represented sample, normalized. Returns ``(dictionary, codes,
-    objective_trace)``. This is one problem of the stacked K-SVD.
-
-    ``probe``, when given, is called as ``probe(iteration, obj_after_coding,
-    obj_after_update)`` (a testing hook).
-    """
-    Y = _check_training_matrix(Y)
-    d, s = Y.shape
-    k = params.resolved_k(s)
-    if init is None:
-        rng = np.random.default_rng(params.seed)
-        init = Y[:, rng.choice(s, size=k, replace=s < k)]
-    else:
-        init = np.asarray(init, dtype=float)
-        if init.shape != (d, k):
-            raise ValueError(f"init must have shape ({d}, {k}), got {init.shape}")
-    if atom_labels is None:
-        atom_labels = np.zeros(k, dtype=int)
-    hook = None
-    if probe is not None:
-        def hook(it, before, after):
-            probe(it, float(before[0]), float(after[0]))
-    D, X, traces = _ksvd_stack(np.concatenate([Y, init], axis=1)[None], s, params, hook)
-    return Dictionary.from_matrix(D[0], atom_labels), X[0], traces[0]
-
-
 def _ridge_fit(targets: np.ndarray, X: np.ndarray, lam: float = _RIDGE_LAMBDA) -> np.ndarray:
     """Solve min ||targets - M X||_F^2 + lam ||M||_F^2 for M (for each
     matrix of a stack ``X``)."""
@@ -301,40 +273,6 @@ def _draw_atoms(sample_labels: np.ndarray, s: int, params: TrainParams):
     return np.asarray(chosen), np.asarray(atom_labels)
 
 
-def _init_stack(Y: np.ndarray, sample_labels: np.ndarray,
-                chosen: np.ndarray, atom_labels: np.ndarray, t: int):
-    """:func:`init_lcksvd` for a stack of training matrices (P, d, s) that
-    share their labels and their drawn columns ``chosen``. Returns ``(D0,
-    scales, X0, A0, W0)``."""
-    D0, scales = normalize_columns(Y[:, :, chosen])
-    X0 = _code(D0, Y, np.einsum("pds,pds->ps", Y, Y), t)
-    lm = build_label_matrices(sample_labels, atom_labels)
-    return D0, scales, X0, _ridge_fit(lm.Q, X0), _ridge_fit(lm.H, X0)
-
-
-def init_lcksvd(Y, sample_labels, params: TrainParams):
-    """Seeded initialization for label-consistent training.
-
-    Initial atoms are drawn per class from that class's samples (without
-    replacement when possible) and normalized; ``A0`` and ``W0``, ridge
-    regressions of the label matrices onto the initial codes, start the
-    stacked label and classifier rows. Returns ``(D0, X0, A0, W0)``.
-    """
-    Y = _check_training_matrix(Y)
-    sample_labels = as_label_array(sample_labels)
-    chosen, atom_labels = _draw_atoms(sample_labels, Y.shape[1], params)
-    t = params.resolved_t(atom_labels.shape[0])
-    D0, scales, X0, A0, W0 = _init_stack(Y[None], sample_labels, chosen, atom_labels, t)
-    return Dictionary(atoms=D0[0], atom_labels=atom_labels, scales=scales[0]), X0[0], A0[0], W0[0]
-
-
-def lcksvd_train(Y, sample_labels, params: TrainParams, mode: str) -> DiscriminativeDictionary:
-    """Label-consistent dictionary learning: one problem of
-    :func:`lcksvd_train_stack`."""
-    Y = _check_training_matrix(Y)
-    return lcksvd_train_stack(Y[None], sample_labels, params, mode)[0]
-
-
 def _closed_form(Y: np.ndarray, sample_labels: np.ndarray, params: TrainParams, mode: str):
     """The K = s optimum (see :func:`lcksvd_train_stack`), returned as by :func:`_ksvd_split`;
     a degenerate block's atom codes nothing, so its label rows count in full."""
@@ -354,18 +292,24 @@ def _closed_form(Y: np.ndarray, sample_labels: np.ndarray, params: TrainParams, 
 
 def _ksvd_split(Y: np.ndarray, sample_labels: np.ndarray, params: TrainParams, mode: str):
     """K-SVD on the stacked system from a seeded draw; returns its data rows
-    as ``(atom_labels, atoms, scales, traces)``."""
+    as ``(atom_labels, atoms, scales, traces)``.
+
+    The initial atoms ``D0`` are the drawn training columns, normalized;
+    ``A0`` and ``W0``, ridge regressions of the label matrices onto the
+    codes ``X0`` of the signals on ``D0``, start the label and classifier
+    rows."""
     P, d, s = Y.shape
     chosen, atom_labels = _draw_atoms(sample_labels, s, params)
     lm = build_label_matrices(sample_labels, atom_labels)
     k = atom_labels.shape[0]
-    D0, _, _, A0, W0 = _init_stack(Y, sample_labels, chosen, atom_labels, params.resolved_t(k))
+    D0, _ = normalize_columns(Y[:, :, chosen])
+    X0 = _code(D0, Y, np.einsum("pds,pds->ps", Y, Y), params.resolved_t(k))
     # the stacked system [Y, init], written once
     parts = [(Y, D0)]
     if params.alpha > 0:
-        parts.append((np.sqrt(params.alpha) * lm.Q, np.sqrt(params.alpha) * A0))
+        parts.append((np.sqrt(params.alpha) * lm.Q, np.sqrt(params.alpha) * _ridge_fit(lm.Q, X0)))
     if mode == "lcksvd2" and params.beta > 0:
-        parts.append((np.sqrt(params.beta) * lm.H, np.sqrt(params.beta) * W0))
+        parts.append((np.sqrt(params.beta) * lm.H, np.sqrt(params.beta) * _ridge_fit(lm.H, X0)))
     Z = np.empty((P, sum(y.shape[-2] for y, _ in parts), s + k))
     pos = 0
     for y, init in parts:
@@ -387,25 +331,26 @@ def lcksvd_train_stack(Y, sample_labels, params: TrainParams, mode: str) -> list
 
     Runs K-SVD on the stacked system [Y; sqrt(alpha) Q] (mode "lcksvd1") or
     [Y; sqrt(alpha) Q; sqrt(beta) H] (mode "lcksvd2") with the stacked
-    dictionary [D; sqrt(alpha) A; sqrt(beta) W], started from
-    :func:`init_lcksvd`'s ``D0``, ``A0`` and ``W0``; zero-weighted rows are
-    left out entirely, so alpha = beta = 0 reduces to plain K-SVD on Y. The
-    model keeps the trained stack's data rows, renormalized to unit atoms
-    with their norms as scales; the trace is the stacked objective.
+    dictionary [D; sqrt(alpha) A; sqrt(beta) W], started from a seeded
+    per-class draw of training columns (see :func:`_ksvd_split`);
+    zero-weighted rows are left out entirely, so alpha = beta = 0 reduces to
+    plain K-SVD on Y. The model keeps the trained stack's data rows,
+    renormalized to unit atoms with their norms as scales; the trace is the
+    stacked objective.
 
     When K equals the training count and the stops are on
     (``min_rel_improvement > 0``), the optimum is built in closed form: the
-    dictionary is :func:`assemble_block_dictionaries`' byte for byte, in
-    training order (atom c is block c, with its label and scale ``||y_c||``),
-    and each usable atom codes its own block alone. The one-entry trace is
-    that optimum's objective: rounding level on the data rows, plus the
-    weighted label rows of every degenerate block, which its atom cannot
-    code. Any other K, or a non-positive ``min_rel_improvement``, runs K-SVD
-    from a seeded draw.
+    dictionary is ``Dictionary.from_matrix(Y[p], sample_labels)`` byte for
+    byte, in training order (atom c is block c, with its label and scale
+    ``||y_c||``), and each usable atom codes its own block alone. The
+    one-entry trace is that optimum's objective: rounding level on the data
+    rows, plus the weighted label rows of every degenerate block, which its
+    atom cannot code. Any other K, or a non-positive
+    ``min_rel_improvement``, runs K-SVD from a seeded draw.
     """
     if mode not in ("lcksvd1", "lcksvd2"):
         raise ValueError(f"mode must be 'lcksvd1' or 'lcksvd2', got {mode!r}")
-    Y = _check_training_matrix(Y, ndim=3)
+    Y = _check_training_matrix(Y)
     sample_labels = as_label_array(sample_labels)
     P, _, s = Y.shape
     fit = _closed_form if params.closed_form(s) else _ksvd_split

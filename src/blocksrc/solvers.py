@@ -120,32 +120,6 @@ def _check_signals(D: Dictionary, Y) -> np.ndarray:
     return Y
 
 
-def omp_batch(D: Dictionary, Y: np.ndarray, T: int, eps=0.0):
-    """Column-parallel greedy pursuit over the columns of ``Y``.
-
-    Each column repeatedly picks the usable atom most correlated with its
-    residual, then re-fits its coefficients by least squares restricted to
-    the support, until the residual norm reaches ``eps`` or the support holds
-    ``T`` atoms. The residual norm never increases across iterations. This
-    is one problem of :func:`batch_omp`. Returns ``(codes, residual_norms,
-    iteration_counts)`` with codes of shape ``(n_atoms, n_signals)`` and
-    residual norms computed from the codes.
-    """
-    Y = _check_signals(D, Y)
-    if int(T) < 1:
-        raise ValueError("sparsity bound T must be >= 1")
-    if np.any(np.asarray(eps) < 0):
-        raise ValueError("eps must be >= 0")
-    usable = D.usable
-    if not usable.any():
-        raise ValueError("dictionary has no usable atoms (all columns degenerate)")
-    A = D.atoms
-    X, sizes = batch_omp(
-        (A.T @ A)[None], (A.T @ Y)[None], np.einsum("ij,ij->j", Y, Y)[None], usable[None], T, eps
-    )
-    return X[0], np.linalg.norm(Y - A @ X[0], axis=0), sizes[0]
-
-
 def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray, T: int, eps):
     """Batch-OMP (Rubinstein, Zibulevsky & Elad 2008) over a stack of P
     independent coding problems, in atom space.

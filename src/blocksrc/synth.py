@@ -2,8 +2,9 @@
 
 Each class owns a private atom set per block position; every sample block is
 a sparse nonnegative combination of its class's atoms for that position plus
-white noise, clipped at zero. With disjoint per-class atoms and zero noise
-the classes are linearly separable block by block.
+white noise, clipped at zero. The blocks tile the ROI row-major, laid out
+as :func:`blocksrc.blocks.block_vectors` cuts them. With disjoint per-class
+atoms and zero noise the classes are linearly separable block by block.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockGrid, RoiSample, compose_blocks
+from .blocks import RoiSample
 from .labels import class_name
 from .pgm import image_from_array, write_pgm
 
@@ -43,10 +44,15 @@ class SynthSpec:
 
 
 def synth_dataset(spec: SynthSpec, seed: int) -> list[RoiSample]:
-    """Draw a deterministic labeled dataset; benign samples come first."""
+    """Draw a deterministic labeled dataset; benign samples come first.
+
+    Each ROI's pixels are its block vectors put back in place: the inverse
+    of :func:`blocksrc.blocks.block_vectors` on one ROI.
+    """
     rng = np.random.default_rng(seed)
-    nbl = (spec.roi_size // spec.block_size) ** 2
-    d = spec.block_size * spec.block_size
+    n, b = spec.roi_size, spec.block_size
+    g = n // b
+    nbl, d = g * g, b * b
 
     # Nonnegative unit atoms, drawn independently per class and position.
     atom_bank = []
@@ -56,7 +62,6 @@ def synth_dataset(spec: SynthSpec, seed: int) -> list[RoiSample]:
         atom_bank.append(atoms)
 
     samples: list[RoiSample] = []
-    grid_side = spec.roi_size // spec.block_size
     for cid in (0, 1):
         for i in range(spec.samples_per_class):
             vectors = np.empty((nbl, d))
@@ -67,17 +72,9 @@ def synth_dataset(spec: SynthSpec, seed: int) -> list[RoiSample]:
                 if spec.noise_sigma > 0:
                     block = block + rng.normal(0.0, spec.noise_sigma, size=d)
                 vectors[j] = np.maximum(block, 0.0)
-            grid = BlockGrid(
-                block_w=spec.block_size,
-                block_h=spec.block_size,
-                grid_rows=grid_side,
-                grid_cols=grid_side,
-                vectors=vectors,
-            )
-            pixels = compose_blocks(grid)
             samples.append(
                 RoiSample(
-                    pixels=pixels,
+                    pixels=vectors.reshape(g, g, b, b).transpose(0, 2, 1, 3).reshape(n, n),
                     label=cid,
                     source_id=f"synth{cid}{i:03d}",
                     centroid=(spec.roi_size // 2, spec.roi_size // 2),

@@ -277,3 +277,33 @@ def confusion_by_hand(predictions, truths, positive: int = 1):
             else:
                 tn += 1
     return tp, fp, tn, fn
+
+
+def ksvd_iteration(Y: np.ndarray, D: np.ndarray, T: int):
+    """One K-SVD iteration in plain loops, from the unit atoms ``D``.
+
+    Codes every column of ``Y`` with :func:`textbook_omp` (at most ``T``
+    atoms). Then updates each atom in turn by one power step on the columns
+    that use it: with ``E`` their residual plus the atom's own term, the atom
+    becomes ``E`` times its coefficients, normalized, and its coefficients
+    become its correlations with ``E``. Last, each atom that no column uses,
+    in index order, becomes the normalized column of ``Y`` with the largest
+    residual that no earlier atom took. Returns ``(atoms, codes)``.
+    """
+    D = D.copy()
+    X = np.column_stack([textbook_omp(D, y, T, 0.0) for y in Y.T])
+    for a in range(D.shape[1]):
+        users = np.flatnonzero(X[a])
+        if users.size == 0:
+            continue
+        E = Y[:, users] - D @ X[:, users] + np.outer(D[:, a], X[a, users])
+        v = E @ X[a, users]
+        D[:, a] = v / np.linalg.norm(v)
+        X[a, users] = D[:, a] @ E
+    err = np.linalg.norm(Y - D @ X, axis=0)
+    for a in range(D.shape[1]):
+        if not X[a].any():
+            j = int(np.argmax(err))
+            err[j] = -1.0
+            D[:, a] = Y[:, j] / np.linalg.norm(Y[:, j])
+    return D, X

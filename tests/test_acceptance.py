@@ -18,13 +18,11 @@ from blocksrc import (
     Dictionary,
     ExperimentConfig,
     bpdn_batch,
-    ksvd,
-    lcksvd_train,
-    omp_batch,
+    lcksvd_train_stack,
     roc_auc,
     run_experiment,
 )
-from blocksrc.dictlearn import TrainParams, init_lcksvd
+from blocksrc.dictlearn import TrainParams
 from blocksrc.ensemble import bbll, bbmap, lls_score
 from blocksrc.harness import load_dataset
 from blocksrc.mias import filter_lesions, parse_metadata
@@ -37,7 +35,9 @@ from .oracles import (
     orthonormal_bpdn_oracle,
     pair_counting_auc,
 )
+from .test_dictlearn import drawn_columns, ksvd_one, lcksvd_init
 from .test_mias import MIAS_DIR, needs_mias
+from .test_solvers import omp
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -58,7 +58,7 @@ class TestSolverOracleSuite:
             D = Dictionary.from_matrix(A, [BENIGN] * 4 + [MALIGNANT] * 4)
             i, j = rng.choice(8, size=2, replace=False)
             y = 1.0 * D.atoms[:, i] + 0.5 * D.atoms[:, j]
-            X, _, _ = omp_batch(D, y[:, None], 2)
+            X, _, _ = omp(D, y[:, None], 2)
             oracle_support, _, _ = exhaustive_sparse_fit(D.atoms, y, 2)
             support_matches += int(frozenset(np.flatnonzero(X[:, 0]).tolist()) == oracle_support)
 
@@ -109,7 +109,8 @@ class TestDictionaryLearningSuite:
             Y = r2.standard_normal((10, 16))
             params = TrainParams(K=6, T=3, iterations=30, seed=seed, min_rel_improvement=0.0)
             stages = []
-            ksvd(Y, params, probe=lambda it, before, after: stages.append((before, after)))
+            ksvd_one(Y, params, drawn_columns(Y, 6, seed),
+                     probe=lambda it, before, after: stages.append((before[0], after[0])))
             assert len(stages) == 30
             for before, after in stages:
                 monotone_ok &= after <= before * (1 + 1e-9) + 1e-12
@@ -122,9 +123,9 @@ class TestDictionaryLearningSuite:
             labels = np.array([BENIGN] * 6 + [MALIGNANT] * 6)
             params = TrainParams(K=6, T=2, alpha=0.0, beta=0.0, iterations=6, seed=seed,
                                  min_rel_improvement=0.0)
-            model = lcksvd_train(Y, labels, params, "lcksvd2")
-            D0, _, _, _ = init_lcksvd(Y, labels, params)
-            _, _, trace = ksvd(Y, params, init=D0.atoms, atom_labels=D0.atom_labels)
+            (model,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
+            (D0,), _, _, _, _ = lcksvd_init(Y[None], labels, params)
+            _, _, trace = ksvd_one(Y, params, D0)
             reduction_ok &= np.array_equal(model.objective_trace, trace)
 
         elapsed = time.perf_counter() - start

@@ -1,51 +1,61 @@
 import numpy as np
 import pytest
 
-from blocksrc import BENIGN, MALIGNANT, RoiSample, assemble_block_dictionaries, compose_blocks, decompose_roi
+from blocksrc import BENIGN, MALIGNANT, ExperimentConfig, RoiSample
 from blocksrc.blocks import block_stack, block_vectors
+from blocksrc.harness import train_block_models
 
 
 def make_roi(pixels, label=BENIGN, source="t"):
     return RoiSample(pixels=pixels, label=label, source_id=source)
 
 
+def roi_blocks(roi, block_w, block_h):
+    """One ROI's block vectors, (positions, block_w * block_h)."""
+    return block_vectors([roi], block_w, block_h)[0]
+
+
+def raw_dictionaries(training, block_w, block_h):
+    """The training set's dl_mode "none" dictionaries, one per block position."""
+    stack, labels = block_stack(training, block_w, block_h)
+    return [model.D for model in train_block_models(stack, labels, ExperimentConfig())]
+
+
 class TestDecompose:
     def test_block_count_64(self):
         roi = make_roi(np.arange(64 * 64, dtype=float).reshape(64, 64))
-        grid = decompose_roi(roi, 8, 8)
-        assert grid.nbl == 64
-        assert grid.vectors.shape == (64, 64)
+        assert roi_blocks(roi, 8, 8).shape == (64, 64)
 
     def test_single_block(self):
         roi = make_roi(np.random.default_rng(0).random((64, 64)))
-        grid = decompose_roi(roi, 64, 64)
-        assert grid.nbl == 1
-        np.testing.assert_array_equal(grid.vectors[0], roi.pixels.reshape(-1))
+        vectors = roi_blocks(roi, 64, 64)
+        assert vectors.shape[0] == 1
+        np.testing.assert_array_equal(vectors[0], roi.pixels.reshape(-1))
 
     def test_constant_roi(self):
         roi = make_roi(np.full((16, 16), 3.5))
-        grid = decompose_roi(roi, 8, 8)
-        assert np.all(grid.vectors == 3.5)
+        assert np.all(roi_blocks(roi, 8, 8) == 3.5)
 
     def test_row_major_vectorization(self):
         px = np.arange(16, dtype=float).reshape(4, 4)
-        grid = decompose_roi(make_roi(px), 2, 2)
+        vectors = roi_blocks(make_roi(px), 2, 2)
         # block at grid position (0, 1) covers columns 2:4 of rows 0:2
-        np.testing.assert_array_equal(grid.vectors[1], [2, 3, 6, 7])
+        np.testing.assert_array_equal(vectors[1], [2, 3, 6, 7])
 
     def test_non_divisible_lists_valid_sizes(self):
         roi = make_roi(np.zeros((12, 12)))
         with pytest.raises(ValueError, match="valid"):
-            decompose_roi(roi, 5, 5)
+            roi_blocks(roi, 5, 5)
 
     def test_tiling_identity_all_sizes(self):
         rng = np.random.default_rng(1)
         px = rng.random((64, 64)) * 255
         roi = make_roi(px)
         for b in (8, 16, 32, 64):
-            grid = decompose_roi(roi, b, b)
-            np.testing.assert_array_equal(compose_blocks(grid), px)
-            assert grid.nbl * b * b == 64 * 64
+            vectors, g = roi_blocks(roi, b, b), 64 // b
+            # the inverse reshape, which the synthetic generator writes ROIs with
+            np.testing.assert_array_equal(vectors.reshape(g, g, b, b).transpose(0, 2, 1, 3).reshape(64, 64), px)
+            assert vectors.shape[0] * b * b == 64 * 64
 
 
 class TestBlockVectors:
@@ -56,7 +66,7 @@ class TestBlockVectors:
             cut = block_vectors(rois, bw, bh)
             assert cut.shape == (3, (16 // bw) * (16 // bh), bw * bh)
             for roi, row in zip(rois, cut):
-                np.testing.assert_array_equal(row, decompose_roi(roi, bw, bh).vectors)
+                np.testing.assert_array_equal(row, roi_blocks(roi, bw, bh))
 
     def test_stack_is_the_transposed_cut(self):
         rng = np.random.default_rng(9)
@@ -83,7 +93,7 @@ class TestAssemble:
     def test_shapes_and_order(self):
         rng = np.random.default_rng(2)
         training = self.samples(rng, n=5)
-        dicts = assemble_block_dictionaries(training, 8, 8)
+        dicts = raw_dictionaries(training, 8, 8)
         assert len(dicts) == 4
         for D in dicts:
             assert D.atoms.shape == (64, 5)
@@ -93,31 +103,31 @@ class TestAssemble:
         rng = np.random.default_rng(3)
         px = rng.random((8, 8))
         training = [make_roi(px, BENIGN), make_roi(px.copy(), MALIGNANT)]
-        dicts = assemble_block_dictionaries(training, 8, 8)
+        dicts = raw_dictionaries(training, 8, 8)
         np.testing.assert_array_equal(dicts[0].atoms[:, 0], dicts[0].atoms[:, 1])
         assert list(dicts[0].atom_labels) == [BENIGN, MALIGNANT]
 
     def test_columns_reconstruct_block_vectors(self):
         rng = np.random.default_rng(4)
         training = self.samples(rng, n=4)
-        dicts = assemble_block_dictionaries(training, 8, 8)
+        dicts = raw_dictionaries(training, 8, 8)
         for i, smp in enumerate(training):
-            grid = decompose_roi(smp, 8, 8)
+            vectors = roi_blocks(smp, 8, 8)
             for j, D in enumerate(dicts):
                 np.testing.assert_allclose(
-                    D.atoms[:, i] * D.scales[i], grid.vectors[j], atol=1e-12
+                    D.atoms[:, i] * D.scales[i], vectors[j], atol=1e-12
                 )
 
     def test_block_dictionary_depends_only_on_its_block(self):
         rng = np.random.default_rng(5)
         training = self.samples(rng, n=4)
-        dicts = assemble_block_dictionaries(training, 8, 8)
+        dicts = raw_dictionaries(training, 8, 8)
         perturbed = []
         for smp in training:
             px = smp.pixels.copy()
             px[8:, :] += rng.random((8, 16))  # touch blocks 2 and 3 only
             perturbed.append(make_roi(px, smp.label, smp.source_id))
-        dicts2 = assemble_block_dictionaries(perturbed, 8, 8)
+        dicts2 = raw_dictionaries(perturbed, 8, 8)
         np.testing.assert_array_equal(dicts[0].atoms, dicts2[0].atoms)
         np.testing.assert_array_equal(dicts[1].atoms, dicts2[1].atoms)
         assert not np.array_equal(dicts[2].atoms, dicts2[2].atoms)
@@ -126,13 +136,13 @@ class TestAssemble:
         rng = np.random.default_rng(6)
         training = [make_roi(rng.random((16, 16)), BENIGN), make_roi(rng.random((8, 8)), MALIGNANT)]
         with pytest.raises(ValueError, match="mixed"):
-            assemble_block_dictionaries(training, 8, 8)
+            raw_dictionaries(training, 8, 8)
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(7)
         training = [make_roi(rng.random((8, 8)), BENIGN) for _ in range(3)]
         with pytest.raises(ValueError, match="per class"):
-            assemble_block_dictionaries(training, 8, 8)
+            raw_dictionaries(training, 8, 8)
 
 
 class TestRoiSample:

@@ -3,15 +3,67 @@ import math
 import numpy as np
 import pytest
 
-from blocksrc import BENIGN, MALIGNANT, TrainParams, build_label_matrices, init_lcksvd, ksvd, lcksvd_train
-from blocksrc.blocks import BlockGrid, RoiSample, assemble_block_dictionaries, block_stack, compose_blocks
-from blocksrc.dictlearn import _ksvd_stack, _ridge_fit, lcksvd_train_stack
-from blocksrc.solvers import class_residuals, normalize_columns, omp_batch
+from blocksrc import BENIGN, MALIGNANT, ExperimentConfig, TrainParams, build_label_matrices
+from blocksrc.blocks import RoiSample, block_stack
+from blocksrc.dictlearn import _code, _draw_atoms, _ksvd_stack, _ridge_fit, lcksvd_train_stack
+from blocksrc.harness import train_block_models
+from blocksrc.solvers import class_residuals, normalize_columns
 from blocksrc.synth import SynthSpec, synth_dataset
+
+from .oracles import ksvd_iteration
+from .test_solvers import omp
 
 
 def two_class_labels(n0, n1):
     return np.array([BENIGN] * n0 + [MALIGNANT] * n1)
+
+
+def ksvd_one(Y, params, init, probe=None):
+    """:func:`_ksvd_stack` on the one problem ``[Y, init]``: its atoms, codes
+    and objective trace."""
+    D, X, (trace,) = _ksvd_stack(np.concatenate([Y, init], axis=1)[None], Y.shape[1], params, probe)
+    return D[0], X[0], trace
+
+
+def drawn_columns(Y, k, seed):
+    """``k`` columns of ``Y`` drawn with ``seed``, to start K-SVD from."""
+    s = Y.shape[1]
+    return Y[:, np.random.default_rng(seed).choice(s, size=k, replace=s < k)]
+
+
+def lcksvd_init(Y, labels, params):
+    """The seeded start of LC-KSVD below K = s on a stack ``Y`` (P, d, s):
+    the drawn training columns, normalized, as ``D0`` (P, d, K), their atom
+    labels, the codes ``X0`` of ``Y`` on ``D0``, and the ridge fits ``A0``
+    and ``W0`` of the label matrices onto ``X0``. Returns ``(D0,
+    atom_labels, X0, A0, W0)``."""
+    chosen, atom_labels = _draw_atoms(labels, Y.shape[2], params)
+    D0, _ = normalize_columns(Y[:, :, chosen])
+    X0 = _code(D0, Y, np.einsum("pds,pds->ps", Y, Y), params.resolved_t(atom_labels.size))
+    lm = build_label_matrices(labels, atom_labels)
+    return D0, atom_labels, X0, _ridge_fit(lm.Q, X0), _ridge_fit(lm.H, X0)
+
+
+class TestTrainParams:
+    def test_negative_seed_names_the_key(self):
+        with pytest.raises(ValueError, match="train param seed must be >= 0, got -1"):
+            TrainParams(K=4, seed=-1)
+        assert TrainParams(K=4, seed=0).seed == 0
+
+    def test_non_finite_weights_name_the_key(self):
+        for key in ("alpha", "beta"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"train param {key} must be finite, got {value}"):
+                    TrainParams(**{key: value})
+            with pytest.raises(ValueError, match=f"train param {key} must be >= 0, got -0.5"):
+                TrainParams(**{key: -0.5})
+
+    def test_non_finite_min_rel_improvement_names_the_key(self):
+        # a NaN fails every comparison, so it would turn the closed form and
+        # both stops off without a word
+        for value in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match=f"train param min_rel_improvement must be finite, got {value}"):
+                TrainParams(min_rel_improvement=value)
 
 
 class TestLabelMatrices:
@@ -56,7 +108,7 @@ class TestKsvd:
         Q, _ = np.linalg.qr(rng.standard_normal((8, 4)))
         Y = Q[:, [0, 1, 2, 3, 0, 1, 2, 3]]
         params = TrainParams(K=4, T=1, iterations=5, seed=0)
-        _, _, trace = ksvd(Y, params, init=Q[:, :4])
+        _, _, trace = ksvd_one(Y, params, Q[:, :4])
         assert np.all(trace <= 1e-20)
 
     def test_self_representation(self):
@@ -64,7 +116,7 @@ class TestKsvd:
         Y = rng.standard_normal((6, 5))
         params = TrainParams(K=5, T=1, iterations=3, seed=0)
         norms = np.linalg.norm(Y, axis=0)
-        _, X, trace = ksvd(Y, params, init=Y / norms)
+        _, X, trace = ksvd_one(Y, params, Y / norms)
         assert trace[0] <= 1e-18
 
     def test_update_stage_never_increases_objective(self):
@@ -72,7 +124,8 @@ class TestKsvd:
         Y = rng.standard_normal((7, 12))
         params = TrainParams(K=4, T=2, iterations=6, seed=1, min_rel_improvement=0.0)
         seen = []
-        ksvd(Y, params, probe=lambda it, before, after: seen.append((before, after)))
+        ksvd_one(Y, params, drawn_columns(Y, 4, params.seed),
+                 probe=lambda it, before, after: seen.append((before[0], after[0])))
         assert len(seen) == 6
         for before, after in seen:
             assert after <= before * (1 + 1e-9) + 1e-12
@@ -82,11 +135,11 @@ class TestKsvd:
         init = np.array([[1.0, 0.0], [0.0, 1.0]])
         params = TrainParams(K=2, T=1, iterations=1, seed=0)
         probes = []
-        D, X, trace = ksvd(Y, params, init=init, probe=lambda i, b, a: probes.append((b, a)))
+        D, X, trace = ksvd_one(Y, params, init, probe=lambda i, b, a: probes.append((b[0], a[0])))
         before, after = probes[0]
         assert after <= before + 1e-12
         # trace agrees with a direct recomputation from the returned factors
-        assert trace[-1] == pytest.approx(float(np.sum((Y - D.atoms @ X) ** 2)), abs=1e-12)
+        assert trace[-1] == pytest.approx(float(np.sum((Y - D @ X) ** 2)), abs=1e-12)
 
     def test_unused_atom_replacement(self):
         rng = np.random.default_rng(4)
@@ -95,12 +148,32 @@ class TestKsvd:
         init = np.column_stack([base / np.linalg.norm(base), np.zeros(6)])
         init[:, 1] = 0.0
         params = TrainParams(K=2, T=1, iterations=2, seed=0)
-        D, _, _ = ksvd(Y, params, init=init)
-        assert np.linalg.norm(D.atoms[:, 1]) == pytest.approx(1.0, abs=1e-9)
+        D, _, _ = ksvd_one(Y, params, init)
+        assert np.linalg.norm(D[:, 1]) == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ksvd(np.zeros((0, 0)), TrainParams(K=2, T=1))
+        with pytest.raises(ValueError, match="non-empty"):
+            lcksvd_train_stack(np.zeros((1, 0, 0)), [], TrainParams(K=2, T=1), "lcksvd2")
+
+    def test_one_iteration_matches_plain_loop_oracle(self):
+        rng = np.random.default_rng(29)
+        rows, s, k, T = 10, 16, 6, 3
+        Y = rng.standard_normal((2, rows, s))
+        init = rng.standard_normal((2, rows, k))
+        # in problem 1 no signal and no other atom has a last row, and the
+        # last atom is that row alone: no residual correlates with it, so it
+        # goes unused and is replaced by the worst-fit column
+        Y[1, -1] = init[1, -1] = 0.0
+        init[1, :, -1] = np.eye(rows)[-1]
+        params = TrainParams(K=k, T=T, iterations=1, min_rel_improvement=0.0)
+        D, X, _ = _ksvd_stack(np.concatenate([Y, init], axis=2), s, params)
+        for p in range(2):
+            ref_D, ref_X = ksvd_iteration(Y[p], init[p] / np.linalg.norm(init[p], axis=0), T)
+            np.testing.assert_allclose(D[p], ref_D, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(X[p], ref_X, rtol=0, atol=1e-10)
+        assert X[0].any(axis=1).all()
+        assert np.flatnonzero(~X[1].any(axis=1)).tolist() == [k - 1]
+        assert D[1, -1, -1] == 0.0 and np.linalg.norm(D[1, :, -1]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInitLcksvd:
@@ -109,12 +182,12 @@ class TestInitLcksvd:
         Y = rng.standard_normal((6, 8))
         labels = two_class_labels(4, 4)
         params = TrainParams(K=8, T=2, seed=42)
-        D0, _, _, _ = init_lcksvd(Y, labels, params)
+        (D0,), _, _, _, _ = lcksvd_init(Y[None], labels, params)
         normalized = Y / np.linalg.norm(Y, axis=0)
         found = set()
         for k in range(8):
             matches = [
-                j for j in range(8) if np.allclose(D0.atoms[:, k], normalized[:, j], atol=1e-12)
+                j for j in range(8) if np.allclose(D0[:, k], normalized[:, j], atol=1e-12)
             ]
             assert matches, f"atom {k} is not a normalized sample"
             found.add(matches[0])
@@ -134,11 +207,9 @@ class TestInitLcksvd:
         Y = rng.standard_normal((5, 10))
         labels = two_class_labels(6, 4)
         params = TrainParams(K=6, T=2, seed=42)
-        a = init_lcksvd(Y, labels, params)
-        b = init_lcksvd(Y, labels, params)
-        np.testing.assert_array_equal(a[0].atoms, b[0].atoms)
-        np.testing.assert_array_equal(a[0].atom_labels, b[0].atom_labels)
-        for x, y_ in zip(a[1:], b[1:]):
+        a = lcksvd_init(Y[None], labels, params)
+        b = lcksvd_init(Y[None], labels, params)
+        for x, y_ in zip(a, b, strict=True):
             np.testing.assert_array_equal(x, y_)
 
     def test_atoms_allocated_proportionally(self):
@@ -146,33 +217,31 @@ class TestInitLcksvd:
         Y = rng.standard_normal((5, 12))
         labels = two_class_labels(9, 3)
         params = TrainParams(K=4, T=2, seed=0)
-        D0, _, _, _ = init_lcksvd(Y, labels, params)
-        assert int(np.sum(D0.atom_labels == BENIGN)) == 3
-        assert int(np.sum(D0.atom_labels == MALIGNANT)) == 1
+        _, atom_labels, _, _, _ = lcksvd_init(Y[None], labels, params)
+        assert int(np.sum(atom_labels == BENIGN)) == 3
+        assert int(np.sum(atom_labels == MALIGNANT)) == 1
 
     def test_class_without_samples(self):
         rng = np.random.default_rng(9)
         Y = rng.standard_normal((4, 5))
         with pytest.raises(ValueError, match="zero samples"):
-            init_lcksvd(Y, [BENIGN] * 5, TrainParams(K=4, T=1))
+            lcksvd_train_stack(Y[None], [BENIGN] * 5, TrainParams(K=4, T=1), "lcksvd2")
 
 
 def lcksvd_stack(Y, labels, params, mode):
     """The stacked K-SVD that :func:`lcksvd_train_stack` runs on ``Y`` (P, d,
-    s) below K = s, started from :func:`init_lcksvd` on each matrix: the
-    trained atoms [D; sqrt(alpha) A; sqrt(beta) W] (P, rows, K), their codes
-    (P, K, s) and the traces. Zero-weighted rows are left out."""
-    Z = []
-    for y in Y:
-        D0, _, A0, W0 = init_lcksvd(y, labels, params)
-        lm = build_label_matrices(labels, D0.atom_labels)
-        parts = [(y, D0.atoms)]
-        if params.alpha > 0:
-            parts.append((np.sqrt(params.alpha) * lm.Q, np.sqrt(params.alpha) * A0))
-        if mode == "lcksvd2" and params.beta > 0:
-            parts.append((np.sqrt(params.beta) * lm.H, np.sqrt(params.beta) * W0))
-        Z.append(np.vstack([np.hstack(part) for part in parts]))
-    return _ksvd_stack(np.stack(Z), Y.shape[2], params)
+    s) below K = s, started from :func:`lcksvd_init`: the trained atoms [D;
+    sqrt(alpha) A; sqrt(beta) W] (P, rows, K), their codes (P, K, s) and the
+    traces. Zero-weighted rows are left out."""
+    D0, atom_labels, _, A0, W0 = lcksvd_init(Y, labels, params)
+    lm = build_label_matrices(labels, atom_labels)
+    parts = [(Y, D0)]
+    if params.alpha > 0:
+        parts.append((np.sqrt(params.alpha) * lm.Q, np.sqrt(params.alpha) * A0))
+    if mode == "lcksvd2" and params.beta > 0:
+        parts.append((np.sqrt(params.beta) * lm.H, np.sqrt(params.beta) * W0))
+    Z = [np.concatenate([np.broadcast_to(y, init.shape[:1] + y.shape[-2:]), init], axis=2) for y, init in parts]
+    return _ksvd_stack(np.concatenate(Z, axis=1), Y.shape[2], params)
 
 
 class TestLcksvdTrain:
@@ -182,9 +251,9 @@ class TestLcksvdTrain:
         labels = two_class_labels(7, 7)
         params = TrainParams(K=8, T=3, alpha=0.0, beta=0.0, iterations=7, seed=5,
                              min_rel_improvement=0.0)
-        model = lcksvd_train(Y, labels, params, "lcksvd2")
-        D0, _, _, _ = init_lcksvd(Y, labels, params)
-        _, _, trace = ksvd(Y, params, init=D0.atoms, atom_labels=D0.atom_labels)
+        (model,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
+        (D0,), _, _, _, _ = lcksvd_init(Y[None], labels, params)
+        _, _, trace = ksvd_one(Y, params, D0)
         np.testing.assert_array_equal(model.objective_trace, trace)
 
     def test_stacked_objective_identity(self):
@@ -215,7 +284,7 @@ class TestLcksvdTrain:
         labels = two_class_labels(6, 6)
         params = TrainParams(K=6, T=2, alpha=0.7, beta=1.3, iterations=5, seed=3,
                              min_rel_improvement=0.0)
-        model = lcksvd_train(Y, labels, params, "lcksvd2")
+        (model,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
         (atoms,), (X,), (trace,) = lcksvd_stack(Y[None], labels, params, "lcksvd2")
         np.testing.assert_array_equal(model.objective_trace, trace)
         lm = build_label_matrices(labels, model.D.atom_labels)
@@ -235,7 +304,7 @@ class TestLcksvdTrain:
         Y = rng.standard_normal((8, 10))
         labels = two_class_labels(5, 5)
         params = TrainParams(K=6, T=2, alpha=1.0, beta=1.0, iterations=4, seed=9)
-        model = lcksvd_train(Y, labels, params, "lcksvd2")
+        (model,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
         (atoms,), (X,), (trace,) = lcksvd_stack(Y[None], labels, params, "lcksvd2")
         np.testing.assert_array_equal(model.objective_trace, trace)
         rescaled = model.D.atoms @ (X * model.D.scales[:, None])
@@ -251,8 +320,8 @@ class TestLcksvdTrain:
         Y = rng.standard_normal((8, 12))
         labels = two_class_labels(6, 6)
         params = TrainParams(K=7, T=3, iterations=5, seed=2)
-        a = lcksvd_train(Y, labels, params, "lcksvd2")
-        b = lcksvd_train(Y, labels, params, "lcksvd2")
+        (a,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
+        (b,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
         np.testing.assert_array_equal(a.D.atoms, b.D.atoms)
         np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
 
@@ -277,8 +346,8 @@ class TestLcksvdTrain:
         held_labels = two_class_labels(10, 10)
 
         params = TrainParams(K=20, T=4, iterations=20, seed=7)
-        model = lcksvd_train(Y, labels, params, "lcksvd2")
-        codes, _, _ = omp_batch(model.D, held, params.resolved_t(20))
+        (model,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
+        codes, _, _ = omp(model.D, held, params.resolved_t(20))
         resid, _ = class_residuals(model.D, codes, held)
         correct = np.count_nonzero(np.argmin(resid, axis=0) == held_labels)
         assert correct >= 18  # >= 90 percent
@@ -329,7 +398,7 @@ class TestStackedTraining:
         lengths = []
         for p, model in enumerate(models):
             np.testing.assert_array_equal(model.objective_trace, traces[p])
-            solo = lcksvd_train(Ys[p], labels, params, "lcksvd2")
+            (solo,) = lcksvd_train_stack(Ys[p : p + 1], labels, params, "lcksvd2")
             _, (solo_X,), _ = lcksvd_stack(Ys[p : p + 1], labels, params, "lcksvd2")
             lengths.append(solo.objective_trace.size)
             assert model.objective_trace.size == solo.objective_trace.size
@@ -358,12 +427,12 @@ class TestAbsoluteStop:
         rng = np.random.default_rng(22)
         Y = rng.standard_normal((9, 16))
         labels = two_class_labels(8, 8)
-        _, _, trace = ksvd(Y, TrainParams(K=6, T=2, iterations=30, seed=3))
+        _, _, trace = ksvd_one(Y, TrainParams(K=6, T=2, iterations=30, seed=3), drawn_columns(Y, 6, 3))
         assert trace.size == 11  # the relative stop ends it, far above the floor
         assert trace.min() > 1e-12 * (np.sum(Y**2) + 6)
 
         params = TrainParams(K=8, T=2, iterations=30, seed=3)
-        model = lcksvd_train(Y, labels, params, "lcksvd2")
+        (model,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
         lm = build_label_matrices(labels, model.D.atom_labels)
         zsq = np.sum(Y**2) + params.alpha * np.sum(lm.Q**2) + params.beta * np.sum(lm.H**2) + 8
         assert model.objective_trace.size == 12
@@ -373,7 +442,7 @@ class TestAbsoluteStop:
         rng = np.random.default_rng(23)
         Y = rng.standard_normal((6, 5))
         params = TrainParams(K=5, T=1, iterations=4, seed=0, min_rel_improvement=0.0)
-        _, _, trace = ksvd(Y, params, init=Y / np.linalg.norm(Y, axis=0))
+        _, _, trace = ksvd_one(Y, params, Y / np.linalg.norm(Y, axis=0))
         assert trace.size == 4 and trace.max() <= 1e-18
         models = lcksvd_train_stack(Y[None], two_class_labels(3, 2), params, "lcksvd2")
         assert models[0].objective_trace.size == 4
@@ -389,9 +458,9 @@ class TestSpanCoordinates:
         D0 = rng.standard_normal((d, k))
         U, _ = np.linalg.qr(rng.standard_normal((8 * (s + k), d)))
         params = TrainParams(K=k, T=2, iterations=6, seed=0, min_rel_improvement=0.0)
-        small, Xs, trace_s = ksvd(Y, params, init=D0)
-        big, Xb, trace_b = ksvd(U @ Y, params, init=U @ D0)
-        np.testing.assert_allclose(big.atoms, U @ small.atoms, rtol=0, atol=1e-10)
+        small, Xs, trace_s = ksvd_one(Y, params, D0)
+        big, Xb, trace_b = ksvd_one(U @ Y, params, U @ D0)
+        np.testing.assert_allclose(big, U @ small, rtol=0, atol=1e-10)
         assert_close_rel(trace_b, trace_s, 1e-10)
         np.testing.assert_allclose(Xb, Xs, rtol=0, atol=1e-10)
 
@@ -414,7 +483,8 @@ def roi_samples(Y, labels):
     block at position j is ``Y[j, :, c]``, on a square grid of P positions."""
     P, d, s = Y.shape
     g, b = math.isqrt(P), math.isqrt(d)
-    return [RoiSample(pixels=compose_blocks(BlockGrid(b, b, g, g, Y[:, :, c])), label=int(lab))
+    return [RoiSample(pixels=Y[:, :, c].reshape(g, g, b, b).transpose(0, 2, 1, 3).reshape(g * b, g * b),
+                      label=int(lab))
             for c, lab in enumerate(labels)]
 
 
@@ -434,7 +504,8 @@ class TestExactDefaultK:
         models = lcksvd_train_stack(stack, stack_labels, params, mode)
         Z = stacked_columns(Y, labels, params, mode)
         d = Y.shape[1]
-        for p, (model, raw) in enumerate(zip(models, assemble_block_dictionaries(samples, b, b))):
+        raw_models = train_block_models(stack, stack_labels, ExperimentConfig())  # dl_mode "none"
+        for p, (model, raw) in enumerate(zip(models, (m.D for m in raw_models))):
             # the dictionary is the raw one, in training order
             assert same_bytes(model.D.atoms, raw.atoms)
             assert same_bytes(model.D.atom_labels, raw.atom_labels)

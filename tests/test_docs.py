@@ -1,6 +1,8 @@
 """The README stays in step with the code: its library-layout table names
-only what its modules define, and its config block lists every key once."""
+only what its modules define and every name the package re-exports, and its
+config block lists every key once."""
 
+import ast
 import importlib
 import pathlib
 import re
@@ -8,7 +10,8 @@ from dataclasses import fields
 
 from blocksrc.config import ExperimentConfig, parse_config_text
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def layout_rows():
@@ -27,6 +30,16 @@ def test_layout_names_resolve():
         mod = importlib.import_module(module)
         for name in names:
             assert hasattr(mod, name), f"README names {module}.{name}, which does not exist"
+
+
+def test_layout_names_every_export():
+    rows = dict(layout_rows())
+    tree = ast.parse((ROOT / "src" / "blocksrc" / "__init__.py").read_text(encoding="utf-8"))
+    exports = [(f"blocksrc.{node.module}", alias.name)
+               for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(exports) >= 40
+    for module, name in exports:
+        assert name in rows.get(module, []), f"README's {module} row lacks {name}, which blocksrc re-exports"
 
 
 def config_block():

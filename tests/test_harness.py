@@ -19,7 +19,7 @@ from blocksrc import (
     stratified_folds,
     synth_dataset,
 )
-from blocksrc.blocks import RoiSample, block_stack, block_vectors, decompose_roi
+from blocksrc.blocks import RoiSample, block_stack, block_vectors
 from blocksrc.config import parse_config_text
 from blocksrc.dictlearn import DiscriminativeDictionary, TrainParams
 from blocksrc.ensemble import EnsembleDecision, block_decisions_batch, ensemble_decision
@@ -295,6 +295,34 @@ class TestSynthData:
             np.testing.assert_array_equal(s.pixels, t.pixels)
             assert s.label == t.label
 
+    def test_pixels_are_pinned(self):
+        # pixels recorded from an earlier version of the generator: the first
+        # row and first column of the first and of the last ROI, which pin the
+        # draw order and the layout of the blocks in the ROI
+        samples = synth_dataset(SynthSpec(roi_size=16, block_size=8, samples_per_class=3), 7)
+        pinned = {
+            0: ([0.17573015721418342, 0.07511828952795332, 0.15750448184660082, 0.2870336734798274,
+                 0.24660430842967845, 0.26540024133032586, 0.16235464057360968, 0.17505639884551308,
+                 0.25379965720582104, 0.35382668311462706, 0.37138783664698044, 0.358909135855208,
+                 0.5043449491471499, 0.7819148925236101, 0.41801200733924837, 0.08613964709330746],
+                [0.17573015721418342, 0.30055885200239496, 0.20049880577737308, 0.1695266373345891,
+                 0.16467282882523404, 0.17458669043719213, 0.36982516318238096, 0.13651867461331568,
+                 0.38571043866829385, 0.3916760897126999, 0.15157116850744823, 0.09923727259592173,
+                 0.7128572052207134, 0.14950689626842467, 0.3614314841583972, 0.03800498189567564]),
+            -1: ([0.2666038683447252, 0.45831697323823617, 0.7610679849376698, 0.6138188703600835,
+                  0.0, 0.2836518023774858, 0.11711897805507888, 0.5087731752057797,
+                  0.6770608787698138, 0.3895163812506415, 0.19808014945487862, 0.43303455429650817,
+                  0.350373360194119, 0.30418146636887045, 0.2561820138277845, 0.3426542664027649],
+                 [0.2666038683447252, 0.5334601978862437, 0.2913809725689451, 0.37600752054710773,
+                  0.13466048135195774, 0.5841369045967422, 0.40857124935786454, 0.6722664645455593,
+                  0.03762757236691219, 0.7151355560195556, 0.16900933003448812, 0.5577011265560227,
+                  0.23858513457679925, 0.1538814078215046, 0.5317565161820259, 0.4412984469130431]),
+        }
+        assert [s.source_id for s in (samples[0], samples[-1])] == ["synth0000", "synth1002"]
+        for i, (row, col) in pinned.items():
+            np.testing.assert_allclose(samples[i].pixels[0], row, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(samples[i].pixels[:, 0], col, rtol=1e-12, atol=0)
+
     def test_noise_free_single_block_src_is_perfect(self):
         cfg = tiny_config(
             block_sizes=(16,), synth_noise_sigma=0.0, k_folds=4, decision="bbmap"
@@ -349,7 +377,7 @@ class TestRunExperiment:
             models = train_block_models(*block_stack(train, 16, 16), cfg)
             D = models[0].D
             for i in test_idx:
-                y = decompose_roi(samples[i], 16, 16).vectors[0]
+                y = block_vectors([samples[i]], 16, 16)[0, 0]
                 eps = cfg.eps_rel * np.linalg.norm(y)
                 X, _, _, _ = bpdn_batch(D, y[:, None], np.array([eps]))
                 resid, _ = class_residuals(D, X, y[:, None])
@@ -610,7 +638,7 @@ class TestStackedFolds:
             assert np.all(res.codes[same_fold] == 0.0)
             # unmasked, a block would code itself: its own atom enters first
             D = call["dicts"][j]
-            y = np.stack([decompose_roi(samples[i], 4, 4).vectors[j] for i in test], axis=1)
+            y = np.stack([block_vectors([samples[i]], 4, 4)[0, j] for i in test], axis=1)
             X, *_ = bpdn_batch(D, y, cfg.eps_rel * np.linalg.norm(y, axis=0))
             leaked += int(np.count_nonzero(X[test, np.arange(test.size)]))
         assert leaked >= len(call["results"]) * len(samples) // 2
@@ -720,13 +748,12 @@ class TestPoolByConstruction:
     the whole dataset's, which is what lets a cell code on those."""
 
     def test_fold_dictionaries_are_column_subsets_of_the_dataset_s(self):
-        from blocksrc.blocks import assemble_block_dictionaries
-
         # MIAS-sized: 37 ROIs per class, 64x64
         samples = synth_dataset(SynthSpec(roi_size=64, block_size=16, samples_per_class=37), 20)
         labels = [s.label for s in samples]
         for block in (8, 16, 32, 64):
-            whole = assemble_block_dictionaries(samples, block, block)
+            raw = ExperimentConfig(roi_size=64, block_sizes=(block,))  # dl_mode "none"
+            whole = [m.D for m in train_block_models(*block_stack(samples, block, block), raw)]
             for mode, k in (("none", 10), ("lcksvd1", 20), ("lcksvd2", 30)):
                 cfg = ExperimentConfig(roi_size=64, block_sizes=(block,), k_folds=k, dl_mode=mode)
                 folds = stratified_folds(labels, k, cfg.seed)
@@ -1074,6 +1101,14 @@ class TestModelArchive:
             with pytest.raises(ValueError, match=f"param '{key}'"):
                 load_model(str(path))
 
+    def test_negative_seed_is_rejected(self, small_archive):
+        raw, path = small_archive
+        header = archive_header(raw)
+        header["params"]["seed"] = -1
+        path.write_bytes(archive_with_header(raw, header))
+        with pytest.raises(ValueError, match="train param seed must be >= 0, got -1"):
+            load_model(str(path))
+
     def test_unknown_or_repeated_block_arrays(self, small_archive):
         raw, path = small_archive
         path.write_bytes(archive_with_block_arrays(raw, []))
@@ -1142,7 +1177,7 @@ class TestClassifyAgainstFixedModel:
             dec = classify_samples([m.D for m in models], block_vectors(samples, 8, 8), test, cfg)
             hard, lls = [], []
             for j, m in enumerate(models):
-                yj = np.stack([decompose_roi(samples[i], 8, 8).vectors[j] for i in test], axis=1)
+                yj = np.stack([block_vectors([samples[i]], 8, 8)[0, j] for i in test], axis=1)
                 res = block_decisions_batch(m.D, yj, cfg.eps_rel * np.linalg.norm(yj, axis=0))
                 hard.append(res.hard)
                 lls.append(res.lls)
