@@ -53,6 +53,13 @@ class TrainParams:
     min_rel_improvement: float = 1e-5
 
     def __post_init__(self):
+        for key in ("K", "T", "iterations", "seed"):
+            v = getattr(self, key)
+            if key == "K" and v is None:
+                continue
+            # a bool is an int subclass, but never a count or a seed
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"train param {key} must be an integer, got {v!r}")
         if self.K is not None and self.K < 2:
             raise ValueError("K must be >= 2 (at least one atom per class)")
         if self.T < 1:

@@ -89,6 +89,8 @@ def block_decisions_batch(
     degenerate = (ynorm < DEGENERATE_NORM) | ~usable.any(axis=0)
     live = np.flatnonzero(~degenerate)
     if live.size:
+        # every column live: the signals themselves, not a copy of them
+        live = slice(None) if live.size == m else live
         eps_live = np.broadcast_to(np.asarray(eps, dtype=float), (m,))[live]
         own = None if allowed is None else allowed[:, live]
         codes[:, live], _, feasible[live], _ = bpdn_batch(Dj, Yj[:, live], eps_live, allowed=own)

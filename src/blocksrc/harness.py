@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -112,13 +112,34 @@ class EvalReport:
     confusion: dict
     metrics: dict
     roc: list
+    # the fields this report shares with its twins (see twin), by name, each
+    # as (value, JSON encoding)
+    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         """The fields by name; the values are the report's own, not copies."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """``json.dumps(self.to_dict(), sort_keys=True, indent=2)``, joined
+        from one encoding per field; a field still holding the value it
+        shares with a twin (see :meth:`twin`) reuses that value's encoding."""
+        texts = {}
+        for k, v in self.to_dict().items():
+            shared = self._shared.get(k)
+            texts[k] = shared[1] if shared and shared[0] is v else _indented(v)
+        return _join_fields(texts)
+
+    def twin(self, config: dict) -> "EvalReport":
+        """This report under the config echo ``config``, as a pass that
+        serves several learning modes reports each of them. The twin shares
+        every other field's value with this report, and that value's JSON
+        encoding, made once for this report and all its twins."""
+        if not self._shared:
+            self._shared.update((k, (v, _indented(v))) for k, v in self.to_dict().items() if k != "config")
+        twin = replace(self, config=config)
+        twin._shared = self._shared
+        return twin
 
     def summary_row(self) -> dict:
         return {
@@ -131,6 +152,21 @@ class EvalReport:
             "acc": self.metrics.get("acc"),
             "auc": self.metrics.get("auc"),
         }
+
+
+def _indented(value) -> str:
+    """``value`` encoded as a field of a ``json.dumps(obj, sort_keys=True,
+    indent=2)`` object: encoded alone, with two more spaces after every
+    newline. A JSON string holds no raw newline, so every newline in the
+    encoding is the layout's."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+
+def _join_fields(texts: dict) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` of a non-empty dict
+    ``obj`` with string keys, joined from its values' :func:`_indented`
+    encodings ``texts``, by key."""
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {texts[k]}" for k in sorted(texts)) + "\n}"
 
 
 SUMMARY_COLUMNS = ("decision", "k_folds", "block_size", "dl_mode", "tpr", "tnr", "acc", "auc")
@@ -403,8 +439,10 @@ def run_grid(cfg: ExperimentConfig, persist: bool = True) -> list[EvalReport]:
     rules. The passes of one (folds, block size) pair that code on the raw
     dictionaries (see :func:`cross_validate`) run once for all their modes:
     at the default K = s, LC-KSVD's take the "none" pass's outcomes. Such a
-    pooled pass's report is built once per rule; its K = s twins share its
-    fold entries and differ only in the ``dl_mode`` of their config echo.
+    pooled pass's report is built once per rule, and every mode reports a
+    twin of it (see :meth:`EvalReport.twin`): the twins share its fields and
+    their JSON encoding, and differ only in the ``dl_mode`` of their config
+    echo, which alone each twin encodes again.
     Reports and summary rows come out decision-major. Raises ValueError when
     no grid block size divides ``roi_size``.
     """
@@ -422,14 +460,14 @@ def run_grid(cfg: ExperimentConfig, persist: bool = True) -> list[EvalReport]:
             for mode in GRID_MODES:
                 sub = replace(cfg, k_folds=k, dl_mode=mode)
                 pools = _pools(sub, folds[k])
-                if pools and pooled:
-                    reps = {d: replace(r, config=replace(sub, decision=d).echo()) for d, r in pooled.items()}
-                else:
+                if not (pools and pooled):
                     outcomes = cross_validate(sub, vectors, labels)
                     reps = {d: build_report(replace(sub, decision=d), block, samples, outcomes)
                             for d in GRID_DECISIONS}
-                    if pools:
-                        pooled = reps
+                if pools:
+                    # every mode of the pair reports a twin of its rule's report
+                    pooled = pooled or reps
+                    reps = {d: r.twin(replace(sub, decision=d).echo()) for d, r in pooled.items()}
                 for decision, rep in reps.items():
                     if persist:
                         persist_report(rep, cfg.output_dir)

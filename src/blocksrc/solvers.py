@@ -467,18 +467,31 @@ def _refit(Gp: np.ndarray, slot: np.ndarray, S: np.ndarray, Bp: np.ndarray, ysq,
     return x0 - lam[:, None] * v
 
 
-def _atom_sets(mask: np.ndarray | None, cols):
-    """The columns ``cols`` grouped by their column of the atom mask
-    ``mask``: yields ``(atoms, columns)`` per distinct atom set; no mask is
-    one set of every atom."""
+def _atom_sets(mask: np.ndarray | None, n: int, m: int):
+    """The distinct atom sets among the columns of the atom mask ``mask``
+    (n x m; None is one set of every atom), in the order of their first
+    columns, as padded index arrays. Returns ``(atoms, sizes, columns)``:
+    row q of ``atoms`` holds set q's ``sizes[q]`` atoms in ascending order,
+    then ``n``, and row q of ``columns`` holds the columns whose set it is in
+    ascending order, then ``m``; the padding indexes the zero row and column
+    that a gather pads its source with."""
     if mask is None:
-        yield slice(None), cols
-        return
-    groups: dict[bytes, list] = {}
-    for c in cols:
-        groups.setdefault(mask[:, c].tobytes(), []).append(c)
-    for members in groups.values():
-        yield mask[:, members[0]], np.array(members)
+        return np.arange(n)[None], np.array([n]), np.arange(m)[None]
+    # one key per column: its mask column's bits, packed into bytes
+    packed = np.ascontiguousarray(np.packbits(mask, axis=0).T)
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    _, first, of = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.argsort(first)
+    sets, of = mask[:, first[rank]].T, np.argsort(rank)[of]
+    sizes = sets.sum(axis=1)
+    # each set's atoms first, ascending, by a stable sort of the mask rows
+    atoms = np.argsort(~sets, axis=1, kind="stable")[:, : sizes.max()]
+    atoms[np.arange(atoms.shape[1]) >= sizes[:, None]] = n
+    order = np.argsort(of, kind="stable")
+    counts = np.bincount(of)
+    columns = np.full((len(sets), counts.max()), m)
+    columns[of[order], np.arange(m) - (np.cumsum(counts) - counts)[of[order]]] = order
+    return atoms, sizes, columns
 
 
 def _well_posed(gram: np.ndarray) -> np.ndarray:
@@ -501,44 +514,54 @@ def _least_squares(Au: np.ndarray, G: np.ndarray, B: np.ndarray, Y: np.ndarray, 
     columns of ``Au`` (d x n, unit atoms) that each may use, ``G = Au^T
     Au``, ``B = Au^T Y[:, cols]`` and ``ysq`` the squared signal norms.
 
-    The atom sets are solved from the Gram in one batch: set q's ``G[S_q,
-    S_q]`` and ``B[S_q, cols_q]`` fill a stack whose free slots hold an
-    identity row and column with a zero right-hand side, one
-    ``np.linalg.solve`` gives every code ``x`` and the floor is ``||y||^2 -
-    b^T x``. A set with more atoms than dimensions (its Gram is singular)
-    or one that fails :func:`_well_posed` is solved by ``np.linalg.lstsq``
-    on its atoms instead. Returns ``(codes, floors)``, codes zero off each
-    column's atoms.
+    The atom sets (see :func:`_atom_sets`) are solved from the Gram in one
+    batch. ``G`` and ``B``, each padded by a zero row and column, are read
+    through the sets' padded atom and column indices in one gather each:
+    set q's ``G[S_q, S_q]`` and ``B[S_q, cols_q]`` fill a stack whose free
+    slots hold a zero row and column (a unit diagonal entry in the Gram)
+    and a zero right-hand side. One ``np.linalg.solve`` gives every code
+    ``x``, the floor is ``||y||^2 - b^T x``, and both are scattered back
+    through the same indices. A set with more atoms than dimensions (its
+    Gram is singular) or one that fails :func:`_well_posed` is solved by
+    ``np.linalg.lstsq`` on its atoms instead. Returns ``(codes, floors)``,
+    codes zero off each column's atoms.
     """
     d, n = Au.shape
-    X = np.zeros_like(B)
-    floor = np.empty(B.shape[1])
-    sets = [(np.arange(n)[atoms], pos) for atoms, pos in _atom_sets(own, np.arange(B.shape[1])) if pos.size]
-    solvable = [(atoms, pos) for atoms, pos in sets if atoms.size <= d]
-    fallback = [(atoms, pos) for atoms, pos in sets if atoms.size > d]
-    if solvable:
-        k = max(atoms.size for atoms, _ in solvable)
-        c = max(pos.size for _, pos in solvable)
-        gram = np.broadcast_to(np.eye(k), (len(solvable), k, k)).copy()
-        rhs = np.zeros((len(solvable), k, c))
-        for q, (atoms, pos) in enumerate(solvable):
-            gram[q, : atoms.size, : atoms.size] = G[np.ix_(atoms, atoms)]
-            rhs[q, : atoms.size, : pos.size] = B[np.ix_(atoms, pos)]
+    m = B.shape[1]
+    if not m:
+        return np.zeros_like(B), np.empty(0)
+    atoms, sizes, columns = _atom_sets(own, n, m)
+    # the padded codes and floors: row n and column m take the padding
+    X = np.zeros((n + 1, m + 1))
+    floor = np.empty(m + 1)
+    fallback = list(np.flatnonzero(sizes > d))
+    solvable = np.flatnonzero(sizes <= d)
+    if solvable.size:
+        S = atoms[solvable, : sizes[solvable].max()]
+        C = columns[solvable]
+        C = C[:, : (C < m).sum(axis=1).max()]
+        Gp = np.zeros((n + 1, n + 1))
+        Gp[:n, :n] = G
+        Bp = np.zeros((n + 1, m + 1))
+        Bp[:n, :m] = B
+        gram = Gp[S[:, :, None], S[:, None, :]]
+        q, k = np.nonzero(S == n)
+        gram[q, k, k] = 1.0
+        rhs = Bp[S[:, :, None], C[:, None, :]]
         ok = _well_posed(gram)
-        fallback += [q for q, good in zip(solvable, ok) if not good]
-        solvable = [q for q, good in zip(solvable, ok) if good]
-        rhs = rhs[ok]
+        fallback += list(solvable[~ok])
+        S, C, rhs = S[ok], C[ok], rhs[ok]
         sol = np.linalg.solve(gram[ok], rhs)
         fit = np.einsum("qkc,qkc->qc", rhs, sol)
-        for q, (atoms, pos) in enumerate(solvable):
-            X[np.ix_(atoms, pos)] = sol[q, : atoms.size, : pos.size]
-            floor[pos] = np.sqrt(np.maximum(ysq[pos] - fit[q, : pos.size], 0.0))
-    for atoms, pos in fallback:
-        A, Yq = Au[:, atoms], Y[:, cols[pos]]
-        x, *_ = np.linalg.lstsq(A, Yq, rcond=None)
-        X[np.ix_(atoms, pos)] = x
-        floor[pos] = np.linalg.norm(A @ x - Yq, axis=0)
-    return X, floor
+        X[S[:, :, None], C[:, None, :]] = sol
+        floor[C] = np.sqrt(np.maximum(np.append(ysq, 0.0)[C] - fit, 0.0))
+    for q in fallback:
+        A, pos = atoms[q, : sizes[q]], columns[q][columns[q] < m]
+        Yq = Y[:, cols[pos]]
+        x, *_ = np.linalg.lstsq(Au[:, A], Yq, rcond=None)
+        X[np.ix_(A, pos)] = x
+        floor[pos] = np.linalg.norm(Au[:, A] @ x - Yq, axis=0)
+    return X[:n, :m], floor[:m]
 
 
 def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
@@ -626,31 +649,35 @@ def class_residuals(
     D: Dictionary, X: np.ndarray, Y: np.ndarray, allowed=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Class-restricted reconstruction residuals and l1 masses of the codes
-    ``X`` (n_atoms, m) of the signals ``Y`` (d, m).
+    ``X`` (n_atoms, m) of the signals ``Y`` (d, m): the SRC rule of Wright
+    et al. (2009, "Robust face recognition via sparse representation").
 
     For class ``i`` the coefficients of all other classes are zeroed before
     reconstructing; returns ``(residuals, l1_norms)``, each of shape
     ``(2, m)`` and indexed by class id. ``allowed`` (n_atoms, m), as in
     :func:`bpdn_batch`, gives each column its own atoms, which must hold
-    both classes; the columns of one atom set are then reckoned on those
-    atoms alone, as on a dictionary of them.
+    both classes; each code is first set to zero off its column's atoms, so
+    a column is reckoned on those atoms alone, as on a dictionary of them.
+    Every column's residual and l1 mass for a class then come from one
+    product and one reduction over that class's atoms.
     """
     Y = _check_signals(D, Y)
     X = np.asarray(X, dtype=float)
     m = Y.shape[1]
     if X.shape != (D.n_atoms, m):
         raise ValueError(f"expected codes of shape ({D.n_atoms}, {m}), got {X.shape}")
-    mask = None if allowed is None else np.asarray(allowed, dtype=bool)
+    if allowed is not None:
+        allowed = np.asarray(allowed, dtype=bool)
+        X = np.where(allowed, X, 0.0)
     resid = np.empty((2, m))
     l1 = np.empty((2, m))
-    for atoms, cols in _atom_sets(mask, slice(None) if mask is None else np.arange(m)):
-        A, labels, Xa, Yc = D.atoms[:, atoms], D.atom_labels[atoms], X[atoms][:, cols], Y[:, cols]
-        for cid in CLASS_IDS:
-            own = labels == cid
-            if not own.any():
-                raise ValueError(f"class '{class_name(cid)}' has no atoms in the dictionary")
-            resid[cid, cols] = np.linalg.norm(Yc - A[:, own] @ Xa[own], axis=0)
-            # each column's mass summed as one contiguous row, so it rounds
-            # as a single code's sum does
-            l1[cid, cols] = np.ascontiguousarray(np.abs(Xa[own]).T).sum(axis=1)
+    for cid in CLASS_IDS:
+        own = D.atom_labels == cid
+        if not (own.any() if allowed is None else (allowed & own[:, None]).any(axis=0).all()):
+            raise ValueError(f"class '{class_name(cid)}' has no atoms in the dictionary")
+        Xc = X[own]
+        resid[cid] = np.linalg.norm(Y - D.atoms[:, own] @ Xc, axis=0)
+        # each column's mass summed as one contiguous row, so it rounds as a
+        # single code's sum does
+        l1[cid] = np.ascontiguousarray(np.abs(Xc).T).sum(axis=1)
     return resid, l1

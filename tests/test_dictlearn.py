@@ -58,6 +58,16 @@ class TestTrainParams:
             with pytest.raises(ValueError, match=f"train param {key} must be >= 0, got -0.5"):
                 TrainParams(**{key: -0.5})
 
+    @pytest.mark.parametrize("key", ["K", "T", "iterations", "seed"])
+    def test_non_integer_names_the_key(self, key):
+        # K = 4.5 would fail inside the draw and T = 2.5 would be truncated by
+        # the pursuit. A bool is an int subclass, and it is refused too;
+        # numpy integers are accepted
+        for value in (4.5, 4.0, "4", True, False):
+            with pytest.raises(ValueError, match=f"train param {key} must be an integer, got {value!r}"):
+                TrainParams(**{key: value})
+        assert getattr(TrainParams(**{key: np.int64(4)}), key) == 4
+
     def test_non_finite_min_rel_improvement_names_the_key(self):
         # a NaN fails every comparison, so it would turn the closed form and
         # both stops off without a word

@@ -23,7 +23,14 @@ from blocksrc.blocks import RoiSample, block_stack, block_vectors
 from blocksrc.config import parse_config_text
 from blocksrc.dictlearn import DiscriminativeDictionary, TrainParams
 from blocksrc.ensemble import EnsembleDecision, block_decisions_batch, ensemble_decision
-from blocksrc.harness import build_report, classify_samples, load_dataset, train_block_models
+from blocksrc.harness import (
+    _indented,
+    _join_fields,
+    build_report,
+    classify_samples,
+    load_dataset,
+    train_block_models,
+)
 from blocksrc.model_io import VERSION
 from blocksrc.pgm import read_pgm
 from blocksrc.solvers import bpdn_batch, class_residuals
@@ -179,6 +186,29 @@ class TestBuildReport:
         if booked:
             pooled = compute_metrics(*(sum((e[k] for e in booked), []) for k in ("predictions", "truth")))
             assert report.confusion == {k: pooled[k] for k in ("tp", "tn", "fp", "fn")}
+
+
+# text with the characters a JSON encoder must escape, and some it need not
+JSON_TEXT = st.text(alphabet=st.sampled_from('ab "\\/\n\t\r\x00\u2028\u2029é中😀'), max_size=8) | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestReportEncoding:
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.dictionaries(JSON_TEXT, JSON_VALUES, min_size=1, max_size=6))
+    def test_field_encodings_join_to_the_whole_encoding(self, obj):
+        texts = {k: _indented(v) for k, v in obj.items()}
+        assert _join_fields(texts) == json.dumps(obj, sort_keys=True, indent=2)
+
+    def test_special_values(self):
+        obj = {"nan": math.nan, "inf": [math.inf, -math.inf], "empty": [{}, [], ""], "none": None,
+               "flags": {"t": True, "f": False}, "text": 'a "quoted"\nline\u2028é'}
+        texts = {k: _indented(v) for k, v in obj.items()}
+        assert _join_fields(texts) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 class TestConfig:
@@ -826,6 +856,37 @@ class TestRunGrid:
         assert sorted(p.name for p in (tmp_path / "grid").iterdir()) == sorted(solo_files + ["grid_summary.csv"])
         for name in solo_files:
             assert (tmp_path / "grid" / name).read_bytes() == (solo_dir / name).read_bytes(), name
+        self.assert_whole_encodings(reports, tmp_path / "grid")
+
+        # a pass whose coding fails books every fold as an error dict and
+        # has None metrics; its twins still persist the whole encoding
+        def failing_classify(dicts, blocks, rows, c, allowed=None):
+            if block_side(blocks) == 8:
+                raise ValueError("injected")
+            return real_classify(dicts, blocks, rows, c, allowed)
+
+        monkeypatch.setattr(H, "GRID_FOLDS", (3,))
+        monkeypatch.setattr(H, "GRID_BLOCKS", blocks)
+        monkeypatch.setattr(H, "GRID_MODES", modes)
+        monkeypatch.setattr(H, "classify_samples", failing_classify)
+        failed = H.run_grid(replace(cfg, output_dir=str(tmp_path / "failed")))
+        monkeypatch.undo()
+        for rep in failed:
+            if rep.block_size == 8:
+                assert all(e["error"]["message"] == "injected" for e in rep.folds)
+                assert set(rep.metrics.values()) == {None} and rep.roc == []
+            else:
+                assert not rep.incomplete_folds
+        self.assert_whole_encodings(failed, tmp_path / "failed")
+
+    @staticmethod
+    def assert_whole_encodings(reports, out_dir):
+        """Every report's .json is its whole dict encoded at once."""
+        import blocksrc.harness as H
+
+        for rep in reports:
+            text = (out_dir / (H.report_stem(rep) + ".json")).read_text(encoding="utf-8")
+            assert text == json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def test_no_grid_block_dividing_roi_size_raises(self, tmp_path):
         import blocksrc.harness as H

@@ -261,10 +261,12 @@ class TestBpdn:
         rng = np.random.default_rng(2)
         D = unit_dict(rng.standard_normal((5, 8)), [0] * 4 + [1] * 4)
         y = rng.standard_normal(5)
-        X, _, feas, iters = bpdn_batch(D, y[:, None], float(np.linalg.norm(y)) * 1.5)
-        assert feas.all()
-        assert np.all(X[:, 0] == 0.0)
-        assert iters[0] == 0
+        # with an atom mask too: no column is left to solve
+        for allowed in (None, np.arange(8)[:, None] % 3 > 0):
+            X, _, feas, iters = bpdn_batch(D, y[:, None], float(np.linalg.norm(y)) * 1.5, allowed=allowed)
+            assert feas.all()
+            assert np.all(X[:, 0] == 0.0)
+            assert iters[0] == 0
 
     def test_identity_analytic_solution(self):
         D = unit_dict(np.eye(2), [0, 1])
@@ -654,7 +656,9 @@ class TestBpdnMasked:
         return own.size <= D.dim and _well_posed((D.atoms[:, own].T @ D.atoms[:, own])[None])[0]
 
     def test_atom_sets_of_different_sizes(self):
-        # sets of 2 to 12 atoms in 16 dimensions share one padded stack
+        # sets of 2 to 12 atoms in 16 dimensions share one padded stack; in
+        # the same call a set of 18 atoms (more than the dimensions) and one
+        # holding a duplicate atom take lstsq beside it
         rng = np.random.default_rng(47)
         shortcut = 0
         for _ in range(20):
@@ -662,12 +666,19 @@ class TestBpdnMasked:
             eps = rng.uniform(0.02, 0.5, 10) * np.linalg.norm(Y, axis=0)
             sizes = rng.choice(np.arange(2, 13), 3, replace=False)
             order = rng.permutation(12)
-            allowed = np.zeros((12, 10), dtype=bool)
+            allowed = np.zeros((19, 12), dtype=bool)
             for c in range(10):
                 allowed[order[: sizes[rng.integers(3)]], c] = True
-            D = unit_dict(M, rng.integers(0, 2, 12))
+            # atoms 12-17 are new, atom 18 duplicates atom 0
+            M = np.hstack([M, rng.standard_normal((16, 6)), M[:, :1]])
+            allowed[:18, 10] = True
+            allowed[[0, 1, 2, 18], 11] = True
+            Y = np.hstack([Y, rng.standard_normal((16, 2))])
+            eps = np.append(eps, rng.uniform(0.02, 0.5, 2) * np.linalg.norm(Y[:, 10:], axis=0))
+            D = unit_dict(M, rng.integers(0, 2, 19))
             assert all(self.gram_route(D, allowed, c) for c in range(10))
-            self.assert_matches_own_atoms(D, Y, eps, allowed)
+            assert not self.gram_route(D, allowed, 10) and not self.gram_route(D, allowed, 11)
+            self.assert_matches_own_atoms(D, Y, eps, allowed, twins=[(0, 18)])
             shortcut += int((~bpdn_batch(D, Y, eps, allowed=allowed)[2]).sum())
         assert shortcut >= 150
 
@@ -734,6 +745,19 @@ class TestBpdnMasked:
         one_class = allowed & (labels == 0)[:, None]
         with pytest.raises(ValueError, match="has no atoms"):
             class_residuals(D, X * one_class, Y, allowed=one_class)
+
+    def test_class_residuals_read_no_code_off_the_mask(self):
+        # each code is set to zero off its column's atoms first, so noise
+        # there changes nothing, to the last bit
+        rng = np.random.default_rng(50)
+        M, labels, Y, eps, allowed = fold_problem(rng, 8, 4, 3, 9)
+        labels[:] = np.tile([0, 1], 6)
+        D = unit_dict(M, labels)
+        X, *_ = bpdn_batch(D, Y, eps, allowed=allowed)
+        noisy = X + np.where(allowed, 0.0, rng.standard_normal(X.shape))
+        clean, dirty = class_residuals(D, X, Y, allowed=allowed), class_residuals(D, noisy, Y, allowed=allowed)
+        for a, b in zip(clean, dirty):
+            assert np.array_equal(a, b)
 
 
 class TestInverseSlotStore:
