@@ -42,25 +42,17 @@ def _config_overrides(args) -> dict:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One flag ``--<key-with-dashes>`` per config key, typed by the key's
+    default: a bool is a switch that sets it true, a tuple takes integers."""
     p.add_argument("--config", help="plain-text key = value config file")
-    p.add_argument("--roi-size", dest="roi_size", type=int)
-    p.add_argument("--block-sizes", dest="block_sizes", type=int, nargs="+")
-    p.add_argument("--k-folds", dest="k_folds", type=int)
-    p.add_argument("--dl-mode", dest="dl_mode", choices=("none", "lcksvd1", "lcksvd2"))
-    p.add_argument("--decision", choices=("bbmap", "bbll"))
-    p.add_argument("--dict-size", dest="dict_size", type=int)
-    p.add_argument("--sparsity", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--eps-rel", dest="eps_rel", type=float)
-    p.add_argument("--eps-abs", dest="eps_abs", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--synthetic", action="store_const", const=True, default=None)
-    p.add_argument("--invert-lls", dest="invert_lls", action="store_const", const=True, default=None)
+    for f in fields(ExperimentConfig):
+        flag, t = "--" + f.name.replace("_", "-"), type(f.default)
+        if t is bool:
+            p.add_argument(flag, dest=f.name, action="store_const", const=True)
+        elif t is tuple:
+            p.add_argument(flag, dest=f.name, type=int, nargs="+")
+        else:
+            p.add_argument(flag, dest=f.name, type=t)
 
 
 def _cmd_prepare_rois(args) -> int:

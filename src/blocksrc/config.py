@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .dictlearn import MODES, TrainParams
 from .synth import SynthSpec
 
@@ -31,14 +33,18 @@ class ExperimentConfig:
     data_dir: str = ""
     output_dir: str = "results"
     synthetic: bool = False
-    synth_atoms_per_class: int = 6
-    synth_sparsity: int = 3
-    synth_noise_sigma: float = 0.05
-    synth_samples_per_class: int = 40
+    synth_atoms_per_class: int = SynthSpec.atoms_per_class
+    synth_sparsity: int = SynthSpec.sparsity
+    synth_noise_sigma: float = SynthSpec.noise_sigma
+    synth_samples_per_class: int = SynthSpec.samples_per_class
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
+            v, t = getattr(self, f.name), type(f.default)  # a key's type is its default's
+            for x in v if t is tuple else (v,) if t is int else ():
+                # a bool is an int subclass, but never a count, a size or a seed
+                if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                    raise ValueError(f"config key {f.name} must be an integer, got {x!r}")
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"config key {f.name} must be finite, got {v!r}")
         for key in ("roi_size", "sparsity", "iterations"):
@@ -123,8 +129,7 @@ def parse_config_text(text: str, overrides: dict | None = None, cls=ExperimentCo
     dataclass whose defaults give each key's type (an ``ExperimentConfig``
     unless told otherwise). A key may be set on one line only; ``overrides``
     win over the text."""
-    defaults = cls()
-    type_map = {f.name: type(getattr(defaults, f.name)) for f in fields(cls)}
+    type_map = {f.name: type(f.default) for f in fields(cls)}
     values: dict = {}
     seen: dict[str, int] = {}  # the line that set each key
     for lineno, line in enumerate(text.splitlines(), start=1):

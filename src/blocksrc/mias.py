@@ -6,11 +6,15 @@ The readings file is whitespace-delimited, one record per line:
 
 Severity letters map B -> benign, M -> malignant. Coordinates follow the MIAS
 convention of a bottom-left origin, configurable via ``y_origin``.
+
+This module owns the ROI cache layout: :func:`write_roi_cache` is its one
+writer, for MIAS and :mod:`blocksrc.synth` alike, :func:`load_roi_cache` its reader.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -135,6 +139,43 @@ def extract_roi(img: GrayImage, rec: MiasRecord, roi_size: int, y_origin: str = 
     )
 
 
+def write_roi_cache(out_dir: str, rois: list, roi_size: int, y_origin: str, scale: float) -> dict:
+    """Write ``(sample, maxval, window)`` triples as a PGM ROI cache.
+
+    Each sample becomes ``<source_id>_roi<size>.pgm`` (a numeric suffix is
+    added when one source contributes several ROIs) holding
+    ``round(pixels * scale)``, next to a ``manifest.json`` describing every
+    sample and the scale. Returns the manifest.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    entries = []
+    seen: dict[str, int] = {}
+    for s, maxval, window in rois:
+        n = seen[s.source_id] = seen.get(s.source_id, 0) + 1
+        fname = f"{s.source_id}_roi{roi_size}" + (f"_{n}" if n > 1 else "") + ".pgm"
+        arr = np.round(s.pixels * scale).astype(np.uint16)
+        write_pgm(os.path.join(out_dir, fname), image_from_array(arr, maxval=maxval))
+        entries.append(
+            {
+                "file": fname,
+                "ref_id": s.source_id,
+                "label": class_name(s.label),
+                "centroid": list(s.centroid) if s.centroid else None,
+                "radius": s.radius,
+                "window": list(window),
+            }
+        )
+    manifest = {
+        "roi_size": roi_size,
+        "y_origin": y_origin,
+        "intensity_scale": scale,
+        "samples": entries,
+    }
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+    return manifest
+
+
 def build_roi_cache(
     data_dir: str,
     readings_path: str,
@@ -143,64 +184,34 @@ def build_roi_cache(
     y_origin: str = "bottom",
     strict: bool = True,
 ) -> dict:
-    """Extract all qualifying lesion ROIs and write them as a PGM cache.
-
-    Each ROI becomes ``<ref_id>_roi<size>.pgm`` (a numeric suffix is added
-    when one mammogram contributes several lesions) next to a
-    ``manifest.json`` describing every sample. Returns the manifest.
-    """
+    """Extract all qualifying lesion ROIs and write them with
+    :func:`write_roi_cache` at their scans' own maxval. Returns the manifest."""
     with open(readings_path, "r", encoding="utf-8") as fh:
         records = parse_metadata(fh.read(), strict=strict)
-    selected = filter_lesions(records, roi_size)
-    os.makedirs(out_dir, exist_ok=True)
-
-    entries = []
-    maxval = 0
-    seen: dict[str, int] = {}
-    for rec in selected:
+    rois = []
+    for rec in filter_lesions(records, roi_size):
         img = read_pgm(os.path.join(data_dir, f"{rec.ref_id}.pgm"))
-        maxval = max(maxval, img.maxval)
         roi = extract_roi(img, rec, roi_size, y_origin)
-        r0, c0 = _roi_window(img, rec, roi_size, y_origin)
-        seen[rec.ref_id] = seen.get(rec.ref_id, 0) + 1
-        stem = f"{rec.ref_id}_roi{roi_size}"
-        if seen[rec.ref_id] > 1:
-            stem += f"_{seen[rec.ref_id]}"
-        fname = stem + ".pgm"
-        write_pgm(
-            os.path.join(out_dir, fname),
-            image_from_array(roi.pixels.astype(np.uint16), maxval=img.maxval),
-        )
-        entries.append(
-            {
-                "file": fname,
-                "ref_id": rec.ref_id,
-                "label": class_name(rec.severity),
-                "centroid": list(rec.centroid),
-                "radius": rec.radius,
-                "window": [r0, c0],
-            }
-        )
-
-    manifest = {
-        "roi_size": roi_size,
-        "y_origin": y_origin,
-        "intensity_scale": 1.0,
-        "samples": entries,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return manifest
+        rois.append((roi, img.maxval, _roi_window(img, rec, roi_size, y_origin)))
+    return write_roi_cache(out_dir, rois, roi_size, y_origin, 1.0)
 
 
 def load_roi_cache(cache_dir: str) -> list[RoiSample]:
-    """Load a ROI cache written by :func:`build_roi_cache` (or the synthetic
-    data writer); pixel values are divided by the manifest intensity scale."""
+    """Load a ROI cache written by :func:`write_roi_cache`; pixel values are
+    divided by the manifest intensity scale."""
     with open(os.path.join(cache_dir, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     scale = float(manifest.get("intensity_scale", 1.0))
+    if not 0 < scale < math.inf:
+        raise ValueError(f"ROI cache manifest: intensity_scale must be finite and > 0, got {scale!r}")
+    entries = manifest.get("samples")
+    if not isinstance(entries, list):
+        raise ValueError(f"ROI cache manifest: samples must be a list, got {entries!r}")
     samples = []
-    for entry in manifest["samples"]:
+    for i, entry in enumerate(entries):
+        for key in ("file", "label", "ref_id"):
+            if key not in entry:
+                raise ValueError(f"ROI cache manifest: samples[{i}] has no {key}")
         img = read_pgm(os.path.join(cache_dir, entry["file"]))
         pixels = img.pixels.astype(float) / scale
         centroid = tuple(entry["centroid"]) if entry.get("centroid") else None

@@ -5,20 +5,18 @@ a sparse nonnegative combination of its class's atoms for that position plus
 white noise, clipped at zero. The blocks tile the ROI row-major, laid out
 as :func:`blocksrc.blocks.block_vectors` cuts them. With disjoint per-class
 atoms and zero noise the classes are linearly separable block by block.
+The ROI cache layout belongs to :func:`blocksrc.mias.write_roi_cache`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import RoiSample
-from .labels import class_name
-from .pgm import image_from_array, write_pgm
+from .mias import write_roi_cache
 
 
 @dataclass(frozen=True)
@@ -90,30 +88,7 @@ def write_synth_cache(samples: list[RoiSample], out_dir: str) -> dict:
     Float intensities are quantized with a single recorded scale factor so
     the loader can restore them approximately.
     """
-    os.makedirs(out_dir, exist_ok=True)
     peak = max(float(s.pixels.max()) for s in samples)
     scale = 60000.0 / peak if peak > 0 else 1.0
-    entries = []
-    for s in samples:
-        fname = f"{s.source_id}_roi{s.size}.pgm"
-        arr = np.round(s.pixels * scale).astype(np.uint16)
-        write_pgm(os.path.join(out_dir, fname), image_from_array(arr, maxval=65535))
-        entries.append(
-            {
-                "file": fname,
-                "ref_id": s.source_id,
-                "label": class_name(s.label),
-                "centroid": list(s.centroid) if s.centroid else None,
-                "radius": s.radius,
-                "window": [0, 0],
-            }
-        )
-    manifest = {
-        "roi_size": samples[0].size if samples else 0,
-        "y_origin": "top",
-        "intensity_scale": scale,
-        "samples": entries,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return manifest
+    rois = [(s, 65535, (0, 0)) for s in samples]
+    return write_roi_cache(out_dir, rois, samples[0].size, "top", scale)

@@ -1,10 +1,11 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from blocksrc.cli import _config_overrides, build_parser, main
-from blocksrc.config import load_config
+from blocksrc.config import ExperimentConfig, load_config, parse_config_text
 from blocksrc.model_io import load_model, save_model
 from blocksrc.pgm import image_from_array, read_pgm, write_pgm
 
@@ -86,6 +87,36 @@ def test_flags_override_only_the_keys_they_set(tmp_path):
     assert resolved() == load_config(str(path))  # an unset flag keeps the file's value
     got = resolved("--invert-lls", "--block-sizes", "8", "16", "--alpha", "2", "--seed", "3")
     assert (got.invert_lls, got.synthetic, got.block_sizes, got.alpha, got.seed) == (True, True, (8, 16), 2.0, 3)
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "cv", "grid"])
+def test_every_config_key_has_a_flag(command):
+    argv = [command, "--model", "m.blkd"] if command in ("train", "evaluate") else [command]
+    dests = set(vars(build_parser().parse_args(argv))) - {"command", "func", "config", "model"}
+    assert dests == {f.name for f in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--k-folds", "4"], "k_folds = 4"),
+    (["--synth-noise-sigma", "0.125"], "synth_noise_sigma = 0.125"),
+    (["--dl-mode", "lcksvd1"], "dl_mode = lcksvd1"),
+    (["--synthetic"], "synthetic = true"),
+    (["--block-sizes", "8", "16"], "block_sizes = 8 16"),
+])
+def test_a_flag_reads_as_the_same_text_in_a_config_file(flags, line):
+    args = build_parser().parse_args(["cv", *flags])
+    assert load_config(None, _config_overrides(args)) == parse_config_text(line)
+
+
+def test_bad_choice_flag_is_a_structured_error(tmp_path, capsys):
+    out = tmp_path / "results"
+    assert main(["cv", "--dl-mode", "bogus", "--synthetic", "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    diag = json.loads(err[0])
+    assert diag["command"] == "cv" and diag["error"] == "ValueError"
+    assert "dl_mode" in diag["message"] and "bogus" in diag["message"]
+    assert not out.exists()
 
 
 def test_train_evaluate_mosaic_cycle(tmp_path, synth_cache):

@@ -307,6 +307,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="one of eps_rel / eps_abs must be positive"):
             parse_config_text("eps_rel = 0\neps_abs = 0")
 
+    def test_integer_keys_reject_non_integers(self):
+        int_keys = [f.name for f in fields(ExperimentConfig) if type(f.default) is int]
+        assert {"k_folds", "seed", "roi_size", "synth_samples_per_class"} <= set(int_keys)
+        for key in int_keys:
+            for value in (2.5, 16.0, True, "16"):
+                with pytest.raises(ValueError, match=rf"config key {key} must be an integer, got {value!r}"):
+                    ExperimentConfig(**{key: value})
+        for value in (16.0, True, 2.5):
+            with pytest.raises(ValueError, match=rf"config key block_sizes must be an integer, got {value!r}"):
+                ExperimentConfig(block_sizes=(8, value))
+        cfg = ExperimentConfig(k_folds=np.int64(3), seed=np.int32(1), block_sizes=(np.int64(16), 8))
+        assert (cfg.k_folds, cfg.seed, cfg.block_sizes) == (3, 1, (16, 8))
+
     def test_echo_excludes_runtime_knobs(self):
         cfg = tiny_config()
         echo = cfg.echo()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from blocksrc import BENIGN, MALIGNANT, extract_roi, filter_lesions, parse_metadata, parse_pgm
 from blocksrc.mias import MiasRecord, ReadingsLineError, build_roi_cache, load_roi_cache
 from blocksrc.pgm import GrayImage, encode_pgm, image_from_array, read_pgm, write_pgm
+from blocksrc.synth import SynthSpec, synth_dataset, write_synth_cache
 
 MIAS_DIR = os.environ.get("MIAS_DATA_DIR", "")
 
@@ -242,6 +244,75 @@ class TestRoiCache:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="'Benign'"):
             load_roi_cache(str(out))
+
+
+    def cache_with_manifest(self, tmp_path, edit):
+        """A built cache whose manifest ``edit`` has changed in place."""
+        data, info = self.fabricate_dataset(tmp_path)
+        out = tmp_path / "cache"
+        build_roi_cache(str(data), str(info), 32, str(out))
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        return str(out)
+
+    def test_manifest_without_samples_names_it(self, tmp_path):
+        out = self.cache_with_manifest(tmp_path, lambda m: m.pop("samples"))
+        with pytest.raises(ValueError, match="samples must be a list, got None"):
+            load_roi_cache(out)
+
+    def test_manifest_samples_not_a_list_names_it(self, tmp_path):
+        out = self.cache_with_manifest(tmp_path, lambda m: m.update(samples={"file": "x.pgm"}))
+        with pytest.raises(ValueError, match="samples must be a list"):
+            load_roi_cache(out)
+
+    @pytest.mark.parametrize("key", ["file", "label", "ref_id"])
+    def test_manifest_entry_without_a_field_names_it(self, tmp_path, key):
+        out = self.cache_with_manifest(tmp_path, lambda m: m["samples"][1].pop(key))
+        with pytest.raises(ValueError, match=rf"samples\[1\] has no {key}$"):
+            load_roi_cache(out)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+    def test_bad_intensity_scale_names_it_without_warnings(self, tmp_path, scale):
+        out = self.cache_with_manifest(tmp_path, lambda m: m.update(intensity_scale=scale))
+        with pytest.raises(ValueError, match="intensity_scale must be finite and > 0"):
+            load_roi_cache(out)
+
+
+def sha256_tree(path):
+    return {f: hashlib.sha256((path / f).read_bytes()).hexdigest() for f in sorted(os.listdir(path))}
+
+
+class TestCacheBytes:
+    """Both ROI caches go through one writer; these digests were recorded
+    when each cache still had a writer of its own, so a change to the shared
+    writer cannot move either cache silently."""
+
+    def test_synthetic_cache_bytes_are_pinned(self, tmp_path):
+        samples = synth_dataset(SynthSpec(roi_size=16, block_size=8, samples_per_class=3), 7)
+        write_synth_cache(samples, str(tmp_path))
+        assert sha256_tree(tmp_path) == {
+            "manifest.json": "257a57ce58857355f1c1dac9c64dae88c41c81f09aa83e4a454393c6ccecda4c",
+            "synth0000_roi16.pgm": "a3f9089e4fc6ffbf6bca00fe87c5841a593972f558592742f41b3038491561f4",
+            "synth0001_roi16.pgm": "926e6de0f72edb7d9c82dc0656071cee4b7bbb1797ff1a38cfb592884c16b979",
+            "synth0002_roi16.pgm": "35cd05caaf8a6a00ea9f95a791d379840d150217141529a8edbc05b54635638a",
+            "synth1000_roi16.pgm": "b77f02a0065593130b8acffcee96f5ef62f63da6d58642e3d648820822584327",
+            "synth1001_roi16.pgm": "987d1cb86b7638f74f95ff7efac9943ba01e1d1906f6863491a161db3d862fbf",
+            "synth1002_roi16.pgm": "ba0991c76608fc67e318b80b7abca953da9172c6aa41885c77cc5462baf5075a",
+        }
+
+    def test_mias_cache_bytes_are_pinned(self, tmp_path):
+        data, info = TestRoiCache().fabricate_dataset(tmp_path)
+        out = tmp_path / "cache"
+        build_roi_cache(str(data), str(info), 32, str(out))
+        assert sha256_tree(out) == {
+            "manifest.json": "3c7df57401cd0d3a227e7ed90dc345a9947345d4544a9d2ac9484c0b92f1f1ab",
+            "mdb001_roi32.pgm": "9a00a540c385261975f4fd27ad5c718f092a923ca869589a523347ad2a43dc06",
+            "mdb002_roi32.pgm": "6452d7606721d9da1ce13e5eb057cfbe6de647e1722d88f16d382cd6a0c436ef",
+            "mdb002_roi32_2.pgm": "f818c44196ca1a1ab1fbf117e57b9d2f8f40585bff102cc253114bd4dad79c90",
+        }
 
 
 @needs_mias
