@@ -36,23 +36,25 @@ from .synth import SynthSpec, synth_dataset, write_synth_cache
 
 
 def _config_overrides(args) -> dict:
-    """Every config key a flag set; an unset flag is None, which keeps the
-    config file's value."""
-    return {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+    """Every config key a flag set, as its text (the words of a
+    several-valued flag joined by spaces); an unset flag is None, which
+    keeps the config file's value."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+    return {k: " ".join(v) if isinstance(v, list) else v for k, v in values.items()}
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """One flag ``--<key-with-dashes>`` per config key, typed by the key's
-    default: a bool is a switch that sets it true, a tuple takes integers."""
+    """One flag ``--<key-with-dashes>`` per config key. A bool key's flag
+    is a switch that sets it true, a tuple key's takes several values; every
+    other flag takes one. Values stay text, which the config parser reads
+    as it reads a config line, so a bad value gets the same message."""
     p.add_argument("--config", help="plain-text key = value config file")
     for f in fields(ExperimentConfig):
         flag, t = "--" + f.name.replace("_", "-"), type(f.default)
         if t is bool:
             p.add_argument(flag, dest=f.name, action="store_const", const=True)
-        elif t is tuple:
-            p.add_argument(flag, dest=f.name, type=int, nargs="+")
         else:
-            p.add_argument(flag, dest=f.name, type=t)
+            p.add_argument(flag, dest=f.name, nargs="+" if t is tuple else None)
 
 
 def _cmd_prepare_rois(args) -> int:

@@ -115,20 +115,22 @@ _PARSERS = {
 }
 
 
-def _coerce(lineno: int, name: str, raw: str, target_type):
+def _coerce(where: str, name: str, raw: str, target_type):
     raw = raw.strip()
     expected, parse = _PARSERS[target_type]
     try:
         return parse(raw)
     except (KeyError, ValueError):
-        raise ValueError(f"config line {lineno}: key {name}: expected {expected}, got {raw!r}") from None
+        raise ValueError(f"{where}: key {name}: expected {expected}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, overrides: dict | None = None, cls=ExperimentConfig):
     """Parse ``key = value`` lines ('#' comments allowed) into ``cls``, a
     dataclass whose defaults give each key's type (an ``ExperimentConfig``
     unless told otherwise). A key may be set on one line only; ``overrides``
-    win over the text."""
+    win over the text. An override given as text, as a command-line flag
+    gives it, is read as a config line's value is; a typed one is taken
+    as it is."""
     type_map = {f.name: type(f.default) for f in fields(cls)}
     values: dict = {}
     seen: dict[str, int] = {}  # the line that set each key
@@ -144,13 +146,15 @@ def parse_config_text(text: str, overrides: dict | None = None, cls=ExperimentCo
         if key in seen:
             raise ValueError(f"config line {lineno}: key {key} repeats line {seen[key]}")
         seen[key] = lineno
-        values[key] = _coerce(lineno, key, raw, type_map[key])
+        values[key] = _coerce(f"config line {lineno}", key, raw, type_map[key])
     if overrides:
         for key, val in overrides.items():
             if val is None:
                 continue
             if key not in type_map:
                 raise ValueError(f"unknown config key {key!r}")
+            if isinstance(val, str) and type_map[key] is not str:
+                val = _coerce("override", key, val, type_map[key])
             values[key] = tuple(val) if type_map[key] is tuple else val
     return cls(**values)
 

@@ -201,7 +201,11 @@ def load_roi_cache(cache_dir: str) -> list[RoiSample]:
     divided by the manifest intensity scale."""
     with open(os.path.join(cache_dir, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    scale = float(manifest.get("intensity_scale", 1.0))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"ROI cache manifest: expected a JSON object, got {type(manifest).__name__}")
+    scale = manifest.get("intensity_scale", 1.0)
+    if isinstance(scale, bool) or not isinstance(scale, (int, float)):
+        raise ValueError(f"ROI cache manifest: intensity_scale must be a number, got {scale!r}")
     if not 0 < scale < math.inf:
         raise ValueError(f"ROI cache manifest: intensity_scale must be finite and > 0, got {scale!r}")
     entries = manifest.get("samples")
@@ -209,6 +213,8 @@ def load_roi_cache(cache_dir: str) -> list[RoiSample]:
         raise ValueError(f"ROI cache manifest: samples must be a list, got {entries!r}")
     samples = []
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"ROI cache manifest: samples[{i}] must be an object, got {entry!r}")
         for key in ("file", "label", "ref_id"):
             if key not in entry:
                 raise ValueError(f"ROI cache manifest: samples[{i}] has no {key}")

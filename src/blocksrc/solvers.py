@@ -272,7 +272,9 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     starts from ``x = 0`` at ``lam = ||A^T y||_inf`` and lowers ``lam``
     piecewise linearly (Osborne, Presnell & Turlach 2000); per step, with
     ``c = B - G X`` and ``v`` the active set's ``G_AA^{-1} sign``, the
-    coefficients move along ``v``, the correlations along ``a = G v``, and
+    coefficients move along ``v``, the correlations along ``a = G v`` (so
+    ``c`` is carried as ``c - gamma a``, as LARS carries it, not formed
+    again from ``X``), and
     ``r.u = c_A^T v``, ``||u||^2 = sign^T v`` and ``||r||^2 = ||y||^2 -
     x^T (b + c)`` give where the residual norm meets ``eps``. The step ends
     where an atom enters, an active coefficient crosses zero (the atom
@@ -297,10 +299,11 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     ``t`` the slots up to the highest any column has used plus one for an
     entrant, and a retiring column's place (and its pending terms) is taken
     by a live one from the end.
-    A column retires once its path ends; a feasible one is then refit exactly
-    on its final support and signs, ``x = G_AA^{-1} (b_A - lam s_A)`` with
-    ``lam > 0`` where the residual norm equals ``eps``, which clears the
-    drift of the updates.
+    A column retires once its path ends. A feasible one keeps its final
+    slots and signs, and after the walk, with ``H`` and ``U`` released,
+    every feasible column is refit exactly in one :func:`_refit` call, ``x =
+    G_AA^{-1} (b_A - lam s_A)`` with ``lam > 0`` where the residual norm
+    equals ``eps``, which clears the drift of the updates.
     Returns ``(X, feasible, steps)``; ``feasible`` is False only where
     ``lam`` reached 0 first.
     """
@@ -336,6 +339,10 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     a = np.zeros((m, _PENDING))
     p = 0
     X = np.zeros((n + 1, m))
+    C = Bp.copy()  # the correlations B - G X, carried along each step
+    # per retirement, the feasible columns and their final slots, signs,
+    # correlations, squared norms and squared bounds, refit after the walk
+    fits = []
     stalls = np.zeros(m, dtype=int)
     step = 0
     while cols.size:
@@ -344,27 +351,24 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
         t = min(hi + 1, slots)
         Ht, st = H[:, :t, :t], slot[:, :t]
         Up, ap = U[:, :t, :p], a[:, :p]
-        C = Bp - Gp @ X
         s = S[st, ar[:, None]]
         v = _inverse_times(Ht, Up, ap, s)
         V = np.zeros_like(X)
         V[st, ar[:, None]] = v
         Av = Gp @ V
-        # exit where an active coefficient reaches zero
+        # exit where an active coefficient reaches zero; entry where |c_j -
+        # g a_j| meets lam - g, at either sign of c_j (an atom that just
+        # left has den < 0 at its old sign and stays out). A masked-out
+        # ratio may divide by zero, and is never read
         xs = X[st, ar[:, None]]
-        ratio = np.full_like(xs, np.inf)
-        np.divide(-xs, v, out=ratio, where=xs * v < 0.0)
+        den = 1.0 - _SIGNS * Av[:n]
+        num = np.maximum(lam - _SIGNS * C[:n], 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(xs * v < 0.0, -xs / v, np.inf)
+            g_in = np.where(((S[:n] == 0.0) & allowed) & (den > 0.0), num / den, np.inf)
         k_out = np.argmin(ratio, axis=1)
         g_out = ratio[ar, k_out]
         gamma = np.minimum(lam, g_out)
-        # entry: the smallest g at which |c_j - g a_j| meets lam - g, at
-        # either sign of c_j; an atom that just left has den < 0 at its old
-        # sign and stays out
-        out = (S[:n] == 0.0) & allowed
-        g_in = np.full((2, n, cols.size), np.inf)
-        den = 1.0 - _SIGNS * Av[:n]
-        num = np.maximum(lam - _SIGNS * C[:n], 0.0)
-        np.divide(num, den, out=g_in, where=out & (den > 0.0))
         negative = g_in[1] < g_in[0]
         g_in = np.minimum(g_in[0], g_in[1])
         # the cheapest entrant must leave the span of its column's support:
@@ -372,13 +376,14 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
         # (in exact arithmetic it never enters before lam = 0); an entrant
         # that fails is passed over and the next one picked
         free = st == null
+        room = free.any(axis=1)
         while True:
             pick = np.argmin(g_in, axis=0)
             enter = g_in[pick, ar] < gamma
             g = Gp[st, pick[:, None]]
             w = _inverse_times(Ht, Up, ap, g)
             sigma = 1.0 - np.einsum("ct,ct->c", g, w)
-            fails = enter & ~((sigma > _SPAN_TOL) & free.any(axis=1))
+            fails = enter & ~((sigma > _SPAN_TOL) & room)
             if not fails.any():
                 break
             g_in[pick[fails], ar[fails]] = np.inf
@@ -393,6 +398,7 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
         done = (disc >= 0.0) & (g_done <= gamma)
         gamma = np.where(done, g_done, gamma)
         X += gamma * V
+        C -= gamma * Av
         stalls = np.where(lam - gamma >= lam, stalls + 1, 0)
         lam = lam - gamma
         # a column without an event has reached lam = 0 above eps
@@ -404,7 +410,8 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
             steps[cols[f]] = step
             d = np.flatnonzero(done)
             if d.size:
-                X_out[slot[d], cols[d, None]] = _refit(Gp, slot[d], S[:, d], Bp[:, d], ysq[d], eps2[d])
+                sl = slot[d]
+                fits.append((cols[d], sl, S[sl, d[:, None]], Bp[sl, d[:, None]], ysq[d], eps2[d]))
             # the live columns from the end take the retirees' places
             c = cols.size - f.size
             holes = f[f < c]
@@ -415,7 +422,8 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
             H, U, a = H[:c], U[:c], a[:c]
             Ht, Up, ap = H[:, :t, :t], U[:, :t, :p], a[:, :p]
             cols, ysq, eps2, lam, stalls = cols[keep], ysq[keep], eps2[keep], lam[keep], stalls[keep]
-            Bp, X, S, slot, allowed = Bp[:, keep], X[:, keep], S[:, keep], slot[keep], allowed[:, keep]
+            Bp, X, C, S, slot = Bp[:, keep], X[:, keep], C[:, keep], S[:, keep], slot[keep]
+            allowed = allowed[:, keep]
             leave, pick, negative = leave[keep], pick[keep], negative[:, keep]
             k_out, w, sigma, free = k_out[keep], w[keep], sigma[keep], free[keep]
             if not cols.size:
@@ -445,18 +453,24 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
         S[j, ar] = np.where(leave, 0.0, np.where(negative[j, ar], -1.0, 1.0))
         st[ar, k] = np.where(leave, null, j)
         hi = max(hi, int(k.max()) + 1)
+    # the inverses go before the refit's stack of Grams, of the same size
+    H = Ht = U = Up = None
+    if fits:
+        c, sl, *fit = (np.concatenate(z) for z in zip(*fits))
+        X_out[sl, c[:, None]] = _refit(Gp, sl, *fit)
     return X_out[:n], feasible, steps
 
 
-def _refit(Gp: np.ndarray, slot: np.ndarray, S: np.ndarray, Bp: np.ndarray, ysq, eps2) -> np.ndarray:
+def _refit(Gp: np.ndarray, slot: np.ndarray, sign: np.ndarray, b: np.ndarray, ysq, eps2) -> np.ndarray:
     """The exact codes, on their slots ``slot`` (c, slots), of c columns
-    whose paths ended at their bounds, given their active signs ``S`` and
-    correlations ``Bp`` ((n + 1, c), padded as ``Gp``): ``x = G_AA^{-1} (b_A
-    - lam s_A)`` with ``lam`` where the residual norm is ``sqrt(eps2)``. A
-    free slot reads the padded zero atom (the last), whose zero row and
-    column a unit diagonal entry turns into the identity's."""
-    ar = np.arange(len(slot))[:, None]
-    sign, b = S[slot, ar], Bp[slot, ar]
+    whose paths ended at their bounds, given their signs ``sign`` and
+    correlations ``b`` on those slots (c, slots): ``x = G_AA^{-1} (b_A - lam
+    s_A)`` with ``lam`` where the residual norm is ``sqrt(eps2)``. A free
+    slot reads the padded zero atom of ``Gp`` (the last), whose zero row and
+    column a unit diagonal entry turns into the identity's; its sign and
+    correlation are zero. One ``np.linalg.solve`` serves every column, and
+    LAPACK solves each matrix of the stack on its own, so a column's code
+    does not depend on which others share the call."""
     gram = Gp[slot[:, :, None], slot[:, None, :]]
     c, k = np.nonzero(slot == len(Gp) - 1)
     gram[c, k, k] = 1.0
@@ -521,10 +535,15 @@ def _least_squares(Au: np.ndarray, G: np.ndarray, B: np.ndarray, Y: np.ndarray, 
     slots hold a zero row and column (a unit diagonal entry in the Gram)
     and a zero right-hand side. One ``np.linalg.solve`` gives every code
     ``x``, the floor is ``||y||^2 - b^T x``, and both are scattered back
-    through the same indices. A set with more atoms than dimensions (its
-    Gram is singular) or one that fails :func:`_well_posed` is solved by
-    ``np.linalg.lstsq`` on its atoms instead. Returns ``(codes, floors)``,
-    codes zero off each column's atoms.
+    through the same indices. A set with more atoms than dimensions (a
+    wide set; its Gram is singular) is tested instead by its d x d Gram
+    ``A_S A_S^T``, every wide set in one batched :func:`_well_posed`: where
+    that passes, the atoms span R^d, so the set's floor is 0, below every
+    bound, and its columns get floor 0 and a zero code, which the caller
+    never reads because every such column walks the path. A wide set that
+    does not span, and a set whose Gram fails :func:`_well_posed`, is
+    solved by ``np.linalg.lstsq`` on its atoms. Returns ``(codes,
+    floors)``, codes zero off each column's atoms.
     """
     d, n = Au.shape
     m = B.shape[1]
@@ -534,7 +553,17 @@ def _least_squares(Au: np.ndarray, G: np.ndarray, B: np.ndarray, Y: np.ndarray, 
     # the padded codes and floors: row n and column m take the padding
     X = np.zeros((n + 1, m + 1))
     floor = np.empty(m + 1)
-    fallback = list(np.flatnonzero(sizes > d))
+    wide = np.flatnonzero(sizes > d)
+    fallback = []
+    if wide.size:
+        # a wide set spans R^d where its d x d Gram A_S A_S^T passes the
+        # same test; its floor is then 0, below every bound
+        Ap = np.zeros((d, n + 1))
+        Ap[:, :n] = Au
+        As = Ap[:, atoms[wide]].transpose(1, 0, 2)
+        spans = _well_posed(As @ As.transpose(0, 2, 1))
+        floor[columns[wide[spans]]] = 0.0
+        fallback += list(wide[~spans])
     solvable = np.flatnonzero(sizes <= d)
     if solvable.size:
         S = atoms[solvable, : sizes[solvable].max()]
@@ -577,9 +606,11 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     with ``||y|| <= eps`` get the zero code; columns whose least-squares
     floor on their usable atoms exceeds ``eps`` get the least-squares code
     and are reported infeasible. The floors and codes of every distinct
-    mask column come from ``D^T D`` and ``D^T Y`` in one batched solve, with
-    ``np.linalg.lstsq`` on the atoms for a set whose Gram is singular or
-    ill-conditioned (see :func:`_least_squares`). Both shortcuts report 0
+    mask column come from ``D^T D`` and ``D^T Y`` in one batched solve; a
+    set with more atoms than dimensions that spans the block space has
+    floor 0 with no solve, and ``np.linalg.lstsq`` on the atoms serves a
+    set whose Gram is ill-conditioned or that is wide without spanning
+    (see :func:`_least_squares`). Both shortcuts report 0
     iterations; other columns report their path steps. The paths of all
     other columns run in one lockstep walk in atom space, from the same
     ``D^T D`` and ``D^T Y`` (see :func:`_l1_paths`): each keeps its support
@@ -587,8 +618,8 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     bordered by a rank-1 term when an atom enters and Schur-downdated when
     one leaves. The terms stay pending for up to ``_PENDING`` steps and are
     then applied as one product; a leaving atom's slot is zeroed at once, so
-    free slots stay exactly zero. A feasible code is refit exactly on its
-    final support and signs as its path ends.
+    free slots stay exactly zero. Every feasible code is refit exactly on
+    its final support and signs, in one batched solve after the walk.
 
     A walked column can end infeasible, with a residual several times
     ``eps``, although its least-squares floor is within ``eps``: when that

@@ -119,6 +119,28 @@ def test_bad_choice_flag_is_a_structured_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, key, text", [
+    (["--k-folds", "x"], "k_folds", "expected an integer, got 'x'"),
+    (["--block-sizes", "8", "x"], "block_sizes", "expected integers, got '8 x'"),
+    (["--alpha", "two"], "alpha", "expected a number, got 'two'"),
+])
+def test_unparsable_flag_is_a_structured_error(tmp_path, capsys, flags, key, text):
+    # the config file's message for the same text, and exit 1, not argparse's 2
+    out = tmp_path / "results"
+    assert main(["cv", *flags, "--synthetic", "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    diag = json.loads(err[0])
+    assert diag["command"] == "cv" and diag["error"] == "ValueError"
+    assert diag["message"] == f"override: key {key}: {text}"
+    assert not out.exists()
+
+
+def test_typed_library_overrides_are_taken_as_given():
+    cfg = parse_config_text("k_folds = 4", {"k_folds": 5, "block_sizes": [8, 16], "alpha": 2, "synthetic": True})
+    assert (cfg.k_folds, cfg.block_sizes, cfg.alpha, cfg.synthetic) == (5, (8, 16), 2, True)
+
+
 def test_train_evaluate_mosaic_cycle(tmp_path, synth_cache):
     cfg = write_config(tmp_path, synth_cache, dl_mode="lcksvd2", iterations=3)
     model = tmp_path / "model.blkd"

@@ -273,6 +273,23 @@ class TestRoiCache:
         with pytest.raises(ValueError, match=rf"samples\[1\] has no {key}$"):
             load_roi_cache(out)
 
+    def test_manifest_not_an_object_names_it(self, tmp_path):
+        out = tmp_path / "cache"
+        out.mkdir()
+        (out / "manifest.json").write_text(json.dumps([{"file": "x.pgm"}]))
+        with pytest.raises(ValueError, match="manifest: expected a JSON object, got list"):
+            load_roi_cache(str(out))
+
+    def test_manifest_entry_not_an_object_names_it(self, tmp_path):
+        out = self.cache_with_manifest(tmp_path, lambda m: m["samples"].insert(1, "x.pgm"))
+        with pytest.raises(ValueError, match=r"samples\[1\] must be an object, got 'x.pgm'"):
+            load_roi_cache(out)
+
+    def test_non_numeric_intensity_scale_names_it(self, tmp_path):
+        out = self.cache_with_manifest(tmp_path, lambda m: m.update(intensity_scale="x"))
+        with pytest.raises(ValueError, match="intensity_scale must be a number, got 'x'"):
+            load_roi_cache(out)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
     def test_bad_intensity_scale_names_it_without_warnings(self, tmp_path, scale):

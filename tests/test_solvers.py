@@ -582,23 +582,28 @@ class TestBpdnMasked:
         assert self.assert_matches_own_atoms(D, Y, eps, allowed) >= 30
 
     @staticmethod
-    def code8_call(seed):
-        """The 8-px coding call of a 10-fold cell on 37 ROIs of 8x8 per
-        class: every held-out block on its fold's 66 or 67 training blocks,
-        at 64 slots, all in one call. Returns ``(D, Y, eps, allowed)``."""
-        samples = synth_dataset(SynthSpec(roi_size=8, block_size=8, samples_per_class=37), seed)
+    def code8_call(seed, roi_size=8, noise_sigma=SynthSpec.noise_sigma, position=0):
+        """The 8-px coding call of a 10-fold cell on 37 ROIs per class (8x8
+        unless ``roi_size`` says otherwise): every held-out block of one
+        position on its fold's 66 or 67 training blocks, at 64 slots, all in
+        one call. Returns ``(D, Y, eps, allowed)``."""
+        spec = SynthSpec(roi_size=roi_size, block_size=8, samples_per_class=37, noise_sigma=noise_sigma)
+        samples = synth_dataset(spec, seed)
         folds = stratified_folds([s.label for s in samples], 10, seed)
         stack, labels = block_stack(samples, 8, 8)
-        D = Dictionary.from_matrix(stack[0], labels)
+        D = Dictionary.from_matrix(stack[position], labels)
         test_idx = np.concatenate([np.flatnonzero(folds == f) for f in range(10)])
         allowed = folds[:, None] != folds[test_idx][None, :]
-        Y = stack[0][:, test_idx]
+        Y = stack[position][:, test_idx]
         assert Y.shape == (64, 74) and set(allowed.sum(axis=0)) <= {66, 67}
         return D, Y, 0.05 * np.linalg.norm(Y, axis=0), allowed
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_code8_call_matches_per_column_oracle(self, seed):
-        D, Y, eps, allowed = self.code8_call(seed)
+    # the code8 data at four seeds, and one noise-1.0 position of the
+    # MIAS-sized cell (64x64 ROIs)
+    @pytest.mark.parametrize("call", [(1,), (2,), (3,), (7919,), (20, 64, 1.0, 27)],
+                             ids=lambda call: "-".join(map(str, call)))
+    def test_code8_call_matches_per_column_oracle(self, call):
+        D, Y, eps, allowed = self.code8_call(*call)
         X, _, feas, iters = bpdn_batch(D, Y, eps, allowed=allowed)
         walks = np.flatnonzero(iters > 0)
         assert walks.size >= 60
@@ -610,6 +615,73 @@ class TestBpdnMasked:
             ref = np.zeros(D.n_atoms)
             ref[own] = xu
             np.testing.assert_allclose(X[:, c], ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_code8_call_takes_no_lstsq_and_one_refit_solve(self, monkeypatch, seed):
+        # every fold's 66 or 67 atoms span R^64, so no column needs lstsq for
+        # its floor, and the walk refits every feasible column in one solve
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        solves, in_walk = [], []
+        solve, walk = np.linalg.solve, solvers._l1_paths
+
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        def counting_walk(*args, **kwargs):
+            before = len(solves)
+            out = walk(*args, **kwargs)
+            in_walk.append(len(solves) - before)
+            return out
+
+        refits, refit = [], solvers._refit
+
+        def recording_refit(Gp, slot, *args):
+            refits.append(len(slot))
+            return refit(Gp, slot, *args)
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(solvers, "_l1_paths", counting_walk)
+        monkeypatch.setattr(solvers, "_refit", recording_refit)
+        D, Y, eps, allowed = self.code8_call(seed)
+        _, _, feas, iters = bpdn_batch(D, Y, eps, allowed=allowed)
+        assert (iters > 0).sum() >= 60 and feas.all()
+        # one refit of every walked column, in one solve
+        assert in_walk == [1] and refits == [int((iters > 0).sum())]
+
+    def test_wide_set_that_does_not_span_takes_lstsq(self, monkeypatch):
+        # 70 atoms in a 60-dimensional subspace of R^64 plus a duplicate: a
+        # wide set that does not span keeps lstsq, beside a wide set of 67
+        # atoms that spans R^64 and walks without it
+        rng = np.random.default_rng(51)
+        basis, _ = np.linalg.qr(rng.standard_normal((64, 60)))
+        flat = basis @ rng.standard_normal((60, 70))
+        M = np.hstack([flat, flat[:, :1], rng.standard_normal((64, 67))])
+        D = unit_dict(M, rng.integers(0, 2, M.shape[1]))
+        allowed = np.zeros((M.shape[1], 8), dtype=bool)
+        allowed[:71, :4] = True
+        allowed[71:, 4:] = True
+        Y = rng.standard_normal((64, 8))
+        eps = 0.05 * np.linalg.norm(Y, axis=0)
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(A, b, rcond=None):
+            calls.append(A.shape)
+            return lstsq(A, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        X, rn, feas, iters = bpdn_batch(D, Y, eps, allowed=allowed)
+        assert calls == [(64, 71)]
+        A = D.atoms[:, np.arange(71)]  # gathered, as the solver gathers a set
+        x, *_ = lstsq(A, Y[:, :4], rcond=None)
+        assert np.array_equal(X[:71, :4], x) and np.all(X[71:, :4] == 0.0)
+        assert np.array_equal(rn[:4], np.linalg.norm(A @ x - Y[:, :4], axis=0))
+        assert np.all(rn[:4] > eps[:4]) and not feas[:4].any() and np.all(iters[:4] == 0)
+        assert feas[4:].all() and np.all(iters[4:] > 0)
 
     def test_pending_terms_match_terms_applied_at_once(self, monkeypatch):
         # the walk holds its rank-1 terms pending for solvers._PENDING steps;
