@@ -14,7 +14,7 @@ from .ensemble import (
     EnsembleDecision,
     bbll,
     bbmap,
-    block_decisions_batch,
+    block_decisions,
     ensemble_decision,
     roc_auc,
 )

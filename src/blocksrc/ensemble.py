@@ -15,16 +15,23 @@ from typing import NamedTuple
 import numpy as np
 
 from .labels import BENIGN, MALIGNANT
-from .solvers import DEGENERATE_NORM, Dictionary, L1_LOG_FLOOR, bpdn_batch, class_residuals
+from .solvers import (
+    DEGENERATE_NORM,
+    Dictionary,
+    L1_LOG_FLOOR,
+    bpdn_stack,
+    check_positions,
+    class_residuals,
+)
 
 
 class BlockResults(NamedTuple):
-    """One block position's results for ``m`` samples, as arrays.
+    """The results of P block positions for ``m`` samples, as arrays.
 
-    ``hard`` and ``lls`` (shape ``(m,)``) feed the fusion rules; the rest are
-    diagnostics: class-restricted residuals ``(2, m)`` indexed by class id,
-    the codes ``(n_atoms, m)``, and per-sample ``feasible``/``degenerate``
-    flags.
+    ``hard`` and ``lls`` (shape ``(P, m)``) feed the fusion rules; the rest
+    are diagnostics: class-restricted residuals ``(2, P, m)`` indexed by
+    class id, the codes ``(P, n_atoms, m)``, and per-block ``feasible`` and
+    ``degenerate`` flags ``(P, m)``.
     """
 
     hard: np.ndarray
@@ -63,43 +70,63 @@ def lls_score(per_class_l1: np.ndarray, invert: bool = False) -> np.ndarray:
     return -score if invert else score
 
 
-def block_decisions_batch(
-    Dj: Dictionary, Yj: np.ndarray, eps, invert_lls: bool = False, allowed=None
+def block_decisions(
+    dictionaries: list[Dictionary], Y, eps_rel: float, eps_abs: float = 0.0, invert_lls: bool = False, allowed=None
 ) -> BlockResults:
-    """Code the columns of ``Yj`` against one block dictionary and classify
-    each by the SRC rule (smallest class-restricted residual).
+    """Code every block of ``Y`` (P, d, m), column ``i`` of ``Y[p]`` being
+    sample ``i``'s block at position ``p``, against the dictionary of its
+    position in one call, and classify each block by the SRC rule (smallest
+    class-restricted residual).
 
-    ``eps`` is the error bound per column (a scalar broadcasts). ``allowed``
-    (n_atoms, m), None for everywhere, restricts each column to its own
-    atoms of ``Dj`` (see :func:`bpdn_batch`). A column whose signal is
-    all-zero, or whose atoms are all degenerate, is degenerate: benign (the
-    prior), zero score. When the
-    error bound is unreachable the column takes the least-squares code on
+    The P dictionaries must share the atom count, atom length and atom
+    labels (see :func:`check_positions`). A block's error bound is
+    ``eps_abs`` when that is positive, else ``eps_rel·||y||``. ``allowed``
+    (n_atoms, m), None for everywhere, restricts each sample to its own
+    atoms of every position's dictionary (see :func:`bpdn_batch`). The
+    signals are checked and their norms taken once; one batched ``D^T D``
+    and one ``D^T Y`` serve the codes (:func:`bpdn_stack`) and the class
+    residuals, which come from them (:func:`class_residuals`). A block whose
+    signal is all-zero, or whose atoms are all degenerate, is degenerate: it
+    keeps the zero code and is benign (the prior), with zero score. When the
+    error bound is unreachable the block takes the least-squares code on
     the usable atoms and is marked infeasible.
     """
-    Yj = np.asarray(Yj, dtype=float)
-    m = Yj.shape[1]
-    ynorm = np.linalg.norm(Yj, axis=0)
-    hard = np.full(m, BENIGN)
-    lls = np.zeros(m)
-    residuals = np.tile(ynorm, (2, 1))
-    codes = np.zeros((Dj.n_atoms, m))
-    feasible = np.ones(m, dtype=bool)
-    usable = Dj.usable[:, None] if allowed is None else Dj.usable[:, None] & allowed
-    degenerate = (ynorm < DEGENERATE_NORM) | ~usable.any(axis=0)
-    live = np.flatnonzero(~degenerate)
-    if live.size:
-        # every column live: the signals themselves, not a copy of them
-        live = slice(None) if live.size == m else live
-        eps_live = np.broadcast_to(np.asarray(eps, dtype=float), (m,))[live]
-        own = None if allowed is None else allowed[:, live]
-        codes[:, live], _, feasible[live], _ = bpdn_batch(Dj, Yj[:, live], eps_live, allowed=own)
-        resid, l1 = class_residuals(Dj, codes[:, live], Yj[:, live], allowed=own)
-        residuals[:, live] = resid
-        # Residual tie goes to benign, the prior class.
-        hard[live] = np.where(resid[BENIGN] <= resid[MALIGNANT], BENIGN, MALIGNANT)
-        lls[live] = lls_score(l1, invert=invert_lls)
-    return BlockResults(hard, lls, residuals, codes, feasible, degenerate)
+    check_positions(dictionaries)
+    # C-contiguous whatever the atoms' layout, which sets how D^T Y rounds
+    A = np.array([D.atoms for D in dictionaries])
+    usable = np.stack([D.usable for D in dictionaries])
+    P, d, n = A.shape
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 3 or Y.shape[:2] != (P, d):
+        raise ValueError(f"expected signals of shape ({P}, {d}, m), got {Y.shape}")
+    if not np.isfinite(Y).all():
+        raise ValueError("signals contain non-finite values")
+    if eps_rel <= 0 and eps_abs <= 0:
+        raise ValueError("one of eps_rel / eps_abs must be positive")
+    m = Y.shape[2]
+    if allowed is not None:
+        allowed = np.asarray(allowed, dtype=bool)
+        if allowed.shape != (n, m):
+            raise ValueError(f"expected an atom mask of shape ({n}, {m}), got {allowed.shape}")
+    # the squares' sums as np.linalg.norm takes them, so a zero code's class
+    # residual sqrt(ysq) is the norm itself
+    ysq = np.add.reduce(Y * Y, axis=1)
+    ynorm = np.sqrt(ysq)
+    eps = np.full((P, m), eps_abs) if eps_abs > 0 else eps_rel * ynorm
+    has_atoms = usable.any(axis=1)[:, None] if allowed is None else usable @ allowed
+    degenerate = (ynorm < DEGENERATE_NORM) | ~has_atoms
+    At = A.transpose(0, 2, 1)
+    G, B = At @ A, At @ Y
+    codes, _, feasible, _ = bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed, live=~degenerate)
+    # a sample coded at no position keeps its zero codes, and its atoms need
+    # not hold both classes
+    own = None if allowed is None else allowed | degenerate.all(axis=0)
+    residuals, l1 = class_residuals(G, B, codes, ysq, dictionaries[0].atom_labels, own)
+    # Residual tie goes to benign, the prior class: a degenerate block's
+    # zero code ties
+    hard = np.where(residuals[BENIGN] <= residuals[MALIGNANT], BENIGN, MALIGNANT)
+    lls = np.where(degenerate, 0.0, lls_score(l1, invert=invert_lls))
+    return BlockResults(hard, lls, residuals, codes, feasible | degenerate, degenerate)
 
 
 def _check_blocks(per_block: np.ndarray) -> np.ndarray:

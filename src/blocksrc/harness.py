@@ -22,7 +22,7 @@ from .config import ExperimentConfig
 from .dictlearn import DiscriminativeDictionary, lcksvd_train_stack
 from .ensemble import (
     EnsembleDecision,
-    block_decisions_batch,
+    block_decisions,
     ensemble_decision,
     roc_auc,
     write_roc_csv,
@@ -31,7 +31,7 @@ from .ensemble import (
 from .labels import BENIGN, MALIGNANT, as_label_array, class_name
 from .mias import load_roi_cache
 from .pgm import image_from_array, write_pgm
-from .solvers import Dictionary
+from .solvers import Dictionary, normalize_columns
 from .synth import synth_dataset
 
 
@@ -214,10 +214,14 @@ def train_block_models(stack: np.ndarray, labels, cfg: ExperimentConfig) -> list
     learned for all positions in one stacked training. At the default
     ``dict_size = 0`` (or one equal to the training count) the learned
     dictionaries are built in closed form and are dl_mode "none"'s byte for
-    byte; any other ``dict_size`` runs K-SVD."""
+    byte; any other ``dict_size`` runs K-SVD. The raw dictionaries of every
+    position are normalized in one call, and each position's is its slice
+    of that stack."""
     labels = check_training_labels(labels)
     if cfg.dl_mode == "none":
-        return [DiscriminativeDictionary(D=Dictionary.from_matrix(Yj, labels), mode="none") for Yj in stack]
+        atoms, scales = normalize_columns(stack)
+        return [DiscriminativeDictionary(D=Dictionary(atoms=a, atom_labels=labels, scales=c), mode="none")
+                for a, c in zip(atoms, scales)]
     return lcksvd_train_stack(stack, labels, cfg.train_params(), cfg.dl_mode)
 
 
@@ -234,30 +238,24 @@ def classify_samples(
 
     ``blocks`` (ROIs, positions, pixels) holds the :func:`block_vectors` of a
     whole pass, and ``rows`` (an index array, or ``slice(None)`` for all)
-    picks the samples to code; each position's signals are gathered as a
-    C-contiguous (pixels, samples) copy, so their norms sum in one order
-    however ``rows`` picks them. ``allowed`` (n_atoms, samples), None for
-    everywhere, restricts each sample to its own atoms of every position's
-    dictionary, so samples of several folds whose dictionaries are column
-    subsets of the given ones are coded in one call per position (see
-    :func:`bpdn_batch`)."""
+    picks the samples to code. Every position's signals are gathered at
+    once, as a (positions, pixels, samples) stack that is C-contiguous per
+    position, so their norms sum in one order however ``rows`` picks them,
+    and every block is coded and decided in one :func:`block_decisions`
+    call, whose per-block arrays are fused. ``allowed`` (n_atoms, samples),
+    None for everywhere, restricts each sample to its own atoms of every
+    position's dictionary, so samples of several folds whose dictionaries
+    are column subsets of the given ones are coded in the same call (see
+    :func:`bpdn_batch`). Dictionaries whose positions differ in atom count,
+    atom length or atom labels raise ``ValueError`` (see
+    :func:`check_positions`)."""
     nbl = len(dictionaries)
     if blocks.shape[1] != nbl:
         raise ValueError(f"sample has {blocks.shape[1]} blocks, model has {nbl}")
-
-    hard, lls = [], []
-    for j in range(nbl):
-        yj = blocks[rows, j].T.copy()
-        if cfg.eps_abs > 0:
-            eps = np.full(yj.shape[1], cfg.eps_abs)
-        else:
-            eps = cfg.eps_rel * np.linalg.norm(yj, axis=0)
-        res = block_decisions_batch(
-            dictionaries[j], yj, eps, invert_lls=cfg.invert_lls, allowed=allowed
-        )
-        hard.append(res.hard)
-        lls.append(res.lls)
-    return ensemble_decision(np.column_stack(hard), np.column_stack(lls), tau=cfg.tau)
+    Y = np.ascontiguousarray(blocks[rows].transpose(1, 2, 0))
+    res = block_decisions(dictionaries, Y, cfg.eps_rel, cfg.eps_abs, cfg.invert_lls, allowed)
+    # each sample's block scores as one contiguous row, averaged in block order
+    return ensemble_decision(res.hard.T, np.ascontiguousarray(res.lls.T), tau=cfg.tau)
 
 
 def decision_outputs(dec: EnsembleDecision, cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from .dictlearn import DiscriminativeDictionary, TrainParams
-from .solvers import Dictionary
+from .solvers import Dictionary, check_positions
 
 MAGIC = b"BLKD"
 VERSION = 2  # version 1 also held each learned block's label maps A and W
@@ -95,8 +95,9 @@ def save_model(path: str, blocks: list[DiscriminativeDictionary], params: TrainP
 
 def load_model(path: str) -> tuple[list[DiscriminativeDictionary], TrainParams, dict]:
     """Read an archive written by :func:`save_model`; other versions,
-    truncated archives, malformed headers, unknown or repeated block arrays
-    and bytes after the last array raise ``ValueError``."""
+    truncated archives, malformed headers, unknown or repeated block arrays,
+    bytes after the last array, and blocks whose atom count, atom length or
+    atom labels differ from block 0's raise ``ValueError``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
@@ -146,6 +147,8 @@ def load_model(path: str) -> tuple[list[DiscriminativeDictionary], TrainParams, 
         blocks.append(DiscriminativeDictionary(D=D, mode=bh["mode"], objective_trace=arrays["objective_trace"]))
     if pos != len(data):
         raise ValueError(f"{len(data) - pos} trailing bytes after the last array")
+    if blocks:
+        check_positions([b.D for b in blocks])
     p = _fields(header["params"], "params", _PARAM_KEYS)
     params = TrainParams(**{key: _param(p, key) for key in _PARAM_KEYS})
     return blocks, params, _fields(header["meta"], "meta", ())

@@ -111,6 +111,23 @@ class Dictionary:
         return ~self.degenerate
 
 
+def check_positions(dictionaries) -> None:
+    """Refuse block dictionaries that one stacked call cannot code: every
+    position must have block 0's atom count, atom length and atom labels.
+    The ``ValueError`` names the first block that differs from block 0."""
+    if not dictionaries:
+        raise ValueError("no block dictionaries")
+    first = dictionaries[0]
+    for j, D in enumerate(dictionaries[1:], 1):
+        if D.atoms.shape != first.atoms.shape:
+            what = f"{D.n_atoms} atoms of length {D.dim}, block 0 has {first.n_atoms} of length {first.dim}"
+        elif not np.array_equal(D.atom_labels, first.atom_labels):
+            what = "its atom labels are not block 0's"
+        else:
+            continue
+        raise ValueError(f"block {j} differs from block 0: {what}")
+
+
 def _check_signals(D: Dictionary, Y) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != D.dim:
@@ -522,13 +539,35 @@ def _well_posed(gram: np.ndarray) -> np.ndarray:
     return pivots.min(axis=1) ** 2 > _GRAM_PIVOT_TOL * pivots.max(axis=1) ** 2
 
 
-def _least_squares(Au: np.ndarray, G: np.ndarray, B: np.ndarray, Y: np.ndarray, cols, ysq, own):
-    """Least-squares codes and floors of the signals ``Y[:, cols]``, each on
-    its own atoms: ``own`` (n x len(cols), None for everywhere) masks the
-    columns of ``Au`` (d x n, unit atoms) that each may use, ``G = Au^T
+def _set_plan(own: np.ndarray | None, n: int, m: int, d: int):
+    """The index work of :func:`_least_squares` for ``m`` columns whose
+    atoms of ``n``, in ``d`` dimensions, the mask ``own`` (n x m, None for
+    everywhere) gives; it depends on the mask alone, so calls that share the
+    mask share it. Returns ``(atoms, sizes, columns, wide, solvable, S, C,
+    pad)``: the atom sets of :func:`_atom_sets`; the indices of the wide
+    sets (more atoms than dimensions) and of the others; and, for the
+    others, their padded atom rows ``S`` and column rows ``C``, trimmed to
+    their longest, with ``pad`` the (set, slot) pairs of ``S`` that hold
+    padding (``S``, ``C`` and ``pad`` are None where every set is wide)."""
+    atoms, sizes, columns = _atom_sets(own, n, m)
+    wide = np.flatnonzero(sizes > d)
+    solvable = np.flatnonzero(sizes <= d)
+    S = C = pad = None
+    if solvable.size:
+        S = atoms[solvable, : sizes[solvable].max()]
+        C = columns[solvable]
+        C = C[:, : (C < m).sum(axis=1).max()]
+        pad = np.nonzero(S == n)
+    return atoms, sizes, columns, wide, solvable, S, C, pad
+
+
+def _least_squares(Au: np.ndarray, G: np.ndarray, B: np.ndarray, Y: np.ndarray, cols, ysq, plan):
+    """Least-squares codes and floors of the signals ``Y[:, cols]`` (at
+    least one), each on its own atoms: ``plan`` is the :func:`_set_plan` of
+    the columns of ``Au`` (d x n, unit atoms) that each may use, ``G = Au^T
     Au``, ``B = Au^T Y[:, cols]`` and ``ysq`` the squared signal norms.
 
-    The atom sets (see :func:`_atom_sets`) are solved from the Gram in one
+    The atom sets are solved from the Gram in one
     batch. ``G`` and ``B``, each padded by a zero row and column, are read
     through the sets' padded atom and column indices in one gather each:
     set q's ``G[S_q, S_q]`` and ``B[S_q, cols_q]`` fill a stack whose free
@@ -547,13 +586,10 @@ def _least_squares(Au: np.ndarray, G: np.ndarray, B: np.ndarray, Y: np.ndarray, 
     """
     d, n = Au.shape
     m = B.shape[1]
-    if not m:
-        return np.zeros_like(B), np.empty(0)
-    atoms, sizes, columns = _atom_sets(own, n, m)
+    atoms, sizes, columns, wide, solvable, S, C, pad = plan
     # the padded codes and floors: row n and column m take the padding
     X = np.zeros((n + 1, m + 1))
     floor = np.empty(m + 1)
-    wide = np.flatnonzero(sizes > d)
     fallback = []
     if wide.size:
         # a wide set spans R^d where its d x d Gram A_S A_S^T passes the
@@ -564,23 +600,19 @@ def _least_squares(Au: np.ndarray, G: np.ndarray, B: np.ndarray, Y: np.ndarray, 
         spans = _well_posed(As @ As.transpose(0, 2, 1))
         floor[columns[wide[spans]]] = 0.0
         fallback += list(wide[~spans])
-    solvable = np.flatnonzero(sizes <= d)
-    if solvable.size:
-        S = atoms[solvable, : sizes[solvable].max()]
-        C = columns[solvable]
-        C = C[:, : (C < m).sum(axis=1).max()]
+    if S is not None:
         Gp = np.zeros((n + 1, n + 1))
         Gp[:n, :n] = G
         Bp = np.zeros((n + 1, m + 1))
         Bp[:n, :m] = B
         gram = Gp[S[:, :, None], S[:, None, :]]
-        q, k = np.nonzero(S == n)
-        gram[q, k, k] = 1.0
+        gram[pad[0], pad[1], pad[1]] = 1.0
         rhs = Bp[S[:, :, None], C[:, None, :]]
         ok = _well_posed(gram)
-        fallback += list(solvable[~ok])
-        S, C, rhs = S[ok], C[ok], rhs[ok]
-        sol = np.linalg.solve(gram[ok], rhs)
+        if not ok.all():
+            fallback += list(solvable[~ok])
+            S, C, rhs, gram = S[ok], C[ok], rhs[ok], gram[ok]
+        sol = np.linalg.solve(gram, rhs)
         fit = np.einsum("qkc,qkc->qc", rhs, sol)
         X[S[:, :, None], C[:, None, :]] = sol
         floor[C] = np.sqrt(np.maximum(np.append(ysq, 0.0)[C] - fit, 0.0))
@@ -628,87 +660,130 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     support atom, the span test keeps the atom out and ``lam`` reaches 0
     above ``eps``. The column then gets the path's end code, as it would
     from a path walked alone.
+
+    This is the one-position case of :func:`bpdn_stack`, through a reshape.
     Returns ``(codes, residual_norms, feasible, iteration_counts)``.
     """
     Y = _check_signals(D, Y)
     s = Y.shape[1]
-    eps_vec = np.broadcast_to(np.asarray(eps, dtype=float), (s,)).copy()
+    eps_vec = np.broadcast_to(np.asarray(eps, dtype=float), (s,))
     if not (eps_vec > 0).all():
         raise ValueError("eps must be > 0")
     if not D.usable.any():
         raise ValueError("dictionary has no usable atoms (all columns degenerate)")
-    usable_idx = np.flatnonzero(D.usable)
-    mask = None  # the allowed usable atoms, per column
     if allowed is not None:
         allowed = np.asarray(allowed, dtype=bool)
         if allowed.shape != (D.n_atoms, s):
             raise ValueError(f"expected an atom mask of shape ({D.n_atoms}, {s}), got {allowed.shape}")
-        mask = allowed[usable_idx]
-        if not mask.any(axis=0).all():
+        if not allowed[D.usable].any(axis=0).all():
             raise ValueError("a column allows no usable atom")
-
+    # the norms in the caller's layout, which sets their order of summation
     ynorm = np.linalg.norm(Y, axis=0)
-    X = np.zeros((D.n_atoms, s))
-    rnorm = ynorm.copy()
-    feasible = ynorm <= eps_vec  # the origin is feasible with minimal l1 norm
-    iters = np.zeros(s, dtype=int)
+    A, Y = np.ascontiguousarray(D.atoms)[None], np.ascontiguousarray(Y)[None]
+    At = A.transpose(0, 2, 1)
+    out = bpdn_stack(A, D.usable[None], At @ A, At @ Y, Y, ynorm[None], eps_vec[None], allowed)
+    return tuple(a[0] for a in out)
 
+
+def bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed=None, live=None):
+    """The codes of :func:`bpdn_batch` for P block positions in one call:
+    the columns of ``Y[p]`` (d, m) on the atoms ``A[p]`` (d, n), whose
+    usable (non-degenerate) ones ``usable[p]`` flags, with the signal norms
+    ``ynorm`` (P, m) and bounds ``eps`` (P, m).
+
+    The atom space comes from the caller, each in one batched product: ``G =
+    A^T A`` (P, n, n) and ``B = A^T Y`` (P, n, m). ``allowed`` (n, m), None
+    for everywhere, masks every position's atoms alike; ``live`` (P, m),
+    None for everywhere, picks the columns to code, and the others keep the
+    zero code, their norm as residual norm, and 0 iterations. A position is
+    solved from its slices of ``G`` and ``B`` (their usable rows and columns
+    where some atom is degenerate) as :func:`bpdn_batch` describes, one
+    position at a time, so the least-squares stack and the walk hold one
+    position's columns. The atom mask of a position's working columns and
+    its index work (see :func:`_set_plan`) are made once for every position
+    with the same usable atoms and working columns. Returns ``(codes (P, n,
+    m), residual_norms, feasible, iteration_counts)``, the last three (P, m).
+    """
+    P, n, m = B.shape
+    d = A.shape[1]
+    X = np.zeros((P, n, m))
+    rnorm = ynorm.copy()
+    feasible = ynorm <= eps  # the origin is feasible with minimal l1 norm
+    iters = np.zeros((P, m), dtype=int)
     # The least-squares floor of every atom set finds the columns that can
     # never meet their bound; they take the least-squares code, where the
-    # path would end, without walking it. The floor and the paths read one
-    # D^T D and one D^T Y.
-    work = np.flatnonzero(~feasible)
-    # the usable atoms, laid out as a selection of them would be
-    Au = np.ascontiguousarray(D.atoms) if usable_idx.size == D.n_atoms else D.atoms[:, usable_idx]
-    G, B = Au.T @ Au, Au.T @ Y[:, work]
-    own = None if mask is None else mask[:, work]
-    xls, floor = _least_squares(Au, G, B, Y, work, ynorm[work] ** 2, own)
-    lost = floor > eps_vec[work]
-    X[np.ix_(usable_idx, work[lost])] = xls[:, lost]
-    rnorm[work[lost]] = floor[lost]
-    todo = work[~lost]
-    if todo.size:
-        own = None if own is None else own[:, ~lost]
-        slots = min(Au.shape[0], Au.shape[1] if own is None else int(own.sum(axis=0).max()))
-        xt, feasible[todo], iters[todo] = _l1_paths(G, B[:, ~lost], ynorm[todo] ** 2, eps_vec[todo], slots, own)
-        X[np.ix_(usable_idx, todo)] = xt
-        rnorm[todo] = np.linalg.norm(Y[:, todo] - Au @ xt, axis=0)
+    # path would end, without walking it.
+    work = ~feasible if live is None else live & ~feasible
+    # the atom mask, and so the plan, is a function of the usable atoms and
+    # the working columns alone
+    plans = {}  # (usable atoms, working columns) -> their atom mask and plan
+    for p in range(P):
+        cols = np.flatnonzero(work[p])
+        if not cols.size:
+            continue
+        idx = np.flatnonzero(usable[p])
+        key = (idx.tobytes(), cols.tobytes())
+        if key not in plans:
+            own = None if allowed is None else allowed[np.ix_(idx, cols)]
+            plans[key] = own, _set_plan(own, idx.size, cols.size, d)
+        own, plan = plans[key]
+        Au, Gp, Bp = A[p], G[p], B[p]
+        if idx.size < n:
+            Au, Gp, Bp = Au[:, idx], Gp[np.ix_(idx, idx)], Bp[idx]
+        if cols.size < m:
+            Bp = Bp[:, cols]
+        ysq = ynorm[p, cols] ** 2
+        xls, floor = _least_squares(Au, Gp, Bp, Y[p], cols, ysq, plan)
+        lost = floor > eps[p, cols]
+        X[p][np.ix_(idx, cols[lost])] = xls[:, lost]
+        rnorm[p, cols[lost]] = floor[lost]
+        todo = cols[~lost]
+        if todo.size:
+            walk = None if own is None else own[:, ~lost]
+            slots = min(d, idx.size if walk is None else int(walk.sum(axis=0).max()))
+            xt, feasible[p, todo], iters[p, todo] = _l1_paths(Gp, Bp[:, ~lost], ysq[~lost], eps[p, todo], slots, walk)
+            X[p][np.ix_(idx, todo)] = xt
+            rnorm[p, todo] = np.linalg.norm(Y[p][:, todo] - Au @ xt, axis=0)
     return X, rnorm, feasible, iters
 
 
-def class_residuals(
-    D: Dictionary, X: np.ndarray, Y: np.ndarray, allowed=None
-) -> tuple[np.ndarray, np.ndarray]:
+def class_residuals(G, B, X, ysq, labels, allowed=None) -> tuple[np.ndarray, np.ndarray]:
     """Class-restricted reconstruction residuals and l1 masses of the codes
-    ``X`` (n_atoms, m) of the signals ``Y`` (d, m): the SRC rule of Wright
-    et al. (2009, "Robust face recognition via sparse representation").
+    ``X`` (..., n, m) of signals ``Y`` on atoms ``A``: the SRC rule of
+    Wright et al. (2009, "Robust face recognition via sparse
+    representation"), from the atom space alone.
 
-    For class ``i`` the coefficients of all other classes are zeroed before
-    reconstructing; returns ``(residuals, l1_norms)``, each of shape
-    ``(2, m)`` and indexed by class id. ``allowed`` (n_atoms, m), as in
-    :func:`bpdn_batch`, gives each column its own atoms, which must hold
-    both classes; each code is first set to zero off its column's atoms, so
-    a column is reckoned on those atoms alone, as on a dictionary of them.
-    Every column's residual and l1 mass for a class then come from one
-    product and one reduction over that class's atoms.
+    ``G = A^T A`` (..., n, n), ``B = A^T Y`` (..., n, m) and the squared
+    signal norms ``ysq`` (..., m) share any leading axes, such as one per
+    block position; ``labels`` (n,) are the atoms' class ids. For class
+    ``c`` the coefficients of all other classes are zeroed: with ``x_c`` the
+    code on class ``c``'s atoms, ``||y - A_c x_c||^2 = ||y||^2 - x_c^T (2
+    b_c - G_cc x_c)``, clamped at 0 (Batch-OMP takes its residuals so;
+    Rubinstein, Zibulevsky & Elad 2008). No reconstruction in pixel space is
+    formed, and a zero code gives ``sqrt(ysq)`` for both classes. ``allowed``
+    (n, m), as in :func:`bpdn_batch`, gives each column its own atoms, which
+    must hold both classes; each code is first set to zero off its column's
+    atoms, so a column is reckoned on those atoms alone. Each column's l1
+    mass for a class is summed as one contiguous row, as a single code's
+    sum is. Returns ``(residuals, l1_norms)``, each of shape ``(2, ..., m)``
+    and indexed by class id.
     """
-    Y = _check_signals(D, Y)
     X = np.asarray(X, dtype=float)
-    m = Y.shape[1]
-    if X.shape != (D.n_atoms, m):
-        raise ValueError(f"expected codes of shape ({D.n_atoms}, {m}), got {X.shape}")
+    labels = as_label_array(labels)
+    if X.shape != B.shape:
+        raise ValueError(f"expected codes of shape {B.shape}, got {X.shape}")
     if allowed is not None:
         allowed = np.asarray(allowed, dtype=bool)
         X = np.where(allowed, X, 0.0)
-    resid = np.empty((2, m))
-    l1 = np.empty((2, m))
+    resid = np.empty((2,) + ysq.shape)
+    l1 = np.empty((2,) + ysq.shape)
     for cid in CLASS_IDS:
-        own = D.atom_labels == cid
+        own = labels == cid
         if not (own.any() if allowed is None else (allowed & own[:, None]).any(axis=0).all()):
             raise ValueError(f"class '{class_name(cid)}' has no atoms in the dictionary")
-        Xc = X[own]
-        resid[cid] = np.linalg.norm(Y - D.atoms[:, own] @ Xc, axis=0)
-        # each column's mass summed as one contiguous row, so it rounds as a
-        # single code's sum does
-        l1[cid] = np.ascontiguousarray(np.abs(Xc).T).sum(axis=1)
+        i = np.flatnonzero(own)
+        Xc = X[..., i, :]
+        q = np.einsum("...km,...km->...m", Xc, 2.0 * B[..., i, :] - G[..., i[:, None], i] @ Xc)
+        resid[cid] = np.sqrt(np.maximum(ysq - q, 0.0))
+        l1[cid] = np.ascontiguousarray(np.abs(Xc).swapaxes(-1, -2)).sum(axis=-1)
     return resid, l1

@@ -110,6 +110,27 @@ def per_column_class_residuals(atoms: np.ndarray, atom_labels: np.ndarray, X: np
     return resid, l1
 
 
+def class_residuals_pixels(atoms: np.ndarray, atom_labels: np.ndarray, X: np.ndarray, Y: np.ndarray, allowed=None):
+    """Class-restricted residuals and l1 masses in pixel space, for all
+    columns at once.
+
+    ``allowed`` (n, m), None for everywhere, zeroes each code off its
+    column's atoms first. For each class the codes of the other classes are
+    zeroed, the signals are reconstructed from the rest and subtracted.
+    Returns ``(residuals, l1_norms)`` of shape ``(2, m)``, indexed by class
+    id.
+    """
+    if allowed is not None:
+        X = np.where(allowed, X, 0.0)
+    resid = np.empty((2, Y.shape[1]))
+    l1 = np.empty((2, Y.shape[1]))
+    for cid in (0, 1):
+        own = atom_labels == cid
+        resid[cid] = np.linalg.norm(Y - atoms[:, own] @ X[own], axis=0)
+        l1[cid] = np.abs(X[own]).sum(axis=0)
+    return resid, l1
+
+
 # an atom whose Schur complement against the active set is at most this never
 # enters it (the solvers' span tolerance, restated here)
 SPAN_TOL = 1e-10

@@ -7,10 +7,10 @@ from blocksrc import BENIGN, MALIGNANT, ExperimentConfig, TrainParams, build_lab
 from blocksrc.blocks import RoiSample, block_stack
 from blocksrc.dictlearn import _code, _draw_atoms, _ksvd_stack, _ridge_fit, lcksvd_train_stack
 from blocksrc.harness import train_block_models
-from blocksrc.solvers import class_residuals, normalize_columns
+from blocksrc.solvers import normalize_columns
 from blocksrc.synth import SynthSpec, synth_dataset
 
-from .oracles import ksvd_iteration
+from .oracles import class_residuals_pixels, ksvd_iteration
 from .test_solvers import omp
 
 
@@ -358,7 +358,7 @@ class TestLcksvdTrain:
         params = TrainParams(K=20, T=4, iterations=20, seed=7)
         (model,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
         codes, _, _ = omp(model.D, held, params.resolved_t(20))
-        resid, _ = class_residuals(model.D, codes, held)
+        resid, _ = class_residuals_pixels(model.D.atoms, model.D.atom_labels, codes, held)
         correct = np.count_nonzero(np.argmin(resid, axis=0) == held_labels)
         assert correct >= 18  # >= 90 percent
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blocksrc import BENIGN, MALIGNANT, Dictionary, bbll, bbmap, block_decisions_batch, ensemble_decision, roc_auc
+from blocksrc import BENIGN, MALIGNANT, Dictionary, bbll, bbmap, block_decisions, ensemble_decision, roc_auc
 from blocksrc.ensemble import lls_score, write_roc_csv, write_roc_svg
 from blocksrc.solvers import L1_LOG_FLOOR
 
@@ -36,6 +36,8 @@ class TestLlsScore:
 
 
 class TestBlockDecision:
+    """One block position: the P = 1 case of the stacked call."""
+
     def low_coherence_pair_dict(self, rng):
         A = np.abs(rng.standard_normal((10, 4))) + 0.2
         return Dictionary.from_matrix(A, [BENIGN, BENIGN, MALIGNANT, MALIGNANT])
@@ -44,50 +46,87 @@ class TestBlockDecision:
         rng = np.random.default_rng(1)
         D = self.low_coherence_pair_dict(rng)
         y = 1.3 * D.atoms[:, 0]
-        res = block_decisions_batch(D, y[:, None], 0.01 * np.linalg.norm(y))
-        assert res.residuals[BENIGN, 0] <= 0.05 * np.linalg.norm(y)
-        assert res.hard[0] == BENIGN
+        res = block_decisions([D], y[None, :, None], 0.01)
+        assert res.residuals[BENIGN, 0, 0] <= 0.05 * np.linalg.norm(y)
+        assert res.hard[0, 0] == BENIGN
         # direct arithmetic on the returned code agrees
-        x = res.codes[:, 0]
+        x = res.codes[0, :, 0]
         mask = D.atom_labels == BENIGN
         xb = np.where(mask, x, 0.0)
         np.testing.assert_allclose(
-            res.residuals[BENIGN, 0], np.linalg.norm(y - D.atoms @ xb), atol=1e-9
+            res.residuals[BENIGN, 0, 0], np.linalg.norm(y - D.atoms @ xb), atol=1e-9
         )
 
     def test_degenerate_dictionary(self):
         D = Dictionary.from_matrix(np.zeros((4, 3)), [0, 1, 1])
-        res = block_decisions_batch(D, np.ones((4, 1)), 0.1)
-        assert res.degenerate[0]
-        assert res.hard[0] == BENIGN
-        assert res.lls[0] == 0.0
+        res = block_decisions([D], np.ones((1, 4, 1)), 0.0, eps_abs=0.1)
+        assert res.degenerate[0, 0]
+        assert res.hard[0, 0] == BENIGN
+        assert res.lls[0, 0] == 0.0
 
     def test_zero_block(self):
         rng = np.random.default_rng(2)
         D = self.low_coherence_pair_dict(rng)
-        res = block_decisions_batch(D, np.zeros((10, 1)), 0.1)
-        assert res.degenerate[0]
-        assert res.hard[0] == BENIGN
+        res = block_decisions([D], np.zeros((1, 10, 1)), 0.0, eps_abs=0.1)
+        assert res.degenerate[0, 0]
+        assert res.hard[0, 0] == BENIGN
 
     def test_infeasible_eps_uses_best_iterate(self):
         rng = np.random.default_rng(3)
         D = Dictionary.from_matrix(rng.standard_normal((12, 2)), [BENIGN, MALIGNANT])
         y = rng.standard_normal(12)
-        res = block_decisions_batch(D, y[:, None], 1e-9)
-        assert not res.feasible[0]
-        assert np.isfinite(res.lls[0])
+        res = block_decisions([D], y[None, :, None], 0.0, eps_abs=1e-9)
+        assert not res.feasible[0, 0]
+        assert np.isfinite(res.lls[0, 0])
 
     def test_batch_matches_single(self):
         # a column's result does not depend on the other columns in its batch
         rng = np.random.default_rng(4)
         D = self.low_coherence_pair_dict(rng)
         Y = np.abs(rng.standard_normal((10, 5)))
-        eps = 0.3 * np.linalg.norm(Y, axis=0)
-        batch = block_decisions_batch(D, Y, eps)
+        batch = block_decisions([D], Y[None], 0.3)
         for i in range(5):
-            solo = block_decisions_batch(D, Y[:, i : i + 1], eps[i])
-            assert batch.hard[i] == solo.hard[0]
-            assert batch.lls[i] == pytest.approx(solo.lls[0], abs=1e-7)
+            solo = block_decisions([D], Y[None, :, i : i + 1], 0.3)
+            assert batch.hard[0, i] == solo.hard[0, 0]
+            assert batch.lls[0, i] == pytest.approx(solo.lls[0, 0], abs=1e-7)
+
+    def test_zero_code_ties_at_the_norm(self):
+        # a degenerate block keeps the zero code: both class residuals are
+        # its norm exactly, the tie goes to benign, and its score is +0.0
+        rng = np.random.default_rng(5)
+        D = self.low_coherence_pair_dict(rng)
+        Y = np.abs(rng.standard_normal((1, 10, 3)))
+        allowed = np.ones((4, 3), dtype=bool)
+        allowed[:, 1] = False  # no atom at all for sample 1
+        res = block_decisions([D], Y, 0.05, allowed=allowed)
+        assert res.degenerate[0].tolist() == [False, True, False]
+        norm = np.linalg.norm(Y[0, :, 1])
+        assert res.residuals[BENIGN, 0, 1] == norm and res.residuals[MALIGNANT, 0, 1] == norm
+        assert res.hard[0, 1] == BENIGN and res.feasible[0, 1]
+        assert res.lls[0, 1] == 0.0 and not np.signbit(res.lls[0, 1])
+
+    def test_positions_with_other_working_columns_code_as_alone(self):
+        # a block within its bound at position 1 only leaves that position
+        # other columns to code than the rest: each position still codes as
+        # in a call of its own, byte for byte
+        rng = np.random.default_rng(7)
+        labels = [BENIGN, MALIGNANT] * 3
+        dicts = [Dictionary.from_matrix(np.abs(rng.standard_normal((10, 6))) + 0.1, labels) for _ in range(3)]
+        Y = np.abs(rng.standard_normal((3, 10, 5)))
+        Y[1, :, 2] *= 1e-3
+        allowed = np.repeat(np.arange(3), 2)[:, None] != np.array([0, 1, 2, 0, 1])[None, :]
+        res = block_decisions(dicts, Y, 0.0, eps_abs=0.05, allowed=allowed)
+        assert res.feasible[1, 2] and not res.feasible[[0, 2], 2].any()
+        for p in range(3):
+            one = block_decisions([dicts[p]], Y[p : p + 1], 0.0, eps_abs=0.05, allowed=allowed)
+            for name in ("codes", "feasible", "hard", "lls"):
+                assert getattr(one, name)[0].tobytes() == getattr(res, name)[p].tobytes()
+
+    def test_signals_must_match_the_positions(self):
+        rng = np.random.default_rng(6)
+        D = self.low_coherence_pair_dict(rng)
+        with pytest.raises(ValueError, match=r"expected signals of shape \(2, 10, m\), got \(3, 10, 2\)"):
+            block_decisions([D, D], np.ones((3, 10, 2)), 0.1)
 
 
 class TestBbmap:

@@ -22,7 +22,7 @@ from blocksrc import (
 from blocksrc.blocks import RoiSample, block_stack, block_vectors
 from blocksrc.config import parse_config_text
 from blocksrc.dictlearn import DiscriminativeDictionary, TrainParams
-from blocksrc.ensemble import EnsembleDecision, block_decisions_batch, ensemble_decision
+from blocksrc.ensemble import EnsembleDecision, block_decisions, ensemble_decision
 from blocksrc.harness import (
     _indented,
     _join_fields,
@@ -33,10 +33,10 @@ from blocksrc.harness import (
 )
 from blocksrc.model_io import VERSION
 from blocksrc.pgm import read_pgm
-from blocksrc.solvers import bpdn_batch, class_residuals
+from blocksrc.solvers import bpdn_batch
 from blocksrc.synth import SynthSpec
 
-from .oracles import confusion_by_hand
+from .oracles import class_residuals_pixels, confusion_by_hand
 
 
 def tiny_config(**overrides):
@@ -423,7 +423,7 @@ class TestRunExperiment:
                 y = block_vectors([samples[i]], 16, 16)[0, 0]
                 eps = cfg.eps_rel * np.linalg.norm(y)
                 X, _, _, _ = bpdn_batch(D, y[:, None], np.array([eps]))
-                resid, _ = class_residuals(D, X, y[:, None])
+                resid, _ = class_residuals_pixels(D.atoms, D.atom_labels, X, y[:, None])
                 expected[int(i)] = BENIGN if resid[BENIGN, 0] <= resid[MALIGNANT, 0] else MALIGNANT
         got = {}
         for fold in report.folds:
@@ -625,6 +625,23 @@ def walking_config(**overrides):
     return tiny_config(**base)
 
 
+def assert_feasible_within_bound(call):
+    """Every block that the spied ``block_decisions`` call marks feasible
+    and non-degenerate is reconstructed by its code within its error bound,
+    at every position of the stack."""
+    dicts, Y, (eps_rel, eps_abs, *_), _ = call["decide"]
+    (res,) = call["results"]
+    checked = 0
+    for p, D in enumerate(dicts):
+        cols = np.flatnonzero(res.feasible[p] & ~res.degenerate[p])
+        y = Y[p][:, cols]
+        eps = np.full(cols.size, eps_abs) if eps_abs > 0 else eps_rel * np.linalg.norm(y, axis=0)
+        resid = np.linalg.norm(y - D.atoms @ res.codes[p][:, cols], axis=0)
+        assert np.all(resid <= eps * (1 + 1e-3)), f"position {p}"
+        checked += cols.size
+    return checked
+
+
 class TestStackedFolds:
     """A raw-dictionary cell codes all its folds in one masked call."""
 
@@ -632,19 +649,20 @@ class TestStackedFolds:
         import blocksrc.harness as H
 
         calls = []
-        real_classify, real_decide = H.classify_samples, H.block_decisions_batch
+        real_classify, real_decide = H.classify_samples, H.block_decisions
 
         def classify(dicts, blocks, rows, cfg, allowed=None):
             calls.append({"blocks": blocks, "rows": rows, "allowed": allowed, "dicts": dicts, "results": []})
             return real_classify(dicts, blocks, rows, cfg, allowed)
 
-        def decide(Dj, Yj, eps, invert_lls=False, allowed=None):
-            res = real_decide(Dj, Yj, eps, invert_lls=invert_lls, allowed=allowed)
+        def decide(dicts, Y, *args, **kwargs):
+            res = real_decide(dicts, Y, *args, **kwargs)
             calls[-1]["results"].append(res)
+            calls[-1]["decide"] = dicts, Y, args, kwargs
             return res
 
         monkeypatch.setattr(H, "classify_samples", classify)
-        monkeypatch.setattr(H, "block_decisions_batch", decide)
+        monkeypatch.setattr(H, "block_decisions", decide)
         return calls
 
     @pytest.mark.parametrize("k", [10, 20, 30])
@@ -656,11 +674,58 @@ class TestStackedFolds:
         out = validate(cfg, samples, 4)
         assert len(calls) == 1 and calls[0]["allowed"] is not None
         assert calls[0]["blocks"][calls[0]["rows"]].shape[0] == len(samples)
-        # a feasible code of a nonzero block walked the path
-        walked = sum(int(b.feasible.sum()) for b in calls[0]["results"])
+        # every position is coded in one call; a feasible code of a nonzero
+        # block walked the path
+        (res,) = calls[0]["results"]
+        walked = int(res.feasible.sum())
         assert walked >= 2 * len(samples)
+        assert assert_feasible_within_bound(calls[0]) >= 2 * len(samples)
         for (f, _, dec), r in zip(out, ref):
             assert_same_decisions(dec, r)
+
+    def test_one_call_equals_a_call_per_position(self, monkeypatch):
+        # a pooled 16-px pass over 64-px ROIs codes its 16 positions in one
+        # call. One ROI's block at position 5 is zero: a degenerate atom
+        # there, and an all-zero held-out block
+        cfg = tiny_config(roi_size=64, block_sizes=(16,), synth_samples_per_class=5, k_folds=3)
+        samples = load_dataset(cfg)
+        pixels = samples[3].pixels.copy()
+        pixels[16:32, 16:32] = 0.0
+        samples[3] = replace(samples[3], pixels=pixels)
+        calls = self.spy(monkeypatch)
+        validate(cfg, samples, 16)
+        (call,) = calls
+        (res,) = call["results"]
+        dicts, Y, args, kwargs = call["decide"]
+        assert Y.shape[0] == 16 and dicts[5].degenerate.sum() == 1
+        assert res.degenerate.sum() == 1 and res.degenerate[5].any()
+        for p in range(16):
+            one = block_decisions([dicts[p]], Y[p : p + 1], *args, **kwargs)
+            for name in ("codes", "feasible", "hard", "lls"):
+                assert getattr(one, name)[0].tobytes() == getattr(res, name)[p].tobytes()
+        assert_feasible_within_bound(call)
+
+    def test_one_coding_call_per_pooled_pass(self, monkeypatch):
+        # one coding-and-deciding call and one stacked solve per pass; the
+        # walks stay one per position
+        import blocksrc.ensemble as E
+        import blocksrc.harness as H
+        import blocksrc.solvers as S
+
+        counts = {"decide": 0, "stack": 0, "walk": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(H, "block_decisions", counting("decide", H.block_decisions))
+        monkeypatch.setattr(E, "bpdn_stack", counting("stack", E.bpdn_stack))
+        monkeypatch.setattr(S, "_l1_paths", counting("walk", S._l1_paths))
+        cfg = walking_config(k_folds=5)
+        validate(cfg, load_dataset(cfg), 4)
+        assert counts == {"decide": 1, "stack": 1, "walk": 4}
 
     def test_no_sample_codes_with_its_own_fold(self, monkeypatch):
         cfg = walking_config(k_folds=5)
@@ -677,14 +742,15 @@ class TestStackedFolds:
         same_fold = folds[:, None] == folds[test][None, :]
         assert np.array_equal(call["allowed"], ~same_fold)
         leaked = 0
-        for j, res in enumerate(call["results"]):
-            assert np.all(res.codes[same_fold] == 0.0)
+        (res,) = call["results"]
+        for j, codes in enumerate(res.codes):
+            assert np.all(codes[same_fold] == 0.0)
             # unmasked, a block would code itself: its own atom enters first
             D = call["dicts"][j]
             y = np.stack([block_vectors([samples[i]], 4, 4)[0, j] for i in test], axis=1)
             X, *_ = bpdn_batch(D, y, cfg.eps_rel * np.linalg.norm(y, axis=0))
             leaked += int(np.count_nonzero(X[test, np.arange(test.size)]))
-        assert leaked >= len(call["results"]) * len(samples) // 2
+        assert leaked >= len(res.codes) * len(samples) // 2
 
     def test_held_out_rows_are_read_from_the_pass_s_array(self, monkeypatch):
         # the pooled call codes the very array cross_validate was given, its
@@ -730,10 +796,10 @@ class TestStackedFolds:
     def test_joint_classify_failure_is_booked_to_each_fold(self, monkeypatch):
         import blocksrc.harness as H
 
-        def broken(Dj, Yj, eps, invert_lls=False, allowed=None):
+        def broken(dicts, Y, eps_rel, eps_abs=0.0, invert_lls=False, allowed=None):
             raise np.linalg.LinAlgError("synthetic solver failure")
 
-        monkeypatch.setattr(H, "block_decisions_batch", broken)
+        monkeypatch.setattr(H, "block_decisions", broken)
         report = run_experiment(tiny_config(), persist=False)
         assert report.incomplete_folds == [0, 1, 2, 3]
         for entry in report.folds:
@@ -1088,6 +1154,18 @@ class TestModelArchive:
         loaded, _, _ = load_model(str(path))
         assert all(m.mode == "none" and m.objective_trace.size == 0 for m in loaded)
 
+    def test_blocks_that_disagree_are_refused(self, tmp_path):
+        cfg = tiny_config(dl_mode="none")
+        models = train_block_models(*block_stack(load_dataset(cfg), 8, 8), cfg)
+        D = models[3].D
+        short = Dictionary(atoms=D.atoms[:, :-1], atom_labels=D.atom_labels[:-1], scales=D.scales[:-1])
+        path = tmp_path / "odd.blkd"
+        save_model(str(path), models[:3] + [DiscriminativeDictionary(D=short, mode="none")], cfg.train_params(), {})
+        n, d = D.n_atoms, D.dim
+        with pytest.raises(ValueError, match=f"block 3 differs from block 0: {n - 1} atoms of length {d}, "
+                                             f"block 0 has {n} of length {d}"):
+            load_model(str(path))
+
     def test_version_check(self, tmp_path, small_archive):
         path = tmp_path / "bad.blkd"
         for version in (1, 99):
@@ -1252,11 +1330,28 @@ class TestClassifyAgainstFixedModel:
             hard, lls = [], []
             for j, m in enumerate(models):
                 yj = np.stack([block_vectors([samples[i]], 8, 8)[0, j] for i in test], axis=1)
-                res = block_decisions_batch(m.D, yj, cfg.eps_rel * np.linalg.norm(yj, axis=0))
-                hard.append(res.hard)
-                lls.append(res.lls)
+                res = block_decisions([m.D], yj[None], cfg.eps_rel)
+                hard.append(res.hard[0])
+                lls.append(res.lls[0])
             ref = ensemble_decision(np.column_stack(hard), np.column_stack(lls), tau=cfg.tau)
             assert_same_decisions(dec, ref, atol=0.0)
+
+    def test_positions_that_disagree_are_refused(self):
+        # one stacked call needs one atom count, atom length and label
+        # vector for every position
+        cfg = tiny_config()
+        samples = load_dataset(cfg)
+        dicts = [m.D for m in train_block_models(*block_stack(samples, 8, 8), cfg)]
+        blocks = block_vectors(samples[:4], 8, 8)
+        short = Dictionary(atoms=dicts[2].atoms[:, 1:], atom_labels=dicts[2].atom_labels[1:],
+                           scales=dicts[2].scales[1:])
+        n, d = dicts[0].n_atoms, dicts[0].dim
+        with pytest.raises(ValueError, match=f"block 2 differs from block 0: {n - 1} atoms of length {d}, "
+                                             f"block 0 has {n} of length {d}"):
+            classify_samples(dicts[:2] + [short] + dicts[3:], blocks, slice(None), cfg)
+        flipped = Dictionary(atoms=dicts[1].atoms, atom_labels=1 - dicts[1].atom_labels, scales=dicts[1].scales)
+        with pytest.raises(ValueError, match="block 1 differs from block 0: its atom labels are not block 0's"):
+            classify_samples([dicts[0], flipped] + dicts[2:], blocks, slice(None), cfg)
 
     def test_decisions_have_both_labels(self):
         cfg = tiny_config()

@@ -8,6 +8,7 @@ from blocksrc.solvers import _well_posed, batch_omp
 from blocksrc.synth import SynthSpec, synth_dataset
 
 from .oracles import (
+    class_residuals_pixels,
     exhaustive_sparse_fit,
     low_coherence_matrix,
     mutual_coherence,
@@ -21,6 +22,13 @@ from .oracles import (
 
 def unit_dict(M, labels):
     return Dictionary.from_matrix(M, labels)
+
+
+def residuals(D, X, Y, allowed=None):
+    """:func:`class_residuals` of the codes ``X`` of the signals ``Y`` on
+    the one dictionary ``D``, from its atom space."""
+    A = D.atoms
+    return class_residuals(A.T @ A, A.T @ Y, X, np.einsum("ij,ij->j", Y, Y), D.atom_labels, allowed)
 
 
 def omp(D, Y, T, eps=0.0):
@@ -582,21 +590,40 @@ class TestBpdnMasked:
         assert self.assert_matches_own_atoms(D, Y, eps, allowed) >= 30
 
     @staticmethod
-    def code8_call(seed, roi_size=8, noise_sigma=SynthSpec.noise_sigma, position=0):
+    def code8_call(seed, roi_size=8, noise_sigma=SynthSpec.noise_sigma, position=0, block=8):
         """The 8-px coding call of a 10-fold cell on 37 ROIs per class (8x8
         unless ``roi_size`` says otherwise): every held-out block of one
         position on its fold's 66 or 67 training blocks, at 64 slots, all in
-        one call. Returns ``(D, Y, eps, allowed)``."""
-        spec = SynthSpec(roi_size=roi_size, block_size=8, samples_per_class=37, noise_sigma=noise_sigma)
+        one call. ``block`` sets another block size (and the ROI size, when
+        it is larger). Returns ``(D, Y, eps, allowed)``."""
+        roi_size = max(roi_size, block)
+        spec = SynthSpec(roi_size=roi_size, block_size=block, samples_per_class=37, noise_sigma=noise_sigma)
         samples = synth_dataset(spec, seed)
         folds = stratified_folds([s.label for s in samples], 10, seed)
-        stack, labels = block_stack(samples, 8, 8)
+        stack, labels = block_stack(samples, block, block)
         D = Dictionary.from_matrix(stack[position], labels)
         test_idx = np.concatenate([np.flatnonzero(folds == f) for f in range(10)])
         allowed = folds[:, None] != folds[test_idx][None, :]
         Y = stack[position][:, test_idx]
-        assert Y.shape == (64, 74) and set(allowed.sum(axis=0)) <= {66, 67}
+        assert Y.shape == (block * block, 74) and set(allowed.sum(axis=0)) <= {66, 67}
         return D, Y, 0.05 * np.linalg.norm(Y, axis=0), allowed
+
+    # walked 8-px columns (every one walks), and least-squares 16-px ones
+    @pytest.mark.parametrize("call, walks", [((1,), True), ((2,), True), ((3,), True),
+                                             ((20, 64, 1.0, 27), True), ((4, 16, 0.05, 0, 16), False),
+                                             ((20, 64, 1.0, 5, 16), False)],
+                             ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_gram_residuals_match_pixel_residuals(self, call, walks):
+        # the class residuals taken from D^T D and D^T Y agree with the
+        # reconstruction in pixel space within 1e-12 ||y||, and decide alike
+        D, Y, eps, allowed = self.code8_call(*call)
+        X, _, _, iters = bpdn_batch(D, Y, eps, allowed=allowed)
+        assert np.all((iters > 0) == walks)
+        gram, l1 = residuals(D, X, Y, allowed)
+        pixel, pixel_l1 = class_residuals_pixels(D.atoms, D.atom_labels, X, Y, allowed)
+        assert np.all(np.abs(gram - pixel) <= 1e-12 * np.linalg.norm(Y, axis=0))
+        assert np.array_equal(gram[BENIGN] <= gram[MALIGNANT], pixel[BENIGN] <= pixel[MALIGNANT])
+        np.testing.assert_allclose(l1, pixel_l1, rtol=1e-12)
 
     # the code8 data at four seeds, and one noise-1.0 position of the
     # MIAS-sized cell (64x64 ROIs)
@@ -806,17 +833,17 @@ class TestBpdnMasked:
         labels[:] = np.tile([0, 1], 6)
         D = unit_dict(M, labels)
         X, *_ = bpdn_batch(D, Y, eps, allowed=allowed)
-        resid, l1 = class_residuals(D, X, Y, allowed=allowed)
+        resid, l1 = residuals(D, X, Y, allowed=allowed)
         for c in range(Y.shape[1]):
             own = np.flatnonzero(allowed[:, c])
             sub = Dictionary(atoms=D.atoms[:, own], atom_labels=D.atom_labels[own], scales=D.scales[own])
-            r, m = class_residuals(sub, X[own, c : c + 1], Y[:, c : c + 1])
+            r, m = residuals(sub, X[own, c : c + 1], Y[:, c : c + 1])
             np.testing.assert_allclose(resid[:, c : c + 1], r, rtol=1e-12)
             np.testing.assert_allclose(l1[:, c : c + 1], m, rtol=1e-12)
         # a column whose own atoms lack a class is refused
         one_class = allowed & (labels == 0)[:, None]
         with pytest.raises(ValueError, match="has no atoms"):
-            class_residuals(D, X * one_class, Y, allowed=one_class)
+            residuals(D, X * one_class, Y, allowed=one_class)
 
     def test_class_residuals_read_no_code_off_the_mask(self):
         # each code is set to zero off its column's atoms first, so noise
@@ -827,7 +854,7 @@ class TestBpdnMasked:
         D = unit_dict(M, labels)
         X, *_ = bpdn_batch(D, Y, eps, allowed=allowed)
         noisy = X + np.where(allowed, 0.0, rng.standard_normal(X.shape))
-        clean, dirty = class_residuals(D, X, Y, allowed=allowed), class_residuals(D, noisy, Y, allowed=allowed)
+        clean, dirty = residuals(D, X, Y, allowed=allowed), residuals(D, noisy, Y, allowed=allowed)
         for a, b in zip(clean, dirty):
             assert np.array_equal(a, b)
 
@@ -889,7 +916,7 @@ class TestClassResiduals:
         D = unit_dict(rng.standard_normal((5, 4)), [BENIGN, BENIGN, MALIGNANT, MALIGNANT])
         y = rng.standard_normal(5)
         x = np.array([0.7, -0.2, 0.0, 0.0])
-        resid, l1 = class_residuals(D, x[:, None], y[:, None])
+        resid, l1 = residuals(D, x[:, None], y[:, None])
         assert l1[MALIGNANT, 0] == 0.0
         overall = np.linalg.norm(y - D.atoms @ x)
         assert resid[BENIGN, 0] == pytest.approx(overall)
@@ -898,7 +925,7 @@ class TestClassResiduals:
         rng = np.random.default_rng(8)
         D = unit_dict(rng.standard_normal((5, 4)), [0, 0, 1, 1])
         y = rng.standard_normal(5)
-        resid, l1 = class_residuals(D, np.zeros((4, 1)), y[:, None])
+        resid, l1 = residuals(D, np.zeros((4, 1)), y[:, None])
         assert np.all(l1 == 0.0)
         np.testing.assert_allclose(resid[:, 0], np.linalg.norm(y))
 
@@ -907,7 +934,7 @@ class TestClassResiduals:
         D = unit_dict(rng.standard_normal((6, 4)), [0, 0, 1, 1])
         y = rng.standard_normal(6)
         x = np.array([1.0, 0.0, -2.0, 0.0])
-        resid, l1 = class_residuals(D, x[:, None], y[:, None])
+        resid, l1 = residuals(D, x[:, None], y[:, None])
         np.testing.assert_allclose(l1[:, 0], [1.0, 2.0])
         np.testing.assert_allclose(resid[0, 0], np.linalg.norm(y - D.atoms[:, 0] * 1.0))
         np.testing.assert_allclose(resid[1, 0], np.linalg.norm(y - D.atoms[:, 2] * -2.0))
@@ -922,7 +949,7 @@ class TestClassResiduals:
             D = unit_dict(rng.standard_normal((6, n)), labels)
             x = rng.standard_normal(n) * (rng.random(n) > 0.4)
             y = rng.standard_normal(6)
-            _, l1 = class_residuals(D, x[:, None], y[:, None])
+            _, l1 = residuals(D, x[:, None], y[:, None])
             assert l1[:, 0].sum() == pytest.approx(np.abs(x).sum(), abs=1e-12)
 
     def test_matches_per_column_oracle(self):
@@ -938,7 +965,7 @@ class TestClassResiduals:
             X = rng.standard_normal((n, m)) * (rng.random((n, m)) < 0.5)
             X[:, rng.random(m) < 0.3] = 0.0  # all-zero codes
             Y = rng.standard_normal((d, m))
-            resid, l1 = class_residuals(D, X, Y)
+            resid, l1 = residuals(D, X, Y)
             ref_resid, ref_l1 = per_column_class_residuals(D.atoms, D.atom_labels, X, Y)
             assert np.array_equal(l1, ref_l1)
             np.testing.assert_allclose(resid, ref_resid, rtol=1e-12, atol=0.0)
@@ -948,9 +975,9 @@ class TestClassResiduals:
     def test_code_shape_mismatch(self):
         D = unit_dict(np.eye(3), [0, 1, 1])
         with pytest.raises(ValueError, match="expected codes of shape"):
-            class_residuals(D, np.zeros((2, 1)), np.ones((3, 1)))
+            residuals(D, np.zeros((2, 1)), np.ones((3, 1)))
 
     def test_missing_class_named(self):
         D = unit_dict(np.eye(3), [BENIGN, BENIGN, BENIGN])
         with pytest.raises(ValueError, match="malignant"):
-            class_residuals(D, np.zeros((3, 1)), np.ones((3, 1)))
+            residuals(D, np.zeros((3, 1)), np.ones((3, 1)))
