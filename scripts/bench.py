@@ -134,10 +134,10 @@ def walk_steps(cfg: ExperimentConfig, samples: list) -> dict:
 
 def ksvd_iterations(cfg: ExperimentConfig, samples: list) -> list[int]:
     """K-SVD iterations run at each position when fold 0 trains: the
-    length of each model's objective trace."""
+    length of each position's objective trace."""
     stack, labels, _ = fold0(cfg, samples)
-    models = lcksvd_train_stack(stack, labels, cfg.train_params(), cfg.dl_mode)
-    return [len(m.objective_trace) for m in models]
+    model = lcksvd_train_stack(stack, labels, cfg.train_params(), cfg.dl_mode)
+    return [len(trace) for trace in model.objective_traces]
 
 
 def pooled_call(cfg: ExperimentConfig, samples: list) -> dict:

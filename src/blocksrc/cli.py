@@ -78,31 +78,30 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
     block = cfg.block_sizes[0]
     samples = load_dataset(cfg)
-    models = train_block_models(*block_stack(samples, block, block), cfg)
+    model = train_block_models(*block_stack(samples, block, block), cfg)
     meta = {"block_w": block, "block_h": block, "roi_size": cfg.roi_size, "dl_mode": cfg.dl_mode}
     os.makedirs(os.path.dirname(os.path.abspath(args.model)), exist_ok=True)
-    save_model(args.model, models, cfg.train_params(), meta)
-    print(f"trained {len(models)} block dictionaries -> {args.model}")
+    save_model(args.model, model, cfg.train_params(), meta)
+    print(f"trained {len(model.D.atoms)} block dictionaries -> {args.model}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
-    models, _, meta = load_model(args.model)
+    model, _, meta = load_model(args.model)
     if meta.get("roi_size") != cfg.roi_size:
         raise ValueError(
             f"model roi_size {meta.get('roi_size')!r} does not match config roi_size {cfg.roi_size}"
         )
     block_w = int(meta.get("block_w", cfg.block_sizes[0]))
     block_h = int(meta.get("block_h", block_w))
-    for m in models:
-        if m.D.dim != block_w * block_h:
-            raise ValueError(
-                f"model atom length {m.D.dim} does not match its {block_w}x{block_h} blocks "
-                f"({block_w * block_h} pixels)"
-            )
+    if model.D.dim != block_w * block_h:
+        raise ValueError(
+            f"model atom length {model.D.dim} does not match its {block_w}x{block_h} blocks "
+            f"({block_w * block_h} pixels)"
+        )
     samples = load_dataset(cfg)
-    fused = classify_samples([m.D for m in models], block_vectors(samples, block_w, block_h), slice(None), cfg)
+    fused = classify_samples(model.D, block_vectors(samples, block_w, block_h), slice(None), cfg)
     preds, scores = decision_outputs(fused, cfg)
     truth = [s.label for s in samples]
     metrics = compute_metrics(preds, truth, scores)
@@ -165,13 +164,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_mosaic(args) -> int:
-    models, _, meta = load_model(args.model)
-    if not 0 <= args.block < len(models):
-        raise ValueError(f"block index {args.block} out of range [0, {len(models)})")
-    bw = int(meta.get("block_w", int(np.sqrt(models[args.block].D.dim))))
+    model, _, meta = load_model(args.model)
+    D = model.D
+    if not 0 <= args.block < len(D.atoms):
+        raise ValueError(f"block index {args.block} out of range [0, {len(D.atoms)})")
+    bw = int(meta.get("block_w", int(np.sqrt(D.dim))))
     bh = int(meta.get("block_h", bw))
-    export_dictionary_mosaic(models[args.block].D, bw, bh, args.out)
-    print(f"wrote mosaic of block {args.block} ({models[args.block].D.n_atoms} atoms) to {args.out}")
+    export_dictionary_mosaic(D.atoms[args.block], bw, bh, args.out)
+    print(f"wrote mosaic of block {args.block} ({D.n_atoms} atoms) to {args.out}")
     return 0
 
 

@@ -9,7 +9,7 @@ dictionary ``D`` that every decision rule reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,19 +98,27 @@ class LabelMatrices:
 
 @dataclass(frozen=True)
 class DiscriminativeDictionary:
-    """A block position's dictionary ``D``, the mode that learned it, and
-    the stacked training objective after each K-SVD iteration (one entry for
-    the closed form, none for mode "none"). The label and classifier rows
-    that LC-KSVD trains beside ``D`` only shape it and are not kept.
+    """A block grid's dictionaries ``D``, one (P, d, n) stack, the mode that
+    learned them, and per position the stacked training objective after
+    each K-SVD iteration (one entry for the closed form, none for mode
+    "none", the default). The label and classifier rows that LC-KSVD trains
+    beside ``D`` only shape it and are not kept.
     """
 
     D: Dictionary
     mode: str
-    objective_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    objective_traces: tuple | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.D.atoms.ndim != 3:
+            raise ValueError(f"a block grid's atoms must be a (P, d, n) stack, got shape {self.D.atoms.shape}")
+        P = self.D.atoms.shape[0]
+        traces = [()] * P if self.objective_traces is None else self.objective_traces
+        if len(traces) != P:
+            raise ValueError(f"expected one objective trace per position ({P}), got {len(traces)}")
+        object.__setattr__(self, "objective_traces", tuple(np.asarray(t, dtype=float) for t in traces))
 
 
 def build_label_matrices(sample_labels, atom_labels) -> LabelMatrices:
@@ -137,7 +145,7 @@ def _code(D: np.ndarray, Y: np.ndarray, ysq: np.ndarray, t: int) -> np.ndarray:
     dictionaries; atoms whose norm is below ``DEGENERATE_NORM`` are skipped."""
     Dt = D.mT
     usable = np.linalg.norm(D, axis=1) >= DEGENERATE_NORM
-    X, _ = batch_omp(Dt @ D, Dt @ Y, ysq, usable, t, 0.0)
+    X, _ = batch_omp(Dt @ D, Dt @ Y, ysq, usable, t)
     return X
 
 
@@ -331,10 +339,11 @@ def _ksvd_split(Y: np.ndarray, sample_labels: np.ndarray, params: TrainParams, m
     return atom_labels, d_final, norms, traces
 
 
-def lcksvd_train_stack(Y, sample_labels, params: TrainParams, mode: str) -> list[DiscriminativeDictionary]:
+def lcksvd_train_stack(Y, sample_labels, params: TrainParams, mode: str) -> DiscriminativeDictionary:
     """Label-consistent dictionary learning for a stack of training matrices
     ``Y`` (P, d, s) whose columns share ``sample_labels``, such as the block
-    positions of one training split; one model per matrix.
+    positions of one training split; one model holds every matrix's
+    dictionary and trace.
 
     Runs K-SVD on the stacked system [Y; sqrt(alpha) Q] (mode "lcksvd1") or
     [Y; sqrt(alpha) Q; sqrt(beta) H] (mode "lcksvd2") with the stacked
@@ -342,12 +351,12 @@ def lcksvd_train_stack(Y, sample_labels, params: TrainParams, mode: str) -> list
     per-class draw of training columns (see :func:`_ksvd_split`);
     zero-weighted rows are left out entirely, so alpha = beta = 0 reduces to
     plain K-SVD on Y. The model keeps the trained stack's data rows,
-    renormalized to unit atoms with their norms as scales; the trace is the
-    stacked objective.
+    renormalized to unit atoms with their norms as scales; each matrix's
+    trace is its stacked objective.
 
     When K equals the training count and the stops are on
     (``min_rel_improvement > 0``), the optimum is built in closed form: the
-    dictionary is ``Dictionary.from_matrix(Y[p], sample_labels)`` byte for
+    dictionary is ``Dictionary.from_matrix(Y, sample_labels)`` byte for
     byte, in training order (atom c is block c, with its label and scale
     ``||y_c||``), and each usable atom codes its own block alone. The
     one-entry trace is that optimum's objective: rounding level on the data
@@ -359,14 +368,6 @@ def lcksvd_train_stack(Y, sample_labels, params: TrainParams, mode: str) -> list
         raise ValueError(f"mode must be 'lcksvd1' or 'lcksvd2', got {mode!r}")
     Y = _check_training_matrix(Y)
     sample_labels = as_label_array(sample_labels)
-    P, _, s = Y.shape
-    fit = _closed_form if params.closed_form(s) else _ksvd_split
+    fit = _closed_form if params.closed_form(Y.shape[2]) else _ksvd_split
     atom_labels, atoms, scales, traces = fit(Y, sample_labels, params, mode)
-    return [
-        DiscriminativeDictionary(
-            D=Dictionary(atoms=atoms[p], atom_labels=atom_labels, scales=scales[p]),
-            mode=mode,
-            objective_trace=traces[p],
-        )
-        for p in range(P)
-    ]
+    return DiscriminativeDictionary(Dictionary(atoms=atoms, atom_labels=atom_labels, scales=scales), mode, traces)

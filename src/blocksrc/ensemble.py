@@ -20,7 +20,7 @@ from .solvers import (
     Dictionary,
     L1_LOG_FLOOR,
     bpdn_stack,
-    check_positions,
+    check_signals,
     class_residuals,
 )
 
@@ -71,15 +71,15 @@ def lls_score(per_class_l1: np.ndarray, invert: bool = False) -> np.ndarray:
 
 
 def block_decisions(
-    dictionaries: list[Dictionary], Y, eps_rel: float, eps_abs: float = 0.0, invert_lls: bool = False, allowed=None
+    D: Dictionary, Y, eps_rel: float, eps_abs: float = 0.0, invert_lls: bool = False, allowed=None
 ) -> BlockResults:
     """Code every block of ``Y`` (P, d, m), column ``i`` of ``Y[p]`` being
     sample ``i``'s block at position ``p``, against the dictionary of its
     position in one call, and classify each block by the SRC rule (smallest
     class-restricted residual).
 
-    The P dictionaries must share the atom count, atom length and atom
-    labels (see :func:`check_positions`). A block's error bound is
+    ``D`` is the block grid's (P, d, n) stack of dictionaries; a single
+    position's (d, n) one raises ``ValueError``. A block's error bound is
     ``eps_abs`` when that is positive, else ``eps_rel·||y||``. ``allowed``
     (n_atoms, m), None for everywhere, restricts each sample to its own
     atoms of every position's dictionary (see :func:`bpdn_batch`). The
@@ -91,16 +91,12 @@ def block_decisions(
     error bound is unreachable the block takes the least-squares code on
     the usable atoms and is marked infeasible.
     """
-    check_positions(dictionaries)
+    if D.atoms.ndim != 3:
+        raise ValueError(f"expected a (P, d, n) stack of block dictionaries, got atoms of shape {D.atoms.shape}")
     # C-contiguous whatever the atoms' layout, which sets how D^T Y rounds
-    A = np.array([D.atoms for D in dictionaries])
-    usable = np.stack([D.usable for D in dictionaries])
+    A, usable = np.ascontiguousarray(D.atoms), D.usable
     P, d, n = A.shape
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 3 or Y.shape[:2] != (P, d):
-        raise ValueError(f"expected signals of shape ({P}, {d}, m), got {Y.shape}")
-    if not np.isfinite(Y).all():
-        raise ValueError("signals contain non-finite values")
+    Y = check_signals(Y, (P, d))
     if eps_rel <= 0 and eps_abs <= 0:
         raise ValueError("one of eps_rel / eps_abs must be positive")
     m = Y.shape[2]
@@ -121,7 +117,7 @@ def block_decisions(
     # a sample coded at no position keeps its zero codes, and its atoms need
     # not hold both classes
     own = None if allowed is None else allowed | degenerate.all(axis=0)
-    residuals, l1 = class_residuals(G, B, codes, ysq, dictionaries[0].atom_labels, own)
+    residuals, l1 = class_residuals(G, B, codes, ysq, D.atom_labels, own)
     # Residual tie goes to benign, the prior class: a degenerate block's
     # zero code ties
     hard = np.where(residuals[BENIGN] <= residuals[MALIGNANT], BENIGN, MALIGNANT)

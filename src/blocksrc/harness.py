@@ -31,7 +31,7 @@ from .ensemble import (
 from .labels import BENIGN, MALIGNANT, as_label_array, class_name
 from .mias import load_roi_cache
 from .pgm import image_from_array, write_pgm
-from .solvers import Dictionary, normalize_columns
+from .solvers import Dictionary
 from .synth import synth_dataset
 
 
@@ -207,34 +207,32 @@ def load_dataset(cfg: ExperimentConfig) -> list[RoiSample]:
     return samples
 
 
-def train_block_models(stack: np.ndarray, labels, cfg: ExperimentConfig) -> list[DiscriminativeDictionary]:
-    """One model per block position of a training ``stack`` (positions,
-    pixels, samples) with the samples' ``labels``: raw training-block
-    dictionaries for dl_mode "none", label-consistent dictionaries otherwise,
-    learned for all positions in one stacked training. At the default
-    ``dict_size = 0`` (or one equal to the training count) the learned
-    dictionaries are built in closed form and are dl_mode "none"'s byte for
-    byte; any other ``dict_size`` runs K-SVD. The raw dictionaries of every
-    position are normalized in one call, and each position's is its slice
-    of that stack."""
+def train_block_models(stack: np.ndarray, labels, cfg: ExperimentConfig) -> DiscriminativeDictionary:
+    """The model of every block position of a training ``stack``
+    (positions, pixels, samples) with the samples' ``labels``, as one
+    (positions, pixels, atoms) stack of dictionaries: the raw training
+    blocks, normalized in one call, for dl_mode "none", label-consistent
+    dictionaries otherwise, learned for all positions in one stacked
+    training. At the default ``dict_size = 0`` (or one equal to the
+    training count) the learned dictionaries are built in closed form and
+    are dl_mode "none"'s byte for byte; any other ``dict_size`` runs
+    K-SVD."""
     labels = check_training_labels(labels)
     if cfg.dl_mode == "none":
-        atoms, scales = normalize_columns(stack)
-        return [DiscriminativeDictionary(D=Dictionary(atoms=a, atom_labels=labels, scales=c), mode="none")
-                for a, c in zip(atoms, scales)]
+        return DiscriminativeDictionary(D=Dictionary.from_matrix(stack, labels), mode="none")
     return lcksvd_train_stack(stack, labels, cfg.train_params(), cfg.dl_mode)
 
 
 def classify_samples(
-    dictionaries: list[Dictionary],
+    D: Dictionary,
     blocks: np.ndarray,
     rows,
     cfg: ExperimentConfig,
     allowed: np.ndarray | None = None,
 ) -> EnsembleDecision:
-    """Code the blocks of the samples ``rows`` against the per-position
-    dictionaries and fuse the block results; returns one decision array per
-    sample, in the order of ``rows``.
+    """Code the blocks of the samples ``rows`` against the block grid's
+    stack of dictionaries ``D`` and fuse the block results; returns one
+    decision array per sample, in the order of ``rows``.
 
     ``blocks`` (ROIs, positions, pixels) holds the :func:`block_vectors` of a
     whole pass, and ``rows`` (an index array, or ``slice(None)`` for all)
@@ -246,14 +244,11 @@ def classify_samples(
     None for everywhere, restricts each sample to its own atoms of every
     position's dictionary, so samples of several folds whose dictionaries
     are column subsets of the given ones are coded in the same call (see
-    :func:`bpdn_batch`). Dictionaries whose positions differ in atom count,
-    atom length or atom labels raise ``ValueError`` (see
-    :func:`check_positions`)."""
-    nbl = len(dictionaries)
-    if blocks.shape[1] != nbl:
-        raise ValueError(f"sample has {blocks.shape[1]} blocks, model has {nbl}")
+    :func:`bpdn_batch`)."""
+    if blocks.shape[1] != len(D.atoms):
+        raise ValueError(f"sample has {blocks.shape[1]} blocks, model has {len(D.atoms)}")
     Y = np.ascontiguousarray(blocks[rows].transpose(1, 2, 0))
-    res = block_decisions(dictionaries, Y, cfg.eps_rel, cfg.eps_abs, cfg.invert_lls, allowed)
+    res = block_decisions(D, Y, cfg.eps_rel, cfg.eps_abs, cfg.invert_lls, allowed)
     # each sample's block scores as one contiguous row, averaged in block order
     return ensemble_decision(res.hard.T, np.ascontiguousarray(res.lls.T), tau=cfg.tau)
 
@@ -310,9 +305,9 @@ def cross_validate(cfg: ExperimentConfig, blocks: np.ndarray, labels) -> list[tu
         allowed = folds[members][:, None] != folds[test_idx][None, :] if pools else None
         stage = "train"
         try:  # a domain error aborts the group
-            models = train_block_models(blocks[members].transpose(1, 2, 0), labels[members], group_cfg)
+            model = train_block_models(blocks[members].transpose(1, 2, 0), labels[members], group_cfg)
             stage = "classify"
-            dec = classify_samples([m.D for m in models], blocks, test_idx, cfg, allowed)
+            dec = classify_samples(model.D, blocks, test_idx, cfg, allowed)
         except (ValueError, np.linalg.LinAlgError) as err:
             outcomes.update(dict.fromkeys(group, _diagnostic(stage, err)))
         else:
@@ -479,21 +474,22 @@ def run_grid(cfg: ExperimentConfig, persist: bool = True) -> list[EvalReport]:
     return reports
 
 
-def export_dictionary_mosaic(D: Dictionary, block_w: int, block_h: int, path) -> np.ndarray:
-    """Tile the atoms of one block dictionary into a PGM mosaic.
+def export_dictionary_mosaic(atoms: np.ndarray, block_w: int, block_h: int, path) -> np.ndarray:
+    """Tile the atoms (pixels, atoms) of one block dictionary into a PGM
+    mosaic.
 
     Atoms are de-vectorized row-major, min-max scaled to [0, 255] each
     (constant atoms map to mid-gray 128), and laid out in a near-square grid
     with 1-pixel white separators.
     """
-    if D.dim != block_w * block_h:
-        raise ValueError(f"atom length {D.dim} does not match block {block_w}x{block_h}")
-    n = D.n_atoms
+    d, n = atoms.shape
+    if d != block_w * block_h:
+        raise ValueError(f"atom length {d} does not match block {block_w}x{block_h}")
     cols = int(math.ceil(math.sqrt(n)))
     rows = int(math.ceil(n / cols))
     canvas = np.full((rows * block_h + rows - 1, cols * block_w + cols - 1), 255, dtype=np.uint16)
     for a in range(n):
-        tile = D.atoms[:, a].reshape(block_h, block_w)
+        tile = atoms[:, a].reshape(block_h, block_w)
         lo, hi = float(tile.min()), float(tile.max())
         if hi - lo < 1e-12:
             scaled = np.full((block_h, block_w), 128, dtype=np.uint16)

@@ -17,7 +17,8 @@ import struct
 import numpy as np
 
 from .dictlearn import DiscriminativeDictionary, TrainParams
-from .solvers import Dictionary, check_positions
+from .labels import as_label_array
+from .solvers import Dictionary
 
 MAGIC = b"BLKD"
 VERSION = 2  # version 1 also held each learned block's label maps A and W
@@ -65,16 +66,18 @@ def _array_entry(name: str, arr: np.ndarray, kind: str, chunks: list[bytes]) -> 
     return {"name": name, "shape": list(arr.shape), "kind": kind}
 
 
-def save_model(path: str, blocks: list[DiscriminativeDictionary], params: TrainParams, meta: dict | None = None) -> None:
-    """Write all block models to ``path`` plus the JSON sidecar."""
+def save_model(path: str, model: DiscriminativeDictionary, params: TrainParams, meta: dict | None = None) -> None:
+    """Write a block grid's model to ``path``, one block entry per position,
+    plus the JSON sidecar."""
     chunks: list[bytes] = []
     block_headers = []
-    for model in blocks:
+    D = model.D
+    for atoms, scales, trace in zip(D.atoms, D.scales, model.objective_traces):
         arrays = [
-            _array_entry("atoms", model.D.atoms, "f8", chunks),
-            _array_entry("atom_labels", model.D.atom_labels, "i4", chunks),
-            _array_entry("scales", model.D.scales, "f8", chunks),
-            _array_entry("objective_trace", np.asarray(model.objective_trace, dtype=float), "f8", chunks),
+            _array_entry("atoms", atoms, "f8", chunks),
+            _array_entry("atom_labels", D.atom_labels, "i4", chunks),
+            _array_entry("scales", scales, "f8", chunks),
+            _array_entry("objective_trace", trace, "f8", chunks),
         ]
         block_headers.append({"mode": model.mode, "arrays": arrays})
 
@@ -93,11 +96,12 @@ def save_model(path: str, blocks: list[DiscriminativeDictionary], params: TrainP
         json.dump({"params": params_dict, "meta": meta or {}}, fh, indent=2, sort_keys=True)
 
 
-def load_model(path: str) -> tuple[list[DiscriminativeDictionary], TrainParams, dict]:
-    """Read an archive written by :func:`save_model`; other versions,
-    truncated archives, malformed headers, unknown or repeated block arrays,
-    bytes after the last array, and blocks whose atom count, atom length or
-    atom labels differ from block 0's raise ``ValueError``."""
+def load_model(path: str) -> tuple[DiscriminativeDictionary, TrainParams, dict]:
+    """Read an archive written by :func:`save_model`, its blocks stacked
+    into one model; other versions, truncated archives, malformed headers,
+    unknown or repeated block arrays, bytes after the last array, an archive
+    without blocks, and blocks whose mode, array shapes or atom labels
+    differ from block 0's raise ``ValueError``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
@@ -131,7 +135,7 @@ def load_model(path: str) -> tuple[list[DiscriminativeDictionary], TrainParams, 
         pos += nbytes
         return entry["name"], np.array(arr)
 
-    blocks: list[DiscriminativeDictionary] = []
+    blocks: list[tuple[str, dict]] = []  # (mode, arrays) per position
     for bh in _list(header["blocks"], "blocks"):
         _fields(bh, "block", ("mode", "arrays"))
         arrays: dict[str, np.ndarray] = {}
@@ -143,12 +147,22 @@ def load_model(path: str) -> tuple[list[DiscriminativeDictionary], TrainParams, 
                 raise ValueError(f"repeated block array {name!r}")
             arrays[name] = arr
         _fields(arrays, "block arrays", _BLOCK_ARRAYS)
-        D = Dictionary(atoms=arrays["atoms"], atom_labels=arrays["atom_labels"], scales=arrays["scales"])
-        blocks.append(DiscriminativeDictionary(D=D, mode=bh["mode"], objective_trace=arrays["objective_trace"]))
+        blocks.append((bh["mode"], arrays))
     if pos != len(data):
         raise ValueError(f"{len(data) - pos} trailing bytes after the last array")
-    if blocks:
-        check_positions([b.D for b in blocks])
+    if not blocks:
+        raise ValueError("archive holds no blocks")
+    mode, first = blocks[0]
+    labels = as_label_array(first["atom_labels"])
+    for j, (other, arrays) in enumerate(blocks[1:], 1):
+        for what, mine, theirs in (("mode", other, mode),
+                                   *((f"{k} shape", arrays[k].shape, first[k].shape) for k in ("atoms", "scales")),
+                                   ("atom labels", arrays["atom_labels"].tolist(), labels.tolist())):
+            if mine != theirs:
+                raise ValueError(f"block {j} differs from block 0 in its {what}: {mine!r} against {theirs!r}")
+    atoms, scales = (np.stack([arrays[k] for _, arrays in blocks]) for k in ("atoms", "scales"))
+    traces = [arrays["objective_trace"] for _, arrays in blocks]
+    model = DiscriminativeDictionary(Dictionary(atoms=atoms, atom_labels=labels, scales=scales), mode, traces)
     p = _fields(header["params"], "params", _PARAM_KEYS)
     params = TrainParams(**{key: _param(p, key) for key in _PARAM_KEYS})
-    return blocks, params, _fields(header["meta"], "meta", ())
+    return model, params, _fields(header["meta"], "meta", ())

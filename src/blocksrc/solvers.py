@@ -61,7 +61,10 @@ def normalize_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Column-atom dictionary with per-atom class labels.
+    """Column-atom dictionary with per-atom class labels: one block
+    position's atoms (d, n), or a block grid's stack of them (P, d, n) with
+    scales (P, n) and one label vector (n,) that every position shares. The
+    properties read the trailing axes.
 
     Non-degenerate columns have unit l2 norm; degenerate columns (original
     norm below ``DEGENERATE_NORM``) are all-zero and never selected by the
@@ -76,13 +79,13 @@ class Dictionary:
         atoms = np.asarray(self.atoms, dtype=float)
         labels = as_label_array(self.atom_labels)
         scales = np.asarray(self.scales, dtype=float)
-        if atoms.ndim != 2 or atoms.shape[0] < 1 or atoms.shape[1] < 1:
-            raise ValueError(f"atoms must be a non-empty 2-d matrix, got shape {atoms.shape}")
-        n = atoms.shape[1]
+        if atoms.ndim not in (2, 3) or 0 in atoms.shape:
+            raise ValueError(f"atoms must be a non-empty (d, n) or (P, d, n) array, got shape {atoms.shape}")
+        n = atoms.shape[-1]
         if labels.shape != (n,):
             raise ValueError(f"atom_labels must have length {n}, got {labels.shape}")
-        if scales.shape != (n,):
-            raise ValueError(f"scales must have length {n}, got {scales.shape}")
+        if scales.shape != atoms.shape[:-2] + (n,):
+            raise ValueError(f"scales must have shape {atoms.shape[:-2] + (n,)}, got {scales.shape}")
         if not (np.isfinite(atoms).all() and np.isfinite(scales).all()):
             raise ValueError("dictionary atoms and scales must be finite")
         object.__setattr__(self, "atoms", atoms)
@@ -96,11 +99,11 @@ class Dictionary:
 
     @property
     def dim(self) -> int:
-        return self.atoms.shape[0]
+        return self.atoms.shape[-2]
 
     @property
     def n_atoms(self) -> int:
-        return self.atoms.shape[1]
+        return self.atoms.shape[-1]
 
     @property
     def degenerate(self) -> np.ndarray:
@@ -111,41 +114,26 @@ class Dictionary:
         return ~self.degenerate
 
 
-def check_positions(dictionaries) -> None:
-    """Refuse block dictionaries that one stacked call cannot code: every
-    position must have block 0's atom count, atom length and atom labels.
-    The ``ValueError`` names the first block that differs from block 0."""
-    if not dictionaries:
-        raise ValueError("no block dictionaries")
-    first = dictionaries[0]
-    for j, D in enumerate(dictionaries[1:], 1):
-        if D.atoms.shape != first.atoms.shape:
-            what = f"{D.n_atoms} atoms of length {D.dim}, block 0 has {first.n_atoms} of length {first.dim}"
-        elif not np.array_equal(D.atom_labels, first.atom_labels):
-            what = "its atom labels are not block 0's"
-        else:
-            continue
-        raise ValueError(f"block {j} differs from block 0: {what}")
-
-
-def _check_signals(D: Dictionary, Y) -> np.ndarray:
+def check_signals(Y, lead: tuple) -> np.ndarray:
+    """``Y`` as finite float signals of shape ``lead + (m,)``."""
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] != D.dim:
-        raise ValueError(f"expected signals of shape ({D.dim}, m), got {Y.shape}")
+    if Y.ndim != len(lead) + 1 or Y.shape[:-1] != lead:
+        raise ValueError(f"expected signals of shape ({', '.join(map(str, lead))}, m), got {Y.shape}")
     if not np.isfinite(Y).all():
         raise ValueError("signals contain non-finite values")
     return Y
 
 
-def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray, T: int, eps):
+def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray, T: int):
     """Batch-OMP (Rubinstein, Zibulevsky & Elad 2008) over a stack of P
     independent coding problems, in atom space.
 
     Problem ``p`` codes ``s`` signals given only the Gram matrix ``G[p] =
     D^T D`` (n x n), the correlations ``B[p] = D^T Y`` (n x s) and the
     squared signal norms ``ysq[p]``; only atoms with ``usable[p]`` may be
-    picked, and ``eps`` (broadcast to (P, s)) bounds the residual norms. Per
-    step every live column takes the argmax of ``|B - G X|`` over its
+    picked. A column takes at most ``T`` atoms and stops early once its
+    squared residual norm (read as below) is not positive; a zero signal
+    takes none. Per step every live column takes the argmax of ``|B - G X|`` over its
     unblocked atoms and stops if that pick lies numerically in the span of
     its support. Each live column keeps ``H``, the inverse of its support
     Gram, in the leading slots of a zero stack, so the span test reads ``w =
@@ -162,7 +150,6 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
     Returns codes ``(P, n, s)`` and support sizes ``(P, s)``.
     """
     P, n, s = B.shape
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), (P, s))
     t_max = min(int(T), int(usable.sum(axis=1).max()))
     X = np.zeros((P, n, s))
     blocked = np.repeat(~usable[:, :, None], s, axis=2)
@@ -171,7 +158,7 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
     # at step t; their supports and inverse Grams are compacted as columns
     # retire, and a step works on the leading (t + 1) x (t + 1) window of H,
     # whose free slots are zero
-    prob, col = np.nonzero(np.sqrt(ysq) > eps)
+    prob, col = np.nonzero(ysq > 0)
     supp = np.zeros((prob.size, t_max), dtype=int)
     H = np.zeros((prob.size, t_max, t_max))
     for t in range(t_max):
@@ -206,7 +193,7 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
         x = X[rows, I, cols] + (Ht @ corr[ar[:, None], I][..., None])[..., 0]
         X[rows, I, cols] = x
         r2 = ysq[prob, col] - np.einsum("ct,ct->c", x, B[rows, I, cols])
-        keep = np.sqrt(np.maximum(r2, 0.0)) > eps[prob, col]
+        keep = r2 > 0
         if not keep.all():
             prob, col, supp, H = prob[keep], col[keep], supp[keep], H[keep]
     return X, sizes
@@ -661,10 +648,13 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     above ``eps``. The column then gets the path's end code, as it would
     from a path walked alone.
 
-    This is the one-position case of :func:`bpdn_stack`, through a reshape.
+    This is the one-position case of :func:`bpdn_stack`, through a reshape;
+    a stack of dictionaries raises ``ValueError``.
     Returns ``(codes, residual_norms, feasible, iteration_counts)``.
     """
-    Y = _check_signals(D, Y)
+    if D.atoms.ndim != 2:
+        raise ValueError(f"bpdn_batch codes one block position, got a stack of atoms {D.atoms.shape}")
+    Y = check_signals(Y, (D.dim,))
     s = Y.shape[1]
     eps_vec = np.broadcast_to(np.asarray(eps, dtype=float), (s,))
     if not (eps_vec > 0).all():

@@ -65,18 +65,18 @@ def exhaustive_sparse_fit(A: np.ndarray, y: np.ndarray, T: int):
     return best[1], best[0], best[2]
 
 
-def textbook_omp(A: np.ndarray, y: np.ndarray, T: int, eps: float) -> np.ndarray:
+def textbook_omp(A: np.ndarray, y: np.ndarray, T: int) -> np.ndarray:
     """Orthogonal matching pursuit for one signal, straight from its definition.
 
     Picks the atom most correlated with the residual and refits every
-    coefficient of the support with ``lstsq``; stops once the residual norm
-    is at most ``eps``, the support holds ``T`` atoms, or no atom correlates
-    with the residual above 1e-10. Returns the coefficient vector.
+    coefficient of the support with ``lstsq``; stops once the residual is
+    zero, the support holds ``T`` atoms, or no atom correlates with the
+    residual above 1e-10. Returns the coefficient vector.
     """
     x = np.zeros(A.shape[1])
     support: list[int] = []
     r = y
-    while len(support) < T and np.linalg.norm(r) > eps:
+    while len(support) < T and np.linalg.norm(r) > 0:
         corr = np.abs(A.T @ r)
         j = int(np.argmax(corr))
         if corr[j] <= 1e-10:
@@ -312,7 +312,7 @@ def ksvd_iteration(Y: np.ndarray, D: np.ndarray, T: int):
     residual that no earlier atom took. Returns ``(atoms, codes)``.
     """
     D = D.copy()
-    X = np.column_stack([textbook_omp(D, y, T, 0.0) for y in Y.T])
+    X = np.column_stack([textbook_omp(D, y, T) for y in Y.T])
     for a in range(D.shape[1]):
         users = np.flatnonzero(X[a])
         if users.size == 0:

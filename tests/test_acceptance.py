@@ -123,10 +123,10 @@ class TestDictionaryLearningSuite:
             labels = np.array([BENIGN] * 6 + [MALIGNANT] * 6)
             params = TrainParams(K=6, T=2, alpha=0.0, beta=0.0, iterations=6, seed=seed,
                                  min_rel_improvement=0.0)
-            (model,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
+            model = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
             (D0,), _, _, _, _ = lcksvd_init(Y[None], labels, params)
             _, _, trace = ksvd_one(Y, params, D0)
-            reduction_ok &= np.array_equal(model.objective_trace, trace)
+            reduction_ok &= np.array_equal(model.objective_traces[0], trace)
 
         elapsed = time.perf_counter() - start
         report(

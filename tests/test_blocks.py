@@ -16,9 +16,10 @@ def roi_blocks(roi, block_w, block_h):
 
 
 def raw_dictionaries(training, block_w, block_h):
-    """The training set's dl_mode "none" dictionaries, one per block position."""
+    """The training set's dl_mode "none" dictionaries, one stack of every
+    block position's."""
     stack, labels = block_stack(training, block_w, block_h)
-    return [model.D for model in train_block_models(stack, labels, ExperimentConfig())]
+    return train_block_models(stack, labels, ExperimentConfig()).D
 
 
 class TestDecompose:
@@ -93,44 +94,39 @@ class TestAssemble:
     def test_shapes_and_order(self):
         rng = np.random.default_rng(2)
         training = self.samples(rng, n=5)
-        dicts = raw_dictionaries(training, 8, 8)
-        assert len(dicts) == 4
-        for D in dicts:
-            assert D.atoms.shape == (64, 5)
-            np.testing.assert_array_equal(D.atom_labels, [s.label for s in training])
+        D = raw_dictionaries(training, 8, 8)
+        assert D.atoms.shape == (4, 64, 5) and D.scales.shape == (4, 5)
+        np.testing.assert_array_equal(D.atom_labels, [s.label for s in training])
 
     def test_identical_images_different_labels_allowed(self):
         rng = np.random.default_rng(3)
         px = rng.random((8, 8))
         training = [make_roi(px, BENIGN), make_roi(px.copy(), MALIGNANT)]
-        dicts = raw_dictionaries(training, 8, 8)
-        np.testing.assert_array_equal(dicts[0].atoms[:, 0], dicts[0].atoms[:, 1])
-        assert list(dicts[0].atom_labels) == [BENIGN, MALIGNANT]
+        D = raw_dictionaries(training, 8, 8)
+        np.testing.assert_array_equal(D.atoms[0, :, 0], D.atoms[0, :, 1])
+        assert list(D.atom_labels) == [BENIGN, MALIGNANT]
 
     def test_columns_reconstruct_block_vectors(self):
         rng = np.random.default_rng(4)
         training = self.samples(rng, n=4)
-        dicts = raw_dictionaries(training, 8, 8)
+        D = raw_dictionaries(training, 8, 8)
         for i, smp in enumerate(training):
             vectors = roi_blocks(smp, 8, 8)
-            for j, D in enumerate(dicts):
-                np.testing.assert_allclose(
-                    D.atoms[:, i] * D.scales[i], vectors[j], atol=1e-12
-                )
+            for j in range(4):
+                np.testing.assert_allclose(D.atoms[j, :, i] * D.scales[j, i], vectors[j], atol=1e-12)
 
     def test_block_dictionary_depends_only_on_its_block(self):
         rng = np.random.default_rng(5)
         training = self.samples(rng, n=4)
-        dicts = raw_dictionaries(training, 8, 8)
+        D = raw_dictionaries(training, 8, 8)
         perturbed = []
         for smp in training:
             px = smp.pixels.copy()
             px[8:, :] += rng.random((8, 16))  # touch blocks 2 and 3 only
             perturbed.append(make_roi(px, smp.label, smp.source_id))
-        dicts2 = raw_dictionaries(perturbed, 8, 8)
-        np.testing.assert_array_equal(dicts[0].atoms, dicts2[0].atoms)
-        np.testing.assert_array_equal(dicts[1].atoms, dicts2[1].atoms)
-        assert not np.array_equal(dicts[2].atoms, dicts2[2].atoms)
+        D2 = raw_dictionaries(perturbed, 8, 8)
+        np.testing.assert_array_equal(D.atoms[:2], D2.atoms[:2])
+        assert not np.array_equal(D.atoms[2], D2.atoms[2])
 
     def test_mixed_sizes_rejected(self):
         rng = np.random.default_rng(6)

@@ -167,9 +167,9 @@ def test_evaluate_rejects_mismatched_model(tmp_path, synth_cache, capsys):
     assert diag["error"] == "ValueError"
     assert "roi_size 16" in diag["message"] and "roi_size 32" in diag["message"]
 
-    models, params, meta = load_model(str(model))
+    trained, params, meta = load_model(str(model))
     bad = tmp_path / "bad.blkd"
-    save_model(str(bad), models, params, dict(meta, block_w=4, block_h=4))
+    save_model(str(bad), trained, params, dict(meta, block_w=4, block_h=4))
     assert main(["evaluate", "--config", str(cfg), "--model", str(bad)]) == 1
     diag = json.loads(capsys.readouterr().err.strip())
     assert diag["error"] == "ValueError"

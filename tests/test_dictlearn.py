@@ -11,11 +11,25 @@ from blocksrc.solvers import normalize_columns
 from blocksrc.synth import SynthSpec, synth_dataset
 
 from .oracles import class_residuals_pixels, ksvd_iteration
+from .test_ensemble import position
 from .test_solvers import omp
 
 
 def two_class_labels(n0, n1):
     return np.array([BENIGN] * n0 + [MALIGNANT] * n1)
+
+
+def positions(model):
+    """Each block position of a trained ``model``, as ``(D, trace)``: its
+    (d, n) dictionary and its objective trace."""
+    return [(position(model.D, p), t) for p, t in enumerate(model.objective_traces)]
+
+
+def train_one(Y, labels, params, mode="lcksvd2"):
+    """:func:`lcksvd_train_stack` on the one training matrix ``Y``: its
+    dictionary and objective trace."""
+    ((D, trace),) = positions(lcksvd_train_stack(Y[None], labels, params, mode))
+    return D, trace
 
 
 def ksvd_one(Y, params, init, probe=None):
@@ -261,10 +275,10 @@ class TestLcksvdTrain:
         labels = two_class_labels(7, 7)
         params = TrainParams(K=8, T=3, alpha=0.0, beta=0.0, iterations=7, seed=5,
                              min_rel_improvement=0.0)
-        (model,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
+        _, learned = train_one(Y, labels, params)
         (D0,), _, _, _, _ = lcksvd_init(Y[None], labels, params)
         _, _, trace = ksvd_one(Y, params, D0)
-        np.testing.assert_array_equal(model.objective_trace, trace)
+        np.testing.assert_array_equal(learned, trace)
 
     def test_stacked_objective_identity(self):
         rng = np.random.default_rng(11)
@@ -294,35 +308,34 @@ class TestLcksvdTrain:
         labels = two_class_labels(6, 6)
         params = TrainParams(K=6, T=2, alpha=0.7, beta=1.3, iterations=5, seed=3,
                              min_rel_improvement=0.0)
-        (model,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
+        D, learned = train_one(Y, labels, params)
         (atoms,), (X,), (trace,) = lcksvd_stack(Y[None], labels, params, "lcksvd2")
-        np.testing.assert_array_equal(model.objective_trace, trace)
-        lm = build_label_matrices(labels, model.D.atom_labels)
-        s = model.D.scales
+        np.testing.assert_array_equal(learned, trace)
+        lm = build_label_matrices(labels, D.atom_labels)
+        s = D.scales
         # the model's scaled atoms are the stack's data rows, so with the
         # stack's codes they reproduce the data part of the last objective
         label_rows = atoms[9:] @ X
         obj = (
-            float(np.sum((Y - (model.D.atoms * s) @ X) ** 2))
+            float(np.sum((Y - (D.atoms * s) @ X) ** 2))
             + float(np.sum((np.sqrt(params.alpha) * lm.Q - label_rows[:6]) ** 2))
             + float(np.sum((np.sqrt(params.beta) * lm.H - label_rows[6:]) ** 2))
         )
-        assert model.objective_trace[-1] == pytest.approx(obj, rel=1e-9)
+        assert learned[-1] == pytest.approx(obj, rel=1e-9)
 
     def test_renormalization_preserves_reconstruction(self):
         rng = np.random.default_rng(13)
         Y = rng.standard_normal((8, 10))
         labels = two_class_labels(5, 5)
         params = TrainParams(K=6, T=2, alpha=1.0, beta=1.0, iterations=4, seed=9)
-        (model,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
+        D, learned = train_one(Y, labels, params)
         (atoms,), (X,), (trace,) = lcksvd_stack(Y[None], labels, params, "lcksvd2")
-        np.testing.assert_array_equal(model.objective_trace, trace)
-        rescaled = model.D.atoms @ (X * model.D.scales[:, None])
-        original = (model.D.atoms * model.D.scales) @ X
+        np.testing.assert_array_equal(learned, trace)
+        rescaled = D.atoms @ (X * D.scales[:, None])
+        original = (D.atoms * D.scales) @ X
         np.testing.assert_allclose(rescaled, original, atol=1e-9)
         np.testing.assert_allclose(original, atoms[:8] @ X, atol=1e-9)
-        usable = model.D.usable
-        norms = np.linalg.norm(model.D.atoms[:, usable], axis=0)
+        norms = np.linalg.norm(D.atoms[:, D.usable], axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
     def test_training_determinism(self):
@@ -330,10 +343,9 @@ class TestLcksvdTrain:
         Y = rng.standard_normal((8, 12))
         labels = two_class_labels(6, 6)
         params = TrainParams(K=7, T=3, iterations=5, seed=2)
-        (a,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
-        (b,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
+        a, b = (lcksvd_train_stack(Y[None], labels, params, "lcksvd2") for _ in range(2))
         np.testing.assert_array_equal(a.D.atoms, b.D.atoms)
-        np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
+        np.testing.assert_array_equal(a.objective_traces[0], b.objective_traces[0])
 
     def test_separated_classes_classified_by_residual(self):
         rng = np.random.default_rng(42)
@@ -356,9 +368,9 @@ class TestLcksvdTrain:
         held_labels = two_class_labels(10, 10)
 
         params = TrainParams(K=20, T=4, iterations=20, seed=7)
-        (model,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
-        codes, _, _ = omp(model.D, held, params.resolved_t(20))
-        resid, _ = class_residuals_pixels(model.D.atoms, model.D.atom_labels, codes, held)
+        D, _ = train_one(Y, labels, params)
+        codes, _, _ = omp(D, held, params.resolved_t(20))
+        resid, _ = class_residuals_pixels(D.atoms, D.atom_labels, codes, held)
         correct = np.count_nonzero(np.argmin(resid, axis=0) == held_labels)
         assert correct >= 18  # >= 90 percent
 
@@ -403,18 +415,18 @@ class TestStackedTraining:
         labels = two_class_labels(6, 6)
         params = TrainParams(K=6, T=2, alpha=0.5, beta=0.8, iterations=10, seed=4,
                              min_rel_improvement=1e-2)
-        models = lcksvd_train_stack(Ys, labels, params, "lcksvd2")
+        model = lcksvd_train_stack(Ys, labels, params, "lcksvd2")
         _, X, traces = lcksvd_stack(Ys, labels, params, "lcksvd2")
         lengths = []
-        for p, model in enumerate(models):
-            np.testing.assert_array_equal(model.objective_trace, traces[p])
-            (solo,) = lcksvd_train_stack(Ys[p : p + 1], labels, params, "lcksvd2")
+        for p, (D, trace) in enumerate(positions(model)):
+            np.testing.assert_array_equal(trace, traces[p])
+            solo, solo_trace = train_one(Ys[p], labels, params)
             _, (solo_X,), _ = lcksvd_stack(Ys[p : p + 1], labels, params, "lcksvd2")
-            lengths.append(solo.objective_trace.size)
-            assert model.objective_trace.size == solo.objective_trace.size
-            assert_close_rel(model.objective_trace, solo.objective_trace, 1e-12)
-            assert_close_rel(model.D.atoms, solo.D.atoms, 1e-12)
-            assert_close_rel(model.D.scales, solo.D.scales, 1e-12)
+            lengths.append(solo_trace.size)
+            assert trace.size == solo_trace.size
+            assert_close_rel(trace, solo_trace, 1e-12)
+            assert_close_rel(D.atoms, solo.atoms, 1e-12)
+            assert_close_rel(D.scales, solo.scales, 1e-12)
             assert_close_rel(X[p], solo_X, 1e-12)
             np.testing.assert_array_equal(X[p] != 0, solo_X != 0)
         # the problems stop early after different iteration counts
@@ -430,8 +442,8 @@ class TestAbsoluteStop:
         for d in (7, 200):  # overcomplete, and rows enough for span coordinates
             Y = rng.standard_normal((4, d, 12))
             for mode in ("lcksvd1", "lcksvd2"):
-                models = lcksvd_train_stack(Y, labels, TrainParams(), mode)
-                assert [m.objective_trace.size for m in models] == [1, 1, 1, 1], (d, mode)
+                model = lcksvd_train_stack(Y, labels, TrainParams(), mode)
+                assert [t.size for t in model.objective_traces] == [1, 1, 1, 1], (d, mode)
 
     def test_learning_problems_stay_above_the_floor(self):
         rng = np.random.default_rng(22)
@@ -442,11 +454,11 @@ class TestAbsoluteStop:
         assert trace.min() > 1e-12 * (np.sum(Y**2) + 6)
 
         params = TrainParams(K=8, T=2, iterations=30, seed=3)
-        (model,) = lcksvd_train_stack(Y[None], labels, params, "lcksvd2")
-        lm = build_label_matrices(labels, model.D.atom_labels)
+        D, learned = train_one(Y, labels, params)
+        lm = build_label_matrices(labels, D.atom_labels)
         zsq = np.sum(Y**2) + params.alpha * np.sum(lm.Q**2) + params.beta * np.sum(lm.H**2) + 8
-        assert model.objective_trace.size == 12
-        assert model.objective_trace.min() > 1e-12 * zsq
+        assert learned.size == 12
+        assert learned.min() > 1e-12 * zsq
 
     def test_zero_min_rel_improvement_runs_every_iteration(self):
         rng = np.random.default_rng(23)
@@ -454,8 +466,8 @@ class TestAbsoluteStop:
         params = TrainParams(K=5, T=1, iterations=4, seed=0, min_rel_improvement=0.0)
         _, _, trace = ksvd_one(Y, params, Y / np.linalg.norm(Y, axis=0))
         assert trace.size == 4 and trace.max() <= 1e-18
-        models = lcksvd_train_stack(Y[None], two_class_labels(3, 2), params, "lcksvd2")
-        assert models[0].objective_trace.size == 4
+        _, learned = train_one(Y, two_class_labels(3, 2), params)
+        assert learned.size == 4
 
 
 class TestSpanCoordinates:
@@ -511,20 +523,20 @@ class TestExactDefaultK:
         samples = roi_samples(Y, labels)
         stack, stack_labels = block_stack(samples, b, b)  # the harness's layout
         assert np.array_equal(stack, Y)
-        models = lcksvd_train_stack(stack, stack_labels, params, mode)
+        model = lcksvd_train_stack(stack, stack_labels, params, mode)
         Z = stacked_columns(Y, labels, params, mode)
         d = Y.shape[1]
-        raw_models = train_block_models(stack, stack_labels, ExperimentConfig())  # dl_mode "none"
-        for p, (model, raw) in enumerate(zip(models, (m.D for m in raw_models))):
-            # the dictionary is the raw one, in training order
-            assert same_bytes(model.D.atoms, raw.atoms)
-            assert same_bytes(model.D.atom_labels, raw.atom_labels)
-            assert same_bytes(model.D.scales, raw.scales)
-            live = raw.usable
+        raw = train_block_models(stack, stack_labels, ExperimentConfig()).D  # dl_mode "none"
+        # the dictionary is the raw one, in training order
+        assert same_bytes(model.D.atoms, raw.atoms)
+        assert same_bytes(model.D.atom_labels, raw.atom_labels)
+        assert same_bytes(model.D.scales, raw.scales)
+        for p, (D, trace) in enumerate(positions(model)):
+            live = D.usable
             # each usable atom codes its own block alone, with code 1, so the
             # rescaled codes reproduce the training blocks
             X = np.diag(live.astype(float))
-            recon = (model.D.atoms * model.D.scales) @ X
+            recon = (D.atoms * D.scales) @ X
             np.testing.assert_allclose(recon, Y[p], rtol=0, atol=1e-13 * np.abs(Y[p]).max())
             # the one-entry trace is that optimum's objective: rounding level,
             # plus the stacked label rows a degenerate block's atom cannot code
@@ -532,10 +544,10 @@ class TestExactDefaultK:
             lost = np.sum(label_rows[:, ~live] ** 2)
             obj = np.sum((Y[p] - recon) ** 2) + lost
             floor = 1e-24 * np.sum(Z[p] ** 2)
-            assert model.objective_trace.shape == (1,)
-            assert model.objective_trace[0] == pytest.approx(obj, rel=1e-9, abs=floor)
-            assert model.objective_trace[0] == pytest.approx(lost, rel=1e-12, abs=floor)
-        return models
+            assert trace.shape == (1,)
+            assert trace[0] == pytest.approx(obj, rel=1e-9, abs=floor)
+            assert trace[0] == pytest.approx(lost, rel=1e-12, abs=floor)
+        return model
 
     @pytest.mark.parametrize("mode", ["lcksvd1", "lcksvd2"])
     def test_models_are_the_drawn_training_blocks(self, mode):
@@ -554,8 +566,8 @@ class TestExactDefaultK:
         Y[:, :, 2] = Y[:, :, 3]  # a duplicate within a class
         Y[:, :, 8] = Y[:, :, 1]  # and one across the classes
         for alpha, beta in ((1.0, 1.0), (0.0, 0.0), (0.0, 2.0)):
-            models = self.assert_exact(Y, labels, TrainParams(alpha=alpha, beta=beta), mode)
-            assert models[0].D.usable.sum() == 11 and not models[0].D.usable[4]
+            usable = self.assert_exact(Y, labels, TrainParams(alpha=alpha, beta=beta), mode).D.usable
+            assert usable[0].sum() == 11 and not usable[0, 4]
 
     def test_agrees_with_ksvd_on_the_same_stack(self):
         rng = np.random.default_rng(26)
@@ -569,27 +581,27 @@ class TestExactDefaultK:
             # iteration on them: atom c, scaled by its code, is column c
             k_atoms, k_X, k_traces = _ksvd_stack(np.concatenate([Z, Z], axis=2), 12, params)
             assert [t.size for t in k_traces] == [1, 1, 1]
-            models = lcksvd_train_stack(Y, labels, params, "lcksvd2")
-            for model, atoms, X, k_t, z in zip(models, k_atoms, k_X, k_traces, Z):
+            model = lcksvd_train_stack(Y, labels, params, "lcksvd2")
+            for (D, trace), atoms, X, k_t, z in zip(positions(model), k_atoms, k_X, k_traces, Z):
                 # K-SVD's stacked atoms, scaled by their codes, are the stacked
                 # columns, and their data rows the closed form's scaled atoms
                 tol = 1e-12 * np.abs(z).max()
                 np.testing.assert_allclose(atoms * np.diag(X), z[:, :12], rtol=0, atol=tol)
-                np.testing.assert_allclose(atoms[:d] * np.diag(X), model.D.atoms * model.D.scales, rtol=0, atol=tol)
+                np.testing.assert_allclose(atoms[:d] * np.diag(X), D.atoms * D.scales, rtol=0, atol=tol)
                 np.testing.assert_allclose(X - np.diag(np.diag(X)), 0.0, rtol=0, atol=1e-12 * np.abs(X).max())
                 _, k_norms = normalize_columns(atoms[:d])
-                np.testing.assert_allclose(atoms[:d] / k_norms, model.D.atoms, rtol=0, atol=1e-12)
-                assert max(model.objective_trace[0], k_t[0]) <= 1e-24 * np.sum(z**2)
+                np.testing.assert_allclose(atoms[:d] / k_norms, D.atoms, rtol=0, atol=1e-12)
+                assert max(trace[0], k_t[0]) <= 1e-24 * np.sum(z**2)
 
     def test_dict_size_equal_to_the_training_count_is_the_default(self):
         rng = np.random.default_rng(27)
         Y = rng.standard_normal((2, 10, 12))
         labels = two_class_labels(5, 7)
-        for a, b in zip(lcksvd_train_stack(Y, labels, TrainParams(), "lcksvd2"),
-                        lcksvd_train_stack(Y, labels, TrainParams(K=12), "lcksvd2")):
-            for x, y_ in ((a.D.atoms, b.D.atoms), (a.D.atom_labels, b.D.atom_labels),
-                          (a.D.scales, b.D.scales), (a.objective_trace, b.objective_trace)):
-                np.testing.assert_array_equal(x, y_)
+        a = lcksvd_train_stack(Y, labels, TrainParams(), "lcksvd2")
+        b = lcksvd_train_stack(Y, labels, TrainParams(K=12), "lcksvd2")
+        for x, y_ in ((a.D.atoms, b.D.atoms), (a.D.atom_labels, b.D.atom_labels), (a.D.scales, b.D.scales),
+                      *zip(a.objective_traces, b.objective_traces, strict=True)):
+            np.testing.assert_array_equal(x, y_)
 
 
 class TestLearningBelowTheTrainingCount:
@@ -597,23 +609,23 @@ class TestLearningBelowTheTrainingCount:
     objective falls; at K = s every atom is a raw block."""
 
     @staticmethod
-    def farthest_atom(model, Y):
-        """The smallest, over atoms, of the largest |cos| between an atom and
-        any raw training block."""
+    def farthest_atom(D, Y):
+        """The smallest, over atoms, of the largest |cos| between an atom of
+        the one-matrix dictionary ``D`` and any raw training block."""
         blocks, _ = normalize_columns(Y)
-        return float(np.abs(model.D.atoms.T @ blocks).max(axis=1).min())
+        return float(np.abs(D.atoms.T @ blocks).max(axis=1).min())
 
     @pytest.mark.parametrize("mode", ["lcksvd1", "lcksvd2"])
     def test_atoms_leave_the_raw_blocks(self, mode):
         spec = SynthSpec(roi_size=16, block_size=8, samples_per_class=10, noise_sigma=1.0)
         stack, labels = block_stack(synth_dataset(spec, 20), 8, 8)
         learned = lcksvd_train_stack(stack, labels, TrainParams(K=8), mode)
-        for Y, model in zip(stack, learned):
-            assert self.farthest_atom(model, Y) < 0.99
-            assert model.objective_trace.size > 1
-            assert np.all(np.diff(model.objective_trace) <= 0.0)
-        for Y, model in zip(stack, lcksvd_train_stack(stack, labels, TrainParams(), mode)):
-            assert self.farthest_atom(model, Y) == pytest.approx(1.0, abs=1e-12)
+        for Y, (D, trace) in zip(stack, positions(learned), strict=True):
+            assert self.farthest_atom(D, Y) < 0.99
+            assert trace.size > 1
+            assert np.all(np.diff(trace) <= 0.0)
+        for Y, (D, _) in zip(stack, positions(lcksvd_train_stack(stack, labels, TrainParams(), mode)), strict=True):
+            assert self.farthest_atom(D, Y) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestZeroTrainingBlock:
@@ -627,17 +639,17 @@ class TestZeroTrainingBlock:
         Y = rng.standard_normal((2, 9, 12))
         Y[0, :, 4] = 0.0
         params = TrainParams(alpha=0.7, beta=1.3)
-        model = lcksvd_train_stack(Y, labels, params, mode)[0]
+        D, trace = positions(lcksvd_train_stack(Y, labels, params, mode))[0]
         Z = stacked_columns(Y[:1], labels, params, mode)
-        assert not model.D.usable[4] and not model.D.atoms[:, 4].any()
-        assert np.array_equal(model.D.usable, np.arange(12) != 4)
+        assert not D.usable[4] and not D.atoms[:, 4].any()
+        assert np.array_equal(D.usable, np.arange(12) != 4)
         # the usable atoms, coding their own blocks, reproduce every block
-        X = np.diag(model.D.usable.astype(float))
-        np.testing.assert_allclose((model.D.atoms * model.D.scales) @ X, Y[0], rtol=0, atol=1e-14)
+        X = np.diag(D.usable.astype(float))
+        np.testing.assert_allclose((D.atoms * D.scales) @ X, Y[0], rtol=0, atol=1e-14)
         # the trace counts what the block's label rows lose
         label_rows = Z[0, 9:]
         assert label_rows.shape[0] == (14 if mode == "lcksvd2" else 12) and label_rows[:, 4].any()
-        assert model.objective_trace[0] == pytest.approx(np.sum(label_rows[:, 4] ** 2), rel=1e-12)
+        assert trace[0] == pytest.approx(np.sum(label_rows[:, 4] ** 2), rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["lcksvd1", "lcksvd2"])
     def test_ksvd_branch(self, mode):
@@ -646,18 +658,18 @@ class TestZeroTrainingBlock:
         Y = rng.standard_normal((2, 9, 12))
         Y[0, :, 4] = Y[0, :, 7] = 0.0  # two zero blocks, one per class
         params = TrainParams(K=12, T=2, alpha=0.7, beta=1.3, iterations=5, min_rel_improvement=0.0)
-        model = lcksvd_train_stack(Y, labels, params, mode)[0]
+        D, learned = positions(lcksvd_train_stack(Y, labels, params, mode))[0]
         (atoms,), (X,), (trace,) = lcksvd_stack(Y[:1], labels, params, mode)
-        np.testing.assert_array_equal(model.objective_trace, trace)
-        lm = build_label_matrices(labels, model.D.atom_labels)
+        np.testing.assert_array_equal(learned, trace)
+        lm = build_label_matrices(labels, D.atom_labels)
         # an atom that codes only a zero block has a zero data part
-        dead = ~model.D.usable
-        assert dead.any() and not model.D.atoms[:, dead].any()
+        dead = ~D.usable
+        assert dead.any() and not D.atoms[:, dead].any()
         lost = X[dead].any(axis=0)
         assert lost.any() and set(np.flatnonzero(lost)) <= {4, 7}
         # in the stack those atoms carry label rows alone, and D drops them
         np.testing.assert_allclose(np.linalg.norm(atoms[9:, dead], axis=0), 1.0, rtol=1e-12)
-        np.testing.assert_allclose(model.D.scales[dead], 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(D.scales[dead], 0.0, rtol=0, atol=1e-12)
         label_rows = [(params.alpha, lm.Q)]
         if mode == "lcksvd2":
             label_rows.append((params.beta, lm.H))
@@ -665,4 +677,4 @@ class TestZeroTrainingBlock:
         # the stacked model represented those rows: K-SVD's trace, taken
         # before the split, is far below what the split model loses
         loss = sum(w * np.sum(target[:, lost] ** 2) for w, target in label_rows)
-        assert model.objective_trace[-1] < 1e-6 * loss
+        assert learned[-1] < 1e-6 * loss

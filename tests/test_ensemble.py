@@ -8,6 +8,17 @@ from blocksrc.solvers import L1_LOG_FLOOR
 from .oracles import pair_counting_auc
 
 
+def position(D, p):
+    """Position ``p`` of the block grid ``D``: its (d, n) dictionary."""
+    return Dictionary(atoms=D.atoms[p], atom_labels=D.atom_labels, scales=D.scales[p])
+
+
+def grid(*dicts):
+    """The block grid of the (d, n) dictionaries ``dicts``, in order."""
+    return Dictionary(atoms=np.stack([D.atoms for D in dicts]), atom_labels=dicts[0].atom_labels,
+                      scales=np.stack([D.scales for D in dicts]))
+
+
 class TestLlsScore:
     def test_malignant_only_support_is_positive(self):
         # all mass on malignant atoms: guarded benign mass pushes the default
@@ -39,14 +50,14 @@ class TestBlockDecision:
     """One block position: the P = 1 case of the stacked call."""
 
     def low_coherence_pair_dict(self, rng):
-        A = np.abs(rng.standard_normal((10, 4))) + 0.2
+        A = np.abs(rng.standard_normal((1, 10, 4))) + 0.2
         return Dictionary.from_matrix(A, [BENIGN, BENIGN, MALIGNANT, MALIGNANT])
 
     def test_copy_of_benign_atom(self):
         rng = np.random.default_rng(1)
         D = self.low_coherence_pair_dict(rng)
-        y = 1.3 * D.atoms[:, 0]
-        res = block_decisions([D], y[None, :, None], 0.01)
+        y = 1.3 * D.atoms[0, :, 0]
+        res = block_decisions(D, y[None, :, None], 0.01)
         assert res.residuals[BENIGN, 0, 0] <= 0.05 * np.linalg.norm(y)
         assert res.hard[0, 0] == BENIGN
         # direct arithmetic on the returned code agrees
@@ -54,12 +65,12 @@ class TestBlockDecision:
         mask = D.atom_labels == BENIGN
         xb = np.where(mask, x, 0.0)
         np.testing.assert_allclose(
-            res.residuals[BENIGN, 0, 0], np.linalg.norm(y - D.atoms @ xb), atol=1e-9
+            res.residuals[BENIGN, 0, 0], np.linalg.norm(y - D.atoms[0] @ xb), atol=1e-9
         )
 
     def test_degenerate_dictionary(self):
-        D = Dictionary.from_matrix(np.zeros((4, 3)), [0, 1, 1])
-        res = block_decisions([D], np.ones((1, 4, 1)), 0.0, eps_abs=0.1)
+        D = Dictionary.from_matrix(np.zeros((1, 4, 3)), [0, 1, 1])
+        res = block_decisions(D, np.ones((1, 4, 1)), 0.0, eps_abs=0.1)
         assert res.degenerate[0, 0]
         assert res.hard[0, 0] == BENIGN
         assert res.lls[0, 0] == 0.0
@@ -67,15 +78,15 @@ class TestBlockDecision:
     def test_zero_block(self):
         rng = np.random.default_rng(2)
         D = self.low_coherence_pair_dict(rng)
-        res = block_decisions([D], np.zeros((1, 10, 1)), 0.0, eps_abs=0.1)
+        res = block_decisions(D, np.zeros((1, 10, 1)), 0.0, eps_abs=0.1)
         assert res.degenerate[0, 0]
         assert res.hard[0, 0] == BENIGN
 
     def test_infeasible_eps_uses_best_iterate(self):
         rng = np.random.default_rng(3)
-        D = Dictionary.from_matrix(rng.standard_normal((12, 2)), [BENIGN, MALIGNANT])
+        D = Dictionary.from_matrix(rng.standard_normal((1, 12, 2)), [BENIGN, MALIGNANT])
         y = rng.standard_normal(12)
-        res = block_decisions([D], y[None, :, None], 0.0, eps_abs=1e-9)
+        res = block_decisions(D, y[None, :, None], 0.0, eps_abs=1e-9)
         assert not res.feasible[0, 0]
         assert np.isfinite(res.lls[0, 0])
 
@@ -84,9 +95,9 @@ class TestBlockDecision:
         rng = np.random.default_rng(4)
         D = self.low_coherence_pair_dict(rng)
         Y = np.abs(rng.standard_normal((10, 5)))
-        batch = block_decisions([D], Y[None], 0.3)
+        batch = block_decisions(D, Y[None], 0.3)
         for i in range(5):
-            solo = block_decisions([D], Y[None, :, i : i + 1], 0.3)
+            solo = block_decisions(D, Y[None, :, i : i + 1], 0.3)
             assert batch.hard[0, i] == solo.hard[0, 0]
             assert batch.lls[0, i] == pytest.approx(solo.lls[0, 0], abs=1e-7)
 
@@ -98,7 +109,7 @@ class TestBlockDecision:
         Y = np.abs(rng.standard_normal((1, 10, 3)))
         allowed = np.ones((4, 3), dtype=bool)
         allowed[:, 1] = False  # no atom at all for sample 1
-        res = block_decisions([D], Y, 0.05, allowed=allowed)
+        res = block_decisions(D, Y, 0.05, allowed=allowed)
         assert res.degenerate[0].tolist() == [False, True, False]
         norm = np.linalg.norm(Y[0, :, 1])
         assert res.residuals[BENIGN, 0, 1] == norm and res.residuals[MALIGNANT, 0, 1] == norm
@@ -111,22 +122,29 @@ class TestBlockDecision:
         # in a call of its own, byte for byte
         rng = np.random.default_rng(7)
         labels = [BENIGN, MALIGNANT] * 3
-        dicts = [Dictionary.from_matrix(np.abs(rng.standard_normal((10, 6))) + 0.1, labels) for _ in range(3)]
+        D = Dictionary.from_matrix(np.abs(rng.standard_normal((3, 10, 6))) + 0.1, labels)
         Y = np.abs(rng.standard_normal((3, 10, 5)))
         Y[1, :, 2] *= 1e-3
         allowed = np.repeat(np.arange(3), 2)[:, None] != np.array([0, 1, 2, 0, 1])[None, :]
-        res = block_decisions(dicts, Y, 0.0, eps_abs=0.05, allowed=allowed)
+        res = block_decisions(D, Y, 0.0, eps_abs=0.05, allowed=allowed)
         assert res.feasible[1, 2] and not res.feasible[[0, 2], 2].any()
         for p in range(3):
-            one = block_decisions([dicts[p]], Y[p : p + 1], 0.0, eps_abs=0.05, allowed=allowed)
+            one = block_decisions(grid(position(D, p)), Y[p : p + 1], 0.0, eps_abs=0.05, allowed=allowed)
             for name in ("codes", "feasible", "hard", "lls"):
                 assert getattr(one, name)[0].tobytes() == getattr(res, name)[p].tobytes()
 
     def test_signals_must_match_the_positions(self):
         rng = np.random.default_rng(6)
-        D = self.low_coherence_pair_dict(rng)
+        D = Dictionary.from_matrix(np.abs(rng.standard_normal((2, 10, 4))), [BENIGN, BENIGN, MALIGNANT, MALIGNANT])
         with pytest.raises(ValueError, match=r"expected signals of shape \(2, 10, m\), got \(3, 10, 2\)"):
-            block_decisions([D, D], np.ones((3, 10, 2)), 0.1)
+            block_decisions(D, np.ones((3, 10, 2)), 0.1)
+
+    def test_one_position_dictionary_is_refused(self):
+        # the grid's stack of dictionaries, not one position's matrix
+        D = Dictionary.from_matrix(np.eye(4), [BENIGN, BENIGN, MALIGNANT, MALIGNANT])
+        with pytest.raises(ValueError, match=r"expected a \(P, d, n\) stack of block dictionaries, "
+                                             r"got atoms of shape \(4, 4\)"):
+            block_decisions(D, np.ones((1, 4, 2)), 0.1)
 
 
 class TestBbmap:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import fields, replace
@@ -37,6 +38,7 @@ from blocksrc.solvers import bpdn_batch
 from blocksrc.synth import SynthSpec
 
 from .oracles import class_residuals_pixels, confusion_by_hand
+from .test_ensemble import grid, position
 
 
 def tiny_config(**overrides):
@@ -417,8 +419,7 @@ class TestRunExperiment:
         for f in range(cfg.k_folds):
             train = [samples[i] for i in np.flatnonzero(folds != f)]
             test_idx = np.flatnonzero(folds == f)
-            models = train_block_models(*block_stack(train, 16, 16), cfg)
-            D = models[0].D
+            D = position(train_block_models(*block_stack(train, 16, 16), cfg).D, 0)
             for i in test_idx:
                 y = block_vectors([samples[i]], 16, 16)[0, 0]
                 eps = cfg.eps_rel * np.linalg.norm(y)
@@ -532,7 +533,7 @@ class TestRunExperiment:
     def test_programming_error_propagates(self, monkeypatch):
         import blocksrc.harness as H
 
-        def broken(dicts, blocks, rows, cfg, allowed=None):
+        def broken(D, blocks, rows, cfg, allowed=None):
             raise TypeError("synthetic programming error")
 
         monkeypatch.setattr(H, "classify_samples", broken)
@@ -543,7 +544,7 @@ class TestRunExperiment:
         # a learned cell's folds are classified one by one, without a mask
         import blocksrc.harness as H
 
-        def broken(dicts, blocks, rows, cfg, allowed):
+        def broken(D, blocks, rows, cfg, allowed):
             assert allowed is None
             raise TypeError("synthetic programming error")
 
@@ -561,12 +562,12 @@ def per_fold_reference(cfg, samples, block):
     for f in range(cfg.k_folds):
         try:
             stack, labels = block_stack([samples[i] for i in np.flatnonzero(folds != f)], block, block)
-            models = train_block_models(stack, labels, cfg)
+            model = train_block_models(stack, labels, cfg)
         except ValueError as err:
             out.append({"stage": "train", "type": type(err).__name__, "message": str(err)})
             continue
         test = [samples[i] for i in np.flatnonzero(folds == f)]
-        out.append(classify_samples([m.D for m in models], block_vectors(test, block, block), slice(None), cfg))
+        out.append(classify_samples(model.D, block_vectors(test, block, block), slice(None), cfg))
     return out
 
 
@@ -629,14 +630,14 @@ def assert_feasible_within_bound(call):
     """Every block that the spied ``block_decisions`` call marks feasible
     and non-degenerate is reconstructed by its code within its error bound,
     at every position of the stack."""
-    dicts, Y, (eps_rel, eps_abs, *_), _ = call["decide"]
+    D, Y, (eps_rel, eps_abs, *_), _ = call["decide"]
     (res,) = call["results"]
     checked = 0
-    for p, D in enumerate(dicts):
+    for p in range(len(D.atoms)):
         cols = np.flatnonzero(res.feasible[p] & ~res.degenerate[p])
         y = Y[p][:, cols]
         eps = np.full(cols.size, eps_abs) if eps_abs > 0 else eps_rel * np.linalg.norm(y, axis=0)
-        resid = np.linalg.norm(y - D.atoms @ res.codes[p][:, cols], axis=0)
+        resid = np.linalg.norm(y - D.atoms[p] @ res.codes[p][:, cols], axis=0)
         assert np.all(resid <= eps * (1 + 1e-3)), f"position {p}"
         checked += cols.size
     return checked
@@ -651,14 +652,14 @@ class TestStackedFolds:
         calls = []
         real_classify, real_decide = H.classify_samples, H.block_decisions
 
-        def classify(dicts, blocks, rows, cfg, allowed=None):
-            calls.append({"blocks": blocks, "rows": rows, "allowed": allowed, "dicts": dicts, "results": []})
-            return real_classify(dicts, blocks, rows, cfg, allowed)
+        def classify(D, blocks, rows, cfg, allowed=None):
+            calls.append({"blocks": blocks, "rows": rows, "allowed": allowed, "D": D, "results": []})
+            return real_classify(D, blocks, rows, cfg, allowed)
 
-        def decide(dicts, Y, *args, **kwargs):
-            res = real_decide(dicts, Y, *args, **kwargs)
+        def decide(D, Y, *args, **kwargs):
+            res = real_decide(D, Y, *args, **kwargs)
             calls[-1]["results"].append(res)
-            calls[-1]["decide"] = dicts, Y, args, kwargs
+            calls[-1]["decide"] = D, Y, args, kwargs
             return res
 
         monkeypatch.setattr(H, "classify_samples", classify)
@@ -696,11 +697,11 @@ class TestStackedFolds:
         validate(cfg, samples, 16)
         (call,) = calls
         (res,) = call["results"]
-        dicts, Y, args, kwargs = call["decide"]
-        assert Y.shape[0] == 16 and dicts[5].degenerate.sum() == 1
+        D, Y, args, kwargs = call["decide"]
+        assert Y.shape[0] == 16 and D.degenerate[5].sum() == 1
         assert res.degenerate.sum() == 1 and res.degenerate[5].any()
         for p in range(16):
-            one = block_decisions([dicts[p]], Y[p : p + 1], *args, **kwargs)
+            one = block_decisions(grid(position(D, p)), Y[p : p + 1], *args, **kwargs)
             for name in ("codes", "feasible", "hard", "lls"):
                 assert getattr(one, name)[0].tobytes() == getattr(res, name)[p].tobytes()
         assert_feasible_within_bound(call)
@@ -738,7 +739,7 @@ class TestStackedFolds:
         test = np.concatenate([np.flatnonzero(folds == f) for f in range(cfg.k_folds)])
         assert np.array_equal(call["blocks"][call["rows"]], block_vectors(samples, 4, 4)[test])
         # every sample, its own among them, has its block in the shared set
-        assert call["dicts"][0].n_atoms == len(samples)
+        assert call["D"].n_atoms == len(samples)
         same_fold = folds[:, None] == folds[test][None, :]
         assert np.array_equal(call["allowed"], ~same_fold)
         leaked = 0
@@ -746,7 +747,7 @@ class TestStackedFolds:
         for j, codes in enumerate(res.codes):
             assert np.all(codes[same_fold] == 0.0)
             # unmasked, a block would code itself: its own atom enters first
-            D = call["dicts"][j]
+            D = position(call["D"], j)
             y = np.stack([block_vectors([samples[i]], 4, 4)[0, j] for i in test], axis=1)
             X, *_ = bpdn_batch(D, y, cfg.eps_rel * np.linalg.norm(y, axis=0))
             leaked += int(np.count_nonzero(X[test, np.arange(test.size)]))
@@ -786,7 +787,7 @@ class TestStackedFolds:
             monkeypatch.undo()
             assert out[lone][2] == ref[lone]
             (call,) = calls
-            assert call["allowed"] is not None and call["dicts"][0].n_atoms == len(samples)
+            assert call["allowed"] is not None and call["D"].n_atoms == len(samples)
             test = [i for f in range(cfg.k_folds) if f != lone for i in np.flatnonzero(folds == f)]
             assert np.array_equal(call["blocks"][call["rows"]], block_vectors(samples, 4, 4)[test])
             for f, _, dec in out:
@@ -796,7 +797,7 @@ class TestStackedFolds:
     def test_joint_classify_failure_is_booked_to_each_fold(self, monkeypatch):
         import blocksrc.harness as H
 
-        def broken(dicts, Y, eps_rel, eps_abs=0.0, invert_lls=False, allowed=None):
+        def broken(D, Y, eps_rel, eps_abs=0.0, invert_lls=False, allowed=None):
             raise np.linalg.LinAlgError("synthetic solver failure")
 
         monkeypatch.setattr(H, "block_decisions", broken)
@@ -832,7 +833,7 @@ class TestStackedFolds:
         ref = per_fold_reference(cfg, samples, 4)
         calls = self.spy(monkeypatch)
         out = validate(cfg, samples, 4)
-        assert len(calls) == 1 and calls[0]["dicts"][0].n_atoms == len(samples)
+        assert len(calls) == 1 and calls[0]["D"].n_atoms == len(samples)
         for (_, _, dec), r in zip(out, ref):
             assert_same_decisions(dec, r)
 
@@ -862,17 +863,16 @@ class TestPoolByConstruction:
         labels = [s.label for s in samples]
         for block in (8, 16, 32, 64):
             raw = ExperimentConfig(roi_size=64, block_sizes=(block,))  # dl_mode "none"
-            whole = [m.D for m in train_block_models(*block_stack(samples, block, block), raw)]
+            whole = train_block_models(*block_stack(samples, block, block), raw).D
             for mode, k in (("none", 10), ("lcksvd1", 20), ("lcksvd2", 30)):
                 cfg = ExperimentConfig(roi_size=64, block_sizes=(block,), k_folds=k, dl_mode=mode)
                 folds = stratified_folds(labels, k, cfg.seed)
                 for f in range(k):
                     idx = np.flatnonzero(folds != f)
-                    models = train_block_models(*block_stack([samples[i] for i in idx], block, block), cfg)
-                    for m, D in zip(models, whole, strict=True):
-                        assert m.D.atoms.tobytes() == np.ascontiguousarray(D.atoms[:, idx]).tobytes()
-                        assert m.D.atom_labels.tobytes() == D.atom_labels[idx].tobytes()
-                        assert m.D.scales.tobytes() == D.scales[idx].tobytes()
+                    D = train_block_models(*block_stack([samples[i] for i in idx], block, block), cfg).D
+                    assert D.atoms.tobytes() == whole.atoms[:, :, idx].tobytes()
+                    assert D.atom_labels.tobytes() == whole.atom_labels[idx].tobytes()
+                    assert D.scales.tobytes() == whole.scales[:, idx].tobytes()
 
 
 class TestRunGrid:
@@ -890,9 +890,9 @@ class TestRunGrid:
             trains.append((cfg.k_folds, cfg.dl_mode, math.isqrt(stack.shape[1]), stack.shape[2]))
             return real_train(stack, labels, cfg)
 
-        def counting_classify(dicts, blocks, rows, cfg, allowed=None):
+        def counting_classify(D, blocks, rows, cfg, allowed=None):
             classifies.append((cfg.k_folds, block_side(blocks)))
-            return real_classify(dicts, blocks, rows, cfg, allowed)
+            return real_classify(D, blocks, rows, cfg, allowed)
 
         def counting_load(cfg):
             loads.append(cfg)
@@ -939,10 +939,10 @@ class TestRunGrid:
 
         # a pass whose coding fails books every fold as an error dict and
         # has None metrics; its twins still persist the whole encoding
-        def failing_classify(dicts, blocks, rows, c, allowed=None):
+        def failing_classify(D, blocks, rows, c, allowed=None):
             if block_side(blocks) == 8:
                 raise ValueError("injected")
-            return real_classify(dicts, blocks, rows, c, allowed)
+            return real_classify(D, blocks, rows, c, allowed)
 
         monkeypatch.setattr(H, "GRID_FOLDS", (3,))
         monkeypatch.setattr(H, "GRID_BLOCKS", blocks)
@@ -991,9 +991,9 @@ class TestGridReuse:
         calls = []
         real_classify = H.classify_samples
 
-        def classify(dicts, blocks, rows, c, allowed=None):
+        def classify(D, blocks, rows, c, allowed=None):
             calls.append((c.k_folds, c.dl_mode, block_side(blocks), allowed is not None))
-            return real_classify(dicts, blocks, rows, c, allowed)
+            return real_classify(D, blocks, rows, c, allowed)
 
         monkeypatch.setattr(H, "classify_samples", classify)
         if train is not None:
@@ -1055,17 +1055,21 @@ class TestGridReuse:
                     assert entry["scores"] == (r.ells - r.tau).tolist()
 
 
+def one_block_archive(path, M, labels, mode="lcksvd2", trace=(2.0, 1.0)) -> bytes:
+    """Bytes of the archive of the one-block model of the matrix ``M``."""
+    model = DiscriminativeDictionary(Dictionary.from_matrix(M[None], labels), mode, [trace])
+    save_model(str(path), model, TrainParams(K=4, T=2), {"block_w": 8})
+    return path.read_bytes()
+
+
 @pytest.fixture(scope="module")
 def small_archive(tmp_path_factory):
-    """Bytes of a two-block archive (modes lcksvd2 and none) and a scratch
-    path to write variants of it to."""
-    D = Dictionary.from_matrix(np.arange(1.0, 13.0).reshape(3, 4), [0, 0, 1, 1])
-    models = [
-        DiscriminativeDictionary(D=D, mode="lcksvd2", objective_trace=np.array([2.0, 1.0])),
-        DiscriminativeDictionary(D=D, mode="none"),
-    ]
+    """Bytes of a two-block lcksvd2 archive and a scratch path to write
+    variants of it to."""
+    D = Dictionary.from_matrix(np.arange(1.0, 25.0).reshape(2, 3, 4), [0, 0, 1, 1])
+    model = DiscriminativeDictionary(D, "lcksvd2", [[2.0, 1.0], [3.0]])
     path = tmp_path_factory.mktemp("archive") / "small.blkd"
-    save_model(str(path), models, TrainParams(K=4, T=2), {"block_w": 8})
+    save_model(str(path), model, TrainParams(K=4, T=2), {"block_w": 8})
     return path.read_bytes(), path.with_name("variant.blkd")
 
 
@@ -1076,11 +1080,22 @@ def archive_header(raw: bytes) -> dict:
     return json.loads(raw[12 : 12 + int.from_bytes(raw[8:12], "little")])
 
 
+def archive_payload(raw: bytes) -> bytes:
+    return raw[12 + int.from_bytes(raw[8:12], "little") :]
+
+
 def archive_with_header(raw: bytes, header) -> bytes:
     """``raw`` with its header JSON replaced by ``header``, payload kept."""
-    hlen = int.from_bytes(raw[8:12], "little")
     text = json.dumps(header).encode("utf-8")
-    return raw[:8] + len(text).to_bytes(4, "little") + text + raw[12 + hlen :]
+    return raw[:8] + len(text).to_bytes(4, "little") + text + archive_payload(raw)
+
+
+def joined_archive(*raws) -> bytes:
+    """One archive holding the blocks of the archives ``raws`` in turn,
+    with the params and meta of the first."""
+    header = archive_header(raws[0])
+    header["blocks"] = [block for raw in raws for block in archive_header(raw)["blocks"]]
+    return archive_with_header(raws[0] + b"".join(archive_payload(raw) for raw in raws[1:]), header)
 
 
 def archive_with_block_arrays(raw: bytes, extra, version: int = VERSION) -> bytes:
@@ -1128,42 +1143,81 @@ def header_key_paths(header):
 
 class TestModelArchive:
     def test_roundtrip(self, tmp_path):
-        cfg = tiny_config(dl_mode="lcksvd2", iterations=3)
+        cfg = tiny_config(dl_mode="lcksvd2", dict_size=6, iterations=3)
         samples = load_dataset(cfg)
-        models = train_block_models(*block_stack(samples, 8, 8), cfg)
+        model = train_block_models(*block_stack(samples, 8, 8), cfg)
         path = tmp_path / "model.blkd"
-        save_model(str(path), models, cfg.train_params(), {"block_w": 8, "block_h": 8})
+        save_model(str(path), model, cfg.train_params(), {"block_w": 8, "block_h": 8})
         loaded, params, meta = load_model(str(path))
         assert meta["block_w"] == 8
         assert params.T == cfg.sparsity
-        assert len(loaded) == len(models)
-        for a, b in zip(models, loaded):
-            np.testing.assert_array_equal(a.D.atoms, b.D.atoms)
-            np.testing.assert_array_equal(a.D.atom_labels, b.D.atom_labels)
-            np.testing.assert_array_equal(a.D.scales, b.D.scales)
-            np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
-            assert a.mode == b.mode
+        assert loaded.D.atoms.shape == model.D.atoms.shape == (4, 64, 6)
+        np.testing.assert_array_equal(model.D.atoms, loaded.D.atoms)
+        np.testing.assert_array_equal(model.D.atom_labels, loaded.D.atom_labels)
+        np.testing.assert_array_equal(model.D.scales, loaded.D.scales)
+        assert len(loaded.objective_traces) == 4
+        for a, b in zip(model.objective_traces, loaded.objective_traces, strict=True):
+            assert a.size > 1
+            np.testing.assert_array_equal(a, b)
+        assert model.mode == loaded.mode == "lcksvd2"
         assert (tmp_path / "model.blkd.json").exists()
 
     def test_mode_none_archive(self, tmp_path):
         cfg = tiny_config(dl_mode="none")
         samples = load_dataset(cfg)
-        models = train_block_models(*block_stack(samples, 8, 8), cfg)
+        model = train_block_models(*block_stack(samples, 8, 8), cfg)
         path = tmp_path / "raw.blkd"
-        save_model(str(path), models, cfg.train_params(), {})
+        save_model(str(path), model, cfg.train_params(), {})
         loaded, _, _ = load_model(str(path))
-        assert all(m.mode == "none" and m.objective_trace.size == 0 for m in loaded)
+        assert loaded.mode == "none" and [t.size for t in loaded.objective_traces] == [0, 0, 0, 0]
+
+    def test_archive_bytes_are_pinned(self, tmp_path):
+        # digests recorded when every block was saved from a model of its
+        # own, so writing the blocks from one stacked model cannot move an
+        # archive silently
+        path = tmp_path / "m.blkd"
+        for mode, overrides, digest in (
+            ("none", {}, "c9e5804743f319a846551e18ce54bcf8e2ef1c007ef382d8c2197398182adf0b"),
+            ("lcksvd2", {"dict_size": 6, "iterations": 3},
+             "1a0bde5394b1f044265424afc86c302ad6eb6fe0c278607f4e138c289c9ce60d"),
+        ):
+            cfg = tiny_config(dl_mode=mode, **overrides)
+            model = train_block_models(*block_stack(load_dataset(cfg), 8, 8), cfg)
+            save_model(str(path), model, cfg.train_params(), {"block_w": 8, "block_h": 8})
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, mode
 
     def test_blocks_that_disagree_are_refused(self, tmp_path):
-        cfg = tiny_config(dl_mode="none")
-        models = train_block_models(*block_stack(load_dataset(cfg), 8, 8), cfg)
-        D = models[3].D
-        short = Dictionary(atoms=D.atoms[:, :-1], atom_labels=D.atom_labels[:-1], scales=D.scales[:-1])
-        path = tmp_path / "odd.blkd"
-        save_model(str(path), models[:3] + [DiscriminativeDictionary(D=short, mode="none")], cfg.train_params(), {})
-        n, d = D.n_atoms, D.dim
-        with pytest.raises(ValueError, match=f"block 3 differs from block 0: {n - 1} atoms of length {d}, "
-                                             f"block 0 has {n} of length {d}"):
+        # a stacked model cannot hold such blocks, but an archive can
+        M = np.arange(1.0, 13.0).reshape(3, 4)
+        path = tmp_path / "one.blkd"
+        base = one_block_archive(path, M, [0, 0, 1, 1])
+        # block 0's scales of the same bytes, declared (2, 2)
+        odd_scales = archive_header(base)
+        next(e for e in odd_scales["blocks"][0]["arrays"] if e["name"] == "scales")["shape"] = [2, 2]
+        for other, what in ((one_block_archive(path, M[:, :3], [0, 0, 1]), r"atoms shape: \(3, 3\) against \(3, 4\)"),
+                            (one_block_archive(path, M[:2], [0, 0, 1, 1]), r"atoms shape: \(2, 4\) against \(3, 4\)"),
+                            (one_block_archive(path, M, [0, 1, 0, 1]),
+                             r"atom labels: \[0, 1, 0, 1\] against \[0, 0, 1, 1\]"),
+                            (archive_with_header(base, odd_scales), r"scales shape: \(2, 2\) against \(4,\)")):
+            path.write_bytes(joined_archive(base, base, other))
+            with pytest.raises(ValueError, match=f"block 2 differs from block 0 in its {what}"):
+                load_model(str(path))
+
+    def test_blocks_of_mixed_modes_are_refused(self, tmp_path):
+        M = np.arange(1.0, 13.0).reshape(3, 4)
+        path = tmp_path / "one.blkd"
+        learned, raw = (one_block_archive(path, M, [0, 0, 1, 1], mode, trace)
+                        for mode, trace in (("lcksvd2", [2.0, 1.0]), ("none", [])))
+        path.write_bytes(joined_archive(learned, raw))
+        with pytest.raises(ValueError, match="block 1 differs from block 0 in its mode: 'none' against 'lcksvd2'"):
+            load_model(str(path))
+
+    def test_archive_without_blocks_is_refused(self, small_archive):
+        raw, path = small_archive
+        header = archive_header(raw)
+        header["blocks"] = []
+        path.write_bytes(archive_with_header(raw[: 12 + int.from_bytes(raw[8:12], "little")], header))
+        with pytest.raises(ValueError, match="archive holds no blocks"):
             load_model(str(path))
 
     def test_version_check(self, tmp_path, small_archive):
@@ -1193,9 +1247,9 @@ class TestModelArchive:
 
     def test_trailing_byte(self, tmp_path):
         cfg = tiny_config(dl_mode="none")
-        models = train_block_models(*block_stack(load_dataset(cfg), 8, 8), cfg)
+        model = train_block_models(*block_stack(load_dataset(cfg), 8, 8), cfg)
         path = tmp_path / "raw.blkd"
-        save_model(str(path), models, cfg.train_params(), {})
+        save_model(str(path), model, cfg.train_params(), {})
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ValueError, match="1 trailing bytes"):
             load_model(str(path))
@@ -1292,7 +1346,7 @@ class TestMosaic:
         rng = np.random.default_rng(0)
         D = Dictionary.from_matrix(rng.standard_normal((64, 64)), rng.integers(0, 2, 64))
         path = tmp_path / "mosaic.pgm"
-        canvas = export_dictionary_mosaic(D, 8, 8, str(path))
+        canvas = export_dictionary_mosaic(D.atoms, 8, 8, str(path))
         assert canvas.shape == (71, 71)
         img = read_pgm(path)
         np.testing.assert_array_equal(img.pixels, canvas)
@@ -1300,7 +1354,7 @@ class TestMosaic:
     def test_constant_atom_mid_gray(self, tmp_path):
         M = np.column_stack([np.ones(4), np.array([1.0, 2.0, 3.0, 4.0])])
         D = Dictionary.from_matrix(M, [0, 1])
-        canvas = export_dictionary_mosaic(D, 2, 2, str(tmp_path / "m.pgm"))
+        canvas = export_dictionary_mosaic(D.atoms, 2, 2, str(tmp_path / "m.pgm"))
         assert np.all(canvas[0:2, 0:2] == 128)
 
     def test_devectorize_roundtrip(self):
@@ -1312,7 +1366,7 @@ class TestMosaic:
     def test_length_mismatch(self, tmp_path):
         D = Dictionary.from_matrix(np.eye(5), np.zeros(5, dtype=int))
         with pytest.raises(ValueError, match="does not match"):
-            export_dictionary_mosaic(D, 2, 2, str(tmp_path / "x.pgm"))
+            export_dictionary_mosaic(D.atoms, 2, 2, str(tmp_path / "x.pgm"))
 
 
 class TestClassifyAgainstFixedModel:
@@ -1325,39 +1379,22 @@ class TestClassifyAgainstFixedModel:
         folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
         for f in range(3):
             train, test = np.flatnonzero(folds != f), np.flatnonzero(folds == f)
-            models = train_block_models(*block_stack([samples[i] for i in train], 8, 8), cfg)
-            dec = classify_samples([m.D for m in models], block_vectors(samples, 8, 8), test, cfg)
+            D = train_block_models(*block_stack([samples[i] for i in train], 8, 8), cfg).D
+            dec = classify_samples(D, block_vectors(samples, 8, 8), test, cfg)
             hard, lls = [], []
-            for j, m in enumerate(models):
+            for j in range(len(D.atoms)):
                 yj = np.stack([block_vectors([samples[i]], 8, 8)[0, j] for i in test], axis=1)
-                res = block_decisions([m.D], yj[None], cfg.eps_rel)
+                res = block_decisions(grid(position(D, j)), yj[None], cfg.eps_rel)
                 hard.append(res.hard[0])
                 lls.append(res.lls[0])
             ref = ensemble_decision(np.column_stack(hard), np.column_stack(lls), tau=cfg.tau)
             assert_same_decisions(dec, ref, atol=0.0)
 
-    def test_positions_that_disagree_are_refused(self):
-        # one stacked call needs one atom count, atom length and label
-        # vector for every position
-        cfg = tiny_config()
-        samples = load_dataset(cfg)
-        dicts = [m.D for m in train_block_models(*block_stack(samples, 8, 8), cfg)]
-        blocks = block_vectors(samples[:4], 8, 8)
-        short = Dictionary(atoms=dicts[2].atoms[:, 1:], atom_labels=dicts[2].atom_labels[1:],
-                           scales=dicts[2].scales[1:])
-        n, d = dicts[0].n_atoms, dicts[0].dim
-        with pytest.raises(ValueError, match=f"block 2 differs from block 0: {n - 1} atoms of length {d}, "
-                                             f"block 0 has {n} of length {d}"):
-            classify_samples(dicts[:2] + [short] + dicts[3:], blocks, slice(None), cfg)
-        flipped = Dictionary(atoms=dicts[1].atoms, atom_labels=1 - dicts[1].atom_labels, scales=dicts[1].scales)
-        with pytest.raises(ValueError, match="block 1 differs from block 0: its atom labels are not block 0's"):
-            classify_samples([dicts[0], flipped] + dicts[2:], blocks, slice(None), cfg)
-
     def test_decisions_have_both_labels(self):
         cfg = tiny_config()
         samples = load_dataset(cfg)
-        models = train_block_models(*block_stack(samples, 8, 8), cfg)
-        dec = classify_samples([m.D for m in models], block_vectors(samples[:4], 8, 8), slice(None), cfg)
+        model = train_block_models(*block_stack(samples, 8, 8), cfg)
+        dec = classify_samples(model.D, block_vectors(samples[:4], 8, 8), slice(None), cfg)
         assert dec.label_bbmap.shape == (4,)
         for i in range(4):
             assert dec.label_bbmap[i] in (BENIGN, MALIGNANT)

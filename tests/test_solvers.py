@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -31,13 +33,13 @@ def residuals(D, X, Y, allowed=None):
     return class_residuals(A.T @ A, A.T @ Y, X, np.einsum("ij,ij->j", Y, Y), D.atom_labels, allowed)
 
 
-def omp(D, Y, T, eps=0.0):
+def omp(D, Y, T):
     """:func:`batch_omp` on one problem, the dictionary ``D`` and the signals
     ``Y``: returns the codes, the residual norms computed from them, and the
     support sizes."""
     A = D.atoms
     G, B, ysq = A.T @ A, A.T @ Y, np.einsum("ij,ij->j", Y, Y)
-    X, sizes = batch_omp(G[None], B[None], ysq[None], D.usable[None], T, eps)
+    X, sizes = batch_omp(G[None], B[None], ysq[None], D.usable[None], T)
     return X[0], np.linalg.norm(Y - A @ X[0], axis=0), sizes[0]
 
 
@@ -95,11 +97,27 @@ class TestDictionary:
             with pytest.raises(ValueError, match="finite"):
                 Dictionary(**parts)
 
+    def test_stack_reads_the_trailing_axes(self):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((4, 6, 5))
+        M[2, :, 1] = 0.0
+        D = unit_dict(M, [0, 0, 1, 1, 1])
+        assert (D.dim, D.n_atoms, D.usable.shape) == (6, 5, (4, 5))
+        assert D.usable.sum() == 19 and not D.usable[2, 1]
+        for p in range(4):
+            assert D.atoms[p].tobytes() == unit_dict(M[p], [0, 0, 1, 1, 1]).atoms.tobytes()
+
+    def test_scales_must_match_the_leading_shape(self):
+        atoms = np.zeros((3, 4, 2))
+        for scales in (np.ones(2), np.ones((2, 2)), np.ones((3, 2, 2))):
+            with pytest.raises(ValueError, match=re.escape(f"scales must have shape (3, 2), got {scales.shape}")):
+                Dictionary(atoms=atoms, atom_labels=[0, 1], scales=scales)
+
 
 class TestOmp:
     def test_scaled_atom(self):
         D = unit_dict(np.eye(3), [0, 0, 1])
-        X, rn, _ = omp(D, np.array([[0.0], [2.0], [0.0]]), 1, eps=0.0)
+        X, rn, _ = omp(D, np.array([[0.0], [2.0], [0.0]]), 1)
         np.testing.assert_allclose(X[:, 0], [0.0, 2.0, 0.0])
         assert rn[0] == 0.0
         assert list(np.flatnonzero(X[:, 0])) == [1]
@@ -161,12 +179,13 @@ class TestOmp:
 
 
 class TestOmpBatch:
-    def test_eps_stops_columns_independently(self):
+    def test_exact_fit_stops_columns_independently(self):
+        # an exactly fitting column stops after one atom, its neighbour goes on
         rng = np.random.default_rng(5)
         D = unit_dict(rng.standard_normal((6, 10)), [0] * 5 + [1] * 5)
         Y = np.column_stack([D.atoms[:, 0], rng.standard_normal(6)])
-        X, rn, iters = omp(D, Y, 4, eps=1e-9)
-        assert iters[0] == 1
+        X, rn, iters = omp(D, Y, 4)
+        assert iters.tolist() == [1, 4]
         assert rn[0] <= 1e-9
 
     def test_matches_textbook_oracle(self):
@@ -183,10 +202,9 @@ class TestOmpBatch:
             D = unit_dict(M, rng.integers(0, 2, n))
             T = int(rng.integers(1, min(d, n) + 1))
             Y = rng.standard_normal((d, int(rng.integers(1, 6))))
-            eps = rng.uniform(0.0, 0.5, Y.shape[1]) * np.linalg.norm(Y, axis=0)
-            X, rn, iters = omp(D, Y, T, eps)
+            X, rn, iters = omp(D, Y, T)
             for c in range(Y.shape[1]):
-                x, ref = X[:, c].copy(), textbook_omp(D.atoms, Y[:, c], T, eps[c])
+                x, ref = X[:, c].copy(), textbook_omp(D.atoms, Y[:, c], T)
                 if trial % 3 == 0:
                     # twins tie exactly, so either may enter, never both
                     assert x[i] == 0.0 or x[j] == 0.0
@@ -209,16 +227,16 @@ class TestOmpBatch:
             M = 4.0 * rng.standard_normal(d)[:, None] + rng.standard_normal((d, n))
             D = unit_dict(M, rng.integers(0, 2, n))
             Y = rng.standard_normal((d, 4))
-            X, _, iters = omp(D, Y, T, 0.0)
+            X, _, iters = omp(D, Y, T)
             for c in range(Y.shape[1]):
-                ref = textbook_omp(D.atoms, Y[:, c], T, 0.0)
+                ref = textbook_omp(D.atoms, Y[:, c], T)
                 assert np.array_equal(np.flatnonzero(X[:, c]), np.flatnonzero(ref))
                 assert iters[c] == np.count_nonzero(ref)
                 np.testing.assert_allclose(X[:, c], ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
 
     def test_stacked_columns_retiring_at_different_steps_match_single_calls(self):
-        """One stacked call whose columns stop at different steps (eps met,
-        zero signals, exact fits, supports that exhaust a low-rank
+        """One stacked call whose columns stop at different steps (zero
+        signals, exact fits, supports that exhaust a low-rank
         dictionary, unusable atoms that differ per problem) codes every
         column as a call on that problem alone, and as a call on that column
         alone, does."""
@@ -237,18 +255,16 @@ class TestOmpBatch:
         Y[:, :, 1] = A[:, :, 7]  # fits exactly after one atom
         Y[3, :, 2] = 0.5 * A[3, :, 6] - 2.0 * A[3, :, 9]
         ynorm = np.linalg.norm(Y, axis=1)
-        eps = ynorm * np.array([0.0, 0.0, 0.0, 0.0, 0.1, 0.3, 0.6, 0.0, 0.8])
         G, B, ysq = A.mT @ A, A.mT @ Y, ynorm**2
-        X, sizes = batch_omp(G, B, ysq, usable, T, eps)
+        X, sizes = batch_omp(G, B, ysq, usable, T)
         assert {0, 1, 2, 3, T} <= set(sizes.ravel().tolist())
         for p in range(P):
             one = (slice(p, p + 1),)
-            Xp, sp = batch_omp(G[one], B[one], ysq[one], usable[one], T, eps[one])
+            Xp, sp = batch_omp(G[one], B[one], ysq[one], usable[one], T)
             np.testing.assert_array_equal(sizes[p], sp[0])
             np.testing.assert_allclose(X[p], Xp[0], rtol=0.0, atol=1e-12 * np.abs(Xp).max())
             for c in range(s):
-                Xc, sc = batch_omp(G[one], B[one][..., c : c + 1], ysq[one][:, c : c + 1],
-                                   usable[one], T, eps[one][:, c : c + 1])
+                Xc, sc = batch_omp(G[one], B[one][..., c : c + 1], ysq[one][:, c : c + 1], usable[one], T)
                 assert sizes[p, c] == sc[0, 0]
                 np.testing.assert_allclose(X[p, :, c], Xc[0, :, 0], rtol=0.0,
                                            atol=1e-12 * max(np.abs(Xc).max(), 1e-300))
@@ -346,6 +362,11 @@ class TestBpdn:
         D = unit_dict(np.eye(2), [0, 1])
         with pytest.raises(ValueError, match="eps"):
             bpdn_batch(D, np.ones((2, 1)), 0.0)
+
+    def test_a_stack_is_refused(self):
+        D = unit_dict(np.ones((3, 2, 2)), [0, 1])
+        with pytest.raises(ValueError, match=r"bpdn_batch codes one block position, got a stack of atoms \(3, 2, 2\)"):
+            bpdn_batch(D, np.ones((2, 1)), 0.1)
 
 
 def assert_kkt(D, y, x):
