@@ -112,8 +112,8 @@ def fold0(cfg: ExperimentConfig, samples: list):
     folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
     train, test = np.flatnonzero(folds != 0), np.flatnonzero(folds == 0)
     b = cfg.block_sizes[0]
-    stack, train_labels = block_stack([samples[i] for i in train], b, b)
-    held, _ = block_stack([samples[i] for i in test], b, b)
+    stack, train_labels = block_stack([samples[i] for i in train], b)
+    held, _ = block_stack([samples[i] for i in test], b)
     return stack, train_labels, held
 
 
@@ -146,7 +146,7 @@ def pooled_call(cfg: ExperimentConfig, samples: list) -> dict:
     the atom mask a pooled pass uses."""
     labels = np.array([s.label for s in samples])
     folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
-    stack, _ = block_stack(samples, 8, 8)
+    stack, _ = block_stack(samples, 8)
     D = Dictionary.from_matrix(stack[0], labels)
     test = np.concatenate([np.flatnonzero(folds == f) for f in range(cfg.k_folds)])
     allowed = folds[:, None] != folds[test][None, :]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +33,14 @@ class RoiSample:
         return self.pixels.shape[0]
 
 
-def _valid_block_sizes(n: int) -> list[int]:
-    return [b for b in range(1, n + 1) if n % b == 0]
+def block_vectors(rois, block: int) -> np.ndarray:
+    """Cut every ROI into non-overlapping square blocks of side ``block``,
+    vectorized row-major, in one copy: ``out[i, j]`` is block position ``j``
+    of ROI ``i``, shaped (ROIs, positions, block * block).
 
-
-def block_vectors(rois, block_w: int, block_h: int) -> np.ndarray:
-    """Cut every ROI into non-overlapping blocks, vectorized row-major, in
-    one copy: ``out[i, j]`` is block position ``j`` of ROI ``i``, shaped
-    (ROIs, positions, block_w * block_h).
-
-    Pixel (r, c) of a block lands at vector index ``r * block_w + c``; block
+    Pixel (r, c) of a block lands at vector index ``r * block + c``; block
     positions are ordered row-major. The ROIs must be non-empty and equally
-    sized, and the block dims must divide the ROI dims.
+    sized, and the block side must divide the ROI sides.
     """
     pixels = [np.asarray(getattr(roi, "pixels", roi), dtype=float) for roi in rois]
     if not pixels:
@@ -52,14 +49,21 @@ def block_vectors(rois, block_w: int, block_h: int) -> np.ndarray:
         if px.shape != pixels[0].shape:
             raise ValueError(f"mixed ROI sizes: {px.shape[0]} vs {pixels[0].shape[0]}")
     h, w = pixels[0].shape
-    if block_w < 1 or block_h < 1 or h % block_h != 0 or w % block_w != 0:
-        raise ValueError(
-            f"block size {block_w}x{block_h} does not divide ROI {w}x{h}; "
-            f"valid widths: {_valid_block_sizes(w)}, valid heights: {_valid_block_sizes(h)}"
-        )
-    rows, cols = h // block_h, w // block_w
-    blocks = [px.reshape(rows, block_h, cols, block_w).swapaxes(1, 2) for px in pixels]  # views
-    return np.stack(blocks).reshape(len(pixels), rows * cols, block_h * block_w)
+    if block < 1 or h % block != 0 or w % block != 0:
+        valid = [b for b in range(1, min(h, w) + 1) if h % b == 0 and w % b == 0]
+        raise ValueError(f"block size {block}x{block} does not divide ROI {w}x{h}; valid sides: {valid}")
+    rows, cols = h // block, w // block
+    blocks = [px.reshape(rows, block, cols, block).swapaxes(1, 2) for px in pixels]  # views
+    return np.stack(blocks).reshape(len(pixels), rows * cols, block * block)
+
+
+def block_side(length: int) -> int:
+    """The side of the square block whose vectors hold ``length`` pixels;
+    ValueError naming the length when it is not a square."""
+    side = math.isqrt(length)
+    if side * side != length:
+        raise ValueError(f"atom length {length} is not a square")
+    return side
 
 
 def check_training_labels(labels) -> np.ndarray:
@@ -73,14 +77,14 @@ def check_training_labels(labels) -> np.ndarray:
     return labels
 
 
-def block_stack(training: list[RoiSample], block_w: int, block_h: int) -> tuple[np.ndarray, np.ndarray]:
+def block_stack(training: list[RoiSample], block: int) -> tuple[np.ndarray, np.ndarray]:
     """The training ROIs' :func:`block_vectors`, viewed by position.
 
     Returns ``(stack, labels)``: ``stack[j]`` holds the block-``j`` vector of
     every training image as a column (training order preserved), shaped
-    (positions, block_w * block_h, samples). The set must hold equally sized
+    (positions, block * block, samples). The set must hold equally sized
     ROIs of both classes.
     """
     labels = check_training_labels([smp.label for smp in training])
-    return block_vectors(training, block_w, block_h).transpose(1, 2, 0), labels
+    return block_vectors(training, block).transpose(1, 2, 0), labels
 

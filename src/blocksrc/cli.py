@@ -14,9 +14,7 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
-from .blocks import block_stack, block_vectors
+from .blocks import block_side, block_stack, block_vectors
 from .config import ExperimentConfig, load_config
 from .harness import (
     classify_samples,
@@ -32,7 +30,7 @@ from .harness import (
 )
 from .mias import build_roi_cache
 from .model_io import load_model, save_model
-from .synth import SynthSpec, synth_dataset, write_synth_cache
+from .synth import synth_dataset, write_synth_cache
 
 
 def _config_overrides(args) -> dict:
@@ -76,10 +74,11 @@ def _cmd_prepare_rois(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
-    block = cfg.block_sizes[0]
+    if len(cfg.block_sizes) != 1:
+        raise ValueError(f"train takes one block size, the config lists {list(cfg.block_sizes)}")
     samples = load_dataset(cfg)
-    model = train_block_models(*block_stack(samples, block, block), cfg)
-    meta = {"block_w": block, "block_h": block, "roi_size": cfg.roi_size, "dl_mode": cfg.dl_mode}
+    model = train_block_models(*block_stack(samples, cfg.block_sizes[0]), cfg)
+    meta = {"roi_size": cfg.roi_size, "dl_mode": cfg.dl_mode}
     os.makedirs(os.path.dirname(os.path.abspath(args.model)), exist_ok=True)
     save_model(args.model, model, cfg.train_params(), meta)
     print(f"trained {len(model.D.atoms)} block dictionaries -> {args.model}")
@@ -93,15 +92,9 @@ def _cmd_evaluate(args) -> int:
         raise ValueError(
             f"model roi_size {meta.get('roi_size')!r} does not match config roi_size {cfg.roi_size}"
         )
-    block_w = int(meta.get("block_w", cfg.block_sizes[0]))
-    block_h = int(meta.get("block_h", block_w))
-    if model.D.dim != block_w * block_h:
-        raise ValueError(
-            f"model atom length {model.D.dim} does not match its {block_w}x{block_h} blocks "
-            f"({block_w * block_h} pixels)"
-        )
+    block = block_side(model.D.dim)
     samples = load_dataset(cfg)
-    fused = classify_samples(model.D, block_vectors(samples, block_w, block_h), slice(None), cfg)
+    fused = classify_samples(model.D, block_vectors(samples, block), slice(None), cfg)
     preds, scores = decision_outputs(fused, cfg)
     truth = [s.label for s in samples]
     metrics = compute_metrics(preds, truth, scores)
@@ -156,21 +149,18 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = load_config(args.spec, cls=SynthSpec)
-    samples = synth_dataset(spec, args.seed)
+    cfg = load_config(args.config, _config_overrides(args))
+    samples = synth_dataset(cfg.synth_spec(), cfg.seed)
     write_synth_cache(samples, args.out)
     print(f"wrote {len(samples)} synthetic ROIs to {args.out}")
     return 0
 
 
 def _cmd_mosaic(args) -> int:
-    model, _, meta = load_model(args.model)
-    D = model.D
+    D = load_model(args.model)[0].D
     if not 0 <= args.block < len(D.atoms):
         raise ValueError(f"block index {args.block} out of range [0, {len(D.atoms)})")
-    bw = int(meta.get("block_w", int(np.sqrt(D.dim))))
-    bh = int(meta.get("block_h", bw))
-    export_dictionary_mosaic(D.atoms[args.block], bw, bh, args.out)
+    export_dictionary_mosaic(D.atoms[args.block], args.out)
     print(f"wrote mosaic of block {args.block} ({D.n_atoms} atoms) to {args.out}")
     return 0
 
@@ -185,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare-rois", help="extract lesion ROIs from MIAS scans")
     p.add_argument("--data-dir", required=True, help="directory holding <ref_id>.pgm scans")
     p.add_argument("--readings", required=True, help="radiological readings file")
-    p.add_argument("--roi-size", dest="roi_size", type=int, default=64)
+    p.add_argument("--roi-size", dest="roi_size", type=int, default=ExperimentConfig.roi_size)
     p.add_argument("--out", required=True, help="ROI cache output directory")
     p.add_argument("--y-origin", dest="y_origin", choices=("top", "bottom"), default="bottom")
     p.add_argument("--lenient", action="store_true", help="skip malformed reading lines")
@@ -209,10 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=_cmd_grid)
 
-    p = sub.add_parser("synth", help="generate a synthetic ROI cache")
-    p.add_argument("--spec", help="key = value synthetic spec file")
-    p.add_argument("--seed", type=int, default=20)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("synth", help="generate a config's synthetic ROI set as a ROI cache")
+    _add_config_flags(p)
+    p.add_argument("--out", required=True, help="ROI cache output directory")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("mosaic", help="render one block dictionary as a PGM mosaic")

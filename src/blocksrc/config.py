@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
-from .dictlearn import MODES, TrainParams
+from .dictlearn import MODES, TrainParams, check_field_types
 from .synth import SynthSpec
 
 DECISIONS = ("bbmap", "bbll")
@@ -39,14 +36,7 @@ class ExperimentConfig:
     synth_samples_per_class: int = SynthSpec.samples_per_class
 
     def __post_init__(self):
-        for f in fields(self):
-            v, t = getattr(self, f.name), type(f.default)  # a key's type is its default's
-            for x in v if t is tuple else (v,) if t is int else ():
-                # a bool is an int subclass, but never a count, a size or a seed
-                if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                    raise ValueError(f"config key {f.name} must be an integer, got {x!r}")
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"config key {f.name} must be finite, got {v!r}")
+        check_field_types(self, "config key")
         for key in ("roi_size", "sparsity", "iterations"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"config key {key} must be positive, got {getattr(self, key)}")
@@ -124,14 +114,13 @@ def _coerce(where: str, name: str, raw: str, target_type):
         raise ValueError(f"{where}: key {name}: expected {expected}, got {raw!r}") from None
 
 
-def parse_config_text(text: str, overrides: dict | None = None, cls=ExperimentConfig):
-    """Parse ``key = value`` lines ('#' comments allowed) into ``cls``, a
-    dataclass whose defaults give each key's type (an ``ExperimentConfig``
-    unless told otherwise). A key may be set on one line only; ``overrides``
-    win over the text. An override given as text, as a command-line flag
-    gives it, is read as a config line's value is; a typed one is taken
-    as it is."""
-    type_map = {f.name: type(f.default) for f in fields(cls)}
+def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse ``key = value`` lines ('#' comments allowed) into an
+    ``ExperimentConfig``, whose defaults give each key's type. A key may be
+    set on one line only; ``overrides`` win over the text. An override given
+    as text, as a command-line flag gives it, is read as a config line's
+    value is; a typed one is taken as it is (a list as a tuple)."""
+    type_map = {f.name: type(f.default) for f in fields(ExperimentConfig)}
     values: dict = {}
     seen: dict[str, int] = {}  # the line that set each key
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -155,13 +144,13 @@ def parse_config_text(text: str, overrides: dict | None = None, cls=ExperimentCo
                 raise ValueError(f"unknown config key {key!r}")
             if isinstance(val, str) and type_map[key] is not str:
                 val = _coerce("override", key, val, type_map[key])
-            values[key] = tuple(val) if type_map[key] is tuple else val
-    return cls(**values)
+            values[key] = tuple(val) if isinstance(val, list) else val
+    return ExperimentConfig(**values)
 
 
-def load_config(path: str | None, overrides: dict | None = None, cls=ExperimentConfig):
+def load_config(path: str | None, overrides: dict | None = None) -> ExperimentConfig:
     text = ""
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return parse_config_text(text, overrides, cls)
+    return parse_config_text(text, overrides)

@@ -8,8 +8,9 @@ dictionary ``D`` that every decision rule reads.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -27,6 +28,46 @@ _SPAN_ROWS = 8
 # A problem whose objective after the atom update is at most this share of
 # ||[Y, init]||_F^2 is solved: what is left is rounding, not learning
 _OBJ_FLOOR = 1e-12
+
+
+def _integer(v):  # a bool is an int subclass, but never a count, a size or a seed
+    return None if isinstance(v, (int, np.integer)) and not isinstance(v, bool) else ("an integer", v)
+
+
+def _number(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return "a number", v
+    # an int past the float range is refused too: it overflows where read as a float
+    return None if abs(v) <= sys.float_info.max else ("finite", v)
+
+
+# per declared field type: None for a value of it, else what the value
+# must be and the value, or the element of a tuple, that is not
+_TYPE_CHECKS = {
+    "int": _integer,
+    "int | None": lambda v: None if v is None else _integer(v),
+    "tuple[int, ...]": lambda v: (next(filter(None, map(_integer, v)), None) if isinstance(v, tuple)
+                                  else ("a tuple of integers", v)),
+    "float": _number,
+    "bool": lambda v: None if isinstance(v, bool) else ("a boolean", v),
+    "str": lambda v: None if isinstance(v, str) else ("a string", v),
+}
+
+
+@cache
+def _field_checks(cls) -> tuple:
+    return tuple((f.name, _TYPE_CHECKS[f.type]) for f in fields(cls))
+
+
+def check_field_types(settings, prefix: str) -> None:
+    """Refuse a field of the settings dataclass ``settings`` whose value is
+    not of its declared type, naming it as ``<prefix> <key>``: an integer
+    that is not a bool (``int | None`` also takes None), a tuple of such
+    integers, a finite number that is not a bool, a bool or a str."""
+    for name, check in _field_checks(type(settings)):
+        bad = check(getattr(settings, name))
+        if bad:
+            raise ValueError(f"{prefix} {name} must be {bad[0]}, got {bad[1]!r}")
 
 
 @dataclass(frozen=True)
@@ -53,20 +94,11 @@ class TrainParams:
     min_rel_improvement: float = 1e-5
 
     def __post_init__(self):
-        for key in ("K", "T", "iterations", "seed"):
-            v = getattr(self, key)
-            if key == "K" and v is None:
-                continue
-            # a bool is an int subclass, but never a count or a seed
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"train param {key} must be an integer, got {v!r}")
+        check_field_types(self, "train param")
         if self.K is not None and self.K < 2:
             raise ValueError("K must be >= 2 (at least one atom per class)")
         if self.T < 1:
             raise ValueError("T must be >= 1")
-        for key in ("alpha", "beta", "min_rel_improvement"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"train param {key} must be finite, got {getattr(self, key)!r}")
         for key in ("alpha", "beta", "seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"train param {key} must be >= 0, got {getattr(self, key)!r}")

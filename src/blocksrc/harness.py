@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .blocks import RoiSample, block_vectors, check_training_labels
+from .blocks import RoiSample, block_side, block_vectors, check_training_labels
 from .config import ExperimentConfig
 from .dictlearn import DiscriminativeDictionary, lcksvd_train_stack
 from .ensemble import (
@@ -393,7 +393,7 @@ def run_experiment(
         block_size = cfg.block_sizes[0]
     if samples is None:
         samples = load_dataset(cfg)
-    blocks = block_vectors(samples, block_size, block_size)
+    blocks = block_vectors(samples, block_size)
     report = build_report(cfg, block_size, samples, cross_validate(cfg, blocks, [s.label for s in samples]))
     if persist:
         persist_report(report, cfg.output_dir)
@@ -447,7 +447,7 @@ def run_grid(cfg: ExperimentConfig, persist: bool = True) -> list[EvalReport]:
     folds = {k: stratified_folds(labels, k, cfg.seed) for k in GRID_FOLDS}
     cells: dict[tuple, EvalReport] = {}
     for block in blocks:
-        vectors = block_vectors(samples, block, block)
+        vectors = block_vectors(samples, block)
         for k in GRID_FOLDS:
             pooled = None  # this pair's raw-dictionary pass's reports by rule
             for mode in GRID_MODES:
@@ -474,30 +474,30 @@ def run_grid(cfg: ExperimentConfig, persist: bool = True) -> list[EvalReport]:
     return reports
 
 
-def export_dictionary_mosaic(atoms: np.ndarray, block_w: int, block_h: int, path) -> np.ndarray:
+def export_dictionary_mosaic(atoms: np.ndarray, path) -> np.ndarray:
     """Tile the atoms (pixels, atoms) of one block dictionary into a PGM
     mosaic.
 
-    Atoms are de-vectorized row-major, min-max scaled to [0, 255] each
+    Atoms are de-vectorized row-major into square blocks (of the atom
+    length's square root for a side), min-max scaled to [0, 255] each
     (constant atoms map to mid-gray 128), and laid out in a near-square grid
     with 1-pixel white separators.
     """
     d, n = atoms.shape
-    if d != block_w * block_h:
-        raise ValueError(f"atom length {d} does not match block {block_w}x{block_h}")
+    side = block_side(d)
     cols = int(math.ceil(math.sqrt(n)))
     rows = int(math.ceil(n / cols))
-    canvas = np.full((rows * block_h + rows - 1, cols * block_w + cols - 1), 255, dtype=np.uint16)
+    canvas = np.full((rows * (side + 1) - 1, cols * (side + 1) - 1), 255, dtype=np.uint16)
     for a in range(n):
-        tile = atoms[:, a].reshape(block_h, block_w)
+        tile = atoms[:, a].reshape(side, side)
         lo, hi = float(tile.min()), float(tile.max())
         if hi - lo < 1e-12:
-            scaled = np.full((block_h, block_w), 128, dtype=np.uint16)
+            scaled = np.full((side, side), 128, dtype=np.uint16)
         else:
             scaled = np.round((tile - lo) / (hi - lo) * 255).astype(np.uint16)
         r, c = divmod(a, cols)
-        r0 = r * (block_h + 1)
-        c0 = c * (block_w + 1)
-        canvas[r0 : r0 + block_h, c0 : c0 + block_w] = scaled
+        r0 = r * (side + 1)
+        c0 = c * (side + 1)
+        canvas[r0 : r0 + side, c0 : c0 + side] = scaled
     write_pgm(path, image_from_array(canvas, maxval=255))
     return canvas

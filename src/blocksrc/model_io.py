@@ -11,8 +11,8 @@ inspection.
 from __future__ import annotations
 
 import json
-import math
 import struct
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -24,8 +24,6 @@ MAGIC = b"BLKD"
 VERSION = 2  # version 1 also held each learned block's label maps A and W
 
 _DTYPES = {"f8": "<f8", "i4": "<i4"}
-_PARAM_KEYS = ("K", "T", "alpha", "beta", "iterations", "seed", "min_rel_improvement")
-_INT_PARAMS = ("K", "T", "iterations", "seed")
 _BLOCK_ARRAYS = ("atoms", "atom_labels", "scales", "objective_trace")
 
 
@@ -38,20 +36,6 @@ def _fields(obj, what: str, keys) -> dict:
     if missing:
         raise ValueError(f"archive {what} lacks {', '.join(missing)}")
     return obj
-
-
-def _param(p: dict, key: str):
-    """Header param ``key``: an integer for ``_INT_PARAMS`` (``K`` may also
-    be null), a finite number otherwise."""
-    value = p[key]
-    if key in _INT_PARAMS:
-        ok = type(value) is int or (key == "K" and value is None)
-    else:
-        ok = type(value) in (int, float) and math.isfinite(value)
-    if not ok:
-        kind = "an integer" if key in _INT_PARAMS else "a finite number"
-        raise ValueError(f"archive param {key!r} must be {kind}, got {value!r}")
-    return value
 
 
 def _list(obj, what: str) -> list:
@@ -70,7 +54,7 @@ def save_model(path: str, model: DiscriminativeDictionary, params: TrainParams, 
     """Write a block grid's model to ``path``, one block entry per position,
     plus the JSON sidecar."""
     chunks: list[bytes] = []
-    block_headers = []
+    block_entries = []
     D = model.D
     for atoms, scales, trace in zip(D.atoms, D.scales, model.objective_traces):
         arrays = [
@@ -79,10 +63,10 @@ def save_model(path: str, model: DiscriminativeDictionary, params: TrainParams, 
             _array_entry("scales", scales, "f8", chunks),
             _array_entry("objective_trace", trace, "f8", chunks),
         ]
-        block_headers.append({"mode": model.mode, "arrays": arrays})
+        block_entries.append({"mode": model.mode, "arrays": arrays})
 
-    params_dict = {key: getattr(params, key) for key in _PARAM_KEYS}
-    header = {"params": params_dict, "meta": meta or {}, "blocks": block_headers}
+    params_dict = asdict(params)
+    header = {"params": params_dict, "meta": meta or {}, "blocks": block_entries}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
 
     with open(path, "wb") as fh:
@@ -136,10 +120,10 @@ def load_model(path: str) -> tuple[DiscriminativeDictionary, TrainParams, dict]:
         return entry["name"], np.array(arr)
 
     blocks: list[tuple[str, dict]] = []  # (mode, arrays) per position
-    for bh in _list(header["blocks"], "blocks"):
-        _fields(bh, "block", ("mode", "arrays"))
+    for head in _list(header["blocks"], "blocks"):
+        _fields(head, "block", ("mode", "arrays"))
         arrays: dict[str, np.ndarray] = {}
-        for entry in _list(bh["arrays"], "arrays"):
+        for entry in _list(head["arrays"], "arrays"):
             name, arr = take(entry)
             if name not in _BLOCK_ARRAYS:
                 raise ValueError(f"unknown block array {name!r}")
@@ -147,7 +131,7 @@ def load_model(path: str) -> tuple[DiscriminativeDictionary, TrainParams, dict]:
                 raise ValueError(f"repeated block array {name!r}")
             arrays[name] = arr
         _fields(arrays, "block arrays", _BLOCK_ARRAYS)
-        blocks.append((bh["mode"], arrays))
+        blocks.append((head["mode"], arrays))
     if pos != len(data):
         raise ValueError(f"{len(data) - pos} trailing bytes after the last array")
     if not blocks:
@@ -163,6 +147,6 @@ def load_model(path: str) -> tuple[DiscriminativeDictionary, TrainParams, dict]:
     atoms, scales = (np.stack([arrays[k] for _, arrays in blocks]) for k in ("atoms", "scales"))
     traces = [arrays["objective_trace"] for _, arrays in blocks]
     model = DiscriminativeDictionary(Dictionary(atoms=atoms, atom_labels=labels, scales=scales), mode, traces)
-    p = _fields(header["params"], "params", _PARAM_KEYS)
-    params = TrainParams(**{key: _param(p, key) for key in _PARAM_KEYS})
+    p = _fields(header["params"], "params", [f.name for f in fields(TrainParams)])
+    params = TrainParams(**{f.name: p[f.name] for f in fields(TrainParams)})  # which checks each value
     return model, params, _fields(header["meta"], "meta", ())

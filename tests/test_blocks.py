@@ -10,50 +10,50 @@ def make_roi(pixels, label=BENIGN, source="t"):
     return RoiSample(pixels=pixels, label=label, source_id=source)
 
 
-def roi_blocks(roi, block_w, block_h):
-    """One ROI's block vectors, (positions, block_w * block_h)."""
-    return block_vectors([roi], block_w, block_h)[0]
+def roi_blocks(roi, block):
+    """One ROI's block vectors, (positions, block * block)."""
+    return block_vectors([roi], block)[0]
 
 
-def raw_dictionaries(training, block_w, block_h):
+def raw_dictionaries(training, block):
     """The training set's dl_mode "none" dictionaries, one stack of every
     block position's."""
-    stack, labels = block_stack(training, block_w, block_h)
+    stack, labels = block_stack(training, block)
     return train_block_models(stack, labels, ExperimentConfig()).D
 
 
 class TestDecompose:
     def test_block_count_64(self):
         roi = make_roi(np.arange(64 * 64, dtype=float).reshape(64, 64))
-        assert roi_blocks(roi, 8, 8).shape == (64, 64)
+        assert roi_blocks(roi, 8).shape == (64, 64)
 
     def test_single_block(self):
         roi = make_roi(np.random.default_rng(0).random((64, 64)))
-        vectors = roi_blocks(roi, 64, 64)
+        vectors = roi_blocks(roi, 64)
         assert vectors.shape[0] == 1
         np.testing.assert_array_equal(vectors[0], roi.pixels.reshape(-1))
 
     def test_constant_roi(self):
         roi = make_roi(np.full((16, 16), 3.5))
-        assert np.all(roi_blocks(roi, 8, 8) == 3.5)
+        assert np.all(roi_blocks(roi, 8) == 3.5)
 
     def test_row_major_vectorization(self):
         px = np.arange(16, dtype=float).reshape(4, 4)
-        vectors = roi_blocks(make_roi(px), 2, 2)
+        vectors = roi_blocks(make_roi(px), 2)
         # block at grid position (0, 1) covers columns 2:4 of rows 0:2
         np.testing.assert_array_equal(vectors[1], [2, 3, 6, 7])
 
     def test_non_divisible_lists_valid_sizes(self):
         roi = make_roi(np.zeros((12, 12)))
         with pytest.raises(ValueError, match="valid"):
-            roi_blocks(roi, 5, 5)
+            roi_blocks(roi, 5)
 
     def test_tiling_identity_all_sizes(self):
         rng = np.random.default_rng(1)
         px = rng.random((64, 64)) * 255
         roi = make_roi(px)
         for b in (8, 16, 32, 64):
-            vectors, g = roi_blocks(roi, b, b), 64 // b
+            vectors, g = roi_blocks(roi, b), 64 // b
             # the inverse reshape, which the synthetic generator writes ROIs with
             np.testing.assert_array_equal(vectors.reshape(g, g, b, b).transpose(0, 2, 1, 3).reshape(64, 64), px)
             assert vectors.shape[0] * b * b == 64 * 64
@@ -63,27 +63,27 @@ class TestBlockVectors:
     def test_rows_are_each_roi_s_decomposition(self):
         rng = np.random.default_rng(8)
         rois = [make_roi(rng.random((16, 16))) for _ in range(3)]
-        for bw, bh in ((8, 8), (4, 8), (16, 2)):
-            cut = block_vectors(rois, bw, bh)
-            assert cut.shape == (3, (16 // bw) * (16 // bh), bw * bh)
+        for b in (16, 8, 4, 2):
+            cut = block_vectors(rois, b)
+            assert cut.shape == (3, (16 // b) ** 2, b * b)
             for roi, row in zip(rois, cut):
-                np.testing.assert_array_equal(row, roi_blocks(roi, bw, bh))
+                np.testing.assert_array_equal(row, roi_blocks(roi, b))
 
     def test_stack_is_the_transposed_cut(self):
         rng = np.random.default_rng(9)
         rois = [make_roi(rng.random((8, 8)), label) for label in (BENIGN, MALIGNANT, BENIGN)]
-        stack, labels = block_stack(rois, 4, 4)
-        np.testing.assert_array_equal(stack, block_vectors(rois, 4, 4).transpose(1, 2, 0))
+        stack, labels = block_stack(rois, 4)
+        np.testing.assert_array_equal(stack, block_vectors(rois, 4).transpose(1, 2, 0))
         np.testing.assert_array_equal(labels, [BENIGN, MALIGNANT, BENIGN])
 
     def test_rejects_empty_mixed_and_non_dividing(self):
         rois = [make_roi(np.zeros((8, 8))), make_roi(np.zeros((4, 4)))]
         with pytest.raises(ValueError, match="no ROIs"):
-            block_vectors([], 4, 4)
+            block_vectors([], 4)
         with pytest.raises(ValueError, match="mixed ROI sizes: 4 vs 8"):
-            block_vectors(rois, 4, 4)
+            block_vectors(rois, 4)
         with pytest.raises(ValueError, match="block size 3x3 does not divide ROI 8x8"):
-            block_vectors(rois[:1], 3, 3)
+            block_vectors(rois[:1], 3)
 
 
 class TestAssemble:
@@ -94,7 +94,7 @@ class TestAssemble:
     def test_shapes_and_order(self):
         rng = np.random.default_rng(2)
         training = self.samples(rng, n=5)
-        D = raw_dictionaries(training, 8, 8)
+        D = raw_dictionaries(training, 8)
         assert D.atoms.shape == (4, 64, 5) and D.scales.shape == (4, 5)
         np.testing.assert_array_equal(D.atom_labels, [s.label for s in training])
 
@@ -102,29 +102,29 @@ class TestAssemble:
         rng = np.random.default_rng(3)
         px = rng.random((8, 8))
         training = [make_roi(px, BENIGN), make_roi(px.copy(), MALIGNANT)]
-        D = raw_dictionaries(training, 8, 8)
+        D = raw_dictionaries(training, 8)
         np.testing.assert_array_equal(D.atoms[0, :, 0], D.atoms[0, :, 1])
         assert list(D.atom_labels) == [BENIGN, MALIGNANT]
 
     def test_columns_reconstruct_block_vectors(self):
         rng = np.random.default_rng(4)
         training = self.samples(rng, n=4)
-        D = raw_dictionaries(training, 8, 8)
+        D = raw_dictionaries(training, 8)
         for i, smp in enumerate(training):
-            vectors = roi_blocks(smp, 8, 8)
+            vectors = roi_blocks(smp, 8)
             for j in range(4):
                 np.testing.assert_allclose(D.atoms[j, :, i] * D.scales[j, i], vectors[j], atol=1e-12)
 
     def test_block_dictionary_depends_only_on_its_block(self):
         rng = np.random.default_rng(5)
         training = self.samples(rng, n=4)
-        D = raw_dictionaries(training, 8, 8)
+        D = raw_dictionaries(training, 8)
         perturbed = []
         for smp in training:
             px = smp.pixels.copy()
             px[8:, :] += rng.random((8, 16))  # touch blocks 2 and 3 only
             perturbed.append(make_roi(px, smp.label, smp.source_id))
-        D2 = raw_dictionaries(perturbed, 8, 8)
+        D2 = raw_dictionaries(perturbed, 8)
         np.testing.assert_array_equal(D.atoms[:2], D2.atoms[:2])
         assert not np.array_equal(D.atoms[2], D2.atoms[2])
 
@@ -132,13 +132,13 @@ class TestAssemble:
         rng = np.random.default_rng(6)
         training = [make_roi(rng.random((16, 16)), BENIGN), make_roi(rng.random((8, 8)), MALIGNANT)]
         with pytest.raises(ValueError, match="mixed"):
-            raw_dictionaries(training, 8, 8)
+            raw_dictionaries(training, 8)
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(7)
         training = [make_roi(rng.random((8, 8)), BENIGN) for _ in range(3)]
         with pytest.raises(ValueError, match="per class"):
-            raw_dictionaries(training, 8, 8)
+            raw_dictionaries(training, 8)
 
 
 class TestRoiSample:

@@ -1,24 +1,33 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from blocksrc.cli import _config_overrides, build_parser, main
 from blocksrc.config import ExperimentConfig, load_config, parse_config_text
+from blocksrc.dictlearn import DiscriminativeDictionary
+from blocksrc.harness import load_dataset
+from blocksrc.mias import load_roi_cache
 from blocksrc.model_io import load_model, save_model
 from blocksrc.pgm import image_from_array, read_pgm, write_pgm
+from blocksrc.solvers import Dictionary
+
+# the small synthetic set the commands below run on, as config keys
+SYNTH_KEYS = {"roi_size": 16, "block_sizes": 8, "synth_atoms_per_class": 4, "synth_sparsity": 2,
+              "synth_noise_sigma": 0.05, "synth_samples_per_class": 6, "seed": 20}
+
+
+def write_synth_config(tmp_path):
+    path = tmp_path / "synth.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in SYNTH_KEYS.items()))
+    return path
 
 
 @pytest.fixture()
 def synth_cache(tmp_path):
     out = tmp_path / "cache"
-    spec = tmp_path / "synth.cfg"
-    spec.write_text(
-        "roi_size = 16\nblock_size = 8\natoms_per_class = 4\n"
-        "sparsity = 2\nnoise_sigma = 0.05\nsamples_per_class = 6\n"
-    )
-    rc = main(["synth", "--spec", str(spec), "--seed", "20", "--out", str(out)])
+    rc = main(["synth", "--config", str(write_synth_config(tmp_path)), "--out", str(out)])
     assert rc == 0
     return out
 
@@ -48,14 +57,34 @@ def test_synth_writes_manifest_and_pgms(synth_cache):
     assert img.pixels.shape == (16, 16)
 
 
-def test_synth_spec_unknown_key_is_structured(tmp_path, capsys):
-    spec = tmp_path / "synth.cfg"
-    spec.write_text("roi_size = 16\nbogus_key = 3\n")
-    rc = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "cache")])
+def test_synth_cache_holds_the_configs_synthetic_set(tmp_path):
+    config = write_synth_config(tmp_path)
+    by_file, by_flags = tmp_path / "by_file", tmp_path / "by_flags"
+    assert main(["synth", "--config", str(config), "--out", str(by_file)]) == 0
+    flags = [arg for k, v in SYNTH_KEYS.items() for arg in ("--" + k.replace("_", "-"), str(v))]
+    assert main(["synth", *flags, "--out", str(by_flags)]) == 0
+    names = sorted(p.name for p in by_file.iterdir())
+    assert names == sorted(p.name for p in by_flags.iterdir())
+    for name in names:
+        assert (by_file / name).read_bytes() == (by_flags / name).read_bytes(), name
+
+    drawn = load_dataset(replace(load_config(str(config)), synthetic=True))
+    loaded = load_roi_cache(str(by_file))
+    step = 1 / json.loads((by_file / "manifest.json").read_text())["intensity_scale"]
+    assert [(s.source_id, s.label) for s in loaded] == [(s.source_id, s.label) for s in drawn]
+    for a, b in zip(loaded, drawn, strict=True):
+        assert np.abs(a.pixels - b.pixels).max() <= step / 2
+
+
+def test_synth_config_unknown_key_is_structured(tmp_path, capsys):
+    config = tmp_path / "synth.cfg"
+    config.write_text("roi_size = 16\nbogus_key = 3\n")
+    rc = main(["synth", "--config", str(config), "--out", str(tmp_path / "cache")])
     assert rc == 1
     diag = json.loads(capsys.readouterr().err.strip())
     assert diag["command"] == "synth"
-    assert "bogus_key" in diag["message"] and "line 2" in diag["message"]
+    assert diag["message"] == "config line 2: unknown key 'bogus_key'"
+    assert not (tmp_path / "cache").exists()
 
 
 def test_cv_command_end_to_end(tmp_path, synth_cache):
@@ -89,10 +118,11 @@ def test_flags_override_only_the_keys_they_set(tmp_path):
     assert (got.invert_lls, got.synthetic, got.block_sizes, got.alpha, got.seed) == (True, True, (8, 16), 2.0, 3)
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate", "cv", "grid"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "cv", "grid", "synth"])
 def test_every_config_key_has_a_flag(command):
-    argv = [command, "--model", "m.blkd"] if command in ("train", "evaluate") else [command]
-    dests = set(vars(build_parser().parse_args(argv))) - {"command", "func", "config", "model"}
+    argv = {"train": ["--model", "m.blkd"], "evaluate": ["--model", "m.blkd"], "synth": ["--out", "x"]}
+    args = build_parser().parse_args([command, *argv.get(command, [])])
+    dests = set(vars(args)) - {"command", "func", "config", "model", "out"}
     assert dests == {f.name for f in fields(ExperimentConfig)}
 
 
@@ -146,6 +176,8 @@ def test_train_evaluate_mosaic_cycle(tmp_path, synth_cache):
     model = tmp_path / "model.blkd"
     assert main(["train", "--config", str(cfg), "--model", str(model)]) == 0
     assert model.exists() and (tmp_path / "model.blkd.json").exists()
+    # the block side is read from the atoms, so the meta does not repeat it
+    assert load_model(str(model))[2] == {"roi_size": 16, "dl_mode": "lcksvd2"}
 
     assert main(["evaluate", "--config", str(cfg), "--model", str(model)]) == 0
     metrics = json.loads((tmp_path / "results" / "evaluation.json").read_text())
@@ -167,14 +199,28 @@ def test_evaluate_rejects_mismatched_model(tmp_path, synth_cache, capsys):
     assert diag["error"] == "ValueError"
     assert "roi_size 16" in diag["message"] and "roi_size 32" in diag["message"]
 
+    # a block's side is the square root of its atoms' length, which a
+    # 63-pixel atom does not have
     trained, params, meta = load_model(str(model))
+    D = trained.D
+    cut = Dictionary.from_matrix(D.atoms[:, 1:], D.atom_labels)
     bad = tmp_path / "bad.blkd"
-    save_model(str(bad), trained, params, dict(meta, block_w=4, block_h=4))
+    save_model(str(bad), DiscriminativeDictionary(cut, trained.mode, trained.objective_traces), params, meta)
     assert main(["evaluate", "--config", str(cfg), "--model", str(bad)]) == 1
     diag = json.loads(capsys.readouterr().err.strip())
     assert diag["error"] == "ValueError"
-    assert "64" in diag["message"] and "4x4" in diag["message"]
+    assert diag["message"] == "atom length 63 is not a square"
     assert not (tmp_path / "results" / "evaluation.json").exists()
+
+
+def test_train_refuses_several_block_sizes(tmp_path, synth_cache, capsys):
+    cfg = write_config(tmp_path, synth_cache, block_sizes="8, 16")
+    model = tmp_path / "model.blkd"
+    assert main(["train", "--config", str(cfg), "--model", str(model)]) == 1
+    diag = json.loads(capsys.readouterr().err.strip())
+    assert diag["command"] == "train" and diag["error"] == "ValueError"
+    assert diag["message"] == "train takes one block size, the config lists [8, 16]"
+    assert not model.exists()
 
 
 def test_prepare_rois_command(tmp_path):

@@ -71,6 +71,9 @@ class TestTrainParams:
                     TrainParams(**{key: value})
             with pytest.raises(ValueError, match=f"train param {key} must be >= 0, got -0.5"):
                 TrainParams(**{key: -0.5})
+            for value in ("x", None, True):
+                with pytest.raises(ValueError, match=f"train param {key} must be a number, got {value!r}"):
+                    TrainParams(**{key: value})
 
     @pytest.mark.parametrize("key", ["K", "T", "iterations", "seed"])
     def test_non_integer_names_the_key(self, key):
@@ -521,7 +524,7 @@ class TestExactDefaultK:
     def assert_exact(self, Y, labels, params, mode):
         b = math.isqrt(Y.shape[1])
         samples = roi_samples(Y, labels)
-        stack, stack_labels = block_stack(samples, b, b)  # the harness's layout
+        stack, stack_labels = block_stack(samples, b)  # the harness's layout
         assert np.array_equal(stack, Y)
         model = lcksvd_train_stack(stack, stack_labels, params, mode)
         Z = stacked_columns(Y, labels, params, mode)
@@ -618,7 +621,7 @@ class TestLearningBelowTheTrainingCount:
     @pytest.mark.parametrize("mode", ["lcksvd1", "lcksvd2"])
     def test_atoms_leave_the_raw_blocks(self, mode):
         spec = SynthSpec(roi_size=16, block_size=8, samples_per_class=10, noise_sigma=1.0)
-        stack, labels = block_stack(synth_dataset(spec, 20), 8, 8)
+        stack, labels = block_stack(synth_dataset(spec, 20), 8)
         learned = lcksvd_train_stack(stack, labels, TrainParams(K=8), mode)
         for Y, (D, trace) in zip(stack, positions(learned), strict=True):
             assert self.farthest_atom(D, Y) < 0.99

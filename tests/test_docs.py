@@ -1,13 +1,15 @@
 """The README stays in step with the code: its library-layout table names
-only what its modules define and every name the package re-exports, and its
-config block lists every key once."""
+only what its modules define and every name the package re-exports, its
+command-line block parses, and its config block lists every key once."""
 
 import ast
 import importlib
 import pathlib
 import re
+import shlex
 from dataclasses import fields
 
+from blocksrc.cli import build_parser
 from blocksrc.config import ExperimentConfig, parse_config_text
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -40,6 +42,15 @@ def test_layout_names_every_export():
     assert len(exports) >= 40
     for module, name in exports:
         assert name in rows.get(module, []), f"README's {module} row lacks {name}, which blocksrc re-exports"
+
+
+def test_command_line_block_parses():
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("blocksrc ")]
+    assert {argv[0] for argv in commands} == {"prepare-rois", "cv", "grid", "train", "evaluate", "synth", "mosaic"}
+    for argv in commands:
+        build_parser().parse_args(argv)  # argparse exits on a flag it does not know
 
 
 def config_block():

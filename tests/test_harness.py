@@ -249,8 +249,7 @@ class TestConfig:
     @settings(max_examples=300, deadline=None, database=None)
     @given(data=st.data())
     def test_any_line_parses_to_finite_floats_or_raises(self, data):
-        cls = data.draw(st.sampled_from((ExperimentConfig, SynthSpec)))
-        key = data.draw(st.sampled_from([f.name for f in fields(cls)]))
+        key = data.draw(st.sampled_from([f.name for f in fields(ExperimentConfig)]))
         value = data.draw(
             st.one_of(
                 st.sampled_from(("nan", "inf", "-inf", "NaN", "Infinity", "1e999", "-1e400")),
@@ -260,7 +259,7 @@ class TestConfig:
             )
         )
         try:
-            cfg = parse_config_text(f"{key} = {value}", cls=cls)
+            cfg = parse_config_text(f"{key} = {value}")
         except ValueError:
             return
         for f in fields(cfg):
@@ -274,6 +273,10 @@ class TestConfig:
                 parse_config_text(f"{key} = nan")
         with pytest.raises(ValueError, match="noise_sigma"):
             SynthSpec(noise_sigma=float("inf"))
+        # a number key takes no text, no None and no bool
+        for key, value in (("tau", "x"), ("tau", None), ("alpha", True)):
+            with pytest.raises(ValueError, match=f"config key {key} must be a number, got {value!r}"):
+                ExperimentConfig(**{key: value})
 
     def test_non_positive_sizes_name_the_key(self):
         for key, value in (("roi_size", 0), ("roi_size", -16), ("sparsity", -3), ("sparsity", 0),
@@ -284,8 +287,8 @@ class TestConfig:
         assert parse_config_text("dict_size = 2").dict_size == 2
         with pytest.raises(ValueError, match="config line 1: key sparsity: expected an integer, got 'abc'"):
             parse_config_text("sparsity = abc")
-        with pytest.raises(ValueError, match="config line 2: key noise_sigma: expected a number, got 'loud'"):
-            parse_config_text("roi_size = 32\nnoise_sigma = loud", cls=SynthSpec)
+        with pytest.raises(ValueError, match="config line 2: key synth_noise_sigma: expected a number, got 'loud'"):
+            parse_config_text("roi_size = 32\nsynth_noise_sigma = loud")
 
     def test_negative_weights_name_the_key(self):
         for text in ("alpha = -1.0", "dl_mode = lcksvd1\nalpha = -1.0", "beta = -0.5", "seed = -3"):
@@ -319,6 +322,14 @@ class TestConfig:
         for value in (16.0, True, 2.5):
             with pytest.raises(ValueError, match=rf"config key block_sizes must be an integer, got {value!r}"):
                 ExperimentConfig(block_sizes=(8, value))
+        with pytest.raises(ValueError, match="config key block_sizes must be a tuple of integers, got 16"):
+            ExperimentConfig(block_sizes=16)
+        with pytest.raises(ValueError, match="config key block_sizes must be a tuple of integers, got 16"):
+            parse_config_text("", {"block_sizes": 16})
+        # the bool and str keys are held to their types alike
+        for key, value, what in (("invert_lls", "yes", "a boolean"), ("data_dir", 3, "a string")):
+            with pytest.raises(ValueError, match=f"config key {key} must be {what}, got {value!r}"):
+                ExperimentConfig(**{key: value})
         cfg = ExperimentConfig(k_folds=np.int64(3), seed=np.int32(1), block_sizes=(np.int64(16), 8))
         assert (cfg.k_folds, cfg.seed, cfg.block_sizes) == (3, 1, (16, 8))
 
@@ -419,9 +430,9 @@ class TestRunExperiment:
         for f in range(cfg.k_folds):
             train = [samples[i] for i in np.flatnonzero(folds != f)]
             test_idx = np.flatnonzero(folds == f)
-            D = position(train_block_models(*block_stack(train, 16, 16), cfg).D, 0)
+            D = position(train_block_models(*block_stack(train, 16), cfg).D, 0)
             for i in test_idx:
-                y = block_vectors([samples[i]], 16, 16)[0, 0]
+                y = block_vectors([samples[i]], 16)[0, 0]
                 eps = cfg.eps_rel * np.linalg.norm(y)
                 X, _, _, _ = bpdn_batch(D, y[:, None], np.array([eps]))
                 resid, _ = class_residuals_pixels(D.atoms, D.atom_labels, X, y[:, None])
@@ -514,7 +525,7 @@ class TestRunExperiment:
         small = replace(samples[3], pixels=samples[3].pixels[:8, :8])
         mixed = samples[:3] + [small] + samples[4:]
         with pytest.raises(ValueError, match="mixed ROI sizes: 8 vs 16"):
-            block_vectors(mixed, 8, 8)
+            block_vectors(mixed, 8)
         for mode in ("none", "lcksvd1"):
             for dict_size in (0, 6):
                 sub = replace(cfg, dl_mode=mode, dict_size=dict_size, iterations=2)
@@ -561,13 +572,13 @@ def per_fold_reference(cfg, samples, block):
     out = []
     for f in range(cfg.k_folds):
         try:
-            stack, labels = block_stack([samples[i] for i in np.flatnonzero(folds != f)], block, block)
+            stack, labels = block_stack([samples[i] for i in np.flatnonzero(folds != f)], block)
             model = train_block_models(stack, labels, cfg)
         except ValueError as err:
             out.append({"stage": "train", "type": type(err).__name__, "message": str(err)})
             continue
         test = [samples[i] for i in np.flatnonzero(folds == f)]
-        out.append(classify_samples(model.D, block_vectors(test, block, block), slice(None), cfg))
+        out.append(classify_samples(model.D, block_vectors(test, block), slice(None), cfg))
     return out
 
 
@@ -575,7 +586,7 @@ def validate(cfg, samples, block):
     """``cross_validate`` on the samples cut into ``block``-px blocks."""
     import blocksrc.harness as H
 
-    return H.cross_validate(cfg, block_vectors(samples, block, block), [s.label for s in samples])
+    return H.cross_validate(cfg, block_vectors(samples, block), [s.label for s in samples])
 
 
 def block_side(blocks) -> int:
@@ -591,9 +602,9 @@ def spy_cuts(monkeypatch):
 
     cuts, real = [], B.block_vectors
 
-    def counting(rois, block_w, block_h):
-        cuts.append((len(rois), block_w))
-        return real(rois, block_w, block_h)
+    def counting(rois, block):
+        cuts.append((len(rois), block))
+        return real(rois, block)
 
     monkeypatch.setattr(B, "block_vectors", counting)
     monkeypatch.setattr(H, "block_vectors", counting)
@@ -737,7 +748,7 @@ class TestStackedFolds:
         (call,) = calls
         # the held-out samples come fold by fold
         test = np.concatenate([np.flatnonzero(folds == f) for f in range(cfg.k_folds)])
-        assert np.array_equal(call["blocks"][call["rows"]], block_vectors(samples, 4, 4)[test])
+        assert np.array_equal(call["blocks"][call["rows"]], block_vectors(samples, 4)[test])
         # every sample, its own among them, has its block in the shared set
         assert call["D"].n_atoms == len(samples)
         same_fold = folds[:, None] == folds[test][None, :]
@@ -748,7 +759,7 @@ class TestStackedFolds:
             assert np.all(codes[same_fold] == 0.0)
             # unmasked, a block would code itself: its own atom enters first
             D = position(call["D"], j)
-            y = np.stack([block_vectors([samples[i]], 4, 4)[0, j] for i in test], axis=1)
+            y = np.stack([block_vectors([samples[i]], 4)[0, j] for i in test], axis=1)
             X, *_ = bpdn_batch(D, y, cfg.eps_rel * np.linalg.norm(y, axis=0))
             leaked += int(np.count_nonzero(X[test, np.arange(test.size)]))
         assert leaked >= len(res.codes) * len(samples) // 2
@@ -762,7 +773,7 @@ class TestStackedFolds:
         samples = load_dataset(cfg)
         labels = [s.label for s in samples]
         folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
-        blocks = block_vectors(samples, 4, 4)
+        blocks = block_vectors(samples, 4)
         calls = self.spy(monkeypatch)
         H.cross_validate(cfg, blocks, labels)
         (call,) = calls
@@ -789,7 +800,7 @@ class TestStackedFolds:
             (call,) = calls
             assert call["allowed"] is not None and call["D"].n_atoms == len(samples)
             test = [i for f in range(cfg.k_folds) if f != lone for i in np.flatnonzero(folds == f)]
-            assert np.array_equal(call["blocks"][call["rows"]], block_vectors(samples, 4, 4)[test])
+            assert np.array_equal(call["blocks"][call["rows"]], block_vectors(samples, 4)[test])
             for f, _, dec in out:
                 if f != lone:
                     assert_same_decisions(dec, ref[f])
@@ -863,13 +874,13 @@ class TestPoolByConstruction:
         labels = [s.label for s in samples]
         for block in (8, 16, 32, 64):
             raw = ExperimentConfig(roi_size=64, block_sizes=(block,))  # dl_mode "none"
-            whole = train_block_models(*block_stack(samples, block, block), raw).D
+            whole = train_block_models(*block_stack(samples, block), raw).D
             for mode, k in (("none", 10), ("lcksvd1", 20), ("lcksvd2", 30)):
                 cfg = ExperimentConfig(roi_size=64, block_sizes=(block,), k_folds=k, dl_mode=mode)
                 folds = stratified_folds(labels, k, cfg.seed)
                 for f in range(k):
                     idx = np.flatnonzero(folds != f)
-                    D = train_block_models(*block_stack([samples[i] for i in idx], block, block), cfg).D
+                    D = train_block_models(*block_stack([samples[i] for i in idx], block), cfg).D
                     assert D.atoms.tobytes() == whole.atoms[:, :, idx].tobytes()
                     assert D.atom_labels.tobytes() == whole.atom_labels[idx].tobytes()
                     assert D.scales.tobytes() == whole.scales[:, idx].tobytes()
@@ -1145,7 +1156,7 @@ class TestModelArchive:
     def test_roundtrip(self, tmp_path):
         cfg = tiny_config(dl_mode="lcksvd2", dict_size=6, iterations=3)
         samples = load_dataset(cfg)
-        model = train_block_models(*block_stack(samples, 8, 8), cfg)
+        model = train_block_models(*block_stack(samples, 8), cfg)
         path = tmp_path / "model.blkd"
         save_model(str(path), model, cfg.train_params(), {"block_w": 8, "block_h": 8})
         loaded, params, meta = load_model(str(path))
@@ -1165,7 +1176,7 @@ class TestModelArchive:
     def test_mode_none_archive(self, tmp_path):
         cfg = tiny_config(dl_mode="none")
         samples = load_dataset(cfg)
-        model = train_block_models(*block_stack(samples, 8, 8), cfg)
+        model = train_block_models(*block_stack(samples, 8), cfg)
         path = tmp_path / "raw.blkd"
         save_model(str(path), model, cfg.train_params(), {})
         loaded, _, _ = load_model(str(path))
@@ -1182,7 +1193,7 @@ class TestModelArchive:
              "1a0bde5394b1f044265424afc86c302ad6eb6fe0c278607f4e138c289c9ce60d"),
         ):
             cfg = tiny_config(dl_mode=mode, **overrides)
-            model = train_block_models(*block_stack(load_dataset(cfg), 8, 8), cfg)
+            model = train_block_models(*block_stack(load_dataset(cfg), 8), cfg)
             save_model(str(path), model, cfg.train_params(), {"block_w": 8, "block_h": 8})
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, mode
 
@@ -1247,7 +1258,7 @@ class TestModelArchive:
 
     def test_trailing_byte(self, tmp_path):
         cfg = tiny_config(dl_mode="none")
-        model = train_block_models(*block_stack(load_dataset(cfg), 8, 8), cfg)
+        model = train_block_models(*block_stack(load_dataset(cfg), 8), cfg)
         path = tmp_path / "raw.blkd"
         save_model(str(path), model, cfg.train_params(), {})
         path.write_bytes(path.read_bytes() + b"\0")
@@ -1300,11 +1311,12 @@ class TestModelArchive:
     def test_malformed_params_name_the_key(self, small_archive):
         raw, path = small_archive
         for key, value in (("K", "8"), ("T", None), ("alpha", "x"), ("iterations", 2.5),
-                           ("seed", True), ("beta", [1.0]), ("min_rel_improvement", math.inf)):
+                           ("seed", True), ("beta", [1.0]), ("min_rel_improvement", math.inf),
+                           ("alpha", 10**400)):
             header = archive_header(raw)
             header["params"][key] = value
             path.write_bytes(archive_with_header(raw, header))
-            with pytest.raises(ValueError, match=f"param '{key}'"):
+            with pytest.raises(ValueError, match=f"train param {key} must be "):
                 load_model(str(path))
 
     def test_negative_seed_is_rejected(self, small_archive):
@@ -1346,7 +1358,7 @@ class TestMosaic:
         rng = np.random.default_rng(0)
         D = Dictionary.from_matrix(rng.standard_normal((64, 64)), rng.integers(0, 2, 64))
         path = tmp_path / "mosaic.pgm"
-        canvas = export_dictionary_mosaic(D.atoms, 8, 8, str(path))
+        canvas = export_dictionary_mosaic(D.atoms, str(path))
         assert canvas.shape == (71, 71)
         img = read_pgm(path)
         np.testing.assert_array_equal(img.pixels, canvas)
@@ -1354,7 +1366,7 @@ class TestMosaic:
     def test_constant_atom_mid_gray(self, tmp_path):
         M = np.column_stack([np.ones(4), np.array([1.0, 2.0, 3.0, 4.0])])
         D = Dictionary.from_matrix(M, [0, 1])
-        canvas = export_dictionary_mosaic(D.atoms, 2, 2, str(tmp_path / "m.pgm"))
+        canvas = export_dictionary_mosaic(D.atoms, str(tmp_path / "m.pgm"))
         assert np.all(canvas[0:2, 0:2] == 128)
 
     def test_devectorize_roundtrip(self):
@@ -1365,8 +1377,8 @@ class TestMosaic:
 
     def test_length_mismatch(self, tmp_path):
         D = Dictionary.from_matrix(np.eye(5), np.zeros(5, dtype=int))
-        with pytest.raises(ValueError, match="does not match"):
-            export_dictionary_mosaic(D.atoms, 2, 2, str(tmp_path / "x.pgm"))
+        with pytest.raises(ValueError, match="atom length 5 is not a square"):
+            export_dictionary_mosaic(D.atoms, str(tmp_path / "x.pgm"))
 
 
 class TestClassifyAgainstFixedModel:
@@ -1379,11 +1391,11 @@ class TestClassifyAgainstFixedModel:
         folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
         for f in range(3):
             train, test = np.flatnonzero(folds != f), np.flatnonzero(folds == f)
-            D = train_block_models(*block_stack([samples[i] for i in train], 8, 8), cfg).D
-            dec = classify_samples(D, block_vectors(samples, 8, 8), test, cfg)
+            D = train_block_models(*block_stack([samples[i] for i in train], 8), cfg).D
+            dec = classify_samples(D, block_vectors(samples, 8), test, cfg)
             hard, lls = [], []
             for j in range(len(D.atoms)):
-                yj = np.stack([block_vectors([samples[i]], 8, 8)[0, j] for i in test], axis=1)
+                yj = np.stack([block_vectors([samples[i]], 8)[0, j] for i in test], axis=1)
                 res = block_decisions(grid(position(D, j)), yj[None], cfg.eps_rel)
                 hard.append(res.hard[0])
                 lls.append(res.lls[0])
@@ -1393,8 +1405,8 @@ class TestClassifyAgainstFixedModel:
     def test_decisions_have_both_labels(self):
         cfg = tiny_config()
         samples = load_dataset(cfg)
-        model = train_block_models(*block_stack(samples, 8, 8), cfg)
-        dec = classify_samples(model.D, block_vectors(samples[:4], 8, 8), slice(None), cfg)
+        model = train_block_models(*block_stack(samples, 8), cfg)
+        dec = classify_samples(model.D, block_vectors(samples[:4], 8), slice(None), cfg)
         assert dec.label_bbmap.shape == (4,)
         for i in range(4):
             assert dec.label_bbmap[i] in (BENIGN, MALIGNANT)

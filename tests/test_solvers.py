@@ -621,7 +621,7 @@ class TestBpdnMasked:
         spec = SynthSpec(roi_size=roi_size, block_size=block, samples_per_class=37, noise_sigma=noise_sigma)
         samples = synth_dataset(spec, seed)
         folds = stratified_folds([s.label for s in samples], 10, seed)
-        stack, labels = block_stack(samples, block, block)
+        stack, labels = block_stack(samples, block)
         D = Dictionary.from_matrix(stack[position], labels)
         test_idx = np.concatenate([np.flatnonzero(folds == f) for f in range(10)])
         allowed = folds[:, None] != folds[test_idx][None, :]
