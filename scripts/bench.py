@@ -20,9 +20,10 @@ A cell runs through the public ``run_experiment`` once per decision rule
 (``run_grid`` once), with ``persist=False``; per rule it records wall and
 CPU seconds, AUC, accuracy and the failed folds. Work counts come without a
 tracer: a learned cell trains fold 0 once more and records the K-SVD
-iterations of each position from the model traces, and an 8-px ``none``
-cell codes fold 0's held-out blocks with ``bpdn_batch``, position by
-position, and records the path steps per block. The run records the
+iterations of each position from the model traces, with that training's
+wall seconds, and an 8-px ``none`` cell codes fold 0's held-out blocks
+with ``bpdn_batch``, position by position, and records the path steps
+per block. The run records the
 commit (and whether tracked files differ from it), the numpy and BLAS
 versions, the CPU count, and the tracemalloc
 peak of one 8-px coding call: every held-out block of position 0 on its
@@ -132,12 +133,12 @@ def walk_steps(cfg: ExperimentConfig, samples: list) -> dict:
             "max": max(steps), "infeasible": infeasible}
 
 
-def ksvd_iterations(cfg: ExperimentConfig, samples: list) -> list[int]:
-    """K-SVD iterations run at each position when fold 0 trains: the
-    length of each position's objective trace."""
+def ksvd_iterations(cfg: ExperimentConfig, samples: list) -> tuple[list[int], float]:
+    """K-SVD iterations run at each position when fold 0 trains (the length
+    of each position's objective trace), and that training's wall seconds."""
     stack, labels, _ = fold0(cfg, samples)
-    model = lcksvd_train_stack(stack, labels, cfg.train_params(), cfg.dl_mode)
-    return [len(trace) for trace in model.objective_traces]
+    model, wall, _ = timed(lambda: lcksvd_train_stack(stack, labels, cfg.train_params(), cfg.dl_mode))
+    return [len(trace) for trace in model.objective_traces], wall
 
 
 def pooled_call(cfg: ExperimentConfig, samples: list) -> dict:
@@ -175,7 +176,7 @@ def run_cell(cell: dict, args) -> dict:
         out[rule] = {"wall_s": wall, "cpu_s": cpu, "auc": rep.metrics["auc"], "acc": rep.metrics["acc"],
                      "failed_folds": list(rep.incomplete_folds)}
     if cell["dl_mode"] != "none":
-        out["ksvd_iterations_fold0"] = ksvd_iterations(cfg, samples)
+        out["ksvd_iterations_fold0"], out["train_s_fold0"] = ksvd_iterations(cfg, samples)
     elif cell["block"] == 8:
         out["walk_steps_fold0"] = walk_steps(cfg, samples)
     return out

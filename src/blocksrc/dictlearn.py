@@ -20,11 +20,6 @@ from .solvers import DEGENERATE_NORM, Dictionary, batch_omp, normalize_columns
 MODES = ("none", "lcksvd1", "lcksvd2")
 
 _RIDGE_LAMBDA = 1e-3
-_UNUSED_ROW_TOL = 0.0  # a row is unused when it is exactly zero
-# K-SVD runs in span coordinates when the rows outnumber the columns of
-# [Y, init] this many times over; below that, numpy's unblocked QR costs
-# more than it saves
-_SPAN_ROWS = 8
 # A problem whose objective after the atom update is at most this share of
 # ||[Y, init]||_F^2 is solved: what is left is rounding, not learning
 _OBJ_FLOOR = 1e-12
@@ -192,21 +187,18 @@ def _ksvd_stack(Z: np.ndarray, s: int, params: TrainParams, probe=None):
     previous objective by less than ``min_rel_improvement`` of it. A
     non-positive ``min_rel_improvement`` runs every iteration.
     Atoms only ever become combinations of columns of ``Y - DX`` and ``D``,
-    or normalized columns of ``Y``, so they never leave ``span(Z)``. When the
-    rows number at least ``_SPAN_ROWS`` times the columns of ``Z``, the
+    or normalized columns of ``Y``, so they never leave ``span(Z)``: the
     alternation runs on the coordinates ``R`` of ``Z = basis R`` (basis
     orthonormal, so every norm and inner product is unchanged) and the atoms
     are mapped back at the end. Returns ``(atoms (P, rows, k), codes (P, k,
     s), traces)``.
     """
-    P, rows, m = Z.shape
+    P, _, m = Z.shape
     k = m - s
     t = params.resolved_t(k)
     Z[:, :, s:], _ = normalize_columns(Z[:, :, s:])
     floor = _OBJ_FLOOR * np.einsum("prm,prm->p", Z, Z)
-    basis = None
-    if rows >= _SPAN_ROWS * m:
-        basis, Z = np.linalg.qr(Z)
+    basis, Z = np.linalg.qr(Z)
     Y, D = Z[:, :, :s], Z[:, :, s:].copy()
     ysq = np.einsum("prs,prs->ps", Y, Y)
     X = np.zeros((P, k, s))
@@ -239,7 +231,7 @@ def _ksvd_stack(Z: np.ndarray, s: int, params: TrainParams, probe=None):
 
         # Replace atoms whose coefficient row went unused by the training
         # column that is currently reconstructed worst.
-        unused = ~np.any(np.abs(Xr) > _UNUSED_ROW_TOL, axis=2)
+        unused = ~Xr.any(axis=2)
         for i in np.flatnonzero(unused.any(axis=1)):
             col_err = np.linalg.norm(E[i], axis=0)
             for a in np.flatnonzero(unused[i]):
@@ -262,9 +254,7 @@ def _ksvd_stack(Z: np.ndarray, s: int, params: TrainParams, probe=None):
             run = run[~done]
             if not run.size:
                 break
-    if basis is not None:
-        D = basis @ D
-    return D, X, [np.asarray(tr) for tr in traces]
+    return basis @ D, X, [np.asarray(tr) for tr in traces]
 
 
 def _ridge_fit(targets: np.ndarray, X: np.ndarray, lam: float = _RIDGE_LAMBDA) -> np.ndarray:

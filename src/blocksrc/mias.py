@@ -218,16 +218,22 @@ def load_roi_cache(cache_dir: str) -> list[RoiSample]:
         for key in ("file", "label", "ref_id"):
             if key not in entry:
                 raise ValueError(f"ROI cache manifest: samples[{i}] has no {key}")
+        # JSON reads an integer as exactly int, and true and false as bools
+        centroid, radius = entry.get("centroid"), entry.get("radius")
+        if centroid is not None and not (isinstance(centroid, list) and list(map(type, centroid)) == [int, int]):
+            raise ValueError(f"ROI cache manifest: samples[{i}] centroid must be null or two integers, "
+                             f"got {centroid!r}")
+        if radius is not None and not (type(radius) is int and radius > 0):
+            raise ValueError(f"ROI cache manifest: samples[{i}] radius must be null or an integer > 0, got {radius!r}")
         img = read_pgm(os.path.join(cache_dir, entry["file"]))
         pixels = img.pixels.astype(float) / scale
-        centroid = tuple(entry["centroid"]) if entry.get("centroid") else None
         samples.append(
             RoiSample(
                 pixels=pixels,
                 label=class_id(entry["label"]),
                 source_id=entry["ref_id"],
-                centroid=centroid,
-                radius=entry.get("radius"),
+                centroid=None if centroid is None else tuple(centroid),
+                radius=radius,
             )
         )
     return samples

@@ -10,12 +10,12 @@ The ROI cache layout belongs to :func:`blocksrc.mias.write_roi_cache`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import RoiSample
+from .dictlearn import check_field_types
 from .mias import write_roi_cache
 
 
@@ -29,6 +29,7 @@ class SynthSpec:
     samples_per_class: int = 40
 
     def __post_init__(self):
+        check_field_types(self, "synth param")
         if self.roi_size < 1 or self.block_size < 1 or self.roi_size % self.block_size != 0:
             raise ValueError(
                 f"block size {self.block_size} does not divide roi size {self.roi_size}"
@@ -37,8 +38,8 @@ class SynthSpec:
             raise ValueError("atoms_per_class and samples_per_class must be >= 1")
         if not 1 <= self.sparsity <= self.atoms_per_class:
             raise ValueError("sparsity must be in [1, atoms_per_class]")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
 
 
 def synth_dataset(spec: SynthSpec, seed: int) -> list[RoiSample]:

@@ -273,6 +273,12 @@ class TestConfig:
                 parse_config_text(f"{key} = nan")
         with pytest.raises(ValueError, match="noise_sigma"):
             SynthSpec(noise_sigma=float("inf"))
+        # a synth param is checked by its declared type before its range
+        for key, kw in (("sparsity", dict(sparsity=2.5, atoms_per_class=4)),
+                        ("roi_size", dict(roi_size=16.0, block_size=8)),
+                        ("samples_per_class", dict(samples_per_class=True)), ("noise_sigma", dict(noise_sigma="x"))):
+            with pytest.raises(ValueError, match=f"synth param {key} must be"):
+                SynthSpec(**kw)
         # a number key takes no text, no None and no bool
         for key, value in (("tau", "x"), ("tau", None), ("alpha", True)):
             with pytest.raises(ValueError, match=f"config key {key} must be a number, got {value!r}"):
@@ -1185,12 +1191,13 @@ class TestModelArchive:
     def test_archive_bytes_are_pinned(self, tmp_path):
         # digests recorded when every block was saved from a model of its
         # own, so writing the blocks from one stacked model cannot move an
-        # archive silently
+        # archive silently; the lcksvd2 one again when K-SVD came to run in
+        # span coordinates at every size (its atoms moved by rounding)
         path = tmp_path / "m.blkd"
         for mode, overrides, digest in (
             ("none", {}, "c9e5804743f319a846551e18ce54bcf8e2ef1c007ef382d8c2197398182adf0b"),
             ("lcksvd2", {"dict_size": 6, "iterations": 3},
-             "1a0bde5394b1f044265424afc86c302ad6eb6fe0c278607f4e138c289c9ce60d"),
+             "d8669b9d403ca92d07ff1cadfc813937b5830cb888369c61eb3e622f97a3e432"),
         ):
             cfg = tiny_config(dl_mode=mode, **overrides)
             model = train_block_models(*block_stack(load_dataset(cfg), 8), cfg)
@@ -1369,11 +1376,19 @@ class TestMosaic:
         canvas = export_dictionary_mosaic(D.atoms, str(tmp_path / "m.pgm"))
         assert np.all(canvas[0:2, 0:2] == 128)
 
-    def test_devectorize_roundtrip(self):
+    def test_devectorize_roundtrip(self, tmp_path):
+        # five distinct 4x4 blocks, each an affine map of its own permutation
+        # of 0..15, so min-max scaling takes each to 17x its permutation; a
+        # permutation is not symmetric, so a transposed tile differs
         rng = np.random.default_rng(1)
-        block = rng.random((4, 6))
-        vec = block.reshape(-1)
-        np.testing.assert_array_equal(vec.reshape(4, 6), block)
+        perms = np.stack([rng.permutation(16).reshape(4, 4) for _ in range(5)])
+        blocks = perms * rng.uniform(0.5, 2.0, (5, 1, 1)) + rng.uniform(-1.0, 1.0, (5, 1, 1))
+        atoms = blocks.reshape(5, 16).T  # row-major vectors, one atom per column
+        canvas = export_dictionary_mosaic(atoms, str(tmp_path / "m.pgm"))
+        assert canvas.shape == (9, 14)  # 2 rows of 3 tiles, 1-pixel separators
+        for a in range(5):
+            r, c = divmod(a, 3)
+            np.testing.assert_array_equal(canvas[5 * r : 5 * r + 4, 5 * c : 5 * c + 4], 17 * perms[a])
 
     def test_length_mismatch(self, tmp_path):
         D = Dictionary.from_matrix(np.eye(5), np.zeros(5, dtype=int))

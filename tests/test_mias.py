@@ -273,6 +273,13 @@ class TestRoiCache:
         with pytest.raises(ValueError, match=rf"samples\[1\] has no {key}$"):
             load_roi_cache(out)
 
+    @pytest.mark.parametrize("key,value", [("radius", "x"), ("radius", -3), ("centroid", ["a", "b"]),
+                                           ("centroid", 5)])
+    def test_malformed_provenance_names_the_sample(self, tmp_path, key, value):
+        out = self.cache_with_manifest(tmp_path, lambda m: m["samples"][1].update({key: value}))
+        with pytest.raises(ValueError, match=rf"samples\[1\] {key} must be null or "):
+            load_roi_cache(out)
+
     def test_manifest_not_an_object_names_it(self, tmp_path):
         out = tmp_path / "cache"
         out.mkdir()
