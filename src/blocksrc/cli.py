@@ -130,9 +130,10 @@ def _percent(value) -> str:
 
 def _cmd_cv(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
+    samples = load_dataset(cfg)
     reports = []
     for block in cfg.block_sizes:
-        report = run_experiment(cfg, block_size=block)
+        report = run_experiment(cfg, block_size=block, samples=samples)
         reports.append(report)
         m = report.metrics
         print(f"block {block}: acc={_percent(m['acc'])} auc={_percent(m['auc'])}")

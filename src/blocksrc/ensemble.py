@@ -20,6 +20,7 @@ from .solvers import (
     Dictionary,
     L1_LOG_FLOOR,
     bpdn_stack,
+    check_mask,
     check_signals,
     class_residuals,
 )
@@ -100,24 +101,19 @@ def block_decisions(
     if eps_rel <= 0 and eps_abs <= 0:
         raise ValueError("one of eps_rel / eps_abs must be positive")
     m = Y.shape[2]
-    if allowed is not None:
-        allowed = np.asarray(allowed, dtype=bool)
-        if allowed.shape != (n, m):
-            raise ValueError(f"expected an atom mask of shape ({n}, {m}), got {allowed.shape}")
+    allowed = check_mask(allowed, n, m)
     # the squares' sums as np.linalg.norm takes them, so a zero code's class
     # residual sqrt(ysq) is the norm itself
     ysq = np.add.reduce(Y * Y, axis=1)
     ynorm = np.sqrt(ysq)
     eps = np.full((P, m), eps_abs) if eps_abs > 0 else eps_rel * ynorm
-    has_atoms = usable.any(axis=1)[:, None] if allowed is None else usable @ allowed
-    degenerate = (ynorm < DEGENERATE_NORM) | ~has_atoms
+    degenerate = (ynorm < DEGENERATE_NORM) | ~(usable @ allowed)
     At = A.transpose(0, 2, 1)
     G, B = At @ A, At @ Y
-    codes, _, feasible, _ = bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed, live=~degenerate)
+    codes, _, feasible, _ = bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed, ~degenerate)
     # a sample coded at no position keeps its zero codes, and its atoms need
     # not hold both classes
-    own = None if allowed is None else allowed | degenerate.all(axis=0)
-    residuals, l1 = class_residuals(G, B, codes, ysq, D.atom_labels, own)
+    residuals, l1 = class_residuals(G, B, codes, ysq, D.atom_labels, allowed | degenerate.all(axis=0))
     # Residual tie goes to benign, the prior class: a degenerate block's
     # zero code ties
     hard = np.where(residuals[BENIGN] <= residuals[MALIGNANT], BENIGN, MALIGNANT)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import RoiSample
-from .labels import BENIGN, MALIGNANT, class_id, class_name
+from .labels import BENIGN, CLASS_NAMES, MALIGNANT, class_id, class_name
 from .pgm import GrayImage, image_from_array, read_pgm, write_pgm
 
 _SEVERITY = {"B": BENIGN, "M": MALIGNANT}
@@ -218,6 +218,12 @@ def load_roi_cache(cache_dir: str) -> list[RoiSample]:
         for key in ("file", "label", "ref_id"):
             if key not in entry:
                 raise ValueError(f"ROI cache manifest: samples[{i}] has no {key}")
+        for key in ("file", "ref_id"):
+            if not isinstance(entry[key], str):
+                raise ValueError(f"ROI cache manifest: samples[{i}] {key} must be a string, got {entry[key]!r}")
+        if entry["label"] not in CLASS_NAMES:
+            raise ValueError(f"ROI cache manifest: samples[{i}] label must be 'benign' or 'malignant', "
+                             f"got {entry['label']!r}")
         # JSON reads an integer as exactly int, and true and false as bools
         centroid, radius = entry.get("centroid"), entry.get("radius")
         if centroid is not None and not (isinstance(centroid, list) and list(map(type, centroid)) == [int, int]):

@@ -124,6 +124,17 @@ def check_signals(Y, lead: tuple) -> np.ndarray:
     return Y
 
 
+def check_mask(allowed, n: int, m: int) -> np.ndarray:
+    """``allowed`` as the boolean atom mask (n, m) of ``m`` columns on ``n``
+    atoms; None allows every atom to every column."""
+    if allowed is None:
+        return np.ones((n, m), dtype=bool)
+    allowed = np.asarray(allowed, dtype=bool)
+    if allowed.shape != (n, m):
+        raise ValueError(f"expected an atom mask of shape ({n}, {m}), got {allowed.shape}")
+    return allowed
+
+
 def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray, T: int):
     """Batch-OMP (Rubinstein, Zibulevsky & Elad 2008) over a stack of P
     independent coding problems, in atom space.
@@ -139,8 +150,9 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
     Gram, in the leading slots of a zero stack, so the span test reads ``w =
     H g`` and ``sigma = 1 - g^T w`` (``g`` the pick's Gram column on the
     support; stop if ``sigma`` is at most ``_SPAN_TOL``), a pick that passes
-    borders ``H`` at once by the rank-1 term of :func:`_slot_term` that the
-    l1 path shares (through :func:`_slot_update`), and the refit is ``x_I =
+    borders ``H`` at once by the rank-1 term of :func:`_slot_term`, which
+    :func:`_flush` applies as a single term (the l1 path makes and applies
+    its terms through the same two), and the refit is ``x_I =
     H b_I`` (evaluated as the step ``x_old + H c_I`` along the correlations
     ``c = B - G X`` of the pick, which keeps the rounding of ``H`` from being
     magnified by ``||H|| ||b_I|| / ||x_I||``): no step solves a system or
@@ -185,7 +197,9 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
         sizes[prob, col] = t + 1
         blocked[prob, pick, col] = True
         Ht = H[:, : t + 1, : t + 1]
-        _slot_update(Ht, t, w, sigma)
+        # every pick enters slot t, and none leaves
+        z, alpha = _slot_term(np.full(len(w), t), w, sigma, np.zeros(len(w), dtype=bool), w[:0])
+        _flush(Ht, z[..., None], alpha[:, None])
         # the refit x_I = H b_I, taken as x_old + H c_I so that the rounding
         # of H is not magnified by ||H|| ||b_I|| / ||x_I||
         I = supp[:, : t + 1]
@@ -199,46 +213,23 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
     return X, sizes
 
 
-def _slot_term(k, w: np.ndarray, sigma: np.ndarray, leave=None, hk=None):
+def _slot_term(k: np.ndarray, w: np.ndarray, sigma: np.ndarray, leave: np.ndarray, hk: np.ndarray):
     """The rank-1 term ``alpha z z^T`` by which ``H``, a stack (c, t, t) of
-    inverse slot Grams whose free slots are zero, changes at slot ``k`` of
-    each column. Returns ``(z, alpha)``.
+    inverse slot Grams whose free slots are zero, changes at slot ``k[i]``
+    of column ``i``. Returns ``(z, alpha)``.
 
     An atom enters the free slot ``k`` with ``z = w - e_k`` and ``alpha = 1 /
     sigma``, from the span test's ``w = H g`` (zero at ``k``) and ``sigma = 1
-    - g^T w``: the bordered inverse of the grown Gram. Where ``leave`` (a
-    mask; None for nowhere) the atom in slot ``k`` leaves instead, with ``z =
-    H e_k`` (given as ``hk``, one row per leaving column) and ``alpha = -1 /
+    - g^T w``: the bordered inverse of the grown Gram. Where the mask
+    ``leave`` holds, the atom in slot ``k`` leaves instead, with ``z = H
+    e_k`` (given as ``hk``, one row per leaving column) and ``alpha = -1 /
     H_kk``: a Schur downdate, which leaves the slot's row and column zero up
-    to rounding, so the caller zeroes them exactly. ``k`` is one slot per
-    column, or a scalar when ``leave`` is None. ``w`` is overwritten.
+    to rounding, so the caller zeroes them exactly. ``w`` is overwritten.
     """
-    ar = np.arange(len(w))
-    z, pivot = w, sigma
-    if leave is None:
-        z[ar, k] = -1.0
-    else:
-        z[leave] = hk
-        pivot = np.where(leave, -z[ar, k], sigma)
-        z[~leave, k[~leave]] = -1.0
-    return z, 1.0 / pivot
-
-
-def _slot_update(H: np.ndarray, k: int, w: np.ndarray, sigma: np.ndarray) -> None:
-    """Border ``H``, whose free slots are zero, in place by an atom entering
-    the free slot ``k`` of every column: the term of :func:`_slot_term`,
-    applied at once."""
-    z, alpha = _slot_term(k, w, sigma)
-    alpha = alpha[:, None, None]
-    # a block of rows at a time, each in the same temporary, so the outer
-    # product takes a fraction of H's memory
-    t = H.shape[1]
-    zz = np.empty((len(H), min(_UPDATE_ROWS, t), t))
-    for r in range(0, t, _UPDATE_ROWS):
-        block = zz[:, : min(_UPDATE_ROWS, t - r)]
-        np.multiply(z[:, r : r + _UPDATE_ROWS, None], z[:, None, :], out=block)
-        block *= alpha
-        H[:, r : r + _UPDATE_ROWS] += block
+    w[leave] = hk
+    pivot = np.where(leave, -w[np.arange(len(w)), k], sigma)
+    w[~leave, k[~leave]] = -1.0
+    return w, 1.0 / pivot
 
 
 def _inverse_times(H: np.ndarray, U: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -251,9 +242,11 @@ def _inverse_times(H: np.ndarray, U: np.ndarray, a: np.ndarray, x: np.ndarray) -
 
 
 def _flush(H: np.ndarray, U: np.ndarray, a: np.ndarray) -> None:
-    """Apply the pending terms ``U`` (c, t, p), ``a`` (c, p) to ``H`` (c, t,
-    t) in place, as ``H += U diag(a) U^T``, a block of rows at a time in one
-    temporary, so the product takes a fraction of H's memory."""
+    """Apply the rank-1 terms ``U`` (c, t, p), ``a`` (c, p) of
+    :func:`_slot_term` to ``H`` (c, t, t) in place, as ``H += U diag(a)
+    U^T``: the l1 walk's pending terms, or Batch-OMP's one entering term. A
+    block of rows at a time in one temporary, so the product takes a
+    fraction of H's memory."""
     t = H.shape[1]
     block = np.empty((len(H), min(_UPDATE_ROWS, t), t))
     Ut = U.transpose(0, 2, 1)
@@ -263,16 +256,16 @@ def _flush(H: np.ndarray, U: np.ndarray, a: np.ndarray) -> None:
         H[:, r : r + _UPDATE_ROWS] += part
 
 
-def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, slots: int, allowed=None):
+def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, slots: int, allowed: np.ndarray):
     """Follow the l1 (lasso) paths of several signals in lockstep, in atom
     space, each down to ``||Ax - y|| = eps``.
 
     Only ``G = A^T A`` (n x n, usable unit atoms), ``B = A^T Y`` (n x m), the
-    squared signal norms ``ysq`` and the bounds ``eps`` are read. ``allowed``
-    (n x m, None for everywhere) masks the atoms each column may use: its
-    first atom and every entrant are allowed ones, so a column walks the path
-    of its own atoms alone, and columns of several dictionaries that share
-    one atom set walk together from one ``G``. Each path
+    squared signal norms ``ysq`` and the bounds ``eps`` are read. The atom
+    mask ``allowed`` (n x m) gives the atoms each column may use: its first
+    atom and every entrant are allowed ones, so a column walks the path of
+    its own atoms alone, and columns of several dictionaries that share one
+    atom set walk together from one ``G``. Each path
     starts from ``x = 0`` at ``lam = ||A^T y||_inf`` and lowers ``lam``
     piecewise linearly (Osborne, Presnell & Turlach 2000); per step, with
     ``c = B - G X`` and ``v`` the active set's ``G_AA^{-1} sign``, the
@@ -321,7 +314,6 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
 
     # the live columns' state, compacted as columns retire
     cols = np.arange(m)
-    allowed = np.ones((n, m), dtype=bool) if allowed is None else np.asarray(allowed, dtype=bool)
     Bp = np.zeros((n + 1, m))
     Bp[:n] = B
     eps2 = np.asarray(eps, dtype=float) ** 2
@@ -469,32 +461,37 @@ def _refit(Gp: np.ndarray, slot: np.ndarray, sign: np.ndarray, b: np.ndarray, ys
     """The exact codes, on their slots ``slot`` (c, slots), of c columns
     whose paths ended at their bounds, given their signs ``sign`` and
     correlations ``b`` on those slots (c, slots): ``x = G_AA^{-1} (b_A - lam
-    s_A)`` with ``lam`` where the residual norm is ``sqrt(eps2)``. A free
-    slot reads the padded zero atom of ``Gp`` (the last), whose zero row and
-    column a unit diagonal entry turns into the identity's; its sign and
-    correlation are zero. One ``np.linalg.solve`` serves every column, and
-    LAPACK solves each matrix of the stack on its own, so a column's code
-    does not depend on which others share the call."""
-    gram = Gp[slot[:, :, None], slot[:, None, :]]
-    c, k = np.nonzero(slot == len(Gp) - 1)
-    gram[c, k, k] = 1.0
-    sol = np.linalg.solve(gram, np.stack([b, sign], axis=2))
+    s_A)`` with ``lam`` where the residual norm is ``sqrt(eps2)``. The slot
+    Grams come from :func:`_slot_grams`; a free slot's sign and correlation
+    are zero. One ``np.linalg.solve`` serves every column, and LAPACK solves
+    each matrix of the stack on its own, so a column's code does not depend
+    on which others share the call."""
+    sol = np.linalg.solve(_slot_grams(Gp, slot), np.stack([b, sign], axis=2))
     x0, v = sol[..., 0], sol[..., 1]
     floor = ysq - np.einsum("ct,ct->c", b, x0)
     lam = np.sqrt(np.maximum(eps2 - floor, 0.0) / np.einsum("ct,ct->c", sign, v))
     return x0 - lam[:, None] * v
 
 
-def _atom_sets(mask: np.ndarray | None, n: int, m: int):
+def _slot_grams(Gp: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """The Grams (c, k, k) of the atoms that the rows of ``slot`` (c, k)
+    index in ``Gp``, whose last atom is a padded zero atom: a slot that
+    holds it reads the identity's row and column."""
+    gram = Gp[slot[:, :, None], slot[:, None, :]]
+    c, k = np.nonzero(slot == len(Gp) - 1)
+    gram[c, k, k] = 1.0
+    return gram
+
+
+def _atom_sets(mask: np.ndarray):
     """The distinct atom sets among the columns of the atom mask ``mask``
-    (n x m; None is one set of every atom), in the order of their first
-    columns, as padded index arrays. Returns ``(atoms, sizes, columns)``:
+    (n x m), in the order of their first columns, as padded index arrays.
+    Returns ``(atoms, sizes, columns)``:
     row q of ``atoms`` holds set q's ``sizes[q]`` atoms in ascending order,
     then ``n``, and row q of ``columns`` holds the columns whose set it is in
     ascending order, then ``m``; the padding indexes the zero row and column
     that a gather pads its source with."""
-    if mask is None:
-        return np.arange(n)[None], np.array([n]), np.arange(m)[None]
+    n, m = mask.shape
     # one key per column: its mask column's bits, packed into bytes
     packed = np.ascontiguousarray(np.packbits(mask, axis=0).T)
     keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
@@ -526,26 +523,24 @@ def _well_posed(gram: np.ndarray) -> np.ndarray:
     return pivots.min(axis=1) ** 2 > _GRAM_PIVOT_TOL * pivots.max(axis=1) ** 2
 
 
-def _set_plan(own: np.ndarray | None, n: int, m: int, d: int):
-    """The index work of :func:`_least_squares` for ``m`` columns whose
-    atoms of ``n``, in ``d`` dimensions, the mask ``own`` (n x m, None for
-    everywhere) gives; it depends on the mask alone, so calls that share the
-    mask share it. Returns ``(atoms, sizes, columns, wide, solvable, S, C,
-    pad)``: the atom sets of :func:`_atom_sets`; the indices of the wide
-    sets (more atoms than dimensions) and of the others; and, for the
-    others, their padded atom rows ``S`` and column rows ``C``, trimmed to
-    their longest, with ``pad`` the (set, slot) pairs of ``S`` that hold
-    padding (``S``, ``C`` and ``pad`` are None where every set is wide)."""
-    atoms, sizes, columns = _atom_sets(own, n, m)
+def _set_plan(own: np.ndarray, d: int):
+    """The index work of :func:`_least_squares` for the columns whose atoms,
+    in ``d`` dimensions, the mask ``own`` (n x m) gives; it depends on the
+    mask alone, so calls that share the mask share it. Returns ``(atoms,
+    sizes, columns, wide, solvable, S, C)``: the atom sets of
+    :func:`_atom_sets`; the indices of the wide sets (more atoms than
+    dimensions) and of the others; and, for the others, their padded atom
+    rows ``S`` and column rows ``C``, trimmed to their longest (both None
+    where every set is wide)."""
+    atoms, sizes, columns = _atom_sets(own)
     wide = np.flatnonzero(sizes > d)
     solvable = np.flatnonzero(sizes <= d)
-    S = C = pad = None
+    S = C = None
     if solvable.size:
         S = atoms[solvable, : sizes[solvable].max()]
         C = columns[solvable]
-        C = C[:, : (C < m).sum(axis=1).max()]
-        pad = np.nonzero(S == n)
-    return atoms, sizes, columns, wide, solvable, S, C, pad
+        C = C[:, : (C < own.shape[1]).sum(axis=1).max()]
+    return atoms, sizes, columns, wide, solvable, S, C
 
 
 def _least_squares(Au: np.ndarray, G: np.ndarray, B: np.ndarray, Y: np.ndarray, cols, ysq, plan):
@@ -558,10 +553,10 @@ def _least_squares(Au: np.ndarray, G: np.ndarray, B: np.ndarray, Y: np.ndarray, 
     batch. ``G`` and ``B``, each padded by a zero row and column, are read
     through the sets' padded atom and column indices in one gather each:
     set q's ``G[S_q, S_q]`` and ``B[S_q, cols_q]`` fill a stack whose free
-    slots hold a zero row and column (a unit diagonal entry in the Gram)
-    and a zero right-hand side. One ``np.linalg.solve`` gives every code
-    ``x``, the floor is ``||y||^2 - b^T x``, and both are scattered back
-    through the same indices. A set with more atoms than dimensions (a
+    slots hold the identity's row and column in the Gram
+    (:func:`_slot_grams`) and a zero right-hand side. One
+    ``np.linalg.solve`` gives every code ``x``, the floor is ``||y||^2 -
+    b^T x``, and both are scattered back through the same indices. A set with more atoms than dimensions (a
     wide set; its Gram is singular) is tested instead by its d x d Gram
     ``A_S A_S^T``, every wide set in one batched :func:`_well_posed`: where
     that passes, the atoms span R^d, so the set's floor is 0, below every
@@ -573,7 +568,7 @@ def _least_squares(Au: np.ndarray, G: np.ndarray, B: np.ndarray, Y: np.ndarray, 
     """
     d, n = Au.shape
     m = B.shape[1]
-    atoms, sizes, columns, wide, solvable, S, C, pad = plan
+    atoms, sizes, columns, wide, solvable, S, C = plan
     # the padded codes and floors: row n and column m take the padding
     X = np.zeros((n + 1, m + 1))
     floor = np.empty(m + 1)
@@ -592,8 +587,7 @@ def _least_squares(Au: np.ndarray, G: np.ndarray, B: np.ndarray, Y: np.ndarray, 
         Gp[:n, :n] = G
         Bp = np.zeros((n + 1, m + 1))
         Bp[:n, :m] = B
-        gram = Gp[S[:, :, None], S[:, None, :]]
-        gram[pad[0], pad[1], pad[1]] = 1.0
+        gram = _slot_grams(Gp, S)
         rhs = Bp[S[:, :, None], C[:, None, :]]
         ok = _well_posed(gram)
         if not ok.all():
@@ -661,37 +655,35 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
         raise ValueError("eps must be > 0")
     if not D.usable.any():
         raise ValueError("dictionary has no usable atoms (all columns degenerate)")
-    if allowed is not None:
-        allowed = np.asarray(allowed, dtype=bool)
-        if allowed.shape != (D.n_atoms, s):
-            raise ValueError(f"expected an atom mask of shape ({D.n_atoms}, {s}), got {allowed.shape}")
-        if not allowed[D.usable].any(axis=0).all():
-            raise ValueError("a column allows no usable atom")
+    allowed = check_mask(allowed, D.n_atoms, s)
+    if not allowed[D.usable].any(axis=0).all():
+        raise ValueError("a column allows no usable atom")
     # the norms in the caller's layout, which sets their order of summation
     ynorm = np.linalg.norm(Y, axis=0)
     A, Y = np.ascontiguousarray(D.atoms)[None], np.ascontiguousarray(Y)[None]
     At = A.transpose(0, 2, 1)
-    out = bpdn_stack(A, D.usable[None], At @ A, At @ Y, Y, ynorm[None], eps_vec[None], allowed)
+    live = np.ones((1, s), dtype=bool)
+    out = bpdn_stack(A, D.usable[None], At @ A, At @ Y, Y, ynorm[None], eps_vec[None], allowed, live)
     return tuple(a[0] for a in out)
 
 
-def bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed=None, live=None):
+def bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed, live):
     """The codes of :func:`bpdn_batch` for P block positions in one call:
     the columns of ``Y[p]`` (d, m) on the atoms ``A[p]`` (d, n), whose
     usable (non-degenerate) ones ``usable[p]`` flags, with the signal norms
     ``ynorm`` (P, m) and bounds ``eps`` (P, m).
 
     The atom space comes from the caller, each in one batched product: ``G =
-    A^T A`` (P, n, n) and ``B = A^T Y`` (P, n, m). ``allowed`` (n, m), None
-    for everywhere, masks every position's atoms alike; ``live`` (P, m),
-    None for everywhere, picks the columns to code, and the others keep the
-    zero code, their norm as residual norm, and 0 iterations. A position is
-    solved from its slices of ``G`` and ``B`` (their usable rows and columns
-    where some atom is degenerate) as :func:`bpdn_batch` describes, one
-    position at a time, so the least-squares stack and the walk hold one
-    position's columns. The atom mask of a position's working columns and
-    its index work (see :func:`_set_plan`) are made once for every position
-    with the same usable atoms and working columns. Returns ``(codes (P, n,
+    A^T A`` (P, n, n) and ``B = A^T Y`` (P, n, m). The atom mask ``allowed``
+    (n, m) masks every position's atoms alike; ``live`` (P, m) picks the
+    columns to code, and the others keep the zero code, their norm as
+    residual norm, and 0 iterations. A position is solved from its slices
+    of ``G`` and ``B`` (their usable rows and columns where some atom is
+    degenerate) as :func:`bpdn_batch` describes, one position at a time, so
+    the least-squares stack and the walk hold one position's columns. The
+    atom mask of a position's working columns and its index work (see
+    :func:`_set_plan`) are made once for every position with the same
+    usable atoms and working columns. Returns ``(codes (P, n,
     m), residual_norms, feasible, iteration_counts)``, the last three (P, m).
     """
     P, n, m = B.shape
@@ -703,7 +695,7 @@ def bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed=None, live=None):
     # The least-squares floor of every atom set finds the columns that can
     # never meet their bound; they take the least-squares code, where the
     # path would end, without walking it.
-    work = ~feasible if live is None else live & ~feasible
+    work = live & ~feasible
     # the atom mask, and so the plan, is a function of the usable atoms and
     # the working columns alone
     plans = {}  # (usable atoms, working columns) -> their atom mask and plan
@@ -714,8 +706,8 @@ def bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed=None, live=None):
         idx = np.flatnonzero(usable[p])
         key = (idx.tobytes(), cols.tobytes())
         if key not in plans:
-            own = None if allowed is None else allowed[np.ix_(idx, cols)]
-            plans[key] = own, _set_plan(own, idx.size, cols.size, d)
+            own = allowed[np.ix_(idx, cols)]
+            plans[key] = own, _set_plan(own, d)
         own, plan = plans[key]
         Au, Gp, Bp = A[p], G[p], B[p]
         if idx.size < n:
@@ -729,8 +721,8 @@ def bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed=None, live=None):
         rnorm[p, cols[lost]] = floor[lost]
         todo = cols[~lost]
         if todo.size:
-            walk = None if own is None else own[:, ~lost]
-            slots = min(d, idx.size if walk is None else int(walk.sum(axis=0).max()))
+            walk = own[:, ~lost]
+            slots = min(d, int(walk.sum(axis=0).max()))
             xt, feasible[p, todo], iters[p, todo] = _l1_paths(Gp, Bp[:, ~lost], ysq[~lost], eps[p, todo], slots, walk)
             X[p][np.ix_(idx, todo)] = xt
             rnorm[p, todo] = np.linalg.norm(Y[p][:, todo] - Au @ xt, axis=0)
@@ -762,14 +754,14 @@ def class_residuals(G, B, X, ysq, labels, allowed=None) -> tuple[np.ndarray, np.
     labels = as_label_array(labels)
     if X.shape != B.shape:
         raise ValueError(f"expected codes of shape {B.shape}, got {X.shape}")
-    if allowed is not None:
-        allowed = np.asarray(allowed, dtype=bool)
-        X = np.where(allowed, X, 0.0)
+    allowed = check_mask(allowed, *B.shape[-2:])
+    X = np.where(allowed, X, 0.0)
     resid = np.empty((2,) + ysq.shape)
     l1 = np.empty((2,) + ysq.shape)
     for cid in CLASS_IDS:
         own = labels == cid
-        if not (own.any() if allowed is None else (allowed & own[:, None]).any(axis=0).all()):
+        # refused even with no columns: the dictionary lacks the class
+        if not (own.any() and (allowed & own[:, None]).any(axis=0).all()):
             raise ValueError(f"class '{class_name(cid)}' has no atoms in the dictionary")
         i = np.flatnonzero(own)
         Xc = X[..., i, :]

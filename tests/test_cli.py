@@ -4,10 +4,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from blocksrc import cli, harness
 from blocksrc.cli import _config_overrides, build_parser, main
 from blocksrc.config import ExperimentConfig, load_config, parse_config_text
 from blocksrc.dictlearn import DiscriminativeDictionary
-from blocksrc.harness import load_dataset
+from blocksrc.harness import load_dataset, run_experiment
 from blocksrc.mias import load_roi_cache
 from blocksrc.model_io import load_model, save_model
 from blocksrc.pgm import image_from_array, read_pgm, write_pgm
@@ -103,6 +104,25 @@ def test_cv_flag_overrides(tmp_path, synth_cache):
     rc = main(["cv", "--config", str(cfg), "--decision", "bbmap", "--k-folds", "4"])
     assert rc == 0
     assert (tmp_path / "results" / "bbmap_none_k4_b8.json").exists()
+
+
+def test_cv_loads_the_dataset_once(tmp_path, synth_cache, monkeypatch):
+    # two block sizes share one read of the cache, and their reports are
+    # those of a run per block size that loads the cache itself
+    loads = []
+
+    def counting_load(cfg):
+        loads.append(cfg)
+        return load_dataset(cfg)
+
+    monkeypatch.setattr(cli, "load_dataset", counting_load)
+    monkeypatch.setattr(harness, "load_dataset", counting_load)
+    cfg = write_config(tmp_path, synth_cache, block_sizes="16, 8")
+    assert main(["cv", "--config", str(cfg)]) == 0
+    assert len(loads) == 1
+    for block in (16, 8):
+        alone = run_experiment(load_config(str(cfg)), block_size=block, persist=False)
+        assert (tmp_path / "results" / f"bbll_none_k3_b{block}.json").read_text() == alone.to_json() + "\n"
 
 
 def test_flags_override_only_the_keys_they_set(tmp_path):

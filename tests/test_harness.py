@@ -1192,12 +1192,14 @@ class TestModelArchive:
         # digests recorded when every block was saved from a model of its
         # own, so writing the blocks from one stacked model cannot move an
         # archive silently; the lcksvd2 one again when K-SVD came to run in
-        # span coordinates at every size (its atoms moved by rounding)
+        # span coordinates at every size, and when Batch-OMP came to apply
+        # its rank-1 term as (z alpha) z^T (each time its atoms moved by
+        # rounding)
         path = tmp_path / "m.blkd"
         for mode, overrides, digest in (
             ("none", {}, "c9e5804743f319a846551e18ce54bcf8e2ef1c007ef382d8c2197398182adf0b"),
             ("lcksvd2", {"dict_size": 6, "iterations": 3},
-             "d8669b9d403ca92d07ff1cadfc813937b5830cb888369c61eb3e622f97a3e432"),
+             "c627bf46bb115fd0bec9e38407ff63c3d1fe78fac8c908430c118c12aa9755a2"),
         ):
             cfg = tiny_config(dl_mode=mode, **overrides)
             model = train_block_models(*block_stack(load_dataset(cfg), 8), cfg)

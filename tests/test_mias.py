@@ -273,11 +273,15 @@ class TestRoiCache:
         with pytest.raises(ValueError, match=rf"samples\[1\] has no {key}$"):
             load_roi_cache(out)
 
-    @pytest.mark.parametrize("key,value", [("radius", "x"), ("radius", -3), ("centroid", ["a", "b"]),
-                                           ("centroid", 5)])
-    def test_malformed_provenance_names_the_sample(self, tmp_path, key, value):
+    @pytest.mark.parametrize("key,value,message", [
+        ("radius", "x", "must be null or "), ("radius", -3, "must be null or "),
+        ("centroid", ["a", "b"], "must be null or "), ("centroid", 5, "must be null or "),
+        ("ref_id", 5, "must be a string, got 5$"), ("ref_id", None, "must be a string, got None$"),
+        ("file", 5, "must be a string, got 5$"), ("label", 1, "must be 'benign' or 'malignant', got 1$"),
+    ], ids=["radius-x", "radius--3", "centroid-value2", "centroid-5", "ref_id-5", "ref_id-None", "file-5", "label-1"])
+    def test_malformed_provenance_names_the_sample(self, tmp_path, key, value, message):
         out = self.cache_with_manifest(tmp_path, lambda m: m["samples"][1].update({key: value}))
-        with pytest.raises(ValueError, match=rf"samples\[1\] {key} must be null or "):
+        with pytest.raises(ValueError, match=rf"samples\[1\] {key} {message}"):
             load_roi_cache(out)
 
     def test_manifest_not_an_object_names_it(self, tmp_path):

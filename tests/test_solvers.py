@@ -3,7 +3,16 @@ import re
 import numpy as np
 import pytest
 
-from blocksrc import BENIGN, MALIGNANT, Dictionary, bpdn_batch, class_residuals, normalize_columns, solvers
+from blocksrc import (
+    BENIGN,
+    MALIGNANT,
+    Dictionary,
+    block_decisions,
+    bpdn_batch,
+    class_residuals,
+    normalize_columns,
+    solvers,
+)
 from blocksrc.blocks import block_stack
 from blocksrc.harness import stratified_folds
 from blocksrc.solvers import _well_posed, batch_omp
@@ -843,10 +852,42 @@ class TestBpdnMasked:
         D = unit_dict(np.eye(3), [0, 1, 0])
         with pytest.raises(ValueError, match="atom mask of shape"):
             bpdn_batch(D, np.ones((3, 2)), 0.1, allowed=np.ones((3, 1), dtype=bool))
+        # masks that would broadcast to 6 atoms and 5 columns are refused by
+        # every entry point
+        rng = np.random.default_rng(48)
+        wide = unit_dict(rng.standard_normal((4, 6)), [0, 1] * 3)
+        Y = rng.standard_normal((4, 5))
+        stack = Dictionary(atoms=wide.atoms[None], atom_labels=wide.atom_labels, scales=wide.scales[None])
+        for shape in ((6, 1), (1, 5), (5,)):
+            bad = np.ones(shape, dtype=bool)
+            message = rf"expected an atom mask of shape \(6, 5\), got {re.escape(str(shape))}"
+            with pytest.raises(ValueError, match=message):
+                bpdn_batch(wide, Y, 0.1, allowed=bad)
+            with pytest.raises(ValueError, match=message):
+                residuals(wide, np.zeros((6, 5)), Y, allowed=bad)
+            with pytest.raises(ValueError, match=message):
+                block_decisions(stack, Y[None], 0.1, allowed=bad)
         allowed = np.ones((3, 2), dtype=bool)
         allowed[:, 1] = False
         with pytest.raises(ValueError, match="allows no usable atom"):
             bpdn_batch(D, np.ones((3, 2)), 0.1, allowed=allowed)
+
+    def test_no_mask_is_the_all_true_mask(self):
+        # None reads as a mask that allows every atom, to the last bit
+        rng = np.random.default_rng(47)
+        M, labels, Y, eps, _ = fold_problem(rng, 8, 4, 3, 9)
+        labels[:] = np.tile([0, 1], 6)
+        problems = [(unit_dict(M, labels), Y, eps)] + [self.code8_call(seed)[:3] for seed in (1, 2, 3)]
+        for D, Y, eps in problems:
+            every = np.ones((D.n_atoms, Y.shape[1]), dtype=bool)
+            X = bpdn_batch(D, Y, eps)[0]
+            stack = Dictionary(atoms=D.atoms[None], atom_labels=D.atom_labels, scales=D.scales[None])
+            for unmasked, masked in ((bpdn_batch(D, Y, eps), bpdn_batch(D, Y, eps, allowed=every)),
+                                     (residuals(D, X, Y), residuals(D, X, Y, allowed=every)),
+                                     (block_decisions(stack, Y[None], 0.05),
+                                      block_decisions(stack, Y[None], 0.05, allowed=every))):
+                for a, b in zip(unmasked, masked, strict=True):
+                    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_class_residuals_per_atom_set(self):
         rng = np.random.default_rng(46)
@@ -1000,5 +1041,6 @@ class TestClassResiduals:
 
     def test_missing_class_named(self):
         D = unit_dict(np.eye(3), [BENIGN, BENIGN, BENIGN])
-        with pytest.raises(ValueError, match="malignant"):
-            residuals(D, np.zeros((3, 1)), np.ones((3, 1)))
+        for m in (1, 0):
+            with pytest.raises(ValueError, match="malignant"):
+                residuals(D, np.zeros((3, m)), np.ones((3, m)))
