@@ -24,7 +24,9 @@ iterations of each position from the model traces, with that training's
 wall seconds, and an 8-px ``none`` cell codes fold 0's held-out blocks
 with ``bpdn_batch``, position by position, and records the path steps
 per block. The run records the
-commit (and whether tracked files differ from it), the numpy and BLAS
+commit (and whether tracked files differ from it), a sha256 of the
+``src/blocksrc/*.py`` files it ran (as ``benchmark/run.py`` digests them, so
+a file run on an uncommitted tree names its source), the numpy and BLAS
 versions, the CPU count, and the tracemalloc
 peak of one 8-px coding call: every held-out block of position 0 on its
 own fold's training blocks, as a pooled pass codes it.
@@ -38,6 +40,7 @@ listed under ``skipped``.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -200,13 +203,16 @@ def environment() -> dict:
         commit, dirty = git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--untracked-files=no"))
     except (OSError, subprocess.CalledProcessError):
         commit = dirty = None
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "blocksrc").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
     except (KeyError, TypeError):
         blas = None
-    return {"commit": commit, "dirty": dirty, "numpy": np.__version__, "blas": blas, "nproc": os.cpu_count(),
-            "python": platform.python_version()}
+    return {"commit": commit, "dirty": dirty, "src_sha256": digest.hexdigest(), "numpy": np.__version__,
+            "blas": blas, "nproc": os.cpu_count(), "python": platform.python_version()}
 
 
 def main(argv=None) -> dict:

@@ -78,7 +78,9 @@ def _cmd_train(args) -> int:
         raise ValueError(f"train takes one block size, the config lists {list(cfg.block_sizes)}")
     samples = load_dataset(cfg)
     model = train_block_models(*block_stack(samples, cfg.block_sizes[0]), cfg)
-    meta = {"roi_size": cfg.roi_size, "dl_mode": cfg.dl_mode}
+    # evaluate scores only the samples whose ids are not in this list
+    meta = {"roi_size": cfg.roi_size, "dl_mode": cfg.dl_mode,
+            "training_ids": sorted({s.source_id for s in samples})}
     os.makedirs(os.path.dirname(os.path.abspath(args.model)), exist_ok=True)
     save_model(args.model, model, cfg.train_params(), meta)
     print(f"trained {len(model.D.atoms)} block dictionaries -> {args.model}")
@@ -93,12 +95,23 @@ def _cmd_evaluate(args) -> int:
             f"model roi_size {meta.get('roi_size')!r} does not match config roi_size {cfg.roi_size}"
         )
     block = block_side(model.D.dim)
+    trained = meta.get("training_ids")
+    if trained is not None and not (isinstance(trained, list) and all(isinstance(i, str) for i in trained)):
+        raise ValueError(f"model meta training_ids is not a list of sample ids: {trained!r}")
     samples = load_dataset(cfg)
-    fused = classify_samples(model.D, block_vectors(samples, block), slice(None), cfg)
+    # a sample the model trained on is not held out, so it is not scored
+    excluded = set(trained or ())
+    held = [s for s in samples if s.source_id not in excluded]
+    if not held:
+        raise ValueError(f"all {len(samples)} samples of the dataset trained the model; none is held out to score")
+    fused = classify_samples(model.D, block_vectors(held, block), slice(None), cfg)
     preds, scores = decision_outputs(fused, cfg)
-    truth = [s.label for s in samples]
+    truth = [s.label for s in held]
     metrics = compute_metrics(preds, truth, scores)
     metrics.pop("roc", None)
+    metrics.update(n_scored=len(held), n_excluded_training=len(samples) - len(held))
+    if trained is None:
+        metrics["training_ids"] = "unknown"  # an archive written before train recorded them
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "evaluation.json")
     with open(out, "w", encoding="utf-8") as fh:

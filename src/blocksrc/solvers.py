@@ -151,8 +151,9 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
     H g`` and ``sigma = 1 - g^T w`` (``g`` the pick's Gram column on the
     support; stop if ``sigma`` is at most ``_SPAN_TOL``), a pick that passes
     borders ``H`` at once by the rank-1 term of :func:`_slot_term`, which
-    :func:`_flush` applies as a single term (the l1 path makes and applies
-    its terms through the same two), and the refit is ``x_I =
+    :func:`_flush` applies as a single term, a ``U`` of one row (the l1
+    path makes and applies its terms through the same two, from a store of
+    its own), and the refit is ``x_I =
     H b_I`` (evaluated as the step ``x_old + H c_I`` along the correlations
     ``c = B - G X`` of the pick, which keeps the rounding of ``H`` from being
     magnified by ``||H|| ||b_I|| / ||x_I||``): no step solves a system or
@@ -199,7 +200,7 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
         Ht = H[:, : t + 1, : t + 1]
         # every pick enters slot t, and none leaves
         z, alpha = _slot_term(np.full(len(w), t), w, sigma, np.zeros(len(w), dtype=bool), w[:0])
-        _flush(Ht, z[..., None], alpha[:, None])
+        _flush(Ht, z[:, None, :], alpha[:, None])
         # the refit x_I = H b_I, taken as x_old + H c_I so that the rounding
         # of H is not magnified by ||H|| ||b_I|| / ||x_I||
         I = supp[:, : t + 1]
@@ -233,39 +234,61 @@ def _slot_term(k: np.ndarray, w: np.ndarray, sigma: np.ndarray, leave: np.ndarra
 
 
 def _inverse_times(H: np.ndarray, U: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``(H + U diag(a) U^T) x`` per column: the stack (c, t, t) ``H`` with
-    the pending terms ``U`` (c, t, p), ``a`` (c, p) applied to ``x`` (c, t)."""
+    """``(H + U^T diag(a) U) x`` per column: the stack (c, t, t) ``H`` with
+    the pending terms, one per row of ``U`` (c, p, t) and entry of ``a`` (c,
+    p), applied to ``x`` (c, t)."""
     y = (H @ x[..., None])[..., 0]
     if a.shape[1]:
-        y += (U @ (a * (x[:, None, :] @ U)[:, 0])[..., None])[..., 0]
+        y += ((a * (U @ x[..., None])[..., 0])[:, None, :] @ U)[:, 0]
     return y
 
 
 def _flush(H: np.ndarray, U: np.ndarray, a: np.ndarray) -> None:
-    """Apply the rank-1 terms ``U`` (c, t, p), ``a`` (c, p) of
-    :func:`_slot_term` to ``H`` (c, t, t) in place, as ``H += U diag(a)
-    U^T``: the l1 walk's pending terms, or Batch-OMP's one entering term. A
-    block of rows at a time in one temporary, so the product takes a
-    fraction of H's memory."""
+    """Apply the rank-1 terms of :func:`_slot_term`, one per row of ``U``
+    (c, p, t) and entry of ``a`` (c, p), to ``H`` (c, t, t) in place, as
+    ``H += U^T diag(a) U``: the l1 walk's pending terms, or Batch-OMP's one
+    entering term. A block of rows at a time in one temporary, so the
+    product takes a fraction of H's memory."""
     t = H.shape[1]
     block = np.empty((len(H), min(_UPDATE_ROWS, t), t))
-    Ut = U.transpose(0, 2, 1)
     for r in range(0, t, _UPDATE_ROWS):
         part = block[:, : min(_UPDATE_ROWS, t - r)]
-        np.matmul(U[:, r : r + _UPDATE_ROWS] * a[:, None, :], Ut, out=part)
+        np.matmul(U[:, :, r : r + _UPDATE_ROWS].transpose(0, 2, 1) * a[:, None, :], U, out=part)
         H[:, r : r + _UPDATE_ROWS] += part
 
 
-def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, slots: int, allowed: np.ndarray):
+def _widen(store: np.ndarray, H: np.ndarray, t: int) -> np.ndarray:
+    """The stack ``H`` (c, s, s), held at the start of the flat ``store``,
+    moved in place to a contiguous (c, t, t) stack there (t > s) with zero
+    new slots. Each column moves to an offset at least its own, so the
+    columns move from the last backwards: a run of columns in one copy once
+    its new place lies past its old one, and the leading columns, whose new
+    places overlap their old ones, one at a time through a temporary of one
+    column."""
+    c, s = len(H), H.shape[1]
+    wide = store[: c * t * t].reshape(c, t, t)
+    stop = c
+    while stop:
+        # the first column whose new place starts at or past the run's old end
+        start = min(stop - 1, -(-stop * s * s // (t * t)))
+        wide[start:stop, :s, :s] = H[start:stop]
+        wide[start:stop, :s, s:] = 0.0
+        wide[start:stop, s:] = 0.0
+        stop = start
+    return wide
+
+
+def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, slots: int, allowed: np.ndarray):
     """Follow the l1 (lasso) paths of several signals in lockstep, in atom
     space, each down to ``||Ax - y|| = eps``.
 
-    Only ``G = A^T A`` (n x n, usable unit atoms), ``B = A^T Y`` (n x m), the
-    squared signal norms ``ysq`` and the bounds ``eps`` are read. The atom
-    mask ``allowed`` (n x m) gives the atoms each column may use: its first
-    atom and every entrant are allowed ones, so a column walks the path of
-    its own atoms alone, and columns of several dictionaries that share one
-    atom set walk together from one ``G``. Each path
+    Only the Gram ``G = A^T A`` of the usable unit atoms, given padded as
+    ``Gp`` (n + 1 x n + 1, a zero last row and column), ``B = A^T Y`` (n x
+    m), the squared signal norms ``ysq`` and the bounds ``eps`` are read.
+    The atom mask ``allowed`` (n x m) gives the atoms each column may use:
+    its first atom and every entrant are allowed ones, so a column walks the
+    path of its own atoms alone, and columns of several dictionaries that
+    share one atom set walk together from one ``G``. Each path
     starts from ``x = 0`` at ``lam = ||A^T y||_inf`` and lowers ``lam``
     piecewise linearly (Osborne, Presnell & Turlach 2000); per step, with
     ``c = B - G X`` and ``v`` the active set's ``G_AA^{-1} sign``, the
@@ -277,27 +300,36 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     where an atom enters, an active coefficient crosses zero (the atom
     leaves) or the residual norm reaches ``eps``.
 
-    A column's active atoms sit in fixed slots of ``slots``, and each column
-    keeps ``H``, the inverse of its slot Gram, in a zero stack (c, slots,
-    slots) whose free slots stay exactly zero: an entering atom borders it
-    by a rank-1 term from ``w = H g`` and ``sigma = 1 - g^T w``, the numbers
-    of the span test (Rubinstein, Zibulevsky & Elad 2008), and a leaving
-    atom is removed by a Schur downdate (both terms from
-    :func:`_slot_term`), so no step solves a system. A term ``alpha z z^T``
-    stays pending for up to ``_PENDING`` steps, as a column of ``U`` and an
-    entry of ``a``; the walk reads the inverse as ``H + U diag(a) U^T``
-    (``v``, ``w`` and a leaving atom's column through
-    :func:`_inverse_times`), and every ``_PENDING`` steps the pending terms
-    are applied to ``H`` as one product (:func:`_flush`), so ``H`` is
-    rewritten once per ``_PENDING`` steps, not three times per step.
-    A leaving atom's slot row and column are zeroed at once, in ``H`` and in
-    ``U``, so ``v``, ``w`` and ``X`` stay exactly zero on free slots and no
-    spurious exit appears. A step works on the leading (t, t) view of ``H``,
-    ``t`` the slots up to the highest any column has used plus one for an
-    entrant, and a retiring column's place (and its pending terms) is taken
-    by a live one from the end.
+    A column's active atoms sit in fixed slots of ``slots``. The walk keeps
+    each column's signs and coefficients on its slots (c, slots) beside the
+    coefficients in atom space, and a mask (n, c) of the allowed atoms that
+    are not active, so a step gathers neither. The two ratio tests take
+    their minima over ``np.fmax(ratio, ~mask * big)``, ``big`` the largest
+    finite float, so a masked ratio (which may be a 0/0 or a division by
+    zero, inside one ``np.errstate`` around the walk) reads as a finite
+    sentinel that no event's ratio reaches, without a masked select.
+    Each column keeps ``H``, the inverse of its slot Gram, whose free slots
+    stay exactly zero: an entering atom borders it by a rank-1 term from ``w
+    = H g`` and ``sigma = 1 - g^T w``, the numbers of the span test
+    (Rubinstein, Zibulevsky & Elad 2008), and a leaving atom is removed by a
+    Schur downdate (both terms from :func:`_slot_term`), so no step solves
+    a system. A term ``alpha z z^T`` stays pending for up to ``_PENDING``
+    steps, as a row of ``U`` (c, _PENDING, slots) and an entry of ``a``; the
+    walk reads the inverse as ``H + U^T diag(a) U`` (``v``, ``w`` and a
+    leaving atom's column through :func:`_inverse_times`), and every
+    ``_PENDING`` steps the pending terms are applied to ``H`` as one product
+    (:func:`_flush`), so ``H`` is rewritten once per ``_PENDING`` steps, not
+    three times per step. A leaving atom's slot row and column are zeroed at
+    once, in ``H`` and in ``U``, so ``v``, ``w`` and ``X`` stay exactly zero
+    on free slots and no spurious exit appears.
+    The inverses live in one flat store of m·slots² floats, viewed as a
+    contiguous stack (c, T, T): ``T`` is the slots up to the highest any
+    column has used plus one for an entrant, rounded up to a multiple of 8
+    (at most ``slots``). When that width grows, the stack is widened in place
+    (:func:`_widen`), and a retiring column's place (and its pending terms)
+    is taken by a live one from the end.
     A column retires once its path ends. A feasible one keeps its final
-    slots and signs, and after the walk, with ``H`` and ``U`` released,
+    slots and signs, and after the walk, with the store and ``U`` released,
     every feasible column is refit exactly in one :func:`_refit` call, ``x =
     G_AA^{-1} (b_A - lam s_A)`` with ``lam > 0`` where the residual norm
     equals ``eps``, which clears the drift of the updates.
@@ -306,8 +338,7 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     """
     n, m = B.shape
     null = n  # a free slot holds this padded zero atom
-    Gp = np.zeros((n + 1, n + 1))
-    Gp[:n, :n] = G
+    big = np.finfo(float).max  # a masked ratio, above every event's
     X_out = np.zeros((n + 1, m))
     feasible = np.zeros(m, dtype=bool)
     steps = np.zeros(m, dtype=int)
@@ -319,19 +350,23 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     eps2 = np.asarray(eps, dtype=float) ** 2
     first = np.argmax(np.where(allowed, np.abs(B), -1.0), axis=0)
     lam = np.abs(B[first, cols])
-    S = np.zeros((n + 1, m))  # active signs; zero off the active set
-    S[first, cols] = np.sign(B[first, cols])
     slot = np.full((m, slots), null)
     slot[:, 0] = first
+    sign = np.zeros((m, slots))  # the active signs on the slots, zero on free ones
+    sign[:, 0] = np.sign(B[first, cols])
+    coef = np.zeros((m, slots))  # X on the slots
+    cand = allowed.copy()  # allowed atoms that are not active: the entrants
+    cand[first, cols] = False
     # slots at and above hi are free in every column; a step works on the
-    # first t > hi of them (room for an entrant)
-    hi = 1
-    H = np.zeros((m, slots, slots))
-    H[:, 0, 0] = 1.0 / G[first, first]
-    # the rank-1 terms not yet applied to H: the walk reads H + U diag(a)
-    # U^T, with terms 0 .. p - 1 of U (c, slots, r) and a (c, r) pending;
-    # U's rows on free slots stay zero
-    U = np.zeros((m, slots, _PENDING))
+    # first T >= hi + 1 of them (room for an entrant)
+    hi, T = 1, min(8, slots)
+    store = np.zeros(m * slots * slots)
+    H = store[: m * T * T].reshape(m, T, T)
+    H[:, 0, 0] = 1.0 / Gp[first, first]
+    # the rank-1 terms not yet applied to H: the walk reads H + U^T diag(a)
+    # U, with terms 0 .. p - 1 of U (c, r, slots) and a (c, r) pending; U's
+    # entries on free slots stay zero
+    U = np.zeros((m, _PENDING, slots))
     a = np.zeros((m, _PENDING))
     p = 0
     X = np.zeros((n + 1, m))
@@ -341,116 +376,118 @@ def _l1_paths(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, sl
     fits = []
     stalls = np.zeros(m, dtype=int)
     step = 0
-    while cols.size:
-        step += 1
-        ar = np.arange(cols.size)
-        t = min(hi + 1, slots)
-        Ht, st = H[:, :t, :t], slot[:, :t]
-        Up, ap = U[:, :t, :p], a[:, :p]
-        s = S[st, ar[:, None]]
-        v = _inverse_times(Ht, Up, ap, s)
-        V = np.zeros_like(X)
-        V[st, ar[:, None]] = v
-        Av = Gp @ V
-        # exit where an active coefficient reaches zero; entry where |c_j -
-        # g a_j| meets lam - g, at either sign of c_j (an atom that just
-        # left has den < 0 at its old sign and stays out). A masked-out
-        # ratio may divide by zero, and is never read
-        xs = X[st, ar[:, None]]
-        den = 1.0 - _SIGNS * Av[:n]
-        num = np.maximum(lam - _SIGNS * C[:n], 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(xs * v < 0.0, -xs / v, np.inf)
-            g_in = np.where(((S[:n] == 0.0) & allowed) & (den > 0.0), num / den, np.inf)
-        k_out = np.argmin(ratio, axis=1)
-        g_out = ratio[ar, k_out]
-        gamma = np.minimum(lam, g_out)
-        negative = g_in[1] < g_in[0]
-        g_in = np.minimum(g_in[0], g_in[1])
-        # the cheapest entrant must leave the span of its column's support:
-        # a duplicate, with its 0/0 ratio, would make the slot Gram singular
-        # (in exact arithmetic it never enters before lam = 0); an entrant
-        # that fails is passed over and the next one picked
-        free = st == null
-        room = free.any(axis=1)
-        while True:
-            pick = np.argmin(g_in, axis=0)
-            enter = g_in[pick, ar] < gamma
-            g = Gp[st, pick[:, None]]
-            w = _inverse_times(Ht, Up, ap, g)
-            sigma = 1.0 - np.einsum("ct,ct->c", g, w)
-            fails = enter & ~((sigma > _SPAN_TOL) & room)
-            if not fails.any():
-                break
-            g_in[pick[fails], ar[fails]] = np.inf
-        gamma = np.where(enter, g_in[pick, ar], gamma)
-        leave = ~enter & (g_out < lam)
-        # the residual norm reaches eps: the smaller root of
-        # ||r - g u||^2 = eps^2, written without cancellation
-        excess = ysq - np.einsum("ic,ic->c", X, Bp + C) - eps2
-        ru = np.einsum("ic,ic->c", C, V)
-        disc = ru * ru - np.einsum("ct,ct->c", s, v) * excess
-        g_done = excess / (ru + np.sqrt(np.maximum(disc, 0.0)))
-        done = (disc >= 0.0) & (g_done <= gamma)
-        gamma = np.where(done, g_done, gamma)
-        X += gamma * V
-        C -= gamma * Av
-        stalls = np.where(lam - gamma >= lam, stalls + 1, 0)
-        lam = lam - gamma
-        # a column without an event has reached lam = 0 above eps
-        fin = done | ~(enter | leave)
-        if fin.any():
-            f = np.flatnonzero(fin)
-            X_out[:, cols[f]] = X[:, f]
-            feasible[cols[f]] = done[f]
-            steps[cols[f]] = step
-            d = np.flatnonzero(done)
-            if d.size:
-                sl = slot[d]
-                fits.append((cols[d], sl, S[sl, d[:, None]], Bp[sl, d[:, None]], ysq[d], eps2[d]))
-            # the live columns from the end take the retirees' places
-            c = cols.size - f.size
-            holes = f[f < c]
-            movers = np.flatnonzero(~fin[c:]) + c
-            H[holes], U[holes], a[holes] = H[movers], U[movers], a[movers]
-            keep = np.arange(c)
-            keep[holes] = movers
-            H, U, a = H[:c], U[:c], a[:c]
-            Ht, Up, ap = H[:, :t, :t], U[:, :t, :p], a[:, :p]
-            cols, ysq, eps2, lam, stalls = cols[keep], ysq[keep], eps2[keep], lam[keep], stalls[keep]
-            Bp, X, C, S, slot = Bp[:, keep], X[:, keep], C[:, keep], S[:, keep], slot[keep]
-            allowed = allowed[:, keep]
-            leave, pick, negative = leave[keep], pick[keep], negative[:, keep]
-            k_out, w, sigma, free = k_out[keep], w[keep], sigma[keep], free[keep]
-            if not cols.size:
-                break
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while cols.size:
+            step += 1
             ar = np.arange(cols.size)
-            st = slot[:, :t]
-        if (stalls > 2 * n).any():
-            raise RuntimeError("l1 path stalled at a tie between atoms")
-        # every live column now has one event, a leaving or an entering
-        # atom, and changes H by a rank-1 term (see _slot_term), which stays
-        # pending; a leaving atom's slot is zeroed now, in U too, or the
-        # pending terms would give the free slot nonzero v, w and X
-        k = np.where(leave, k_out, np.argmax(free, axis=1))
-        j = np.where(leave, st[ar, k], pick)
-        e, gone = ar[leave], k[leave]
-        hk = Ht[e, :, gone] + (Up[e] @ (ap[e] * Up[e, gone])[..., None])[..., 0]
-        U[:, :t, p], a[:, p] = _slot_term(k, w, sigma, leave, hk)
-        p += 1
-        H[e, gone, :] = 0.0
-        H[e, :, gone] = 0.0
-        U[e, gone] = 0.0
-        if p == _PENDING:
-            _flush(Ht, U[:, :t, :p], a[:, :p])
-            U[:, :, :p] = 0.0
-            p = 0
-        X[j[leave], ar[leave]] = 0.0
-        S[j, ar] = np.where(leave, 0.0, np.where(negative[j, ar], -1.0, 1.0))
-        st[ar, k] = np.where(leave, null, j)
-        hi = max(hi, int(k.max()) + 1)
+            if T < min(hi + 1, slots):
+                T = min(-(-(hi + 1) // 8) * 8, slots)
+                H = _widen(store, H, T)
+            st, s, xs = slot[:, :T], sign[:, :T], coef[:, :T]
+            Up, ap = U[:, :p, :T], a[:, :p]
+            v = _inverse_times(H, Up, ap, s)
+            V = np.zeros_like(X)
+            V[st, ar[:, None]] = v
+            Av = Gp @ V
+            # exit where an active coefficient reaches zero; entry where |c_j
+            # - g a_j| meets lam - g, at either sign of c_j (an atom that just
+            # left has den < 0 at its old sign and stays out). A masked-out
+            # ratio, which may divide by zero, reads as big and is never taken
+            den = 1.0 - _SIGNS * Av[:n]
+            num = np.maximum(lam - _SIGNS * C[:n], 0.0)
+            ratio = np.fmax(-xs / v, (xs * v >= 0.0) * big)
+            g_in = np.fmax(num / den, ~(cand & (den > 0.0)) * big)
+            k_out = np.argmin(ratio, axis=1)
+            g_out = ratio[ar, k_out]
+            gamma = np.minimum(lam, g_out)
+            negative = g_in[1] < g_in[0]
+            g_in = np.minimum(g_in[0], g_in[1])
+            # the cheapest entrant must leave the span of its column's support:
+            # a duplicate, with its 0/0 ratio, would make the slot Gram singular
+            # (in exact arithmetic it never enters before lam = 0); an entrant
+            # that fails is passed over and the next one picked
+            free = st == null
+            room = free.any(axis=1)
+            while True:
+                pick = np.argmin(g_in, axis=0)
+                enter = g_in[pick, ar] < gamma
+                g = Gp[st, pick[:, None]]
+                w = _inverse_times(H, Up, ap, g)
+                sigma = 1.0 - np.einsum("ct,ct->c", g, w)
+                fails = enter & ~((sigma > _SPAN_TOL) & room)
+                if not fails.any():
+                    break
+                g_in[pick[fails], ar[fails]] = big
+            gamma = np.where(enter, g_in[pick, ar], gamma)
+            leave = ~enter & (g_out < lam)
+            # the residual norm reaches eps: the smaller root of
+            # ||r - g u||^2 = eps^2, written without cancellation
+            excess = ysq - np.einsum("ic,ic->c", X, Bp + C) - eps2
+            ru = np.einsum("ic,ic->c", C, V)
+            disc = ru * ru - np.einsum("ct,ct->c", s, v) * excess
+            g_done = excess / (ru + np.sqrt(np.maximum(disc, 0.0)))
+            done = (disc >= 0.0) & (g_done <= gamma)
+            gamma = np.where(done, g_done, gamma)
+            X += gamma * V
+            xs += gamma[:, None] * v
+            C -= gamma * Av
+            stalls = np.where(lam - gamma >= lam, stalls + 1, 0)
+            lam = lam - gamma
+            # a column without an event has reached lam = 0 above eps
+            fin = done | ~(enter | leave)
+            if fin.any():
+                f = np.flatnonzero(fin)
+                X_out[:, cols[f]] = X[:, f]
+                feasible[cols[f]] = done[f]
+                steps[cols[f]] = step
+                d = np.flatnonzero(done)
+                if d.size:
+                    fits.append((cols[d], slot[d], sign[d], Bp[slot[d], d[:, None]], ysq[d], eps2[d]))
+                # the live columns from the end take the retirees' places
+                c = cols.size - f.size
+                holes = f[f < c]
+                movers = np.flatnonzero(~fin[c:]) + c
+                H[holes], U[holes], a[holes] = H[movers], U[movers], a[movers]
+                keep = np.arange(c)
+                keep[holes] = movers
+                H, U, a = H[:c], U[:c], a[:c]
+                Up, ap = U[:, :p, :T], a[:, :p]
+                cols, ysq, eps2, lam, stalls = cols[keep], ysq[keep], eps2[keep], lam[keep], stalls[keep]
+                Bp, X, C, cand = Bp[:, keep], X[:, keep], C[:, keep], cand[:, keep]
+                slot, sign, coef = slot[keep], sign[keep], coef[keep]
+                leave, pick, negative = leave[keep], pick[keep], negative[:, keep]
+                k_out, w, sigma, free = k_out[keep], w[keep], sigma[keep], free[keep]
+                if not cols.size:
+                    break
+                ar = np.arange(cols.size)
+                st = slot[:, :T]
+            if (stalls > 2 * n).any():
+                raise RuntimeError("l1 path stalled at a tie between atoms")
+            # every live column now has one event, a leaving or an entering
+            # atom, and changes H by a rank-1 term (see _slot_term), which stays
+            # pending; a leaving atom's slot is zeroed now, in U too, or the
+            # pending terms would give the free slot nonzero v, w and X
+            k = np.where(leave, k_out, np.argmax(free, axis=1))
+            j = np.where(leave, st[ar, k], pick)
+            e, gone = ar[leave], k[leave]
+            hk = H[e, :, gone] + ((ap[e] * Up[e, :, gone])[:, None, :] @ Up[e])[:, 0]
+            U[:, p, :T], a[:, p] = _slot_term(k, w, sigma, leave, hk)
+            p += 1
+            H[e, gone, :] = 0.0
+            H[e, :, gone] = 0.0
+            U[e, :, gone] = 0.0
+            if p == _PENDING:
+                _flush(H, U[:, :p, :T], a[:, :p])
+                U[:, :p] = 0.0
+                p = 0
+            X[j[leave], ar[leave]] = 0.0
+            coef[e, gone] = 0.0
+            sign[ar, k] = np.where(leave, 0.0, np.where(negative[j, ar], -1.0, 1.0))
+            cand[j, ar] = leave
+            st[ar, k] = np.where(leave, null, j)
+            hi = max(hi, int(k.max()) + 1)
     # the inverses go before the refit's stack of Grams, of the same size
-    H = Ht = U = Up = None
+    store = H = U = Up = None
     if fits:
         c, sl, *fit = (np.concatenate(z) for z in zip(*fits))
         X_out[sl, c[:, None]] = _refit(Gp, sl, *fit)
@@ -543,14 +580,15 @@ def _set_plan(own: np.ndarray, d: int):
     return atoms, sizes, columns, wide, solvable, S, C
 
 
-def _least_squares(Au: np.ndarray, G: np.ndarray, B: np.ndarray, Y: np.ndarray, cols, ysq, plan):
+def _least_squares(Au: np.ndarray, Gp: np.ndarray, B: np.ndarray, Y: np.ndarray, cols, ysq, plan):
     """Least-squares codes and floors of the signals ``Y[:, cols]`` (at
     least one), each on its own atoms: ``plan`` is the :func:`_set_plan` of
-    the columns of ``Au`` (d x n, unit atoms) that each may use, ``G = Au^T
-    Au``, ``B = Au^T Y[:, cols]`` and ``ysq`` the squared signal norms.
+    the columns of ``Au`` (d x n, unit atoms) that each may use, ``Gp``
+    their Gram ``Au^T Au`` padded by a zero last row and column, ``B = Au^T
+    Y[:, cols]`` and ``ysq`` the squared signal norms.
 
     The atom sets are solved from the Gram in one
-    batch. ``G`` and ``B``, each padded by a zero row and column, are read
+    batch. ``Gp`` and ``B``, padded likewise, are read
     through the sets' padded atom and column indices in one gather each:
     set q's ``G[S_q, S_q]`` and ``B[S_q, cols_q]`` fill a stack whose free
     slots hold the identity's row and column in the Gram
@@ -583,8 +621,6 @@ def _least_squares(Au: np.ndarray, G: np.ndarray, B: np.ndarray, Y: np.ndarray, 
         floor[columns[wide[spans]]] = 0.0
         fallback += list(wide[~spans])
     if S is not None:
-        Gp = np.zeros((n + 1, n + 1))
-        Gp[:n, :n] = G
         Bp = np.zeros((n + 1, m + 1))
         Bp[:n, :m] = B
         gram = _slot_grams(Gp, S)
@@ -709,9 +745,12 @@ def bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed, live):
             own = allowed[np.ix_(idx, cols)]
             plans[key] = own, _set_plan(own, d)
         own, plan = plans[key]
-        Au, Gp, Bp = A[p], G[p], B[p]
+        Au, Gu, Bp = A[p], G[p], B[p]
         if idx.size < n:
-            Au, Gp, Bp = Au[:, idx], Gp[np.ix_(idx, idx)], Bp[idx]
+            Au, Gu, Bp = Au[:, idx], Gu[np.ix_(idx, idx)], Bp[idx]
+        # the Gram padded by a zero atom, which free slots and padded sets read
+        Gp = np.zeros((idx.size + 1, idx.size + 1))
+        Gp[:-1, :-1] = Gu
         if cols.size < m:
             Bp = Bp[:, cols]
         ysq = ynorm[p, cols] ** 2

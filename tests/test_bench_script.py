@@ -1,8 +1,11 @@
 """``scripts/bench.py`` runs its cell list and reports what
 ``run_experiment`` reports."""
 
+import glob
+import hashlib
 import importlib.util
 import json
+import os
 import pathlib
 
 from blocksrc import ExperimentConfig, SynthSpec, run_experiment, synth_dataset
@@ -25,7 +28,13 @@ def test_quick_run_on_a_tiny_set(tmp_path):
     bench.main(["--quick", "--roi-size", "16", "--per-class", "3", "--folds", "3", "--out", str(out)])
     result = json.loads(out.read_text(encoding="utf-8"))
     assert set(result) == {"environment", "args", "cells", "skipped", "pooled_8px_call"}
-    assert set(result["environment"]) == {"commit", "dirty", "numpy", "blas", "nproc", "python"}
+    assert set(result["environment"]) == {"commit", "dirty", "src_sha256", "numpy", "blas", "nproc", "python"}
+    # the digest of the sources run, as benchmark/run.py takes it
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "blocksrc", "*.py"))):
+        with open(path, "rb") as fh:
+            digest.update(os.path.basename(path).encode() + b"\0" + fh.read())
+    assert result["environment"]["src_sha256"] == digest.hexdigest()
     names = [c["name"] for c in bench.cells(quick=True)]
     assert len(names) == 9 and not any(n.startswith("lcksvd2") for n in names)
     assert sorted(result["cells"]) == sorted(f"none-b{b}-n{n}" for b in (16, 8) for n in (0.05, 1.0))

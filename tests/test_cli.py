@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from blocksrc import cli, harness
+from blocksrc.blocks import block_vectors
 from blocksrc.cli import _config_overrides, build_parser, main
 from blocksrc.config import ExperimentConfig, load_config, parse_config_text
 from blocksrc.dictlearn import DiscriminativeDictionary
@@ -13,6 +14,7 @@ from blocksrc.mias import load_roi_cache
 from blocksrc.model_io import load_model, save_model
 from blocksrc.pgm import image_from_array, read_pgm, write_pgm
 from blocksrc.solvers import Dictionary
+from blocksrc.synth import synth_dataset, write_synth_cache
 
 # the small synthetic set the commands below run on, as config keys
 SYNTH_KEYS = {"roi_size": 16, "block_sizes": 8, "synth_atoms_per_class": 4, "synth_sparsity": 2,
@@ -191,15 +193,45 @@ def test_typed_library_overrides_are_taken_as_given():
     assert (cfg.k_folds, cfg.block_sizes, cfg.alpha, cfg.synthetic) == (5, (8, 16), 2, True)
 
 
+def held_out_cache(tmp_path, name, samples):
+    """A ROI cache of ``samples`` under ``tmp_path / name``."""
+    out = tmp_path / name
+    write_synth_cache(samples, str(out))
+    return out
+
+
+def other_samples(tmp_path, seed=21):
+    """The synthetic set of the commands' config at another seed, renamed:
+    a synthetic sample's id names its class and index, not its seed."""
+    samples = synth_dataset(load_config(str(write_synth_config(tmp_path))).synth_spec(), seed)
+    return [replace(s, source_id=f"held-{s.source_id}") for s in samples]
+
+
+def evaluation_of(cfg_path, model, data_dir, scored):
+    """The metrics ``evaluate`` gives on the samples of ``data_dir`` whose
+    ids ``scored`` holds, from the library calls it makes."""
+    cfg = load_config(str(cfg_path), {"data_dir": str(data_dir)})
+    samples = [s for s in load_dataset(cfg) if s.source_id in scored]
+    fused = harness.classify_samples(load_model(str(model))[0].D, block_vectors(samples, 8), slice(None), cfg)
+    preds, scores = harness.decision_outputs(fused, cfg)
+    metrics = harness.compute_metrics(preds, [s.label for s in samples], scores)
+    metrics.pop("roc", None)
+    return metrics
+
+
 def test_train_evaluate_mosaic_cycle(tmp_path, synth_cache):
     cfg = write_config(tmp_path, synth_cache, dl_mode="lcksvd2", iterations=3)
     model = tmp_path / "model.blkd"
     assert main(["train", "--config", str(cfg), "--model", str(model)]) == 0
     assert model.exists() and (tmp_path / "model.blkd.json").exists()
-    # the block side is read from the atoms, so the meta does not repeat it
-    assert load_model(str(model))[2] == {"roi_size": 16, "dl_mode": "lcksvd2"}
+    # the block side is read from the atoms, so the meta does not repeat it;
+    # it names the samples the model trained on
+    trained = sorted(s.source_id for s in load_roi_cache(str(synth_cache)))
+    assert len(trained) == 12
+    assert load_model(str(model))[2] == {"roi_size": 16, "dl_mode": "lcksvd2", "training_ids": trained}
 
-    assert main(["evaluate", "--config", str(cfg), "--model", str(model)]) == 0
+    held = held_out_cache(tmp_path, "held", other_samples(tmp_path))
+    assert main(["evaluate", "--config", str(cfg), "--model", str(model), "--data-dir", str(held)]) == 0
     metrics = json.loads((tmp_path / "results" / "evaluation.json").read_text())
     assert set(metrics) >= {"acc", "tpr", "tnr", "auc"}
 
@@ -231,6 +263,63 @@ def test_evaluate_rejects_mismatched_model(tmp_path, synth_cache, capsys):
     assert diag["error"] == "ValueError"
     assert diag["message"] == "atom length 63 is not a square"
     assert not (tmp_path / "results" / "evaluation.json").exists()
+
+
+def test_evaluate_refuses_the_set_the_model_trained_on(tmp_path, synth_cache, capsys):
+    cfg = write_config(tmp_path, synth_cache)
+    model = tmp_path / "model.blkd"
+    assert main(["train", "--config", str(cfg), "--model", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    diag = json.loads(err)
+    assert err.count("\n") == 1 and diag["error"] == "ValueError" and diag["command"] == "evaluate"
+    assert diag["message"] == "all 12 samples of the dataset trained the model; none is held out to score"
+    assert not (tmp_path / "results" / "evaluation.json").exists()
+
+
+def test_evaluate_scores_a_disjoint_set_whole(tmp_path, synth_cache, capsys):
+    cfg = write_config(tmp_path, synth_cache)
+    model = tmp_path / "model.blkd"
+    assert main(["train", "--config", str(cfg), "--model", str(model)]) == 0
+    others = other_samples(tmp_path)
+    held = held_out_cache(tmp_path, "held", others)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--model", str(model), "--data-dir", str(held)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    written = json.loads((tmp_path / "results" / "evaluation.json").read_text())
+    assert printed == written
+    expected = evaluation_of(cfg, model, held, {s.source_id for s in others})
+    assert written == {**expected, "n_scored": 12, "n_excluded_training": 0}
+
+
+def test_evaluate_scores_the_half_that_did_not_train(tmp_path, synth_cache):
+    cfg = write_config(tmp_path, synth_cache)
+    model = tmp_path / "model.blkd"
+    assert main(["train", "--config", str(cfg), "--model", str(model)]) == 0
+    # every other sample of each set, so both halves hold both classes
+    trained, others = load_roi_cache(str(synth_cache))[::2], other_samples(tmp_path)[::2]
+    assert sorted(s.label for s in trained) == sorted(s.label for s in others) == [0, 0, 0, 1, 1, 1]
+    mixed = held_out_cache(tmp_path, "mixed", trained + others)
+    assert main(["evaluate", "--config", str(cfg), "--model", str(model), "--data-dir", str(mixed)]) == 0
+    written = json.loads((tmp_path / "results" / "evaluation.json").read_text())
+    expected = evaluation_of(cfg, model, mixed, {s.source_id for s in others})
+    assert written == {**expected, "n_scored": 6, "n_excluded_training": 6}
+
+
+def test_an_archive_without_training_ids_scores_every_sample(tmp_path, synth_cache):
+    # an archive written before train recorded its samples evaluates as it
+    # did, and says that it could exclude none
+    cfg = write_config(tmp_path, synth_cache)
+    model = tmp_path / "model.blkd"
+    assert main(["train", "--config", str(cfg), "--model", str(model)]) == 0
+    trained, params, meta = load_model(str(model))
+    del meta["training_ids"]
+    save_model(str(model), trained, params, meta)
+    assert main(["evaluate", "--config", str(cfg), "--model", str(model)]) == 0
+    written = json.loads((tmp_path / "results" / "evaluation.json").read_text())
+    expected = evaluation_of(cfg, model, synth_cache, {s.source_id for s in load_roi_cache(str(synth_cache))})
+    assert written == {**expected, "n_scored": 12, "n_excluded_training": 0, "training_ids": "unknown"}
 
 
 def test_train_refuses_several_block_sizes(tmp_path, synth_cache, capsys):

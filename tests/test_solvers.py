@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -709,6 +710,26 @@ class TestBpdnMasked:
         # one refit of every walked column, in one solve
         assert in_walk == [1] and refits == [int((iters > 0).sum())]
 
+    def test_the_inverse_store_is_released_before_the_refit(self, monkeypatch):
+        # the walk's flat store of inverse slot Grams, 74 columns of 64 x 64
+        # floats, is gone before the refit gathers its stack of slot Grams of
+        # the same size
+        D, Y, eps, allowed = self.code8_call(1)
+        at_entry, refit = [], solvers._refit
+
+        def spy(*args):
+            at_entry.append(tracemalloc.get_traced_memory()[0])
+            return refit(*args)
+
+        monkeypatch.setattr(solvers, "_refit", spy)
+        tracemalloc.start()
+        try:
+            bpdn_batch(D, Y, eps, allowed=allowed)
+        finally:
+            tracemalloc.stop()
+        store = Y.shape[1] * D.dim**2 * 8
+        assert store == 74 * 64**2 * 8 and len(at_entry) == 1 and at_entry[0] < store
+
     def test_wide_set_that_does_not_span_takes_lstsq(self, monkeypatch):
         # 70 atoms in a 60-dimensional subspace of R^64 plus a duplicate: a
         # wide set that does not span keeps lstsq, beside a wide set of 67
@@ -928,48 +949,60 @@ class TestInverseSlotStore:
 
     def test_entering_and_leaving_atoms_keep_the_store_exact(self):
         # the walk's protocol: a term per event, pending until _flush, and a
-        # leaving atom's slot zeroed at once in H and in U
+        # leaving atom's slot zeroed at once in H and in U; the stack lives
+        # at the start of a flat store and is widened in place from 8 to 16
+        # to 24 slots while terms are pending
         rng = np.random.default_rng(61)
-        c, slots, n = 5, 6, 12
+        c, slots, n = 5, 24, 40
         A, _ = normalize_columns(rng.standard_normal((64, n)))
         G = A.T @ A
-        H = np.zeros((c, slots, slots))
-        U = np.zeros((c, slots, solvers._PENDING))
+        store = np.zeros(c * slots * slots)
+        T = 8
+        H = store[: c * T * T].reshape(c, T, T)
+        U = np.zeros((c, solvers._PENDING, slots))
         a = np.zeros((c, solvers._PENDING))
         p, ar = 0, np.arange(c)
         slot = np.full((c, slots), -1)  # each slot's atom, -1 where free
-        leaves = flushes = 0
-        for _ in range(80):
-            used = slot >= 0
+        leaves = flushes = widened = 0
+        for step in range(150):
+            if step in (43, 85):
+                assert p > 0
+                T += 8
+                H = solvers._widen(store, H, T)
+                widened += 1
+            st = slot[:, :T]
+            used = st >= 0
             leave = used.any(axis=1) & ((rng.random(c) < 0.4) | used.all(axis=1))
             k = np.array([rng.choice(np.flatnonzero(u)) if go else np.argmin(u) for u, go in zip(used, leave)])
             atom = np.array([rng.choice(np.setdiff1d(np.arange(n), row[row >= 0])) for row in slot])
-            g = np.where(used, G[slot, atom[:, None]], 0.0)
-            w = solvers._inverse_times(H, U[:, :, :p], a[:, :p], g)
+            g = np.where(used, G[st, atom[:, None]], 0.0)
+            Up = U[:, :p, :T]
+            w = solvers._inverse_times(H, Up, a[:, :p], g)
             sigma = 1.0 - np.einsum("ct,ct->c", g, w)
             e, gone = ar[leave], k[leave]
-            hk = solvers._inverse_times(H[e], U[e, :, :p], a[e, :p], np.eye(slots)[gone])
-            U[:, :, p], a[:, p] = solvers._slot_term(k, w, sigma, leave, hk)
+            hk = solvers._inverse_times(H[e], Up[e], a[e, :p], np.eye(T)[gone])
+            U[:, p, :T], a[:, p] = solvers._slot_term(k, w, sigma, leave, hk)
             p += 1
             H[e, gone, :] = 0.0
             H[e, :, gone] = 0.0
-            U[e, gone] = 0.0
+            U[e, :, gone] = 0.0
             if p == solvers._PENDING:
-                solvers._flush(H, U[:, :, :p], a[:, :p])
+                solvers._flush(H, U[:, :p, :T], a[:, :p])
                 U[:], p = 0.0, 0
                 flushes += 1
-            slot[ar, k] = np.where(leave, -1, atom)
+            st[ar, k] = np.where(leave, -1, atom)
             leaves += int(leave.sum())
             inverse = H.copy()
-            solvers._flush(inverse, U[:, :, :p], a[:, :p])
+            solvers._flush(inverse, U[:, :p, :T], a[:, :p])
+            assert np.all(U[:, :, T:] == 0.0)
             for col in range(c):
-                on, off = np.flatnonzero(slot[col] >= 0), np.flatnonzero(slot[col] < 0)
-                atoms = slot[col, on]
+                on, off = np.flatnonzero(st[col] >= 0), np.flatnonzero(st[col] < 0)
+                atoms = st[col, on]
                 np.testing.assert_allclose(
                     inverse[col][np.ix_(on, on)], np.linalg.inv(G[np.ix_(atoms, atoms)]), rtol=0.0, atol=1e-12
                 )
                 assert np.all(inverse[col, off] == 0.0) and np.all(inverse[col, :, off] == 0.0)
-        assert leaves >= 100 and flushes >= 5
+        assert leaves >= 100 and flushes >= 5 and widened == 2 and (slot[:, 16:] >= 0).any()
 
 
 class TestClassResiduals:
