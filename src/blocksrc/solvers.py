@@ -291,23 +291,24 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
     share one atom set walk together from one ``G``. Each path
     starts from ``x = 0`` at ``lam = ||A^T y||_inf`` and lowers ``lam``
     piecewise linearly (Osborne, Presnell & Turlach 2000); per step, with
-    ``c = B - G X`` and ``v`` the active set's ``G_AA^{-1} sign``, the
+    ``c = B - G x`` and ``v`` the active set's ``G_AA^{-1} sign``, the
     coefficients move along ``v``, the correlations along ``a = G v`` (so
     ``c`` is carried as ``c - gamma a``, as LARS carries it, not formed
-    again from ``X``), and
-    ``r.u = c_A^T v``, ``||u||^2 = sign^T v`` and ``||r||^2 = ||y||^2 -
-    x^T (b + c)`` give where the residual norm meets ``eps``. The step ends
-    where an atom enters, an active coefficient crosses zero (the atom
-    leaves) or the residual norm reaches ``eps``.
+    again from the code), and ``r.u = c^T v``, ``||u||^2 = sign^T v`` and
+    the carried ``excess = ||r||^2 - eps^2`` give where the residual norm
+    meets ``eps``; the step lowers ``excess`` by ``gamma (2 r.u - gamma
+    ||u||^2)``. The step ends where an atom enters, an active coefficient
+    crosses zero (the atom leaves) or the residual norm reaches ``eps``.
 
     A column's active atoms sit in fixed slots of ``slots``. The walk keeps
-    each column's signs and coefficients on its slots (c, slots) beside the
-    coefficients in atom space, and a mask (n, c) of the allowed atoms that
-    are not active, so a step gathers neither. The two ratio tests take
-    their minima over ``np.fmax(ratio, ~mask * big)``, ``big`` the largest
-    finite float, so a masked ratio (which may be a 0/0 or a division by
-    zero, inside one ``np.errstate`` around the walk) reads as a finite
-    sentinel that no event's ratio reaches, without a masked select.
+    each column's signs, coefficients and direction ``v`` on its slots (c,
+    slots), and a mask (n, c) of the allowed atoms that are not active, so
+    a step gathers none of them and holds no code in atom space. The two
+    ratio tests take their minima over ``np.fmax(ratio, ~mask * big)``,
+    ``big`` the largest finite float, so a masked ratio (which may be a 0/0
+    or a division by zero, inside one ``np.errstate`` around the walk)
+    reads as a finite sentinel that no event's ratio reaches, without a
+    masked select.
     Each column keeps ``H``, the inverse of its slot Gram, whose free slots
     stay exactly zero: an entering atom borders it by a rank-1 term from ``w
     = H g`` and ``sigma = 1 - g^T w``, the numbers of the span test
@@ -315,12 +316,17 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
     Schur downdate (both terms from :func:`_slot_term`), so no step solves
     a system. A term ``alpha z z^T`` stays pending for up to ``_PENDING``
     steps, as a row of ``U`` (c, _PENDING, slots) and an entry of ``a``; the
-    walk reads the inverse as ``H + U^T diag(a) U`` (``v``, ``w`` and a
-    leaving atom's column through :func:`_inverse_times`), and every
-    ``_PENDING`` steps the pending terms are applied to ``H`` as one product
+    walk reads the inverse as ``H + U^T diag(a) U``, and every ``_PENDING``
+    steps the pending terms are applied to ``H`` as one product
     (:func:`_flush`), so ``H`` is rewritten once per ``_PENDING`` steps, not
-    three times per step. A leaving atom's slot row and column are zeroed at
-    once, in ``H`` and in ``U``, so ``v``, ``w`` and ``X`` stay exactly zero
+    three times per step. ``w`` (:func:`_inverse_times`) is a step's one
+    product with the inverse: ``v`` follows each event's own term, as LARS
+    carries it, to ``v + z (alpha z^T s' - s_k)`` with ``s'`` the new signs
+    and ``s_k`` the sign of an atom that leaves slot ``k`` (zero where one
+    enters), and is formed again as ``H sign`` after each flush, so its
+    carried rounding spans at most ``_PENDING`` events. A leaving atom's
+    slot row and column are zeroed at once, in ``H`` and in ``U``, and its
+    entry of ``v``, so ``v``, ``w`` and the coefficients stay exactly zero
     on free slots and no spurious exit appears.
     The inverses live in one flat store of m·slots² floats, viewed as a
     contiguous stack (c, T, T): ``T`` is the slots up to the highest any
@@ -328,11 +334,12 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
     (at most ``slots``). When that width grows, the stack is widened in place
     (:func:`_widen`), and a retiring column's place (and its pending terms)
     is taken by a live one from the end.
-    A column retires once its path ends. A feasible one keeps its final
-    slots and signs, and after the walk, with the store and ``U`` released,
-    every feasible column is refit exactly in one :func:`_refit` call, ``x =
-    G_AA^{-1} (b_A - lam s_A)`` with ``lam > 0`` where the residual norm
-    equals ``eps``, which clears the drift of the updates.
+    A column retires once its path ends and writes its code from its slots.
+    A feasible one keeps its final slots and signs, and after the walk,
+    with the store and ``U`` released, every feasible column is refit
+    exactly in one :func:`_refit` call, ``x = G_AA^{-1} (b_A - lam s_A)``
+    with ``lam > 0`` where the residual norm equals ``eps``, which clears
+    the drift of the updates.
     Returns ``(X, feasible, steps)``; ``feasible`` is False only where
     ``lam`` reached 0 first.
     """
@@ -342,19 +349,20 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
     X_out = np.zeros((n + 1, m))
     feasible = np.zeros(m, dtype=bool)
     steps = np.zeros(m, dtype=int)
-
-    # the live columns' state, compacted as columns retire
-    cols = np.arange(m)
     Bp = np.zeros((n + 1, m))
     Bp[:n] = B
     eps2 = np.asarray(eps, dtype=float) ** 2
+
+    # the live columns' state, compacted as columns retire
+    cols = np.arange(m)
     first = np.argmax(np.where(allowed, np.abs(B), -1.0), axis=0)
     lam = np.abs(B[first, cols])
+    excess = ysq - eps2  # ||r||^2 - eps^2, carried along each step
     slot = np.full((m, slots), null)
     slot[:, 0] = first
     sign = np.zeros((m, slots))  # the active signs on the slots, zero on free ones
     sign[:, 0] = np.sign(B[first, cols])
-    coef = np.zeros((m, slots))  # X on the slots
+    coef = np.zeros((m, slots))  # the code on the slots
     cand = allowed.copy()  # allowed atoms that are not active: the entrants
     cand[first, cols] = False
     # slots at and above hi are free in every column; a step works on the
@@ -369,10 +377,13 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
     U = np.zeros((m, _PENDING, slots))
     a = np.zeros((m, _PENDING))
     p = 0
-    X = np.zeros((n + 1, m))
-    C = Bp.copy()  # the correlations B - G X, carried along each step
-    # per retirement, the feasible columns and their final slots, signs,
-    # correlations, squared norms and squared bounds, refit after the walk
+    # the direction (H + U^T diag(a) U) sign on the slots, carried through
+    # each event and formed again after each flush
+    v = np.zeros((m, slots))
+    v[:, 0] = H[:, 0, 0] * sign[:, 0]
+    C = Bp.copy()  # the correlations B - G x, carried along each step
+    # per retirement, the feasible columns and their final slots and signs,
+    # refit after the walk
     fits = []
     stalls = np.zeros(m, dtype=int)
     step = 0
@@ -383,11 +394,10 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
             if T < min(hi + 1, slots):
                 T = min(-(-(hi + 1) // 8) * 8, slots)
                 H = _widen(store, H, T)
-            st, s, xs = slot[:, :T], sign[:, :T], coef[:, :T]
+            st, s, xs, vs = slot[:, :T], sign[:, :T], coef[:, :T], v[:, :T]
             Up, ap = U[:, :p, :T], a[:, :p]
-            v = _inverse_times(H, Up, ap, s)
-            V = np.zeros_like(X)
-            V[st, ar[:, None]] = v
+            V = np.zeros((n + 1, cols.size))
+            V[st, ar[:, None]] = vs
             Av = Gp @ V
             # exit where an active coefficient reaches zero; entry where |c_j
             # - g a_j| meets lam - g, at either sign of c_j (an atom that just
@@ -395,7 +405,7 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
             # ratio, which may divide by zero, reads as big and is never taken
             den = 1.0 - _SIGNS * Av[:n]
             num = np.maximum(lam - _SIGNS * C[:n], 0.0)
-            ratio = np.fmax(-xs / v, (xs * v >= 0.0) * big)
+            ratio = np.fmax(-xs / vs, (xs * vs >= 0.0) * big)
             g_in = np.fmax(num / den, ~(cand & (den > 0.0)) * big)
             k_out = np.argmin(ratio, axis=1)
             g_out = ratio[ar, k_out]
@@ -422,27 +432,27 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
             leave = ~enter & (g_out < lam)
             # the residual norm reaches eps: the smaller root of
             # ||r - g u||^2 = eps^2, written without cancellation
-            excess = ysq - np.einsum("ic,ic->c", X, Bp + C) - eps2
             ru = np.einsum("ic,ic->c", C, V)
-            disc = ru * ru - np.einsum("ct,ct->c", s, v) * excess
+            sv = np.einsum("ct,ct->c", s, vs)
+            disc = ru * ru - sv * excess
             g_done = excess / (ru + np.sqrt(np.maximum(disc, 0.0)))
             done = (disc >= 0.0) & (g_done <= gamma)
             gamma = np.where(done, g_done, gamma)
-            X += gamma * V
-            xs += gamma[:, None] * v
+            xs += gamma[:, None] * vs
             C -= gamma * Av
+            excess -= gamma * (2.0 * ru - gamma * sv)
             stalls = np.where(lam - gamma >= lam, stalls + 1, 0)
             lam = lam - gamma
             # a column without an event has reached lam = 0 above eps
             fin = done | ~(enter | leave)
             if fin.any():
                 f = np.flatnonzero(fin)
-                X_out[:, cols[f]] = X[:, f]
+                X_out[slot[f], cols[f, None]] = coef[f]
                 feasible[cols[f]] = done[f]
                 steps[cols[f]] = step
                 d = np.flatnonzero(done)
                 if d.size:
-                    fits.append((cols[d], slot[d], sign[d], Bp[slot[d], d[:, None]], ysq[d], eps2[d]))
+                    fits.append((cols[d], slot[d], sign[d]))
                 # the live columns from the end take the retirees' places
                 c = cols.size - f.size
                 holes = f[f < c]
@@ -452,26 +462,34 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
                 keep[holes] = movers
                 H, U, a = H[:c], U[:c], a[:c]
                 Up, ap = U[:, :p, :T], a[:, :p]
-                cols, ysq, eps2, lam, stalls = cols[keep], ysq[keep], eps2[keep], lam[keep], stalls[keep]
-                Bp, X, C, cand = Bp[:, keep], X[:, keep], C[:, keep], cand[:, keep]
-                slot, sign, coef = slot[keep], sign[keep], coef[keep]
+                cols, lam, excess, stalls = cols[keep], lam[keep], excess[keep], stalls[keep]
+                C, cand = C[:, keep], cand[:, keep]
+                slot, sign, coef, v = slot[keep], sign[keep], coef[keep], v[keep]
                 leave, pick, negative = leave[keep], pick[keep], negative[:, keep]
                 k_out, w, sigma, free = k_out[keep], w[keep], sigma[keep], free[keep]
                 if not cols.size:
                     break
                 ar = np.arange(cols.size)
-                st = slot[:, :T]
+                st, s, vs = slot[:, :T], sign[:, :T], v[:, :T]
             if (stalls > 2 * n).any():
                 raise RuntimeError("l1 path stalled at a tie between atoms")
             # every live column now has one event, a leaving or an entering
-            # atom, and changes H by a rank-1 term (see _slot_term), which stays
-            # pending; a leaving atom's slot is zeroed now, in U too, or the
-            # pending terms would give the free slot nonzero v, w and X
+            # atom, and changes H by a rank-1 term alpha z z^T (see
+            # _slot_term), which stays pending; a leaving atom's slot is zeroed
+            # now, in U too, or the pending terms would give the free slot
+            # nonzero v, w and codes. The direction follows the same term and
+            # the new signs s': v + z (alpha z^T s' - s_k) where slot k's atom,
+            # of sign s_k, leaves, and v + alpha z z^T s' where one enters
             k = np.where(leave, k_out, np.argmax(free, axis=1))
             j = np.where(leave, st[ar, k], pick)
             e, gone = ar[leave], k[leave]
             hk = H[e, :, gone] + ((ap[e] * Up[e, :, gone])[:, None, :] @ Up[e])[:, 0]
-            U[:, p, :T], a[:, p] = _slot_term(k, w, sigma, leave, hk)
+            z, alpha = _slot_term(k, w, sigma, leave, hk)
+            out_sign = s[ar, k]  # zero where the slot is free
+            s[ar, k] = np.where(leave, 0.0, np.where(negative[j, ar], -1.0, 1.0))
+            vs += z * (alpha * np.einsum("ct,ct->c", z, s) - out_sign)[:, None]
+            vs[e, gone] = 0.0
+            U[:, p, :T], a[:, p] = z, alpha
             p += 1
             H[e, gone, :] = 0.0
             H[e, :, gone] = 0.0
@@ -480,17 +498,18 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
                 _flush(H, U[:, :p, :T], a[:, :p])
                 U[:, :p] = 0.0
                 p = 0
-            X[j[leave], ar[leave]] = 0.0
+                # the direction formed again, so its rounding is carried
+                # through at most _PENDING events
+                vs[:] = (H @ s[..., None])[..., 0]
             coef[e, gone] = 0.0
-            sign[ar, k] = np.where(leave, 0.0, np.where(negative[j, ar], -1.0, 1.0))
             cand[j, ar] = leave
             st[ar, k] = np.where(leave, null, j)
             hi = max(hi, int(k.max()) + 1)
     # the inverses go before the refit's stack of Grams, of the same size
     store = H = U = Up = None
     if fits:
-        c, sl, *fit = (np.concatenate(z) for z in zip(*fits))
-        X_out[sl, c[:, None]] = _refit(Gp, sl, *fit)
+        c, sl, sg = (np.concatenate(z) for z in zip(*fits))
+        X_out[sl, c[:, None]] = _refit(Gp, sl, sg, Bp[sl, c[:, None]], ysq[c], eps2[c])
     return X_out[:n], feasible, steps
 
 
@@ -667,8 +686,11 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     bordered by a rank-1 term when an atom enters and Schur-downdated when
     one leaves. The terms stay pending for up to ``_PENDING`` steps and are
     then applied as one product; a leaving atom's slot is zeroed at once, so
-    free slots stay exactly zero. Every feasible code is refit exactly on
-    its final support and signs, in one batched solve after the walk.
+    free slots stay exactly zero. A step forms one product with the
+    inverse, the span test's; the direction and the residual norm are
+    carried through each event, and the direction is formed again after
+    each flush of the terms. Every feasible code is refit exactly on its
+    final support and signs, in one batched solve after the walk.
 
     A walked column can end infeasible, with a residual several times
     ``eps``, although its least-squares floor is within ``eps``: when that

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 
@@ -656,10 +657,11 @@ class TestBpdnMasked:
         assert np.array_equal(gram[BENIGN] <= gram[MALIGNANT], pixel[BENIGN] <= pixel[MALIGNANT])
         np.testing.assert_allclose(l1, pixel_l1, rtol=1e-12)
 
-    # the code8 data at four seeds, and one noise-1.0 position of the
-    # MIAS-sized cell (64x64 ROIs)
-    @pytest.mark.parametrize("call", [(1,), (2,), (3,), (7919,), (20, 64, 1.0, 27)],
-                             ids=lambda call: "-".join(map(str, call)))
+    # the code8 data at four seeds, and three positions of the MIAS-sized
+    # cell (64x64 ROIs), among them the longest noise-1.0 paths
+    CODE8_CALLS = [(1,), (2,), (3,), (7919,), (20, 64, 1.0, 27), (20, 64, 0.05, 0), (20, 64, 1.0, 63)]
+
+    @pytest.mark.parametrize("call", CODE8_CALLS, ids=lambda call: "-".join(map(str, call)))
     def test_code8_call_matches_per_column_oracle(self, call):
         D, Y, eps, allowed = self.code8_call(*call)
         X, _, feas, iters = bpdn_batch(D, Y, eps, allowed=allowed)
@@ -673,6 +675,33 @@ class TestBpdnMasked:
             ref = np.zeros(D.n_atoms)
             ref[own] = xu
             np.testing.assert_allclose(X[:, c], ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("call", CODE8_CALLS, ids=lambda call: "-".join(map(str, call)))
+    def test_walked_columns_end_on_their_bound(self, call):
+        # a walked feasible column ends where the residual norm equals its
+        # bound, not just within it: from the returned residual norms and
+        # from the codes in pixel space, masked and unmasked
+        D, Y, eps, allowed = self.code8_call(*call)
+        ynorm = np.linalg.norm(Y, axis=0)
+        for mask in (allowed, None):
+            X, rn, feas, iters = bpdn_batch(D, Y, eps, allowed=mask)
+            walked = feas & (iters > 0)
+            assert walked.sum() >= 60
+            pixel = np.linalg.norm(Y - D.atoms @ X, axis=0)
+            for norm in (rn, pixel):
+                assert np.all(np.abs(norm - eps)[walked] <= 1e-10 * ynorm[walked])
+
+    def test_code8_call_outputs_are_pinned(self):
+        # every output of the walk on the code8 data at four seeds, masked
+        # and unmasked, to the last bit: a change that moves a path event or
+        # the rounding of a refit code changes this digest, and says why
+        digest = hashlib.sha256()
+        for seed in (1, 2, 3, 7919):
+            D, Y, eps, allowed = self.code8_call(seed)
+            for mask in (allowed, None):
+                for a in bpdn_batch(D, Y, eps, allowed=mask):
+                    digest.update(np.ascontiguousarray(a).tobytes())
+        assert digest.hexdigest() == "d5433eda3d657ffc93e2e16ae4d1cd10eb1d31c14f898f06db5d833640cf0e49"
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_code8_call_takes_no_lstsq_and_one_refit_solve(self, monkeypatch, seed):
