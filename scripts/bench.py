@@ -16,15 +16,17 @@ with the synthetic block equal to the cell's block. The cells are
 - the default grid, ``run_grid`` on the set at noise 0.05 with synthetic
   block 16.
 
-A cell runs through the public ``run_experiment`` once per decision rule
-(``run_grid`` once), with ``persist=False``; per rule it records wall and
-CPU seconds, AUC, accuracy and the failed folds. Work counts come without a
-tracer: a learned cell trains fold 0 once more and records the K-SVD
-iterations of each position from the model traces, with that training's
-wall seconds, and an 8-px ``none`` cell codes fold 0's held-out blocks
-with ``bpdn_batch``, position by position, and records the path steps
-per block. The run records the
-commit (and whether tracked files differ from it), a sha256 of the
+A cell runs one cross-validation pass, as ``run_experiment`` runs it
+(``block_vectors``, then ``cross_validate``), and builds its report once
+per decision rule from that pass with ``build_report``; the grid runs
+through ``run_grid`` once, with ``persist=False``. A cell records the wall
+and CPU seconds of the pass and both reports, and per rule its AUC,
+accuracy and failed folds. Work counts come without a tracer: a learned
+cell trains fold 0 once more and records the K-SVD iterations of each
+position from the model traces, with that training's wall seconds, and
+an 8-px ``none`` cell codes fold 0's held-out blocks with ``bpdn_batch``,
+position by position, and records the path steps per block. The run
+records the commit (and whether tracked files differ from it), a sha256 of the
 ``src/blocksrc/*.py`` files it ran (as ``benchmark/run.py`` digests them, so
 a file run on an uncommitted tree names its source), the numpy and BLAS
 versions, the CPU count, and the tracemalloc
@@ -34,7 +36,8 @@ own fold's training blocks, as a pooled pass codes it.
 The file records; it gates nothing. Compare two files only when they were
 run alternately on one host. A cell the set cannot run (a block that does
 not divide the ROIs, or a grid with fewer samples than its 30 folds) is
-listed under ``skipped``.
+listed under ``skipped``; ``--folds`` outside 2 to the sample count (twice
+``--per-class``) is refused before any cell runs.
 """
 
 from __future__ import annotations
@@ -62,14 +65,14 @@ from blocksrc import (  # noqa: E402
     ExperimentConfig,
     SynthSpec,
     block_stack,
+    block_vectors,
     bpdn_batch,
     lcksvd_train_stack,
-    run_experiment,
     run_grid,
     stratified_folds,
     synth_dataset,
 )
-from blocksrc.harness import GRID_FOLDS  # noqa: E402
+from blocksrc.harness import GRID_FOLDS, build_report, cross_validate  # noqa: E402
 
 RULES = ("bbll", "bbmap")
 SEED = 20  # of the synthetic set and of the folds
@@ -173,11 +176,16 @@ def run_cell(cell: dict, args) -> dict:
                 "cells": [[r.config["decision"], r.config["k_folds"], r.config["dl_mode"], r.block_size,
                            r.metrics["auc"], r.metrics["acc"]] for r in reports]}
     samples = cell_samples(cell, args)
-    out = {}
-    for rule in RULES:
-        rep, wall, cpu = timed(lambda: run_experiment(replace(cfg, decision=rule), samples=samples, persist=False))
-        out[rule] = {"wall_s": wall, "cpu_s": cpu, "auc": rep.metrics["auc"], "acc": rep.metrics["acc"],
-                     "failed_folds": list(rep.incomplete_folds)}
+    block = cell["block"]
+
+    def reports():
+        folds = cross_validate(cfg, block_vectors(samples, block), [s.label for s in samples])
+        return [build_report(replace(cfg, decision=rule), block, samples, folds) for rule in RULES]
+
+    reps, wall, cpu = timed(reports)
+    out = {"wall_s": wall, "cpu_s": cpu}
+    for rule, rep in zip(RULES, reps):
+        out[rule] = {"auc": rep.metrics["auc"], "acc": rep.metrics["acc"], "failed_folds": list(rep.incomplete_folds)}
     if cell["dl_mode"] != "none":
         out["ksvd_iterations_fold0"], out["train_s_fold0"] = ksvd_iterations(cfg, samples)
     elif cell["block"] == 8:
@@ -223,6 +231,8 @@ def main(argv=None) -> dict:
     ap.add_argument("--per-class", type=int, default=37)
     ap.add_argument("--folds", type=int, default=10)
     args = ap.parse_args(argv)
+    if not 2 <= args.folds <= 2 * args.per_class:
+        ap.error(f"--folds must be in [2, {2 * args.per_class}] (the sample count), got {args.folds}")
     settings = {"seed": SEED, **{k: v for k, v in vars(args).items() if k != "out"}}
     result = {"environment": environment(), "args": settings, "cells": {}, "skipped": {}}
     for cell in cells(args.quick):

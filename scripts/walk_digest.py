@@ -3,7 +3,7 @@
 Run from anywhere; the script imports blocksrc from the ``src/`` directory
 of the checkout it lives in:
 
-    python scripts/walk_digest.py   # 128 calls, about 20 s on two cores
+    python scripts/walk_digest.py   # 128 calls, about 10.5 s on two cores
 
 The calls are those of a 10-fold ``none`` cell at 8-px blocks on the
 synthetic set shaped like MIAS: 37 ROIs per class of 64x64 pixels, seed 20,
@@ -13,13 +13,16 @@ atom mask a pooled pass uses, at ``eps = 0.05 ||y||``: one ``bpdn_batch``
 call per noise and position, whose codes, residual norms, feasible flags
 and path steps all go into the digest, in that order. With the digest the
 script prints the total path steps over all blocks (column-steps). Two
-trees give the same answers when they print the same line.
+trees give the same answers when they print the same line. The wall
+seconds of the 128 calls alone (not of drawing the sets) go to stderr, so
+the script also times the walk from one command.
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,18 +54,22 @@ def position_calls(noise: float, positions):
         yield Dictionary.from_matrix(stack[p], labels), Y, EPS_REL * np.linalg.norm(Y, axis=0), allowed
 
 
-def walk_digest(noises=NOISES, positions=POSITIONS) -> tuple[str, int]:
-    """The sha256 over every output of the calls, and their column-steps."""
-    digest, steps = hashlib.sha256(), 0
+def walk_digest(noises=NOISES, positions=POSITIONS) -> tuple[str, int, float]:
+    """The sha256 over every output of the calls, their column-steps, and
+    their wall seconds."""
+    digest, steps, seconds = hashlib.sha256(), 0, 0.0
     for noise in noises:
         for D, Y, eps, allowed in position_calls(noise, positions):
+            start = time.perf_counter()
             out = bpdn_batch(D, Y, eps, allowed=allowed)
+            seconds += time.perf_counter() - start
             for a in out:
                 digest.update(np.ascontiguousarray(a).tobytes())
             steps += int(out[3].sum())
-    return digest.hexdigest(), steps
+    return digest.hexdigest(), steps, seconds
 
 
 if __name__ == "__main__":
-    hexdigest, steps = walk_digest()
+    hexdigest, steps, seconds = walk_digest()
     print(f"{hexdigest} {steps} column-steps")
+    print(f"walk_digest: {seconds:.2f} s wall in the calls", file=sys.stderr)

@@ -152,8 +152,8 @@ def batch_omp(G: np.ndarray, B: np.ndarray, ysq: np.ndarray, usable: np.ndarray,
     support; stop if ``sigma`` is at most ``_SPAN_TOL``), a pick that passes
     borders ``H`` at once by the rank-1 term of :func:`_slot_term`, which
     :func:`_flush` applies as a single term, a ``U`` of one row (the l1
-    path makes and applies its terms through the same two, from a store of
-    its own), and the refit is ``x_I =
+    path makes and applies its terms through the same two, on a zero stack
+    read through its leading view as this one is), and the refit is ``x_I =
     H b_I`` (evaluated as the step ``x_old + H c_I`` along the correlations
     ``c = B - G X`` of the pick, which keeps the rounding of ``H`` from being
     magnified by ``||H|| ||b_I|| / ||x_I||``): no step solves a system or
@@ -257,27 +257,6 @@ def _flush(H: np.ndarray, U: np.ndarray, a: np.ndarray) -> None:
         H[:, r : r + _UPDATE_ROWS] += part
 
 
-def _widen(store: np.ndarray, H: np.ndarray, t: int) -> np.ndarray:
-    """The stack ``H`` (c, s, s), held at the start of the flat ``store``,
-    moved in place to a contiguous (c, t, t) stack there (t > s) with zero
-    new slots. Each column moves to an offset at least its own, so the
-    columns move from the last backwards: a run of columns in one copy once
-    its new place lies past its old one, and the leading columns, whose new
-    places overlap their old ones, one at a time through a temporary of one
-    column."""
-    c, s = len(H), H.shape[1]
-    wide = store[: c * t * t].reshape(c, t, t)
-    stop = c
-    while stop:
-        # the first column whose new place starts at or past the run's old end
-        start = min(stop - 1, -(-stop * s * s // (t * t)))
-        wide[start:stop, :s, :s] = H[start:stop]
-        wide[start:stop, :s, s:] = 0.0
-        wide[start:stop, s:] = 0.0
-        stop = start
-    return wide
-
-
 def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, slots: int, allowed: np.ndarray):
     """Follow the l1 (lasso) paths of several signals in lockstep, in atom
     space, each down to ``||Ax - y|| = eps``.
@@ -328,15 +307,14 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
     slot row and column are zeroed at once, in ``H`` and in ``U``, and its
     entry of ``v``, so ``v``, ``w`` and the coefficients stay exactly zero
     on free slots and no spurious exit appears.
-    The inverses live in one flat store of m·slots² floats, viewed as a
-    contiguous stack (c, T, T): ``T`` is the slots up to the highest any
-    column has used plus one for an entrant, rounded up to a multiple of 8
-    (at most ``slots``). When that width grows, the stack is widened in place
-    (:func:`_widen`), and a retiring column's place (and its pending terms)
+    The inverses live in one zero stack (m, slots, slots), as Batch-OMP
+    keeps its own: a step works on its leading view (c, T, T), ``T`` the
+    slots up to the highest any column has used plus one for an entrant (at
+    most ``slots``), and a retiring column's place (and its pending terms)
     is taken by a live one from the end.
     A column retires once its path ends and writes its code from its slots.
     A feasible one keeps its final slots and signs, and after the walk,
-    with the store and ``U`` released, every feasible column is refit
+    with the stack and ``U`` released, every feasible column is refit
     exactly in one :func:`_refit` call, ``x = G_AA^{-1} (b_A - lam s_A)``
     with ``lam > 0`` where the residual norm equals ``eps``, which clears
     the drift of the updates.
@@ -366,11 +344,11 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
     cand = allowed.copy()  # allowed atoms that are not active: the entrants
     cand[first, cols] = False
     # slots at and above hi are free in every column; a step works on the
-    # first T >= hi + 1 of them (room for an entrant)
-    hi, T = 1, min(8, slots)
-    store = np.zeros(m * slots * slots)
-    H = store[: m * T * T].reshape(m, T, T)
-    H[:, 0, 0] = 1.0 / Gp[first, first]
+    # leading T = min(hi + 1, slots) of them (room for an entrant), through
+    # the view H = Hf[:c, :T, :T]
+    hi = 1
+    Hf = np.zeros((m, slots, slots))
+    Hf[:, 0, 0] = 1.0 / Gp[first, first]
     # the rank-1 terms not yet applied to H: the walk reads H + U^T diag(a)
     # U, with terms 0 .. p - 1 of U (c, r, slots) and a (c, r) pending; U's
     # entries on free slots stay zero
@@ -380,7 +358,7 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
     # the direction (H + U^T diag(a) U) sign on the slots, carried through
     # each event and formed again after each flush
     v = np.zeros((m, slots))
-    v[:, 0] = H[:, 0, 0] * sign[:, 0]
+    v[:, 0] = Hf[:, 0, 0] * sign[:, 0]
     C = Bp.copy()  # the correlations B - G x, carried along each step
     # per retirement, the feasible columns and their final slots and signs,
     # refit after the walk
@@ -391,9 +369,8 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
         while cols.size:
             step += 1
             ar = np.arange(cols.size)
-            if T < min(hi + 1, slots):
-                T = min(-(-(hi + 1) // 8) * 8, slots)
-                H = _widen(store, H, T)
+            T = min(hi + 1, slots)
+            H = Hf[:, :T, :T]
             st, s, xs, vs = slot[:, :T], sign[:, :T], coef[:, :T], v[:, :T]
             Up, ap = U[:, :p, :T], a[:, :p]
             V = np.zeros((n + 1, cols.size))
@@ -460,7 +437,7 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
                 H[holes], U[holes], a[holes] = H[movers], U[movers], a[movers]
                 keep = np.arange(c)
                 keep[holes] = movers
-                H, U, a = H[:c], U[:c], a[:c]
+                Hf, H, U, a = Hf[:c], H[:c], U[:c], a[:c]
                 Up, ap = U[:, :p, :T], a[:, :p]
                 cols, lam, excess, stalls = cols[keep], lam[keep], excess[keep], stalls[keep]
                 C, cand = C[:, keep], cand[:, keep]
@@ -506,7 +483,7 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
             st[ar, k] = np.where(leave, null, j)
             hi = max(hi, int(k.max()) + 1)
     # the inverses go before the refit's stack of Grams, of the same size
-    store = H = U = Up = None
+    Hf = H = U = Up = None
     if fits:
         c, sl, sg = (np.concatenate(z) for z in zip(*fits))
         X_out[sl, c[:, None]] = _refit(Gp, sl, sg, Bp[sl, c[:, None]], ysq[c], eps2[c])

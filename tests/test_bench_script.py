@@ -8,6 +8,8 @@ import json
 import os
 import pathlib
 
+import pytest
+
 from blocksrc import ExperimentConfig, SynthSpec, run_experiment, synth_dataset
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -42,14 +44,26 @@ def test_quick_run_on_a_tiny_set(tmp_path):
     for name, cell in result["cells"].items():
         _, b, noise = name.split("-")
         block, sigma = int(b[1:]), float(noise[1:])
-        assert set(cell) == {"bbll", "bbmap"} | ({"walk_steps_fold0"} if block == 8 else set())
+        assert set(cell) == {"wall_s", "cpu_s", "bbll", "bbmap"} | ({"walk_steps_fold0"} if block == 8 else set())
         samples = synth_dataset(SynthSpec(roi_size=16, block_size=block, samples_per_class=3, noise_sigma=sigma),
                                 bench.SEED)
         for rule in ("bbll", "bbmap"):
-            assert set(cell[rule]) == {"wall_s", "cpu_s", "auc", "acc", "failed_folds"}
+            assert set(cell[rule]) == {"auc", "acc", "failed_folds"}
             cfg = ExperimentConfig(roi_size=16, block_sizes=(block,), k_folds=3, decision=rule, seed=bench.SEED)
             report = run_experiment(cfg, samples=samples, persist=False)
             assert cell[rule]["auc"] == report.metrics["auc"] and cell[rule]["acc"] == report.metrics["acc"]
             assert cell[rule]["failed_folds"] == []
     assert set(result["pooled_8px_call"]) == {"blocks", "wall_s", "tracemalloc_peak_mb", "steps_mean"}
     assert result["pooled_8px_call"]["blocks"] == 6
+
+
+@pytest.mark.parametrize("folds", ["1", "7"])
+def test_folds_outside_the_sample_count_are_refused(folds, tmp_path, capsys):
+    # 3 ROIs per class: 2 to 6 folds can run; no cell starts and no file is
+    # written for the others
+    bench = load_script()
+    out = tmp_path / "BENCH_0.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main(["--quick", "--roi-size", "16", "--per-class", "3", "--folds", folds, "--out", str(out)])
+    assert exit_info.value.code == 2 and not out.exists()
+    assert f"--folds must be in [2, 6] (the sample count), got {folds}" in capsys.readouterr().err

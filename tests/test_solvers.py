@@ -740,7 +740,7 @@ class TestBpdnMasked:
         assert in_walk == [1] and refits == [int((iters > 0).sum())]
 
     def test_the_inverse_store_is_released_before_the_refit(self, monkeypatch):
-        # the walk's flat store of inverse slot Grams, 74 columns of 64 x 64
+        # the walk's zero stack of inverse slot Grams, 74 columns of 64 x 64
         # floats, is gone before the refit gathers its stack of slot Grams of
         # the same size
         D, Y, eps, allowed = self.code8_call(1)
@@ -978,27 +978,27 @@ class TestInverseSlotStore:
 
     def test_entering_and_leaving_atoms_keep_the_store_exact(self):
         # the walk's protocol: a term per event, pending until _flush, and a
-        # leaving atom's slot zeroed at once in H and in U; the stack lives
-        # at the start of a flat store and is widened in place from 8 to 16
-        # to 24 slots while terms are pending
+        # leaving atom's slot zeroed at once in H and in U; H is the leading
+        # view of one zero stack, grown from 8 to 16 to 24 slots while terms
+        # are pending
         rng = np.random.default_rng(61)
         c, slots, n = 5, 24, 40
         A, _ = normalize_columns(rng.standard_normal((64, n)))
         G = A.T @ A
-        store = np.zeros(c * slots * slots)
+        Hf = np.zeros((c, slots, slots))
         T = 8
-        H = store[: c * T * T].reshape(c, T, T)
+        H = Hf[:, :T, :T]
         U = np.zeros((c, solvers._PENDING, slots))
         a = np.zeros((c, solvers._PENDING))
         p, ar = 0, np.arange(c)
         slot = np.full((c, slots), -1)  # each slot's atom, -1 where free
-        leaves = flushes = widened = 0
+        leaves = flushes = grown = 0
         for step in range(150):
             if step in (43, 85):
                 assert p > 0
                 T += 8
-                H = solvers._widen(store, H, T)
-                widened += 1
+                H = Hf[:, :T, :T]
+                grown += 1
             st = slot[:, :T]
             used = st >= 0
             leave = used.any(axis=1) & ((rng.random(c) < 0.4) | used.all(axis=1))
@@ -1024,6 +1024,7 @@ class TestInverseSlotStore:
             inverse = H.copy()
             solvers._flush(inverse, U[:, :p, :T], a[:, :p])
             assert np.all(U[:, :, T:] == 0.0)
+            assert np.all(Hf[:, T:] == 0.0) and np.all(Hf[:, :, T:] == 0.0)
             for col in range(c):
                 on, off = np.flatnonzero(st[col] >= 0), np.flatnonzero(st[col] < 0)
                 atoms = st[col, on]
@@ -1031,7 +1032,7 @@ class TestInverseSlotStore:
                     inverse[col][np.ix_(on, on)], np.linalg.inv(G[np.ix_(atoms, atoms)]), rtol=0.0, atol=1e-12
                 )
                 assert np.all(inverse[col, off] == 0.0) and np.all(inverse[col, :, off] == 0.0)
-        assert leaves >= 100 and flushes >= 5 and widened == 2 and (slot[:, 16:] >= 0).any()
+        assert leaves >= 100 and flushes >= 5 and grown == 2 and (slot[:, 16:] >= 0).any()
 
 
 class TestClassResiduals:

@@ -25,7 +25,7 @@ def test_two_positions_match_bpdn_batch():
     # solver tests' MIAS-sized calls: the same column-steps, the same digest
     script = load_script()
     positions = (27, 63)
-    hexdigest, steps = script.walk_digest(noises=(1.0,), positions=positions)
+    hexdigest, steps, seconds = script.walk_digest(noises=(1.0,), positions=positions)
     digest, total = hashlib.sha256(), 0
     for p in positions:
         D, Y, eps, allowed = test_solvers.TestBpdnMasked.code8_call(20, 64, 1.0, p)
@@ -33,5 +33,5 @@ def test_two_positions_match_bpdn_batch():
         for a in out:
             digest.update(np.ascontiguousarray(a).tobytes())
         total += int(out[3].sum())
-    assert steps == total and steps > 74 * 100
+    assert steps == total and steps > 74 * 100 and seconds > 0.0
     assert hexdigest == digest.hexdigest()
