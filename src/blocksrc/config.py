@@ -18,10 +18,10 @@ class ExperimentConfig:
     dl_mode: str = "none"
     decision: str = "bbll"
     dict_size: int = 0  # K; 0 means one atom per training sample
-    sparsity: int = 16  # T
-    alpha: float = 1.0
-    beta: float = 1.0
-    iterations: int = 30
+    sparsity: int = TrainParams.T
+    alpha: float = TrainParams.alpha
+    beta: float = TrainParams.beta
+    iterations: int = TrainParams.iterations
     eps_rel: float = 0.05  # eps = eps_rel * ||block||
     eps_abs: float = 0.0  # when > 0, overrides the relative rule
     tau: float = 0.0

@@ -265,24 +265,6 @@ def _ridge_fit(targets: np.ndarray, X: np.ndarray, lam: float = _RIDGE_LAMBDA) -
     return np.linalg.solve(gram, X @ targets.T).mT
 
 
-def _atoms_per_class(sample_labels: np.ndarray, k: int) -> dict[int, int]:
-    """Proportional allocation with at least one atom per class, summing to k."""
-    s = sample_labels.shape[0]
-    counts = {cid: int(np.sum(sample_labels == cid)) for cid in CLASS_IDS}
-    raw = {cid: k * n / s for cid, n in counts.items()}
-    alloc = {cid: int(np.floor(v)) for cid, v in raw.items()}
-    rem = k - sum(alloc.values())
-    by_frac = sorted(CLASS_IDS, key=lambda c: (-(raw[c] - alloc[c]), c))
-    for cid in by_frac[:rem]:
-        alloc[cid] += 1
-    for cid in CLASS_IDS:  # enforce >= 1 atom per class
-        while alloc[cid] == 0:
-            donor = max(CLASS_IDS, key=lambda c: alloc[c])
-            alloc[donor] -= 1
-            alloc[cid] += 1
-    return alloc
-
-
 def _check_labels(sample_labels: np.ndarray, s: int) -> None:
     if sample_labels.shape[0] != s:
         raise ValueError("one label per training column required")
@@ -294,19 +276,26 @@ def _check_labels(sample_labels: np.ndarray, s: int) -> None:
 def _draw_atoms(sample_labels: np.ndarray, s: int, params: TrainParams):
     """Seeded per-class draw of the initial atoms' training columns, in
     proportion to class size and without replacement where a class has
-    enough samples, so at K = s it is a permutation of the columns. Returns
+    enough samples, so at K = s it is a permutation of the columns. Each
+    class takes the floor of its share ``K·count/s`` of the K atoms, the
+    one atom the floors leave goes to the larger remainder (the benign
+    class on a tie), and each class keeps at least one atom. Returns
     ``(chosen columns, atom labels)``."""
     _check_labels(sample_labels, s)
-    alloc = _atoms_per_class(sample_labels, params.resolved_k(s))
+    k = params.resolved_k(s)
+    raw = k * np.bincount(sample_labels, minlength=len(CLASS_IDS)) / s
+    take = np.floor(raw).astype(int)
+    if take.sum() < k:
+        take[np.argmax(raw - take)] += 1
+    take = np.clip(take, 1, k - 1)
     rng = np.random.default_rng(params.seed)
     chosen: list[int] = []
     atom_labels: list[int] = []
     for cid in CLASS_IDS:
         pool = np.flatnonzero(sample_labels == cid)
-        take = alloc[cid]
-        picks = rng.choice(pool, size=take, replace=take > pool.size)
+        picks = rng.choice(pool, size=take[cid], replace=take[cid] > pool.size)
         chosen.extend(int(p) for p in picks)
-        atom_labels.extend([cid] * take)
+        atom_labels.extend([cid] * take[cid])
     return np.asarray(chosen), np.asarray(atom_labels)
 
 

@@ -87,8 +87,9 @@ def block_decisions(
     signals are checked and their norms taken once; one batched ``D^T D``
     and one ``D^T Y`` serve the codes (:func:`bpdn_stack`) and the class
     residuals, which come from them (:func:`class_residuals`). A block whose
-    signal is all-zero, or whose atoms are all degenerate, is degenerate: it
-    keeps the zero code and is benign (the prior), with zero score. When the
+    signal is all-zero, or whose atoms are all degenerate, is degenerate: its
+    bound is infinite, so the origin meets it and the block keeps the zero
+    code, is feasible, and is benign (the prior), with zero score. When the
     error bound is unreachable the block takes the least-squares code on
     the usable atoms and is marked infeasible.
     """
@@ -106,11 +107,11 @@ def block_decisions(
     # residual sqrt(ysq) is the norm itself
     ysq = np.add.reduce(Y * Y, axis=1)
     ynorm = np.sqrt(ysq)
-    eps = np.full((P, m), eps_abs) if eps_abs > 0 else eps_rel * ynorm
     degenerate = (ynorm < DEGENERATE_NORM) | ~(usable @ allowed)
+    eps = np.where(degenerate, np.inf, eps_abs if eps_abs > 0 else eps_rel * ynorm)
     At = A.transpose(0, 2, 1)
     G, B = At @ A, At @ Y
-    codes, _, feasible, _ = bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed, ~degenerate)
+    codes, _, feasible, _ = bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed)
     # a sample coded at no position keeps its zero codes, and its atoms need
     # not hold both classes
     residuals, l1 = class_residuals(G, B, codes, ysq, D.atom_labels, allowed | degenerate.all(axis=0))
@@ -118,7 +119,7 @@ def block_decisions(
     # zero code ties
     hard = np.where(residuals[BENIGN] <= residuals[MALIGNANT], BENIGN, MALIGNANT)
     lls = np.where(degenerate, 0.0, lls_score(l1, invert=invert_lls))
-    return BlockResults(hard, lls, residuals, codes, feasible | degenerate, degenerate)
+    return BlockResults(hard, lls, residuals, codes, feasible, degenerate)
 
 
 def _check_blocks(per_block: np.ndarray) -> np.ndarray:
@@ -216,9 +217,10 @@ def roc_auc(scores, truth) -> tuple[np.ndarray, float]:
 
 
 def write_roc_csv(path, points: np.ndarray) -> None:
-    """Write ROC points as ``threshold,fpr,tpr`` rows."""
+    """Write ROC points as ``threshold,fpr,tpr`` rows of Python float
+    reprs (``inf,0.0,0.0``), each of which reads back to its point."""
     lines = ["threshold,fpr,tpr"]
-    for thr, fpr, tpr in points:
+    for thr, fpr, tpr in np.asarray(points, dtype=float).tolist():
         lines.append(f"{thr!r},{fpr!r},{tpr!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -262,14 +262,19 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
     space, each down to ``||Ax - y|| = eps``.
 
     Only the Gram ``G = A^T A`` of the usable unit atoms, given padded as
-    ``Gp`` (n + 1 x n + 1, a zero last row and column), ``B = A^T Y`` (n x
-    m), the squared signal norms ``ysq`` and the bounds ``eps`` are read.
-    The atom mask ``allowed`` (n x m) gives the atoms each column may use:
-    its first atom and every entrant are allowed ones, so a column walks the
-    path of its own atoms alone, and columns of several dictionaries that
-    share one atom set walk together from one ``G``. Each path
-    starts from ``x = 0`` at ``lam = ||A^T y||_inf`` and lowers ``lam``
-    piecewise linearly (Osborne, Presnell & Turlach 2000); per step, with
+    ``Gp`` (n + 1 x n + 1, a zero last row and column), ``B = A^T Y``,
+    given padded likewise as (n + 1 x m) with a zero last row, the squared
+    signal norms ``ysq`` and the bounds ``eps`` are read. The atom mask
+    ``allowed`` (n x m) gives the atoms each column may use: every entrant
+    is an allowed one, so a column walks the path of its own atoms alone,
+    and columns of several dictionaries that share one atom set walk
+    together from one ``G``. Each path starts from ``x = 0`` and an empty
+    support at ``lam``, the largest ``|b_j|`` over its allowed atoms, and
+    lowers ``lam`` piecewise linearly (Osborne, Presnell & Turlach 2000).
+    Its first step has length 0: the atom of that largest ``|b_j|`` enters
+    (Efron, Hastie, Johnstone & Tibshirani 2004) through the same span test
+    and rank-1 term as every later entrant, and ``steps`` do not count it.
+    Per step, with
     ``c = B - G x`` and ``v`` the active set's ``G_AA^{-1} sign``, the
     coefficients move along ``v``, the correlations along ``a = G v`` (so
     ``c`` is carried as ``c - gamma a``, as LARS carries it, not formed
@@ -318,37 +323,31 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
     exactly in one :func:`_refit` call, ``x = G_AA^{-1} (b_A - lam s_A)``
     with ``lam > 0`` where the residual norm equals ``eps``, which clears
     the drift of the updates.
-    Returns ``(X, feasible, steps)``; ``feasible`` is False only where
-    ``lam`` reached 0 first.
+    Returns ``(X, feasible, steps)``, ``X`` (n x m); ``feasible`` is False
+    only where ``lam`` reached 0 first.
     """
-    n, m = B.shape
+    n, m = allowed.shape
     null = n  # a free slot holds this padded zero atom
     big = np.finfo(float).max  # a masked ratio, above every event's
     X_out = np.zeros((n + 1, m))
     feasible = np.zeros(m, dtype=bool)
     steps = np.zeros(m, dtype=int)
-    Bp = np.zeros((n + 1, m))
-    Bp[:n] = B
     eps2 = np.asarray(eps, dtype=float) ** 2
 
-    # the live columns' state, compacted as columns retire
+    # the live columns' state, compacted as columns retire; every path
+    # starts from the empty support
     cols = np.arange(m)
-    first = np.argmax(np.where(allowed, np.abs(B), -1.0), axis=0)
-    lam = np.abs(B[first, cols])
+    lam = np.where(allowed, np.abs(B[:n]), 0.0).max(axis=0)
     excess = ysq - eps2  # ||r||^2 - eps^2, carried along each step
     slot = np.full((m, slots), null)
-    slot[:, 0] = first
     sign = np.zeros((m, slots))  # the active signs on the slots, zero on free ones
-    sign[:, 0] = np.sign(B[first, cols])
     coef = np.zeros((m, slots))  # the code on the slots
     cand = allowed.copy()  # allowed atoms that are not active: the entrants
-    cand[first, cols] = False
     # slots at and above hi are free in every column; a step works on the
     # leading T = min(hi + 1, slots) of them (room for an entrant), through
     # the view H = Hf[:c, :T, :T]
-    hi = 1
+    hi = 0
     Hf = np.zeros((m, slots, slots))
-    Hf[:, 0, 0] = 1.0 / Gp[first, first]
     # the rank-1 terms not yet applied to H: the walk reads H + U^T diag(a)
     # U, with terms 0 .. p - 1 of U (c, r, slots) and a (c, r) pending; U's
     # entries on free slots stay zero
@@ -358,13 +357,12 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
     # the direction (H + U^T diag(a) U) sign on the slots, carried through
     # each event and formed again after each flush
     v = np.zeros((m, slots))
-    v[:, 0] = Hf[:, 0, 0] * sign[:, 0]
-    C = Bp.copy()  # the correlations B - G x, carried along each step
+    C = B.copy()  # the correlations B - G x, carried along each step
     # per retirement, the feasible columns and their final slots and signs,
     # refit after the walk
     fits = []
     stalls = np.zeros(m, dtype=int)
-    step = 0
+    step = -1  # the first entry, at gamma = 0, is not counted as a step
     with np.errstate(divide="ignore", invalid="ignore"):
         while cols.size:
             step += 1
@@ -486,7 +484,7 @@ def _l1_paths(Gp: np.ndarray, B: np.ndarray, ysq: np.ndarray, eps: np.ndarray, s
     Hf = H = U = Up = None
     if fits:
         c, sl, sg = (np.concatenate(z) for z in zip(*fits))
-        X_out[sl, c[:, None]] = _refit(Gp, sl, sg, Bp[sl, c[:, None]], ysq[c], eps2[c])
+        X_out[sl, c[:, None]] = _refit(Gp, sl, sg, B[sl, c[:, None]], ysq[c], eps2[c])
     return X_out[:n], feasible, steps
 
 
@@ -576,16 +574,17 @@ def _set_plan(own: np.ndarray, d: int):
     return atoms, sizes, columns, wide, solvable, S, C
 
 
-def _least_squares(Au: np.ndarray, Gp: np.ndarray, B: np.ndarray, Y: np.ndarray, cols, ysq, plan):
+def _least_squares(Au: np.ndarray, Gp: np.ndarray, Bp: np.ndarray, Y: np.ndarray, cols, ysq, plan):
     """Least-squares codes and floors of the signals ``Y[:, cols]`` (at
     least one), each on its own atoms: ``plan`` is the :func:`_set_plan` of
     the columns of ``Au`` (d x n, unit atoms) that each may use, ``Gp``
-    their Gram ``Au^T Au`` padded by a zero last row and column, ``B = Au^T
-    Y[:, cols]`` and ``ysq`` the squared signal norms.
+    their Gram ``Au^T Au`` padded by a zero last row and column, ``Bp =
+    Au^T Y[:, cols]`` padded likewise (n + 1 x m + 1) and ``ysq`` the
+    squared signal norms.
 
-    The atom sets are solved from the Gram in one
-    batch. ``Gp`` and ``B``, padded likewise, are read
-    through the sets' padded atom and column indices in one gather each:
+    The atom sets are solved from the Gram in one batch. ``Gp`` and ``Bp``
+    are read through the sets' padded atom and column indices in one gather
+    each:
     set q's ``G[S_q, S_q]`` and ``B[S_q, cols_q]`` fill a stack whose free
     slots hold the identity's row and column in the Gram
     (:func:`_slot_grams`) and a zero right-hand side. One
@@ -601,7 +600,7 @@ def _least_squares(Au: np.ndarray, Gp: np.ndarray, B: np.ndarray, Y: np.ndarray,
     floors)``, codes zero off each column's atoms.
     """
     d, n = Au.shape
-    m = B.shape[1]
+    m = Bp.shape[1] - 1
     atoms, sizes, columns, wide, solvable, S, C = plan
     # the padded codes and floors: row n and column m take the padding
     X = np.zeros((n + 1, m + 1))
@@ -617,8 +616,6 @@ def _least_squares(Au: np.ndarray, Gp: np.ndarray, B: np.ndarray, Y: np.ndarray,
         floor[columns[wide[spans]]] = 0.0
         fallback += list(wide[~spans])
     if S is not None:
-        Bp = np.zeros((n + 1, m + 1))
-        Bp[:n, :m] = B
         gram = _slot_grams(Gp, S)
         rhs = Bp[S[:, :, None], C[:, None, :]]
         ok = _well_posed(gram)
@@ -648,7 +645,8 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     atoms alone, and its code is zero elsewhere, so columns of several
     dictionaries that are column subsets of ``D`` share one call, one ``D^T
     D`` and one ``D^T Y``. Columns
-    with ``||y|| <= eps`` get the zero code; columns whose least-squares
+    with ``||y|| <= eps`` (every column at ``eps = inf``) get the zero code
+    and are feasible with 0 iterations; columns whose least-squares
     floor on their usable atoms exceeds ``eps`` get the least-squares code
     and are reported infeasible. The floors and codes of every distinct
     mask column come from ``D^T D`` and ``D^T Y`` in one batched solve; a
@@ -697,12 +695,11 @@ def bpdn_batch(D: Dictionary, Y: np.ndarray, eps, allowed=None):
     ynorm = np.linalg.norm(Y, axis=0)
     A, Y = np.ascontiguousarray(D.atoms)[None], np.ascontiguousarray(Y)[None]
     At = A.transpose(0, 2, 1)
-    live = np.ones((1, s), dtype=bool)
-    out = bpdn_stack(A, D.usable[None], At @ A, At @ Y, Y, ynorm[None], eps_vec[None], allowed, live)
+    out = bpdn_stack(A, D.usable[None], At @ A, At @ Y, Y, ynorm[None], eps_vec[None], allowed)
     return tuple(a[0] for a in out)
 
 
-def bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed, live):
+def bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed):
     """The codes of :func:`bpdn_batch` for P block positions in one call:
     the columns of ``Y[p]`` (d, m) on the atoms ``A[p]`` (d, n), whose
     usable (non-degenerate) ones ``usable[p]`` flags, with the signal norms
@@ -710,16 +707,20 @@ def bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed, live):
 
     The atom space comes from the caller, each in one batched product: ``G =
     A^T A`` (P, n, n) and ``B = A^T Y`` (P, n, m). The atom mask ``allowed``
-    (n, m) masks every position's atoms alike; ``live`` (P, m) picks the
-    columns to code, and the others keep the zero code, their norm as
-    residual norm, and 0 iterations. A position is solved from its slices
-    of ``G`` and ``B`` (their usable rows and columns where some atom is
-    degenerate) as :func:`bpdn_batch` describes, one position at a time, so
-    the least-squares stack and the walk hold one position's columns. The
-    atom mask of a position's working columns and its index work (see
-    :func:`_set_plan`) are made once for every position with the same
-    usable atoms and working columns. Returns ``(codes (P, n,
-    m), residual_norms, feasible, iteration_counts)``, the last three (P, m).
+    (n, m) masks every position's atoms alike. Exactly the columns whose
+    bound the origin misses, ``ynorm > eps``, are coded; the others keep
+    the zero code, their norm as residual norm, and 0 iterations, and are
+    feasible, so a caller leaves a column uncoded by giving it ``eps =
+    inf``. A position is solved from its slices of ``G`` and ``B`` (their
+    usable rows and columns, and its working columns) as :func:`bpdn_batch`
+    describes, one position at a time, so the least-squares stack and the
+    walk hold one position's columns. Both read the slices padded once per
+    position, each by a zero atom row (and the Gram by a zero column, the
+    correlations by a zero signal column), which free slots and padded
+    sets read. The atom mask of a position's working columns and its index
+    work (see :func:`_set_plan`) are made once for every position with the
+    same usable atoms and working columns. Returns ``(codes (P, n, m),
+    residual_norms, feasible, iteration_counts)``, the last three (P, m).
     """
     P, n, m = B.shape
     d = A.shape[1]
@@ -727,15 +728,11 @@ def bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed, live):
     rnorm = ynorm.copy()
     feasible = ynorm <= eps  # the origin is feasible with minimal l1 norm
     iters = np.zeros((P, m), dtype=int)
-    # The least-squares floor of every atom set finds the columns that can
-    # never meet their bound; they take the least-squares code, where the
-    # path would end, without walking it.
-    work = live & ~feasible
     # the atom mask, and so the plan, is a function of the usable atoms and
     # the working columns alone
     plans = {}  # (usable atoms, working columns) -> their atom mask and plan
     for p in range(P):
-        cols = np.flatnonzero(work[p])
+        cols = np.flatnonzero(~feasible[p])
         if not cols.size:
             continue
         idx = np.flatnonzero(usable[p])
@@ -744,24 +741,25 @@ def bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed, live):
             own = allowed[np.ix_(idx, cols)]
             plans[key] = own, _set_plan(own, d)
         own, plan = plans[key]
-        Au, Gu, Bp = A[p], G[p], B[p]
-        if idx.size < n:
-            Au, Gu, Bp = Au[:, idx], Gu[np.ix_(idx, idx)], Bp[idx]
-        # the Gram padded by a zero atom, which free slots and padded sets read
+        Au = A[p][:, idx] if idx.size < n else A[p]
         Gp = np.zeros((idx.size + 1, idx.size + 1))
-        Gp[:-1, :-1] = Gu
-        if cols.size < m:
-            Bp = Bp[:, cols]
+        Gp[:-1, :-1] = G[p][np.ix_(idx, idx)]
+        Bp = np.zeros((idx.size + 1, cols.size + 1))
+        Bp[:-1, :-1] = B[p][np.ix_(idx, cols)]
         ysq = ynorm[p, cols] ** 2
+        # The least-squares floor of every atom set finds the columns that
+        # can never meet their bound; they take the least-squares code, where
+        # the path would end, without walking it.
         xls, floor = _least_squares(Au, Gp, Bp, Y[p], cols, ysq, plan)
         lost = floor > eps[p, cols]
         X[p][np.ix_(idx, cols[lost])] = xls[:, lost]
         rnorm[p, cols[lost]] = floor[lost]
-        todo = cols[~lost]
-        if todo.size:
-            walk = own[:, ~lost]
+        walked = np.flatnonzero(~lost)
+        if walked.size:
+            todo = cols[walked]
+            walk = own[:, walked]
             slots = min(d, int(walk.sum(axis=0).max()))
-            xt, feasible[p, todo], iters[p, todo] = _l1_paths(Gp, Bp[:, ~lost], ysq[~lost], eps[p, todo], slots, walk)
+            xt, feasible[p, todo], iters[p, todo] = _l1_paths(Gp, Bp[:, walked], ysq[walked], eps[p, todo], slots, walk)
             X[p][np.ix_(idx, todo)] = xt
             rnorm[p, todo] = np.linalg.norm(Y[p][:, todo] - Au @ xt, axis=0)
     return X, rnorm, feasible, iters

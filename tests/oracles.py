@@ -266,6 +266,28 @@ def orthonormal_bpdn_oracle(A: np.ndarray, y: np.ndarray, eps: float, steps: int
     return soft_threshold(c, lo)
 
 
+def atoms_per_class_largest_remainder(sample_labels: np.ndarray, k: int) -> dict[int, int]:
+    """The split of ``k`` atoms between the classes 0 and 1 in proportion to
+    their sample counts, by largest remainder (ties to the lower class id),
+    then at least one atom per class, each taken from the class with the
+    most."""
+    classes = (0, 1)
+    s = sample_labels.shape[0]
+    counts = {cid: int(np.sum(sample_labels == cid)) for cid in classes}
+    raw = {cid: k * n / s for cid, n in counts.items()}
+    alloc = {cid: int(np.floor(v)) for cid, v in raw.items()}
+    rem = k - sum(alloc.values())
+    by_frac = sorted(classes, key=lambda c: (-(raw[c] - alloc[c]), c))
+    for cid in by_frac[:rem]:
+        alloc[cid] += 1
+    for cid in classes:
+        while alloc[cid] == 0:
+            donor = max(classes, key=lambda c: alloc[c])
+            alloc[donor] -= 1
+            alloc[cid] += 1
+    return alloc
+
+
 def pair_counting_auc(scores, truth, positive: int = 1) -> float:
     """Mann-Whitney AUC: (#concordant + 0.5 #tied) / (P * N)."""
     scores = np.asarray(scores, dtype=float)

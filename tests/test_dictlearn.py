@@ -10,7 +10,7 @@ from blocksrc.harness import train_block_models
 from blocksrc.solvers import normalize_columns
 from blocksrc.synth import SynthSpec, synth_dataset
 
-from .oracles import class_residuals_pixels, ksvd_iteration
+from .oracles import atoms_per_class_largest_remainder, class_residuals_pixels, ksvd_iteration
 from .test_ensemble import position
 from .test_solvers import omp
 
@@ -91,6 +91,24 @@ class TestTrainParams:
         for value in (math.nan, -math.inf):
             with pytest.raises(ValueError, match=f"train param min_rel_improvement must be finite, got {value}"):
                 TrainParams(min_rel_improvement=value)
+
+
+class TestAtomSplit:
+    def test_two_class_rule_matches_largest_remainder(self):
+        # every split of s <= 30 samples with both classes present, at every
+        # K from 2 to s + 11: the floors, the one atom left to the larger
+        # remainder (benign on a tie) and the clip to [1, K - 1] give the
+        # generic largest-remainder split with its donor loop
+        cases = 0
+        for s in range(2, 31):
+            for n0 in range(1, s):
+                labels = two_class_labels(n0, s - n0)
+                for k in range(2, s + 12):
+                    _, atom_labels = _draw_atoms(labels, s, TrainParams(K=k))
+                    want = atoms_per_class_largest_remainder(labels, k)
+                    assert np.bincount(atom_labels, minlength=2).tolist() == [want[BENIGN], want[MALIGNANT]]
+                    cases += 1
+        assert cases == 13340
 
 
 class TestLabelMatrices:

@@ -302,3 +302,14 @@ class TestRocExport:
         assert len(lines) == len(points) + 1
         svg = svg_path.read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_csv_rows_parse_to_the_points_exactly(self, tmp_path):
+        # plain floats, not numpy scalar reprs such as np.float64(0.25), and
+        # each written so that it reads back to the same bits
+        rng = np.random.default_rng(4)
+        points, _ = roc_auc(rng.random(30), rng.permutation([0] * 15 + [1] * 15))
+        csv_path = tmp_path / "roc.csv"
+        write_roc_csv(csv_path, points)
+        rows = [[float(v) for v in line.split(",")] for line in csv_path.read_text().splitlines()[1:]]
+        assert rows[0] == [np.inf, 0.0, 0.0]
+        assert np.array_equal(np.array(rows), points)

@@ -232,6 +232,10 @@ class TestConfig:
         assert cfg.seed == 9
         assert cfg.synthetic is True
 
+    def test_training_defaults_are_the_train_params(self):
+        # the training keys take their defaults from TrainParams, declared once
+        assert ExperimentConfig().train_params() == TrainParams()
+
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text("bogus = 1")

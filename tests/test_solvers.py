@@ -303,6 +303,21 @@ class TestBpdn:
             assert np.all(X[:, 0] == 0.0)
             assert iters[0] == 0
 
+    def test_infinite_bound_leaves_the_column_uncoded(self):
+        # an infinite bound is met at the origin: the column keeps the zero
+        # code and its norm, takes no step and is feasible, while the others
+        # of the call are coded as ever
+        rng = np.random.default_rng(3)
+        D = unit_dict(rng.standard_normal((6, 10)), [0] * 5 + [1] * 5)
+        Y = rng.standard_normal((6, 3))
+        eps = 0.3 * np.linalg.norm(Y, axis=0)
+        X, rn, feas, iters = bpdn_batch(D, Y, np.where([False, True, False], np.inf, eps))
+        assert np.all(X[:, 1] == 0.0) and rn[1] == np.linalg.norm(Y[:, 1])
+        assert iters[1] == 0 and feas[1]
+        Xf, rnf, feasf, itersf = bpdn_batch(D, Y[:, [0, 2]], eps[[0, 2]])
+        assert np.array_equal(X[:, [0, 2]], Xf) and np.array_equal(rn[[0, 2]], rnf)
+        assert np.array_equal(feas[[0, 2]], feasf) and np.array_equal(iters[[0, 2]], itersf)
+
     def test_identity_analytic_solution(self):
         D = unit_dict(np.eye(2), [0, 1])
         y = np.array([3.0, 0.1])
