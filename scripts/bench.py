@@ -72,9 +72,9 @@ from blocksrc import (  # noqa: E402
     stratified_folds,
     synth_dataset,
 )
+from blocksrc.config import DECISIONS  # noqa: E402
 from blocksrc.harness import GRID_FOLDS, build_report, cross_validate  # noqa: E402
 
-RULES = ("bbll", "bbmap")
 SEED = 20  # of the synthetic set and of the folds
 
 
@@ -179,12 +179,12 @@ def run_cell(cell: dict, args) -> dict:
     block = cell["block"]
 
     def reports():
-        folds = cross_validate(cfg, block_vectors(samples, block), [s.label for s in samples])
-        return [build_report(replace(cfg, decision=rule), block, samples, folds) for rule in RULES]
+        cv_pass = cross_validate(cfg, block_vectors(samples, block), [s.label for s in samples])
+        return [build_report(replace(cfg, decision=rule), block, samples, cv_pass) for rule in DECISIONS]
 
     reps, wall, cpu = timed(reports)
     out = {"wall_s": wall, "cpu_s": cpu}
-    for rule, rep in zip(RULES, reps):
+    for rule, rep in zip(DECISIONS, reps):
         out[rule] = {"auc": rep.metrics["auc"], "acc": rep.metrics["acc"], "failed_folds": list(rep.incomplete_folds)}
     if cell["dl_mode"] != "none":
         out["ksvd_iterations_fold0"], out["train_s_fold0"] = ksvd_iterations(cfg, samples)

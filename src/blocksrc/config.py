@@ -50,9 +50,11 @@ class ExperimentConfig:
             raise ValueError("k_folds must be >= 2")
         if not self.block_sizes:
             raise ValueError("at least one block size required")
-        for b in self.block_sizes:
+        for i, b in enumerate(self.block_sizes):
             if b < 1 or self.roi_size % b != 0:
                 raise ValueError(f"block size {b} does not divide roi_size {self.roi_size}")
+            if b in self.block_sizes[:i]:
+                raise ValueError(f"config key block_sizes lists block size {b} twice")
         if self.dl_mode not in MODES:
             raise ValueError(f"dl_mode must be one of {MODES}, got {self.dl_mode!r}")
         if self.decision not in DECISIONS:

@@ -2,9 +2,10 @@
 
 The ROIs are cut into block vectors once per block size. A cross-validation
 pass codes each fold's held-out blocks on its training split's dictionaries
-(the raw ones of every fold at once, or learned fold by fold below K = s)
-and fuses the block results under both decision rules. A report then takes
-one rule's predictions, pools them over folds, and is persisted (JSON, a CSV summary row, and an SVG ROC plot).
+(the raw ones of every fold at once, or learned fold by fold below K = s),
+fuses the block results under both decision rules and returns the groups it
+coded. A report splits one rule's predictions of them by fold, pools them,
+and is persisted (JSON, a CSV summary row, and an SVG ROC plot).
 Everything is deterministic given (config, seed).
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .blocks import RoiSample, block_side, block_vectors, check_training_labels
-from .config import ExperimentConfig
+from .config import DECISIONS, ExperimentConfig
 from .dictlearn import DiscriminativeDictionary, lcksvd_train_stack
 from .ensemble import (
     EnsembleDecision,
@@ -267,7 +268,7 @@ def _pools(cfg: ExperimentConfig, folds: np.ndarray) -> bool:
     return cfg.dl_mode == "none" or all(params.closed_form(n) for n in folds.size - np.bincount(folds))
 
 
-def cross_validate(cfg: ExperimentConfig, blocks: np.ndarray, labels) -> list[tuple]:
+def cross_validate(cfg: ExperimentConfig, blocks: np.ndarray, labels) -> tuple[np.ndarray, list, dict]:
     """One stratified cross-validation pass over the samples'
     :func:`block_vectors` ``blocks`` and their ``labels``.
 
@@ -279,86 +280,74 @@ def cross_validate(cfg: ExperimentConfig, blocks: np.ndarray, labels) -> list[tu
     once, and every held-out sample is coded in one :func:`classify_samples`
     call on its own fold's training atoms alone, so one ``D^T D`` and one
     ``D^T Y`` per position serve every fold. Otherwise each fold is a group
-    of its own, coded unmasked. Returns ``(fold, test_indices, outcome)``
-    per fold, where outcome is the fold's :class:`EnsembleDecision`, or a
-    structured diagnostic dict when its group failed with a ``ValueError``
-    or ``LinAlgError``; any other exception raises. ``cfg.decision`` plays
-    no part.
+    of its own, coded unmasked. Returns ``(folds, coded, errors)``: the fold
+    of each sample; ``(rows, decision)`` per group that completed, in fold
+    order, with its held-out samples ``rows`` in fold order and their
+    :class:`EnsembleDecision`; and each failed fold's structured diagnostic
+    dict, by fold. A group failing with a ``ValueError`` or ``LinAlgError``
+    books its diagnostic to each of its folds; any other exception raises.
+    ``cfg.decision`` plays no part.
     """
     labels = as_label_array(labels)
     folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
-    outcomes: dict[int, object] = {}
+    coded, errors = [], {}
     for f in range(cfg.k_folds):
         try:
             check_training_labels(labels[folds != f])
         except ValueError as err:
-            outcomes[f] = _diagnostic("train", err)
-    trainable = [f for f in range(cfg.k_folds) if f not in outcomes]
+            errors[f] = _diagnostic("train", err)
+    trainable = [f for f in range(cfg.k_folds) if f not in errors]
     pools = _pools(cfg, folds)
     # a pooled group's model is its members' raw dictionaries, as each fold's
     # is; training it as dl_mode "none" keeps a fixed K off the group's size
     group_cfg = replace(cfg, dl_mode="none") if pools else cfg
     for group in [trainable] if pools and trainable else [[f] for f in trainable]:
-        test_idx = np.concatenate([np.flatnonzero(folds == f) for f in group])
+        rows = np.concatenate([np.flatnonzero(folds == f) for f in group])
         members = np.flatnonzero(np.any([folds != f for f in group], axis=0))
         # each sample may use the atoms of its own fold's training samples
-        allowed = folds[members][:, None] != folds[test_idx][None, :] if pools else None
+        allowed = folds[members][:, None] != folds[rows][None, :] if pools else None
         stage = "train"
         try:  # a domain error aborts the group
             model = train_block_models(blocks[members].transpose(1, 2, 0), labels[members], group_cfg)
             stage = "classify"
-            dec = classify_samples(model.D, blocks, test_idx, cfg, allowed)
+            coded.append((rows, classify_samples(model.D, blocks, rows, cfg, allowed)))
         except (ValueError, np.linalg.LinAlgError) as err:
-            outcomes.update(dict.fromkeys(group, _diagnostic(stage, err)))
-        else:
-            outcomes.update((f, _decision_rows(dec, folds[test_idx] == f)) for f in group)
-    return [(f, np.flatnonzero(folds == f), outcomes[f]) for f in range(cfg.k_folds)]
+            errors.update(dict.fromkeys(group, _diagnostic(stage, err)))
+    return folds, coded, errors
 
 
 def _diagnostic(stage: str, err: Exception) -> dict:
     return {"stage": stage, "type": type(err).__name__, "message": str(err)}
 
 
-def _decision_rows(dec: EnsembleDecision, rows: np.ndarray) -> EnsembleDecision:
-    """The decisions of the samples ``rows`` of ``dec``."""
-    return replace(dec, **{f.name: getattr(dec, f.name)[rows] for f in fields(dec) if f.name != "tau"})
-
-
-def build_report(
-    cfg: ExperimentConfig, block_size: int, samples: list[RoiSample], folds: list[tuple]
-) -> EvalReport:
-    """Report a cross-validation pass under the rule ``cfg.decision``.
-
-    Predictions are pooled across folds before the ROC sweep; a failed fold
-    is recorded with its diagnostic and excluded from pooling. When every
-    fold failed, the report has zero confusion counts, None metrics and an
-    empty ROC.
+def build_report(cfg: ExperimentConfig, block_size: int, samples: list[RoiSample], cv_pass: tuple) -> EvalReport:
+    """Report a cross-validation pass ``(folds, coded, errors)`` (see
+    :func:`cross_validate`) under the rule ``cfg.decision``: the one place a
+    pass is split by fold. Each coded group's rule outputs are taken once and
+    the groups joined; their rows' folds cut them into one entry per fold,
+    between the failed folds' diagnostics. Predictions are pooled across the
+    coded folds before the ROC sweep. When every fold failed, the report has
+    zero confusion counts, None metrics and an empty ROC.
     """
+    folds, coded, errors = cv_pass
     labels = as_label_array([s.label for s in samples])
-    fold_entries, incomplete, booked = [], [], []
-    for f, test_idx, outcome in folds:
-        if isinstance(outcome, dict):
-            incomplete.append(f)
-            fold_entries.append({"fold": f, "error": outcome})
-        else:
-            fold_entries.append({"fold": f})
-            booked.append((fold_entries[-1], test_idx, *decision_outputs(outcome, cfg)))
-
+    entries = [{"fold": f, "error": errors[f]} if f in errors else {"fold": f} for f in range(folds.max() + 1)]
     pooled = None
-    if booked:
-        # every fold's arrays end to end, counted and converted once
-        sizes = [len(b[1]) for b in booked]
-        idx, pred, score = (np.concatenate([b[i] for b in booked]).astype(kind)
-                            for i, kind in ((1, int), (2, int), (3, float)))
-        truth = labels[idx]
-        counts = _counts(np.repeat(np.arange(len(booked)), sizes), truth, pred, len(booked))
+    if coded:
+        # every group's arrays end to end, counted and converted once
+        outputs = [(rows, *decision_outputs(dec, cfg)) for rows, dec in coded]
+        idx, pred, score = (np.concatenate(arrays).astype(kind)
+                            for arrays, kind in zip(zip(*outputs), (int, int, float)))
+        truth, fold = labels[idx], folds[idx]
+        counts = _counts(fold, truth, pred, len(entries))
         lists = [x.tolist() for x in (idx, truth, pred, score)]
         end = 0
-        for (entry, *_), size, fold_counts in zip(booked, sizes, counts):
-            cut = [x[end : end + size] for x in lists]
+        for entry, size, fold_counts in zip(entries, np.bincount(fold, minlength=len(entries)).tolist(), counts):
+            if "error" not in entry:
+                entry.update(zip(("test_indices", "truth", "predictions", "scores"),
+                                 (x[end : end + size] for x in lists)))
+                entry["metrics"] = _rates(*fold_counts) if size else None
             end += size
-            entry.update(zip(("test_indices", "truth", "predictions", "scores"), cut))
-            entry["metrics"] = _rates(*fold_counts) if size else None
         if idx.size:
             pooled = compute_metrics(pred, truth, score)
     if pooled is None:  # every fold failed: nothing is counted and no rate is defined
@@ -370,8 +359,8 @@ def build_report(
         block_size=block_size,
         seed=cfg.seed,
         n_samples=len(samples),
-        folds=fold_entries,
-        incomplete_folds=incomplete,
+        folds=entries,
+        incomplete_folds=sorted(errors),
         confusion={k: pooled[k] for k in ("tp", "tn", "fp", "fn")},
         metrics={k: pooled[k] for k in ("tpr", "tnr", "acc", "auc")},
         roc=roc,
@@ -417,7 +406,6 @@ def persist_report(report: EvalReport, out_dir: str) -> None:
         write_roc_svg(os.path.join(out_dir, stem + "_roc.svg"), points, title=stem)
 
 
-GRID_DECISIONS = ("bbmap", "bbll")
 GRID_FOLDS = (10, 20, 30)
 GRID_BLOCKS = (64, 32, 16, 8)
 GRID_MODES = ("none", "lcksvd1", "lcksvd2")
@@ -431,7 +419,7 @@ def run_grid(cfg: ExperimentConfig, persist: bool = True) -> list[EvalReport]:
     each (folds, mode, block size) pass runs once, under both decision
     rules. The passes of one (folds, block size) pair that code on the raw
     dictionaries (see :func:`cross_validate`) run once for all their modes:
-    at the default K = s, LC-KSVD's take the "none" pass's outcomes. Such a
+    at the default K = s, LC-KSVD's take the "none" pass's groups. Such a
     pooled pass's report is built once per rule, and every mode reports a
     twin of it (see :meth:`EvalReport.twin`): the twins share its fields and
     their JSON encoding, and differ only in the ``dl_mode`` of their config
@@ -454,9 +442,9 @@ def run_grid(cfg: ExperimentConfig, persist: bool = True) -> list[EvalReport]:
                 sub = replace(cfg, k_folds=k, dl_mode=mode)
                 pools = _pools(sub, folds[k])
                 if not (pools and pooled):
-                    outcomes = cross_validate(sub, vectors, labels)
-                    reps = {d: build_report(replace(sub, decision=d), block, samples, outcomes)
-                            for d in GRID_DECISIONS}
+                    cv_pass = cross_validate(sub, vectors, labels)
+                    reps = {d: build_report(replace(sub, decision=d), block, samples, cv_pass)
+                            for d in DECISIONS}
                 if pools:
                     # every mode of the pair reports a twin of its rule's report
                     pooled = pooled or reps
@@ -465,7 +453,7 @@ def run_grid(cfg: ExperimentConfig, persist: bool = True) -> list[EvalReport]:
                     if persist:
                         persist_report(rep, cfg.output_dir)
                     cells[decision, k, mode, block] = rep
-    reports = [cells[d, k, m, b] for d in GRID_DECISIONS for k in GRID_FOLDS for m in GRID_MODES for b in blocks]
+    reports = [cells[d, k, m, b] for d in DECISIONS for k in GRID_FOLDS for m in GRID_MODES for b in blocks]
     if persist:
         os.makedirs(cfg.output_dir, exist_ok=True)
         write_summary_csv(

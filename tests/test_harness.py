@@ -142,47 +142,63 @@ class TestComputeMetrics:
 
 @st.composite
 def pass_outcomes(draw):
-    """A cross-validation pass's outcomes over folds of 1-5 samples: per
-    sample a truth, a prediction and a score; some folds failed."""
+    """A cross-validation pass ``(folds, coded, errors)`` over folds of 1-5
+    samples: per sample a truth, a prediction and a score; some folds
+    failed, and the others were coded in one or several groups of
+    consecutive booked folds, with failed folds between them."""
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
     n = sum(sizes)
     truth = draw(st.lists(st.sampled_from((BENIGN, MALIGNANT)), min_size=n, max_size=n))
-    preds = draw(st.lists(st.sampled_from((BENIGN, MALIGNANT)), min_size=n, max_size=n))
-    scores = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    preds = np.asarray(draw(st.lists(st.sampled_from((BENIGN, MALIGNANT)), min_size=n, max_size=n)))
+    scores = np.asarray(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
     failed = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
     order = np.asarray(draw(st.permutations(range(n))), dtype=int)
-    folds, end = [], 0
-    for f, (size, fails) in enumerate(zip(sizes, failed)):
-        idx = np.sort(order[end : end + size])
-        end += size
-        if fails:
-            folds.append((f, idx, {"stage": "train", "type": "ValueError", "message": "injected"}))
-            continue
-        p, sc = np.asarray(preds)[idx], np.asarray(scores)[idx]
-        dec = EnsembleDecision(vote_score=sc, ells=sc, label_bbmap=p, label_bbll=p, tau=0.0)
-        folds.append((f, idx, dec))
+    folds = np.repeat(np.arange(len(sizes)), sizes)[np.argsort(order)]
+    errors = {f: {"stage": "train", "type": "ValueError", "message": "injected"}
+              for f, fails in enumerate(failed) if fails}
+    booked = [f for f in range(len(sizes)) if f not in errors]
+    # a new group starts at each booked fold drawn to start one
+    starts = draw(st.lists(st.booleans(), min_size=len(booked), max_size=len(booked)))
+    groups = []
+    for f, start in zip(booked, starts):
+        if start or not groups:
+            groups.append([])
+        groups[-1].append(f)
+    coded = []
+    for group in groups:
+        rows = np.concatenate([np.flatnonzero(folds == f) for f in group])
+        p, sc = preds[rows], scores[rows]
+        coded.append((rows, EnsembleDecision(vote_score=sc, ells=sc, label_bbmap=p, label_bbll=p, tau=0.0)))
     samples = [RoiSample(pixels=np.zeros((2, 2)), label=t) for t in truth]
-    return samples, folds
+    return samples, (folds, coded, errors)
 
 
 class TestBuildReport:
     @settings(max_examples=200, deadline=None, database=None)
     @given(pass_outcomes(), st.sampled_from(("bbmap", "bbll")))
     def test_fold_metrics_match_compute_metrics(self, outcomes, decision):
-        samples, folds = outcomes
-        report = build_report(tiny_config(decision=decision), 8, samples, folds)
-        assert [e["fold"] for e in report.folds] == [f for f, _, _ in folds]
-        for entry, (f, idx, outcome) in zip(report.folds, folds):
-            if isinstance(outcome, dict):
-                assert entry == {"fold": f, "error": outcome}
+        samples, cv_pass = outcomes
+        folds, coded, errors = cv_pass
+        report = build_report(tiny_config(decision=decision), 8, samples, cv_pass)
+        assert [e["fold"] for e in report.folds] == list(range(folds.max() + 1))
+        assert report.incomplete_folds == sorted(errors)
+        # each sample's prediction and score, as its group coded them
+        coded_rows = np.concatenate([rows for rows, _ in coded] or [np.empty(0, dtype=int)])
+        preds = dict(zip(coded_rows.tolist(), sum((dec.label_bbll.tolist() for _, dec in coded), [])))
+        scores = dict(zip(coded_rows.tolist(), sum((dec.ells.tolist() for _, dec in coded), [])))
+        for entry in report.folds:
+            f = entry["fold"]
+            if f in errors:
+                assert entry == {"fold": f, "error": errors[f]}
                 continue
-            preds = outcome.label_bbll.tolist()
+            idx = np.flatnonzero(folds == f)
+            fold_preds = [preds[i] for i in idx.tolist()]
             truth = [samples[i].label for i in idx]
-            expected = compute_metrics(preds, truth)
+            expected = compute_metrics(fold_preds, truth)
             expected.pop("roc")
             assert entry["metrics"] == expected
             assert entry["test_indices"] == idx.tolist() and entry["truth"] == truth
-            assert entry["predictions"] == preds and entry["scores"] == outcome.ells.tolist()
+            assert entry["predictions"] == fold_preds and entry["scores"] == [scores[i] for i in idx.tolist()]
             assert all(type(v) is int for v in entry["test_indices"] + entry["truth"] + entry["predictions"])
         booked = [e for e in report.folds if "error" not in e]
         if booked:
@@ -249,6 +265,14 @@ class TestConfig:
     def test_invalid_block_size(self):
         with pytest.raises(ValueError, match="does not divide"):
             parse_config_text("roi_size = 64\nblock_sizes = 48")
+
+    def test_repeated_block_size(self):
+        # a size listed twice would run, write and summarize its cell twice
+        with pytest.raises(ValueError, match="block_sizes lists block size 16 twice"):
+            parse_config_text("block_sizes = 16 16 8")
+        with pytest.raises(ValueError, match="block_sizes lists block size 8 twice"):
+            ExperimentConfig(block_sizes=(8, 16, 8))
+        assert parse_config_text("block_sizes = 16 8").block_sizes == (16, 8)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(data=st.data())
@@ -639,6 +663,24 @@ def assert_same_decisions(got, ref, atol=1e-9):
     np.testing.assert_allclose(got.ells, ref.ells, rtol=0, atol=atol)
 
 
+def assert_groups_match_reference(cv_pass, ref, atol=1e-9):
+    """Every coded group of a pass holds its folds' held-out samples in fold
+    order, with their reference decisions joined in that order; the coded
+    groups cover the folds that trained, and the others failed as their
+    reference did."""
+    folds, coded, errors = cv_pass
+    assert errors == {f: r for f, r in enumerate(ref) if isinstance(r, dict)}
+    covered = []
+    for rows, dec in coded:
+        group = np.unique(folds[rows]).tolist()
+        assert np.array_equal(rows, np.concatenate([np.flatnonzero(folds == f) for f in group]))
+        joined = {name: np.concatenate([getattr(ref[f], name) for f in group])
+                  for name in ("vote_score", "ells", "label_bbmap", "label_bbll")}
+        assert_same_decisions(dec, EnsembleDecision(**joined, tau=dec.tau), atol)
+        covered += group
+    assert covered == [f for f in range(len(ref)) if f not in errors]
+
+
 def walking_config(**overrides):
     """4-px blocks of 8-px ROIs, 30 of them: 4 positions whose ~28 raw atoms
     outnumber the 16 dimensions, so most blocks walk the l1 path."""
@@ -702,8 +744,8 @@ class TestStackedFolds:
         walked = int(res.feasible.sum())
         assert walked >= 2 * len(samples)
         assert assert_feasible_within_bound(calls[0]) >= 2 * len(samples)
-        for (f, _, dec), r in zip(out, ref):
-            assert_same_decisions(dec, r)
+        assert len(out[1]) == 1
+        assert_groups_match_reference(out, ref)
 
     def test_one_call_equals_a_call_per_position(self, monkeypatch):
         # a pooled 16-px pass over 64-px ROIs codes its 16 positions in one
@@ -806,14 +848,32 @@ class TestStackedFolds:
             calls = self.spy(monkeypatch)
             out = validate(cfg, samples, 4)
             monkeypatch.undo()
-            assert out[lone][2] == ref[lone]
+            assert out[2][lone] == ref[lone]
             (call,) = calls
             assert call["allowed"] is not None and call["D"].n_atoms == len(samples)
             test = [i for f in range(cfg.k_folds) if f != lone for i in np.flatnonzero(folds == f)]
             assert np.array_equal(call["blocks"][call["rows"]], block_vectors(samples, 4)[test])
-            for f, _, dec in out:
-                if f != lone:
-                    assert_same_decisions(dec, ref[f])
+            assert_groups_match_reference(out, ref)
+
+    def test_pass_returns_the_groups_it_coded(self):
+        # a pooled cell codes its trainable folds as one group, rows in fold
+        # order; a K < s cell codes each trainable fold as a group of its
+        # own; the one-class fold is coded in neither and has its diagnostic
+        samples = with_one_malignant(load_dataset(walking_config()))
+        labels = np.array([s.label for s in samples])
+        for mode, dict_size in (("none", 0), ("lcksvd1", 0), ("lcksvd2", 6)):
+            cfg = walking_config(k_folds=4, dl_mode=mode, dict_size=dict_size, iterations=2)
+            folds, coded, errors = validate(cfg, samples, 4)
+            assert np.array_equal(folds, stratified_folds(labels, cfg.k_folds, cfg.seed))
+            lone = int(folds[labels == MALIGNANT][0])
+            assert errors == {lone: ONE_CLASS_TRAINING}
+            trainable = [f for f in range(cfg.k_folds) if f != lone]
+            groups = [trainable] if dict_size == 0 else [[f] for f in trainable]
+            assert len(coded) == len(groups)
+            for (rows, dec), group in zip(coded, groups):
+                assert np.array_equal(rows, np.concatenate([np.flatnonzero(folds == f) for f in group]))
+                assert dec.label_bbll.shape == rows.shape
+            assert not np.isin(np.flatnonzero(folds == lone), np.concatenate([r for r, _ in coded])).any()
 
     def test_joint_classify_failure_is_booked_to_each_fold(self, monkeypatch):
         import blocksrc.harness as H
@@ -841,8 +901,7 @@ class TestStackedFolds:
             assert len(calls) == 1 and calls[0]["allowed"] is not None
         else:
             assert len(calls) == 4 and all(c["allowed"] is None for c in calls)
-        for (_, _, dec), r in zip(out, ref):
-            assert_same_decisions(dec, r, atol=1e-9 if dict_size == 0 else 0.0)
+        assert_groups_match_reference(out, ref, atol=1e-9 if dict_size == 0 else 0.0)
 
     def test_fixed_k_equal_to_every_training_count_pools(self, monkeypatch):
         # K = 24 is every fold's training count but not the 30 samples the
@@ -855,8 +914,7 @@ class TestStackedFolds:
         calls = self.spy(monkeypatch)
         out = validate(cfg, samples, 4)
         assert len(calls) == 1 and calls[0]["D"].n_atoms == len(samples)
-        for (_, _, dec), r in zip(out, ref):
-            assert_same_decisions(dec, r)
+        assert_groups_match_reference(out, ref)
 
     def test_cell_at_k_s_in_some_folds_codes_fold_by_fold(self, monkeypatch):
         # K equals the training count of some folds only: those build the
@@ -870,8 +928,7 @@ class TestStackedFolds:
         calls = self.spy(monkeypatch)
         out = validate(cfg, samples, 4)
         assert len(calls) == cfg.k_folds and all(c["allowed"] is None for c in calls)
-        for (_, _, dec), r in zip(out, ref):
-            assert_same_decisions(dec, r, atol=0.0)
+        assert_groups_match_reference(out, ref, atol=0.0)
 
 
 class TestPoolByConstruction:
@@ -922,9 +979,9 @@ class TestRunGrid:
         real_build = H.build_report
         builds = []
 
-        def counting_build(c, block_size, samples, folds):
+        def counting_build(c, block_size, samples, cv_pass):
             builds.append((c.k_folds, block_size, c.decision))
-            return real_build(c, block_size, samples, folds)
+            return real_build(c, block_size, samples, cv_pass)
 
         monkeypatch.setattr(H, "train_block_models", counting_train)
         monkeypatch.setattr(H, "classify_samples", counting_classify)
