@@ -9,15 +9,7 @@ from .dictlearn import (
     build_label_matrices,
     lcksvd_train_stack,
 )
-from .ensemble import (
-    BlockResults,
-    EnsembleDecision,
-    bbll,
-    bbmap,
-    block_decisions,
-    ensemble_decision,
-    roc_auc,
-)
+from .ensemble import BlockResults, bbll, bbmap, block_decisions, roc_auc
 from .harness import (
     EvalReport,
     compute_metrics,

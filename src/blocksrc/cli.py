@@ -104,8 +104,8 @@ def _cmd_evaluate(args) -> int:
     held = [s for s in samples if s.source_id not in excluded]
     if not held:
         raise ValueError(f"all {len(samples)} samples of the dataset trained the model; none is held out to score")
-    fused = classify_samples(model.D, block_vectors(held, block), slice(None), cfg)
-    preds, scores = decision_outputs(fused, cfg)
+    res = classify_samples(model.D, block_vectors(held, block), slice(None), cfg)
+    preds, scores = decision_outputs(res, cfg)
     truth = [s.label for s in held]
     metrics = compute_metrics(preds, truth, scores)
     metrics.pop("roc", None)

@@ -9,7 +9,6 @@ thresholded at tau (bbll).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,19 +40,6 @@ class BlockResults(NamedTuple):
     codes: np.ndarray
     feasible: np.ndarray
     degenerate: np.ndarray
-
-
-@dataclass(frozen=True)
-class EnsembleDecision:
-    """Fused decisions for ``m`` samples under both rules; every array
-    field has shape ``(m,)``, and ``vote_score`` is the malignant fraction
-    of the block votes."""
-
-    vote_score: np.ndarray
-    ells: np.ndarray
-    label_bbmap: np.ndarray
-    label_bbll: np.ndarray
-    tau: float
 
 
 def lls_score(per_class_l1: np.ndarray, invert: bool = False) -> np.ndarray:
@@ -157,24 +143,6 @@ def bbll(lls: np.ndarray, tau: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     ells = lls.mean(axis=1)
     label = np.where(ells - tau >= 0, MALIGNANT, BENIGN)
     return ells, label
-
-
-def ensemble_decision(hard: np.ndarray, lls: np.ndarray, tau: float = 0.0) -> EnsembleDecision:
-    """Fuse ``(m, nbl)`` block results under both rules.
-
-    The threshold branch always assigns malignant when ``ells - tau >= 0``;
-    computing the block scores with ``invert_lls`` therefore yields the
-    smaller-mass decision rule instead of the default larger-mass one.
-    """
-    _, label_map, vote = bbmap(hard)
-    ells, label_ll = bbll(lls, tau)
-    return EnsembleDecision(
-        vote_score=vote,
-        ells=ells,
-        label_bbmap=label_map,
-        label_bbll=label_ll,
-        tau=tau,
-    )
 
 
 def roc_auc(scores, truth) -> tuple[np.ndarray, float]:

@@ -2,10 +2,10 @@
 
 The ROIs are cut into block vectors once per block size. A cross-validation
 pass codes each fold's held-out blocks on its training split's dictionaries
-(the raw ones of every fold at once, or learned fold by fold below K = s),
-fuses the block results under both decision rules and returns the groups it
-coded. A report splits one rule's predictions of them by fold, pools them,
-and is persisted (JSON, a CSV summary row, and an SVG ROC plot).
+(the raw ones of every fold at once, or learned fold by fold below K = s)
+and returns the groups it coded, each with its block results. A report
+fuses them under its decision rule, splits the predictions by fold, pools
+them, and is persisted (JSON, a CSV summary row, and an SVG ROC plot).
 Everything is deterministic given (config, seed).
 """
 
@@ -21,14 +21,7 @@ import numpy as np
 from .blocks import RoiSample, block_side, block_vectors, check_training_labels
 from .config import DECISIONS, ExperimentConfig
 from .dictlearn import DiscriminativeDictionary, lcksvd_train_stack
-from .ensemble import (
-    EnsembleDecision,
-    block_decisions,
-    ensemble_decision,
-    roc_auc,
-    write_roc_csv,
-    write_roc_svg,
-)
+from .ensemble import BlockResults, bbll, bbmap, block_decisions, roc_auc, write_roc_csv, write_roc_svg
 from .labels import BENIGN, MALIGNANT, as_label_array, class_name
 from .mias import load_roi_cache
 from .pgm import image_from_array, write_pgm
@@ -230,10 +223,12 @@ def classify_samples(
     rows,
     cfg: ExperimentConfig,
     allowed: np.ndarray | None = None,
-) -> EnsembleDecision:
+) -> BlockResults:
     """Code the blocks of the samples ``rows`` against the block grid's
-    stack of dictionaries ``D`` and fuse the block results; returns one
-    decision array per sample, in the order of ``rows``.
+    stack of dictionaries ``D`` and decide each block; returns the
+    :class:`BlockResults`, whose (positions, samples) arrays hold the
+    samples in the order of ``rows``. No decision rule is applied (see
+    :func:`decision_outputs`).
 
     ``blocks`` (ROIs, positions, pixels) holds the :func:`block_vectors` of a
     whole pass, and ``rows`` (an index array, or ``slice(None)`` for all)
@@ -241,24 +236,27 @@ def classify_samples(
     once, as a (positions, pixels, samples) stack that is C-contiguous per
     position, so their norms sum in one order however ``rows`` picks them,
     and every block is coded and decided in one :func:`block_decisions`
-    call, whose per-block arrays are fused. ``allowed`` (n_atoms, samples),
-    None for everywhere, restricts each sample to its own atoms of every
-    position's dictionary, so samples of several folds whose dictionaries
-    are column subsets of the given ones are coded in the same call (see
-    :func:`bpdn_batch`)."""
+    call. ``allowed`` (n_atoms, samples), None for everywhere, restricts
+    each sample to its own atoms of every position's dictionary, so samples
+    of several folds whose dictionaries are column subsets of the given
+    ones are coded in the same call (see :func:`bpdn_batch`)."""
     if blocks.shape[1] != len(D.atoms):
         raise ValueError(f"sample has {blocks.shape[1]} blocks, model has {len(D.atoms)}")
     Y = np.ascontiguousarray(blocks[rows].transpose(1, 2, 0))
-    res = block_decisions(D, Y, cfg.eps_rel, cfg.eps_abs, cfg.invert_lls, allowed)
-    # each sample's block scores as one contiguous row, averaged in block order
-    return ensemble_decision(res.hard.T, np.ascontiguousarray(res.lls.T), tau=cfg.tau)
+    return block_decisions(D, Y, cfg.eps_rel, cfg.eps_abs, cfg.invert_lls, allowed)
 
 
-def decision_outputs(dec: EnsembleDecision, cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(predictions, decision scores) under the configured rule."""
+def decision_outputs(res: BlockResults, cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(predictions, decision scores) of the samples of the block results
+    ``res`` under the rule ``cfg.decision``: the one place a rule fuses
+    block results. bbmap's score is the malignant share of the block
+    votes; bbll's is the mean block score less ``cfg.tau``."""
     if cfg.decision == "bbmap":
-        return dec.label_bbmap, dec.vote_score
-    return dec.label_bbll, dec.ells - dec.tau
+        _, label, vote = bbmap(res.hard.T)
+        return label, vote
+    # each sample's block scores as one contiguous row, averaged in block order
+    ells, label = bbll(np.ascontiguousarray(res.lls.T), cfg.tau)
+    return label, ells - cfg.tau
 
 
 def _pools(cfg: ExperimentConfig, folds: np.ndarray) -> bool:
@@ -281,12 +279,13 @@ def cross_validate(cfg: ExperimentConfig, blocks: np.ndarray, labels) -> tuple[n
     call on its own fold's training atoms alone, so one ``D^T D`` and one
     ``D^T Y`` per position serve every fold. Otherwise each fold is a group
     of its own, coded unmasked. Returns ``(folds, coded, errors)``: the fold
-    of each sample; ``(rows, decision)`` per group that completed, in fold
+    of each sample; ``(rows, results)`` per group that completed, in fold
     order, with its held-out samples ``rows`` in fold order and their
-    :class:`EnsembleDecision`; and each failed fold's structured diagnostic
-    dict, by fold. A group failing with a ``ValueError`` or ``LinAlgError``
-    books its diagnostic to each of its folds; any other exception raises.
-    ``cfg.decision`` plays no part.
+    :class:`BlockResults` (``(positions, len(rows))`` arrays); and each
+    failed fold's structured diagnostic dict, by fold. A group failing with
+    a ``ValueError`` or ``LinAlgError`` books its diagnostic to each of its
+    folds; any other exception raises. No decision rule is applied, so
+    ``cfg.decision`` and ``cfg.tau`` play no part.
     """
     labels = as_label_array(labels)
     folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
@@ -323,11 +322,13 @@ def _diagnostic(stage: str, err: Exception) -> dict:
 def build_report(cfg: ExperimentConfig, block_size: int, samples: list[RoiSample], cv_pass: tuple) -> EvalReport:
     """Report a cross-validation pass ``(folds, coded, errors)`` (see
     :func:`cross_validate`) under the rule ``cfg.decision``: the one place a
-    pass is split by fold. Each coded group's rule outputs are taken once and
-    the groups joined; their rows' folds cut them into one entry per fold,
-    between the failed folds' diagnostics. Predictions are pooled across the
-    coded folds before the ROC sweep. When every fold failed, the report has
-    zero confusion counts, None metrics and an empty ROC.
+    pass is split by fold, and with :func:`decision_outputs` the one place
+    its block results are fused. Each coded group is fused under the rule
+    once and the groups' predictions joined; their rows' folds cut them into
+    one entry per fold, between the failed folds' diagnostics. Predictions
+    are pooled across the coded folds before the ROC sweep. When every fold
+    failed, the report has zero confusion counts, None metrics and an empty
+    ROC.
     """
     folds, coded, errors = cv_pass
     labels = as_label_array([s.label for s in samples])
@@ -335,7 +336,7 @@ def build_report(cfg: ExperimentConfig, block_size: int, samples: list[RoiSample
     pooled = None
     if coded:
         # every group's arrays end to end, counted and converted once
-        outputs = [(rows, *decision_outputs(dec, cfg)) for rows, dec in coded]
+        outputs = [(rows, *decision_outputs(res, cfg)) for rows, res in coded]
         idx, pred, score = (np.concatenate(arrays).astype(kind)
                             for arrays, kind in zip(zip(*outputs), (int, int, float)))
         truth, fold = labels[idx], folds[idx]

@@ -221,6 +221,9 @@ def load_roi_cache(cache_dir: str) -> list[RoiSample]:
         for key in ("file", "ref_id"):
             if not isinstance(entry[key], str):
                 raise ValueError(f"ROI cache manifest: samples[{i}] {key} must be a string, got {entry[key]!r}")
+        # a sample's file is the cache's own, with no directory part
+        if entry["file"] in ("", ".", "..") or os.path.basename(entry["file"]) != entry["file"]:
+            raise ValueError(f"ROI cache manifest: samples[{i}] file must be a bare file name, got {entry['file']!r}")
         if entry["label"] not in CLASS_NAMES:
             raise ValueError(f"ROI cache manifest: samples[{i}] label must be 'benign' or 'malignant', "
                              f"got {entry['label']!r}")

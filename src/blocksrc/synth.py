@@ -46,7 +46,9 @@ def synth_dataset(spec: SynthSpec, seed: int) -> list[RoiSample]:
     """Draw a deterministic labeled dataset; benign samples come first.
 
     Each ROI's pixels are its block vectors put back in place: the inverse
-    of :func:`blocksrc.blocks.block_vectors` on one ROI.
+    of :func:`blocksrc.blocks.block_vectors` on one ROI. A sample's id names
+    the seed, its class and its index in the class (``synth20_1003``), so
+    sets drawn at different seeds share no id.
     """
     rng = np.random.default_rng(seed)
     n, b = spec.roi_size, spec.block_size
@@ -75,7 +77,7 @@ def synth_dataset(spec: SynthSpec, seed: int) -> list[RoiSample]:
                 RoiSample(
                     pixels=vectors.reshape(g, g, b, b).transpose(0, 2, 1, 3).reshape(n, n),
                     label=cid,
-                    source_id=f"synth{cid}{i:03d}",
+                    source_id=f"synth{seed}_{cid}{i:03d}",
                     centroid=(spec.roi_size // 2, spec.roi_size // 2),
                     radius=spec.roi_size // 2,
                 )

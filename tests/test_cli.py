@@ -201,10 +201,9 @@ def held_out_cache(tmp_path, name, samples):
 
 
 def other_samples(tmp_path, seed=21):
-    """The synthetic set of the commands' config at another seed, renamed:
-    a synthetic sample's id names its class and index, not its seed."""
-    samples = synth_dataset(load_config(str(write_synth_config(tmp_path))).synth_spec(), seed)
-    return [replace(s, source_id=f"held-{s.source_id}") for s in samples]
+    """The synthetic set of the commands' config at another seed, whose ids
+    name that seed."""
+    return synth_dataset(load_config(str(write_synth_config(tmp_path))).synth_spec(), seed)
 
 
 def evaluation_of(cfg_path, model, data_dir, scored):
@@ -212,8 +211,8 @@ def evaluation_of(cfg_path, model, data_dir, scored):
     ids ``scored`` holds, from the library calls it makes."""
     cfg = load_config(str(cfg_path), {"data_dir": str(data_dir)})
     samples = [s for s in load_dataset(cfg) if s.source_id in scored]
-    fused = harness.classify_samples(load_model(str(model))[0].D, block_vectors(samples, 8), slice(None), cfg)
-    preds, scores = harness.decision_outputs(fused, cfg)
+    res = harness.classify_samples(load_model(str(model))[0].D, block_vectors(samples, 8), slice(None), cfg)
+    preds, scores = harness.decision_outputs(res, cfg)
     metrics = harness.compute_metrics(preds, [s.label for s in samples], scores)
     metrics.pop("roc", None)
     return metrics
@@ -291,6 +290,20 @@ def test_evaluate_scores_a_disjoint_set_whole(tmp_path, synth_cache, capsys):
     assert printed == written
     expected = evaluation_of(cfg, model, held, {s.source_id for s in others})
     assert written == {**expected, "n_scored": 12, "n_excluded_training": 0}
+
+
+def test_evaluate_scores_every_sample_of_a_set_drawn_at_another_seed(tmp_path, synth_cache, capsys):
+    # the commands' set drawn again at seed 21: a synthetic id names its
+    # seed, so no sample of the new draw is taken for a training sample
+    cfg = write_config(tmp_path, synth_cache)
+    model = tmp_path / "model.blkd"
+    assert main(["train", "--config", str(cfg), "--model", str(model)]) == 0
+    other = tmp_path / "other"
+    assert main(["synth", "--config", str(write_synth_config(tmp_path)), "--seed", "21", "--out", str(other)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--model", str(model), "--data-dir", str(other)]) == 0
+    written = json.loads((tmp_path / "results" / "evaluation.json").read_text())
+    assert (written["n_scored"], written["n_excluded_training"]) == (12, 0)
 
 
 def test_evaluate_scores_the_half_that_did_not_train(tmp_path, synth_cache):

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from blocksrc import BENIGN, MALIGNANT, Dictionary, bbll, bbmap, block_decisions, ensemble_decision, roc_auc
+from blocksrc import BENIGN, MALIGNANT, BlockResults, Dictionary, ExperimentConfig, bbll, bbmap, block_decisions, roc_auc
 from blocksrc.ensemble import lls_score, write_roc_csv, write_roc_svg
+from blocksrc.harness import decision_outputs
 from blocksrc.solvers import L1_LOG_FLOOR
 
 from .oracles import pair_counting_auc
@@ -17,6 +20,14 @@ def grid(*dicts):
     """The block grid of the (d, n) dictionaries ``dicts``, in order."""
     return Dictionary(atoms=np.stack([D.atoms for D in dicts]), atom_labels=dicts[0].atom_labels,
                       scales=np.stack([D.scales for D in dicts]))
+
+
+def block_results(hard, lls):
+    """The block results of (positions, samples) ``hard`` labels and ``lls``
+    scores, with zero diagnostics, which no decision rule reads."""
+    P, m = np.shape(hard)
+    return BlockResults(np.asarray(hard), np.asarray(lls, dtype=float), np.zeros((2, P, m)),
+                        np.zeros((P, 1, m)), np.zeros((P, m), dtype=bool), np.zeros((P, m), dtype=bool))
 
 
 class TestLlsScore:
@@ -178,10 +189,12 @@ class TestBbmap:
         hard = np.array([[int(rng.integers(0, 2)) for i in range(7)]])
         lls = np.zeros((1, 7))
         rewritten = np.array([[float(rng.normal()) for i in range(7)]])
-        a = ensemble_decision(hard, lls)
-        b = ensemble_decision(hard, rewritten)
-        assert a.label_bbmap[0] == b.label_bbmap[0]
-        np.testing.assert_array_equal(a.vote_score, b.vote_score)
+        # bbmap fuses the hard labels alone, whatever the block scores
+        cfg = ExperimentConfig(decision="bbmap")
+        label_a, vote_a = decision_outputs(block_results(hard.T, lls.T), cfg)
+        label_b, vote_b = decision_outputs(block_results(hard.T, rewritten.T), cfg)
+        assert label_a[0] == label_b[0] == bbmap(hard)[1][0]
+        np.testing.assert_array_equal(vote_a, vote_b)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -230,14 +243,18 @@ class TestBbll:
             assert np.array_equal(ells, [np.mean(row) for row in lls])
 
     def test_ensemble_decision_fields(self):
-        hard = np.full((1, 4), MALIGNANT)
-        dec = ensemble_decision(hard, np.full((1, 4), 0.2), tau=0.1)
-        assert dec.label_bbmap[0] == MALIGNANT
-        assert dec.label_bbll[0] == MALIGNANT
-        assert dec.vote_score[0] == 1.0
+        # both rules fuse one sample's four blocks at tau = 0.1
+        hard, lls = np.full((1, 4), MALIGNANT), np.full((1, 4), 0.2)
+        res, cfg = block_results(hard.T, lls.T), ExperimentConfig(tau=0.1)
+        label_bbmap, vote_score = decision_outputs(res, replace(cfg, decision="bbmap"))
+        label_bbll, score = decision_outputs(res, replace(cfg, decision="bbll"))
+        assert label_bbmap[0] == MALIGNANT
+        assert label_bbll[0] == MALIGNANT
+        assert vote_score[0] == 1.0
         # the vote score is the malignant column of bbmap's posterior
-        np.testing.assert_array_equal(dec.vote_score, bbmap(hard)[0][:, MALIGNANT])
-        assert dec.tau == 0.1
+        np.testing.assert_array_equal(vote_score, bbmap(hard)[0][:, MALIGNANT])
+        # the bbll score is the block mean less tau
+        np.testing.assert_array_equal(score, bbll(lls)[0] - 0.1)
 
 
 class TestRocAuc:

@@ -21,14 +21,15 @@ from blocksrc import (
     synth_dataset,
 )
 from blocksrc.blocks import RoiSample, block_stack, block_vectors
-from blocksrc.config import parse_config_text
+from blocksrc.config import DECISIONS, parse_config_text
 from blocksrc.dictlearn import DiscriminativeDictionary, TrainParams
-from blocksrc.ensemble import EnsembleDecision, block_decisions, ensemble_decision
+from blocksrc.ensemble import BlockResults, bbll, bbmap, block_decisions
 from blocksrc.harness import (
     _indented,
     _join_fields,
     build_report,
     classify_samples,
+    decision_outputs,
     load_dataset,
     train_block_models,
 )
@@ -38,7 +39,7 @@ from blocksrc.solvers import bpdn_batch
 from blocksrc.synth import SynthSpec
 
 from .oracles import class_residuals_pixels, confusion_by_hand
-from .test_ensemble import grid, position
+from .test_ensemble import block_results, grid, position
 
 
 def tiny_config(**overrides):
@@ -143,14 +144,15 @@ class TestComputeMetrics:
 @st.composite
 def pass_outcomes(draw):
     """A cross-validation pass ``(folds, coded, errors)`` over folds of 1-5
-    samples: per sample a truth, a prediction and a score; some folds
-    failed, and the others were coded in one or several groups of
-    consecutive booked folds, with failed folds between them."""
+    samples: per sample a truth, and a hard label and a score at one block
+    position; some folds failed, and the others were coded in one or
+    several groups of consecutive booked folds, with failed folds between
+    them."""
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
     n = sum(sizes)
     truth = draw(st.lists(st.sampled_from((BENIGN, MALIGNANT)), min_size=n, max_size=n))
-    preds = np.asarray(draw(st.lists(st.sampled_from((BENIGN, MALIGNANT)), min_size=n, max_size=n)))
-    scores = np.asarray(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    hard = np.asarray(draw(st.lists(st.sampled_from((BENIGN, MALIGNANT)), min_size=n, max_size=n)))
+    lls = np.asarray(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
     failed = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
     order = np.asarray(draw(st.permutations(range(n))), dtype=int)
     folds = np.repeat(np.arange(len(sizes)), sizes)[np.argsort(order)]
@@ -167,8 +169,7 @@ def pass_outcomes(draw):
     coded = []
     for group in groups:
         rows = np.concatenate([np.flatnonzero(folds == f) for f in group])
-        p, sc = preds[rows], scores[rows]
-        coded.append((rows, EnsembleDecision(vote_score=sc, ells=sc, label_bbmap=p, label_bbll=p, tau=0.0)))
+        coded.append((rows, block_results(hard[None, rows], lls[None, rows])))
     samples = [RoiSample(pixels=np.zeros((2, 2)), label=t) for t in truth]
     return samples, (folds, coded, errors)
 
@@ -182,10 +183,18 @@ class TestBuildReport:
         report = build_report(tiny_config(decision=decision), 8, samples, cv_pass)
         assert [e["fold"] for e in report.folds] == list(range(folds.max() + 1))
         assert report.incomplete_folds == sorted(errors)
-        # each sample's prediction and score, as its group coded them
-        coded_rows = np.concatenate([rows for rows, _ in coded] or [np.empty(0, dtype=int)])
-        preds = dict(zip(coded_rows.tolist(), sum((dec.label_bbll.tolist() for _, dec in coded), [])))
-        scores = dict(zip(coded_rows.tolist(), sum((dec.ells.tolist() for _, dec in coded), [])))
+        # each sample's prediction and score from its one block, by the
+        # rule's definition: the block's label and its 0/1 vote, or the
+        # sign of its score and the score (tau is 0)
+        preds, scores = {}, {}
+        for rows, res in coded:
+            hard, lls = res.hard[0].tolist(), res.lls[0].tolist()
+            if decision == "bbmap":
+                pairs = [(h, float(h == MALIGNANT)) for h in hard]
+            else:
+                pairs = [(MALIGNANT if v >= 0 else BENIGN, v) for v in lls]
+            for i, (pred, score) in zip(rows.tolist(), pairs):
+                preds[i], scores[i] = pred, score
         for entry in report.folds:
             f = entry["fold"]
             if f in errors:
@@ -408,7 +417,7 @@ class TestSynthData:
                   0.03762757236691219, 0.7151355560195556, 0.16900933003448812, 0.5577011265560227,
                   0.23858513457679925, 0.1538814078215046, 0.5317565161820259, 0.4412984469130431]),
         }
-        assert [s.source_id for s in (samples[0], samples[-1])] == ["synth0000", "synth1002"]
+        assert [s.source_id for s in (samples[0], samples[-1])] == ["synth7_0000", "synth7_1002"]
         for i, (row, col) in pinned.items():
             np.testing.assert_allclose(samples[i].pixels[0], row, rtol=1e-12, atol=0)
             np.testing.assert_allclose(samples[i].pixels[:, 0], col, rtol=1e-12, atol=0)
@@ -657,26 +666,31 @@ def with_one_malignant(samples):
 
 
 def assert_same_decisions(got, ref, atol=1e-9):
-    assert np.array_equal(got.label_bbmap, ref.label_bbmap)
-    assert np.array_equal(got.label_bbll, ref.label_bbll)
-    np.testing.assert_allclose(got.vote_score, ref.vote_score, rtol=0, atol=atol)
-    np.testing.assert_allclose(got.ells, ref.ells, rtol=0, atol=atol)
+    """Under each rule at the default tau, ``decision_outputs`` fuses the
+    block results ``got`` into the labels of ``ref[rule]``, a (labels,
+    scores) pair, and into its scores within ``atol``."""
+    for rule in DECISIONS:
+        labels, scores = decision_outputs(got, tiny_config(decision=rule))
+        assert np.array_equal(labels, ref[rule][0])
+        np.testing.assert_allclose(scores, ref[rule][1], rtol=0, atol=atol)
 
 
 def assert_groups_match_reference(cv_pass, ref, atol=1e-9):
     """Every coded group of a pass holds its folds' held-out samples in fold
-    order, with their reference decisions joined in that order; the coded
-    groups cover the folds that trained, and the others failed as their
-    reference did."""
+    order, with their reference block results' decisions under each rule
+    joined in that order; the coded groups cover the folds that trained,
+    and the others failed as their reference did."""
     folds, coded, errors = cv_pass
     assert errors == {f: r for f, r in enumerate(ref) if isinstance(r, dict)}
     covered = []
-    for rows, dec in coded:
+    for rows, res in coded:
         group = np.unique(folds[rows]).tolist()
         assert np.array_equal(rows, np.concatenate([np.flatnonzero(folds == f) for f in group]))
-        joined = {name: np.concatenate([getattr(ref[f], name) for f in group])
-                  for name in ("vote_score", "ells", "label_bbmap", "label_bbll")}
-        assert_same_decisions(dec, EnsembleDecision(**joined, tau=dec.tau), atol)
+        joined = {}
+        for rule in DECISIONS:
+            outputs = [decision_outputs(ref[f], tiny_config(decision=rule)) for f in group]
+            joined[rule] = [np.concatenate(part) for part in zip(*outputs)]
+        assert_same_decisions(res, joined, atol)
         covered += group
     assert covered == [f for f in range(len(ref)) if f not in errors]
 
@@ -870,10 +884,35 @@ class TestStackedFolds:
             trainable = [f for f in range(cfg.k_folds) if f != lone]
             groups = [trainable] if dict_size == 0 else [[f] for f in trainable]
             assert len(coded) == len(groups)
-            for (rows, dec), group in zip(coded, groups):
+            for (rows, res), group in zip(coded, groups):
                 assert np.array_equal(rows, np.concatenate([np.flatnonzero(folds == f) for f in group]))
-                assert dec.label_bbll.shape == rows.shape
+                assert decision_outputs(res, cfg)[0].shape == rows.shape
             assert not np.isin(np.flatnonzero(folds == lone), np.concatenate([r for r, _ in coded])).any()
+
+    def test_groups_carry_their_block_results(self):
+        # each coded group carries its block results as (positions, samples)
+        # arrays, and each rule's report holds what that rule fuses from them
+        samples = with_one_malignant(load_dataset(walking_config()))
+        for mode, dict_size in (("none", 0), ("lcksvd2", 6)):
+            cfg = walking_config(k_folds=4, dl_mode=mode, dict_size=dict_size, iterations=2)
+            cv_pass = validate(cfg, samples, 4)
+            n_atoms = dict_size or len(samples)
+            for rows, res in cv_pass[1]:
+                m = rows.size
+                assert isinstance(res, BlockResults)
+                for name in ("hard", "lls", "feasible", "degenerate"):
+                    assert getattr(res, name).shape == (4, m)
+                assert res.residuals.shape == (2, 4, m) and res.codes.shape == (4, n_atoms, m)
+            for rule in DECISIONS:
+                rule_cfg = replace(cfg, decision=rule)
+                report = build_report(rule_cfg, 4, samples, cv_pass)
+                reported = {i: (p, s) for e in report.folds if "error" not in e
+                            for i, p, s in zip(e["test_indices"], e["predictions"], e["scores"])}
+                expected = {}
+                for rows, res in cv_pass[1]:
+                    preds, scores = decision_outputs(res, rule_cfg)
+                    expected.update(zip(rows.tolist(), zip(preds.tolist(), scores.tolist())))
+                assert reported == expected
 
     def test_joint_classify_failure_is_booked_to_each_fold(self, monkeypatch):
         import blocksrc.harness as H
@@ -1129,8 +1168,9 @@ class TestGridReuse:
             for block in self.BLOCKS:
                 for f, r in enumerate(per_fold_reference(sub, samples, block)):
                     entry = reports["bbll", 3, mode, block].folds[f]
-                    assert entry["predictions"] == r.label_bbll.tolist()
-                    assert entry["scores"] == (r.ells - r.tau).tolist()
+                    preds, scores = decision_outputs(r, replace(sub, decision="bbll"))
+                    assert entry["predictions"] == preds.tolist()
+                    assert entry["scores"] == scores.tolist()
 
 
 def one_block_archive(path, M, labels, mode="lcksvd2", trace=(2.0, 1.0)) -> bytes:
@@ -1470,25 +1510,28 @@ class TestClassifyAgainstFixedModel:
         for f in range(3):
             train, test = np.flatnonzero(folds != f), np.flatnonzero(folds == f)
             D = train_block_models(*block_stack([samples[i] for i in train], 8), cfg).D
-            dec = classify_samples(D, block_vectors(samples, 8), test, cfg)
+            res = classify_samples(D, block_vectors(samples, 8), test, cfg)
             hard, lls = [], []
             for j in range(len(D.atoms)):
                 yj = np.stack([block_vectors([samples[i]], 8)[0, j] for i in test], axis=1)
-                res = block_decisions(grid(position(D, j)), yj[None], cfg.eps_rel)
-                hard.append(res.hard[0])
-                lls.append(res.lls[0])
-            ref = ensemble_decision(np.column_stack(hard), np.column_stack(lls), tau=cfg.tau)
-            assert_same_decisions(dec, ref, atol=0.0)
+                one = block_decisions(grid(position(D, j)), yj[None], cfg.eps_rel)
+                hard.append(one.hard[0])
+                lls.append(one.lls[0])
+            ells, label_bbll = bbll(np.column_stack(lls), cfg.tau)
+            ref = {"bbmap": bbmap(np.column_stack(hard))[1:], "bbll": (label_bbll, ells - cfg.tau)}
+            assert_same_decisions(res, ref, atol=0.0)
 
     def test_decisions_have_both_labels(self):
         cfg = tiny_config()
         samples = load_dataset(cfg)
         model = train_block_models(*block_stack(samples, 8), cfg)
-        dec = classify_samples(model.D, block_vectors(samples[:4], 8), slice(None), cfg)
-        assert dec.label_bbmap.shape == (4,)
+        res = classify_samples(model.D, block_vectors(samples[:4], 8), slice(None), cfg)
+        label_bbmap, vote_score = decision_outputs(res, replace(cfg, decision="bbmap"))
+        label_bbll, _ = decision_outputs(res, replace(cfg, decision="bbll"))
+        assert label_bbmap.shape == (4,)
         for i in range(4):
-            assert dec.label_bbmap[i] in (BENIGN, MALIGNANT)
-            assert dec.label_bbll[i] in (BENIGN, MALIGNANT)
-            assert 0.0 <= dec.vote_score[i] <= 1.0
+            assert label_bbmap[i] in (BENIGN, MALIGNANT)
+            assert label_bbll[i] in (BENIGN, MALIGNANT)
+            assert 0.0 <= vote_score[i] <= 1.0
             # the malignant share of the 4 block votes
-            assert (4 * dec.vote_score[i]).is_integer()
+            assert (4 * vote_score[i]).is_integer()

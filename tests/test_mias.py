@@ -291,6 +291,22 @@ class TestRoiCache:
         with pytest.raises(ValueError, match="manifest: expected a JSON object, got list"):
             load_roi_cache(str(out))
 
+    @pytest.mark.parametrize("where", ["parent", "absolute", "subdirectory"])
+    def test_file_outside_the_cache_directory_is_refused(self, tmp_path, where):
+        # a readable graymap sits at each path, so only the check stops it
+        cache = tmp_path / "cache"
+        names = {"parent": "../x.pgm", "absolute": str(tmp_path / "x.pgm"), "subdirectory": "sub/x.pgm"}
+
+        def point_elsewhere(manifest):
+            (cache / "sub").mkdir()
+            for path in (tmp_path / "x.pgm", cache / "sub" / "x.pgm"):
+                path.write_bytes((cache / manifest["samples"][1]["file"]).read_bytes())
+            manifest["samples"][1]["file"] = names[where]
+
+        out = self.cache_with_manifest(tmp_path, point_elsewhere)
+        with pytest.raises(ValueError, match=rf"samples\[1\] file must be a bare file name, got '{names[where]}'$"):
+            load_roi_cache(out)
+
     def test_manifest_entry_not_an_object_names_it(self, tmp_path):
         out = self.cache_with_manifest(tmp_path, lambda m: m["samples"].insert(1, "x.pgm"))
         with pytest.raises(ValueError, match=r"samples\[1\] must be an object, got 'x.pgm'"):
@@ -321,14 +337,16 @@ class TestCacheBytes:
     def test_synthetic_cache_bytes_are_pinned(self, tmp_path):
         samples = synth_dataset(SynthSpec(roi_size=16, block_size=8, samples_per_class=3), 7)
         write_synth_cache(samples, str(tmp_path))
+        # the manifest and the file names were re-recorded when synthetic ids
+        # came to name their seed; every graymap kept its bytes
         assert sha256_tree(tmp_path) == {
-            "manifest.json": "257a57ce58857355f1c1dac9c64dae88c41c81f09aa83e4a454393c6ccecda4c",
-            "synth0000_roi16.pgm": "a3f9089e4fc6ffbf6bca00fe87c5841a593972f558592742f41b3038491561f4",
-            "synth0001_roi16.pgm": "926e6de0f72edb7d9c82dc0656071cee4b7bbb1797ff1a38cfb592884c16b979",
-            "synth0002_roi16.pgm": "35cd05caaf8a6a00ea9f95a791d379840d150217141529a8edbc05b54635638a",
-            "synth1000_roi16.pgm": "b77f02a0065593130b8acffcee96f5ef62f63da6d58642e3d648820822584327",
-            "synth1001_roi16.pgm": "987d1cb86b7638f74f95ff7efac9943ba01e1d1906f6863491a161db3d862fbf",
-            "synth1002_roi16.pgm": "ba0991c76608fc67e318b80b7abca953da9172c6aa41885c77cc5462baf5075a",
+            "manifest.json": "95f48c9acb4eb6c93cebe3daff0bb22aa9a5481219fb4d8c45708a80bcb69605",
+            "synth7_0000_roi16.pgm": "a3f9089e4fc6ffbf6bca00fe87c5841a593972f558592742f41b3038491561f4",
+            "synth7_0001_roi16.pgm": "926e6de0f72edb7d9c82dc0656071cee4b7bbb1797ff1a38cfb592884c16b979",
+            "synth7_0002_roi16.pgm": "35cd05caaf8a6a00ea9f95a791d379840d150217141529a8edbc05b54635638a",
+            "synth7_1000_roi16.pgm": "b77f02a0065593130b8acffcee96f5ef62f63da6d58642e3d648820822584327",
+            "synth7_1001_roi16.pgm": "987d1cb86b7638f74f95ff7efac9943ba01e1d1906f6863491a161db3d862fbf",
+            "synth7_1002_roi16.pgm": "ba0991c76608fc67e318b80b7abca953da9172c6aa41885c77cc5462baf5075a",
         }
 
     def test_mias_cache_bytes_are_pinned(self, tmp_path):
