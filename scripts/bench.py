@@ -64,7 +64,6 @@ from blocksrc import (  # noqa: E402
     Dictionary,
     ExperimentConfig,
     SynthSpec,
-    block_stack,
     block_vectors,
     bpdn_batch,
     lcksvd_train_stack,
@@ -114,14 +113,13 @@ def timed(fn):
 
 
 def fold0(cfg: ExperimentConfig, samples: list):
-    """Fold 0's training stack, its labels, and its held-out stack."""
+    """Fold 0's training stack, its labels, and its held-out stack, as a
+    cross-validation pass gathers them."""
     labels = np.array([s.label for s in samples])
     folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
     train, test = np.flatnonzero(folds != 0), np.flatnonzero(folds == 0)
-    b = cfg.block_sizes[0]
-    stack, train_labels = block_stack([samples[i] for i in train], b)
-    held, _ = block_stack([samples[i] for i in test], b)
-    return stack, train_labels, held
+    cut = block_vectors(samples, cfg.block_sizes[0])
+    return cut[:, :, train], labels[train], np.take(cut, test, axis=2)
 
 
 def walk_steps(cfg: ExperimentConfig, samples: list) -> dict:
@@ -153,7 +151,7 @@ def pooled_call(cfg: ExperimentConfig, samples: list) -> dict:
     the atom mask a pooled pass uses."""
     labels = np.array([s.label for s in samples])
     folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
-    stack, _ = block_stack(samples, 8)
+    stack = block_vectors(samples, 8)
     D = Dictionary.from_matrix(stack[0], labels)
     test = np.concatenate([np.flatnonzero(folds == f) for f in range(cfg.k_folds)])
     allowed = folds[:, None] != folds[test][None, :]

@@ -13,15 +13,19 @@ it draws the workload's inputs and runs one pass
 (``benchmark/workloads.run_pass``) into a fresh temporary directory. It
 then prints one line per kind of file written (``.json``, ``.csv``,
 ``_roc.csv``, ``_roc.svg``): the kind, the file count and one sha256 over
-those files' names and bytes, in the order of their names. Two trees write
-the same reports when they print the same lines; a kind whose line differs
-names the files to compare.
+those files' names and bytes, in the order of their names. A last line,
+``answers``, digests what every ``.json`` report decides: each fold's test
+indices, truth and predictions, and the pooled confusion counts, with no
+score. Two trees write the same reports when they print the same lines; a
+kind whose line differs names the files to compare, and a change that moves
+only the rounding of the scores keeps the ``answers`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -40,6 +44,15 @@ def kind(path: Path) -> str:
     return next((k for k in KINDS if path.name.endswith(k)), path.suffix)
 
 
+def answers(report: bytes) -> bytes:
+    """What a ``.json`` report decides, as bytes: each fold's test indices,
+    truth and predictions (None for a failed fold), and the pooled
+    confusion counts."""
+    rep = json.loads(report)
+    folds = [[entry.get(k) for k in ("test_indices", "truth", "predictions")] for entry in rep["folds"]]
+    return json.dumps([folds, rep["confusion"]], sort_keys=True).encode()
+
+
 def pass_outputs(name: str, seed: int) -> dict[str, bytes]:
     """The files one pass of workload ``name`` at ``seed`` writes, by their
     paths under its output directory."""
@@ -53,19 +66,23 @@ def pass_outputs(name: str, seed: int) -> dict[str, bytes]:
 
 def output_digest(seeds=(1, 2, 3), names=NAMES) -> list[str]:
     """One line per kind of file, ``<kind> <count> files <sha256>``, in the
-    order of the kinds."""
+    order of the kinds, then ``answers <count> files <sha256>`` over the
+    :func:`answers` of the ``.json`` reports."""
     files = {}
     for seed in seeds:
         for name in names:
             for path, data in pass_outputs(name, seed).items():
                 files[f"{name}/{seed}/{path}"] = data
-    digests, counts = {}, {}
+    digests, counts, decided = {}, {}, hashlib.sha256()
     for path in sorted(files):
         k = kind(Path(path))
         digest = digests.setdefault(k, hashlib.sha256())
         digest.update(path.encode() + b"\0" + files[path])
         counts[k] = counts.get(k, 0) + 1
-    return [f"{k} {counts[k]} files {digests[k].hexdigest()}" for k in sorted(digests)]
+        if k == ".json":
+            decided.update(path.encode() + b"\0" + answers(files[path]))
+    lines = [f"{k} {counts[k]} files {digests[k].hexdigest()}" for k in sorted(digests)]
+    return lines + [f"answers {counts.get('.json', 0)} files {decided.hexdigest()}"]
 
 
 def main(argv=None) -> int:

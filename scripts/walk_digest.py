@@ -30,7 +30,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from blocksrc import Dictionary, SynthSpec, block_stack, bpdn_batch, stratified_folds, synth_dataset  # noqa: E402
+from blocksrc import Dictionary, SynthSpec, block_vectors, bpdn_batch, stratified_folds, synth_dataset  # noqa: E402
 
 SEED = 20  # of the synthetic set and of the folds
 NOISES = (0.05, 1.0)
@@ -45,8 +45,9 @@ def position_calls(noise: float, positions):
     training blocks."""
     spec = SynthSpec(roi_size=64, block_size=8, samples_per_class=37, noise_sigma=noise)
     samples = synth_dataset(spec, SEED)
-    folds = stratified_folds([s.label for s in samples], FOLDS, SEED)
-    stack, labels = block_stack(samples, 8)
+    labels = [s.label for s in samples]
+    folds = stratified_folds(labels, FOLDS, SEED)
+    stack = block_vectors(samples, 8)
     test = np.concatenate([np.flatnonzero(folds == f) for f in range(FOLDS)])
     allowed = folds[:, None] != folds[test][None, :]
     for p in positions:

@@ -1,6 +1,6 @@
 """Block-based ensembles of sparse classifiers with dictionary learning."""
 
-from .blocks import RoiSample, block_stack, block_vectors
+from .blocks import RoiSample, block_vectors
 from .config import ExperimentConfig, load_config, parse_config_text
 from .dictlearn import (
     DiscriminativeDictionary,

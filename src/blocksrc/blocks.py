@@ -1,4 +1,5 @@
-"""Square ROIs, and their cut into non-overlapping blocks stacked by position."""
+"""Square ROIs, and their cut into one stack of non-overlapping blocks:
+(positions, pixels, ROIs), the layout that training and coding read."""
 
 from __future__ import annotations
 
@@ -35,8 +36,9 @@ class RoiSample:
 
 def block_vectors(rois, block: int) -> np.ndarray:
     """Cut every ROI into non-overlapping square blocks of side ``block``,
-    vectorized row-major, in one copy: ``out[i, j]`` is block position ``j``
-    of ROI ``i``, shaped (ROIs, positions, block * block).
+    vectorized row-major, in one copy: the C-contiguous (positions,
+    block * block, ROIs) stack that training and coding read, whose
+    ``out[j, :, i]`` is block position ``j`` of ROI ``i``.
 
     Pixel (r, c) of a block lands at vector index ``r * block + c``; block
     positions are ordered row-major. The ROIs must be non-empty and equally
@@ -53,8 +55,8 @@ def block_vectors(rois, block: int) -> np.ndarray:
         valid = [b for b in range(1, min(h, w) + 1) if h % b == 0 and w % b == 0]
         raise ValueError(f"block size {block}x{block} does not divide ROI {w}x{h}; valid sides: {valid}")
     rows, cols = h // block, w // block
-    blocks = [px.reshape(rows, block, cols, block).swapaxes(1, 2) for px in pixels]  # views
-    return np.stack(blocks).reshape(len(pixels), rows * cols, block * block)
+    views = [px.reshape(rows, block, cols, block).swapaxes(1, 2) for px in pixels]
+    return np.stack(views, axis=-1).reshape(rows * cols, block * block, len(pixels))
 
 
 def block_side(length: int) -> int:
@@ -75,16 +77,3 @@ def check_training_labels(labels) -> np.ndarray:
     if len(set(labels.tolist())) < 2:
         raise ValueError("training set must contain at least one sample per class")
     return labels
-
-
-def block_stack(training: list[RoiSample], block: int) -> tuple[np.ndarray, np.ndarray]:
-    """The training ROIs' :func:`block_vectors`, viewed by position.
-
-    Returns ``(stack, labels)``: ``stack[j]`` holds the block-``j`` vector of
-    every training image as a column (training order preserved), shaped
-    (positions, block * block, samples). The set must hold equally sized
-    ROIs of both classes.
-    """
-    labels = check_training_labels([smp.label for smp in training])
-    return block_vectors(training, block).transpose(1, 2, 0), labels
-

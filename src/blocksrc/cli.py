@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .blocks import block_side, block_stack, block_vectors
+from .blocks import block_side, block_vectors
 from .config import ExperimentConfig, load_config
 from .harness import (
     classify_samples,
@@ -77,7 +77,7 @@ def _cmd_train(args) -> int:
     if len(cfg.block_sizes) != 1:
         raise ValueError(f"train takes one block size, the config lists {list(cfg.block_sizes)}")
     samples = load_dataset(cfg)
-    model = train_block_models(*block_stack(samples, cfg.block_sizes[0]), cfg)
+    model = train_block_models(block_vectors(samples, cfg.block_sizes[0]), [s.label for s in samples], cfg)
     # evaluate scores only the samples whose ids are not in this list
     meta = {"roi_size": cfg.roi_size, "dl_mode": cfg.dl_mode,
             "training_ids": sorted({s.source_id for s in samples})}

@@ -81,7 +81,8 @@ def block_decisions(
     """
     if D.atoms.ndim != 3:
         raise ValueError(f"expected a (P, d, n) stack of block dictionaries, got atoms of shape {D.atoms.shape}")
-    # C-contiguous whatever the atoms' layout, which sets how D^T Y rounds
+    # C-contiguous whatever the atoms' layout, which sets how D^T Y rounds;
+    # the normalized atoms of a C-contiguous block stack already are
     A, usable = np.ascontiguousarray(D.atoms), D.usable
     P, d, n = A.shape
     Y = check_signals(Y, (P, d))

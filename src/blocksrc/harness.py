@@ -1,7 +1,8 @@
 """Cross-validation harness: stratified folds, metrics, experiment runner.
 
-The ROIs are cut into block vectors once per block size. A cross-validation
-pass codes each fold's held-out blocks on its training split's dictionaries
+The ROIs are cut into block vectors once per block size, as the one
+(positions, pixels, samples) stack that a pass trains and codes on. A pass
+codes each fold's held-out blocks on its training split's dictionaries
 (the raw ones of every fold at once, or learned fold by fold below K = s)
 and returns the groups it coded, each with its block results. A report
 fuses them under its decision rule, splits the predictions by fold, pools
@@ -230,19 +231,19 @@ def classify_samples(
     samples in the order of ``rows``. No decision rule is applied (see
     :func:`decision_outputs`).
 
-    ``blocks`` (ROIs, positions, pixels) holds the :func:`block_vectors` of a
-    whole pass, and ``rows`` (an index array, or ``slice(None)`` for all)
-    picks the samples to code. Every position's signals are gathered at
-    once, as a (positions, pixels, samples) stack that is C-contiguous per
-    position, so their norms sum in one order however ``rows`` picks them,
-    and every block is coded and decided in one :func:`block_decisions`
-    call. ``allowed`` (n_atoms, samples), None for everywhere, restricts
-    each sample to its own atoms of every position's dictionary, so samples
-    of several folds whose dictionaries are column subsets of the given
-    ones are coded in the same call (see :func:`bpdn_batch`)."""
-    if blocks.shape[1] != len(D.atoms):
-        raise ValueError(f"sample has {blocks.shape[1]} blocks, model has {len(D.atoms)}")
-    Y = np.ascontiguousarray(blocks[rows].transpose(1, 2, 0))
+    ``blocks`` (positions, pixels, ROIs) holds the :func:`block_vectors` of
+    a whole pass, and ``rows`` (an index array, or ``slice(None)`` for all)
+    picks the samples to code. ``slice(None)`` codes the stack itself; an
+    index array gathers its samples in one C-contiguous copy, so their
+    norms sum in one order however ``rows`` picks them. Every block is
+    coded and decided in one :func:`block_decisions` call. ``allowed``
+    (n_atoms, samples), None for everywhere, restricts each sample to its
+    own atoms of every position's dictionary, so samples of several folds
+    whose dictionaries are column subsets of the given ones are coded in
+    the same call (see :func:`bpdn_batch`)."""
+    if len(blocks) != len(D.atoms):
+        raise ValueError(f"sample has {len(blocks)} blocks, model has {len(D.atoms)}")
+    Y = blocks[:, :, rows] if isinstance(rows, slice) else np.take(blocks, rows, axis=2)
     return block_decisions(D, Y, cfg.eps_rel, cfg.eps_abs, cfg.invert_lls, allowed)
 
 
@@ -272,20 +273,22 @@ def cross_validate(cfg: ExperimentConfig, blocks: np.ndarray, labels) -> tuple[n
 
     A fold whose training split is empty or lacks a class fails as its
     training would. The others train and classify in groups, each on its
-    members' rows of ``blocks``. When every fold's model is its training
-    split's raw block dictionaries (see :func:`_pools`), the folds form one
-    group: the raw dictionaries of all their training samples are built
-    once, and every held-out sample is coded in one :func:`classify_samples`
-    call on its own fold's training atoms alone, so one ``D^T D`` and one
-    ``D^T Y`` per position serve every fold. Otherwise each fold is a group
-    of its own, coded unmasked. Returns ``(folds, coded, errors)``: the fold
-    of each sample; ``(rows, results)`` per group that completed, in fold
-    order, with its held-out samples ``rows`` in fold order and their
-    :class:`BlockResults` (``(positions, len(rows))`` arrays); and each
-    failed fold's structured diagnostic dict, by fold. A group failing with
-    a ``ValueError`` or ``LinAlgError`` books its diagnostic to each of its
-    folds; any other exception raises. No decision rule is applied, so
-    ``cfg.decision`` and ``cfg.tau`` play no part.
+    members' samples of ``blocks``: the stack itself when they are every
+    sample, else a gather of their columns. When every fold's model is its
+    training split's raw block dictionaries (see :func:`_pools`), the folds
+    form one group: the raw dictionaries of all their training samples are
+    built once, and every held-out sample is coded in one
+    :func:`classify_samples` call on its own fold's training atoms alone,
+    so one ``D^T D`` and one ``D^T Y`` per position serve every fold; when
+    every fold trained, that call codes the stack itself. Otherwise each
+    fold is a group of its own, coded unmasked. Returns ``(folds, coded,
+    errors)``: the fold of each sample; ``(rows, results)`` per group that
+    completed, in fold order, with its held-out samples ``rows`` in sample
+    order and their :class:`BlockResults` (``(positions, len(rows))``
+    arrays); and each failed fold's structured diagnostic dict, by fold. A
+    group failing with a ``ValueError`` or ``LinAlgError`` books its
+    diagnostic to each of its folds; any other exception raises. No decision
+    rule is applied, so ``cfg.decision`` and ``cfg.tau`` play no part.
     """
     labels = as_label_array(labels)
     folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
@@ -301,15 +304,19 @@ def cross_validate(cfg: ExperimentConfig, blocks: np.ndarray, labels) -> tuple[n
     # is; training it as dl_mode "none" keeps a fixed K off the group's size
     group_cfg = replace(cfg, dl_mode="none") if pools else cfg
     for group in [trainable] if pools and trainable else [[f] for f in trainable]:
-        rows = np.concatenate([np.flatnonzero(folds == f) for f in group])
+        rows = np.flatnonzero(np.isin(folds, group))
         members = np.flatnonzero(np.any([folds != f for f in group], axis=0))
         # each sample may use the atoms of its own fold's training samples
         allowed = folds[members][:, None] != folds[rows][None, :] if pools else None
         stage = "train"
         try:  # a domain error aborts the group
-            model = train_block_models(blocks[members].transpose(1, 2, 0), labels[members], group_cfg)
+            # a subset's gather keeps the members' axis outermost in memory,
+            # which sets how a learned model rounds
+            stack = blocks if members.size == folds.size else blocks[:, :, members]
+            model = train_block_models(stack, labels[members], group_cfg)
             stage = "classify"
-            coded.append((rows, classify_samples(model.D, blocks, rows, cfg, allowed)))
+            held = slice(None) if rows.size == folds.size else rows
+            coded.append((rows, classify_samples(model.D, blocks, held, cfg, allowed)))
         except (ValueError, np.linalg.LinAlgError) as err:
             errors.update(dict.fromkeys(group, _diagnostic(stage, err)))
     return folds, coded, errors
@@ -324,11 +331,11 @@ def build_report(cfg: ExperimentConfig, block_size: int, samples: list[RoiSample
     :func:`cross_validate`) under the rule ``cfg.decision``: the one place a
     pass is split by fold, and with :func:`decision_outputs` the one place
     its block results are fused. Each coded group is fused under the rule
-    once and the groups' predictions joined; their rows' folds cut them into
-    one entry per fold, between the failed folds' diagnostics. Predictions
-    are pooled across the coded folds before the ROC sweep. When every fold
-    failed, the report has zero confusion counts, None metrics and an empty
-    ROC.
+    once and the groups' predictions joined, then put in fold order by one
+    stable sort of their rows' folds, which cuts them into one entry per
+    fold, between the failed folds' diagnostics. Predictions are pooled
+    across the coded folds before the ROC sweep. When every fold failed, the
+    report has zero confusion counts, None metrics and an empty ROC.
     """
     folds, coded, errors = cv_pass
     labels = as_label_array([s.label for s in samples])
@@ -339,6 +346,8 @@ def build_report(cfg: ExperimentConfig, block_size: int, samples: list[RoiSample
         outputs = [(rows, *decision_outputs(res, cfg)) for rows, res in coded]
         idx, pred, score = (np.concatenate(arrays).astype(kind)
                             for arrays, kind in zip(zip(*outputs), (int, int, float)))
+        order = np.argsort(folds[idx], kind="stable")
+        idx, pred, score = idx[order], pred[order], score[order]
         truth, fold = labels[idx], folds[idx]
         counts = _counts(fold, truth, pred, len(entries))
         lists = [x.tolist() for x in (idx, truth, pred, score)]

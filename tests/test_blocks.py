@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blocksrc import BENIGN, MALIGNANT, ExperimentConfig, RoiSample
-from blocksrc.blocks import block_stack, block_vectors
+from blocksrc.blocks import block_vectors
 from blocksrc.harness import train_block_models
 
 
@@ -12,14 +12,13 @@ def make_roi(pixels, label=BENIGN, source="t"):
 
 def roi_blocks(roi, block):
     """One ROI's block vectors, (positions, block * block)."""
-    return block_vectors([roi], block)[0]
+    return block_vectors([roi], block)[:, :, 0]
 
 
 def raw_dictionaries(training, block):
     """The training set's dl_mode "none" dictionaries, one stack of every
     block position's."""
-    stack, labels = block_stack(training, block)
-    return train_block_models(stack, labels, ExperimentConfig()).D
+    return train_block_models(block_vectors(training, block), [s.label for s in training], ExperimentConfig()).D
 
 
 class TestDecompose:
@@ -61,20 +60,30 @@ class TestDecompose:
 
 class TestBlockVectors:
     def test_rows_are_each_roi_s_decomposition(self):
+        # the cut is one C-contiguous stack whose cut[j, :, i] is ROI i's
+        # block j, vectorized row-major
         rng = np.random.default_rng(8)
         rois = [make_roi(rng.random((16, 16))) for _ in range(3)]
         for b in (16, 8, 4, 2):
             cut = block_vectors(rois, b)
-            assert cut.shape == (3, (16 // b) ** 2, b * b)
-            for roi, row in zip(rois, cut):
-                np.testing.assert_array_equal(row, roi_blocks(roi, b))
+            assert cut.shape == ((16 // b) ** 2, b * b, 3) and cut.flags.c_contiguous
+            g = 16 // b
+            for i, roi in enumerate(rois):
+                for j in range(g * g):
+                    r, c = divmod(j, g)
+                    block = roi.pixels[r * b : (r + 1) * b, c * b : (c + 1) * b]
+                    np.testing.assert_array_equal(cut[j, :, i], block.ravel())
+                np.testing.assert_array_equal(cut[:, :, i], roi_blocks(roi, b))
 
     def test_stack_is_the_transposed_cut(self):
+        # the stack holds every ROI's own cut along its last axis, and the
+        # raw dictionaries keep the training order's labels
         rng = np.random.default_rng(9)
         rois = [make_roi(rng.random((8, 8)), label) for label in (BENIGN, MALIGNANT, BENIGN)]
-        stack, labels = block_stack(rois, 4)
-        np.testing.assert_array_equal(stack, block_vectors(rois, 4).transpose(1, 2, 0))
-        np.testing.assert_array_equal(labels, [BENIGN, MALIGNANT, BENIGN])
+        stack = block_vectors(rois, 4)
+        cuts = np.stack([roi_blocks(roi, 4) for roi in rois])
+        np.testing.assert_array_equal(stack, cuts.transpose(1, 2, 0))
+        np.testing.assert_array_equal(raw_dictionaries(rois, 4).atom_labels, [BENIGN, MALIGNANT, BENIGN])
 
     def test_rejects_empty_mixed_and_non_dividing(self):
         rois = [make_roi(np.zeros((8, 8))), make_roi(np.zeros((4, 4)))]

@@ -445,7 +445,7 @@ def test_cell_whose_folds_all_fail_is_reported_and_the_run_finishes(
     classify = H.classify_samples
 
     def failing_16px(dicts, blocks, rows, cfg, allowed=None):
-        if blocks.shape[2] == 16 * 16:
+        if blocks.shape[1] == 16 * 16:
             raise ValueError("injected fold failure")
         return classify(dicts, blocks, rows, cfg, allowed)
 

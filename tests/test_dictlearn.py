@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blocksrc import BENIGN, MALIGNANT, ExperimentConfig, TrainParams, build_label_matrices
-from blocksrc.blocks import RoiSample, block_stack
+from blocksrc.blocks import RoiSample, block_vectors
 from blocksrc.dictlearn import _code, _draw_atoms, _ksvd_stack, _ridge_fit, lcksvd_train_stack
 from blocksrc.harness import train_block_models
 from blocksrc.solvers import normalize_columns
@@ -542,7 +542,7 @@ class TestExactDefaultK:
     def assert_exact(self, Y, labels, params, mode):
         b = math.isqrt(Y.shape[1])
         samples = roi_samples(Y, labels)
-        stack, stack_labels = block_stack(samples, b)  # the harness's layout
+        stack, stack_labels = block_vectors(samples, b), [s.label for s in samples]  # the harness's layout
         assert np.array_equal(stack, Y)
         model = lcksvd_train_stack(stack, stack_labels, params, mode)
         Z = stacked_columns(Y, labels, params, mode)
@@ -639,7 +639,8 @@ class TestLearningBelowTheTrainingCount:
     @pytest.mark.parametrize("mode", ["lcksvd1", "lcksvd2"])
     def test_atoms_leave_the_raw_blocks(self, mode):
         spec = SynthSpec(roi_size=16, block_size=8, samples_per_class=10, noise_sigma=1.0)
-        stack, labels = block_stack(synth_dataset(spec, 20), 8)
+        samples = synth_dataset(spec, 20)
+        stack, labels = block_vectors(samples, 8), [s.label for s in samples]
         learned = lcksvd_train_stack(stack, labels, TrainParams(K=8), mode)
         for Y, (D, trace) in zip(stack, positions(learned), strict=True):
             assert self.farthest_atom(D, Y) < 0.99

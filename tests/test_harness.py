@@ -20,7 +20,7 @@ from blocksrc import (
     stratified_folds,
     synth_dataset,
 )
-from blocksrc.blocks import RoiSample, block_stack, block_vectors
+from blocksrc.blocks import RoiSample, block_vectors
 from blocksrc.config import DECISIONS, parse_config_text
 from blocksrc.dictlearn import DiscriminativeDictionary, TrainParams
 from blocksrc.ensemble import BlockResults, bbll, bbmap, block_decisions
@@ -473,9 +473,9 @@ class TestRunExperiment:
         for f in range(cfg.k_folds):
             train = [samples[i] for i in np.flatnonzero(folds != f)]
             test_idx = np.flatnonzero(folds == f)
-            D = position(train_block_models(*block_stack(train, 16), cfg).D, 0)
+            D = position(train_on(train, 16, cfg).D, 0)
             for i in test_idx:
-                y = block_vectors([samples[i]], 16)[0, 0]
+                y = block_vectors([samples[i]], 16)[0, :, 0]
                 eps = cfg.eps_rel * np.linalg.norm(y)
                 X, _, _, _ = bpdn_batch(D, y[:, None], np.array([eps]))
                 resid, _ = class_residuals_pixels(D.atoms, D.atom_labels, X, y[:, None])
@@ -608,21 +608,30 @@ class TestRunExperiment:
 
 
 def per_fold_reference(cfg, samples, block):
-    """Each fold trained and classified on its own, with no atom mask, on
-    its own ROIs cut afresh; a fold whose training raises gets the
-    diagnostic its error makes."""
-    folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
+    """Each fold trained and classified on its own, with no atom mask: on
+    its training samples gathered from the whole set's cut, as a pass
+    gathers a fold's, and on its held-out ROIs cut afresh; a fold whose
+    training raises gets the diagnostic its error makes."""
+    labels = np.array([s.label for s in samples])
+    folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
+    blocks = block_vectors(samples, block)
     out = []
     for f in range(cfg.k_folds):
         try:
-            stack, labels = block_stack([samples[i] for i in np.flatnonzero(folds != f)], block)
-            model = train_block_models(stack, labels, cfg)
+            train = np.flatnonzero(folds != f)
+            model = train_block_models(blocks[:, :, train], labels[train], cfg)
         except ValueError as err:
             out.append({"stage": "train", "type": type(err).__name__, "message": str(err)})
             continue
         test = [samples[i] for i in np.flatnonzero(folds == f)]
         out.append(classify_samples(model.D, block_vectors(test, block), slice(None), cfg))
     return out
+
+
+def train_on(samples, block, cfg):
+    """``train_block_models`` on the samples cut into ``block``-px blocks,
+    with their labels."""
+    return train_block_models(block_vectors(samples, block), [s.label for s in samples], cfg)
 
 
 def validate(cfg, samples, block):
@@ -633,8 +642,8 @@ def validate(cfg, samples, block):
 
 
 def block_side(blocks) -> int:
-    """The side of the square blocks of a (samples, positions, pixels) array."""
-    return math.isqrt(blocks.shape[2])
+    """The side of the square blocks of a (positions, pixels, samples) array."""
+    return math.isqrt(blocks.shape[1])
 
 
 def spy_cuts(monkeypatch):
@@ -676,20 +685,22 @@ def assert_same_decisions(got, ref, atol=1e-9):
 
 
 def assert_groups_match_reference(cv_pass, ref, atol=1e-9):
-    """Every coded group of a pass holds its folds' held-out samples in fold
-    order, with their reference block results' decisions under each rule
-    joined in that order; the coded groups cover the folds that trained,
-    and the others failed as their reference did."""
+    """Every coded group of a pass holds its folds' held-out samples in
+    sample order, with their reference block results' decisions under each
+    rule joined fold by fold and put in that order; the coded groups cover
+    the folds that trained, and the others failed as their reference did."""
     folds, coded, errors = cv_pass
     assert errors == {f: r for f, r in enumerate(ref) if isinstance(r, dict)}
     covered = []
     for rows, res in coded:
         group = np.unique(folds[rows]).tolist()
-        assert np.array_equal(rows, np.concatenate([np.flatnonzero(folds == f) for f in group]))
+        assert np.array_equal(rows, np.flatnonzero(np.isin(folds, group)))
+        # the reference's samples fold by fold, put in sample order
+        order = np.argsort(np.concatenate([np.flatnonzero(folds == f) for f in group]))
         joined = {}
         for rule in DECISIONS:
             outputs = [decision_outputs(ref[f], tiny_config(decision=rule)) for f in group]
-            joined[rule] = [np.concatenate(part) for part in zip(*outputs)]
+            joined[rule] = [np.concatenate(part)[order] for part in zip(*outputs)]
         assert_same_decisions(res, joined, atol)
         covered += group
     assert covered == [f for f in range(len(ref)) if f not in errors]
@@ -751,7 +762,7 @@ class TestStackedFolds:
         calls = self.spy(monkeypatch)
         out = validate(cfg, samples, 4)
         assert len(calls) == 1 and calls[0]["allowed"] is not None
-        assert calls[0]["blocks"][calls[0]["rows"]].shape[0] == len(samples)
+        assert calls[0]["blocks"][:, :, calls[0]["rows"]].shape[2] == len(samples)
         # every position is coded in one call; a feasible code of a nonzero
         # block walked the path
         (res,) = calls[0]["results"]
@@ -812,9 +823,9 @@ class TestStackedFolds:
         calls = self.spy(monkeypatch)
         validate(cfg, samples, 4)
         (call,) = calls
-        # the held-out samples come fold by fold
-        test = np.concatenate([np.flatnonzero(folds == f) for f in range(cfg.k_folds)])
-        assert np.array_equal(call["blocks"][call["rows"]], block_vectors(samples, 4)[test])
+        # the held-out samples come in sample order
+        test = np.arange(len(samples))
+        assert np.array_equal(call["blocks"][:, :, call["rows"]], block_vectors(samples, 4)[:, :, test])
         # every sample, its own among them, has its block in the shared set
         assert call["D"].n_atoms == len(samples)
         same_fold = folds[:, None] == folds[test][None, :]
@@ -825,27 +836,36 @@ class TestStackedFolds:
             assert np.all(codes[same_fold] == 0.0)
             # unmasked, a block would code itself: its own atom enters first
             D = position(call["D"], j)
-            y = np.stack([block_vectors([samples[i]], 4)[0, j] for i in test], axis=1)
+            y = np.stack([block_vectors([samples[i]], 4)[j, :, 0] for i in test], axis=1)
             X, *_ = bpdn_batch(D, y, cfg.eps_rel * np.linalg.norm(y, axis=0))
             leaked += int(np.count_nonzero(X[test, np.arange(test.size)]))
         assert leaked >= len(res.codes) * len(samples) // 2
 
     def test_held_out_rows_are_read_from_the_pass_s_array(self, monkeypatch):
-        # the pooled call codes the very array cross_validate was given, its
-        # held-out samples picked fold by fold, with no copy of their rows
+        # the pooled group trains on and codes the very array cross_validate
+        # was given, its held-out samples in sample order, with no copy of
+        # the stack
         import blocksrc.harness as H
 
         cfg = walking_config(k_folds=5)
         samples = load_dataset(cfg)
         labels = [s.label for s in samples]
-        folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
         blocks = block_vectors(samples, 4)
+        stacks, real_train = [], H.train_block_models
+
+        def train(stack, *args):
+            stacks.append(stack)
+            return real_train(stack, *args)
+
+        monkeypatch.setattr(H, "train_block_models", train)
         calls = self.spy(monkeypatch)
-        H.cross_validate(cfg, blocks, labels)
-        (call,) = calls
+        _, ((rows, _),), _ = H.cross_validate(cfg, blocks, labels)
+        (call,), (stack,) = calls, stacks
+        _, Y, _, _ = call["decide"]
         assert np.shares_memory(call["blocks"], blocks)
-        test = np.concatenate([np.flatnonzero(folds == f) for f in range(cfg.k_folds)])
-        assert np.array_equal(call["rows"], test)
+        assert np.shares_memory(Y, blocks) and np.shares_memory(stack, blocks)
+        test = np.arange(len(samples))
+        assert np.array_equal(rows, test) and call["rows"] == slice(None)
 
     def test_failed_training_fold_is_left_out(self, monkeypatch):
         # the fold holding the only malignant ROI fails as its training
@@ -865,13 +885,13 @@ class TestStackedFolds:
             assert out[2][lone] == ref[lone]
             (call,) = calls
             assert call["allowed"] is not None and call["D"].n_atoms == len(samples)
-            test = [i for f in range(cfg.k_folds) if f != lone for i in np.flatnonzero(folds == f)]
-            assert np.array_equal(call["blocks"][call["rows"]], block_vectors(samples, 4)[test])
+            test = np.flatnonzero(folds != lone)
+            assert np.array_equal(call["blocks"][:, :, call["rows"]], block_vectors(samples, 4)[:, :, test])
             assert_groups_match_reference(out, ref)
 
     def test_pass_returns_the_groups_it_coded(self):
-        # a pooled cell codes its trainable folds as one group, rows in fold
-        # order; a K < s cell codes each trainable fold as a group of its
+        # a pooled cell codes its trainable folds as one group, rows in
+        # sample order; a K < s cell codes each trainable fold as a group of its
         # own; the one-class fold is coded in neither and has its diagnostic
         samples = with_one_malignant(load_dataset(walking_config()))
         labels = np.array([s.label for s in samples])
@@ -885,7 +905,7 @@ class TestStackedFolds:
             groups = [trainable] if dict_size == 0 else [[f] for f in trainable]
             assert len(coded) == len(groups)
             for (rows, res), group in zip(coded, groups):
-                assert np.array_equal(rows, np.concatenate([np.flatnonzero(folds == f) for f in group]))
+                assert np.array_equal(rows, np.flatnonzero(np.isin(folds, group)))
                 assert decision_outputs(res, cfg)[0].shape == rows.shape
             assert not np.isin(np.flatnonzero(folds == lone), np.concatenate([r for r, _ in coded])).any()
 
@@ -980,13 +1000,13 @@ class TestPoolByConstruction:
         labels = [s.label for s in samples]
         for block in (8, 16, 32, 64):
             raw = ExperimentConfig(roi_size=64, block_sizes=(block,))  # dl_mode "none"
-            whole = train_block_models(*block_stack(samples, block), raw).D
+            whole = train_on(samples, block, raw).D
             for mode, k in (("none", 10), ("lcksvd1", 20), ("lcksvd2", 30)):
                 cfg = ExperimentConfig(roi_size=64, block_sizes=(block,), k_folds=k, dl_mode=mode)
                 folds = stratified_folds(labels, k, cfg.seed)
                 for f in range(k):
                     idx = np.flatnonzero(folds != f)
-                    D = train_block_models(*block_stack([samples[i] for i in idx], block), cfg).D
+                    D = train_on([samples[i] for i in idx], block, cfg).D
                     assert D.atoms.tobytes() == whole.atoms[:, :, idx].tobytes()
                     assert D.atom_labels.tobytes() == whole.atom_labels[idx].tobytes()
                     assert D.scales.tobytes() == whole.scales[:, idx].tobytes()
@@ -1263,7 +1283,7 @@ class TestModelArchive:
     def test_roundtrip(self, tmp_path):
         cfg = tiny_config(dl_mode="lcksvd2", dict_size=6, iterations=3)
         samples = load_dataset(cfg)
-        model = train_block_models(*block_stack(samples, 8), cfg)
+        model = train_on(samples, 8, cfg)
         path = tmp_path / "model.blkd"
         save_model(str(path), model, cfg.train_params(), {"block_w": 8, "block_h": 8})
         loaded, params, meta = load_model(str(path))
@@ -1283,7 +1303,7 @@ class TestModelArchive:
     def test_mode_none_archive(self, tmp_path):
         cfg = tiny_config(dl_mode="none")
         samples = load_dataset(cfg)
-        model = train_block_models(*block_stack(samples, 8), cfg)
+        model = train_on(samples, 8, cfg)
         path = tmp_path / "raw.blkd"
         save_model(str(path), model, cfg.train_params(), {})
         loaded, _, _ = load_model(str(path))
@@ -1295,15 +1315,17 @@ class TestModelArchive:
         # archive silently; the lcksvd2 one again when K-SVD came to run in
         # span coordinates at every size, and when Batch-OMP came to apply
         # its rank-1 term as (z alpha) z^T (each time its atoms moved by
-        # rounding)
+        # rounding); both again when the block stack came to be cut
+        # C-contiguous (positions, pixels, samples), so each atom's norm sums
+        # its pixels in sequence (atoms moved by at most 1.7e-15)
         path = tmp_path / "m.blkd"
         for mode, overrides, digest in (
-            ("none", {}, "c9e5804743f319a846551e18ce54bcf8e2ef1c007ef382d8c2197398182adf0b"),
+            ("none", {}, "708280ab9b53029945daa1567b083f2b89f6f79d9532584fe44ed57a039f293c"),
             ("lcksvd2", {"dict_size": 6, "iterations": 3},
-             "c627bf46bb115fd0bec9e38407ff63c3d1fe78fac8c908430c118c12aa9755a2"),
+             "2f60c0763a84a13c16ee2de72c68388cc56be492af3d2c45ab5ece53119df423"),
         ):
             cfg = tiny_config(dl_mode=mode, **overrides)
-            model = train_block_models(*block_stack(load_dataset(cfg), 8), cfg)
+            model = train_on(load_dataset(cfg), 8, cfg)
             save_model(str(path), model, cfg.train_params(), {"block_w": 8, "block_h": 8})
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, mode
 
@@ -1368,7 +1390,7 @@ class TestModelArchive:
 
     def test_trailing_byte(self, tmp_path):
         cfg = tiny_config(dl_mode="none")
-        model = train_block_models(*block_stack(load_dataset(cfg), 8), cfg)
+        model = train_on(load_dataset(cfg), 8, cfg)
         path = tmp_path / "raw.blkd"
         save_model(str(path), model, cfg.train_params(), {})
         path.write_bytes(path.read_bytes() + b"\0")
@@ -1509,11 +1531,11 @@ class TestClassifyAgainstFixedModel:
         folds = stratified_folds([s.label for s in samples], cfg.k_folds, cfg.seed)
         for f in range(3):
             train, test = np.flatnonzero(folds != f), np.flatnonzero(folds == f)
-            D = train_block_models(*block_stack([samples[i] for i in train], 8), cfg).D
+            D = train_on([samples[i] for i in train], 8, cfg).D
             res = classify_samples(D, block_vectors(samples, 8), test, cfg)
             hard, lls = [], []
             for j in range(len(D.atoms)):
-                yj = np.stack([block_vectors([samples[i]], 8)[0, j] for i in test], axis=1)
+                yj = np.stack([block_vectors([samples[i]], 8)[j, :, 0] for i in test], axis=1)
                 one = block_decisions(grid(position(D, j)), yj[None], cfg.eps_rel)
                 hard.append(one.hard[0])
                 lls.append(one.lls[0])
@@ -1524,7 +1546,7 @@ class TestClassifyAgainstFixedModel:
     def test_decisions_have_both_labels(self):
         cfg = tiny_config()
         samples = load_dataset(cfg)
-        model = train_block_models(*block_stack(samples, 8), cfg)
+        model = train_on(samples, 8, cfg)
         res = classify_samples(model.D, block_vectors(samples[:4], 8), slice(None), cfg)
         label_bbmap, vote_score = decision_outputs(res, replace(cfg, decision="bbmap"))
         label_bbll, _ = decision_outputs(res, replace(cfg, decision="bbll"))

@@ -15,7 +15,7 @@ from blocksrc import (
     normalize_columns,
     solvers,
 )
-from blocksrc.blocks import block_stack
+from blocksrc.blocks import block_vectors
 from blocksrc.harness import stratified_folds
 from blocksrc.solvers import _well_posed, batch_omp
 from blocksrc.synth import SynthSpec, synth_dataset
@@ -647,7 +647,7 @@ class TestBpdnMasked:
         spec = SynthSpec(roi_size=roi_size, block_size=block, samples_per_class=37, noise_sigma=noise_sigma)
         samples = synth_dataset(spec, seed)
         folds = stratified_folds([s.label for s in samples], 10, seed)
-        stack, labels = block_stack(samples, block)
+        stack, labels = block_vectors(samples, block), [s.label for s in samples]
         D = Dictionary.from_matrix(stack[position], labels)
         test_idx = np.concatenate([np.flatnonzero(folds == f) for f in range(10)])
         allowed = folds[:, None] != folds[test_idx][None, :]
@@ -709,14 +709,17 @@ class TestBpdnMasked:
     def test_code8_call_outputs_are_pinned(self):
         # every output of the walk on the code8 data at four seeds, masked
         # and unmasked, to the last bit: a change that moves a path event or
-        # the rounding of a refit code changes this digest, and says why
+        # the rounding of a refit code changes this digest, and says why.
+        # Recorded again when the block stack came to be cut C-contiguous,
+        # which moved the atoms' norms by rounding: every feasible flag and
+        # path step kept its value
         digest = hashlib.sha256()
         for seed in (1, 2, 3, 7919):
             D, Y, eps, allowed = self.code8_call(seed)
             for mask in (allowed, None):
                 for a in bpdn_batch(D, Y, eps, allowed=mask):
                     digest.update(np.ascontiguousarray(a).tobytes())
-        assert digest.hexdigest() == "d5433eda3d657ffc93e2e16ae4d1cd10eb1d31c14f898f06db5d833640cf0e49"
+        assert digest.hexdigest() == "e93d006bf4f9cbfcd07fe7f27770391d91059c877b21d3fe60937c3459bbf3fd"
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_code8_call_takes_no_lstsq_and_one_refit_solve(self, monkeypatch, seed):
