@@ -14,6 +14,7 @@ from functools import cache
 
 import numpy as np
 
+from .blocks import check_training_labels
 from .labels import CLASS_IDS, as_label_array
 from .solvers import DEGENERATE_NORM, Dictionary, batch_omp, normalize_columns
 
@@ -268,9 +269,7 @@ def _ridge_fit(targets: np.ndarray, X: np.ndarray, lam: float = _RIDGE_LAMBDA) -
 def _check_labels(sample_labels: np.ndarray, s: int) -> None:
     if sample_labels.shape[0] != s:
         raise ValueError("one label per training column required")
-    for cid in CLASS_IDS:
-        if not np.any(sample_labels == cid):
-            raise ValueError(f"class id {cid} has zero samples")
+    check_training_labels(sample_labels)
 
 
 def _draw_atoms(sample_labels: np.ndarray, s: int, params: TrainParams):

@@ -43,10 +43,18 @@ class ReadingsLineError(ValueError):
         self.lineno = lineno
 
 
+def _is_bare_name(name: str) -> bool:
+    """Whether ``name`` names a file with no directory part: the rule for a
+    cache's sample files, and so for the ref ids that name them."""
+    return name not in ("", ".", "..") and os.path.basename(name) == name
+
+
 def _parse_line(lineno: int, tokens: list[str]) -> MiasRecord:
     if len(tokens) not in (3, 4, 7):
         raise ReadingsLineError(lineno, f"expected 3, 4 or 7 fields, got {len(tokens)}")
     ref_id, tissue, abnorm = tokens[:3]
+    if not _is_bare_name(ref_id):
+        raise ReadingsLineError(lineno, f"ref_id must be a bare file name, got {ref_id!r}")
     severity = None
     centroid = None
     radius = None
@@ -221,8 +229,8 @@ def load_roi_cache(cache_dir: str) -> list[RoiSample]:
         for key in ("file", "ref_id"):
             if not isinstance(entry[key], str):
                 raise ValueError(f"ROI cache manifest: samples[{i}] {key} must be a string, got {entry[key]!r}")
-        # a sample's file is the cache's own, with no directory part
-        if entry["file"] in ("", ".", "..") or os.path.basename(entry["file"]) != entry["file"]:
+        # a sample's file is the cache's own
+        if not _is_bare_name(entry["file"]):
             raise ValueError(f"ROI cache manifest: samples[{i}] file must be a bare file name, got {entry['file']!r}")
         if entry["label"] not in CLASS_NAMES:
             raise ValueError(f"ROI cache manifest: samples[{i}] label must be 'benign' or 'malignant', "

@@ -364,6 +364,27 @@ def test_prepare_rois_command(tmp_path):
     assert len(manifest["samples"]) == 2
 
 
+def test_prepare_rois_refuses_a_ref_id_with_a_directory_part(tmp_path, capsys):
+    # the line would read scans/sub/mdb002.pgm and write rois/sub/..., a
+    # sample file the cache's reader refuses
+    data = tmp_path / "scans"
+    (data / "sub").mkdir(parents=True)
+    rng = np.random.default_rng(0)
+    for ref in ("mdb001", "sub/mdb002", "mdb003"):
+        write_pgm(data / f"{ref}.pgm", image_from_array(rng.integers(0, 256, size=(64, 64)).astype(np.uint16), 255))
+    info = tmp_path / "info.txt"
+    info.write_text("mdb001 G CIRC B 32 32 20\nsub/mdb002 F MISC M 30 30 16\nmdb003 F MISC M 30 30 16\n")
+    out = tmp_path / "rois"
+    (out / "sub").mkdir(parents=True)
+    argv = ["prepare-rois", "--data-dir", str(data), "--readings", str(info), "--roi-size", "32", "--out", str(out)]
+    assert main(argv) == 1
+    diag = json.loads(capsys.readouterr().err.strip())
+    assert diag["message"] == "line 2: ref_id must be a bare file name, got 'sub/mdb002'"
+    assert main([*argv, "--lenient"]) == 0
+    assert [s.source_id for s in load_roi_cache(str(out))] == ["mdb001", "mdb003"]
+    assert not any((out / "sub").iterdir())
+
+
 def test_error_is_structured_and_nonzero(tmp_path, capsys):
     rc = main(["cv", "--config", str(tmp_path / "missing.cfg")])
     assert rc == 1

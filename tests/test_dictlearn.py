@@ -269,7 +269,7 @@ class TestInitLcksvd:
     def test_class_without_samples(self):
         rng = np.random.default_rng(9)
         Y = rng.standard_normal((4, 5))
-        with pytest.raises(ValueError, match="zero samples"):
+        with pytest.raises(ValueError, match="at least one sample per class"):
             lcksvd_train_stack(Y[None], [BENIGN] * 5, TrainParams(K=4, T=1), "lcksvd2")
 
 

@@ -1193,13 +1193,6 @@ class TestGridReuse:
                     assert entry["scores"] == scores.tolist()
 
 
-def one_block_archive(path, M, labels, mode="lcksvd2", trace=(2.0, 1.0)) -> bytes:
-    """Bytes of the archive of the one-block model of the matrix ``M``."""
-    model = DiscriminativeDictionary(Dictionary.from_matrix(M[None], labels), mode, [trace])
-    save_model(str(path), model, TrainParams(K=4, T=2), {"block_w": 8})
-    return path.read_bytes()
-
-
 @pytest.fixture(scope="module")
 def small_archive(tmp_path_factory):
     """Bytes of a two-block lcksvd2 archive and a scratch path to write
@@ -1211,7 +1204,8 @@ def small_archive(tmp_path_factory):
     return path.read_bytes(), path.with_name("variant.blkd")
 
 
-ARCHIVE_KINDS = {"f8": "<f8", "i4": "<i4"}
+# the format fixes each array's dtype
+ARCHIVE_DTYPES = {"atoms": "<f8", "atom_labels": "<i4", "scales": "<f8", "traces": "<f8", "trace_lengths": "<i4"}
 
 
 def archive_header(raw: bytes) -> dict:
@@ -1228,40 +1222,54 @@ def archive_with_header(raw: bytes, header) -> bytes:
     return raw[:8] + len(text).to_bytes(4, "little") + text + archive_payload(raw)
 
 
-def joined_archive(*raws) -> bytes:
-    """One archive holding the blocks of the archives ``raws`` in turn,
-    with the params and meta of the first."""
-    header = archive_header(raws[0])
-    header["blocks"] = [block for raw in raws for block in archive_header(raw)["blocks"]]
-    return archive_with_header(raws[0] + b"".join(archive_payload(raw) for raw in raws[1:]), header)
+def archive_arrays(raw: bytes) -> list:
+    """The ``(name, array)`` pairs an archive lists, in order."""
+    payload, pos, out = archive_payload(raw), 0, []
+    for entry in archive_header(raw)["arrays"]:
+        dtype = np.dtype(ARCHIVE_DTYPES[entry["name"]])
+        count = math.prod(entry["shape"])
+        out.append((entry["name"], np.frombuffer(payload, dtype, count, pos).reshape(entry["shape"])))
+        pos += count * dtype.itemsize
+    return out
 
 
-def archive_with_block_arrays(raw: bytes, extra, version: int = VERSION) -> bytes:
-    """``raw`` with ``extra``, ``(name, float64 array)`` pairs, appended to
-    block 0's arrays and the version field set to ``version``."""
+def archive_with_arrays(raw: bytes, arrays, version: int = VERSION) -> bytes:
+    """``raw``'s params, meta and mode over the ``(name, values)`` pairs
+    ``arrays``, each stored in the dtype its name fixes (float64 for a name
+    the format does not know), and the version field set to ``version``."""
     header = archive_header(raw)
-    arrays = header["blocks"][0]["arrays"]
-    end = 12 + int.from_bytes(raw[8:12], "little")  # where block 0's payload ends
-    end += sum(math.prod(e["shape"]) * np.dtype(ARCHIVE_KINDS[e["kind"]]).itemsize for e in arrays)
-    payload = b""
-    for name, value in extra:
-        value = np.asarray(value, dtype="<f8")
-        arrays.append({"name": name, "shape": list(value.shape), "kind": "f8"})
+    header["arrays"], payload = [], b""
+    for name, value in arrays:
+        value = np.asarray(value, dtype=ARCHIVE_DTYPES.get(name, "<f8"))
+        header["arrays"].append({"name": name, "shape": list(value.shape)})
         payload += value.tobytes()
-    out = archive_with_header(raw[:end] + payload + raw[end:], header)
+    out = archive_with_header(raw[: 12 + int.from_bytes(raw[8:12], "little")] + payload, header)
     return out[:4] + version.to_bytes(4, "little") + out[8:]
 
 
 def archive_with_first_value(raw: bytes, name: str, value) -> bytes:
-    """``raw`` with the first element of block 0's array ``name`` set to
-    ``value``."""
-    pos = 12 + int.from_bytes(raw[8:12], "little")
-    for entry in archive_header(raw)["blocks"][0]["arrays"]:
-        dtype = np.dtype(ARCHIVE_KINDS[entry["kind"]])
-        if entry["name"] == name:
-            return raw[:pos] + np.array([value], dtype=dtype).tobytes() + raw[pos + dtype.itemsize :]
-        pos += math.prod(entry["shape"]) * dtype.itemsize
-    raise KeyError(name)
+    """``raw`` with the first element of its array ``name`` set to ``value``."""
+    arrays = [(n, a.copy()) for n, a in archive_arrays(raw)]
+    dict(arrays)[name].flat[0] = value
+    return archive_with_arrays(raw, arrays)
+
+
+def version_2_archive(raw: bytes) -> bytes:
+    """The version-2 archive of ``raw``'s model: one entry per block
+    position, each repeating the mode and the atom labels."""
+    header, arrays = archive_header(raw), dict(archive_arrays(raw))
+    traces = np.split(arrays["traces"], np.cumsum(arrays["trace_lengths"])[:-1])
+    blocks, payload = [], b""
+    for atoms, scales, trace in zip(arrays["atoms"], arrays["scales"], traces):
+        entries = []
+        for name, value, kind in (("atoms", atoms, "f8"), ("atom_labels", arrays["atom_labels"], "i4"),
+                                  ("scales", scales, "f8"), ("objective_trace", trace, "f8")):
+            entries.append({"name": name, "shape": list(value.shape), "kind": kind})
+            payload += np.ascontiguousarray(value, dtype="<" + kind).tobytes()
+        blocks.append({"mode": header["mode"], "arrays": entries})
+    v2 = {"params": header["params"], "meta": header["meta"], "blocks": blocks}
+    out = archive_with_header(raw[: 12 + int.from_bytes(raw[8:12], "little")] + payload, v2)
+    return out[:4] + (2).to_bytes(4, "little") + out[8:]
 
 
 def header_key_paths(header):
@@ -1271,12 +1279,9 @@ def header_key_paths(header):
         yield (key,)
     for key in header["params"]:
         yield ("params", key)
-    for b, block in enumerate(header["blocks"]):
-        for key in block:
-            yield ("blocks", b, key)
-        for a, entry in enumerate(block["arrays"]):
-            for key in entry:
-                yield ("blocks", b, "arrays", a, key)
+    for a, entry in enumerate(header["arrays"]):
+        for key in entry:
+            yield ("arrays", a, key)
 
 
 class TestModelArchive:
@@ -1300,6 +1305,30 @@ class TestModelArchive:
         assert model.mode == loaded.mode == "lcksvd2"
         assert (tmp_path / "model.blkd.json").exists()
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_every_model_loads_back_exactly(self, small_archive, data):
+        # 1-4 positions, each mode, degenerate (zero-scale) atoms, and
+        # traces that are ragged or empty
+        _, path = small_archive
+        P, d, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        live = np.array(data.draw(st.lists(st.booleans(), min_size=P * n, max_size=P * n))).reshape(P, 1, n)
+        labels = data.draw(st.lists(st.sampled_from([BENIGN, MALIGNANT]), min_size=n, max_size=n))
+        traces = [data.draw(st.lists(st.floats(allow_nan=False), max_size=3)) for _ in range(P)]
+        model = DiscriminativeDictionary(Dictionary.from_matrix(rng.standard_normal((P, d, n)) * live, labels),
+                                         data.draw(st.sampled_from(["none", "lcksvd1", "lcksvd2"])), traces)
+        save_model(str(path), model, TrainParams(), {"P": P})
+        loaded, _, meta = load_model(str(path))
+        assert meta == {"P": P} and loaded.mode == model.mode
+        for a, b in ((model.D.atoms, loaded.D.atoms), (model.D.atom_labels, loaded.D.atom_labels),
+                     (model.D.scales, loaded.D.scales)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert len(loaded.objective_traces) == P
+        for a, b in zip(model.objective_traces, loaded.objective_traces, strict=True):
+            np.testing.assert_array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+
     def test_mode_none_archive(self, tmp_path):
         cfg = tiny_config(dl_mode="none")
         samples = load_dataset(cfg)
@@ -1310,73 +1339,42 @@ class TestModelArchive:
         assert loaded.mode == "none" and [t.size for t in loaded.objective_traces] == [0, 0, 0, 0]
 
     def test_archive_bytes_are_pinned(self, tmp_path):
-        # digests recorded when every block was saved from a model of its
-        # own, so writing the blocks from one stacked model cannot move an
-        # archive silently; the lcksvd2 one again when K-SVD came to run in
-        # span coordinates at every size, and when Batch-OMP came to apply
-        # its rank-1 term as (z alpha) z^T (each time its atoms moved by
-        # rounding); both again when the block stack came to be cut
-        # C-contiguous (positions, pixels, samples), so each atom's norm sums
-        # its pixels in sequence (atoms moved by at most 1.7e-15)
+        # digests recorded when the archive came to store the model's one
+        # stack (version 3), whose loaded arrays equal what version 2's
+        # per-block entries loaded, byte for byte
         path = tmp_path / "m.blkd"
         for mode, overrides, digest in (
-            ("none", {}, "708280ab9b53029945daa1567b083f2b89f6f79d9532584fe44ed57a039f293c"),
+            ("none", {}, "1ed463fdbf1bca9fa5771b3c982da187457daf40ef3265500ba0a508a2587f0a"),
             ("lcksvd2", {"dict_size": 6, "iterations": 3},
-             "2f60c0763a84a13c16ee2de72c68388cc56be492af3d2c45ab5ece53119df423"),
+             "79227c2e45320ea21939721a028b1ed0d8edd85734fca5f714d9945db415e1e5"),
         ):
             cfg = tiny_config(dl_mode=mode, **overrides)
             model = train_on(load_dataset(cfg), 8, cfg)
             save_model(str(path), model, cfg.train_params(), {"block_w": 8, "block_h": 8})
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, mode
 
-    def test_blocks_that_disagree_are_refused(self, tmp_path):
-        # a stacked model cannot hold such blocks, but an archive can
-        M = np.arange(1.0, 13.0).reshape(3, 4)
-        path = tmp_path / "one.blkd"
-        base = one_block_archive(path, M, [0, 0, 1, 1])
-        # block 0's scales of the same bytes, declared (2, 2)
-        odd_scales = archive_header(base)
-        next(e for e in odd_scales["blocks"][0]["arrays"] if e["name"] == "scales")["shape"] = [2, 2]
-        for other, what in ((one_block_archive(path, M[:, :3], [0, 0, 1]), r"atoms shape: \(3, 3\) against \(3, 4\)"),
-                            (one_block_archive(path, M[:2], [0, 0, 1, 1]), r"atoms shape: \(2, 4\) against \(3, 4\)"),
-                            (one_block_archive(path, M, [0, 1, 0, 1]),
-                             r"atom labels: \[0, 1, 0, 1\] against \[0, 0, 1, 1\]"),
-                            (archive_with_header(base, odd_scales), r"scales shape: \(2, 2\) against \(4,\)")):
-            path.write_bytes(joined_archive(base, base, other))
-            with pytest.raises(ValueError, match=f"block 2 differs from block 0 in its {what}"):
-                load_model(str(path))
-
-    def test_blocks_of_mixed_modes_are_refused(self, tmp_path):
-        M = np.arange(1.0, 13.0).reshape(3, 4)
-        path = tmp_path / "one.blkd"
-        learned, raw = (one_block_archive(path, M, [0, 0, 1, 1], mode, trace)
-                        for mode, trace in (("lcksvd2", [2.0, 1.0]), ("none", [])))
-        path.write_bytes(joined_archive(learned, raw))
-        with pytest.raises(ValueError, match="block 1 differs from block 0 in its mode: 'none' against 'lcksvd2'"):
-            load_model(str(path))
-
     def test_archive_without_blocks_is_refused(self, small_archive):
         raw, path = small_archive
-        header = archive_header(raw)
-        header["blocks"] = []
-        path.write_bytes(archive_with_header(raw[: 12 + int.from_bytes(raw[8:12], "little")], header))
-        with pytest.raises(ValueError, match="archive holds no blocks"):
+        path.write_bytes(archive_with_arrays(raw, [("atoms", np.zeros((0, 3, 4))), ("atom_labels", [0, 0, 1, 1]),
+                                                   ("scales", np.zeros((0, 4))), ("traces", []),
+                                                   ("trace_lengths", [])]))
+        with pytest.raises(ValueError, match="atoms must be a non-empty"):
             load_model(str(path))
 
     def test_version_check(self, tmp_path, small_archive):
         path = tmp_path / "bad.blkd"
-        for version in (1, 99):
+        for version in (1, 2, 99):
             path.write_bytes(b"BLKD" + version.to_bytes(4, "little") + (2).to_bytes(4, "little") + b"{}")
-            with pytest.raises(ValueError, match=rf"version {version} \(expected 2\)"):
+            with pytest.raises(ValueError, match=rf"version {version} \(expected 3\)"):
                 load_model(str(path))
-        # the version-1 layout: a learned block also held its label maps A and W
         raw, _ = small_archive
-        v1 = archive_with_block_arrays(raw, [("A", np.eye(4)), ("W", np.ones((2, 4)))], version=1)
-        path.write_bytes(v1)
-        with pytest.raises(ValueError, match=r"version 1 \(expected 2\)"):
+        v2 = version_2_archive(raw)
+        path.write_bytes(v2)
+        with pytest.raises(ValueError, match=r"version 2 \(expected 3\)"):
             load_model(str(path))
-        path.write_bytes(v1[:4] + VERSION.to_bytes(4, "little") + v1[8:])
-        with pytest.raises(ValueError, match="unknown block array 'A'"):
+        # nor does a version-2 layout read as version 3
+        path.write_bytes(v2[:4] + VERSION.to_bytes(4, "little") + v2[8:])
+        with pytest.raises(ValueError, match="header lacks mode, arrays"):
             load_model(str(path))
 
     def test_truncated_header(self, tmp_path):
@@ -1399,11 +1397,12 @@ class TestModelArchive:
 
     def test_malformed_headers(self, small_archive):
         raw, path = small_archive
-        unknown_kind, backwards = archive_header(raw), archive_header(raw)
-        unknown_kind["blocks"][0]["arrays"][0]["kind"] = "f4"
-        backwards["blocks"][0]["arrays"][0]["shape"] = [-1, 2]
-        for bad, match in (({}, "header lacks"), ([], "not a JSON object"),
-                           (unknown_kind, "unknown kind"), (backwards, "bad shape")):
+        backwards, listless, unknown_mode = archive_header(raw), archive_header(raw), archive_header(raw)
+        backwards["arrays"][0]["shape"] = [-1, 2]
+        listless["arrays"] = {"atoms": [2, 3, 4]}
+        unknown_mode["mode"] = "lcksvd3"
+        for bad, match in (({}, "header lacks"), ([], "not a JSON object"), (backwards, "bad shape"),
+                           (listless, "arrays must be exactly"), (unknown_mode, "unknown mode 'lcksvd3'")):
             path.write_bytes(archive_with_header(raw, bad))
             with pytest.raises(ValueError, match=match):
                 load_model(str(path))
@@ -1460,13 +1459,43 @@ class TestModelArchive:
             load_model(str(path))
 
     def test_unknown_or_repeated_block_arrays(self, small_archive):
+        # one check: the five arrays the format lists, in its order
         raw, path = small_archive
-        path.write_bytes(archive_with_block_arrays(raw, []))
-        assert path.read_bytes() == raw  # appending nothing leaves the archive as it was
-        for extra, match in (([("Z", [1.0])], "unknown block array 'Z'"),
-                             ([("atoms", np.full((3, 4), 7.0))], "repeated block array 'atoms'"),
-                             ([("objective_trace", [0.5])], "repeated block array 'objective_trace'")):
-            path.write_bytes(archive_with_block_arrays(raw, extra))
+        arrays = archive_arrays(raw)
+        path.write_bytes(archive_with_arrays(raw, arrays))
+        assert path.read_bytes() == raw  # the same arrays make the same archive
+        for bad in (arrays[:-1], arrays[1:], arrays + [("Z", [1.0])], arrays + [arrays[0]],
+                    arrays[:1] + arrays, [arrays[2], arrays[1], arrays[0], *arrays[3:]],
+                    [*arrays[:3], arrays[4], arrays[3]]):
+            path.write_bytes(archive_with_arrays(raw, bad))
+            with pytest.raises(ValueError, match="archive arrays must be exactly atoms, atom_labels, scales, "
+                                                 "traces, trace_lengths, in that order"):
+                load_model(str(path))
+
+    def test_trace_lengths_that_do_not_split_the_traces_are_refused(self, small_archive):
+        raw, path = small_archive
+        arrays = archive_arrays(raw)
+        assert arrays[3][1].tolist() == [2.0, 1.0, 3.0] and arrays[4][1].tolist() == [2, 1]
+        for traces, lengths, match in (([2.0, 1.0, 3.0], [2, 2], "do not split the 3 traces"),
+                                       ([2.0, 1.0, 3.0], [4, -1], r"trace_lengths \[4, -1\] do not split"),
+                                       ([2.0, 1.0, 3.0], [[2, 1]], "do not split"),
+                                       ([[2.0, 1.0, 3.0]], [2, 1], "do not split"),
+                                       ([2.0, 1.0, 3.0], [3], r"one objective trace per position \(2\), got 1"),
+                                       ([2.0, 1.0, 3.0], [1, 1, 1], r"one objective trace per position \(2\), got 3")):
+            path.write_bytes(archive_with_arrays(raw, [*arrays[:3], ("traces", traces), ("trace_lengths", lengths)]))
+            with pytest.raises(ValueError, match=match):
+                load_model(str(path))
+
+    def test_arrays_that_make_no_block_grid_are_refused(self, small_archive):
+        raw, path = small_archive
+        (_, atoms), (_, labels), (_, scales), *_ = archive_arrays(raw)
+        for bad, match in (({"atoms": atoms[0], "scales": scales[0], "traces": [2.0, 1.0], "trace_lengths": [2]},
+                            r"\(P, d, n\) stack, got shape \(3, 4\)"),
+                           ({"atom_labels": labels[:3]}, r"atom_labels must have length 4, got \(3,\)"),
+                           ({"scales": scales[:1]}, r"scales must have shape \(2, 4\), got \(1, 4\)"),
+                           ({"scales": scales.T}, r"scales must have shape \(2, 4\), got \(4, 2\)")):
+            arrays = [(name, bad.get(name, value)) for name, value in archive_arrays(raw)]
+            path.write_bytes(archive_with_arrays(raw, arrays))
             with pytest.raises(ValueError, match=match):
                 load_model(str(path))
 

@@ -114,6 +114,15 @@ class TestMetadata:
         recs = parse_metadata(text, strict=False)
         assert [r.ref_id for r in recs] == ["mdb001", "mdb003"]
 
+    @pytest.mark.parametrize("ref_id", ["sub/mdb002", "../mdb002", "/mdb002", "..", "."])
+    def test_ref_id_with_a_directory_part_is_refused(self, ref_id):
+        # a ref id names the cache file its ROI is written to, which the
+        # cache's reader takes only as a bare file name
+        text = f"mdb001 G CIRC B 535 425 197\n{ref_id} G CIRC B 522 280 69\nmdb003 D NORM"
+        with pytest.raises(ReadingsLineError, match=f"line 2: ref_id must be a bare file name, got '{ref_id}'"):
+            parse_metadata(text)
+        assert [r.ref_id for r in parse_metadata(text, strict=False)] == ["mdb001", "mdb003"]
+
     def test_comments_and_blanks(self):
         recs = parse_metadata("\n# header\nmdb001 G CIRC B 535 425 197  # trailing\n\n")
         assert len(recs) == 1
