@@ -95,12 +95,14 @@ def _cmd_evaluate(args) -> int:
             f"model roi_size {meta.get('roi_size')!r} does not match config roi_size {cfg.roi_size}"
         )
     block = block_side(model.D.dim)
-    trained = meta.get("training_ids")
-    if trained is not None and not (isinstance(trained, list) and all(isinstance(i, str) for i in trained)):
+    if "training_ids" not in meta:
+        raise ValueError("model meta has no training_ids, so its held-out samples are unknown")
+    trained = meta["training_ids"]
+    if not (isinstance(trained, list) and all(isinstance(i, str) for i in trained)):
         raise ValueError(f"model meta training_ids is not a list of sample ids: {trained!r}")
     samples = load_dataset(cfg)
     # a sample the model trained on is not held out, so it is not scored
-    excluded = set(trained or ())
+    excluded = set(trained)
     held = [s for s in samples if s.source_id not in excluded]
     if not held:
         raise ValueError(f"all {len(samples)} samples of the dataset trained the model; none is held out to score")
@@ -110,8 +112,6 @@ def _cmd_evaluate(args) -> int:
     metrics = compute_metrics(preds, truth, scores)
     metrics.pop("roc", None)
     metrics.update(n_scored=len(held), n_excluded_training=len(samples) - len(held))
-    if trained is None:
-        metrics["training_ids"] = "unknown"  # an archive written before train recorded them
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "evaluation.json")
     with open(out, "w", encoding="utf-8") as fh:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -67,7 +67,7 @@ def compute_metrics(predictions, truths, scores=None) -> dict:
     if scores is not None and out["tpr"] is not None and out["tnr"] is not None:
         points, auc = roc_auc(np.asarray(scores, dtype=float), truths)
         out["auc"] = 100.0 * auc
-        out["roc"] = [[float(v) for v in row] for row in points]
+        out["roc"] = points.tolist()
     return out
 
 
@@ -107,34 +107,13 @@ class EvalReport:
     confusion: dict
     metrics: dict
     roc: list
-    # the fields this report shares with its twins (see twin), by name, each
-    # as (value, JSON encoding)
-    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         """The fields by name; the values are the report's own, not copies."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), sort_keys=True, indent=2)``, joined
-        from one encoding per field; a field still holding the value it
-        shares with a twin (see :meth:`twin`) reuses that value's encoding."""
-        texts = {}
-        for k, v in self.to_dict().items():
-            shared = self._shared.get(k)
-            texts[k] = shared[1] if shared and shared[0] is v else _indented(v)
-        return _join_fields(texts)
-
-    def twin(self, config: dict) -> "EvalReport":
-        """This report under the config echo ``config``, as a pass that
-        serves several learning modes reports each of them. The twin shares
-        every other field's value with this report, and that value's JSON
-        encoding, made once for this report and all its twins."""
-        if not self._shared:
-            self._shared.update((k, (v, _indented(v))) for k, v in self.to_dict().items() if k != "config")
-        twin = replace(self, config=config)
-        twin._shared = self._shared
-        return twin
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def summary_row(self) -> dict:
         return {
@@ -147,21 +126,6 @@ class EvalReport:
             "acc": self.metrics.get("acc"),
             "auc": self.metrics.get("auc"),
         }
-
-
-def _indented(value) -> str:
-    """``value`` encoded as a field of a ``json.dumps(obj, sort_keys=True,
-    indent=2)`` object: encoded alone, with two more spaces after every
-    newline. A JSON string holds no raw newline, so every newline in the
-    encoding is the layout's."""
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-
-
-def _join_fields(texts: dict) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` of a non-empty dict
-    ``obj`` with string keys, joined from its values' :func:`_indented`
-    encodings ``texts``, by key."""
-    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {texts[k]}" for k in sorted(texts)) + "\n}"
 
 
 SUMMARY_COLUMNS = ("decision", "k_folds", "block_size", "dl_mode", "tpr", "tnr", "acc", "auc")
@@ -404,11 +368,13 @@ def report_stem(report: EvalReport) -> str:
     return f"{c['decision']}_{c['dl_mode']}_k{c['k_folds']}_b{report.block_size}"
 
 
-def persist_report(report: EvalReport, out_dir: str) -> None:
+def persist_report(report: EvalReport, out_dir: str, text: str | None = None) -> None:
+    """Write the report's JSON, its summary CSV row and its ROC CSV and SVG.
+    ``text`` is ``report.to_json()`` when the caller already has it."""
     os.makedirs(out_dir, exist_ok=True)
     stem = report_stem(report)
     with open(os.path.join(out_dir, stem + ".json"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
+        fh.write((report.to_json() if text is None else text) + "\n")
     write_summary_csv(os.path.join(out_dir, stem + ".csv"), [report.summary_row()])
     if report.roc:
         points = np.asarray(report.roc, dtype=float)
@@ -430,10 +396,9 @@ def run_grid(cfg: ExperimentConfig, persist: bool = True) -> list[EvalReport]:
     rules. The passes of one (folds, block size) pair that code on the raw
     dictionaries (see :func:`cross_validate`) run once for all their modes:
     at the default K = s, LC-KSVD's take the "none" pass's groups. Such a
-    pooled pass's report is built once per rule, and every mode reports a
-    twin of it (see :meth:`EvalReport.twin`): the twins share its fields and
-    their JSON encoding, and differ only in the ``dl_mode`` of their config
-    echo, which alone each twin encodes again.
+    pooled pass's report is built and, when persisted, encoded once per
+    rule; every later mode reports it under its own config echo, and writes
+    its text with the one ``"dl_mode"`` entry, the config echo's, swapped.
     Reports and summary rows come out decision-major. Raises ValueError when
     no grid block size divides ``roi_size``.
     """
@@ -447,21 +412,28 @@ def run_grid(cfg: ExperimentConfig, persist: bool = True) -> list[EvalReport]:
     for block in blocks:
         vectors = block_vectors(samples, block)
         for k in GRID_FOLDS:
-            pooled = None  # this pair's raw-dictionary pass's reports by rule
+            pooled = None  # this pair's raw-dictionary pass: its mode, and its (report, JSON) by rule
             for mode in GRID_MODES:
                 sub = replace(cfg, k_folds=k, dl_mode=mode)
                 pools = _pools(sub, folds[k])
-                if not (pools and pooled):
+                if pools and pooled:
+                    # only the config echo has a "dl_mode" key, and a JSON
+                    # string escapes its quotes, so the entry occurs once
+                    base, reps = pooled
+                    swap = (f'"dl_mode": "{base}"', f'"dl_mode": "{mode}"')
+                    reps = {d: (replace(r, config=replace(sub, decision=d).echo()), text and text.replace(*swap))
+                            for d, (r, text) in reps.items()}
+                else:
                     cv_pass = cross_validate(sub, vectors, labels)
-                    reps = {d: build_report(replace(sub, decision=d), block, samples, cv_pass)
-                            for d in DECISIONS}
-                if pools:
-                    # every mode of the pair reports a twin of its rule's report
-                    pooled = pooled or reps
-                    reps = {d: r.twin(replace(sub, decision=d).echo()) for d, r in pooled.items()}
-                for decision, rep in reps.items():
+                    reps = {}
+                    for d in DECISIONS:
+                        rep = build_report(replace(sub, decision=d), block, samples, cv_pass)
+                        reps[d] = rep, rep.to_json() if persist else None
+                    if pools:
+                        pooled = mode, reps
+                for decision, (rep, text) in reps.items():
                     if persist:
-                        persist_report(rep, cfg.output_dir)
+                        persist_report(rep, cfg.output_dir, text)
                     cells[decision, k, mode, block] = rep
     reports = [cells[d, k, m, b] for d in DECISIONS for k in GRID_FOLDS for m in GRID_MODES for b in blocks]
     if persist:

@@ -320,19 +320,23 @@ def test_evaluate_scores_the_half_that_did_not_train(tmp_path, synth_cache):
     assert written == {**expected, "n_scored": 6, "n_excluded_training": 6}
 
 
-def test_an_archive_without_training_ids_scores_every_sample(tmp_path, synth_cache):
-    # an archive written before train recorded its samples evaluates as it
-    # did, and says that it could exclude none
+def test_an_archive_without_training_ids_is_refused(tmp_path, synth_cache, capsys):
+    # without the ids of its training samples no sample is known to be held
+    # out, so scoring any of them could score the model on its own training set
     cfg = write_config(tmp_path, synth_cache)
     model = tmp_path / "model.blkd"
     assert main(["train", "--config", str(cfg), "--model", str(model)]) == 0
     trained, params, meta = load_model(str(model))
     del meta["training_ids"]
     save_model(str(model), trained, params, meta)
-    assert main(["evaluate", "--config", str(cfg), "--model", str(model)]) == 0
-    written = json.loads((tmp_path / "results" / "evaluation.json").read_text())
-    expected = evaluation_of(cfg, model, synth_cache, {s.source_id for s in load_roi_cache(str(synth_cache))})
-    assert written == {**expected, "n_scored": 12, "n_excluded_training": 0, "training_ids": "unknown"}
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    diag = json.loads(err)
+    assert diag["command"] == "evaluate" and diag["error"] == "ValueError"
+    assert "training_ids" in diag["message"]
+    assert not (tmp_path / "results" / "evaluation.json").exists()
 
 
 def test_train_refuses_several_block_sizes(tmp_path, synth_cache, capsys):

@@ -25,8 +25,6 @@ from blocksrc.config import DECISIONS, parse_config_text
 from blocksrc.dictlearn import DiscriminativeDictionary, TrainParams
 from blocksrc.ensemble import BlockResults, bbll, bbmap, block_decisions
 from blocksrc.harness import (
-    _indented,
-    _join_fields,
     build_report,
     classify_samples,
     decision_outputs,
@@ -213,29 +211,6 @@ class TestBuildReport:
         if booked:
             pooled = compute_metrics(*(sum((e[k] for e in booked), []) for k in ("predictions", "truth")))
             assert report.confusion == {k: pooled[k] for k in ("tp", "tn", "fp", "fn")}
-
-
-# text with the characters a JSON encoder must escape, and some it need not
-JSON_TEXT = st.text(alphabet=st.sampled_from('ab "\\/\n\t\r\x00\u2028\u2029é中😀'), max_size=8) | st.text(max_size=6)
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats() | JSON_TEXT,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
-    max_leaves=24,
-)
-
-
-class TestReportEncoding:
-    @settings(max_examples=400, deadline=None, database=None)
-    @given(st.dictionaries(JSON_TEXT, JSON_VALUES, min_size=1, max_size=6))
-    def test_field_encodings_join_to_the_whole_encoding(self, obj):
-        texts = {k: _indented(v) for k, v in obj.items()}
-        assert _join_fields(texts) == json.dumps(obj, sort_keys=True, indent=2)
-
-    def test_special_values(self):
-        obj = {"nan": math.nan, "inf": [math.inf, -math.inf], "empty": [{}, [], ""], "none": None,
-               "flags": {"t": True, "f": False}, "text": 'a "quoted"\nline\u2028é'}
-        texts = {k: _indented(v) for k, v in obj.items()}
-        assert _join_fields(texts) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 class TestConfig:
@@ -1075,10 +1050,13 @@ class TestRunGrid:
         self.assert_whole_encodings(reports, tmp_path / "grid")
 
         # a pass whose coding fails books every fold as an error dict and
-        # has None metrics; its twins still persist the whole encoding
+        # has None metrics; each mode still persists its whole encoding,
+        # though the message reads like the entry a later mode swaps
+        message = '"dl_mode": "none"'
+
         def failing_classify(D, blocks, rows, c, allowed=None):
             if block_side(blocks) == 8:
-                raise ValueError("injected")
+                raise ValueError(message)
             return real_classify(D, blocks, rows, c, allowed)
 
         monkeypatch.setattr(H, "GRID_FOLDS", (3,))
@@ -1089,7 +1067,7 @@ class TestRunGrid:
         monkeypatch.undo()
         for rep in failed:
             if rep.block_size == 8:
-                assert all(e["error"]["message"] == "injected" for e in rep.folds)
+                assert all(e["error"]["message"] == message for e in rep.folds)
                 assert set(rep.metrics.values()) == {None} and rep.roc == []
             else:
                 assert not rep.incomplete_folds
@@ -1103,6 +1081,24 @@ class TestRunGrid:
         for rep in reports:
             text = (out_dir / (H.report_stem(rep) + ".json")).read_text(encoding="utf-8")
             assert text == json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
+
+    def test_an_unpersisted_grid_encodes_nothing(self, tmp_path, monkeypatch):
+        import blocksrc.harness as H
+
+        monkeypatch.setattr(H, "GRID_FOLDS", (3,))
+        monkeypatch.setattr(H, "GRID_BLOCKS", (16, 8))
+        calls = []
+        real_dumps = H.json.dumps
+
+        def counting_dumps(*args, **kwargs):
+            calls.append(args)
+            return real_dumps(*args, **kwargs)
+
+        monkeypatch.setattr(H.json, "dumps", counting_dumps)
+        reports = H.run_grid(tiny_config(iterations=3, output_dir=str(tmp_path / "grid")), persist=False)
+        monkeypatch.undo()
+        assert len(reports) == 2 * 3 * 2 and calls == []
+        assert not (tmp_path / "grid").exists()
 
     def test_no_grid_block_dividing_roi_size_raises(self, tmp_path):
         import blocksrc.harness as H
