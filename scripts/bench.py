@@ -29,9 +29,10 @@ position by position, and records the path steps per block. The run
 records the commit (and whether tracked files differ from it), a sha256 of the
 ``src/blocksrc/*.py`` files it ran (as ``benchmark/run.py`` digests them, so
 a file run on an uncommitted tree names its source), the numpy and BLAS
-versions, the CPU count, and the tracemalloc
+versions, the CPU count, and the wall seconds and tracemalloc
 peak of one 8-px coding call: every held-out block of position 0 on its
-own fold's training blocks, as a pooled pass codes it.
+own fold's training blocks, as a pooled pass codes it (the peak from a
+second, traced run of the call).
 
 The file records; it gates nothing. Compare two files only when they were
 run alternately on one host. A cell the set cannot run (a block that does
@@ -148,7 +149,10 @@ def ksvd_iterations(cfg: ExperimentConfig, samples: list) -> tuple[list[int], fl
 def pooled_call(cfg: ExperimentConfig, samples: list) -> dict:
     """Wall seconds and tracemalloc peak of one 8-px coding call: every
     held-out block of position 0 on its own fold's training blocks, through
-    the atom mask a pooled pass uses."""
+    the atom mask a pooled pass uses. ``wall_s`` and ``steps_mean`` come
+    from a first, untraced call; ``tracemalloc_peak_mb`` from the same call
+    repeated under tracemalloc, whose allocation hook would slow a timed
+    call several times over."""
     labels = np.array([s.label for s in samples])
     folds = stratified_folds(labels, cfg.k_folds, cfg.seed)
     stack = block_vectors(samples, 8)
@@ -157,8 +161,9 @@ def pooled_call(cfg: ExperimentConfig, samples: list) -> dict:
     allowed = folds[:, None] != folds[test][None, :]
     Y = stack[0][:, test]
     eps = cfg.eps_rel * np.linalg.norm(Y, axis=0)
-    tracemalloc.start()
     (_, _, _, iters), wall, _ = timed(lambda: bpdn_batch(D, Y, eps, allowed=allowed))
+    tracemalloc.start()
+    bpdn_batch(D, Y, eps, allowed=allowed)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return {"blocks": int(Y.shape[1]), "wall_s": wall, "tracemalloc_peak_mb": peak / 1e6,

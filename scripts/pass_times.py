@@ -9,10 +9,13 @@ A child imports blocksrc from its tree's ``src/`` and the workloads from its
 tree's ``benchmark/``, draws the workload's inputs
 (``workloads.make_inputs``), runs ``workloads.warm_up`` and one untimed
 pass, then times ``--passes`` passes of ``workloads.run_pass``, each into
-an emptied output directory, and reports their median. The script prints
-each pair's medians, each tree's median over the pairs with its quartiles,
-and in how many pairs B was faster. It imports neither tree itself and
-writes only to temporary directories.
+an emptied output directory, and reports their median with the minor
+page faults and system-CPU milliseconds per pass (its ``getrusage`` deltas
+over the timed passes and the emptying of their directories, divided by the
+pass count). The script prints each pair's figures, each tree's median over
+the pairs (with its quartiles for the pass time), and in how many pairs B
+was faster. It imports neither tree itself and writes only to temporary
+directories.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-# the child: argv is (tree, workload, seed, passes); prints the median pass seconds
+# the child: argv is (tree, workload, seed, passes); prints the median pass
+# seconds, then the minor faults and system-CPU ms per timed pass
 CHILD = """
-import os, shutil, statistics, sys, tempfile, time
+import os, resource, shutil, statistics, sys, tempfile, time
 tree, name, seed, passes = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "benchmark")]
 import workloads
@@ -36,34 +40,46 @@ with tempfile.TemporaryDirectory() as work:
     workloads.warm_up(w, seed, os.path.join(work, "warm"))
     out = os.path.join(work, "out")
     times = []
-    for _ in range(passes + 1):
+    for i in range(passes + 1):
+        if i == 1:
+            before = resource.getrusage(resource.RUSAGE_SELF)
         shutil.rmtree(out, ignore_errors=True)
         os.makedirs(out)
         t0 = time.perf_counter()
         workloads.run_pass(w, inputs, seed, out)
         times.append(time.perf_counter() - t0)
-print(statistics.median(times[1:]))
+    after = resource.getrusage(resource.RUSAGE_SELF)
+faults = (after.ru_minflt - before.ru_minflt) / passes
+sys_ms = 1e3 * (after.ru_stime - before.ru_stime) / passes
+print(statistics.median(times[1:]), faults, sys_ms)
 """
 
 
-def child_median(tree: Path, workload: str, seed: int, passes: int) -> float:
-    """The median pass seconds of one child process on ``tree``."""
+def child_median(tree: Path, workload: str, seed: int, passes: int) -> tuple[float, float, float]:
+    """The median pass seconds of one child process on ``tree``, and its
+    minor faults and system-CPU ms per timed pass."""
     with tempfile.TemporaryDirectory() as cwd:
         done = subprocess.run(
             [sys.executable, "-c", CHILD, str(tree), workload, str(seed), str(passes)],
             cwd=cwd, stdout=subprocess.PIPE, text=True, check=True,
         )
-    return float(done.stdout.splitlines()[-1])
+    seconds, faults, sys_ms = map(float, done.stdout.splitlines()[-1].split())
+    return seconds, faults, sys_ms
 
 
 def pass_times(tree_a, tree_b, workload: str, seeds, passes: int):
-    """Yield one pair per seed, ``{"seed", "first", "a_s", "b_s"}``: the
-    children's medians, with the tree that runs first alternating."""
+    """Yield one pair per seed, ``{"seed", "first", "a_s", "b_s",
+    "a_faults", "b_faults", "a_sys_ms", "b_sys_ms"}``: the children's
+    medians and per-pass counts, with the tree that runs first alternating."""
     trees = {"A": Path(tree_a).resolve(), "B": Path(tree_b).resolve()}
     for i, seed in enumerate(seeds):
         order = "AB" if i % 2 == 0 else "BA"
-        medians = {side: child_median(trees[side], workload, seed, passes) for side in order}
-        yield {"seed": seed, "first": order[0], "a_s": medians["A"], "b_s": medians["B"]}
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            key = side.lower()
+            pair[f"{key}_s"], pair[f"{key}_faults"], pair[f"{key}_sys_ms"] = child_median(
+                trees[side], workload, seed, passes)
+        yield pair
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -73,20 +89,26 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-HEADER = "seed first    A ms    B ms"
+HEADER = "seed first    A ms    B ms  A faults  B faults  A sys ms  B sys ms"
 
 
 def pair_line(p: dict) -> str:
-    return f"{p['seed']:>4} {p['first']:>5} {1e3 * p['a_s']:7.2f} {1e3 * p['b_s']:7.2f}"
+    return (f"{p['seed']:>4} {p['first']:>5} {1e3 * p['a_s']:7.2f} {1e3 * p['b_s']:7.2f}"
+            f" {p['a_faults']:9.1f} {p['b_faults']:9.1f} {p['a_sys_ms']:9.2f} {p['b_sys_ms']:9.2f}")
 
 
 def summary(pairs: list[dict]) -> list[str]:
-    """Each tree's median over ``pairs`` with its quartiles, and in how many
+    """Each tree's median pass time over ``pairs`` with its quartiles, and
+    its median minor faults and system-CPU ms per pass; and in how many
     pairs B was faster."""
     lines, medians = [], {}
-    for side, key in (("A", "a_s"), ("B", "b_s")):
-        q1, medians[side], q3 = quartiles([1e3 * p[key] for p in pairs])
-        lines.append(f"{side}: median {medians[side]:.2f} ms [{q1:.2f}, {q3:.2f}]")
+    for side in "AB":
+        key = side.lower()
+        q1, medians[side], q3 = quartiles([1e3 * p[f"{key}_s"] for p in pairs])
+        faults = statistics.median(p[f"{key}_faults"] for p in pairs)
+        sys_ms = statistics.median(p[f"{key}_sys_ms"] for p in pairs)
+        lines.append(f"{side}: median {medians[side]:.2f} ms [{q1:.2f}, {q3:.2f}], "
+                     f"{faults:.1f} minor faults, {sys_ms:.2f} sys ms per pass")
     won = sum(p["b_s"] < p["a_s"] for p in pairs)
     change = 100.0 * (medians["B"] / medians["A"] - 1.0)
     lines.append(f"B faster in {won} of {len(pairs)} pairs; median {change:+.1f}%")

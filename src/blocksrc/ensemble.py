@@ -91,8 +91,9 @@ def block_decisions(
     m = Y.shape[2]
     allowed = check_mask(allowed, n, m)
     # the squares' sums as np.linalg.norm takes them, so a zero code's class
-    # residual sqrt(ysq) is the norm itself
-    ysq = np.add.reduce(Y * Y, axis=1)
+    # residual sqrt(ysq) is the norm itself; einsum sums several columns in
+    # that order with no (P, d, m) temporary, but one column in another
+    ysq = np.einsum("pdm,pdm->pm", Y, Y) if m > 1 else np.add.reduce(Y * Y, axis=1)
     ynorm = np.sqrt(ysq)
     degenerate = (ynorm < DEGENERATE_NORM) | ~(usable @ allowed)
     eps = np.where(degenerate, np.inf, eps_abs if eps_abs > 0 else eps_rel * ynorm)
@@ -206,7 +207,7 @@ def write_roc_svg(path, points: np.ndarray, title: str = "ROC") -> None:
     def sy(v: float) -> float:
         return size - margin - v * span
 
-    poly = " ".join(f"{sx(f):.2f},{sy(t):.2f}" for _, f, t in points)
+    poly = " ".join(f"{sx(f):.2f},{sy(t):.2f}" for _, f, t in np.asarray(points, dtype=float).tolist())
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',

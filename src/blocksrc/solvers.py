@@ -45,17 +45,21 @@ def normalize_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     whose norm falls below ``DEGENERATE_NORM`` are zeroed instead of divided
     by a tiny number; they are flagged degenerate downstream through the
     returned scales. Returns ``(normalized, scales)`` where ``scales`` holds
-    the original column norms.
+    the original column norms. The normalized array is the one full-size
+    array made: it takes the squares, then the quotients.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or 0 in M.shape:
         raise ValueError(f"expected a non-empty matrix or stack of matrices, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix contains non-finite values")
-    scales = np.linalg.norm(M, axis=-2)
+    # the squares' sums as np.linalg.norm takes them
+    out = M * M
+    scales = np.sqrt(np.add.reduce(out, axis=-2))
     degenerate = (scales < DEGENERATE_NORM)[..., None, :]
-    out = M / np.where(degenerate, 1.0, scales[..., None, :])
-    out[np.broadcast_to(degenerate, out.shape)] = 0.0
+    np.divide(M, np.where(degenerate, 1.0, scales[..., None, :]), out=out)
+    if degenerate.any():
+        out[np.broadcast_to(degenerate, out.shape)] = 0.0
     return out, scales
 
 
@@ -741,11 +745,13 @@ def bpdn_stack(A, usable, G, B, Y, ynorm, eps, allowed):
             own = allowed[np.ix_(idx, cols)]
             plans[key] = own, _set_plan(own, d)
         own, plan = plans[key]
-        Au = A[p][:, idx] if idx.size < n else A[p]
+        # a position that keeps every atom reads its slices, not gathers
+        every = idx.size == n
+        Au = A[p] if every else A[p][:, idx]
         Gp = np.zeros((idx.size + 1, idx.size + 1))
-        Gp[:-1, :-1] = G[p][np.ix_(idx, idx)]
+        Gp[:-1, :-1] = G[p] if every else G[p][np.ix_(idx, idx)]
         Bp = np.zeros((idx.size + 1, cols.size + 1))
-        Bp[:-1, :-1] = B[p][np.ix_(idx, cols)]
+        Bp[:-1, :-1] = B[p] if every and cols.size == m else B[p][np.ix_(idx, cols)]
         ysq = ynorm[p, cols] ** 2
         # The least-squares floor of every atom set finds the columns that
         # can never meet their bound; they take the least-squares code, where

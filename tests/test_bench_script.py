@@ -7,6 +7,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -55,6 +56,23 @@ def test_quick_run_on_a_tiny_set(tmp_path):
             assert cell[rule]["failed_folds"] == []
     assert set(result["pooled_8px_call"]) == {"blocks", "wall_s", "tracemalloc_peak_mb", "steps_mean"}
     assert result["pooled_8px_call"]["blocks"] == 6
+
+
+def test_the_pooled_call_is_timed_untraced():
+    # wall_s comes from an untraced call; only the repeat runs under tracemalloc
+    bench = load_script()
+    tracing, real = [], bench.bpdn_batch
+
+    def spy(*args, **kwargs):
+        tracing.append(tracemalloc.is_tracing())
+        return real(*args, **kwargs)
+
+    bench.bpdn_batch = spy
+    cfg = ExperimentConfig(roi_size=16, block_sizes=(8,), k_folds=3, seed=bench.SEED)
+    samples = synth_dataset(SynthSpec(roi_size=16, block_size=8, samples_per_class=3), bench.SEED)
+    out = bench.pooled_call(cfg, samples)
+    assert tracing == [False, True]
+    assert out["blocks"] == 6 and out["wall_s"] > 0 and out["tracemalloc_peak_mb"] > 0
 
 
 @pytest.mark.parametrize("folds", ["1", "7"])

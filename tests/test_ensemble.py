@@ -114,18 +114,24 @@ class TestBlockDecision:
 
     def test_zero_code_ties_at_the_norm(self):
         # a degenerate block keeps the zero code: both class residuals are
-        # its norm exactly, the tie goes to benign, and its score is +0.0
-        rng = np.random.default_rng(5)
-        D = self.low_coherence_pair_dict(rng)
-        Y = np.abs(rng.standard_normal((1, 10, 3)))
-        allowed = np.ones((4, 3), dtype=bool)
-        allowed[:, 1] = False  # no atom at all for sample 1
-        res = block_decisions(D, Y, 0.05, allowed=allowed)
-        assert res.degenerate[0].tolist() == [False, True, False]
-        norm = np.linalg.norm(Y[0, :, 1])
-        assert res.residuals[BENIGN, 0, 1] == norm and res.residuals[MALIGNANT, 0, 1] == norm
-        assert res.hard[0, 1] == BENIGN and res.feasible[0, 1]
-        assert res.lls[0, 1] == 0.0 and not np.signbit(res.lls[0, 1])
+        # its norm exactly, as np.linalg.norm takes it along the pixel axis,
+        # the tie goes to benign, and its score is +0.0; at a pass's sizes
+        # too, and for a sample coded alone
+        for P, d, m in [(1, 10, 3), (1, 4096, 5), (16, 256, 5), (16, 256, 1)]:
+            rng = np.random.default_rng(5)
+            A = np.abs(rng.standard_normal((P, d, 4))) + 0.2
+            D = Dictionary.from_matrix(A, [BENIGN, BENIGN, MALIGNANT, MALIGNANT])
+            Y = np.abs(rng.standard_normal((P, d, m)))
+            i = m // 2
+            allowed = np.ones((4, m), dtype=bool)
+            allowed[:, i] = False  # no atom at all for sample i
+            res = block_decisions(D, Y, 0.05, allowed=allowed)
+            assert (res.degenerate == (np.arange(m) == i)).all()
+            norm = np.linalg.norm(Y, axis=1)[:, i]
+            assert res.residuals[BENIGN, :, i].tobytes() == norm.tobytes()
+            assert res.residuals[MALIGNANT, :, i].tobytes() == norm.tobytes()
+            assert (res.hard[:, i] == BENIGN).all() and res.feasible[:, i].all()
+            assert (res.lls[:, i] == 0.0).all() and not np.signbit(res.lls[:, i]).any()
 
     def test_positions_with_other_working_columns_code_as_alone(self):
         # a block within its bound at position 1 only leaves that position
@@ -143,6 +149,23 @@ class TestBlockDecision:
             one = block_decisions(grid(position(D, p)), Y[p : p + 1], 0.0, eps_abs=0.05, allowed=allowed)
             for name in ("codes", "feasible", "hard", "lls"):
                 assert getattr(one, name)[0].tobytes() == getattr(res, name)[p].tobytes()
+
+    def test_a_position_with_a_degenerate_atom_codes_as_alone(self):
+        # positions 0 and 2 keep every atom and code every column, position
+        # 1 has lost an atom: each still codes as in a call of its own
+        rng = np.random.default_rng(8)
+        M = np.abs(rng.standard_normal((3, 10, 6))) + 0.1
+        M[1, :, 3] = 0.0
+        D = Dictionary.from_matrix(M, [BENIGN, MALIGNANT] * 3)
+        Y = np.abs(rng.standard_normal((3, 10, 5)))
+        res = block_decisions(D, Y, 0.3)
+        assert D.usable.sum(axis=1).tolist() == [6, 5, 6] and not res.degenerate.any()
+        assert res.feasible.any() and not res.feasible.all()  # some columns walk, some take the floor
+        for p in range(3):
+            one = block_decisions(grid(position(D, p)), Y[p : p + 1], 0.3)
+            for name in ("codes", "feasible", "hard", "lls"):
+                assert getattr(one, name)[0].tobytes() == getattr(res, name)[p].tobytes()
+            assert one.residuals[:, 0].tobytes() == res.residuals[:, p].tobytes()
 
     def test_signals_must_match_the_positions(self):
         rng = np.random.default_rng(6)
@@ -319,6 +342,13 @@ class TestRocExport:
         assert len(lines) == len(points) + 1
         svg = svg_path.read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_svg_of_an_array_and_of_its_list(self, tmp_path):
+        rng = np.random.default_rng(4)
+        points, _ = roc_auc(rng.random(30), rng.permutation([0] * 15 + [1] * 15))
+        write_roc_svg(tmp_path / "array.svg", points)
+        write_roc_svg(tmp_path / "list.svg", points.tolist())
+        assert (tmp_path / "array.svg").read_bytes() == (tmp_path / "list.svg").read_bytes()
 
     def test_csv_rows_parse_to_the_points_exactly(self, tmp_path):
         # plain floats, not numpy scalar reprs such as np.float64(0.25), and

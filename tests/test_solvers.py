@@ -83,6 +83,24 @@ class TestNormalizeColumns:
         with pytest.raises(ValueError, match="non-finite"):
             normalize_columns(np.array([[np.nan], [1.0]]))
 
+    @pytest.mark.parametrize("shape", [(10, 6), (4096, 40), (3, 10, 6), (16, 256, 40)])
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_bytes_of_the_norm_and_the_quotient(self, shape, zero):
+        # the scales are np.linalg.norm's bytes, a usable atom is its column
+        # over that norm, a degenerate one is +0.0, and the input is kept
+        rng = np.random.default_rng(11)
+        M = rng.standard_normal(shape)
+        if zero:
+            M[..., 2] = 0.0
+        before = M.copy()
+        out, scales = normalize_columns(M)
+        assert scales.tobytes() == np.linalg.norm(M, axis=-2).tobytes()
+        usable = (scales >= solvers.DEGENERATE_NORM)[..., None, :]
+        assert usable.all() != zero
+        expect = np.where(usable, M / np.where(usable, scales[..., None, :], 1.0), 0.0)
+        assert out.tobytes() == expect.tobytes()
+        assert M.tobytes() == before.tobytes()
+
 
 class TestDictionary:
     def test_degenerate_flags(self):
